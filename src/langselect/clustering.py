@@ -236,12 +236,7 @@ def inertia(vectors: np.ndarray, centroids: np.ndarray) -> float:
 
 def assign(vector: np.ndarray, centroids: np.ndarray) -> int:
     """Nearest-centroid id for one vector; ties go to the lowest cluster id."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape[-1] != centroids.shape[1]:
-        raise ClusteringError(
-            f"vector dimension {v.shape[-1]} does not match centroids ({centroids.shape[1]})"
-        )
-    return int(((centroids - v) ** 2).sum(axis=1).argmin())
+    return int(assign_many(np.asarray(vector)[None, :], centroids)[0])
 
 
 def assign_many(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:

@@ -15,15 +15,15 @@ from __future__ import annotations
 import fcntl
 import json
 import logging
-import os
 import random
 import re
+from collections import Counter, defaultdict
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .clustering import (
     ClusterModel,
     EmbeddingCache,
     LskRouter,
+    assign_many,
     embed_items,
     item_embedding_key,
     train_lsk_best,
@@ -48,23 +49,27 @@ from .prompts import (
     build_selection_prompt,
     prompt_hash,
 )
-from .report import ReportError, build_report, emit, report_from_json
+from .report import build_report, emit, report_from_json
 from .selectors import (
     CountryMap,
+    GlobalChoice,
     SelectorError,
     SelectorOutcome,
     Strategy,
     evaluate,
     load_selection_cache,
+    save_selection_cache,
     train_global_language,
 )
 from .store import (
     InferenceRecord,
     RecordStatus,
+    ResponseMatrix,
     RunStore,
     build_matrix,
     matrix_counts,
     missing_cells,
+    write_atomic,
 )
 from .synthetic import SYNTHETIC_MODEL_NAME, SyntheticSpec, expected_oracle_accuracy, generate
 from .translation import ItemTranslationError, translate_item
@@ -81,9 +86,6 @@ EXIT_TRANSPORT = 4
 class StageResult:
     exit_code: int
     summary: dict = field(default_factory=dict)
-
-    def line(self) -> str:
-        return json.dumps(self.summary, ensure_ascii=False, sort_keys=True)
 
 
 class RunLockedError(RuntimeError):
@@ -104,16 +106,6 @@ def run_lock(output_dir: Path):
         yield
     finally:
         fh.close()
-
-
-def write_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(data)
-        fh.flush()
-        os.fsync(fh.fileno())
-    os.replace(tmp, path)
 
 
 def _safe_name(name: str) -> str:
@@ -397,13 +389,7 @@ def run_select_llm(
                 auth_failure = str(exc)
                 break
             cache[item.item_id] = extract_expert_language(response.text, list(config.languages))
-        payload = json.dumps(
-            {item_id: lang.value for item_id, lang in sorted(cache.items())},
-            ensure_ascii=False,
-            indent=2,
-            sort_keys=True,
-        ) + "\n"
-        write_atomic(cache_path, payload.encode("utf-8"))
+        save_selection_cache(cache, cache_path)
     summary["selected"] = len(cache)
     summary["transport_failures"] = transport_failures
     if auth_failure is not None:
@@ -501,6 +487,92 @@ def _model_name_for_evaluate(config: RunConfig) -> str:
     raise ConfigError("cannot determine model name: add a chat_endpoint block to the config")
 
 
+@dataclass
+class Evaluation:
+    """Every strategy's outcome on one test split, and what the reports show of it."""
+
+    output_dir: Path
+    outcomes: dict[Strategy, SelectorOutcome] = field(default_factory=dict)
+    skipped: dict[str, str] = field(default_factory=dict)
+    sweep: dict[int, SelectorOutcome] = field(default_factory=dict)
+    global_choice: GlobalChoice | None = None
+    cluster_model: ClusterModel | None = None
+
+    def write_reports(self, dataset_id: str, model_name: str, snapshot: dict, rate: float | None) -> dict:
+        """Write ``reports/report.{json,csv,md}``; returns the summary fields for them."""
+        report = build_report(
+            dataset_id,
+            model_name,
+            self.outcomes,
+            global_language_choice=self.global_choice.language,
+            cluster_model=self.cluster_model,
+            cluster_size_sweep=self.sweep,
+            verification_rate=rate,
+            config_snapshot=snapshot,
+        )
+        out_dir = self.output_dir / "reports"
+        for fmt, suffix in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
+            write_atomic(out_dir / f"report.{suffix}", emit(report, fmt))
+        return {"accuracy_by_strategy": report.accuracy_by_strategy, "report_dir": str(out_dir)}
+
+
+def evaluate_all(
+    output_dir: Path,
+    matrix: ResponseMatrix,
+    train: Sequence[McqItem],
+    test: Sequence[McqItem],
+    ks: Sequence[int],
+    seeds: Sequence[int],
+    country_map: CountryMap | str,
+    llm_choices: Mapping[str, Language] | str,
+    vectors: Mapping[str, np.ndarray] | str,
+) -> Evaluation:
+    """Score the seven strategies on ``test``, training the learned ones on ``train``.
+
+    Each optional strategy gets its state or, as a string, the reason it is
+    skipped. The global-language choice and one cluster model per k are written
+    to ``output_dir``; the model of the first k is the one reported.
+    """
+    train_matrix = matrix.subset([i.item_id for i in train])
+    test_matrix = matrix.subset([i.item_id for i in test])
+    ev = Evaluation(output_dir)
+    if Language.ENGLISH in matrix.languages:
+        ev.outcomes[Strategy.ONLY_ENGLISH] = evaluate(Strategy.ONLY_ENGLISH, test, test_matrix)
+    else:
+        ev.skipped["only_english"] = "English is not in the language set"
+    ev.outcomes[Strategy.MAJORITY] = evaluate(Strategy.MAJORITY, test, test_matrix)
+    ev.outcomes[Strategy.ORACLE] = evaluate(Strategy.ORACLE, test, test_matrix)
+
+    ev.global_choice = train_global_language(train_matrix)
+    ev.outcomes[Strategy.GLOBAL_LANGUAGE] = evaluate(
+        Strategy.GLOBAL_LANGUAGE, test, test_matrix, state=ev.global_choice
+    )
+    write_atomic(output_dir / "global_choice.json", (ev.global_choice.to_json() + "\n").encode("utf-8"))
+
+    for strategy, state in ((Strategy.COUNTRY, country_map), (Strategy.LLM_SELECTED, llm_choices)):
+        if isinstance(state, str):
+            ev.skipped[strategy.value] = state
+            continue
+        try:
+            ev.outcomes[strategy] = evaluate(strategy, test, test_matrix, state=state)
+        except SelectorError as exc:  # a selection cache that misses test items
+            ev.skipped[strategy.value] = str(exc)
+
+    if isinstance(vectors, str):
+        ev.skipped["lsk_extractor"] = vectors
+        return ev
+    for k in ks:
+        model = train_lsk_best(vectors, train_matrix, k, seeds)
+        ev.sweep[k] = evaluate(
+            Strategy.LSK_EXTRACTOR, test, test_matrix, state=LskRouter(model=model, vectors=vectors)
+        )
+        write_atomic(output_dir / f"cluster_model_k{k}.json", (model.to_json() + "\n").encode("utf-8"))
+        if ev.cluster_model is None:
+            ev.cluster_model = model
+    ev.outcomes[Strategy.LSK_EXTRACTOR] = ev.sweep[ks[0]]
+    return ev
+
+
 def run_evaluate(
     config: RunConfig,
     k_list: Sequence[int] | None = None,
@@ -510,7 +582,6 @@ def run_evaluate(
     model_name = _model_name_for_evaluate(config)
     items = load_items(config)
     train, test = split_items(config, items)
-    summary: dict = {"stage": "evaluate", "model_name": model_name, "skipped_strategies": {}}
     ks = list(k_list) if k_list else list(config.k_list)
     fit_seeds = list(seeds) if seeds else list(config.seeds)
 
@@ -518,111 +589,51 @@ def run_evaluate(
         store = RunStore(store_dir(config, model_name))
         matrix = build_matrix(store, items, model_name, config.languages)
         counts = matrix_counts(matrix)
-        summary["cells"] = counts
-        train_matrix = matrix.subset([i.item_id for i in train])
-        test_matrix = matrix.subset([i.item_id for i in test])
 
-        outcomes: dict[Strategy, SelectorOutcome] = {}
-        if Language.ENGLISH in matrix.languages:
-            outcomes[Strategy.ONLY_ENGLISH] = evaluate(Strategy.ONLY_ENGLISH, test, test_matrix)
+        if not any(i.country for i in test):
+            country_map = "dataset has no country metadata"
+        elif config.country_map_path is not None:
+            country_map = CountryMap.from_json(config.country_map_path)
         else:
-            summary["skipped_strategies"]["only_english"] = "English is not in the language set"
-        outcomes[Strategy.MAJORITY] = evaluate(Strategy.MAJORITY, test, test_matrix)
-        outcomes[Strategy.ORACLE] = evaluate(Strategy.ORACLE, test, test_matrix)
-
-        global_choice = train_global_language(train_matrix)
-        outcomes[Strategy.GLOBAL_LANGUAGE] = evaluate(
-            Strategy.GLOBAL_LANGUAGE, test, test_matrix, state=global_choice
-        )
-        write_atomic(
-            config.output_dir / "global_choice.json", (global_choice.to_json() + "\n").encode("utf-8")
-        )
-
-        if any(i.country for i in test):
-            if config.country_map_path is not None:
-                country_map = CountryMap.from_json(config.country_map_path)
-            else:
-                country_map = bundled_country_map(config.dataset_id) or CountryMap.default_only()
-            outcomes[Strategy.COUNTRY] = evaluate(Strategy.COUNTRY, test, test_matrix, state=country_map)
-        else:
-            summary["skipped_strategies"]["country"] = "dataset has no country metadata"
+            country_map = bundled_country_map(config.dataset_id) or CountryMap.default_only()
 
         cache_path = selection_cache_path(config)
+        llm_choices = f"no selection cache at {cache_path}; run the select-llm stage"
         if cache_path.exists():
-            try:
-                selection_cache = load_selection_cache(cache_path)
-                outcomes[Strategy.LLM_SELECTED] = evaluate(
-                    Strategy.LLM_SELECTED, test, test_matrix, state=selection_cache
-                )
-            except SelectorError as exc:
-                summary["skipped_strategies"]["llm_selected"] = str(exc)
-        else:
-            summary["skipped_strategies"]["llm_selected"] = (
-                f"no selection cache at {cache_path}; run the select-llm stage"
-            )
+            llm_choices = load_selection_cache(cache_path)
 
-        cluster_model: ClusterModel | None = None
-        sweep: dict[int, SelectorOutcome] = {}
         emb_path = embeddings_path(config)
+        vectors = f"no embedding cache at {emb_path}; run the embed stage"
         if emb_path.exists():
             vectors = EmbeddingCache(emb_path).vectors_by_item()
             uncovered = [i.item_id for i in train + test if i.item_id not in vectors]
             if uncovered:
-                summary["skipped_strategies"]["lsk_extractor"] = (
-                    f"{len(uncovered)} split items lack embeddings; rerun the embed stage"
-                )
-            else:
-                for k in ks:
-                    model = train_lsk_best(vectors, train_matrix, k, fit_seeds)
-                    router = LskRouter(model=model, vectors=vectors)
-                    sweep[k] = evaluate(Strategy.LSK_EXTRACTOR, test, test_matrix, state=router)
-                    write_atomic(
-                        config.output_dir / f"cluster_model_k{k}.json",
-                        (model.to_json() + "\n").encode("utf-8"),
-                    )
-                    if cluster_model is None:
-                        cluster_model = model
-                outcomes[Strategy.LSK_EXTRACTOR] = sweep[ks[0]]
-        else:
-            summary["skipped_strategies"]["lsk_extractor"] = (
-                f"no embedding cache at {emb_path}; run the embed stage"
-            )
+                vectors = f"{len(uncovered)} split items lack embeddings; rerun the embed stage"
 
+        ev = evaluate_all(
+            config.output_dir, matrix, train, test, ks, fit_seeds, country_map, llm_choices, vectors
+        )
         rate, verification_counts = compute_verification_rate(store, model_name, config.languages)
         snapshot = config_snapshot(config, model_name)
         snapshot["k_list"] = ks
         snapshot["seeds"] = fit_seeds
         snapshot["cells"] = counts
         snapshot["verification"] = verification_counts
-        snapshot["skipped_strategies"] = summary["skipped_strategies"]
-        report = build_report(
-            config.dataset_id.value,
-            model_name,
-            outcomes,
-            global_language_choice=global_choice.language,
-            cluster_model=cluster_model,
-            cluster_size_sweep=sweep,
-            verification_rate=rate,
-            config_snapshot=snapshot,
-        )
-        out_dir = reports_dir(config)
-        for fmt, suffix in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
-            write_atomic(out_dir / f"report.{suffix}", emit(report, fmt))
-        summary["accuracy_by_strategy"] = report.accuracy_by_strategy
-        summary["report_dir"] = str(out_dir)
+        snapshot["skipped_strategies"] = ev.skipped
+        summary = {"stage": "evaluate", "model_name": model_name, "cells": counts}
+        summary["skipped_strategies"] = ev.skipped
+        summary.update(ev.write_reports(config.dataset_id.value, model_name, snapshot, rate))
     return StageResult(EXIT_OK, summary)
 
 
 def rerender_report(report_path: Path, fmt: str) -> bytes:
-    report = report_from_json(Path(report_path).read_bytes())
-    if fmt not in ("json", "csv", "markdown"):
-        raise ReportError(f"unknown format {fmt!r}")
-    return emit(report, fmt)
+    return emit(report_from_json(Path(report_path).read_bytes()), fmt)
 
 
 def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
     store = RunStore(data_dir)
-    if store.read_manifest() is None:
+    manifest = store.read_manifest()
+    if manifest is None:
         store.write_manifest(
             {
                 "model_name": SYNTHETIC_MODEL_NAME,
@@ -631,6 +642,8 @@ def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
                 "synthetic_spec": spec_payload,
             }
         )
+    elif manifest.get("synthetic_spec") != spec_payload:
+        raise ConfigError(f"{data_dir} holds the run of another synthetic spec; use a new output directory")
     for item in data.items:
         for lang in data.matrix.languages:
             cell = data.matrix.cell(item.item_id, lang)
@@ -666,7 +679,9 @@ def run_simulate(
     the same formats the live pipeline uses, then the matrix is rebuilt from
     the store and every strategy is evaluated against it. The LLM-selected
     stand-in is a seeded uniform-random language choice per test item; the
-    country strategy routes through the planted cluster-to-expert map.
+    country strategy routes through the planted cluster-to-expert map. The
+    store is filled first, so an output directory holding another spec's run
+    is refused before anything in it is written.
     """
     spec_payload = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     spec = SyntheticSpec.from_dict(spec_payload)
@@ -674,12 +689,12 @@ def run_simulate(
     summary: dict = {"stage": "simulate", "n_items": spec.n_items, "k_true": spec.k_true}
 
     with run_lock(output_dir):
+        store = _synthetic_store(output_dir / "store" / f"custom__{SYNTHETIC_MODEL_NAME}", data, spec_payload)
         save_dataset(data.items, output_dir / "items.jsonl")
         cache = EmbeddingCache(output_dir / "embeddings.jsonl")
         for item in data.items:
             cache.put(item_embedding_key(item), item.item_id, data.vectors[item.item_id])
         cache.save()
-        store = _synthetic_store(output_dir / "store" / f"custom__{SYNTHETIC_MODEL_NAME}", data, spec_payload)
 
         matrix = build_matrix(store, data.items, SYNTHETIC_MODEL_NAME, data.matrix.languages)
         if matrix.cells != data.matrix.cells:  # pragma: no cover - replay safety net
@@ -688,45 +703,16 @@ def run_simulate(
         n_test = test_count if test_count is not None else max(1, spec.n_items // 6)
         n_train = train_count if train_count is not None else spec.n_items - n_test
         train, test = split(data.items, SplitSpec(seed=spec.seed, train_count=n_train, test_count=n_test))
-        train_matrix = matrix.subset([i.item_id for i in train])
-        test_matrix = matrix.subset([i.item_id for i in test])
-
-        outcomes: dict[Strategy, SelectorOutcome] = {}
-        if Language.ENGLISH in matrix.languages:
-            outcomes[Strategy.ONLY_ENGLISH] = evaluate(Strategy.ONLY_ENGLISH, test, test_matrix)
-        outcomes[Strategy.MAJORITY] = evaluate(Strategy.MAJORITY, test, test_matrix)
-        outcomes[Strategy.ORACLE] = evaluate(Strategy.ORACLE, test, test_matrix)
-        global_choice = train_global_language(train_matrix)
-        outcomes[Strategy.GLOBAL_LANGUAGE] = evaluate(
-            Strategy.GLOBAL_LANGUAGE, test, test_matrix, state=global_choice
-        )
-        country_map = CountryMap.from_entries(
-            {f"cluster-{c}": expert for c, expert in enumerate(data.experts)}
-        )
-        outcomes[Strategy.COUNTRY] = evaluate(Strategy.COUNTRY, test, test_matrix, state=country_map)
-        rng = random.Random(spec.seed ^ 0x5E1EC7)
-        llm_cache = {i.item_id: rng.choice(list(matrix.languages)) for i in test}
-        outcomes[Strategy.LLM_SELECTED] = evaluate(
-            Strategy.LLM_SELECTED, test, test_matrix, state=llm_cache
-        )
-
         ks = list(k_list) if k_list else [spec.k_true]
-        sweep: dict[int, SelectorOutcome] = {}
-        cluster_model = None
-        for k in ks:
-            model = train_lsk_best(data.vectors, train_matrix, k, seeds)
-            sweep[k] = evaluate(
-                Strategy.LSK_EXTRACTOR, test, test_matrix, state=LskRouter(model=model, vectors=data.vectors)
-            )
-            write_atomic(output_dir / f"cluster_model_k{k}.json", (model.to_json() + "\n").encode("utf-8"))
-            if cluster_model is None:
-                cluster_model = model
-        outcomes[Strategy.LSK_EXTRACTOR] = sweep[ks[0]]
+        country_map = CountryMap.from_entries({f"cluster-{c}": e for c, e in enumerate(data.experts)})
+        rng = random.Random(spec.seed ^ 0x5E1EC7)
+        llm_choices = {i.item_id: rng.choice(list(matrix.languages)) for i in test}
+        ev = evaluate_all(output_dir, matrix, train, test, ks, seeds, country_map, llm_choices, data.vectors)
 
-        recovered, total = planted_recovery(cluster_model, data)
+        recovered, total = planted_recovery(ev.cluster_model, data)
         ground_truth = {
             "expected_oracle_accuracy": round(expected_oracle_accuracy(spec), 6),
-            "measured_oracle_accuracy": round(outcomes[Strategy.ORACLE].accuracy, 6),
+            "measured_oracle_accuracy": round(ev.outcomes[Strategy.ORACLE].accuracy, 6),
             "planted_experts_recovered": recovered,
             "clusters": total,
             "p_expert": spec.p_expert,
@@ -738,22 +724,8 @@ def run_simulate(
             "seeds": list(seeds),
             "split": {"train_count": n_train, "test_count": n_test, "seed": spec.seed},
         }
-        report = build_report(
-            DatasetId.CUSTOM.value,
-            SYNTHETIC_MODEL_NAME,
-            outcomes,
-            global_language_choice=global_choice.language,
-            cluster_model=cluster_model,
-            cluster_size_sweep=sweep,
-            verification_rate=None,
-            config_snapshot=snapshot,
-        )
-        out_dir = output_dir / "reports"
-        for fmt, suffix in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
-            write_atomic(out_dir / f"report.{suffix}", emit(report, fmt))
-        summary["accuracy_by_strategy"] = report.accuracy_by_strategy
         summary["ground_truth"] = ground_truth
-        summary["report_dir"] = str(out_dir)
+        summary.update(ev.write_reports(DatasetId.CUSTOM.value, SYNTHETIC_MODEL_NAME, snapshot, None))
     return StageResult(EXIT_OK, summary)
 
 
@@ -761,22 +733,16 @@ def planted_recovery(model: ClusterModel, data) -> tuple[int, int]:
     """How many fitted clusters chose their planted cluster's expert language.
 
     Each fitted cluster is matched to the planted cluster contributing the
-    majority of its members (over all generated items).
+    majority of its members (over all generated items; ties go to the lowest
+    planted cluster id).
     """
     item_ids = list(data.cluster_of)
-    X = np.stack([data.vectors[i] for i in item_ids])
-    d2 = ((X[:, None, :] - model.centroids[None, :, :]) ** 2).sum(axis=2)
-    fitted = d2.argmin(axis=1)
+    fitted = assign_many(np.stack([data.vectors[i] for i in item_ids]), model.centroids)
+    planted_by_fitted: dict[int, Counter] = defaultdict(Counter)
+    for item_id, cluster in zip(item_ids, fitted):
+        planted_by_fitted[int(cluster)][data.cluster_of[item_id]] += 1
     recovered = 0
-    for cluster in range(model.k):
-        members = [item_ids[i] for i in np.flatnonzero(fitted == cluster)]
-        if not members:
-            continue
-        planted_counts: dict[int, int] = {}
-        for item_id in members:
-            planted = data.cluster_of[item_id]
-            planted_counts[planted] = planted_counts.get(planted, 0) + 1
-        majority_planted = max(sorted(planted_counts), key=lambda c: planted_counts[c])
-        if model.expert_language[cluster] == data.experts[majority_planted]:
-            recovered += 1
+    for cluster, planted in planted_by_fitted.items():
+        majority_planted = max(sorted(planted), key=planted.__getitem__)
+        recovered += model.expert_language[cluster] == data.experts[majority_planted]
     return recovered, model.k

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .datasets import McqItem
 from .languages import Language
@@ -200,10 +200,3 @@ class HashRegistry:
         if previous != key:
             raise RuntimeError(f"prompt hash collision on digest {digest}")
         return digest
-
-
-def iter_choice_fields(item: McqItem) -> Iterable[tuple[str, str]]:
-    """(field name, text) pairs in translation order: question first, then choices."""
-    yield "question", item.question
-    for choice in item.choices:
-        yield f"choice_{choice.label}", choice.text

@@ -18,7 +18,7 @@ from typing import Mapping, Protocol, Sequence
 
 from .datasets import McqItem
 from .languages import Language, canonical_index, canonical_sorted
-from .store import CellStatus, ResponseMatrix
+from .store import CellStatus, ResponseMatrix, write_atomic
 
 
 class SelectorError(RuntimeError):
@@ -273,7 +273,7 @@ def evaluate(
 
 def save_selection_cache(cache: Mapping[str, Language], path: str | Path) -> None:
     payload = {item_id: lang.value for item_id, lang in sorted(cache.items())}
-    Path(path).write_text(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
+    write_atomic(Path(path), (json.dumps(payload, ensure_ascii=False, indent=2) + "\n").encode("utf-8"))
 
 
 def load_selection_cache(path: str | Path) -> dict[str, Language]:

@@ -44,6 +44,17 @@ def utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
 
+def write_atomic(path: Path, data: bytes) -> None:
+    """Replace ``path`` with ``data`` durably: temp file, fsync, rename."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 @dataclass(frozen=True)
 class InferenceRecord:
     """One cached model call for an (item, language) cell."""
@@ -279,9 +290,7 @@ class RunStore:
 
     def write_manifest(self, manifest: Mapping) -> None:
         payload = json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
-        tmp = self.manifest_path.with_suffix(".json.tmp")
-        tmp.write_text(payload, encoding="utf-8")
-        os.replace(tmp, self.manifest_path)
+        write_atomic(self.manifest_path, payload.encode("utf-8"))
 
     def read_manifest(self) -> dict | None:
         if not self.manifest_path.exists():
@@ -372,10 +381,6 @@ def matrix_counts(matrix: ResponseMatrix) -> dict[str, int]:
     return counts
 
 
-def subset_matrix(matrix: ResponseMatrix, items: Sequence[McqItem]) -> ResponseMatrix:
-    return matrix.subset([item.item_id for item in items])
-
-
 __all__ = [
     "AnswerCell",
     "CellStatus",
@@ -388,6 +393,6 @@ __all__ = [
     "build_matrix",
     "matrix_counts",
     "missing_cells",
-    "subset_matrix",
     "utc_now",
+    "write_atomic",
 ]

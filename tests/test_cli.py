@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -312,6 +314,7 @@ class TestSimulateStage:
         assert (tmp_path / "sim" / "items.jsonl").exists()
         assert (tmp_path / "sim" / "embeddings.jsonl").exists()
         assert (tmp_path / "sim" / "store" / "custom__synthetic" / "records.jsonl").exists()
+        assert (tmp_path / "sim" / "global_choice.json").exists()
 
     def test_simulate_deterministic_reports(self, tmp_path):
         spec = self.write_spec(tmp_path, p_expert=0.8, p_other=0.2, spread=0.05)
@@ -341,6 +344,29 @@ class TestSimulateStage:
         assert run_simulate(spec, out).exit_code == EXIT_OK
         assert (store / "records.jsonl").read_text(encoding="utf-8").splitlines() == records_before
         assert report_path.read_bytes() == report_before
+
+    def test_simulate_refuses_output_of_another_spec(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_simulate(self.write_spec(tmp_path, seed=1), out).exit_code == EXIT_OK
+        kept = [
+            out / "items.jsonl",
+            out / "embeddings.jsonl",
+            out / "store" / "custom__synthetic" / "records.jsonl",
+            out / "reports" / "report.json",
+        ]
+        before = [path.read_bytes() for path in kept]
+        result = CliRunner().invoke(
+            main, ["simulate", "--spec", str(self.write_spec(tmp_path, seed=2)), "--output", str(out)]
+        )
+        assert result.exit_code == 2
+        assert str(out) in result.output
+        assert [path.read_bytes() for path in kept] == before
+
+    def test_sample_spec_report_digest(self, tmp_path):
+        spec = Path(__file__).resolve().parents[1] / "configs" / "sample_synthetic_spec.json"
+        assert run_simulate(spec, tmp_path / "sim", k_list=[12, 24, 48]).exit_code == EXIT_OK
+        digest = hashlib.sha256((tmp_path / "sim" / "reports" / "report.json").read_bytes()).hexdigest()
+        assert digest == "7a6460bfc3069dc5b13f2f33b58846f3b8a2a1a2046bff8c6c6207a06d6f2cfd"
 
 
 class TestCliInterface:
