@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -103,6 +104,8 @@ class EmbeddingCache:
                     "values": [float(v) for v in values],
                 }
                 fh.write(json.dumps(entry) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
         tmp.replace(self.path)
 
 

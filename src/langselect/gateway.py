@@ -3,7 +3,8 @@
 Wire format is the common one: POST ``{base_url}/chat/completions`` with
 ``{model, messages, temperature, max_tokens}``, POST ``{base_url}/embeddings``
 with ``{model, input}``. Transient failures (connection errors, 429, 5xx) are
-retried with exponential backoff up to ``max_retries``; auth and other client
+retried with exponential backoff up to ``max_retries``, waiting at least as
+long as a ``Retry-After`` header of whole seconds asks; auth and other client
 errors surface immediately.
 """
 
@@ -70,6 +71,16 @@ class ChatResponse:
     attempts: int
 
 
+def _retry_after_s(response: requests.Response) -> int:
+    """The delay a ``Retry-After`` header asks for, in whole seconds.
+
+    0 when the header is absent or not a non-negative integer; the HTTP-date
+    form is ignored.
+    """
+    value = response.headers.get("Retry-After", "").strip()
+    return int(value) if value.isdecimal() else 0
+
+
 def _post_json(
     url: str,
     payload: dict,
@@ -84,6 +95,7 @@ def _post_json(
     last_error = "no attempt made"
     for attempt in range(endpoint.max_retries + 1):
         attempts += 1
+        wait = backoff * (2**attempt)
         try:
             response = post(url, json=payload, headers=headers, timeout=endpoint.timeout)
         except requests.RequestException as exc:
@@ -99,10 +111,11 @@ def _post_json(
                 raise AuthError(f"authentication failed with status {status}", attempts)
             if status in _RETRYABLE_STATUS or status >= 500:
                 last_error = f"status {status}"
+                wait = max(wait, _retry_after_s(response))
             else:
                 raise GatewayError(f"endpoint rejected request with status {status}", attempts)
         if attempt < endpoint.max_retries:
-            time.sleep(backoff * (2**attempt))
+            time.sleep(wait)
     raise TransportError(f"request to {url} failed after {attempts} attempts ({last_error})", attempts)
 
 

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -39,7 +39,7 @@ from .clustering import (
 from .config import ConfigError, RunConfig
 from .datasets import DatasetId, McqItem, SplitSpec, item_to_record, load_dataset, save_dataset, split
 from .extraction import extract_expert_language, extract_final_answer, extract_reasoning_text
-from .gateway import AuthError, TransportError, chat_complete
+from .gateway import AuthError, ModelEndpoint, TransportError, chat_complete
 from .langid import DetectionError, Detector, detect_language
 from .languages import Language
 from .prompts import (
@@ -69,6 +69,7 @@ from .store import (
     build_matrix,
     matrix_counts,
     missing_cells,
+    read_manifest,
     write_atomic,
 )
 from .synthetic import SYNTHETIC_MODEL_NAME, SyntheticSpec, expected_oracle_accuracy, generate
@@ -189,6 +190,36 @@ def _finish(ok_count: int, failures: int, transport_failures: int, summary: dict
     return StageResult(EXIT_PARTIAL, summary)
 
 
+Task = TypeVar("Task")
+Result = TypeVar("Result")
+
+
+def run_bounded(
+    endpoint: ModelEndpoint, work: Callable[[Task], Result], tasks: Sequence[Task]
+) -> Iterator[tuple[Task, Result | None, BaseException | None]]:
+    """Run ``work`` on every task with at most ``endpoint.max_in_flight`` threads.
+
+    Yields ``(task, result, error)`` in completion order, where ``error`` is
+    the exception ``work`` raised (and ``result`` is then None). After an
+    ``AuthError`` every queued task is cancelled; the tasks already running
+    are still yielded. An exception in the consuming thread, or closing the
+    generator, cancels every queued task and waits for the running ones.
+    """
+    pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
+    try:
+        futures = {pool.submit(work, task): task for task in tasks}
+        for future in as_completed(futures):
+            if future.cancelled():
+                continue
+            error = future.exception()
+            if isinstance(error, AuthError):
+                for queued in futures:
+                    queued.cancel()
+            yield futures[future], None if error else future.result(), error
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
 def run_translate(
     config: RunConfig,
     languages: Iterable[Language] | None = None,
@@ -197,15 +228,23 @@ def run_translate(
     dry_run: bool = False,
     backoff: float = 0.5,
 ) -> StageResult:
-    """Produce one translated dataset file per non-English language."""
+    """Produce one translated dataset file per non-English language.
+
+    Each (language, item) pair is one task. A language's file is written, in
+    dataset order, once its last task is done; after an auth failure, every
+    language that got a result is written with the items finished so far.
+    """
     endpoint = config.require_endpoint("translation")
     items = load_items(config)
+    position = {item.item_id: n for n, item in enumerate(items)}
     targets = [l for l in _resolve_languages(config, languages) if l is not Language.ENGLISH]
     summary: dict = {"stage": "translate", "languages": {}, "planned_calls": 0}
     ok_items = 0
     failed_items = 0
     transport_items = 0
     with run_lock(config.output_dir):
+        translated: dict[Language, dict[str, McqItem]] = {}
+        plan: list[tuple[Language, McqItem]] = []
         for target in targets:
             out_path = translation_file(config, target)
             existing: dict[str, McqItem] = {}
@@ -215,35 +254,55 @@ def run_translate(
                     for i in load_dataset(out_path, config.dataset_id, source_language=target)
                 }
             todo = [i for i in items if i.item_id not in existing]
-            calls = sum(1 + len(i.choices) for i in todo)
-            lang_summary = {"existing": len(existing), "to_translate": len(todo), "failed": []}
-            summary["languages"][target.value] = lang_summary
-            summary["planned_calls"] += calls
-            if dry_run:
-                continue
-            translated: dict[str, McqItem] = dict(existing)
-            auth_failure: str | None = None
-            for item in todo:
-                try:
-                    translated[item.item_id] = translate_item(item, target, endpoint, backoff=backoff)
-                    ok_items += 1
-                except ItemTranslationError as exc:
-                    failed_items += 1
-                    if exc.transport:
-                        transport_items += 1
-                    lang_summary["failed"].append({"item_id": exc.item_id, "fields": exc.failed_fields})
-                except AuthError as exc:
-                    auth_failure = str(exc)
-                    break
-            ordered = [translated[i.item_id] for i in items if i.item_id in translated]
+            summary["languages"][target.value] = {"existing": len(existing), "to_translate": len(todo), "failed": []}
+            summary["planned_calls"] += sum(1 + len(i.choices) for i in todo)
+            translated[target] = existing
+            plan.extend((target, item) for item in todo)
+        if dry_run:
+            return StageResult(EXIT_OK, summary)
+
+        def write(target: Language) -> None:
+            done = translated[target]
+            ordered = [done[i.item_id] for i in items if i.item_id in done]
             payload = "".join(json.dumps(item_to_record(i), ensure_ascii=False) + "\n" for i in ordered)
-            write_atomic(out_path, payload.encode("utf-8"))
+            write_atomic(translation_file(config, target), payload.encode("utf-8"))
+            lang_summary = summary["languages"][target.value]
+            lang_summary["failed"].sort(key=lambda f: position[f["item_id"]])
             lang_summary["written"] = len(ordered)
-            if auth_failure is not None:
-                summary["error"] = auth_failure
-                return StageResult(EXIT_CONFIG, summary)
-    if dry_run:
-        return StageResult(EXIT_OK, summary)
+
+        planned = Counter(target for target, _ in plan)
+        finished: Counter = Counter()
+        for target in targets:
+            if not planned[target]:
+                write(target)
+        auth_failure: str | None = None
+
+        def work(task: tuple[Language, McqItem]) -> McqItem:
+            return translate_item(task[1], task[0], endpoint, backoff=backoff)
+
+        for (target, item), result, error in run_bounded(endpoint, work, plan):
+            finished[target] += 1
+            if error is None:
+                translated[target][item.item_id] = result
+                ok_items += 1
+            elif isinstance(error, ItemTranslationError):
+                failed_items += 1
+                transport_items += error.transport
+                summary["languages"][target.value]["failed"].append(
+                    {"item_id": error.item_id, "fields": error.failed_fields}
+                )
+            elif isinstance(error, AuthError):
+                auth_failure = auth_failure or str(error)
+            else:
+                raise error
+            if finished[target] == planned[target]:
+                write(target)
+        if auth_failure is not None:
+            for target in targets:
+                if 0 < finished[target] < planned[target]:
+                    write(target)
+            summary["error"] = auth_failure
+            return StageResult(EXIT_CONFIG, summary)
     return _finish(ok_items, failed_items, transport_items, summary)
 
 
@@ -303,9 +362,9 @@ def run_infer(
                 return StageResult(EXIT_OK, summary)
 
             registry = HashRegistry()
-            auth_error: list[str] = []
+            auth_failure: str | None = None
 
-            def work(cell: tuple[str, Language]) -> str:
+            def work(cell: tuple[str, Language]) -> RecordStatus:
                 item_id, lang = cell
                 item = per_language[lang][item_id]
                 prompt = build_reasoning_prompt(item, lang, templates)
@@ -325,26 +384,21 @@ def run_infer(
                         attempt_count=response.attempts,
                     )
                 )
-                return status.value
+                return status
 
-            with ThreadPoolExecutor(max_workers=endpoint.max_in_flight) as pool:
-                futures = {pool.submit(work, cell): cell for cell in plan}
-                for future in as_completed(futures):
-                    try:
-                        status = future.result()
-                    except TransportError:
-                        summary["transport_failures"] += 1
-                    except AuthError as exc:
-                        auth_error.append(str(exc))
-                        for other in futures:
-                            other.cancel()
-                        break
-                    else:
-                        summary["ok" if status == RecordStatus.OK.value else "invalid"] += 1
+            for _, status, error in run_bounded(endpoint, work, plan):
+                if isinstance(error, TransportError):
+                    summary["transport_failures"] += 1
+                elif isinstance(error, AuthError):
+                    auth_failure = auth_failure or str(error)
+                elif error is not None:
+                    raise error
+                else:
+                    summary["ok" if status is RecordStatus.OK else "invalid"] += 1
             store.flush()
             summary["conflicts"] = store.conflicts
-            if auth_error:
-                summary["error"] = auth_error[0]
+            if auth_failure is not None:
+                summary["error"] = auth_failure
                 return StageResult(EXIT_CONFIG, summary)
             remaining = len(missing_cells(build_matrix(store, items, endpoint.model_name, langs)))
             summary["remaining_missing_cells"] = remaining
@@ -365,6 +419,7 @@ def run_select_llm(
 ) -> StageResult:
     """Ask the model itself for an expert language per test item, cached."""
     endpoint = config.require_endpoint("chat")
+    candidates = list(config.languages)
     items = load_items(config)
     _, test = split_items(config, items)
     cache_path = selection_cache_path(config)
@@ -375,20 +430,22 @@ def run_select_llm(
     summary: dict = {"stage": "select-llm", "cached": len(cache), "planned_calls": len(todo)}
     if dry_run:
         return StageResult(EXIT_OK, summary)
+
+    def ask(item: McqItem) -> str:
+        return chat_complete(build_selection_prompt(item, candidates), endpoint, backoff=backoff).text
+
     transport_failures = 0
     auth_failure: str | None = None
     with run_lock(config.output_dir):
-        for item in todo:
-            prompt = build_selection_prompt(item, list(config.languages))
-            try:
-                response = chat_complete(prompt, endpoint, backoff=backoff)
-            except TransportError:
+        for item, text, error in run_bounded(endpoint, ask, todo):
+            if isinstance(error, TransportError):
                 transport_failures += 1
-                continue
-            except AuthError as exc:
-                auth_failure = str(exc)
-                break
-            cache[item.item_id] = extract_expert_language(response.text, list(config.languages))
+            elif isinstance(error, AuthError):
+                auth_failure = auth_failure or str(error)
+            elif error is not None:
+                raise error
+            else:
+                cache[item.item_id] = extract_expert_language(text, candidates)
         save_selection_cache(cache, cache_path)
     summary["selected"] = len(cache)
     summary["transport_failures"] = transport_failures
@@ -481,7 +538,7 @@ def _model_name_for_evaluate(config: RunConfig) -> str:
     store_root = config.output_dir / "store"
     candidates = sorted(p.name for p in store_root.glob("*")) if store_root.exists() else []
     if len(candidates) == 1:
-        manifest = RunStore(store_root / candidates[0]).read_manifest()
+        manifest = read_manifest(store_root / candidates[0])
         if manifest and "model_name" in manifest:
             return manifest["model_name"]
     raise ConfigError("cannot determine model name: add a chat_endpoint block to the config")

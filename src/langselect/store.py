@@ -44,6 +44,9 @@ def utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
 
+MANIFEST_NAME = "manifest.json"
+
+
 def write_atomic(path: Path, data: bytes) -> None:
     """Replace ``path`` with ``data`` durably: temp file, fsync, rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -173,7 +176,7 @@ class RunStore:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.records_path = self.directory / "records.jsonl"
-        self.manifest_path = self.directory / "manifest.json"
+        self.manifest_path = self.directory / MANIFEST_NAME
         self._fsync_every = fsync_every
         self._lock = threading.Lock()
         self._records: list[InferenceRecord] = []
@@ -293,9 +296,15 @@ class RunStore:
         write_atomic(self.manifest_path, payload.encode("utf-8"))
 
     def read_manifest(self) -> dict | None:
-        if not self.manifest_path.exists():
-            return None
-        return json.loads(self.manifest_path.read_text(encoding="utf-8"))
+        return read_manifest(self.directory)
+
+
+def read_manifest(directory: str | Path) -> dict | None:
+    """The manifest of the store in ``directory``, read without loading its records."""
+    path = Path(directory) / MANIFEST_NAME
+    if not path.exists():
+        return None
+    return json.loads(path.read_text(encoding="utf-8"))
 
 
 def build_matrix(

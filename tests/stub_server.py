@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 
@@ -31,9 +32,11 @@ def hash_embedding(text: str, dim: int = 8) -> list[float]:
 class StubServer:
     """Tiny HTTP server speaking the chat/embeddings wire format.
 
-    Behavior is scripted per test: a queue of forced statuses, a hard fail
-    switch after N successes, and pluggable content responders. Every request
-    body is logged.
+    Behavior is scripted per test: a queue of forced statuses (sent with a
+    ``Retry-After`` header when ``retry_after`` is set), a hard fail switch
+    after N successes, a predicate on the chat body that answers 500, a
+    per-request latency, and pluggable content responders. Every request body
+    is logged, and the peak number of requests in flight is kept.
     """
 
     def __init__(
@@ -41,16 +44,22 @@ class StubServer:
         chat_responder=default_chat_responder,
         embed_dim: int = 8,
         require_key: str | None = None,
+        latency: float = 0.0,
     ):
         self.chat_responder = chat_responder
         self.embed_dim = embed_dim
         self.require_key = require_key
+        self.latency = latency
         self.status_queue: list[int] = []
+        self.retry_after: str | None = None
         self.fail_after: int | None = None
+        self.fail_when = None  # callable(chat body) -> bool
         self.raw_chat_body: dict | None = None
         self.lock = threading.Lock()
         self.requests: list[dict] = []
         self.successes = 0
+        self.in_flight = 0
+        self.peak_in_flight = 0
 
         stub = self
 
@@ -59,6 +68,18 @@ class StubServer:
                 pass
 
             def do_POST(self):
+                with stub.lock:
+                    stub.in_flight += 1
+                    stub.peak_in_flight = max(stub.peak_in_flight, stub.in_flight)
+                try:
+                    if stub.latency:
+                        time.sleep(stub.latency)
+                    self._handle()
+                finally:
+                    with stub.lock:
+                        stub.in_flight -= 1
+
+            def _handle(self):
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length) or b"{}")
                 with stub.lock:
@@ -70,13 +91,16 @@ class StubServer:
                     if auth != f"Bearer {stub.require_key}":
                         return self._reply(401, {"error": "bad key"})
                 if forced is not None:
-                    return self._reply(forced, {"error": f"forced status {forced}"})
+                    headers = {} if stub.retry_after is None else {"Retry-After": stub.retry_after}
+                    return self._reply(forced, {"error": f"forced status {forced}"}, headers)
                 if failing:
                     return self._reply(500, {"error": "forced failure"})
                 if self.path.endswith("/chat/completions"):
                     if stub.raw_chat_body is not None:
                         return self._reply(200, stub.raw_chat_body)
                     body = payload["messages"][0]["content"]
+                    if stub.fail_when is not None and stub.fail_when(body):
+                        return self._reply(500, {"error": "forced failure"})
                     content = stub.chat_responder(body, payload)
                     with stub.lock:
                         stub.successes += 1
@@ -94,11 +118,13 @@ class StubServer:
                     return self._reply(200, {"data": data})
                 return self._reply(404, {"error": "unknown path"})
 
-            def _reply(self, status: int, body: dict):
+            def _reply(self, status: int, body: dict, headers: dict[str, str] | None = None):
                 raw = json.dumps(body).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(raw)))
+                for name, value in (headers or {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(raw)
 

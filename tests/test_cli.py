@@ -1,5 +1,8 @@
 import hashlib
 import json
+import re
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,7 @@ from click.testing import CliRunner
 from langselect.cli import main
 from langselect.config import load_config
 from langselect.datasets import DatasetId, load_dataset, save_dataset
+from langselect import pipeline
 from langselect.languages import Language
 from langselect.pipeline import (
     EXIT_OK,
@@ -267,6 +271,22 @@ class TestEvaluateStage:
         assert "select-llm" in skipped["llm_selected"]
         assert "embed" in skipped["lsk_extractor"]
 
+    def test_evaluate_without_chat_endpoint_loads_the_store_once(self, tmp_path, pipeline_stub, monkeypatch):
+        config = load_config(write_pipeline_config(tmp_path, pipeline_stub, languages=("en",)))
+        run_infer(config, backoff=0.001)
+        real_store = pipeline.RunStore
+        built = []
+
+        def counting_store(*args, **kwargs):
+            built.append(args)
+            return real_store(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "RunStore", counting_store)
+        result = run_evaluate(replace(config, chat_endpoint=None))
+        assert result.exit_code == EXIT_OK
+        assert result.summary["model_name"] == "stub-model"
+        assert len(built) == 1
+
     def test_country_skipped_without_metadata(self, tmp_path, pipeline_stub):
         items = [make_item(f"q{i}", gold="A") for i in range(6)]  # no countries
         save_dataset(items, tmp_path / "data.jsonl")
@@ -423,6 +443,7 @@ class TestAuthFailures:
                     "api_key_ref": "STUB_KEY",
                     "max_retries": 0,
                     "timeout": 5,
+                    "max_in_flight": 1,
                 },
             )
             config = load_config(config_path)
@@ -463,6 +484,131 @@ class TestAuthFailures:
             result = run_infer(config, backoff=0.001)
         assert result.exit_code == 2
         assert "error" in result.summary
+
+
+def varied_chat_responder(body: str, payload: dict) -> str:
+    """Like ``good_chat_responder``, but the expert language depends on the item."""
+    if "expert_language" in body:
+        number = int(re.search(r"question for q(\d+)\?", body).group(1))
+        return json.dumps({"expert_language": "Thai" if number % 2 else "Turkish"})
+    return good_chat_responder(body, payload)
+
+
+def item_ids_in(bodies: list[str]) -> set[str]:
+    return {found for body in bodies for found in re.findall(r"\bq\d+\b", body)}
+
+
+class TestBoundedStages:
+    """translate, infer and select-llm run up to ``max_in_flight`` calls at once."""
+
+    def config(self, tmp_path, stub, max_in_flight, **extra):
+        tmp_path.mkdir(exist_ok=True)
+        endpoint = {
+            "base_url": stub.base_url,
+            "model_name": "stub-model",
+            "max_retries": 1,
+            "timeout": 5,
+            "max_in_flight": max_in_flight,
+        }
+        extra.setdefault("chat_endpoint", endpoint)
+        extra.setdefault("translation_endpoint", endpoint)
+        split = {"seed": 3, "train_count": 2, "test_count": 6}
+        return load_config(write_pipeline_config(tmp_path, stub, n_items=8, split=split, **extra))
+
+    def test_outputs_match_a_serial_run(self, tmp_path):
+        runs = {}
+        with StubServer(chat_responder=varied_chat_responder, latency=0.02) as stub:
+            for max_in_flight in (1, 4):
+                config = self.config(tmp_path / f"mif{max_in_flight}", stub, max_in_flight)
+                summaries, peaks = {}, {}
+                for name, stage in (("translate", run_translate), ("infer", run_infer), ("select", run_select_llm)):
+                    stub.peak_in_flight = 0
+                    result = stage(config, backoff=0.001)
+                    assert result.exit_code == EXIT_OK
+                    summaries[name] = json.dumps(result.summary)
+                    peaks[name] = stub.peak_in_flight
+                records = (store_dir(config, "stub-model") / "records.jsonl").read_text(encoding="utf-8")
+                runs[max_in_flight] = {
+                    "summaries": summaries,
+                    "peaks": peaks,
+                    "files": {
+                        name: (config.output_dir / name).read_bytes()
+                        for name in ("translations/tr.jsonl", "translations/th.jsonl", "selection_cache.json")
+                    },
+                    "records": sorted(
+                        json.dumps({k: v for k, v in json.loads(line).items() if k != "created_at"})
+                        for line in records.splitlines()
+                    ),
+                }
+        serial, bounded = runs[1], runs[4]
+        assert serial["peaks"] == {"translate": 1, "infer": 1, "select": 1}
+        assert all(1 < peak <= 4 for peak in bounded["peaks"].values()), bounded["peaks"]
+        assert bounded["files"] == serial["files"]
+        assert bounded["summaries"] == serial["summaries"]
+        assert bounded["records"] == serial["records"]
+        assert len(serial["records"]) == 8 * 3
+        assert set(json.loads(serial["files"]["selection_cache.json"]).values()) == {"th", "tr"}
+
+    def test_transport_failures_listed_in_dataset_order(self, tmp_path):
+        with StubServer(chat_responder=good_chat_responder, latency=0.02) as stub:
+            # q0 fails on all five fields, q3 on its question only, so q3's
+            # task finishes first.
+            stub.fail_when = lambda body: "q0" in body or "for q3?" in body
+            config = self.config(tmp_path, stub, 4)
+            result = run_translate(config, backoff=0.001)
+        assert result.exit_code == EXIT_PARTIAL
+        expected = [
+            {"item_id": "q0", "fields": ["question", "choice_A", "choice_B", "choice_C", "choice_D"]},
+            {"item_id": "q3", "fields": ["question"]},
+        ]
+        for code in ("tr", "th"):
+            assert result.summary["languages"][code]["failed"] == expected
+            assert result.summary["languages"][code]["written"] == 6
+            written = load_dataset(translation_file(config, Language(code)), DatasetId.CUSTOM, source_language=Language(code))
+            assert [i.item_id for i in written] == ["q1", "q2", "q4", "q5", "q6", "q7"]
+
+    def test_auth_failure_keeps_whole_items_and_rerun_skips_them(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("STUB_KEY", "right")
+        with StubServer(chat_responder=good_chat_responder, require_key="right", latency=0.02) as stub:
+            endpoint = {
+                "base_url": stub.base_url,
+                "model_name": "t",
+                "api_key_ref": "STUB_KEY",
+                "max_retries": 0,
+                "timeout": 5,
+                "max_in_flight": 4,
+            }
+            config = self.config(tmp_path, stub, 4, languages=("en", "tr"), translation_endpoint=endpoint)
+            lock = threading.Lock()
+            served = {"n": 0}
+
+            def key_goes_bad(body, payload):
+                with lock:
+                    served["n"] += 1
+                    if served["n"] == 25:  # at most 4 items in flight, so at least 2 are whole
+                        monkeypatch.setenv("STUB_KEY", "wrong")
+                return good_chat_responder(body, payload)
+
+            stub.chat_responder = key_goes_bad
+            result = run_translate(config, backoff=0.001)
+            assert result.exit_code == 2
+            path = translation_file(config, Language.TURKISH)
+            written = load_dataset(path, DatasetId.CUSTOM, source_language=Language.TURKISH)
+            ids = [i.item_id for i in written]
+            assert len(ids) >= 2
+            assert ids == sorted(ids, key=lambda item_id: int(item_id[1:]))
+            for item in written:
+                assert item.question.startswith("[Turkish] ")
+                assert all(c.text.startswith("[Turkish] ") for c in item.choices)
+
+            monkeypatch.setenv("STUB_KEY", "right")
+            stub.chat_responder = good_chat_responder
+            before = len(stub.chat_bodies())
+            rerun = run_translate(config, backoff=0.001)
+            assert rerun.exit_code == EXIT_OK
+            assert item_ids_in(stub.chat_bodies()[before:]).isdisjoint(ids)
+        healed = load_dataset(path, DatasetId.CUSTOM, source_language=Language.TURKISH)
+        assert [i.item_id for i in healed] == [f"q{n}" for n in range(8)]
 
 
 def test_evaluate_uses_bundled_blend_country_map(tmp_path):

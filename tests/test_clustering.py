@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -319,6 +320,23 @@ class TestEmbedItems:
             assert np.allclose(by_item[v.item_id], v.values)
         entry = json.loads((tmp_path / "emb.jsonl").read_text().splitlines()[0])
         assert set(entry) == {"item_id", "key", "dim", "values"}
+
+    def test_save_fsyncs_the_temp_file_before_the_rename(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.jsonl"
+        cache = EmbeddingCache(path)
+        cache.put("k1", "q1", np.array([0.6, 0.8]))
+        real_fsync = os.fsync
+        synced = []
+
+        def spy(fd):
+            info = os.fstat(fd)
+            synced.append((info.st_ino, info.st_size, path.exists()))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", spy)
+        cache.save()
+        final = path.stat()
+        assert synced == [(final.st_ino, final.st_size, False)]
 
     def test_zero_vector_from_endpoint_is_error(self, monkeypatch):
         items = [make_item("q0")]

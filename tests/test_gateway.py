@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -90,6 +91,30 @@ class TestChatComplete:
         with pytest.raises(TransportError) as info:
             chat_complete("hello", endpoint, backoff=0.001)
         assert info.value.attempts == 2
+
+
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        "retry_after, statuses, backoff, expected",
+        [
+            ("2", [429], 0.25, [2]),
+            ("0", [429], 0.25, [0.25]),
+            ("Wed, 21 Oct 2015 07:28:00 GMT", [429], 0.25, [0.25]),
+            ("-1", [503], 0.25, [0.25]),
+            (None, [429], 0.25, [0.25]),
+            ("1", [429, 429], 0.75, [1, 1.5]),
+        ],
+    )
+    def test_waits_the_longer_of_backoff_and_retry_after(
+        self, stub, monkeypatch, retry_after, statuses, backoff, expected
+    ):
+        sleeps = []
+        monkeypatch.setattr(time, "sleep", sleeps.append)
+        stub.status_queue = list(statuses)
+        stub.retry_after = retry_after
+        result = chat_complete("hello", endpoint_for(stub), backoff=backoff)
+        assert result.attempts == len(statuses) + 1
+        assert sleeps == expected
 
 
 class TestEmbeddings:
