@@ -1,16 +1,19 @@
 """Reasoning-language verification: did the model actually think in the
 requested language?
 
-The bundled detector is deliberately lightweight. Languages written in a
-distinctive script (Chinese, Japanese, Korean, Thai, Hindi, Bengali, Arabic,
-Russian) are identified by Unicode code-point ranges; the Latin-script
-languages are separated by stopword frequency profiles. A heavier external
-classifier can be plugged in through the ``detector`` callable.
+The bundled detector is deliberately lightweight. Any kana means Japanese;
+else the distinctive script (zh/ko/th/hi/bn/ar/ru, by Unicode code-point
+ranges) with the most code points wins; else the Latin-script language with
+the most stopword hits wins; ties go to canonical order, and text with no
+signal raises ``DetectionError`` (the pipeline counts it as undetectable). A
+heavier classifier can be plugged in through the ``detector`` argument of
+``pipeline.compute_verification_rate``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import re
+from typing import Callable, Iterable
 
 from .languages import Language, canonical_index
 
@@ -33,8 +36,6 @@ _SCRIPT_RANGES: dict[Language, tuple[tuple[int, int], ...]] = {
     Language.ARABIC: ((0x0600, 0x06FF), (0x0750, 0x077F), (0x08A0, 0x08FF), (0xFB50, 0xFDFF)),
     Language.RUSSIAN: ((0x0400, 0x04FF), (0x0500, 0x052F)),
 }
-
-SCRIPT_LANGUAGES = frozenset(_SCRIPT_RANGES)
 
 _STOPWORDS: dict[Language, frozenset[str]] = {
     Language.ENGLISH: frozenset(
@@ -64,28 +65,26 @@ _STOPWORDS: dict[Language, frozenset[str]] = {
 }
 
 
-def _script_counts(text: str) -> dict[Language, int]:
-    counts: dict[Language, int] = {}
-    for ch in text:
-        cp = ord(ch)
-        for language, ranges in _SCRIPT_RANGES.items():
-            if any(lo <= cp <= hi for lo, hi in ranges):
-                counts[language] = counts.get(language, 0) + 1
-                break
-    return counts
+def _char_class(ranges: Iterable[tuple[int, int]]) -> re.Pattern[str]:
+    return re.compile("[" + "".join(f"\\U{lo:08x}-\\U{hi:08x}" for lo, hi in ranges) + "]")
+
+
+# The ranges are pairwise disjoint: each code point counts for one script.
+_SCRIPT_PATTERNS = {language: _char_class(ranges) for language, ranges in _SCRIPT_RANGES.items()}
+_ANY_SCRIPT = _char_class(r for ranges in _SCRIPT_RANGES.values() for r in ranges)
+# Every alphabetic character, but also numerals that are not decimal digits
+# (², ½, Ⅻ, ①); _tokens splits a word around those as str.isalpha does.
+_WORD = re.compile(r"[^\W\d_]+")
 
 
 def _tokens(text: str) -> list[str]:
+    """Maximal runs of ``str.isalpha`` characters in the casefolded text."""
     tokens: list[str] = []
-    current: list[str] = []
-    for ch in text.casefold():
-        if ch.isalpha():
-            current.append(ch)
-        elif current:
-            tokens.append("".join(current))
-            current = []
-    if current:
-        tokens.append("".join(current))
+    for word in _WORD.findall(text.casefold()):
+        if word.isalpha():
+            tokens.append(word)
+        else:
+            tokens.extend("".join(ch if ch.isalpha() else " " for ch in word).split())
     return tokens
 
 
@@ -93,11 +92,11 @@ def detect_language(text: str) -> Language:
     """Best-guess language of ``text``; raises DetectionError on no signal."""
     if not text or not text.strip():
         raise DetectionError("empty text")
-    counts = _script_counts(text)
-    if counts:
-        if counts.get(Language.JAPANESE, 0) > 0:
+    if _ANY_SCRIPT.search(text):
+        if _SCRIPT_PATTERNS[Language.JAPANESE].search(text):
             # Japanese prose mixes kana with CJK ideographs; kana decides.
             return Language.JAPANESE
+        counts = {lang: len(pattern.findall(text)) for lang, pattern in _SCRIPT_PATTERNS.items()}
         return max(counts, key=lambda lang: (counts[lang], -canonical_index(lang)))
     tokens = _tokens(text)
     if not tokens:

@@ -1,5 +1,7 @@
-"""The bounded executor that drives the network stages."""
+"""The bounded executor that drives the network stages, and the reasoning-language
+verification rate that ``evaluate`` reports."""
 
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -8,6 +10,8 @@ import pytest
 
 from langselect import pipeline
 from langselect.gateway import AuthError, ModelEndpoint
+from langselect.languages import Language
+from langselect.store import InferenceRecord, RecordStatus, RunStore
 
 
 def endpoint(max_in_flight: int) -> ModelEndpoint:
@@ -85,3 +89,71 @@ def test_auth_error_cancels_queued_tasks_and_still_yields_running_ones():
     assert isinstance(results[0][2], AuthError)
     assert len(work.started) <= 2 + 1
     assert sorted(task for task, _, _ in results) == sorted(work.started)
+
+
+ENGLISH_TEXT = "The answer is B because it was the one that they have chosen."
+
+
+def reasoning_record(item_id, language, text=ENGLISH_TEXT, model="m", status=RecordStatus.OK):
+    raw = {"final_answer": "B"} if text is None else {f"reasoning_in_{language.value}": text, "final_answer": "B"}
+    return InferenceRecord(
+        item_id=item_id,
+        language=language,
+        model_name=model,
+        prompt_hash=f"h-{item_id}",
+        raw_output=json.dumps(raw, ensure_ascii=False),
+        extracted_label="B" if status is RecordStatus.OK else None,
+        status=status,
+    )
+
+
+@pytest.fixture
+def verification_store(tmp_path):
+    store = RunStore(tmp_path / "store")
+    for record in [
+        reasoning_record("q1", Language.ENGLISH, model="other"),
+        reasoning_record("q2", Language.ENGLISH, status=RecordStatus.INVALID_OUTPUT),
+        reasoning_record("q3", Language.GERMAN, "Der Ansatz ist nicht neu und die Ergebnisse sind klar."),
+        reasoning_record("q4", Language.ENGLISH, text=None),
+        reasoning_record("q5", Language.ENGLISH, "12345 67890 !!!"),
+        reasoning_record("q6", Language.FRENCH),
+        reasoning_record("q7", Language.ENGLISH),
+    ]:
+        store.record(record)
+    yield store
+    store.close()
+
+
+def test_verification_rate_counts_only_ok_records_of_the_model_and_languages(verification_store):
+    # q1 (other model), q2 (invalid output) and q3 (German, not requested) are
+    # ignored; q4 (no reasoning key) and q5 (no detectable signal) are
+    # undetectable; q6 is English text in a French cell; q7 matches.
+    rate, counts = pipeline.compute_verification_rate(
+        verification_store, "m", [Language.ENGLISH, Language.FRENCH]
+    )
+    assert counts == {"checked": 2, "matched": 1, "undetectable": 2}
+    assert rate == 0.5
+
+
+def test_verification_rate_uses_the_given_detector(verification_store):
+    calls = []
+
+    def always_french(text):
+        calls.append(text)
+        return Language.FRENCH
+
+    rate, counts = pipeline.compute_verification_rate(
+        verification_store, "m", [Language.ENGLISH, Language.FRENCH], detector=always_french
+    )
+    assert sorted(calls) == sorted(["12345 67890 !!!", ENGLISH_TEXT, ENGLISH_TEXT])
+    assert counts == {"checked": 3, "matched": 1, "undetectable": 1}
+    assert rate == pytest.approx(1 / 3)
+
+
+def test_verification_rate_is_none_when_nothing_is_checked(tmp_path):
+    with RunStore(tmp_path / "store") as store:
+        store.record(reasoning_record("q1", Language.ENGLISH, text=None))
+        assert pipeline.compute_verification_rate(store, "m", [Language.ENGLISH]) == (
+            None,
+            {"checked": 0, "matched": 0, "undetectable": 1},
+        )
