@@ -8,6 +8,8 @@ language.
 
 Embeddings are unit-normalized and distances are squared Euclidean, which is
 monotone in cosine distance on the sphere while keeping centroid means exact.
+They are expanded as ||x||^2 + ||c||^2 - 2 x.c and clamped at 0, so memory
+stays O(n*k + n*d) at embedding widths of 768-3072.
 """
 
 from __future__ import annotations
@@ -168,7 +170,15 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
 
 
 def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+    """(n, k) squared distances as ||x||^2 + ||c||^2 - 2 x.c, clamped at 0.
+
+    Rows need not be unit norm. Memory is O(n*k + n*d): no (n, k, d)
+    temporary. ``einsum`` (unoptimized) keeps the cross term off BLAS, whose
+    idle threads spin and burn CPU time on a small host.
+    """
+    d2 = np.einsum("ij,ij->i", X, X)[:, None] + np.einsum("ij,ij->i", centroids, centroids)[None, :]
+    d2 -= 2.0 * np.einsum("ij,kj->ik", X, centroids)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _repair_empty_clusters(labels: np.ndarray, d2: np.ndarray, k: int) -> np.ndarray:
@@ -319,16 +329,21 @@ def train_lsk(
     d2 = _squared_distances(_normalize_rows(X, "input vector"), centroids)
     labels = _repair_empty_clusters(d2.argmin(axis=1), d2, k)
 
+    languages = train_matrix.languages
+    correct = np.array(
+        [[train_matrix.cell(item_id, lang).correct for lang in languages] for item_id in train_matrix.items],
+        dtype=np.int64,
+    )
+    hits = np.zeros((k, len(languages)), dtype=np.int64)
+    np.add.at(hits, labels, correct)
+    sizes = np.bincount(labels, minlength=k)
+
     expert: dict[int, Language] = {}
     accuracy: dict[int, dict[Language, float]] = {}
     counts: dict[int, int] = {}
     for cluster in range(k):
-        member_ids = [train_matrix.items[i] for i in np.flatnonzero(labels == cluster)]
-        counts[cluster] = len(member_ids)
-        per_language: dict[Language, float] = {}
-        for lang in train_matrix.languages:
-            correct = sum(1 for item_id in member_ids if train_matrix.cell(item_id, lang).correct)
-            per_language[lang] = correct / len(member_ids)
+        counts[cluster] = int(sizes[cluster])
+        per_language = {lang: int(hits[cluster, j]) / counts[cluster] for j, lang in enumerate(languages)}
         accuracy[cluster] = per_language
         expert[cluster] = max(per_language, key=lambda lang: (per_language[lang], -canonical_index(lang)))
     return ClusterModel(

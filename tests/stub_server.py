@@ -36,7 +36,10 @@ class StubServer:
     ``Retry-After`` header when ``retry_after`` is set), a hard fail switch
     after N successes, a predicate on the chat body that answers 500, a
     per-request latency, and pluggable content responders. Every request body
-    is logged, and the peak number of requests in flight is kept.
+    is logged, and the peak number of requests in flight is kept. With
+    ``hold_until_overlap`` set to a number of seconds, a request waits until
+    the peak reaches 2 or that time passes, so a concurrent client's overlap
+    shows however the host schedules its threads.
     """
 
     def __init__(
@@ -55,7 +58,9 @@ class StubServer:
         self.fail_after: int | None = None
         self.fail_when = None  # callable(chat body) -> bool
         self.raw_chat_body: dict | None = None
+        self.hold_until_overlap: float | None = None
         self.lock = threading.Lock()
+        self.overlap = threading.Condition(self.lock)
         self.requests: list[dict] = []
         self.successes = 0
         self.in_flight = 0
@@ -71,6 +76,9 @@ class StubServer:
                 with stub.lock:
                     stub.in_flight += 1
                     stub.peak_in_flight = max(stub.peak_in_flight, stub.in_flight)
+                    stub.overlap.notify_all()
+                    if stub.hold_until_overlap is not None:
+                        stub.overlap.wait_for(lambda: stub.peak_in_flight > 1, stub.hold_until_overlap)
                 try:
                     if stub.latency:
                         time.sleep(stub.latency)

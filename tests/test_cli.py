@@ -521,6 +521,7 @@ class TestBoundedStages:
             for max_in_flight in (1, 4):
                 config = self.config(tmp_path / f"mif{max_in_flight}", stub, max_in_flight)
                 summaries, peaks = {}, {}
+                stub.hold_until_overlap = 1.0 if max_in_flight > 1 else None
                 for name, stage in (("translate", run_translate), ("infer", run_infer), ("select", run_select_llm)):
                     stub.peak_in_flight = 0
                     result = stage(config, backoff=0.001)

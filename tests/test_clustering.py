@@ -1,10 +1,13 @@
+import dataclasses
 import itertools
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from langselect import clustering
 from langselect.clustering import (
     ClusterModel,
     ClusteringError,
@@ -22,11 +25,11 @@ from langselect.clustering import (
     train_lsk_best,
 )
 from langselect.gateway import ModelEndpoint
-from langselect.languages import Language
+from langselect.languages import Language, canonical_index
 from langselect.selectors import train_global_language
 from langselect.synthetic import SyntheticSpec, generate
 
-from helpers import make_item, make_matrix, random_matrix
+from helpers import INVALID, MISSING, make_item, make_matrix, random_matrix
 from stub_server import StubServer
 
 EN, ES, HI = Language.ENGLISH, Language.SPANISH, Language.HINDI
@@ -58,6 +61,47 @@ def brute_force_best_inertia(X, k):
             total += ((members - centroid) ** 2).sum()
         best = min(best, total)
     return best
+
+
+def broadcast_squared_distances(X, centroids):
+    """Frozen copy of the (n, k, d) broadcast kernel the expansion replaced."""
+    return ((X[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("d", [2, 32, 768])
+    def test_matches_broadcast_on_unit_rows(self, d):
+        rng = np.random.default_rng(d)
+        X = unit_rows(rng.normal(size=(300, d)))
+        for k in (1, 3, 12, 48):
+            C = unit_rows(rng.normal(size=(k, d)))
+            got, want = clustering._squared_distances(X, C), broadcast_squared_distances(X, C)
+            assert got.shape == (300, k)
+            assert np.allclose(got, want, rtol=0.0, atol=1e-12)
+            assert np.array_equal(got.argmin(axis=1), want.argmin(axis=1))
+
+    def test_matches_broadcast_on_non_unit_rows(self):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 32)) * rng.uniform(0.1, 10.0, size=(200, 1))
+        C = rng.normal(size=(12, 32)) * rng.uniform(0.1, 10.0, size=(12, 1))
+        got, want = clustering._squared_distances(X, C), broadcast_squared_distances(X, C)
+        scale = max((X**2).sum(axis=1).max(), (C**2).sum(axis=1).max())
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13 * scale)
+        assert np.array_equal(got.argmin(axis=1), want.argmin(axis=1))
+        assert inertia(X, C) == pytest.approx(want.min(axis=1).sum(), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 32, 768])
+    def test_exact_centroid_row_is_zero_and_nothing_is_negative(self, d):
+        rng = np.random.default_rng(100 + d)
+        X = unit_rows(rng.normal(size=(60, d)))
+        rows = [3, 17, 42]
+        for scale in (1.0, 3.0):
+            d2 = clustering._squared_distances(scale * X, scale * X[rows])
+            assert np.array_equal(d2[rows, [0, 1, 2]], np.zeros(3))
+            assert (d2 >= 0.0).all()
+        # Near-duplicates: the expansion cancels to within rounding of 0.
+        near = unit_rows(X[rows] + 1e-9 * rng.normal(size=(3, d)))
+        assert (clustering._squared_distances(near, X[rows]) >= 0.0).all()
 
 
 class TestKmeansFit:
@@ -132,6 +176,25 @@ class TestKmeansFit:
         centroids = kmeans_fit(X, 5, seed=2)
         assert np.allclose(np.linalg.norm(centroids, axis=1), 1.0, atol=1e-9)
 
+    def test_centroids_match_a_reference_fit_with_the_broadcast_kernel(self, monkeypatch):
+        rng = np.random.default_rng(8)
+        X = unit_rows(rng.normal(size=(300, 32)))
+        fitted = kmeans_fit(X, 8, seed=3)
+        monkeypatch.setattr(clustering, "_squared_distances", broadcast_squared_distances)
+        assert np.array_equal(fitted, kmeans_fit(X, 8, seed=3))
+
+    def test_peak_memory_stays_within_a_few_copies_of_the_input(self):
+        # numpy reports its buffers to tracemalloc; an (n, k, d) temporary
+        # would be k/2 = 24 times the input here.
+        X = np.random.default_rng(9).normal(size=(2000, 768))
+        tracemalloc.start()
+        try:
+            kmeans_fit(X, 48, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * X.nbytes, (peak, X.nbytes)
+
 
 class TestAssign:
     def test_exact_centroid_match(self):
@@ -142,6 +205,8 @@ class TestAssign:
         centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
         midpoint = np.array([0.5, 0.5])
         assert assign(midpoint, centroids) == 0
+        # Equidistant from all 32 axes: an exact 32-way tie.
+        assert assign(np.full(32, 32**-0.5), np.eye(32)) == 0
 
     def test_k_one_always_zero(self):
         centroids = np.array([[1.0, 0.0]])
@@ -180,6 +245,35 @@ class TestTrainLsk:
         model = train_lsk(vectors_for(matrix), matrix, k=5, seed=1)
         assert sum(model.member_counts.values()) == 40
         assert all(count > 0 for count in model.member_counts.values())
+
+    def test_accuracy_recounts_cells_with_missing_and_invalid(self):
+        import random as _random
+
+        rng = _random.Random(58)
+        values = (True, False, INVALID, MISSING)
+        rows = {}
+        for i in range(60):
+            shared = rng.choice(values)  # Spanish and Hindi tie in every cluster
+            rows[f"q{i}"] = {EN: rng.choice(values), ES: shared, HI: shared}
+        _, matrix = make_matrix(rows, languages=[EN, ES, HI])
+        # A cell absent from the matrix reads as missing.
+        kept = {key: cell for n, (key, cell) in enumerate(matrix.cells.items()) if n % 7}
+        matrix = dataclasses.replace(matrix, cells=kept)
+        vectors = vectors_for(matrix, seed=9)
+        model = train_lsk(vectors, matrix, k=5, seed=2)
+        labels = assign_many(np.stack([vectors[i] for i in matrix.items]), model.centroids)
+        assert sum(model.member_counts.values()) == len(matrix.items)
+        assert model.member_counts == dict(enumerate(np.bincount(labels, minlength=5).tolist()))
+        ties = 0
+        for cluster, accs in model.train_accuracy.items():
+            members = [item for item, label in zip(matrix.items, labels) if label == cluster]
+            for lang in matrix.languages:
+                hits = sum(1 for item in members if matrix.cell(item, lang).correct)
+                assert accs[lang] == hits / len(members)
+            tied = [lang for lang in matrix.languages if accs[lang] == max(accs.values())]
+            assert model.expert_language[cluster] is min(tied, key=canonical_index)
+            ties += len(tied) > 1
+        assert ties > 0
 
     def test_expert_optimality_invariant(self):
         import random as _random
