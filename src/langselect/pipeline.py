@@ -701,22 +701,22 @@ def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
         )
     elif manifest.get("synthetic_spec") != spec_payload:
         raise ConfigError(f"{data_dir} holds the run of another synthetic spec; use a new output directory")
-    for item in data.items:
-        for lang in data.matrix.languages:
-            cell = data.matrix.cell(item.item_id, lang)
-            raw = json.dumps({"final_answer": cell.label})
-            store.record(
-                InferenceRecord(
-                    item_id=item.item_id,
-                    language=lang,
-                    model_name=SYNTHETIC_MODEL_NAME,
-                    prompt_hash=prompt_hash(f"synthetic:{item.item_id}:{lang.value}", SYNTHETIC_MODEL_NAME),
-                    raw_output=raw,
-                    extracted_label=cell.label,
-                    status=RecordStatus.OK,
-                    created_at="1970-01-01T00:00:00+00:00",
-                )
-            )
+    cells = data.matrix.cells
+    raw_by_label = {label: json.dumps({"final_answer": label}) for label in {c.label for c in cells.values()}}
+    store.record_many(
+        InferenceRecord(
+            item_id=item.item_id,
+            language=lang,
+            model_name=SYNTHETIC_MODEL_NAME,
+            prompt_hash=prompt_hash(f"synthetic:{item.item_id}:{lang.value}", SYNTHETIC_MODEL_NAME),
+            raw_output=raw_by_label[cells[item.item_id, lang].label],
+            extracted_label=cells[item.item_id, lang].label,
+            status=RecordStatus.OK,
+            created_at="1970-01-01T00:00:00+00:00",
+        )
+        for item in data.items
+        for lang in data.matrix.languages
+    )
     store.flush()
     return store
 

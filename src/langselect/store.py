@@ -45,6 +45,8 @@ def utc_now() -> str:
 
 
 MANIFEST_NAME = "manifest.json"
+FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
+_encode_json = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -58,7 +60,7 @@ def write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InferenceRecord:
     """One cached model call for an (item, language) cell."""
 
@@ -92,7 +94,7 @@ class InferenceRecord:
             "attempt_count": self.attempt_count,
             "created_at": self.created_at,
         }
-        return json.dumps(payload, ensure_ascii=False)
+        return _encode_json(payload)
 
     @classmethod
     def from_json(cls, line: str) -> "InferenceRecord":
@@ -172,12 +174,11 @@ class ResponseMatrix:
 class RunStore:
     """Append-only JSONL store with first-write-wins idempotence per key."""
 
-    def __init__(self, directory: str | Path, fsync_every: int = 64):
+    def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.records_path = self.directory / "records.jsonl"
         self.manifest_path = self.directory / MANIFEST_NAME
-        self._fsync_every = fsync_every
         self._lock = threading.Lock()
         self._records: list[InferenceRecord] = []
         self._by_key: dict[tuple[str, str, str, str], InferenceRecord] = {}
@@ -218,18 +219,22 @@ class RunStore:
                 self._good_offset = newline_at + 1
             pos = end + 1
 
-    def _remember(self, record: InferenceRecord) -> bool:
-        existing = self._by_key.get(record.key)
+    def _remember(self, record: InferenceRecord, append: bool = False) -> bool:
+        """Index ``record`` unless its key is stored (another output under it is a
+        conflict); with ``append`` only once its line is written to the file."""
+        key = record.key
+        existing = self._by_key.get(key)
         if existing is not None:
-            same = (
-                existing.raw_output == record.raw_output
-                and existing.extracted_label == record.extracted_label
-                and existing.status == record.status
-            )
-            if not same:
+            if (existing.raw_output, existing.extracted_label, existing.status) != (
+                record.raw_output, record.extracted_label, record.status
+            ):
                 self.conflicts += 1
             return False
-        self._by_key[record.key] = record
+        if append:
+            # backslashreplace acts only on a lone surrogate (json.loads of a reply
+            # can yield one): its \uXXXX escape is JSON and reads back equal.
+            self._open_for_append().write((record.to_json() + "\n").encode("utf-8", "backslashreplace"))
+        self._by_key[key] = record
         self._records.append(record)
         return True
 
@@ -239,28 +244,33 @@ class RunStore:
                 # Truncate away a torn final line before appending.
                 with self.records_path.open("rb+") as fh:
                     fh.truncate(self._good_offset)
-            self._fh = self.records_path.open("a", encoding="utf-8")
+            self._fh = self.records_path.open("ab")
             if self._needs_newline:
-                self._fh.write("\n")
+                self._fh.write(b"\n")
                 self._needs_newline = False
         return self._fh
 
     def record(self, record: InferenceRecord) -> bool:
-        """Append durably; duplicates of an existing key are dropped.
+        """Append one record, flushed; True when written, False when its key is stored."""
+        return self.record_many((record,)) == 1
 
-        Returns True when the record was written, False when dropped.
-        """
+    def record_many(self, records: Iterable[InferenceRecord]) -> int:
+        """Append ``records`` in order, dropping any whose key is stored (earlier
+        in the batch too), and return how many were written. One flush at the
+        end, also when ``records`` raises; an fsync once ``FSYNC_EVERY`` are unsynced."""
+        written = 0
         with self._lock:
-            if not self._remember(record):
-                return False
-            fh = self._open_for_append()
-            fh.write(record.to_json() + "\n")
-            fh.flush()
-            self._unsynced += 1
-            if self._unsynced >= self._fsync_every:
-                os.fsync(fh.fileno())
-                self._unsynced = 0
-            return True
+            try:
+                for record in records:
+                    written += self._remember(record, append=True)
+            finally:
+                if self._fh is not None:
+                    self._fh.flush()
+                self._unsynced += written
+                if self._unsynced >= FSYNC_EVERY:
+                    os.fsync(self._fh.fileno())
+                    self._unsynced = 0
+        return written
 
     def flush(self) -> None:
         with self._lock:

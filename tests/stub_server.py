@@ -79,13 +79,21 @@ class StubServer:
                     stub.overlap.notify_all()
                     if stub.hold_until_overlap is not None:
                         stub.overlap.wait_for(lambda: stub.peak_in_flight > 1, stub.hold_until_overlap)
+                self.counted = True
                 try:
                     if stub.latency:
                         time.sleep(stub.latency)
                     self._handle()
                 finally:
-                    with stub.lock:
+                    self._leave()
+
+            def _leave(self):
+                # A request leaves the in-flight count before its reply is
+                # sent: the client may start its next request on receipt.
+                with stub.lock:
+                    if self.counted:
                         stub.in_flight -= 1
+                        self.counted = False
 
             def _handle(self):
                 length = int(self.headers.get("Content-Length", 0))
@@ -133,6 +141,7 @@ class StubServer:
                 self.send_header("Content-Length", str(len(raw)))
                 for name, value in (headers or {}).items():
                     self.send_header(name, value)
+                self._leave()
                 self.end_headers()
                 self.wfile.write(raw)
 

@@ -387,6 +387,10 @@ class TestSimulateStage:
         assert run_simulate(spec, tmp_path / "sim", k_list=[12, 24, 48]).exit_code == EXIT_OK
         digest = hashlib.sha256((tmp_path / "sim" / "reports" / "report.json").read_bytes()).hexdigest()
         assert digest == "7a6460bfc3069dc5b13f2f33b58846f3b8a2a1a2046bff8c6c6207a06d6f2cfd"
+        records = tmp_path / "sim" / "store" / "custom__synthetic" / "records.jsonl"
+        assert hashlib.sha256(records.read_bytes()).hexdigest() == (
+            "27be24286a884990a5b920bd80729910abd3a21476a4c5c1de144a982b46680f"
+        )
 
 
 class TestCliInterface:

@@ -1,9 +1,12 @@
 import json
+import os
 import threading
+from pathlib import Path
 
 import pytest
 
 from langselect.languages import Language
+from langselect.pipeline import _synthetic_store
 from langselect.store import (
     AnswerCell,
     CellStatus,
@@ -15,6 +18,7 @@ from langselect.store import (
     matrix_counts,
     missing_cells,
 )
+from langselect.synthetic import SyntheticSpec, generate
 
 from helpers import make_item
 
@@ -97,6 +101,100 @@ class TestRecordIdempotence:
             t.join()
         store.close()
         assert len(RunStore(tmp_path / "run")) == 200
+
+    def test_lone_surrogate_output_is_written_escaped_and_reads_back(self, tmp_path):
+        path = tmp_path / "run"
+        rec = record_for("q1", EN, raw='{"final_answer": "A"} \ud800')
+        with RunStore(path) as store:
+            assert store.record(rec) is True
+            assert store.record(record_for("q2", EN, raw="é")) is True
+        lines = (path / "records.jsonl").read_bytes().splitlines()
+        assert b"\\ud800" in lines[0]
+        assert "é".encode("utf-8") in lines[1]
+        reopened = RunStore(path)
+        assert [r.raw_output for r in reopened.records()] == [rec.raw_output, "é"]
+        assert reopened.record(rec) is False
+        assert reopened.conflicts == 0
+
+    def test_record_whose_line_cannot_be_written_is_not_indexed(self, tmp_path, monkeypatch):
+        store = RunStore(tmp_path / "run")
+
+        def failing_to_json(record):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(InferenceRecord, "to_json", failing_to_json)
+        with pytest.raises(OSError):
+            store.record(record_for("q1", EN))
+        monkeypatch.undo()
+        assert len(store) == 0
+        assert store.record(record_for("q1", EN)) is True
+
+
+class TestRecordMany:
+    def test_keeps_write_order(self, tmp_path):
+        batch = [record_for(item_id, lang) for item_id in ("q3", "q1", "q2") for lang in (HI, EN)]
+        with RunStore(tmp_path / "run") as store:
+            assert store.record_many(batch) == len(batch)
+        assert [r.key for r in RunStore(tmp_path / "run").records()] == [r.key for r in batch]
+
+    def test_duplicates_in_one_batch_dropped_and_differing_one_is_a_conflict(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        first = record_for("q1", EN, label="A")
+        assert store.record_many([first, first, record_for("q1", EN, label="B"), record_for("q2", EN)]) == 2
+        assert store.conflicts == 1
+        assert [r.extracted_label for r in store.records()] == ["A", "A"]
+        assert len((tmp_path / "run" / "records.jsonl").read_bytes().splitlines()) == 2
+
+    def test_returns_number_written_not_offered(self, tmp_path):
+        store = RunStore(tmp_path / "run")
+        store.record(record_for("q1", EN))
+        assert store.record_many([record_for("q1", EN), record_for("q2", EN), record_for("q3", EN)]) == 2
+        assert store.record_many([]) == 0
+        assert store.record_many(iter([record_for("q2", EN)])) == 0
+        assert len(store) == 3
+
+    def test_torn_final_line_truncated_before_batch_append(self, tmp_path):
+        path = tmp_path / "run"
+        with RunStore(path) as store:
+            store.record(record_for("q1", EN))
+        with (path / "records.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"item_id": "q2", "language"')  # torn write, no newline
+        with RunStore(path) as store:
+            assert store.record_many([record_for("q2", EN), record_for("q3", EN)]) == 2
+        lines = (path / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["item_id"] for line in lines] == ["q1", "q2", "q3"]
+
+    def test_iterable_raising_mid_batch_leaves_disk_equal_to_memory(self, tmp_path):
+        path = tmp_path / "run"
+        store = RunStore(path)
+
+        def batch():
+            yield record_for("q1", EN)
+            yield record_for("q2", EN)
+            raise RuntimeError("producer failed")
+
+        with pytest.raises(RuntimeError, match="producer failed"):
+            store.record_many(batch())
+        assert len(store) == 2
+        assert list(RunStore(path).records()) == list(store.records())
+        assert store.record(record_for("q3", EN)) is True
+        assert [r.item_id for r in RunStore(path).records()] == ["q1", "q2", "q3"]
+
+    def test_synthetic_store_fsyncs_records_at_most_twice(self, tmp_path, monkeypatch):
+        spec_path = Path(__file__).resolve().parents[1] / "configs" / "sample_synthetic_spec.json"
+        spec_payload = json.loads(spec_path.read_text(encoding="utf-8"))
+        data = generate(SyntheticSpec.from_dict(spec_payload))
+        synced_inodes = []
+        real_fsync = os.fsync
+
+        def counting_fsync(fd):
+            synced_inodes.append(os.fstat(fd).st_ino)
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", counting_fsync)
+        store = _synthetic_store(tmp_path / "store", data, spec_payload)
+        assert len(store) == len(data.items) * len(data.matrix.languages) == 38_400
+        assert synced_inodes.count(store.records_path.stat().st_ino) <= 2
 
 
 class TestCorruptStore:
