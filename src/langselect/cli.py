@@ -2,7 +2,9 @@
 
 Each stage is a subcommand; expensive network stages (translate, infer,
 select-llm, embed) resume by default and support --dry-run to print the
-planned call counts without touching the network.
+planned call counts without touching the network. They send at most the
+endpoint's ``max_in_flight`` requests at once and keep every finished task on
+any exit, an interrupt included, so a rerun calls only what is left.
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
-import requests
 
 from .datasets import McqItem
 from .gateway import ModelEndpoint, embed_texts
@@ -38,17 +37,6 @@ _MAX_ITER = 100
 
 class ClusteringError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class EmbeddingVector:
-    item_id: str
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        norm = float(np.linalg.norm(self.values))
-        if abs(norm - 1.0) > 1e-6:
-            raise ClusteringError(f"embedding for {self.item_id} is not unit norm ({norm:.6f})")
 
 
 def embedding_text(item: McqItem) -> str:
@@ -115,40 +103,10 @@ def item_embedding_key(item: McqItem) -> str:
     return hashlib.sha256(embedding_text(item).encode("utf-8")).hexdigest()[:24]
 
 
-def embed_items(
-    items: Sequence[McqItem],
-    endpoint: ModelEndpoint,
-    *,
-    cache: EmbeddingCache | None = None,
-    batch_size: int = 64,
-    backoff: float = 0.5,
-    session: requests.Session | None = None,
-) -> list[EmbeddingVector]:
-    """One unit vector per item; cached items cost no network calls."""
-    if not items:
-        raise ClusteringError("no items to embed")
-    results: dict[str, np.ndarray] = {}
-    todo: list[McqItem] = []
-    for item in items:
-        key = item_embedding_key(item)
-        hit = cache.get(key) if cache is not None else None
-        if hit is not None:
-            results[item.item_id] = hit
-        else:
-            todo.append(item)
-    for start in range(0, len(todo), batch_size):
-        batch = todo[start : start + batch_size]
-        vectors = embed_texts([embedding_text(i) for i in batch], endpoint, backoff=backoff, session=session)
-        raw = np.asarray(vectors, dtype=np.float64)
-        unit = _normalize_rows(raw, "vector from endpoint")
-        for item, values in zip(batch, unit):
-            results[item.item_id] = values
-            if cache is not None:
-                cache.put(item_embedding_key(item), item.item_id, values)
-    missing = [i.item_id for i in items if i.item_id not in results]
-    if missing:
-        raise ClusteringError(f"items left unembedded: {missing[:5]}")
-    return [EmbeddingVector(item_id=i.item_id, values=results[i.item_id]) for i in items]
+def embed_items(items: Sequence[McqItem], endpoint: ModelEndpoint, *, backoff: float = 0.5) -> np.ndarray:
+    """One batch: a unit vector per item, as the rows of an array in item order."""
+    vectors = embed_texts([embedding_text(i) for i in items], endpoint, backoff=backoff)
+    return _normalize_rows(np.asarray(vectors, dtype=np.float64), "vector from endpoint")
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

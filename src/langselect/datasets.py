@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 from .languages import Language
+from .store import write_atomic
 
 CULTURE_ATLAS_QUESTION = "Which is the following is true about {country}?"
 
@@ -186,12 +187,10 @@ def item_to_record(item: McqItem) -> dict:
 
 
 def save_dataset(items: Iterable[McqItem], path: str | Path) -> None:
-    """Write items as line-delimited JSON in the same schema ``load_dataset`` reads."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        for item in items:
-            fh.write(json.dumps(item_to_record(item), ensure_ascii=False) + "\n")
+    """Write items as line-delimited JSON in the same schema ``load_dataset`` reads,
+    atomically (``store.write_atomic``)."""
+    payload = "".join(json.dumps(item_to_record(item), ensure_ascii=False) + "\n" for item in items)
+    write_atomic(Path(path), payload.encode("utf-8"))
 
 
 def load_claims(path: str | Path) -> list[ClaimRecord]:

@@ -81,23 +81,16 @@ def _retry_after_s(response: requests.Response) -> int:
     return int(value) if value.isdecimal() else 0
 
 
-def _post_json(
-    url: str,
-    payload: dict,
-    endpoint: ModelEndpoint,
-    backoff: float,
-    session: requests.Session | None,
-) -> tuple[dict, int]:
+def _post_json(url: str, payload: dict, endpoint: ModelEndpoint, backoff: float) -> tuple[dict, int]:
     """POST with retry policy; returns (parsed body, attempts used)."""
     headers = endpoint.headers()
-    post = (session or requests).post
     attempts = 0
     last_error = "no attempt made"
     for attempt in range(endpoint.max_retries + 1):
         attempts += 1
         wait = backoff * (2**attempt)
         try:
-            response = post(url, json=payload, headers=headers, timeout=endpoint.timeout)
+            response = requests.post(url, json=payload, headers=headers, timeout=endpoint.timeout)
         except requests.RequestException as exc:
             last_error = f"{type(exc).__name__}: {exc}"
         else:
@@ -126,7 +119,6 @@ def chat_complete(
     temperature: float = 0.0,
     max_output_tokens: int = 1024,
     backoff: float = 0.5,
-    session: requests.Session | None = None,
 ) -> ChatResponse:
     """Send one chat completion and return the model's text."""
     body = prompt.body if isinstance(prompt, PromptText) else prompt
@@ -136,7 +128,7 @@ def chat_complete(
         "temperature": temperature,
         "max_tokens": max_output_tokens,
     }
-    data, attempts = _post_json(f"{endpoint.base_url.rstrip('/')}/chat/completions", payload, endpoint, backoff, session)
+    data, attempts = _post_json(f"{endpoint.base_url.rstrip('/')}/chat/completions", payload, endpoint, backoff)
     try:
         text = data["choices"][0]["message"]["content"]
     except (KeyError, IndexError, TypeError):
@@ -146,18 +138,12 @@ def chat_complete(
     return ChatResponse(text=text, attempts=attempts)
 
 
-def embed_texts(
-    texts: Sequence[str],
-    endpoint: ModelEndpoint,
-    *,
-    backoff: float = 0.5,
-    session: requests.Session | None = None,
-) -> list[list[float]]:
+def embed_texts(texts: Sequence[str], endpoint: ModelEndpoint, *, backoff: float = 0.5) -> list[list[float]]:
     """Embed a batch of texts; returns one float vector per input, in order."""
     if not texts:
         return []
     payload = {"model": endpoint.model_name, "input": list(texts)}
-    data, attempts = _post_json(f"{endpoint.base_url.rstrip('/')}/embeddings", payload, endpoint, backoff, session)
+    data, attempts = _post_json(f"{endpoint.base_url.rstrip('/')}/embeddings", payload, endpoint, backoff)
     try:
         rows = data["data"]
         rows = sorted(rows, key=lambda r: r.get("index", 0))

@@ -1,13 +1,20 @@
 """Pipeline stages behind the CLI subcommands.
 
+The four network stages (translate, infer, select-llm, embed) share one shape:
+plan the missing work under the run lock, stop there on a dry run, run every
+task through ``run_bounded``, and save what finished in a ``finally``, so an
+auth failure, an interrupt or a crash keeps every finished task. A task whose
+request fails at the endpoint (retries exhausted, or a rejected or malformed
+reply) fails only itself.
+
 Every stage is resumable and idempotent on completed work: reruns cost zero
 network calls and rewrite byte-identical outputs. All writes are atomic
 (write-temp-rename) and land under the configured output directory; a single
 run directory is guarded against concurrent drivers by an advisory lock.
 
 Exit codes: 0 complete; 2 configuration or auth problem; 3 run completed with
-partial data (failed or still-missing cells); 4 nothing succeeded because the
-endpoint was unreachable.
+partial data (failed tasks or still-missing cells); 4 nothing succeeded because
+the endpoint was unreachable.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ import logging
 import random
 import re
 from collections import Counter, defaultdict
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from hashlib import sha256
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -37,9 +45,9 @@ from .clustering import (
     train_lsk_best,
 )
 from .config import ConfigError, RunConfig
-from .datasets import DatasetId, McqItem, SplitSpec, item_to_record, load_dataset, save_dataset, split
+from .datasets import DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
 from .extraction import extract_expert_language, extract_final_answer, extract_reasoning_text
-from .gateway import AuthError, ModelEndpoint, TransportError, chat_complete
+from .gateway import AuthError, GatewayError, ModelEndpoint, TransportError, chat_complete
 from .langid import DetectionError, Detector, detect_language
 from .languages import Language
 from .prompts import (
@@ -196,26 +204,45 @@ Result = TypeVar("Result")
 
 def run_bounded(
     endpoint: ModelEndpoint, work: Callable[[Task], Result], tasks: Sequence[Task]
-) -> Iterator[tuple[Task, Result | None, BaseException | None]]:
+) -> Iterator[tuple[Task, Result | None, GatewayError | ItemTranslationError | None]]:
     """Run ``work`` on every task with at most ``endpoint.max_in_flight`` threads.
 
-    Yields ``(task, result, error)`` in completion order, where ``error`` is
-    the exception ``work`` raised (and ``result`` is then None). After an
-    ``AuthError`` every queued task is cancelled; the tasks already running
-    are still yielded. An exception in the consuming thread, or closing the
-    generator, cancels every queued task and waits for the running ones.
+    A task is submitted only when a thread is free for it. Yields
+    ``(task, result, error)`` as tasks complete, for each task that finished
+    (``error`` None) or failed at the endpoint (``error`` is the task's
+    ``ItemTranslationError``, or a ``GatewayError`` other than ``AuthError``;
+    ``result`` is None). After an ``AuthError`` no task is submitted, the tasks
+    still running are yielded, and then that ``AuthError`` is raised. Any other
+    exception from ``work`` is raised at once. On every exit, an exception in
+    the consuming thread or closing the generator included, the tasks still
+    running are waited for and their results dropped.
     """
     pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
+    queued = iter(tasks)
+    running: dict[Future, Task] = {}
+
+    def submit(count: int) -> None:
+        for task in islice(queued, count):
+            running[pool.submit(work, task)] = task
+
+    auth_error: AuthError | None = None
     try:
-        futures = {pool.submit(work, task): task for task in tasks}
-        for future in as_completed(futures):
-            if future.cancelled():
-                continue
-            error = future.exception()
-            if isinstance(error, AuthError):
-                for queued in futures:
-                    queued.cancel()
-            yield futures[future], None if error else future.result(), error
+        submit(endpoint.max_in_flight)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                task = running.pop(future)
+                error = future.exception()
+                if isinstance(error, AuthError):
+                    auth_error = auth_error or error
+                    continue
+                if error is not None and not isinstance(error, (GatewayError, ItemTranslationError)):
+                    raise error
+                if auth_error is None:
+                    submit(1)
+                yield task, None if error else future.result(), error
+        if auth_error is not None:
+            raise auth_error
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
 
@@ -231,8 +258,9 @@ def run_translate(
     """Produce one translated dataset file per non-English language.
 
     Each (language, item) pair is one task. A language's file is written, in
-    dataset order, once its last task is done; after an auth failure, every
-    language that got a result is written with the items finished so far.
+    dataset order, once its last task is done; on any other exit (an auth
+    failure, an interrupt) every language with finished items is written with
+    those items.
     """
     endpoint = config.require_endpoint("translation")
     items = load_items(config)
@@ -264,8 +292,7 @@ def run_translate(
         def write(target: Language) -> None:
             done = translated[target]
             ordered = [done[i.item_id] for i in items if i.item_id in done]
-            payload = "".join(json.dumps(item_to_record(i), ensure_ascii=False) + "\n" for i in ordered)
-            write_atomic(translation_file(config, target), payload.encode("utf-8"))
+            save_dataset(ordered, translation_file(config, target))
             lang_summary = summary["languages"][target.value]
             lang_summary["failed"].sort(key=lambda f: position[f["item_id"]])
             lang_summary["written"] = len(ordered)
@@ -275,34 +302,31 @@ def run_translate(
         for target in targets:
             if not planned[target]:
                 write(target)
-        auth_failure: str | None = None
 
         def work(task: tuple[Language, McqItem]) -> McqItem:
             return translate_item(task[1], task[0], endpoint, backoff=backoff)
 
-        for (target, item), result, error in run_bounded(endpoint, work, plan):
-            finished[target] += 1
-            if error is None:
-                translated[target][item.item_id] = result
-                ok_items += 1
-            elif isinstance(error, ItemTranslationError):
-                failed_items += 1
-                transport_items += error.transport
-                summary["languages"][target.value]["failed"].append(
-                    {"item_id": error.item_id, "fields": error.failed_fields}
-                )
-            elif isinstance(error, AuthError):
-                auth_failure = auth_failure or str(error)
-            else:
-                raise error
-            if finished[target] == planned[target]:
-                write(target)
-        if auth_failure is not None:
+        try:
+            for (target, item), result, error in run_bounded(endpoint, work, plan):
+                finished[target] += 1
+                if error is None:
+                    translated[target][item.item_id] = result
+                    ok_items += 1
+                else:
+                    failed_items += 1
+                    transport_items += error.transport
+                    summary["languages"][target.value]["failed"].append(
+                        {"item_id": error.item_id, "fields": error.failed_fields}
+                    )
+                if finished[target] == planned[target]:
+                    write(target)
+        except AuthError as exc:
+            summary["error"] = str(exc)
+            return StageResult(EXIT_CONFIG, summary)
+        finally:
             for target in targets:
                 if 0 < finished[target] < planned[target]:
                     write(target)
-            summary["error"] = auth_failure
-            return StageResult(EXIT_CONFIG, summary)
     return _finish(ok_items, failed_items, transport_items, summary)
 
 
@@ -314,7 +338,11 @@ def run_infer(
     dry_run: bool = False,
     backoff: float = 0.5,
 ) -> StageResult:
-    """Fill missing response-matrix cells by calling the chat endpoint."""
+    """Fill missing response-matrix cells by calling the chat endpoint.
+
+    Each cell is one task; its record is appended to the run store as soon as
+    it is done, and the store is closed (flushed and synced) on every exit.
+    """
     endpoint = config.require_endpoint("chat")
     templates = _templates(config)
     items = load_items(config)
@@ -343,6 +371,7 @@ def run_infer(
         "transport_failures": 0,
         "skipped_untranslated_cells": 0,
     }
+    failed = 0
     with run_lock(config.output_dir):
         with RunStore(store_dir(config, endpoint.model_name)) as store:
             if store.read_manifest() is None:
@@ -362,7 +391,6 @@ def run_infer(
                 return StageResult(EXIT_OK, summary)
 
             registry = HashRegistry()
-            auth_failure: str | None = None
 
             def work(cell: tuple[str, Language]) -> RecordStatus:
                 item_id, lang = cell
@@ -386,27 +414,21 @@ def run_infer(
                 )
                 return status
 
-            for _, status, error in run_bounded(endpoint, work, plan):
-                if isinstance(error, TransportError):
-                    summary["transport_failures"] += 1
-                elif isinstance(error, AuthError):
-                    auth_failure = auth_failure or str(error)
-                elif error is not None:
-                    raise error
-                else:
-                    summary["ok" if status is RecordStatus.OK else "invalid"] += 1
-            store.flush()
-            summary["conflicts"] = store.conflicts
-            if auth_failure is not None:
-                summary["error"] = auth_failure
+            try:
+                for _, status, error in run_bounded(endpoint, work, plan):
+                    if error is None:
+                        summary["ok" if status is RecordStatus.OK else "invalid"] += 1
+                    else:
+                        failed += 1
+                        summary["transport_failures"] += isinstance(error, TransportError)
+            except AuthError as exc:
+                summary["error"] = str(exc)
                 return StageResult(EXIT_CONFIG, summary)
+            finally:
+                summary["conflicts"] = store.conflicts
             remaining = len(missing_cells(build_matrix(store, items, endpoint.model_name, langs)))
             summary["remaining_missing_cells"] = remaining
-    failures = (
-        summary["transport_failures"]
-        + summary["skipped_untranslated_cells"]
-        + len(untranslated_languages)
-    )
+    failures = failed + summary["skipped_untranslated_cells"] + len(untranslated_languages)
     return _finish(summary["ok"] + summary["invalid"], failures, summary["transport_failures"], summary)
 
 
@@ -417,68 +439,89 @@ def run_select_llm(
     dry_run: bool = False,
     backoff: float = 0.5,
 ) -> StageResult:
-    """Ask the model itself for an expert language per test item, cached."""
+    """Ask the model itself for an expert language per test item, cached.
+
+    The cache is saved on every exit with the selections finished so far.
+    """
     endpoint = config.require_endpoint("chat")
     candidates = list(config.languages)
     items = load_items(config)
     _, test = split_items(config, items)
     cache_path = selection_cache_path(config)
-    cache: dict[str, Language] = {}
-    if resume and cache_path.exists():
-        cache = load_selection_cache(cache_path)
-    todo = [i for i in test if i.item_id not in cache]
-    summary: dict = {"stage": "select-llm", "cached": len(cache), "planned_calls": len(todo)}
-    if dry_run:
-        return StageResult(EXIT_OK, summary)
-
-    def ask(item: McqItem) -> str:
-        return chat_complete(build_selection_prompt(item, candidates), endpoint, backoff=backoff).text
-
-    transport_failures = 0
-    auth_failure: str | None = None
     with run_lock(config.output_dir):
-        for item, text, error in run_bounded(endpoint, ask, todo):
-            if isinstance(error, TransportError):
-                transport_failures += 1
-            elif isinstance(error, AuthError):
-                auth_failure = auth_failure or str(error)
-            elif error is not None:
-                raise error
-            else:
-                cache[item.item_id] = extract_expert_language(text, candidates)
-        save_selection_cache(cache, cache_path)
-    summary["selected"] = len(cache)
-    summary["transport_failures"] = transport_failures
-    if auth_failure is not None:
-        summary["error"] = auth_failure
-        return StageResult(EXIT_CONFIG, summary)
-    return _finish(len(cache), transport_failures, transport_failures, summary)
+        cache: dict[str, Language] = {}
+        if resume and cache_path.exists():
+            cache = load_selection_cache(cache_path)
+        todo = [i for i in test if i.item_id not in cache]
+        summary: dict = {"stage": "select-llm", "cached": len(cache), "planned_calls": len(todo)}
+        if dry_run:
+            return StageResult(EXIT_OK, summary)
+
+        def ask(item: McqItem) -> str:
+            return chat_complete(build_selection_prompt(item, candidates), endpoint, backoff=backoff).text
+
+        failed = 0
+        transport_failures = 0
+        try:
+            for item, text, error in run_bounded(endpoint, ask, todo):
+                if error is None:
+                    cache[item.item_id] = extract_expert_language(text, candidates)
+                else:
+                    failed += 1
+                    transport_failures += isinstance(error, TransportError)
+        except AuthError as exc:
+            summary["error"] = str(exc)
+            return StageResult(EXIT_CONFIG, summary)
+        finally:
+            save_selection_cache(cache, cache_path)
+            summary["selected"] = len(cache)
+            summary["transport_failures"] = transport_failures
+    return _finish(len(cache) - summary["cached"], failed, transport_failures, summary)
+
+
+EMBED_BATCH_SIZE = 64  # items per embeddings request
 
 
 def run_embed(config: RunConfig, *, dry_run: bool = False, backoff: float = 0.5) -> StageResult:
-    """Embed the source-language text of every split item, with caching."""
+    """Embed the source-language text of every split item, with caching.
+
+    Each batch of ``EMBED_BATCH_SIZE`` uncached items is one task; the cache
+    is saved on every exit with the vectors finished so far.
+    """
     endpoint = config.require_endpoint("embedding")
     items = load_items(config)
     train, test = split_items(config, items)
     wanted = train + test
-    cache = EmbeddingCache(embeddings_path(config))
-    todo = [i for i in wanted if cache.get(item_embedding_key(i)) is None]
-    summary: dict = {"stage": "embed", "cached": len(wanted) - len(todo), "planned_calls": len(todo)}
-    if dry_run:
-        return StageResult(EXIT_OK, summary)
     with run_lock(config.output_dir):
+        cache = EmbeddingCache(embeddings_path(config))
+        todo = [i for i in wanted if cache.get(item_embedding_key(i)) is None]
+        summary: dict = {"stage": "embed", "cached": len(wanted) - len(todo), "planned_calls": len(todo)}
+        if dry_run:
+            return StageResult(EXIT_OK, summary)
+
+        def work(batch: list[McqItem]) -> np.ndarray:
+            return embed_items(batch, endpoint, backoff=backoff)
+
+        batches = [todo[n : n + EMBED_BATCH_SIZE] for n in range(0, len(todo), EMBED_BATCH_SIZE)]
+        embedded = 0
+        failed = 0
+        transport_failures = 0
         try:
-            embed_items(wanted, endpoint, cache=cache, backoff=backoff)
+            for batch, vectors, error in run_bounded(endpoint, work, batches):
+                if error is None:
+                    for item, values in zip(batch, vectors):
+                        cache.put(item_embedding_key(item), item.item_id, values)
+                    embedded += len(batch)
+                else:
+                    failed += len(batch)
+                    transport_failures += len(batch) * isinstance(error, TransportError)
         except AuthError as exc:
             summary["error"] = str(exc)
             return StageResult(EXIT_CONFIG, summary)
-        except TransportError as exc:
+        finally:
             cache.save()
-            summary["error"] = str(exc)
-            return StageResult(EXIT_TRANSPORT, summary)
-        cache.save()
-    summary["embedded"] = len(wanted)
-    return StageResult(EXIT_OK, summary)
+    summary["embedded"] = len(wanted) - failed
+    return _finish(embedded, failed, transport_failures, summary)
 
 
 def bundled_country_map(dataset_id: DatasetId) -> CountryMap | None:
@@ -746,16 +789,15 @@ def run_simulate(
     summary: dict = {"stage": "simulate", "n_items": spec.n_items, "k_true": spec.k_true}
 
     with run_lock(output_dir):
-        store = _synthetic_store(output_dir / "store" / f"custom__{SYNTHETIC_MODEL_NAME}", data, spec_payload)
+        with _synthetic_store(output_dir / "store" / f"custom__{SYNTHETIC_MODEL_NAME}", data, spec_payload) as store:
+            matrix = build_matrix(store, data.items, SYNTHETIC_MODEL_NAME, data.matrix.languages)
+        if matrix.cells != data.matrix.cells:  # pragma: no cover - replay safety net
+            raise RuntimeError("matrix rebuilt from store does not match generated matrix")
         save_dataset(data.items, output_dir / "items.jsonl")
         cache = EmbeddingCache(output_dir / "embeddings.jsonl")
         for item in data.items:
             cache.put(item_embedding_key(item), item.item_id, data.vectors[item.item_id])
         cache.save()
-
-        matrix = build_matrix(store, data.items, SYNTHETIC_MODEL_NAME, data.matrix.languages)
-        if matrix.cells != data.matrix.cells:  # pragma: no cover - replay safety net
-            raise RuntimeError("matrix rebuilt from store does not match generated matrix")
 
         n_test = test_count if test_count is not None else max(1, spec.n_items // 6)
         n_train = train_count if train_count is not None else spec.n_items - n_test

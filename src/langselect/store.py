@@ -16,10 +16,12 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
 
-from .datasets import McqItem
 from .languages import Language, canonical_sorted
+
+if TYPE_CHECKING:
+    from .datasets import McqItem
 
 logger = logging.getLogger(__name__)
 

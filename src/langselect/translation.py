@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import logging
 
-import requests
-
 from .datasets import Choice, McqItem
 from .extraction import find_json_object
-from .gateway import ModelEndpoint, TransportError, chat_complete
+from .gateway import AuthError, GatewayError, ModelEndpoint, TransportError, chat_complete
 from .languages import Language
 from .prompts import build_translation_prompt, translation_key
 
@@ -42,67 +40,50 @@ def parse_translation(raw: str, target: Language) -> str | None:
     return None
 
 
-def _translate_field(
-    text: str,
-    target: Language,
-    endpoint: ModelEndpoint,
-    backoff: float,
-    session: requests.Session | None,
-) -> str | None:
+def _translate_field(text: str, target: Language, endpoint: ModelEndpoint, backoff: float) -> str | None:
     prompt = build_translation_prompt(text, target)
     # One re-ask on unparsable output before giving up on the field.
     for _ in range(2):
-        response = chat_complete(prompt, endpoint, backoff=backoff, session=session)
+        response = chat_complete(prompt, endpoint, backoff=backoff)
         translated = parse_translation(response.text, target)
         if translated is not None:
             return translated
     return None
 
 
-def translate_item(
-    item: McqItem,
-    target: Language,
-    endpoint: ModelEndpoint,
-    *,
-    backoff: float = 0.5,
-    session: requests.Session | None = None,
-) -> McqItem:
+def translate_item(item: McqItem, target: Language, endpoint: ModelEndpoint, *, backoff: float = 0.5) -> McqItem:
     """Translate question and choices into ``target``, preserving ids and gold.
 
     Translating into the item's own language is a copy with zero network
     calls. Raises ItemTranslationError when any field stays untranslated after
-    retries and the single re-ask.
+    retries and the single re-ask, or its reply failed at the endpoint; an
+    ``AuthError`` propagates.
     """
     if target == item.source_language:
         return item
+    fields = [("question", item.question), *((f"choice_{c.label}", c.text) for c in item.choices)]
     failed: list[str] = []
     transport = False
-    question = None
-    try:
-        question = _translate_field(item.question, target, endpoint, backoff, session)
-    except TransportError as exc:
-        transport = True
-        logger.warning("question translation transport failure for %s: %s", item.item_id, exc)
-    if question is None:
-        failed.append("question")
     texts: list[str | None] = []
-    for choice in item.choices:
+    for name, text in fields:
         translated = None
         try:
-            translated = _translate_field(choice.text, target, endpoint, backoff, session)
-        except TransportError as exc:
-            transport = True
-            logger.warning("choice %s translation transport failure for %s: %s", choice.label, item.item_id, exc)
+            translated = _translate_field(text, target, endpoint, backoff)
+        except AuthError:
+            raise
+        except GatewayError as exc:
+            transport = transport or isinstance(exc, TransportError)
+            logger.warning("%s translation failed for %s: %s", name, item.item_id, exc)
         if translated is None:
-            failed.append(f"choice_{choice.label}")
+            failed.append(name)
         texts.append(translated)
     if failed:
         raise ItemTranslationError(item.item_id, target, failed, transport=transport)
     return McqItem(
         item_id=item.item_id,
         dataset_id=item.dataset_id,
-        question=question,
-        choices=tuple(Choice(c.label, t) for c, t in zip(item.choices, texts)),
+        question=texts[0],
+        choices=tuple(Choice(c.label, t) for c, t in zip(item.choices, texts[1:])),
         gold_label=item.gold_label,
         country=item.country,
         source_language=target,

@@ -5,13 +5,17 @@ import threading
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from langselect import clustering
 from langselect.cli import main
+from langselect.clustering import EmbeddingCache, embedding_text
 from langselect.config import load_config
 from langselect.datasets import DatasetId, load_dataset, save_dataset
 from langselect import pipeline
+from langselect.gateway import TransportError
 from langselect.languages import Language
 from langselect.pipeline import (
     EXIT_OK,
@@ -23,6 +27,7 @@ from langselect.pipeline import (
     run_select_llm,
     run_simulate,
     run_translate,
+    selection_cache_path,
     store_dir,
     translation_file,
 )
@@ -30,7 +35,7 @@ from langselect.report import report_from_json
 from langselect.store import RunStore
 
 from helpers import make_item
-from stub_server import StubServer, echo_translation_responder
+from stub_server import StubServer, echo_translation_responder, hash_embedding
 
 
 def good_chat_responder(body: str, payload: dict) -> str:
@@ -211,6 +216,16 @@ class TestSelectLlmStage:
         assert set(cache.values()) == {"en"}
 
 
+    def test_resume_where_no_request_succeeds_exits_transport(self, tmp_path, pipeline_stub):
+        config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
+        pipeline_stub.status_queue = [400]
+        assert run_select_llm(config, backoff=0.001).summary["selected"] == 1
+        unreachable = replace(config.chat_endpoint, base_url="http://127.0.0.1:1", max_retries=0, timeout=0.2)
+        result = run_select_llm(replace(config, chat_endpoint=unreachable), backoff=0.001)
+        assert result.exit_code == EXIT_TRANSPORT  # the cached selection is not this run's success
+        assert (result.summary["cached"], result.summary["selected"]) == (1, 1)
+
+
 class TestEmbedStage:
     def test_embeds_split_items(self, tmp_path, pipeline_stub):
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
@@ -225,6 +240,63 @@ class TestEmbedStage:
         result = run_embed(config, backoff=0.001)
         assert len(pipeline_stub.requests) == before
         assert result.summary["planned_calls"] == 0
+
+    def test_unit_vectors_cached_and_rerun_reuses_them(self, tmp_path, pipeline_stub):
+        config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
+        assert run_embed(config, backoff=0.001).exit_code == EXIT_OK
+        path = config.output_dir / "embeddings.jsonl"
+        vectors = EmbeddingCache(path).vectors_by_item()
+        assert sorted(vectors) == [f"q{i}" for i in range(6)]  # every split item
+        for values in vectors.values():
+            assert values.shape == (8,)
+            assert np.linalg.norm(values) == pytest.approx(1.0, abs=1e-9)
+        before, before_bytes = len(pipeline_stub.requests), path.read_bytes()
+        assert run_embed(config, backoff=0.001).summary["cached"] == 6
+        assert len(pipeline_stub.requests) == before  # all cache hits
+        assert path.read_bytes() == before_bytes
+
+    def test_cache_file_round_trip(self, tmp_path, pipeline_stub):
+        config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
+        run_embed(config, backoff=0.001)
+        path = config.output_dir / "embeddings.jsonl"
+        by_item = EmbeddingCache(path).vectors_by_item()
+        for item in load_dataset(config.dataset_path, DatasetId.CUSTOM):
+            raw = np.array(hash_embedding(embedding_text(item)))
+            assert np.allclose(by_item[item.item_id], raw / np.linalg.norm(raw))
+        entry = json.loads(path.read_text().splitlines()[0])
+        assert set(entry) == {"item_id", "key", "dim", "values"}
+
+    def test_batch_failing_mid_run_exits_partial_and_keeps_other_batches(self, tmp_path, pipeline_stub, monkeypatch):
+        config = load_config(
+            write_pipeline_config(
+                tmp_path,
+                pipeline_stub,
+                embedding_endpoint={"base_url": pipeline_stub.base_url, "model_name": "e", "max_in_flight": 1},
+            )
+        )
+        monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)
+        real_embed_texts, calls = clustering.embed_texts, []
+
+        def second_batch_fails(texts, *args, **kwargs):
+            calls.append(texts)
+            if len(calls) == 2:
+                raise TransportError("request failed after 2 attempts (status 503)")
+            return real_embed_texts(texts, *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "embed_texts", second_batch_fails)
+        result = run_embed(config, backoff=0.001)
+        assert result.exit_code == EXIT_PARTIAL
+        assert result.summary["embedded"] == 4
+        path = config.output_dir / "embeddings.jsonl"
+        cached = EmbeddingCache(path).vectors_by_item()
+        assert len(cached) == 4
+        monkeypatch.setattr(clustering, "embed_texts", real_embed_texts)
+        before = len(pipeline_stub.requests)
+        rerun = run_embed(config, backoff=0.001)
+        assert rerun.exit_code == EXIT_OK
+        assert (rerun.summary["cached"], rerun.summary["planned_calls"]) == (4, 2)
+        assert [r["payload"]["input"] for r in pipeline_stub.requests[before:]] == [calls[1]]
+        assert len(EmbeddingCache(path).vectors_by_item()) == 6
 
 
 class TestEvaluateStage:
@@ -503,7 +575,7 @@ def item_ids_in(bodies: list[str]) -> set[str]:
 
 
 class TestBoundedStages:
-    """translate, infer and select-llm run up to ``max_in_flight`` calls at once."""
+    """The network stages run up to ``max_in_flight`` calls at once."""
 
     def config(self, tmp_path, stub, max_in_flight, **extra):
         tmp_path.mkdir(exist_ok=True)
@@ -516,17 +588,20 @@ class TestBoundedStages:
         }
         extra.setdefault("chat_endpoint", endpoint)
         extra.setdefault("translation_endpoint", endpoint)
+        extra.setdefault("embedding_endpoint", {**endpoint, "model_name": "stub-embedder"})
         split = {"seed": 3, "train_count": 2, "test_count": 6}
         return load_config(write_pipeline_config(tmp_path, stub, n_items=8, split=split, **extra))
 
-    def test_outputs_match_a_serial_run(self, tmp_path):
+    def test_outputs_match_a_serial_run(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)  # 8 items: 4 batches
         runs = {}
+        stages = (("translate", run_translate), ("infer", run_infer), ("select", run_select_llm), ("embed", run_embed))
         with StubServer(chat_responder=varied_chat_responder, latency=0.02) as stub:
             for max_in_flight in (1, 4):
                 config = self.config(tmp_path / f"mif{max_in_flight}", stub, max_in_flight)
                 summaries, peaks = {}, {}
                 stub.hold_until_overlap = 1.0 if max_in_flight > 1 else None
-                for name, stage in (("translate", run_translate), ("infer", run_infer), ("select", run_select_llm)):
+                for name, stage in stages:
                     stub.peak_in_flight = 0
                     result = stage(config, backoff=0.001)
                     assert result.exit_code == EXIT_OK
@@ -538,7 +613,9 @@ class TestBoundedStages:
                     "peaks": peaks,
                     "files": {
                         name: (config.output_dir / name).read_bytes()
-                        for name in ("translations/tr.jsonl", "translations/th.jsonl", "selection_cache.json")
+                        for name in (
+                            "translations/tr.jsonl", "translations/th.jsonl", "selection_cache.json", "embeddings.jsonl"
+                        )
                     },
                     "records": sorted(
                         json.dumps({k: v for k, v in json.loads(line).items() if k != "created_at"})
@@ -546,7 +623,7 @@ class TestBoundedStages:
                     ),
                 }
         serial, bounded = runs[1], runs[4]
-        assert serial["peaks"] == {"translate": 1, "infer": 1, "select": 1}
+        assert serial["peaks"] == {"translate": 1, "infer": 1, "select": 1, "embed": 1}
         assert all(1 < peak <= 4 for peak in bounded["peaks"].values()), bounded["peaks"]
         assert bounded["files"] == serial["files"]
         assert bounded["summaries"] == serial["summaries"]
@@ -614,6 +691,151 @@ class TestBoundedStages:
             assert item_ids_in(stub.chat_bodies()[before:]).isdisjoint(ids)
         healed = load_dataset(path, DatasetId.CUSTOM, source_language=Language.TURKISH)
         assert [i.item_id for i in healed] == [f"q{n}" for n in range(8)]
+
+
+NETWORK_STAGES = {
+    "translate": run_translate,
+    "infer": run_infer,
+    "select-llm": run_select_llm,
+    "embed": run_embed,
+}
+
+
+def all_endpoints(**fields):
+    return {
+        f"{kind}_endpoint": {"model_name": f"stub-{kind}", "max_in_flight": 1, **fields}
+        for kind in ("chat", "translation", "embedding")
+    }
+
+
+class TestStageExitCodes:
+    @pytest.mark.parametrize("stage", list(NETWORK_STAGES))
+    def test_bad_key_exits_config_with_error(self, tmp_path, monkeypatch, stage):
+        monkeypatch.setenv("STUB_KEY", "wrong")
+        with StubServer(chat_responder=good_chat_responder, require_key="right") as stub:
+            endpoints = all_endpoints(base_url=stub.base_url, api_key_ref="STUB_KEY", max_retries=0, timeout=5)
+            config = load_config(write_pipeline_config(tmp_path, stub, languages=("en", "tr"), **endpoints))
+            result = NETWORK_STAGES[stage](config, backoff=0.001)
+            assert len(stub.requests) == 1  # the first 401 cancels every queued task
+        assert result.exit_code == 2
+        assert "401" in result.summary["error"]
+
+    @pytest.mark.parametrize("stage", list(NETWORK_STAGES))
+    def test_unreachable_endpoint_exits_transport(self, tmp_path, stage):
+        with StubServer() as stub:
+            endpoints = all_endpoints(base_url="http://127.0.0.1:1", max_retries=0, timeout=0.2)
+            languages = ("en", "tr") if stage == "translate" else ("en",)  # infer: no untranslated cells
+            config = load_config(write_pipeline_config(tmp_path, stub, languages=languages, **endpoints))
+        result = NETWORK_STAGES[stage](config, backoff=0.001)
+        assert result.exit_code == EXIT_TRANSPORT
+
+
+class TestRejectedReply:
+    """A reply the endpoint rejects (here a 400) fails only its own task."""
+
+    @pytest.mark.parametrize("stage", ["translate", "infer", "select-llm"])
+    def test_fails_only_its_task_and_rerun_calls_only_that_task(self, tmp_path, stage):
+        with StubServer(chat_responder=good_chat_responder) as stub:
+            endpoints = all_endpoints(base_url=stub.base_url, max_retries=1, timeout=5)
+            split = {"seed": 3, "train_count": 2, "test_count": 6}
+            config = load_config(write_pipeline_config(tmp_path, stub, n_items=8, split=split, **endpoints))
+            if stage == "infer":
+                assert run_translate(config, backoff=0.001).exit_code == EXIT_OK
+            run = NETWORK_STAGES[stage]
+            first = len(stub.requests)
+            stub.status_queue = [400]
+            result = run(config, backoff=0.001)
+            assert result.exit_code == EXIT_PARTIAL
+            failed_item = item_ids_in(stub.chat_bodies()[first : first + 1])
+            assert len(failed_item) == 1
+
+            if stage == "translate":
+                written = load_dataset(
+                    translation_file(config, Language.TURKISH), DatasetId.CUSTOM, source_language=Language.TURKISH
+                )
+                assert len(written) == 7 and failed_item.isdisjoint(i.item_id for i in written)
+                assert result.summary["languages"]["th"]["written"] == 8
+            elif stage == "infer":
+                assert len(RunStore(store_dir(config, "stub-chat"))) == 8 * 3 - 1
+                assert result.summary["remaining_missing_cells"] == 1
+            else:
+                cache = json.loads(selection_cache_path(config).read_text(encoding="utf-8"))
+                assert len(cache) == 5 and failed_item.isdisjoint(cache)
+
+            before = len(stub.requests)
+            assert run(config, backoff=0.001).exit_code == EXIT_OK
+            rerun_bodies = stub.chat_bodies()[before:]
+        assert item_ids_in(rerun_bodies) == failed_item
+        assert len(rerun_bodies) == (5 if stage == "translate" else 1)  # 1 question + 4 choices
+
+
+class TestInterruptAndResume:
+    """An interrupt at any task keeps every finished task: the resumed run
+    calls only the rest, and its outputs equal an uninterrupted run's."""
+
+    OUTPUTS = (
+        "translations/tr.jsonl",
+        "translations/th.jsonl",
+        "selection_cache.json",
+        "embeddings.jsonl",
+        "reports/report.json",
+        "reports/report.csv",
+        "reports/report.md",
+    )
+
+    def config(self, tmp_path, stub):
+        return TestBoundedStages().config(tmp_path, stub, 1)
+
+    def outputs(self, config):
+        files = {name: (config.output_dir / name).read_bytes() for name in self.OUTPUTS}
+        records = (store_dir(config, "stub-model") / "records.jsonl").read_text(encoding="utf-8")
+        files["records"] = sorted(
+            json.dumps({k: v for k, v in json.loads(line).items() if k != "created_at"})
+            for line in records.splitlines()
+        )
+        return files
+
+    @pytest.mark.parametrize("stage", list(NETWORK_STAGES))
+    def test_resume_repeats_no_finished_task_and_matches_an_uninterrupted_run(self, tmp_path, monkeypatch, stage):
+        monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)  # 8 items: 4 batches
+        owner, name = {
+            "translate": (pipeline, "translate_item"),
+            "infer": (pipeline, "chat_complete"),
+            "select-llm": (pipeline, "chat_complete"),
+            "embed": (clustering, "embed_texts"),
+        }[stage]
+        real_call = getattr(owner, name)
+        calls = {"n": 0}
+
+        def interrupted_at_third_task(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise KeyboardInterrupt
+            return real_call(*args, **kwargs)
+
+        with StubServer(chat_responder=varied_chat_responder) as stub:
+            requests_by_stage = {}
+            whole = self.config(tmp_path / "whole", stub)
+            for each, run in NETWORK_STAGES.items():
+                before = len(stub.requests)
+                assert run(whole, backoff=0.001).exit_code == EXIT_OK
+                requests_by_stage[each] = len(stub.requests) - before
+            assert run_evaluate(whole).exit_code == EXIT_OK
+
+            config = self.config(tmp_path / "interrupted", stub)
+            for each, run in NETWORK_STAGES.items():
+                if each == stage:
+                    before = len(stub.requests)
+                    monkeypatch.setattr(owner, name, interrupted_at_third_task)
+                    with pytest.raises(KeyboardInterrupt):
+                        run(config, backoff=0.001)
+                    monkeypatch.setattr(owner, name, real_call)
+                    assert len(stub.requests) > before  # two tasks finished
+                assert run(config, backoff=0.001).exit_code == EXIT_OK
+                if each == stage:
+                    assert len(stub.requests) - before == requests_by_stage[stage]
+            assert run_evaluate(config).exit_code == EXIT_OK
+        assert self.outputs(config) == self.outputs(whole)
 
 
 def test_evaluate_uses_bundled_blend_country_map(tmp_path):

@@ -1,6 +1,5 @@
 import dataclasses
 import itertools
-import json
 import os
 import tracemalloc
 
@@ -30,7 +29,7 @@ from langselect.selectors import train_global_language
 from langselect.synthetic import SyntheticSpec, generate
 
 from helpers import INVALID, MISSING, make_item, make_matrix, random_matrix
-from stub_server import StubServer
+from stub_server import hash_embedding
 
 EN, ES, HI = Language.ENGLISH, Language.SPANISH, Language.HINDI
 
@@ -386,34 +385,18 @@ class TestPlantedRecoverySmoke:
 
 
 class TestEmbedItems:
-    def test_shape_and_cache(self, tmp_path, stub):
+    """``embed_items`` embeds one batch; the embed stage's caching is tested in
+    ``test_cli.TestEmbedStage``."""
+
+    def test_one_unit_vector_per_item_in_order(self, stub):
         items = [make_item(f"q{i}") for i in range(5)]
         endpoint = ModelEndpoint(base_url=stub.base_url, model_name="embedder", timeout=5.0)
-        cache = EmbeddingCache(tmp_path / "emb.jsonl")
-        vectors = embed_items(items, endpoint, cache=cache, backoff=0.001)
-        assert len(vectors) == 5
-        dims = {v.values.shape for v in vectors}
-        assert dims == {(8,)}
-        for v in vectors:
-            assert np.linalg.norm(v.values) == pytest.approx(1.0, abs=1e-9)
-        calls_before = len(stub.requests)
-        again = embed_items(items, endpoint, cache=cache, backoff=0.001)
-        assert len(stub.requests) == calls_before  # all cache hits
-        assert all(np.array_equal(a.values, b.values) for a, b in zip(vectors, again))
-
-    def test_cache_file_round_trip(self, tmp_path, stub):
-        items = [make_item(f"q{i}") for i in range(3)]
-        endpoint = ModelEndpoint(base_url=stub.base_url, model_name="embedder", timeout=5.0)
-        cache = EmbeddingCache(tmp_path / "emb.jsonl")
-        vectors = embed_items(items, endpoint, cache=cache, backoff=0.001)
-        cache.save()
-        reloaded = EmbeddingCache(tmp_path / "emb.jsonl")
-        by_item = reloaded.vectors_by_item()
-        assert set(by_item) == {i.item_id for i in items}
-        for v in vectors:
-            assert np.allclose(by_item[v.item_id], v.values)
-        entry = json.loads((tmp_path / "emb.jsonl").read_text().splitlines()[0])
-        assert set(entry) == {"item_id", "key", "dim", "values"}
+        vectors = embed_items(items, endpoint, backoff=0.001)
+        assert vectors.shape == (5, 8)
+        assert np.allclose(np.linalg.norm(vectors, axis=1), 1.0, atol=1e-9)
+        expected = unit_rows(np.array([hash_embedding(embedding_text(i)) for i in items]))
+        assert np.array_equal(vectors, expected)
+        assert len(stub.requests) == 1
 
     def test_save_fsyncs_the_temp_file_before_the_rename(self, tmp_path, monkeypatch):
         path = tmp_path / "emb.jsonl"

@@ -1,5 +1,5 @@
-"""The bounded executor that drives the network stages, and the reasoning-language
-verification rate that ``evaluate`` reports."""
+"""The bounded executor and its failure triage, which drive the network stages,
+and the reasoning-language verification rate that ``evaluate`` reports."""
 
 import json
 import threading
@@ -9,9 +9,10 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from langselect import pipeline
-from langselect.gateway import AuthError, ModelEndpoint
+from langselect.gateway import AuthError, GatewayError, ModelEndpoint
 from langselect.languages import Language
 from langselect.store import InferenceRecord, RecordStatus, RunStore
+from langselect.translation import ItemTranslationError
 
 
 def endpoint(max_in_flight: int) -> ModelEndpoint:
@@ -66,11 +67,20 @@ def test_yields_every_result_on_at_most_max_in_flight_threads(monkeypatch):
 
 
 def test_task_errors_are_yielded_not_raised():
-    work = Work(seconds=0.0, first_error=ValueError("bad task"))
-    results = {task: (result, error) for task, result, error in pipeline.run_bounded(endpoint(2), work, [0, 1, 2])}
-    result, error = results.pop(0)
-    assert result is None and isinstance(error, ValueError)
-    assert results == {1: (10, None), 2: (20, None)}
+    # Per-task endpoint failures: a rejected reply, an untranslated item.
+    for first_error in (GatewayError("rejected with status 400"), ItemTranslationError("q0", Language.THAI, ["question"])):
+        work = Work(seconds=0.0, first_error=first_error)
+        results = {task: (result, error) for task, result, error in pipeline.run_bounded(endpoint(2), work, [0, 1, 2])}
+        assert results.pop(0) == (None, first_error)
+        assert results == {1: (10, None), 2: (20, None)}
+
+
+def test_other_task_errors_are_raised_at_once():
+    work = Work(seconds=0.2, first_error=ValueError("bug"))
+    with pytest.raises(ValueError, match="bug"):
+        for _ in pipeline.run_bounded(endpoint(2), work, list(range(50))):
+            pass
+    assert len(work.started) <= 2 + 1
 
 
 def test_keyboard_interrupt_in_consumer_cancels_queued_tasks():
@@ -85,10 +95,13 @@ def test_keyboard_interrupt_in_consumer_cancels_queued_tasks():
 
 def test_auth_error_cancels_queued_tasks_and_still_yields_running_ones():
     work = Work(seconds=0.1, first_error=AuthError("bad key"))
-    results = list(pipeline.run_bounded(endpoint(2), work, list(range(50))))
-    assert isinstance(results[0][2], AuthError)
+    results = []
+    with pytest.raises(AuthError, match="bad key"):
+        for result in pipeline.run_bounded(endpoint(2), work, list(range(50))):
+            results.append(result)
     assert len(work.started) <= 2 + 1
-    assert sorted(task for task, _, _ in results) == sorted(work.started)
+    assert sorted(task for task, _, _ in results) == sorted(work.started)[1:]
+    assert all(error is None for _, _, error in results)
 
 
 ENGLISH_TEXT = "The answer is B because it was the one that they have chosen."

@@ -40,26 +40,29 @@ EN, ES, HI = Language.ENGLISH, Language.SPANISH, Language.HINDI
 
 
 @pytest.fixture
+def store(tmp_path):
+    with RunStore(tmp_path / "run") as opened:
+        yield opened
+
+
+@pytest.fixture
 def items():
     return [make_item("q1", gold="A"), make_item("q2", gold="B"), make_item("q3", gold="A")]
 
 
 class TestRecordIdempotence:
-    def test_fresh_record_grows_store(self, tmp_path):
-        store = RunStore(tmp_path / "run")
+    def test_fresh_record_grows_store(self, store):
         assert store.record(record_for("q1", EN)) is True
         assert len(store) == 1
 
-    def test_exact_duplicate_dropped_without_conflict(self, tmp_path):
-        store = RunStore(tmp_path / "run")
+    def test_exact_duplicate_dropped_without_conflict(self, store):
         rec = record_for("q1", EN)
         assert store.record(rec) is True
         assert store.record(rec) is False
         assert len(store) == 1
         assert store.conflicts == 0
 
-    def test_same_key_different_output_first_wins_and_counts_conflict(self, tmp_path):
-        store = RunStore(tmp_path / "run")
+    def test_same_key_different_output_first_wins_and_counts_conflict(self, store):
         store.record(record_for("q1", EN, label="A"))
         dropped = store.record(record_for("q1", EN, label="B"))
         assert dropped is False
@@ -87,9 +90,7 @@ class TestRecordIdempotence:
                 status=RecordStatus.OK,
             )
 
-    def test_concurrent_writers_are_serialized(self, tmp_path):
-        store = RunStore(tmp_path / "run")
-
+    def test_concurrent_writers_are_serialized(self, tmp_path, store):
         def write_block(offset):
             for i in range(50):
                 store.record(record_for(f"q{offset + i}", EN))
@@ -116,9 +117,7 @@ class TestRecordIdempotence:
         assert reopened.record(rec) is False
         assert reopened.conflicts == 0
 
-    def test_record_whose_line_cannot_be_written_is_not_indexed(self, tmp_path, monkeypatch):
-        store = RunStore(tmp_path / "run")
-
+    def test_record_whose_line_cannot_be_written_is_not_indexed(self, monkeypatch, store):
         def failing_to_json(record):
             raise OSError("disk full")
 
@@ -137,16 +136,14 @@ class TestRecordMany:
             assert store.record_many(batch) == len(batch)
         assert [r.key for r in RunStore(tmp_path / "run").records()] == [r.key for r in batch]
 
-    def test_duplicates_in_one_batch_dropped_and_differing_one_is_a_conflict(self, tmp_path):
-        store = RunStore(tmp_path / "run")
+    def test_duplicates_in_one_batch_dropped_and_differing_one_is_a_conflict(self, tmp_path, store):
         first = record_for("q1", EN, label="A")
         assert store.record_many([first, first, record_for("q1", EN, label="B"), record_for("q2", EN)]) == 2
         assert store.conflicts == 1
         assert [r.extracted_label for r in store.records()] == ["A", "A"]
         assert len((tmp_path / "run" / "records.jsonl").read_bytes().splitlines()) == 2
 
-    def test_returns_number_written_not_offered(self, tmp_path):
-        store = RunStore(tmp_path / "run")
+    def test_returns_number_written_not_offered(self, store):
         store.record(record_for("q1", EN))
         assert store.record_many([record_for("q1", EN), record_for("q2", EN), record_for("q3", EN)]) == 2
         assert store.record_many([]) == 0
@@ -164,9 +161,8 @@ class TestRecordMany:
         lines = (path / "records.jsonl").read_text(encoding="utf-8").splitlines()
         assert [json.loads(line)["item_id"] for line in lines] == ["q1", "q2", "q3"]
 
-    def test_iterable_raising_mid_batch_leaves_disk_equal_to_memory(self, tmp_path):
+    def test_iterable_raising_mid_batch_leaves_disk_equal_to_memory(self, tmp_path, store):
         path = tmp_path / "run"
-        store = RunStore(path)
 
         def batch():
             yield record_for("q1", EN)
@@ -192,9 +188,9 @@ class TestRecordMany:
             real_fsync(fd)
 
         monkeypatch.setattr(os, "fsync", counting_fsync)
-        store = _synthetic_store(tmp_path / "store", data, spec_payload)
-        assert len(store) == len(data.items) * len(data.matrix.languages) == 38_400
-        assert synced_inodes.count(store.records_path.stat().st_ino) <= 2
+        with _synthetic_store(tmp_path / "store", data, spec_payload) as store:
+            assert len(store) == len(data.items) * len(data.matrix.languages) == 38_400
+            assert synced_inodes.count(store.records_path.stat().st_ino) <= 2
 
 
 class TestCorruptStore:
@@ -223,8 +219,7 @@ class TestCorruptStore:
 
 
 class TestBuildMatrix:
-    def test_full_store_gives_all_ok_cells(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_full_store_gives_all_ok_cells(self, items, store):
         for item in items:
             for lang in (EN, ES):
                 store.record(record_for(item.item_id, lang, label=item.gold_label))
@@ -233,8 +228,7 @@ class TestBuildMatrix:
         assert counts == {"ok": 6, "invalid_output": 0, "missing": 0}
         assert all(matrix.cell(i.item_id, l).correct for i in items for l in (EN, ES))
 
-    def test_missing_cell_explicit(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_missing_cell_explicit(self, items, store):
         for item in items:
             store.record(record_for(item.item_id, EN, label="A"))
         store.record(record_for("q1", HI, label="A"))
@@ -242,63 +236,54 @@ class TestBuildMatrix:
         assert matrix.cell("q2", HI).status is CellStatus.MISSING
         assert matrix.cell("q2", HI).correct is False
 
-    def test_correctness_recomputed_from_gold(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_correctness_recomputed_from_gold(self, items, store):
         store.record(record_for("q2", EN, label="B"))
         store.record(record_for("q1", EN, label="B"))
         matrix = build_matrix(store, items, "m", [EN])
         assert matrix.cell("q2", EN).correct is True  # gold B
         assert matrix.cell("q1", EN).correct is False  # gold A
 
-    def test_invalid_output_cell(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_invalid_output_cell(self, items, store):
         store.record(record_for("q1", EN, status=RecordStatus.INVALID_OUTPUT, raw="garbage"))
         matrix = build_matrix(store, items, "m", [EN])
         cell = matrix.cell("q1", EN)
         assert cell.status is CellStatus.INVALID_OUTPUT
         assert cell.label is None and cell.correct is False
 
-    def test_transport_error_record_leaves_cell_missing(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_transport_error_record_leaves_cell_missing(self, items, store):
         store.record(record_for("q1", EN, status=RecordStatus.TRANSPORT_ERROR, raw=""))
         matrix = build_matrix(store, items, "m", [EN])
         assert matrix.cell("q1", EN).status is CellStatus.MISSING
 
-    def test_ok_record_beats_earlier_invalid(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_ok_record_beats_earlier_invalid(self, items, store):
         store.record(record_for("q1", EN, status=RecordStatus.INVALID_OUTPUT, raw="xx", phash="h1"))
         store.record(record_for("q1", EN, label="A", phash="h2"))
         matrix = build_matrix(store, items, "m", [EN])
         assert matrix.cell("q1", EN).status is CellStatus.OK
 
-    def test_unknown_item_warns_not_fatal(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_unknown_item_warns_not_fatal(self, items, store):
         store.record(record_for("ghost", EN))
         matrix = build_matrix(store, items, "m", [EN])
         assert any("ghost" in w for w in matrix.warnings)
 
-    def test_languages_canonicalized(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_languages_canonicalized(self, items, store):
         matrix = build_matrix(store, items, "m", [HI, ES, EN])
         assert matrix.languages == (EN, HI, ES)
 
-    def test_other_model_records_ignored(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_other_model_records_ignored(self, items, store):
         store.record(record_for("q1", EN, model="other"))
         matrix = build_matrix(store, items, "m", [EN])
         assert matrix.cell("q1", EN).status is CellStatus.MISSING
 
 
 class TestMissingCells:
-    def test_complete_matrix_empty(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_complete_matrix_empty(self, items, store):
         for item in items:
             store.record(record_for(item.item_id, EN))
         matrix = build_matrix(store, items, "m", [EN])
         assert missing_cells(matrix) == []
 
-    def test_single_missing_pair(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_single_missing_pair(self, items, store):
         for item in items:
             for lang in (EN, ES):
                 if (item.item_id, lang) != ("q2", ES):
@@ -306,8 +291,7 @@ class TestMissingCells:
         matrix = build_matrix(store, items, "m", [EN, ES])
         assert missing_cells(matrix) == [("q2", ES)]
 
-    def test_fresh_matrix_lists_all_pairs_in_order(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_fresh_matrix_lists_all_pairs_in_order(self, items, store):
         matrix = build_matrix(store, items, "m", [ES, EN])
         assert missing_cells(matrix) == [
             ("q1", EN), ("q1", ES),
@@ -317,24 +301,21 @@ class TestMissingCells:
 
 
 class TestReplayAndMonotonicity:
-    def test_two_builds_identical(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_two_builds_identical(self, items, store):
         store.record(record_for("q1", EN))
         store.record(record_for("q2", ES, status=RecordStatus.INVALID_OUTPUT, raw="?"))
         first = build_matrix(store, items, "m", [EN, ES])
         second = build_matrix(store, items, "m", [EN, ES])
         assert first == second
 
-    def test_appends_never_flip_ok_cells(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_appends_never_flip_ok_cells(self, items, store):
         store.record(record_for("q1", EN, label="A"))
         before = build_matrix(store, items, "m", [EN]).cell("q1", EN)
         store.record(record_for("q1", EN, label="B"))  # conflicting rerun
         after = build_matrix(store, items, "m", [EN]).cell("q1", EN)
         assert before == after
 
-    def test_conservation(self, tmp_path, items):
-        store = RunStore(tmp_path / "run")
+    def test_conservation(self, items, store):
         store.record(record_for("q1", EN))
         store.record(record_for("q2", EN, status=RecordStatus.INVALID_OUTPUT, raw="?"))
         matrix = build_matrix(store, items, "m", [EN, ES, HI])
@@ -351,8 +332,7 @@ class TestAnswerCellInvariants:
 
 
 class TestManifest:
-    def test_round_trip(self, tmp_path):
-        store = RunStore(tmp_path / "run")
+    def test_round_trip(self, store):
         store.write_manifest({"model_name": "m", "languages": ["en"]})
         assert store.read_manifest() == {"model_name": "m", "languages": ["en"]}
 
@@ -360,8 +340,7 @@ class TestManifest:
         assert RunStore(tmp_path / "run").read_manifest() is None
 
 
-def test_subset_preserves_structure(tmp_path, items):
-    store = RunStore(tmp_path / "run")
+def test_subset_preserves_structure(items, store):
     for item in items:
         store.record(record_for(item.item_id, EN, label=item.gold_label))
     matrix = build_matrix(store, items, "m", [EN])
