@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .datasets import McqItem
-from .gateway import ModelEndpoint, embed_texts
+from .gateway import GatewayError, ModelEndpoint, embed_texts
 from .languages import Language, canonical_index
 from .store import ResponseMatrix
 
@@ -91,7 +91,7 @@ class EmbeddingCache:
                     "item_id": item_id,
                     "key": key,
                     "dim": int(values.shape[0]),
-                    "values": [float(v) for v in values],
+                    "values": values.tolist(),
                 }
                 fh.write(json.dumps(entry) + "\n")
             fh.flush()
@@ -106,7 +106,11 @@ def item_embedding_key(item: McqItem) -> str:
 def embed_items(items: Sequence[McqItem], endpoint: ModelEndpoint, *, backoff: float = 0.5) -> np.ndarray:
     """One batch: a unit vector per item, as the rows of an array in item order."""
     vectors = embed_texts([embedding_text(i) for i in items], endpoint, backoff=backoff)
-    return _normalize_rows(np.asarray(vectors, dtype=np.float64), "vector from endpoint")
+    try:
+        return _normalize_rows(np.asarray(vectors, dtype=np.float64), "vector from endpoint")
+    except ClusteringError:
+        # A malformed reply: it fails this batch only, like any other bad reply.
+        raise GatewayError("degenerate embedding from endpoint: zero-norm vector") from None
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

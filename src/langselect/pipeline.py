@@ -746,20 +746,25 @@ def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
         raise ConfigError(f"{data_dir} holds the run of another synthetic spec; use a new output directory")
     cells = data.matrix.cells
     raw_by_label = {label: json.dumps({"final_answer": label}) for label in {c.label for c in cells.values()}}
-    store.record_many(
-        InferenceRecord(
-            item_id=item.item_id,
-            language=lang,
-            model_name=SYNTHETIC_MODEL_NAME,
-            prompt_hash=prompt_hash(f"synthetic:{item.item_id}:{lang.value}", SYNTHETIC_MODEL_NAME),
-            raw_output=raw_by_label[cells[item.item_id, lang].label],
-            extracted_label=cells[item.item_id, lang].label,
-            status=RecordStatus.OK,
-            created_at="1970-01-01T00:00:00+00:00",
-        )
-        for item in data.items
-        for lang in data.matrix.languages
-    )
+
+    def records() -> Iterator[InferenceRecord]:
+        codes = [(lang, lang.value) for lang in data.matrix.languages]
+        for item in data.items:
+            item_id = item.item_id
+            for lang, code in codes:
+                label = cells[item_id, lang].label
+                yield InferenceRecord(
+                    item_id=item_id,
+                    language=lang,
+                    model_name=SYNTHETIC_MODEL_NAME,
+                    prompt_hash=prompt_hash(f"synthetic:{item_id}:{code}", SYNTHETIC_MODEL_NAME),
+                    raw_output=raw_by_label[label],
+                    extracted_label=label,
+                    status=RecordStatus.OK,
+                    created_at="1970-01-01T00:00:00+00:00",
+                )
+
+    store.record_many(records())
     store.flush()
     return store
 

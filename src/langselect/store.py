@@ -13,10 +13,10 @@ import json
 import logging
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .languages import Language, canonical_sorted
 
@@ -48,7 +48,11 @@ def utc_now() -> str:
 
 MANIFEST_NAME = "manifest.json"
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
-_encode_json = json.JSONEncoder(ensure_ascii=False).encode
+# A JSON string literal with only '"', '\' and control characters escaped: the
+# C-accelerated function json.JSONEncoder(ensure_ascii=False) quotes with.
+_quote = json.encoder.encode_basestring
+_LANGUAGE_BY_CODE = {lang._value_: lang for lang in Language}
+_STATUS_BY_CODE = {status._value_: status for status in RecordStatus}
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -62,10 +66,7 @@ def write_atomic(path: Path, data: bytes) -> None:
     os.replace(tmp, path)
 
 
-@dataclass(frozen=True, slots=True)
-class InferenceRecord:
-    """One cached model call for an (item, language) cell."""
-
+class _RecordFields(NamedTuple):
     item_id: str
     language: Language
     model_name: str
@@ -73,42 +74,68 @@ class InferenceRecord:
     raw_output: str
     extracted_label: str | None
     status: RecordStatus
-    attempt_count: int = 1
-    created_at: str = field(default_factory=utc_now)
+    attempt_count: int
+    created_at: str
 
-    def __post_init__(self) -> None:
-        if self.status is RecordStatus.OK and not self.extracted_label:
+
+class InferenceRecord(_RecordFields):
+    """One cached model call for an (item, language) cell.
+
+    Immutable and compared by fields; a tuple underneath, so building one of
+    the 38,400 records of a synthetic run costs no per-field ``__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        item_id: str,
+        language: Language,
+        model_name: str,
+        prompt_hash: str,
+        raw_output: str,
+        extracted_label: str | None,
+        status: RecordStatus,
+        attempt_count: int = 1,
+        created_at: str | None = None,
+    ) -> "InferenceRecord":
+        if status is RecordStatus.OK and not extracted_label:
             raise ValueError("ok records must carry an extracted label")
+        if created_at is None:
+            created_at = utc_now()
+        return tuple.__new__(
+            cls,
+            (item_id, language, model_name, prompt_hash, raw_output, extracted_label, status, attempt_count, created_at),
+        )
 
     @property
     def key(self) -> tuple[str, str, str, str]:
-        return (self.item_id, self.language.value, self.model_name, self.prompt_hash)
+        return (self.item_id, self.language._value_, self.model_name, self.prompt_hash)
 
     def to_json(self) -> str:
-        payload = {
-            "item_id": self.item_id,
-            "language": self.language.value,
-            "model_name": self.model_name,
-            "prompt_hash": self.prompt_hash,
-            "raw_output": self.raw_output,
-            "extracted_label": self.extracted_label,
-            "status": self.status.value,
-            "attempt_count": self.attempt_count,
-            "created_at": self.created_at,
-        }
-        return _encode_json(payload)
+        """The record's line: byte-identical to ``json.JSONEncoder(ensure_ascii=False)``
+        on the field dict in declaration order, which earlier stores were written with."""
+        item_id, language, model_name, prompt_hash, raw_output, label, status, attempt_count, created_at = self
+        return (
+            f'{{"item_id": {_quote(item_id)}, "language": {_quote(language._value_)}, '
+            f'"model_name": {_quote(model_name)}, "prompt_hash": {_quote(prompt_hash)}, '
+            f'"raw_output": {_quote(raw_output)}, '
+            f'"extracted_label": {"null" if label is None else _quote(label)}, '
+            f'"status": {_quote(status._value_)}, "attempt_count": {attempt_count:d}, '
+            f'"created_at": {_quote(created_at)}}}'
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "InferenceRecord":
         data = json.loads(line)
         return cls(
             item_id=data["item_id"],
-            language=Language(data["language"]),
+            language=_LANGUAGE_BY_CODE[data["language"]],
             model_name=data["model_name"],
             prompt_hash=data["prompt_hash"],
             raw_output=data["raw_output"],
             extracted_label=data.get("extracted_label"),
-            status=RecordStatus(data["status"]),
+            status=_STATUS_BY_CODE[data["status"]],
             attempt_count=data.get("attempt_count", 1),
             created_at=data.get("created_at", ""),
         )
@@ -127,6 +154,19 @@ class AnswerCell:
 
 MISSING_CELL = AnswerCell(label=None, correct=False, status=CellStatus.MISSING)
 INVALID_CELL = AnswerCell(label=None, correct=False, status=CellStatus.INVALID_OUTPUT)
+
+
+class _OkCells(dict):
+    def __missing__(self, key: tuple[str, bool]) -> AnswerCell:
+        label, correct = key
+        cell = self[key] = AnswerCell(label=label, correct=correct, status=CellStatus.OK)
+        return cell
+
+
+# The ok cell of each (label, correct) pair, made once: cells are immutable, so
+# every matrix shares them and comparing two matrices' cells is identity checks.
+# Labels are choice letters, so this stays a few dozen entries.
+OK_CELLS: dict[tuple[str, bool], AnswerCell] = _OkCells()
 
 
 @dataclass(frozen=True, eq=True)
@@ -338,8 +378,8 @@ def build_matrix(
     if len(gold) != len(items):
         raise StoreError("dataset has duplicate item ids")
 
-    first_ok: dict[tuple[str, Language], InferenceRecord] = {}
-    first_invalid: dict[tuple[str, Language], InferenceRecord] = {}
+    first_ok: dict[tuple[str, Language], str] = {}
+    first_invalid: set[tuple[str, Language]] = set()
     unknown_items: list[str] = []
     dataset_ids = set(items)
     for record in store.records():
@@ -351,18 +391,18 @@ def build_matrix(
             continue
         key = (record.item_id, record.language)
         if record.status is RecordStatus.OK:
-            first_ok.setdefault(key, record)
+            first_ok.setdefault(key, record.extracted_label)
         elif record.status is RecordStatus.INVALID_OUTPUT:
-            first_invalid.setdefault(key, record)
+            first_invalid.add(key)
 
     cells: dict[tuple[str, Language], AnswerCell] = {}
     for item_id in items:
+        gold_label = gold[item_id]
         for lang in langs:
             key = (item_id, lang)
-            ok_rec = first_ok.get(key)
-            if ok_rec is not None:
-                label = ok_rec.extracted_label
-                cells[key] = AnswerCell(label=label, correct=label == gold[item_id], status=CellStatus.OK)
+            label = first_ok.get(key)
+            if label is not None:
+                cells[key] = OK_CELLS[label, label == gold_label]
             elif key in first_invalid:
                 cells[key] = INVALID_CELL
             else:
@@ -407,6 +447,7 @@ __all__ = [
     "CellStatus",
     "InferenceRecord",
     "MISSING_CELL",
+    "OK_CELLS",
     "RecordStatus",
     "ResponseMatrix",
     "RunStore",

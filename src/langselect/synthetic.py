@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import Choice, DatasetId, McqItem
 from .languages import Language, canonical_sorted
-from .store import AnswerCell, CellStatus, ResponseMatrix
+from .store import OK_CELLS, AnswerCell, ResponseMatrix
 
 _REJECTION_ATTEMPTS_PER_CENTROID = 1000
 _CHOICE_COUNT = 4
@@ -162,15 +162,13 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
         gold_map[item_id] = gold
 
         expert = spec.expert_per_cluster[cluster]
+        wrong = [lab for lab in labels if lab != gold]
         for lang in languages:
             p = spec.p_expert if lang == expert else spec.p_other
-            correct = bool(rng.random() < p)
-            if correct:
-                label = gold
+            if rng.random() < p:
+                cells[(item_id, lang)] = OK_CELLS[gold, True]
             else:
-                wrong = [lab for lab in labels if lab != gold]
-                label = wrong[int(rng.integers(len(wrong)))]
-            cells[(item_id, lang)] = AnswerCell(label=label, correct=correct, status=CellStatus.OK)
+                cells[(item_id, lang)] = OK_CELLS[wrong[int(rng.integers(len(wrong)))], False]
 
     matrix = ResponseMatrix(
         dataset_id=DatasetId.CUSTOM.value,

@@ -298,6 +298,34 @@ class TestEmbedStage:
         assert [r["payload"]["input"] for r in pipeline_stub.requests[before:]] == [calls[1]]
         assert len(EmbeddingCache(path).vectors_by_item()) == 6
 
+    def test_degenerate_embedding_fails_only_its_batch(self, tmp_path, pipeline_stub, monkeypatch):
+        config = load_config(
+            write_pipeline_config(
+                tmp_path,
+                pipeline_stub,
+                embedding_endpoint={"base_url": pipeline_stub.base_url, "model_name": "e", "max_in_flight": 1},
+            )
+        )
+        monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)
+        real_embed_texts, calls = clustering.embed_texts, []
+
+        def second_batch_zero_norm(texts, *args, **kwargs):
+            calls.append(texts)
+            vectors = real_embed_texts(texts, *args, **kwargs)
+            if len(calls) == 2:
+                vectors[1] = [0.0] * len(vectors[1])
+            return vectors
+
+        monkeypatch.setattr(clustering, "embed_texts", second_batch_zero_norm)
+        result = run_embed(config, backoff=0.001)
+        assert result.exit_code == EXIT_PARTIAL
+        assert result.summary["embedded"] == 4
+        cached = EmbeddingCache(config.output_dir / "embeddings.jsonl").vectors_by_item()
+        assert len(cached) == 4
+        failed = {i.item_id for i in load_dataset(config.dataset_path, DatasetId.CUSTOM) if embedding_text(i) in calls[1]}
+        assert len(failed) == 2 and not failed & cached.keys()
+        assert len(pipeline_stub.requests) == 3  # the third batch still ran
+
 
 class TestEvaluateStage:
     def run_full_pipeline(self, tmp_path, stub):

@@ -23,7 +23,7 @@ from langselect.clustering import (
     train_lsk,
     train_lsk_best,
 )
-from langselect.gateway import ModelEndpoint
+from langselect.gateway import GatewayError, ModelEndpoint
 from langselect.languages import Language, canonical_index
 from langselect.selectors import train_global_language
 from langselect.synthetic import SyntheticSpec, generate
@@ -421,7 +421,7 @@ class TestEmbedItems:
         monkeypatch.setattr(
             "langselect.clustering.embed_texts", lambda texts, *a, **k: [[0.0, 0.0, 0.0]]
         )
-        with pytest.raises(ClusteringError, match="degenerate"):
+        with pytest.raises(GatewayError, match="degenerate"):
             embed_items(items, endpoint)
 
     def test_embedding_text_uses_question_and_choices(self, dress_code_item):

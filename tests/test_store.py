@@ -129,6 +129,60 @@ class TestRecordIdempotence:
         assert store.record(record_for("q1", EN)) is True
 
 
+def reference_line(record):
+    """The line format earlier stores were written in: the standard encoder on the field dict."""
+    payload = {
+        "item_id": record.item_id,
+        "language": record.language.value,
+        "model_name": record.model_name,
+        "prompt_hash": record.prompt_hash,
+        "raw_output": record.raw_output,
+        "extracted_label": record.extracted_label,
+        "status": record.status.value,
+        "attempt_count": record.attempt_count,
+        "created_at": record.created_at,
+    }
+    return json.JSONEncoder(ensure_ascii=False).encode(payload)
+
+
+AWKWARD_TEXTS = [
+    'say "A"',
+    "back\\slash \\u0041",
+    "".join(map(chr, range(0x20))) + "\x7f",
+    "line\u2028para\u2029",
+    "non-BMP \U0001F600 \U0001D11E",
+    "lone \ud800 surrogate \udfff",
+    "",
+    "é ü 中文 العربية",
+]
+CODEC_CASES = [
+    *(InferenceRecord(text, HI, text, text, text, text, RecordStatus.INVALID_OUTPUT, 7, text) for text in AWKWARD_TEXTS),
+    record_for("q1", EN),
+    record_for("q1", ES, status=RecordStatus.INVALID_OUTPUT, raw="?"),  # null label
+    record_for("q1", HI, status=RecordStatus.TRANSPORT_ERROR, raw=""),
+    InferenceRecord("q2", EN, "m", "h", "raw", "B", RecordStatus.OK, attempt_count=12),
+]
+
+
+class TestRecordCodec:
+    @pytest.mark.parametrize("rec", CODEC_CASES)
+    def test_line_matches_standard_encoder_and_round_trips(self, rec):
+        assert rec.to_json() == reference_line(rec)
+        assert InferenceRecord.from_json(rec.to_json()) == rec
+
+    def test_records_are_immutable_and_compared_by_fields(self):
+        rec = record_for("q1", EN)
+        with pytest.raises(AttributeError):
+            rec.raw_output = "changed"
+        assert rec == record_for("q1", EN)
+        assert rec != record_for("q1", EN, raw="other")
+
+    def test_created_at_defaults_to_the_time_of_each_record(self):
+        rec = InferenceRecord("q1", EN, "m", "h", "raw", "A", RecordStatus.OK)
+        assert rec.created_at.endswith("+00:00") and rec.created_at[:4].isdigit()
+        assert record_for("q1", EN).created_at == "2026-01-01T00:00:00+00:00"
+
+
 class TestRecordMany:
     def test_keeps_write_order(self, tmp_path):
         batch = [record_for(item_id, lang) for item_id in ("q3", "q1", "q2") for lang in (HI, EN)]
@@ -307,6 +361,18 @@ class TestReplayAndMonotonicity:
         first = build_matrix(store, items, "m", [EN, ES])
         second = build_matrix(store, items, "m", [EN, ES])
         assert first == second
+        assert all(first.cells[key] is second.cells[key] for key in first.cells)
+
+    def test_matrix_rebuilt_from_synthetic_store_shares_the_generated_cells(self, tmp_path):
+        payload = {
+            "n_items": 12, "k_true": 2, "dim": 4, "languages": ["en", "es", "hi"],
+            "expert_per_cluster": ["es", "hi"], "p_expert": 0.9, "p_other": 0.3, "seed": 5,
+        }
+        data = generate(SyntheticSpec.from_dict(payload))
+        with _synthetic_store(tmp_path / "store", data, payload) as store:
+            matrix = build_matrix(store, data.items, "synthetic", data.matrix.languages)
+        assert matrix.cells.keys() == data.matrix.cells.keys()
+        assert all(matrix.cells[key] is data.matrix.cells[key] for key in matrix.cells)
 
     def test_appends_never_flip_ok_cells(self, items, store):
         store.record(record_for("q1", EN, label="A"))
