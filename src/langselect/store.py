@@ -222,7 +222,6 @@ class RunStore:
         self.records_path = self.directory / "records.jsonl"
         self.manifest_path = self.directory / MANIFEST_NAME
         self._lock = threading.Lock()
-        self._records: list[InferenceRecord] = []
         self._by_key: dict[tuple[str, str, str, str], InferenceRecord] = {}
         self.conflicts = 0
         self._unsynced = 0
@@ -277,7 +276,6 @@ class RunStore:
             # can yield one): its \uXXXX escape is JSON and reads back equal.
             self._open_for_append().write((record.to_json() + "\n").encode("utf-8", "backslashreplace"))
         self._by_key[key] = record
-        self._records.append(record)
         return True
 
     def _open_for_append(self):
@@ -337,11 +335,12 @@ class RunStore:
         self.close()
 
     def __len__(self) -> int:
-        return len(self._records)
+        return len(self._by_key)
 
     def records(self) -> Iterator[InferenceRecord]:
-        """Stored records in write order."""
-        return iter(list(self._records))
+        """Stored records in write order: ``_by_key`` is first-write-wins and
+        never loses a key, so its insertion order is write order."""
+        return iter(list(self._by_key.values()))
 
     def write_manifest(self, manifest: Mapping) -> None:
         payload = json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
@@ -380,14 +379,13 @@ def build_matrix(
 
     first_ok: dict[tuple[str, Language], str] = {}
     first_invalid: set[tuple[str, Language]] = set()
-    unknown_items: list[str] = []
+    unknown_items: dict[str, None] = {}  # insertion-ordered: first-seen order
     dataset_ids = set(items)
     for record in store.records():
         if record.model_name != model_name or record.language not in lang_set:
             continue
         if record.item_id not in dataset_ids:
-            if record.item_id not in unknown_items:
-                unknown_items.append(record.item_id)
+            unknown_items[record.item_id] = None
             continue
         key = (record.item_id, record.language)
         if record.status is RecordStatus.OK:

@@ -262,9 +262,9 @@ class TestEmbedStage:
         by_item = EmbeddingCache(path).vectors_by_item()
         for item in load_dataset(config.dataset_path, DatasetId.CUSTOM):
             raw = np.array(hash_embedding(embedding_text(item)))
-            assert np.allclose(by_item[item.item_id], raw / np.linalg.norm(raw))
+            assert np.array_equal(by_item[item.item_id], raw / np.linalg.norm(raw[None, :], axis=1))
         entry = json.loads(path.read_text().splitlines()[0])
-        assert set(entry) == {"item_id", "key", "dim", "values"}
+        assert set(entry) == {"item_id", "key", "dim", "f8"}
 
     def test_batch_failing_mid_run_exits_partial_and_keeps_other_batches(self, tmp_path, pipeline_stub, monkeypatch):
         config = load_config(

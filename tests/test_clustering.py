@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
+import json
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,8 +16,10 @@ from langselect.clustering import (
     LskRouter,
     assign,
     assign_many,
+    decode_f8,
     embed_items,
     embedding_text,
+    encode_f8,
     inertia,
     item_embedding_key,
     kmeans_fit,
@@ -314,7 +318,13 @@ class TestTrainLsk:
         model = train_lsk(vectors_for(matrix, seed=6), matrix, k=3, seed=4)
         restored = ClusterModel.from_json(model.to_json())
         assert restored == model
-        assert np.array_equal(restored.centroids, model.centroids)
+        assert restored.centroids.tobytes() == model.centroids.tobytes()
+        # Bit for bit what the earlier text format, a JSON list of floats, read back.
+        as_text = json.dumps([[float(v) for v in row] for row in model.centroids], indent=2)
+        assert restored.centroids.tobytes() == np.asarray(json.loads(as_text), dtype=np.float64).tobytes()
+        assert set(json.loads(model.to_json())) == {
+            "k", "seed", "dim", "centroids_f8", "expert_language", "train_accuracy", "member_counts"
+        }
 
     def test_best_of_seeds_prefers_lower_inertia(self):
         import random as _random
@@ -429,3 +439,80 @@ class TestEmbedItems:
         assert dress_code_item.question in text
         for choice in dress_code_item.choices:
             assert choice.text in text
+
+
+class TestF8Codec:
+    def test_round_trip_is_bit_exact(self):
+        edge = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.pi, -1.0 / 3.0])
+        values = np.concatenate([edge, np.random.default_rng(12).normal(size=1000)])
+        decoded = decode_f8(encode_f8(values), values.size)
+        assert decoded.dtype == np.float64
+        assert decoded.tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [("not base64!", "bad base64"), (encode_f8(np.ones(3)), "24 bytes decoded, expected 32")],
+    )
+    def test_bad_text_or_length_is_error(self, text, match):
+        with pytest.raises(ClusteringError, match=match):
+            decode_f8(text, 4)
+
+
+def legacy_line(item_id: str, key: str, values: np.ndarray) -> str:
+    """A cache line as written before the f8 encoding: floats as JSON text."""
+    return json.dumps({"item_id": item_id, "key": key, "dim": int(values.shape[0]), "values": values.tolist()}) + "\n"
+
+
+class TestEmbeddingCacheFile:
+    def test_legacy_values_lines_load_bit_identical_and_save_rewrites_them_as_f8(self, tmp_path):
+        rng = np.random.default_rng(13)
+        vectors = {f"q{i}": unit_rows(rng.normal(size=(1, 16)))[0] for i in range(5)}
+        vectors["q0"][:3] = (-0.0, 5e-324, 1e308)
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join(legacy_line(i, f"key-{i}", v) for i, v in vectors.items()), encoding="utf-8")
+
+        legacy = EmbeddingCache(path).vectors_by_item()
+        assert {i: v.tobytes() for i, v in legacy.items()} == {i: v.tobytes() for i, v in vectors.items()}
+        EmbeddingCache(path).save()
+        entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        assert [set(e) for e in entries] == [{"item_id", "key", "dim", "f8"}] * 5
+        rewritten = EmbeddingCache(path).vectors_by_item()
+        assert {i: v.tobytes() for i, v in rewritten.items()} == {i: v.tobytes() for i, v in vectors.items()}
+
+    @pytest.mark.parametrize(
+        "bad_line, match",
+        [
+            ('{"item_id": "q1", "key": "k1", "dim": 2, "f8": "####"}\n', "bad base64"),
+            ('{"item_id": "q1", "key": "k1", "dim": 3, "f8": "%s"}\n' % encode_f8(np.ones(2)), "expected 24"),
+            (legacy_line("q1", "k1", np.ones(2)).replace('"dim": 2', '"dim": 3'), "expected dim 3"),
+            ('{"item_id": "q1", "key": "k1", "di\n', "line 2 corrupt"),
+        ],
+    )
+    def test_corrupt_line_names_file_and_line(self, tmp_path, bad_line, match):
+        path = tmp_path / "emb.jsonl"
+        good = EmbeddingCache(path)
+        good.put("k0", "q0", np.array([0.6, 0.8]))
+        good.put("k2", "q2", np.array([0.8, 0.6]))
+        good.save()
+        first, last = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(first + bad_line + last, encoding="utf-8")
+        with pytest.raises(ClusteringError, match=re.escape(f"{path}: line 2 corrupt")) as info:
+            EmbeddingCache(path)
+        assert re.search(match, str(info.value))
+
+    def test_load_peak_memory_under_twice_the_vectors(self, tmp_path):
+        n, d = 500, 3072
+        path = tmp_path / "emb.jsonl"
+        cache = EmbeddingCache(path)
+        for i, v in enumerate(np.random.default_rng(14).normal(size=(n, d))):
+            cache.put(f"key-{i}", f"q{i}", v)
+        cache.save()
+        del cache
+        tracemalloc.start()
+        try:
+            loaded = EmbeddingCache(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == n
+        assert peak < 2 * n * d * 8, (peak, n * d * 8)

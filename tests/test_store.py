@@ -320,6 +320,16 @@ class TestBuildMatrix:
         matrix = build_matrix(store, items, "m", [EN])
         assert any("ghost" in w for w in matrix.warnings)
 
+    def test_each_unknown_item_warns_once_in_first_seen_order(self, items, store):
+        ghosts = ("ghost-c", "ghost-a", "ghost-b")
+        for phash in ("h1", "h2"):
+            for lang in (EN, ES):
+                store.record(record_for("q1", lang, phash=f"{phash}-{lang.value}"))
+                for ghost in ghosts:
+                    store.record(record_for(ghost, lang, phash=f"{phash}-{lang.value}"))
+        matrix = build_matrix(store, items, "m", [EN, ES])
+        assert matrix.warnings == tuple(f"store record for unknown item {g}" for g in ghosts)
+
     def test_languages_canonicalized(self, items, store):
         matrix = build_matrix(store, items, "m", [HI, ES, EN])
         assert matrix.languages == (EN, HI, ES)
