@@ -6,7 +6,7 @@ seven language-selection strategies, including cluster-based expert-language
 routing and the hindsight oracle upper bound.
 """
 
-from .clustering import ClusterModel, LskRouter, kmeans_fit, lsk_select, train_lsk
+from .clustering import ClusterModel, LskRouter, kmeans_fit, train_lsk
 from .datasets import (
     ClaimRecord,
     DatasetId,
@@ -60,7 +60,6 @@ __all__ = [
     "kmeans_fit",
     "load_claims",
     "load_dataset",
-    "lsk_select",
     "missing_cells",
     "parse_language",
     "reformat_culture_atlas",

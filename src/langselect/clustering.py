@@ -248,12 +248,8 @@ def inertia(vectors: np.ndarray, centroids: np.ndarray) -> float:
     return float(d2.min(axis=1).sum())
 
 
-def assign(vector: np.ndarray, centroids: np.ndarray) -> int:
-    """Nearest-centroid id for one vector; ties go to the lowest cluster id."""
-    return int(assign_many(np.asarray(vector)[None, :], centroids)[0])
-
-
 def assign_many(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Nearest-centroid id per row; ties go to the lowest cluster id."""
     X = np.asarray(vectors, dtype=np.float64)
     if X.shape[1] != centroids.shape[1]:
         raise ClusteringError(
@@ -332,10 +328,7 @@ def train_lsk(
     labels = _repair_empty_clusters(d2.argmin(axis=1), d2, k)
 
     languages = train_matrix.languages
-    correct = np.array(
-        [[train_matrix.cell(item_id, lang).correct for lang in languages] for item_id in train_matrix.items],
-        dtype=np.int64,
-    )
+    correct = train_matrix.correct.astype(np.int64)
     hits = np.zeros((k, len(languages)), dtype=np.int64)
     np.add.at(hits, labels, correct)
     sizes = np.bincount(labels, minlength=k)
@@ -377,10 +370,6 @@ def train_lsk_best(
     return best[2]
 
 
-def lsk_select(vector: np.ndarray, model: ClusterModel) -> Language:
-    return model.expert_language[assign(vector, model.centroids)]
-
-
 @dataclass(frozen=True)
 class LskRouter:
     """Binds a trained model to per-item test vectors for evaluation."""
@@ -388,9 +377,10 @@ class LskRouter:
     model: ClusterModel
     vectors: Mapping[str, np.ndarray]
 
-    def route(self, item_id: str) -> Language:
+    def route(self, item_ids: Sequence[str]) -> list[Language]:
+        """Each item's nearest cluster's expert language, in one assignment."""
         try:
-            vector = self.vectors[item_id]
-        except KeyError:
-            raise ClusteringError(f"no embedding for item {item_id}; run the embed stage") from None
-        return lsk_select(vector, self.model)
+            X = np.stack([self.vectors[item_id] for item_id in item_ids])
+        except KeyError as exc:
+            raise ClusteringError(f"no embedding for item {exc.args[0]}; run the embed stage") from None
+        return [self.model.expert_language[c] for c in assign_many(X, self.model.centroids).tolist()]

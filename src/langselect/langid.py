@@ -109,15 +109,3 @@ def detect_language(text: str) -> Language:
 
 
 Detector = Callable[[str], Language]
-
-
-def verify_output_language(
-    reasoning_text: str,
-    expected: Language,
-    detector: Detector | None = None,
-) -> bool:
-    """True when the detector attributes the reasoning text to ``expected``."""
-    if not reasoning_text:
-        raise ValueError("reasoning_text must be non-empty")
-    detect = detector or detect_language
-    return detect(reasoning_text) == expected

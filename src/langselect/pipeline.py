@@ -744,15 +744,15 @@ def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
         )
     elif manifest.get("synthetic_spec") != spec_payload:
         raise ConfigError(f"{data_dir} holds the run of another synthetic spec; use a new output directory")
-    cells = data.matrix.cells
-    raw_by_label = {label: json.dumps({"final_answer": label}) for label in {c.label for c in cells.values()}}
+    codes = [(lang, lang.value) for lang in data.matrix.languages]
+    labels = data.matrix.cells.decode("ascii")  # all ok: one label letter per cell
+    raw_by_label = {label: json.dumps({"final_answer": label}) for label in set(labels)}
 
     def records() -> Iterator[InferenceRecord]:
-        codes = [(lang, lang.value) for lang in data.matrix.languages]
-        for item in data.items:
+        width = len(codes)
+        for row, item in enumerate(data.items):
             item_id = item.item_id
-            for lang, code in codes:
-                label = cells[item_id, lang].label
+            for (lang, code), label in zip(codes, labels[row * width : (row + 1) * width]):
                 yield InferenceRecord(
                     item_id=item_id,
                     language=lang,

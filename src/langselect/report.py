@@ -55,7 +55,7 @@ def language_distribution(outcome: SelectorOutcome) -> dict[Language, int]:
     """Counts of chosen languages; items with no choice (oracle misses) are
     omitted. Majority has no single chosen language and is excluded."""
     if outcome.strategy is Strategy.MAJORITY:
-        raise ReportError("majority reports vote provenance, not a language distribution")
+        raise ReportError("majority chooses no single language, so it has no language distribution")
     counts: dict[Language, int] = {}
     for item in outcome.per_item:
         if item.language is not None:

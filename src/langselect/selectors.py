@@ -10,15 +10,16 @@ language order, so repeated evaluation is byte-identical.
 from __future__ import annotations
 
 import json
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Mapping, Sequence
+
+import numpy as np
 
 from .datasets import McqItem
-from .languages import Language, canonical_index, canonical_sorted
-from .store import CellStatus, ResponseMatrix, write_atomic
+from .languages import Language, canonical_index
+from .store import LABELS, ResponseMatrix, write_atomic
 
 
 class SelectorError(RuntimeError):
@@ -118,8 +119,6 @@ class ItemOutcome:
     item_id: str
     language: Language | None
     correct: bool
-    voters: tuple[Language, ...] = ()
-    cell_status: CellStatus | None = None
 
 
 @dataclass(frozen=True)
@@ -138,76 +137,64 @@ class SelectorOutcome:
         return sum(1 for o in self.per_item if o.correct)
 
 
-class LanguageRouter(Protocol):
-    """Trained per-item router (implemented by the clustering module)."""
-
-    def route(self, item_id: str) -> Language: ...
-
-
-def select_only_english(matrix: ResponseMatrix) -> Language:
-    if Language.ENGLISH not in matrix.languages:
-        raise SelectorError("matrix has no English column")
-    return Language.ENGLISH
-
-
-def select_majority(item_id: str, matrix: ResponseMatrix) -> tuple[str | None, tuple[Language, ...]]:
-    """Plurality label over ok cells; returns (winning label, its voters).
-
-    Ties between labels are broken by the highest-canonical-priority language
-    among the tied labels' voters. Zero ok cells yields (None, ()).
-    """
-    voters: dict[str, list[Language]] = {}
-    for lang in matrix.languages:
-        cell = matrix.cell(item_id, lang)
-        if cell.status is CellStatus.OK and cell.label is not None:
-            voters.setdefault(cell.label, []).append(lang)
-    if not voters:
-        return None, ()
-    counts = Counter({label: len(langs) for label, langs in voters.items()})
-    top = max(counts.values())
-    tied = [label for label, count in counts.items() if count == top]
-    if len(tied) == 1:
-        winner = tied[0]
-    else:
-        winner = min(tied, key=lambda label: min(canonical_index(v) for v in voters[label]))
-    return winner, tuple(canonical_sorted(voters[winner]))
-
-
 def train_global_language(train_matrix: ResponseMatrix) -> GlobalChoice:
     """Language with the highest training accuracy, canonical tie-break."""
     if not train_matrix.items:
         raise SelectorError("training split is empty")
     if not train_matrix.languages:
         raise SelectorError("training matrix has no languages")
-    accuracies = {lang: train_matrix.column_accuracy(lang) for lang in train_matrix.languages}
+    n = len(train_matrix.items)
+    hits = train_matrix.correct.sum(axis=0).tolist()
+    accuracies = {lang: count / n for lang, count in zip(train_matrix.languages, hits)}
     best = max(accuracies, key=lambda lang: (accuracies[lang], -canonical_index(lang)))
     return GlobalChoice(language=best, train_accuracy_by_language=accuracies)
 
 
-def select_country(item: McqItem, country_map: CountryMap) -> Language:
-    return country_map.lookup(item.country)
+_LETTERS = np.frombuffer(LABELS.encode("ascii"), dtype=np.uint8)
 
 
-def select_llm(item_id: str, selection_cache: Mapping[str, Language]) -> Language:
-    try:
-        return selection_cache[item_id]
-    except KeyError:
-        raise SelectorError(
-            f"no cached expert-language choice for item {item_id}; run the selection pass first"
-        ) from None
+def _majority_voters(grid: np.ndarray) -> np.ndarray:
+    """Per row, the column of the first voter for the plurality label over its ok
+    cells, or -1 where no cell voted. Columns are in canonical order, so a tie
+    between labels goes to the label whose first voter comes first."""
+    width = grid.shape[1]
+    votes = grid[:, :, None] == _LETTERS  # (rows, columns, letters)
+    counts = votes.sum(axis=1)
+    first = np.where(counts > 0, votes.argmax(axis=1), width)
+    column = np.where(counts == counts.max(axis=1, keepdims=True), first, width).min(axis=1)
+    return np.where(column < width, column, -1)
 
 
-def select_oracle(item_id: str, matrix: ResponseMatrix) -> tuple[Language | None, bool]:
-    """Hindsight selector: first correct language in canonical order, if any."""
-    for lang in matrix.languages:  # matrix languages are canonically ordered
-        if matrix.cell(item_id, lang).correct:
-            return lang, True
-    return None, False
-
-
-def _single_language_outcome(item_id: str, language: Language, matrix: ResponseMatrix) -> ItemOutcome:
-    cell = matrix.cell(item_id, language)
-    return ItemOutcome(item_id=item_id, language=language, correct=cell.correct, cell_status=cell.status)
+def _chosen_languages(
+    strategy: Strategy, test_items: Sequence[McqItem], matrix: ResponseMatrix, state
+) -> list[Language]:
+    """The one language a single-language strategy picks for each test item."""
+    if strategy is Strategy.ONLY_ENGLISH:
+        if Language.ENGLISH not in matrix.languages:
+            raise SelectorError("matrix has no English column")
+        return [Language.ENGLISH] * len(test_items)
+    if strategy is Strategy.GLOBAL_LANGUAGE:
+        if not isinstance(state, GlobalChoice):
+            raise SelectorError("global_language requires a trained GlobalChoice")
+        return [state.language] * len(test_items)
+    if strategy is Strategy.LLM_SELECTED:
+        if state is None:
+            raise SelectorError("llm_selected requires the selection cache")
+        try:
+            return [state[item.item_id] for item in test_items]
+        except KeyError as exc:
+            raise SelectorError(
+                f"no cached expert-language choice for item {exc.args[0]}; run the selection pass first"
+            ) from None
+    if strategy is Strategy.COUNTRY:
+        if not isinstance(state, CountryMap):
+            raise SelectorError("country requires a CountryMap")
+        return [state.lookup(item.country) for item in test_items]
+    if strategy is Strategy.LSK_EXTRACTOR:
+        if state is None or not hasattr(state, "route"):
+            raise SelectorError("lsk_extractor requires a trained router")
+        return list(state.route([item.item_id for item in test_items]))
+    raise SelectorError(f"unknown strategy {strategy}")  # pragma: no cover
 
 
 def evaluate(
@@ -216,59 +203,34 @@ def evaluate(
     matrix: ResponseMatrix,
     state=None,
 ) -> SelectorOutcome:
-    """Apply one strategy to every test item and aggregate correctness.
+    """Apply one strategy to every test item (each a row of ``matrix``) and aggregate correctness.
 
     ``state`` carries the strategy's trained inputs: a GlobalChoice for
     global_language, an item->Language mapping for llm_selected, a CountryMap
-    for country, and a LanguageRouter for lsk_extractor.
+    for country, and a router whose ``route(item_ids)`` returns one language
+    per item for lsk_extractor.
     """
     if not test_items:
         raise SelectorError("test split is empty")
-    outcomes: list[ItemOutcome] = []
-    if strategy is Strategy.ONLY_ENGLISH:
-        english = select_only_english(matrix)
-        outcomes = [_single_language_outcome(item.item_id, english, matrix) for item in test_items]
-    elif strategy is Strategy.MAJORITY:
-        for item in test_items:
-            label, contributing = select_majority(item.item_id, matrix)
-            correct = label is not None and label == matrix.gold.get(item.item_id)
-            outcomes.append(
-                ItemOutcome(item_id=item.item_id, language=None, correct=correct, voters=contributing)
-            )
-    elif strategy is Strategy.GLOBAL_LANGUAGE:
-        if not isinstance(state, GlobalChoice):
-            raise SelectorError("global_language requires a trained GlobalChoice")
-        outcomes = [
-            _single_language_outcome(item.item_id, state.language, matrix) for item in test_items
-        ]
-    elif strategy is Strategy.LLM_SELECTED:
-        if state is None:
-            raise SelectorError("llm_selected requires the selection cache")
-        outcomes = [
-            _single_language_outcome(item.item_id, select_llm(item.item_id, state), matrix)
-            for item in test_items
-        ]
-    elif strategy is Strategy.COUNTRY:
-        if not isinstance(state, CountryMap):
-            raise SelectorError("country requires a CountryMap")
-        outcomes = [
-            _single_language_outcome(item.item_id, select_country(item, state), matrix)
-            for item in test_items
-        ]
-    elif strategy is Strategy.LSK_EXTRACTOR:
-        if state is None or not hasattr(state, "route"):
-            raise SelectorError("lsk_extractor requires a trained router")
-        outcomes = [
-            _single_language_outcome(item.item_id, state.route(item.item_id), matrix)
-            for item in test_items
-        ]
+    item_ids = [item.item_id for item in test_items]
+    row_of = {item_id: row for row, item_id in enumerate(matrix.items)}
+    rows = [row_of[item_id] for item_id in item_ids]
+    correct = matrix.correct[rows]
+    if strategy is Strategy.MAJORITY:
+        columns = _majority_voters(matrix.grid[rows])
+        chosen = [None] * len(rows)
     elif strategy is Strategy.ORACLE:
-        for item in test_items:
-            language, correct = select_oracle(item.item_id, matrix)
-            outcomes.append(ItemOutcome(item_id=item.item_id, language=language, correct=correct))
-    else:  # pragma: no cover
-        raise SelectorError(f"unknown strategy {strategy}")
-    return SelectorOutcome(strategy=strategy, per_item=tuple(outcomes))
+        columns = np.where(correct.any(axis=1), correct.argmax(axis=1), -1)
+        chosen = [matrix.languages[c] if c >= 0 else None for c in columns.tolist()]
+    else:
+        chosen = _chosen_languages(strategy, test_items, matrix, state)
+        column_of = {lang: col for col, lang in enumerate(matrix.languages)}
+        columns = np.array([column_of.get(lang, -1) for lang in chosen], dtype=np.intp)
+    # Column -1 reads False: no vote, no correct language, or no such column.
+    scored = np.zeros((len(rows), len(matrix.languages) + 1), dtype=bool)
+    scored[:, :-1] = correct
+    hits = scored[np.arange(len(rows)), columns].tolist()
+    return SelectorOutcome(strategy, tuple(ItemOutcome(*outcome) for outcome in zip(item_ids, chosen, hits)))
 
 
 def save_selection_cache(cache: Mapping[str, Language], path: str | Path) -> None:

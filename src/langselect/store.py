@@ -2,8 +2,11 @@
 
 One directory per (dataset, model) holds ``records.jsonl`` (one record per
 line, first write wins per key) and a ``manifest.json`` provenance sidecar.
-Matrices are rebuilt from the store on demand; correctness is recomputed from
-label vs gold at build time so gold fixes propagate without re-running models.
+Matrices are rebuilt from the store on demand as a byte grid: one byte per
+(item, language) cell, rows in item order and columns in canonical language
+order. The byte is the ok answer's label letter, ``.`` for a missing cell or
+``!`` for an invalid one. Correctness is recomputed from label vs gold at build
+time so gold fixes propagate without re-running models.
 """
 
 from __future__ import annotations
@@ -12,11 +15,14 @@ import datetime as _dt
 import json
 import logging
 import os
+import string
 import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from .languages import Language, canonical_sorted
 
@@ -36,12 +42,6 @@ class RecordStatus(str, Enum):
     TRANSPORT_ERROR = "transport_error"
 
 
-class CellStatus(str, Enum):
-    OK = "ok"
-    INVALID_OUTPUT = "invalid_output"
-    MISSING = "missing"
-
-
 def utc_now() -> str:
     return _dt.datetime.now(_dt.timezone.utc).isoformat(timespec="seconds")
 
@@ -53,6 +53,10 @@ FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
 _quote = json.encoder.encode_basestring
 _LANGUAGE_BY_CODE = {lang._value_: lang for lang in Language}
 _STATUS_BY_CODE = {status._value_: status for status in RecordStatus}
+LABELS = string.ascii_uppercase  # an ok record's label is one of these: one byte of the matrix grid
+_LABEL_SET = frozenset(LABELS)
+MISSING = ord(".")  # grid byte of a cell with no ok or invalid record
+INVALID = ord("!")  # grid byte of a cell whose first decisive record is invalid
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -99,8 +103,8 @@ class InferenceRecord(_RecordFields):
         attempt_count: int = 1,
         created_at: str | None = None,
     ) -> "InferenceRecord":
-        if status is RecordStatus.OK and not extracted_label:
-            raise ValueError("ok records must carry an extracted label")
+        if status is RecordStatus.OK and extracted_label not in _LABEL_SET:
+            raise ValueError(f"ok records must carry an extracted label: one letter A-Z, not {extracted_label!r}")
         if created_at is None:
             created_at = utc_now()
         return tuple.__new__(
@@ -141,48 +145,29 @@ class InferenceRecord(_RecordFields):
         )
 
 
-@dataclass(frozen=True)
-class AnswerCell:
-    label: str | None
-    correct: bool
-    status: CellStatus
-
-    def __post_init__(self) -> None:
-        if self.status is CellStatus.MISSING and (self.label is not None or self.correct):
-            raise ValueError("missing cells carry no label and are incorrect")
-
-
-MISSING_CELL = AnswerCell(label=None, correct=False, status=CellStatus.MISSING)
-INVALID_CELL = AnswerCell(label=None, correct=False, status=CellStatus.INVALID_OUTPUT)
-
-
-class _OkCells(dict):
-    def __missing__(self, key: tuple[str, bool]) -> AnswerCell:
-        label, correct = key
-        cell = self[key] = AnswerCell(label=label, correct=correct, status=CellStatus.OK)
-        return cell
-
-
-# The ok cell of each (label, correct) pair, made once: cells are immutable, so
-# every matrix shares them and comparing two matrices' cells is identity checks.
-# Labels are choice letters, so this stays a few dozen entries.
-OK_CELLS: dict[tuple[str, bool], AnswerCell] = _OkCells()
-
-
 @dataclass(frozen=True, eq=True)
 class ResponseMatrix:
-    """The (item x language) table of extracted answers all selectors consume."""
+    """The (item x language) table of extracted answers all selectors consume: ``cells``
+    is the byte grid the module docstring describes, ``languages`` in canonical order."""
 
     dataset_id: str
     model_name: str
     languages: tuple[Language, ...]
     items: tuple[str, ...]
-    cells: dict[tuple[str, Language], AnswerCell]
+    cells: bytes
     gold: dict[str, str]
     warnings: tuple[str, ...] = ()
 
-    def cell(self, item_id: str, language: Language) -> AnswerCell:
-        return self.cells.get((item_id, language), MISSING_CELL)
+    @property
+    def grid(self) -> np.ndarray:
+        """``cells`` as a read-only (items, languages) uint8 array, without a copy."""
+        return np.frombuffer(self.cells, dtype=np.uint8).reshape(len(self.items), len(self.languages))
+
+    @property
+    def correct(self) -> np.ndarray:
+        """(items, languages) bools: the cell's label is the item's gold label."""
+        gold = np.frombuffer("".join(self.gold[i] for i in self.items).encode("ascii"), dtype=np.uint8)
+        return self.grid == gold[:, None]
 
     def subset(self, item_ids: Sequence[str]) -> "ResponseMatrix":
         """Matrix restricted to ``item_ids`` (kept in the given order)."""
@@ -190,27 +175,15 @@ class ResponseMatrix:
         missing = [i for i in wanted if i not in self.gold]
         if missing:
             raise KeyError(f"items not in matrix: {missing[:5]}")
-        cells = {
-            (item, lang): self.cells[(item, lang)]
-            for item in wanted
-            for lang in self.languages
-        }
+        row_of = {item_id: row for row, item_id in enumerate(self.items)}
         return ResponseMatrix(
             dataset_id=self.dataset_id,
             model_name=self.model_name,
             languages=self.languages,
             items=tuple(wanted),
-            cells=cells,
+            cells=self.grid[[row_of[i] for i in wanted]].tobytes(),
             gold={i: self.gold[i] for i in wanted},
         )
-
-    def column_accuracy(self, language: Language) -> float:
-        """Fraction of items answered correctly in ``language`` (missing and
-        invalid cells count as incorrect)."""
-        if not self.items:
-            raise ValueError("matrix has no items")
-        correct = sum(1 for item in self.items if self.cell(item, language).correct)
-        return correct / len(self.items)
 
 
 class RunStore:
@@ -371,51 +344,42 @@ def build_matrix(
     (transport errors leave cells missing so a resumed run retries them).
     """
     langs = tuple(canonical_sorted(dict.fromkeys(languages)))
-    lang_set = set(langs)
     items = tuple(item.item_id for item in dataset)
     gold = {item.item_id: item.gold_label for item in dataset}
     if len(gold) != len(items):
         raise StoreError("dataset has duplicate item ids")
 
-    first_ok: dict[tuple[str, Language], str] = {}
-    first_invalid: set[tuple[str, Language]] = set()
+    row_of = {item_id: row for row, item_id in enumerate(items)}
+    col_of = {lang: col for col, lang in enumerate(langs)}
+    width = len(langs)
+    cells = bytearray([MISSING]) * (len(items) * width)
     unknown_items: dict[str, None] = {}  # insertion-ordered: first-seen order
-    dataset_ids = set(items)
     for record in store.records():
-        if record.model_name != model_name or record.language not in lang_set:
+        col = col_of.get(record.language)
+        if record.model_name != model_name or col is None:
             continue
-        if record.item_id not in dataset_ids:
+        row = row_of.get(record.item_id)
+        if row is None:
             unknown_items[record.item_id] = None
             continue
-        key = (record.item_id, record.language)
+        at = row * width + col
         if record.status is RecordStatus.OK:
-            first_ok.setdefault(key, record.extracted_label)
-        elif record.status is RecordStatus.INVALID_OUTPUT:
-            first_invalid.add(key)
-
-    cells: dict[tuple[str, Language], AnswerCell] = {}
-    for item_id in items:
-        gold_label = gold[item_id]
-        for lang in langs:
-            key = (item_id, lang)
-            label = first_ok.get(key)
-            if label is not None:
-                cells[key] = OK_CELLS[label, label == gold_label]
-            elif key in first_invalid:
-                cells[key] = INVALID_CELL
-            else:
-                cells[key] = MISSING_CELL
+            if cells[at] in (MISSING, INVALID):
+                cells[at] = ord(record.extracted_label)
+        elif record.status is RecordStatus.INVALID_OUTPUT and cells[at] == MISSING:
+            cells[at] = INVALID
 
     warnings = tuple(f"store record for unknown item {item_id}" for item_id in unknown_items)
-    for warning in warnings:
-        logger.warning("%s", warning)
+    if unknown_items:
+        first = ", ".join(list(unknown_items)[:5])
+        logger.warning("store records for %d items not in the dataset, e.g. %s", len(unknown_items), first)
     dataset_id = dataset[0].dataset_id.value if dataset else "empty"
     return ResponseMatrix(
         dataset_id=dataset_id,
         model_name=model_name,
         languages=langs,
         items=items,
-        cells=cells,
+        cells=bytes(cells),
         gold=gold,
         warnings=warnings,
     )
@@ -423,29 +387,22 @@ def build_matrix(
 
 def missing_cells(matrix: ResponseMatrix) -> list[tuple[str, Language]]:
     """Cells still to run, in item order then canonical language order."""
-    return [
-        (item_id, lang)
-        for item_id in matrix.items
-        for lang in matrix.languages
-        if matrix.cell(item_id, lang).status is CellStatus.MISSING
-    ]
+    rows, cols = np.nonzero(matrix.grid == MISSING)
+    return [(matrix.items[r], matrix.languages[c]) for r, c in zip(rows.tolist(), cols.tolist())]
 
 
 def matrix_counts(matrix: ResponseMatrix) -> dict[str, int]:
     """Cell counts by status; ok + invalid + missing equals items x languages."""
-    counts = {status.value: 0 for status in CellStatus}
-    for item_id in matrix.items:
-        for lang in matrix.languages:
-            counts[matrix.cell(item_id, lang).status.value] += 1
-    return counts
+    invalid = matrix.cells.count(INVALID)
+    missing = matrix.cells.count(MISSING)
+    return {"ok": len(matrix.cells) - invalid - missing, "invalid_output": invalid, "missing": missing}
 
 
 __all__ = [
-    "AnswerCell",
-    "CellStatus",
+    "INVALID",
     "InferenceRecord",
-    "MISSING_CELL",
-    "OK_CELLS",
+    "LABELS",
+    "MISSING",
     "RecordStatus",
     "ResponseMatrix",
     "RunStore",

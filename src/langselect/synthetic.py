@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import Choice, DatasetId, McqItem
 from .languages import Language, canonical_sorted
-from .store import OK_CELLS, AnswerCell, ResponseMatrix
+from .store import ResponseMatrix
 
 _REJECTION_ATTEMPTS_PER_CENTROID = 1000
 _CHOICE_COUNT = 4
@@ -132,7 +132,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     items: list[McqItem] = []
     vectors: dict[str, np.ndarray] = {}
     cluster_of: dict[str, int] = {}
-    cells: dict[tuple[str, Language], AnswerCell] = {}
+    cells = bytearray()
     gold_map: dict[str, str] = {}
 
     labels = _LETTERS[:_CHOICE_COUNT]
@@ -165,17 +165,14 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
         wrong = [lab for lab in labels if lab != gold]
         for lang in languages:
             p = spec.p_expert if lang == expert else spec.p_other
-            if rng.random() < p:
-                cells[(item_id, lang)] = OK_CELLS[gold, True]
-            else:
-                cells[(item_id, lang)] = OK_CELLS[wrong[int(rng.integers(len(wrong)))], False]
+            cells.append(ord(gold if rng.random() < p else wrong[int(rng.integers(len(wrong)))]))
 
     matrix = ResponseMatrix(
         dataset_id=DatasetId.CUSTOM.value,
         model_name=SYNTHETIC_MODEL_NAME,
         languages=languages,
         items=tuple(gold_map),
-        cells=cells,
+        cells=bytes(cells),
         gold=gold_map,
     )
     return SyntheticData(

@@ -7,7 +7,9 @@ import string
 
 from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.languages import Language, canonical_sorted
-from langselect.store import AnswerCell, CellStatus, ResponseMatrix
+from langselect.store import INVALID as INVALID_BYTE
+from langselect.store import MISSING as MISSING_BYTE
+from langselect.store import ResponseMatrix
 
 INVALID = "invalid"
 MISSING = None
@@ -38,25 +40,22 @@ def make_matrix(
         languages = sorted({lang for row in item_rows.values() for lang in row}, key=lambda l: l.value)
     langs = tuple(canonical_sorted(languages))
     items = [make_item(item_id, gold=gold) for item_id in item_rows]
-    cells: dict[tuple[str, Language], AnswerCell] = {}
+    cells = bytearray()
     for item_id, row in item_rows.items():
         for lang in langs:
             value = row.get(lang, MISSING)
             if value is MISSING:
-                cell = AnswerCell(None, False, CellStatus.MISSING)
+                cells.append(MISSING_BYTE)
             elif value == INVALID:
-                cell = AnswerCell(None, False, CellStatus.INVALID_OUTPUT)
-            elif value is True:
-                cell = AnswerCell(gold, True, CellStatus.OK)
+                cells.append(INVALID_BYTE)
             else:
-                cell = AnswerCell(wrong, False, CellStatus.OK)
-            cells[(item_id, lang)] = cell
+                cells.append(ord(gold if value is True else wrong))
     matrix = ResponseMatrix(
         dataset_id="custom",
         model_name="test",
         languages=langs,
         items=tuple(item_rows),
-        cells=cells,
+        cells=bytes(cells),
         gold={item_id: gold for item_id in item_rows},
     )
     return items, matrix
@@ -77,7 +76,7 @@ def random_matrix(
     langs = tuple(canonical_sorted(languages))
     labels = string.ascii_uppercase[:n_choices]
     items = []
-    cells: dict[tuple[str, Language], AnswerCell] = {}
+    cells = bytearray()
     gold_map: dict[str, str] = {}
     for i in range(n_items):
         gold = rng.choice(labels)
@@ -87,22 +86,29 @@ def random_matrix(
         for lang in langs:
             roll = rng.random()
             if roll < p_missing:
-                cell = AnswerCell(None, False, CellStatus.MISSING)
+                cells.append(MISSING_BYTE)
             elif roll < p_missing + p_invalid:
-                cell = AnswerCell(None, False, CellStatus.INVALID_OUTPUT)
+                cells.append(INVALID_BYTE)
+            elif rng.random() < p_correct:
+                cells.append(ord(gold))
             else:
-                if rng.random() < p_correct:
-                    cell = AnswerCell(gold, True, CellStatus.OK)
-                else:
-                    label = rng.choice([lab for lab in labels if lab != gold])
-                    cell = AnswerCell(label, False, CellStatus.OK)
-            cells[(item.item_id, lang)] = cell
+                cells.append(ord(rng.choice([lab for lab in labels if lab != gold])))
     matrix = ResponseMatrix(
         dataset_id="custom",
         model_name="test",
         languages=langs,
         items=tuple(gold_map),
-        cells=cells,
+        cells=bytes(cells),
         gold=gold_map,
     )
     return items, matrix
+
+
+def cell(matrix: ResponseMatrix, item_id: str, language: Language) -> str:
+    """One cell's grid byte as a character: its ok label letter, "." or "!"."""
+    return chr(matrix.grid[matrix.items.index(item_id), matrix.languages.index(language)])
+
+
+def cell_correct(matrix: ResponseMatrix, item_id: str, language: Language) -> bool:
+    """Whether one cell holds the item's gold label, read cell by cell."""
+    return cell(matrix, item_id, language) == matrix.gold[item_id]

@@ -14,7 +14,6 @@ from langselect.clustering import (
     ClusteringError,
     EmbeddingCache,
     LskRouter,
-    assign,
     assign_many,
     decode_f8,
     embed_items,
@@ -23,7 +22,6 @@ from langselect.clustering import (
     inertia,
     item_embedding_key,
     kmeans_fit,
-    lsk_select,
     train_lsk,
     train_lsk_best,
 )
@@ -32,7 +30,7 @@ from langselect.languages import Language, canonical_index
 from langselect.selectors import train_global_language
 from langselect.synthetic import SyntheticSpec, generate
 
-from helpers import INVALID, MISSING, make_item, make_matrix, random_matrix
+from helpers import INVALID, MISSING, cell_correct, make_item, make_matrix, random_matrix
 from stub_server import hash_embedding
 
 EN, ES, HI = Language.ENGLISH, Language.SPANISH, Language.HINDI
@@ -202,23 +200,23 @@ class TestKmeansFit:
 class TestAssign:
     def test_exact_centroid_match(self):
         centroids = np.eye(4)
-        assert assign(centroids[3], centroids) == 3
+        assert assign_many(centroids[[3, 1]], centroids).tolist() == [3, 1]
 
     def test_tie_goes_to_lowest_id(self):
         centroids = np.array([[1.0, 0.0], [0.0, 1.0]])
-        midpoint = np.array([0.5, 0.5])
-        assert assign(midpoint, centroids) == 0
+        midpoint = np.array([[0.5, 0.5]])
+        assert assign_many(midpoint, centroids).tolist() == [0]
         # Equidistant from all 32 axes: an exact 32-way tie.
-        assert assign(np.full(32, 32**-0.5), np.eye(32)) == 0
+        assert assign_many(np.full((1, 32), 32**-0.5), np.eye(32)).tolist() == [0]
 
     def test_k_one_always_zero(self):
         centroids = np.array([[1.0, 0.0]])
-        assert assign(np.array([0.0, 1.0]), centroids) == 0
+        assert assign_many(np.array([[0.0, 1.0], [-1.0, 0.0]]), centroids).tolist() == [0, 0]
 
     def test_dimension_mismatch(self):
         centroids = np.eye(3)
         with pytest.raises(ClusteringError):
-            assign(np.array([1.0, 0.0]), centroids)
+            assign_many(np.array([[1.0, 0.0]]), centroids)
         with pytest.raises(ClusteringError):
             assign_many(np.ones((2, 2)), centroids)
 
@@ -259,9 +257,9 @@ class TestTrainLsk:
             shared = rng.choice(values)  # Spanish and Hindi tie in every cluster
             rows[f"q{i}"] = {EN: rng.choice(values), ES: shared, HI: shared}
         _, matrix = make_matrix(rows, languages=[EN, ES, HI])
-        # A cell absent from the matrix reads as missing.
-        kept = {key: cell for n, (key, cell) in enumerate(matrix.cells.items()) if n % 7}
-        matrix = dataclasses.replace(matrix, cells=kept)
+        # Blank every seventh cell to missing.
+        blanked = bytes(b if n % 7 else ord(".") for n, b in enumerate(matrix.cells))
+        matrix = dataclasses.replace(matrix, cells=blanked)
         vectors = vectors_for(matrix, seed=9)
         model = train_lsk(vectors, matrix, k=5, seed=2)
         labels = assign_many(np.stack([vectors[i] for i in matrix.items]), model.centroids)
@@ -271,7 +269,7 @@ class TestTrainLsk:
         for cluster, accs in model.train_accuracy.items():
             members = [item for item, label in zip(matrix.items, labels) if label == cluster]
             for lang in matrix.languages:
-                hits = sum(1 for item in members if matrix.cell(item, lang).correct)
+                hits = sum(1 for item in members if cell_correct(matrix, item, lang))
                 assert accs[lang] == hits / len(members)
             tied = [lang for lang in matrix.languages if accs[lang] == max(accs.values())]
             assert model.expert_language[cluster] is min(tied, key=canonical_index)
@@ -296,8 +294,8 @@ class TestTrainLsk:
             vectors = vectors_for(matrix, seed=trial)
             model = train_lsk(vectors, matrix, k=1, seed=0)
             assert model.expert_language[0] is train_global_language(matrix).language
-            any_vector = next(iter(vectors.values()))
-            assert lsk_select(any_vector, model) is train_global_language(matrix).language
+            routed = LskRouter(model=model, vectors=vectors).route(list(vectors))
+            assert set(routed) == {train_global_language(matrix).language}
 
     def test_missing_vector_errors(self):
         _, matrix = make_matrix({"q1": {EN: True}, "q2": {EN: False}})
@@ -347,7 +345,9 @@ class TestLskRouting:
         model = train_lsk(vectors, matrix, k=2, seed=0)
         router = LskRouter(model=model, vectors=vectors)
         for item_id, vec in vectors.items():
-            assert router.route(item_id) is model.expert_language[assign(vec, model.centroids)]
+            nearest = int(np.argmin(((model.centroids - vec) ** 2).sum(axis=1)))
+            assert router.route([item_id]) == [model.expert_language[nearest]]
+        assert router.route(list(vectors)) == [router.route([item_id])[0] for item_id in vectors]
 
     def test_far_outlier_still_routed(self):
         model = ClusterModel(
@@ -358,7 +358,8 @@ class TestLskRouting:
             train_accuracy={0: {Language.FRENCH: 1.0}},
             member_counts={0: 5},
         )
-        assert lsk_select(np.array([0.0, -1.0]), model) is Language.FRENCH
+        router = LskRouter(model=model, vectors={"q1": np.array([0.0, -1.0])})
+        assert router.route(["q1"]) == [Language.FRENCH]
 
     def test_unknown_item_errors(self):
         model = ClusterModel(
@@ -369,9 +370,9 @@ class TestLskRouting:
             train_accuracy={0: {EN: 1.0}},
             member_counts={0: 1},
         )
-        router = LskRouter(model=model, vectors={})
-        with pytest.raises(ClusteringError, match="embed"):
-            router.route("q1")
+        router = LskRouter(model=model, vectors={"q1": np.array([1.0, 0.0])})
+        with pytest.raises(ClusteringError, match="no embedding for item q2; run the embed stage"):
+            router.route(["q1", "q2"])
 
 
 class TestPlantedRecoverySmoke:

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from langselect import langid
-from langselect.langid import _SCRIPT_RANGES, _STOPWORDS, DetectionError, detect_language, verify_output_language
+from langselect.langid import _SCRIPT_RANGES, _STOPWORDS, DetectionError, detect_language
 from langselect.languages import Language, canonical_index
 from langselect.prompts import TemplateSet
 
@@ -61,13 +61,15 @@ def test_japanese_kana_beats_shared_ideographs():
 
 
 def test_verify_matches_and_mismatches():
-    assert verify_output_language(FIXTURES[Language.THAI], Language.THAI) is True
-    assert verify_output_language(FIXTURES[Language.ENGLISH], Language.TURKISH) is False
+    assert detect_language(FIXTURES[Language.THAI]) is Language.THAI
+    assert detect_language(FIXTURES[Language.ENGLISH]) is not Language.TURKISH
 
 
 def test_verify_empty_text_rejected():
-    with pytest.raises(ValueError):
-        verify_output_language("", Language.ENGLISH)
+    with pytest.raises(DetectionError, match="empty text"):
+        detect_language("")
+    with pytest.raises(DetectionError, match="empty text"):
+        detect_language(" \n\t")
 
 
 def test_detector_failure_is_an_error_not_false():
@@ -75,17 +77,6 @@ def test_detector_failure_is_an_error_not_false():
         detect_language("12345 67890 !!!")
     with pytest.raises(DetectionError):
         detect_language("zzz qqq xxx")
-
-
-def test_pluggable_detector():
-    calls = []
-
-    def fake_detector(text):
-        calls.append(text)
-        return Language.KOREAN
-
-    assert verify_output_language("whatever", Language.KOREAN, detector=fake_detector) is True
-    assert calls == ["whatever"]
 
 
 # --- Differential check against the per-character detector the regex scans replaced.

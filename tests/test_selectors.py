@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import string
 from importlib import resources
@@ -5,6 +6,7 @@ from importlib import resources
 import pytest
 
 from langselect.languages import CANONICAL_ORDER, Language, canonical_index
+from langselect.report import language_distribution
 from langselect.selectors import (
     CountryMap,
     GlobalChoice,
@@ -13,23 +15,19 @@ from langselect.selectors import (
     evaluate,
     load_selection_cache,
     save_selection_cache,
-    select_country,
-    select_llm,
-    select_majority,
-    select_only_english,
-    select_oracle,
     train_global_language,
 )
-from langselect.store import CellStatus
 
-from helpers import INVALID, MISSING, make_item, make_matrix, random_matrix
+from helpers import INVALID, MISSING, cell_correct, make_item, make_matrix, random_matrix
 
 EN, ES, HI, ZH = Language.ENGLISH, Language.SPANISH, Language.HINDI, Language.CHINESE
 
 
-def brute_force_majority(votes: dict[Language, str]) -> str | None:
-    """Independent tally: scan all labels, count by loops, tie-break by the
-    best canonical voter priority."""
+def brute_force_majority(matrix, item_id) -> str | None:
+    """Independent tally over one row: read each cell, count by loops,
+    tie-break by the best canonical voter priority."""
+    row = matrix.grid[matrix.items.index(item_id)]
+    votes = {lang: chr(byte) for lang, byte in zip(matrix.languages, row.tolist()) if chr(byte).isalpha()}
     if not votes:
         return None
     best_label = None
@@ -57,7 +55,7 @@ def brute_force_global(matrix) -> Language:
             continue
         correct = 0
         for item_id in matrix.items:
-            if matrix.cell(item_id, lang).correct:
+            if cell_correct(matrix, item_id, lang):
                 correct += 1
         acc = correct / len(matrix.items)
         if acc > best_acc:
@@ -65,15 +63,36 @@ def brute_force_global(matrix) -> Language:
     return best
 
 
+def brute_force_oracle(matrix, item_id) -> tuple[Language | None, bool]:
+    """First language in canonical order whose cell holds the gold label."""
+    for lang in CANONICAL_ORDER:
+        if lang in matrix.languages and cell_correct(matrix, item_id, lang):
+            return lang, True
+    return None, False
+
+
+def majority_labels(items, matrix) -> list[str | None]:
+    """Majority's winning label per item, read back through ``evaluate``: the
+    one gold letter under which the item scores correct (None if no letter does)."""
+    winners = [None] * len(items)
+    for letter in string.ascii_uppercase:
+        as_gold = dataclasses.replace(matrix, gold=dict.fromkeys(matrix.gold, letter))
+        for n, outcome in enumerate(evaluate(Strategy.MAJORITY, items, as_gold).per_item):
+            if outcome.correct:
+                assert winners[n] is None, "majority scored correct under two gold labels"
+                winners[n] = letter
+    return winners
+
+
 class TestOnlyEnglish:
     def test_constant_english(self, m1):
-        _, matrix = m1
-        assert select_only_english(matrix) is EN
+        items, matrix = m1
+        assert [o.language for o in evaluate(Strategy.ONLY_ENGLISH, items, matrix).per_item] == [EN] * 3
 
     def test_missing_english_column_errors(self):
-        _, matrix = make_matrix({"q1": {ES: True}})
-        with pytest.raises(SelectorError):
-            select_only_english(matrix)
+        items, matrix = make_matrix({"q1": {ES: True}})
+        with pytest.raises(SelectorError, match="no English column"):
+            evaluate(Strategy.ONLY_ENGLISH, items, matrix)
 
     def test_accuracy_is_english_column(self, m1):
         items, matrix = m1
@@ -85,68 +104,37 @@ class TestOnlyEnglish:
 class TestMajority:
     def test_two_against_one(self):
         # en votes A (wrong), es and hi vote B (gold).
-        _, matrix = make_matrix(
+        items, matrix = make_matrix(
             {"q1": {EN: False, ES: True, HI: True}}, gold="B", wrong="A"
         )
-        label, voters = select_majority("q1", matrix)
-        assert label == "B"
-        assert voters == (HI, ES)  # canonical order: hi precedes es
+        assert majority_labels(items, matrix) == ["B"]
+        assert evaluate(Strategy.MAJORITY, items, matrix).per_item[0].correct is True
 
     def test_tie_broken_by_english_priority(self):
         # en votes A (gold), es votes B: tie, English outranks Spanish.
-        _, matrix = make_matrix({"q1": {EN: True, ES: False}}, gold="A", wrong="B")
-        label, voters = select_majority("q1", matrix)
-        assert label == "A"
-        assert voters == (EN,)
+        items, matrix = make_matrix({"q1": {EN: True, ES: False}}, gold="A", wrong="B")
+        assert majority_labels(items, matrix) == ["A"]
 
     def test_all_invalid_loses(self):
         rows = {"q1": {lang: INVALID for lang in CANONICAL_ORDER}}
         items, matrix = make_matrix(rows)
-        label, voters = select_majority("q1", matrix)
-        assert label is None and voters == ()
+        assert majority_labels(items, matrix) == [None]
         outcome = evaluate(Strategy.MAJORITY, items, matrix)
         assert outcome.accuracy == 0.0
 
     def test_missing_and_invalid_cast_no_vote(self):
-        _, matrix = make_matrix({"q1": {EN: MISSING, ES: INVALID, HI: False}}, gold="A", wrong="C")
-        label, voters = select_majority("q1", matrix)
-        assert label == "C"
-        assert voters == (HI,)
+        items, matrix = make_matrix({"q1": {EN: MISSING, ES: INVALID, HI: False}}, gold="A", wrong="C")
+        assert majority_labels(items, matrix) == ["C"]
 
     def test_matches_brute_force_on_random_vote_sets(self):
-        rng = random.Random(7)
-        labels = string.ascii_uppercase[:6]
-        for _ in range(2000):
+        for seed in range(40):
+            rng = random.Random(seed)
             langs = rng.sample(list(Language), rng.randint(1, 16))
-            votes = {}
-            rows = {}
-            row = {}
-            for lang in langs:
-                roll = rng.random()
-                if roll < 0.15:
-                    row[lang] = MISSING
-                elif roll < 0.3:
-                    row[lang] = INVALID
-                else:
-                    votes[lang] = rng.choice(labels)
-            rows["q"] = row
-            _, matrix = make_matrix(rows, languages=langs, gold="A")
-            # Patch in arbitrary vote labels (helpers only do gold/wrong).
-            cells = dict(matrix.cells)
-            from langselect.store import AnswerCell
-
-            for lang, label in votes.items():
-                cells[("q", lang)] = AnswerCell(label, label == "A", CellStatus.OK)
-            matrix = type(matrix)(
-                dataset_id=matrix.dataset_id,
-                model_name=matrix.model_name,
-                languages=matrix.languages,
-                items=matrix.items,
-                cells=cells,
-                gold=matrix.gold,
+            items, matrix = random_matrix(
+                rng, rng.randint(1, 40), langs, p_missing=0.15, p_invalid=0.15, p_correct=0.2, n_choices=6
             )
-            got, _ = select_majority("q", matrix)
-            assert got == brute_force_majority(votes)
+            expected = [brute_force_majority(matrix, item_id) for item_id in matrix.items]
+            assert majority_labels(items, matrix) == expected
 
 
 class TestGlobalLanguage:
@@ -179,10 +167,10 @@ class TestGlobalLanguage:
             train_global_language(empty)
 
     def test_matches_brute_force_on_random_matrices(self):
-        rng = random.Random(11)
-        for _ in range(300):
+        for seed in range(300):
+            rng = random.Random(seed)
             langs = rng.sample(list(Language), rng.randint(1, 8))
-            _, matrix = random_matrix(rng, rng.randint(1, 30), langs)
+            _, matrix = random_matrix(rng, rng.randint(1, 30), langs, p_missing=0.2, p_invalid=0.2)
             assert train_global_language(matrix).language is brute_force_global(matrix)
 
     def test_json_round_trip(self):
@@ -202,7 +190,9 @@ class TestCountry:
     def test_case_folded_lookup(self):
         cmap = CountryMap.from_entries({"China": ZH})
         item = make_item("q1", country="CHINA")
-        assert select_country(item, cmap) is ZH
+        _, matrix = make_matrix({"q1": {EN: False, ZH: True}})
+        outcome = evaluate(Strategy.COUNTRY, [item], matrix, state=cmap)
+        assert outcome.per_item[0].language is ZH and outcome.per_item[0].correct is True
 
     def test_duplicate_after_casefold_rejected(self):
         with pytest.raises(ValueError):
@@ -221,16 +211,17 @@ class TestCountry:
 
 class TestLlmSelected:
     def test_lookup_and_missing(self):
-        cache = {"q1": Language.ARABIC}
-        assert select_llm("q1", cache) is Language.ARABIC
-        with pytest.raises(SelectorError, match="selection pass"):
-            select_llm("q2", cache)
+        items, matrix = make_matrix({"q1": {Language.ARABIC: True}, "q2": {Language.ARABIC: True}})
+        outcome = evaluate(Strategy.LLM_SELECTED, items[:1], matrix, state={"q1": Language.ARABIC})
+        assert outcome.per_item[0].language is Language.ARABIC
+        with pytest.raises(SelectorError, match="no cached expert-language choice for item q2; run the selection pass first"):
+            evaluate(Strategy.LLM_SELECTED, items, matrix, state={"q1": Language.ARABIC})
 
     def test_cached_language_with_missing_cell_scores_incorrect(self):
         items, matrix = make_matrix({"q1": {EN: True, ES: MISSING}})
         outcome = evaluate(Strategy.LLM_SELECTED, items, matrix, state={"q1": ES})
         assert outcome.per_item[0].correct is False
-        assert outcome.per_item[0].cell_status is CellStatus.MISSING
+        assert outcome.per_item[0].language is ES
 
     def test_cache_file_round_trip(self, tmp_path):
         cache = {"q1": EN, "q2": Language.THAI}
@@ -239,20 +230,32 @@ class TestLlmSelected:
 
 
 class TestOracle:
+    @staticmethod
+    def oracle(items, matrix):
+        outcome = evaluate(Strategy.ORACLE, items, matrix).per_item[0]
+        return outcome.language, outcome.correct
+
     def test_first_correct_in_canonical_order(self):
-        _, matrix = make_matrix({"q1": {EN: False, ES: True, HI: True}})
-        chosen, correct = select_oracle("q1", matrix)
+        items, matrix = make_matrix({"q1": {EN: False, ES: True, HI: True}})
         # canonical order is en, hi, es; en is wrong, hi is correct.
-        assert correct is True
-        assert chosen is HI
+        assert self.oracle(items, matrix) == (HI, True)
 
     def test_all_wrong_is_none(self):
-        _, matrix = make_matrix({"q1": {EN: False, ES: False}})
-        assert select_oracle("q1", matrix) == (None, False)
+        items, matrix = make_matrix({"q1": {EN: False, ES: False}})
+        assert self.oracle(items, matrix) == (None, False)
 
     def test_single_correct_cell(self):
-        _, matrix = make_matrix({"q1": {Language.TURKISH: True, EN: False}})
-        assert select_oracle("q1", matrix) == (Language.TURKISH, True)
+        items, matrix = make_matrix({"q1": {Language.TURKISH: True, EN: False}})
+        assert self.oracle(items, matrix) == (Language.TURKISH, True)
+
+    def test_matches_brute_force_on_random_matrices(self):
+        for seed in range(100):
+            rng = random.Random(seed)
+            langs = rng.sample(list(Language), rng.randint(1, 12))
+            items, matrix = random_matrix(rng, rng.randint(1, 30), langs, p_missing=0.2, p_invalid=0.2)
+            outcome = evaluate(Strategy.ORACLE, items, matrix)
+            got = [(o.language, o.correct) for o in outcome.per_item]
+            assert got == [brute_force_oracle(matrix, item_id) for item_id in matrix.items]
 
     def test_m1_oracle_accuracy(self, m1):
         items, matrix = m1
@@ -279,7 +282,7 @@ class TestEvaluate:
             items, matrix = random_matrix(rng, rng.randint(1, 20), langs)
             outcome = evaluate(Strategy.ORACLE, items, matrix)
             for o in outcome.per_item:
-                row_or = any(matrix.cell(o.item_id, lang).correct for lang in matrix.languages)
+                row_or = any(cell_correct(matrix, o.item_id, lang) for lang in matrix.languages)
                 assert o.correct == row_or
 
     def test_oracle_dominates_every_strategy(self):
@@ -304,7 +307,7 @@ class TestEvaluate:
     def test_single_language_degeneracy(self):
         rng = random.Random(9)
         items, matrix = random_matrix(rng, 20, [EN])
-        en_col = matrix.column_accuracy(EN)
+        en_col = sum(cell_correct(matrix, i, EN) for i in matrix.items) / len(matrix.items)
         only = evaluate(Strategy.ONLY_ENGLISH, items, matrix)
         maj = evaluate(Strategy.MAJORITY, items, matrix)
         glob = evaluate(
@@ -357,3 +360,20 @@ class TestEvaluate:
             evaluate(Strategy.COUNTRY, items, matrix)
         with pytest.raises(SelectorError):
             evaluate(Strategy.LSK_EXTRACTOR, items, matrix)
+
+    def test_language_without_a_column_scores_incorrect_and_still_counts(self):
+        # Thai has no column: as a chosen language it reads like a missing cell.
+        TH = Language.THAI
+        items, matrix = make_matrix({"q1": {EN: True, ES: True}, "q2": {EN: True, ES: True}})
+        items = [dataclasses.replace(items[0], country="Thailand"), items[1]]
+        for strategy, state in [
+            (Strategy.COUNTRY, CountryMap.from_entries({"Thailand": TH})),
+            (Strategy.LLM_SELECTED, {"q1": TH, "q2": EN}),
+        ]:
+            outcome = evaluate(strategy, items, matrix, state=state)
+            assert [(o.language, o.correct) for o in outcome.per_item] == [(TH, False), (EN, True)]
+            assert language_distribution(outcome) == {EN: 1, TH: 1}
+        choice = GlobalChoice(language=TH, train_accuracy_by_language={TH: 1.0})
+        outcome = evaluate(Strategy.GLOBAL_LANGUAGE, items, matrix, state=choice)
+        assert outcome.accuracy == 0.0
+        assert language_distribution(outcome) == {TH: 2}

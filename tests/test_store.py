@@ -8,8 +8,6 @@ import pytest
 from langselect.languages import Language
 from langselect.pipeline import _synthetic_store
 from langselect.store import (
-    AnswerCell,
-    CellStatus,
     InferenceRecord,
     RecordStatus,
     RunStore,
@@ -20,7 +18,7 @@ from langselect.store import (
 )
 from langselect.synthetic import SyntheticSpec, generate
 
-from helpers import make_item
+from helpers import cell, cell_correct, make_item
 
 
 def record_for(item_id, lang, label="A", status=RecordStatus.OK, raw=None, model="m", phash=None):
@@ -89,6 +87,13 @@ class TestRecordIdempotence:
                 extracted_label=None,
                 status=RecordStatus.OK,
             )
+
+    @pytest.mark.parametrize("label", ["", "AB", "a", "1", "É"])
+    def test_ok_label_must_be_one_capital_letter(self, label):
+        # Each matrix cell holds one byte: the ok label letter.
+        with pytest.raises(ValueError, match="one letter A-Z"):
+            record_for("q1", EN, label=label)
+        assert record_for("q1", EN, label="Z").extracted_label == "Z"
 
     def test_concurrent_writers_are_serialized(self, tmp_path, store):
         def write_block(offset):
@@ -248,6 +253,17 @@ class TestRecordMany:
 
 
 class TestCorruptStore:
+    def test_ok_line_with_a_multi_letter_label_is_refused(self, tmp_path):
+        path = tmp_path / "run"
+        with RunStore(path) as store:
+            for item_id in ("q1", "q2", "q3"):
+                store.record(record_for(item_id, EN))
+        lines = (path / "records.jsonl").read_text().splitlines()
+        lines[1] = lines[1].replace('"extracted_label": "A"', '"extracted_label": "AB"')
+        (path / "records.jsonl").write_text("\n".join(lines) + "\n")
+        with pytest.raises(StoreError, match="line 2 corrupt: ok records must carry an extracted label"):
+            RunStore(path)
+
     def test_torn_final_line_dropped_then_appendable(self, tmp_path):
         path = tmp_path / "run"
         with RunStore(path) as store:
@@ -280,40 +296,49 @@ class TestBuildMatrix:
         matrix = build_matrix(store, items, "m", [EN, ES])
         counts = matrix_counts(matrix)
         assert counts == {"ok": 6, "invalid_output": 0, "missing": 0}
-        assert all(matrix.cell(i.item_id, l).correct for i in items for l in (EN, ES))
+        assert all(cell_correct(matrix, i.item_id, l) for i in items for l in (EN, ES))
+        assert matrix.correct.all()
 
     def test_missing_cell_explicit(self, items, store):
         for item in items:
             store.record(record_for(item.item_id, EN, label="A"))
         store.record(record_for("q1", HI, label="A"))
         matrix = build_matrix(store, items, "m", [EN, HI])
-        assert matrix.cell("q2", HI).status is CellStatus.MISSING
-        assert matrix.cell("q2", HI).correct is False
+        assert cell(matrix, "q2", HI) == "."
+        assert not matrix.correct[1, 1]
 
     def test_correctness_recomputed_from_gold(self, items, store):
         store.record(record_for("q2", EN, label="B"))
         store.record(record_for("q1", EN, label="B"))
         matrix = build_matrix(store, items, "m", [EN])
-        assert matrix.cell("q2", EN).correct is True  # gold B
-        assert matrix.cell("q1", EN).correct is False  # gold A
+        assert matrix.correct.tolist() == [[False], [True], [False]]  # q1 gold A, q2 gold B, q3 missing
 
     def test_invalid_output_cell(self, items, store):
         store.record(record_for("q1", EN, status=RecordStatus.INVALID_OUTPUT, raw="garbage"))
         matrix = build_matrix(store, items, "m", [EN])
-        cell = matrix.cell("q1", EN)
-        assert cell.status is CellStatus.INVALID_OUTPUT
-        assert cell.label is None and cell.correct is False
+        assert cell(matrix, "q1", EN) == "!"
+        assert not matrix.correct[0, 0]
 
     def test_transport_error_record_leaves_cell_missing(self, items, store):
         store.record(record_for("q1", EN, status=RecordStatus.TRANSPORT_ERROR, raw=""))
         matrix = build_matrix(store, items, "m", [EN])
-        assert matrix.cell("q1", EN).status is CellStatus.MISSING
+        assert cell(matrix, "q1", EN) == "."
 
     def test_ok_record_beats_earlier_invalid(self, items, store):
         store.record(record_for("q1", EN, status=RecordStatus.INVALID_OUTPUT, raw="xx", phash="h1"))
         store.record(record_for("q1", EN, label="A", phash="h2"))
         matrix = build_matrix(store, items, "m", [EN])
-        assert matrix.cell("q1", EN).status is CellStatus.OK
+        assert cell(matrix, "q1", EN) == "A"
+
+    def test_unknown_items_are_logged_once_with_count_and_first_ids(self, items, store, caplog):
+        for n in range(8):
+            store.record(record_for(f"ghost-{n}", EN))
+        with caplog.at_level("WARNING", logger="langselect.store"):
+            matrix = build_matrix(store, items, "m", [EN])
+        assert len(matrix.warnings) == 8
+        assert [r.getMessage() for r in caplog.records] == [
+            "store records for 8 items not in the dataset, e.g. ghost-0, ghost-1, ghost-2, ghost-3, ghost-4"
+        ]
 
     def test_unknown_item_warns_not_fatal(self, items, store):
         store.record(record_for("ghost", EN))
@@ -337,7 +362,7 @@ class TestBuildMatrix:
     def test_other_model_records_ignored(self, items, store):
         store.record(record_for("q1", EN, model="other"))
         matrix = build_matrix(store, items, "m", [EN])
-        assert matrix.cell("q1", EN).status is CellStatus.MISSING
+        assert cell(matrix, "q1", EN) == "."
 
 
 class TestMissingCells:
@@ -371,7 +396,7 @@ class TestReplayAndMonotonicity:
         first = build_matrix(store, items, "m", [EN, ES])
         second = build_matrix(store, items, "m", [EN, ES])
         assert first == second
-        assert all(first.cells[key] is second.cells[key] for key in first.cells)
+        assert first.cells == second.cells == b"A." b".!" b".."
 
     def test_matrix_rebuilt_from_synthetic_store_shares_the_generated_cells(self, tmp_path):
         payload = {
@@ -381,15 +406,15 @@ class TestReplayAndMonotonicity:
         data = generate(SyntheticSpec.from_dict(payload))
         with _synthetic_store(tmp_path / "store", data, payload) as store:
             matrix = build_matrix(store, data.items, "synthetic", data.matrix.languages)
-        assert matrix.cells.keys() == data.matrix.cells.keys()
-        assert all(matrix.cells[key] is data.matrix.cells[key] for key in matrix.cells)
+        assert matrix.cells == data.matrix.cells
+        assert len(matrix.cells) == 12 * 3
 
     def test_appends_never_flip_ok_cells(self, items, store):
         store.record(record_for("q1", EN, label="A"))
-        before = build_matrix(store, items, "m", [EN]).cell("q1", EN)
+        before = cell(build_matrix(store, items, "m", [EN]), "q1", EN)
         store.record(record_for("q1", EN, label="B"))  # conflicting rerun
-        after = build_matrix(store, items, "m", [EN]).cell("q1", EN)
-        assert before == after
+        after = cell(build_matrix(store, items, "m", [EN]), "q1", EN)
+        assert before == after == "A"
 
     def test_conservation(self, items, store):
         store.record(record_for("q1", EN))
@@ -397,14 +422,6 @@ class TestReplayAndMonotonicity:
         matrix = build_matrix(store, items, "m", [EN, ES, HI])
         counts = matrix_counts(matrix)
         assert sum(counts.values()) == len(items) * 3
-
-
-class TestAnswerCellInvariants:
-    def test_missing_cell_is_label_free(self):
-        with pytest.raises(ValueError):
-            AnswerCell(label="A", correct=False, status=CellStatus.MISSING)
-        with pytest.raises(ValueError):
-            AnswerCell(label=None, correct=True, status=CellStatus.MISSING)
 
 
 class TestManifest:
@@ -422,6 +439,7 @@ def test_subset_preserves_structure(items, store):
     matrix = build_matrix(store, items, "m", [EN])
     sub = matrix.subset(["q3", "q1"])
     assert sub.items == ("q3", "q1")
-    assert sub.cell("q1", EN) == matrix.cell("q1", EN)
+    assert cell(sub, "q1", EN) == cell(matrix, "q1", EN) == "A"
+    assert sub.cells == matrix.cells[2:3] + matrix.cells[0:1]
     with pytest.raises(KeyError):
         matrix.subset(["nope"])

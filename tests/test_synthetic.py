@@ -5,13 +5,14 @@ import numpy as np
 import pytest
 
 from langselect.languages import Language
-from langselect.store import CellStatus
 from langselect.synthetic import (
     SyntheticSpec,
     SyntheticSpecError,
     expected_oracle_accuracy,
     generate,
 )
+
+from helpers import cell, cell_correct
 
 EN, ES, HI, TH = Language.ENGLISH, Language.SPANISH, Language.HINDI, Language.THAI
 
@@ -124,12 +125,11 @@ class TestGenerate:
         data = generate(spec_with(n_items=40))
         for item in data.items:
             for lang in data.matrix.languages:
-                cell = data.matrix.cell(item.item_id, lang)
-                assert cell.status is CellStatus.OK
-                if cell.correct:
-                    assert cell.label == item.gold_label
-                else:
-                    assert cell.label != item.gold_label
+                assert cell(data.matrix, item.item_id, lang) in "ABCD"
+        assert data.matrix.correct.tolist() == [
+            [cell(data.matrix, item.item_id, lang) == item.gold_label for lang in data.matrix.languages]
+            for item in data.items
+        ]
 
     def test_noiseless_limit(self):
         spec = spec_with(p_expert=1.0, p_other=0.0, spread=0.0, n_items=30)
@@ -137,8 +137,7 @@ class TestGenerate:
         for item_id, cluster in data.cluster_of.items():
             assert np.array_equal(data.vectors[item_id], data.centroids[cluster] / np.linalg.norm(data.centroids[cluster]))
             for lang in data.matrix.languages:
-                cell = data.matrix.cell(item_id, lang)
-                assert cell.correct == (lang == spec.expert_per_cluster[cluster])
+                assert cell_correct(data.matrix, item_id, lang) == (lang == spec.expert_per_cluster[cluster])
 
     def test_marginal_calibration_three_standard_errors(self):
         spec = spec_with(n_items=1200, k_true=3, p_expert=0.85, p_other=0.25, seed=9)
@@ -148,7 +147,7 @@ class TestGenerate:
         for item_id, cluster in data.cluster_of.items():
             expert = spec.expert_per_cluster[cluster]
             for lang in data.matrix.languages:
-                correct = data.matrix.cell(item_id, lang).correct
+                correct = cell_correct(data.matrix, item_id, lang)
                 if lang == expert:
                     expert_total += 1
                     expert_hits += correct
@@ -165,8 +164,7 @@ class TestGenerate:
     def test_symmetric_spec_columns_near_p(self):
         spec = spec_with(n_items=1600, p_expert=0.5, p_other=0.5, seed=4)
         data = generate(spec)
-        for lang in data.matrix.languages:
-            acc = data.matrix.column_accuracy(lang)
+        for lang, acc in zip(data.matrix.languages, data.matrix.correct.mean(axis=0)):
             se = math.sqrt(0.25 / 1600)
             assert abs(acc - 0.5) <= 4 * se
 
