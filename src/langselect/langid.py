@@ -22,6 +22,13 @@ class DetectionError(RuntimeError):
     """The detector could not reach a decision (distinct from a mismatch)."""
 
 
+# Names the decisions of ``detect_language``: ``pipeline.compute_verification_rate``
+# keeps the bundled detector's verdicts under it and re-detects when it differs.
+# Bump it with any edit of this file (tests/test_langid.py pins it to the file's
+# sha256) and with any change of ``extraction.extract_reasoning_text``.
+DETECTOR_VERSION = 1
+
+
 # Code-point ranges per distinctive script. Kana is kept separate from the
 # shared CJK-ideograph block so Japanese (kana present) and Chinese
 # (ideographs only) can be told apart.

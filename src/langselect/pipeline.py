@@ -48,7 +48,7 @@ from .config import ConfigError, RunConfig
 from .datasets import DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
 from .extraction import extract_expert_language, extract_final_answer, extract_reasoning_text
 from .gateway import AuthError, GatewayError, ModelEndpoint, TransportError, chat_complete
-from .langid import DetectionError, Detector, detect_language
+from .langid import DETECTOR_VERSION, DetectionError, Detector, detect_language
 from .languages import Language
 from .prompts import (
     HashRegistry,
@@ -538,6 +538,44 @@ def bundled_country_map(dataset_id: DatasetId) -> CountryMap | None:
         return CountryMap.from_json(path)
 
 
+VERDICTS_NAME = "verdicts.json"
+_VERDICT_CODES = frozenset([None, *(language.value for language in Language)])
+
+
+def _verdict(raw_output: str, detect: Detector) -> str | None:
+    """Code of the language ``raw_output`` reasoned in; None when it has no
+    reasoning text or the detector cannot decide."""
+    reasoning = extract_reasoning_text(raw_output)
+    if not reasoning:
+        return None
+    try:
+        return detect(reasoning).value
+    except DetectionError:
+        return None
+
+
+def _load_verdicts(path: Path) -> dict[str, str | None]:
+    """The bundled detector's verdicts kept at ``path`` (raw-output sha256 ->
+    language code or None); empty when there are none, or when the file does
+    not parse or holds another ``DETECTOR_VERSION``, which the next write replaces."""
+    if not path.exists():
+        return {}
+    try:
+        payload = json.loads(path.read_bytes())
+        version, verdicts = payload["detector"], payload["verdicts"]
+        if version != DETECTOR_VERSION:
+            logger.warning(
+                "%s: verdicts of detector version %r, not %r; detecting again", path, version, DETECTOR_VERSION
+            )
+            return {}
+        if not isinstance(verdicts, dict) or not set(verdicts.values()) <= _VERDICT_CODES:
+            raise ValueError("verdicts must map digests to language codes or null")
+    except (ValueError, KeyError, TypeError) as exc:
+        logger.warning("%s: unreadable (%s); detecting again", path, exc)
+        return {}
+    return verdicts
+
+
 def compute_verification_rate(
     store: RunStore,
     model_name: str,
@@ -548,8 +586,14 @@ def compute_verification_rate(
 
     Records without extractable reasoning text, and texts the detector cannot
     classify, are excluded from the denominator (their counts are reported).
+    The bundled detector (``detector`` None) decides each distinct
+    ``raw_output`` once: its verdicts persist in the store directory's
+    ``verdicts.json``, keyed by the output's sha256. A given ``detector`` is
+    called on every text, every time.
     """
-    detect = detector or detect_language
+    verdicts_path = store.directory / VERDICTS_NAME
+    verdicts = _load_verdicts(verdicts_path) if detector is None else {}
+    detected = 0
     lang_set = set(languages)
     checked = 0
     matched = 0
@@ -559,18 +603,23 @@ def compute_verification_rate(
             continue
         if record.language not in lang_set:
             continue
-        reasoning = extract_reasoning_text(record.raw_output)
-        if not reasoning:
-            skipped += 1
-            continue
-        try:
-            detected = detect(reasoning)
-        except DetectionError:
+        if detector is not None:
+            code = _verdict(record.raw_output, detector)
+        else:
+            digest = sha256(record.raw_output.encode("utf-8", "surrogatepass")).hexdigest()
+            if digest not in verdicts:
+                verdicts[digest] = _verdict(record.raw_output, detect_language)
+                detected += 1
+            code = verdicts[digest]
+        if code is None:
             skipped += 1
             continue
         checked += 1
-        if detected == record.language:
+        if code == record.language.value:
             matched += 1
+    if detected:
+        payload = {"detector": DETECTOR_VERSION, "verdicts": verdicts}
+        write_atomic(verdicts_path, (json.dumps(payload, sort_keys=True) + "\n").encode("ascii"))
     rate = matched / checked if checked else None
     return rate, {"checked": checked, "matched": matched, "undetectable": skipped}
 

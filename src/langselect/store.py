@@ -203,35 +203,29 @@ class RunStore:
         self._load()
 
     def _load(self) -> None:
+        """Index the records of ``records.jsonl``, read one line at a time."""
         self._needs_newline = False
         if not self.records_path.exists():
             return
-        raw = self.records_path.read_bytes()
-        pos = 0
-        lineno = 0
-        while pos < len(raw):
-            newline_at = raw.find(b"\n", pos)
-            end = len(raw) if newline_at < 0 else newline_at
-            line = raw[pos:end]
-            lineno += 1
-            if line.strip():
-                try:
-                    record = InferenceRecord.from_json(line.decode("utf-8"))
-                except Exception as exc:
-                    if end >= len(raw) or end + 1 >= len(raw):
-                        # Torn final line from an interrupted write; drop it.
-                        logger.warning("%s: dropping torn final line %d", self.records_path, lineno)
-                        return
-                    raise StoreError(f"{self.records_path}: line {lineno} corrupt: {exc}") from None
-                self._remember(record)
-                if newline_at < 0:
-                    self._good_offset = len(raw)
-                    self._needs_newline = True
-                else:
-                    self._good_offset = newline_at + 1
-            elif newline_at >= 0:
-                self._good_offset = newline_at + 1
-            pos = end + 1
+        with self.records_path.open("rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            end = 0
+            for lineno, line in enumerate(fh, 1):
+                end += len(line)
+                if line.strip():
+                    try:
+                        record = InferenceRecord.from_json(line.decode("utf-8"))
+                    except Exception as exc:
+                        if end >= size:
+                            # Torn final line from an interrupted write; drop it.
+                            logger.warning("%s: dropping torn final line %d", self.records_path, lineno)
+                            return
+                        raise StoreError(f"{self.records_path}: line {lineno} corrupt: {exc}") from None
+                    self._remember(record)
+                    self._good_offset = end
+                    self._needs_newline = not line.endswith(b"\n")
+                elif line.endswith(b"\n"):
+                    self._good_offset = end
 
     def _remember(self, record: InferenceRecord, append: bool = False) -> bool:
         """Index ``record`` unless its key is stored (another output under it is a

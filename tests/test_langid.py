@@ -1,4 +1,6 @@
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +208,14 @@ def test_script_ranges_are_pairwise_disjoint():
     assert all(lo <= hi for lo, hi, _ in spans)
     for (_, prev_hi, prev_lang), (lo, _, lang) in zip(spans, spans[1:]):
         assert prev_hi < lo, (prev_lang, lang)
+
+
+# Cached verdicts (``pipeline.compute_verification_rate``) are valid only for
+# the detector that made them. Any edit of langid.py changes this digest: bump
+# DETECTOR_VERSION with it, so stale caches are detected again, then update both.
+PINNED_DETECTOR = (1, "f700667d56d016ed62e5ab0ff2b722899e7a0eb3e240089772da41f44b519e0e")
+
+
+def test_detector_version_is_bumped_with_every_edit_of_the_detector():
+    source = Path(langid.__file__).read_bytes()
+    assert (langid.DETECTOR_VERSION, hashlib.sha256(source).hexdigest()) == PINNED_DETECTOR

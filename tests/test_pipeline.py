@@ -1,6 +1,7 @@
 """The bounded executor and its failure triage, which drive the network stages,
 and the reasoning-language verification rate that ``evaluate`` reports."""
 
+import hashlib
 import json
 import threading
 import time
@@ -9,10 +10,15 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from langselect import pipeline
+from langselect.config import load_config
+from langselect.datasets import save_dataset
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
+from langselect.langid import DETECTOR_VERSION, detect_language
 from langselect.languages import Language
 from langselect.store import InferenceRecord, RecordStatus, RunStore
 from langselect.translation import ItemTranslationError
+
+from helpers import make_item
 
 
 def endpoint(max_in_flight: int) -> ModelEndpoint:
@@ -170,3 +176,157 @@ def test_verification_rate_is_none_when_nothing_is_checked(tmp_path):
             None,
             {"checked": 0, "matched": 0, "undetectable": 1},
         )
+
+
+# --- The bundled detector's verdict cache (``<store>/verdicts.json``).
+
+FRENCH_TEXT = "Le modèle est entraîné dans les données et ce n'est pas pour une raison simple."
+
+
+def digest(raw_output: str) -> str:
+    return hashlib.sha256(raw_output.encode("utf-8", "surrogatepass")).hexdigest()
+
+
+@pytest.fixture
+def detection_calls(monkeypatch):
+    """Counts the calls of the detector and of the reasoning-text extraction."""
+    calls = {"detect_language": 0, "extract_reasoning_text": 0}
+    for name in calls:
+        real = getattr(pipeline, name)
+
+        def counting(text, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(text)
+
+        monkeypatch.setattr(pipeline, name, counting)
+    return calls
+
+
+def evaluate_run(tmp_path, n_items=6, leave_out=()):
+    """A run directory whose store holds one ok record, each with its own
+    reasoning text, per (item, language) cell except ``leave_out``."""
+    items = [make_item(f"q{i}") for i in range(n_items)]
+    save_dataset(items, tmp_path / "data.jsonl")
+    (tmp_path / "config.json").write_text(
+        json.dumps(
+            {
+                "dataset": {"path": "data.jsonl", "id": "custom"},
+                "output_dir": "out",
+                "languages": ["en", "fr"],
+                "split": {"seed": 3, "train_count": n_items - 2, "test_count": 2},
+                "k_list": [2],
+                "seeds": [0],
+                "chat_endpoint": {"base_url": "http://127.0.0.1:1/v1", "model_name": "m"},
+            }
+        ),
+        encoding="utf-8",
+    )
+    config = load_config(tmp_path / "config.json")
+    with RunStore(pipeline.store_dir(config, "m")) as store:
+        for item in items:
+            for language, text in ((Language.ENGLISH, ENGLISH_TEXT), (Language.FRENCH, FRENCH_TEXT)):
+                if (item.item_id, language) not in leave_out:
+                    store.record(reasoning_record(item.item_id, language, f"{text} {item.item_id}"))
+    return config
+
+
+def report_bytes(config) -> bytes:
+    return (pipeline.reports_dir(config) / "report.json").read_bytes()
+
+
+def test_second_evaluate_of_an_unchanged_run_detects_nothing(tmp_path, detection_calls):
+    config = evaluate_run(tmp_path)
+    assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
+    assert detection_calls == {"detect_language": 12, "extract_reasoning_text": 12}
+    cold = report_bytes(config)
+    assert json.loads(cold)["config_snapshot"]["verification"] == {"checked": 12, "matched": 12, "undetectable": 0}
+
+    detection_calls.update(dict.fromkeys(detection_calls, 0))
+    assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
+    assert detection_calls == {"detect_language": 0, "extract_reasoning_text": 0}
+    assert report_bytes(config) == cold
+
+
+def test_cached_verdicts_count_as_a_fresh_detection_does(tmp_path):
+    config = evaluate_run(tmp_path)
+    with RunStore(pipeline.store_dir(config, "m")) as store:
+        uncached = pipeline.compute_verification_rate(store, "m", config.languages, detector=detect_language)
+        assert pipeline.compute_verification_rate(store, "m", config.languages) == uncached  # cold
+        assert pipeline.compute_verification_rate(store, "m", config.languages) == uncached  # warm
+
+
+def test_one_appended_record_costs_one_detection(tmp_path, detection_calls):
+    config = evaluate_run(tmp_path, leave_out={("q0", Language.FRENCH)})
+    pipeline.run_evaluate(config)
+    assert detection_calls["detect_language"] == 11
+    with RunStore(pipeline.store_dir(config, "m")) as store:
+        store.record(reasoning_record("q0", Language.FRENCH, f"{FRENCH_TEXT} q0"))
+
+    detection_calls.update(dict.fromkeys(detection_calls, 0))
+    pipeline.run_evaluate(config)
+    assert detection_calls == {"detect_language": 1, "extract_reasoning_text": 1}
+    verification = json.loads(report_bytes(config))["config_snapshot"]["verification"]
+    assert verification == {"checked": 12, "matched": 12, "undetectable": 0}
+
+
+def test_sidecar_holds_one_verdict_per_distinct_output(verification_store):
+    pipeline.compute_verification_rate(verification_store, "m", [Language.ENGLISH, Language.FRENCH])
+    sidecar = json.loads((verification_store.directory / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
+    outputs = {r.item_id: r.raw_output for r in verification_store.records()}
+    # q4 has no reasoning text and q5 no detectable signal: both are null.
+    assert sidecar == {
+        "detector": DETECTOR_VERSION,
+        "verdicts": {
+            digest(outputs["q4"]): None,
+            digest(outputs["q5"]): None,
+            digest(outputs["q6"]): "en",
+            digest(outputs["q7"]): "en",
+        },
+    }
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param(None, id="truncated"),
+        pytest.param(json.dumps({"detector": DETECTOR_VERSION + 1, "verdicts": {}}), id="other-version"),
+        pytest.param(json.dumps({"detector": DETECTOR_VERSION, "verdicts": {"x": "xx"}}), id="unknown-code"),
+    ],
+)
+def test_bad_or_stale_sidecar_is_ignored_and_rewritten(verification_store, detection_calls, caplog, content):
+    languages = [Language.ENGLISH, Language.FRENCH]
+    expected = pipeline.compute_verification_rate(verification_store, "m", languages)
+    path = verification_store.directory / pipeline.VERDICTS_NAME
+    good = path.read_bytes()
+    path.write_bytes(good[: len(good) // 2] if content is None else content.encode("utf-8"))
+
+    detection_calls.update(dict.fromkeys(detection_calls, 0))
+    assert pipeline.compute_verification_rate(verification_store, "m", languages) == expected
+    assert detection_calls == {"detect_language": 3, "extract_reasoning_text": 4}
+    assert path.read_bytes() == good
+    assert "detecting again" in caplog.text
+
+
+def test_custom_detector_never_touches_the_sidecar(verification_store):
+    calls = []
+
+    def always_french(text):
+        calls.append(text)
+        return Language.FRENCH
+
+    for _ in range(2):
+        pipeline.compute_verification_rate(
+            verification_store, "m", [Language.ENGLISH, Language.FRENCH], detector=always_french
+        )
+    assert len(calls) == 2 * 3
+    assert not (verification_store.directory / pipeline.VERDICTS_NAME).exists()
+
+
+def test_output_with_a_lone_surrogate_gets_a_verdict(tmp_path):
+    record = reasoning_record("q1", Language.ENGLISH, ENGLISH_TEXT + " \ud800")
+    with RunStore(tmp_path / "store") as store:
+        store.record(record)
+        rate, counts = pipeline.compute_verification_rate(store, "m", [Language.ENGLISH])
+    assert (rate, counts) == (1.0, {"checked": 1, "matched": 1, "undetectable": 0})
+    sidecar = json.loads((tmp_path / "store" / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
+    assert sidecar["verdicts"] == {digest(record.raw_output): "en"}

@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -275,6 +276,46 @@ class TestCorruptStore:
         store.record(record_for("q2", EN))
         store.close()
         assert len(RunStore(path)) == 2
+
+    def test_final_line_without_newline_is_kept_and_the_next_append_starts_a_line(self, tmp_path):
+        path = tmp_path / "run"
+        with RunStore(path) as store:
+            store.record(record_for("q1", EN))
+            store.record(record_for("q2", EN))
+        data = (path / "records.jsonl").read_bytes()
+        (path / "records.jsonl").write_bytes(data.replace(b"\n", b"\n  \n\n", 1).rstrip(b"\n"))
+        with RunStore(path) as store:
+            assert [r.item_id for r in store.records()] == ["q1", "q2"]
+            store.record(record_for("q3", EN))
+        assert [r.item_id for r in RunStore(path).records()] == ["q1", "q2", "q3"]
+        assert (path / "records.jsonl").read_bytes().endswith(b"}\n" + record_for("q3", EN).to_json().encode() + b"\n")
+
+    def test_corrupt_final_line_ending_in_a_newline_is_dropped_as_torn(self, tmp_path):
+        path = tmp_path / "run"
+        with RunStore(path) as store:
+            store.record(record_for("q1", EN))
+        with (path / "records.jsonl").open("a", encoding="utf-8") as fh:
+            fh.write('{"item_id": "q2"\n')
+        with RunStore(path) as store:
+            assert len(store) == 1
+            store.record(record_for("q3", EN))
+        assert [r.item_id for r in RunStore(path).records()] == ["q1", "q3"]
+
+    def test_load_holds_one_line_of_the_file_at_a_time(self, tmp_path):
+        path = tmp_path / "run"
+        with RunStore(path) as store:
+            store.record_many(record_for(f"q{i}", EN, raw="x" * 20_000) for i in range(100))
+        size = (path / "records.jsonl").stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = RunStore(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 100
+        # The records' outputs are the file's size; reading the whole file
+        # as bytes besides them would double the peak.
+        assert peak < 1.3 * size
 
     def test_corrupt_middle_line_raises(self, tmp_path):
         path = tmp_path / "run"
