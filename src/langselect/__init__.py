@@ -21,7 +21,7 @@ from .datasets import (
 from .extraction import extract_expert_language, extract_final_answer
 from .gateway import ModelEndpoint, chat_complete, embed_texts
 from .languages import CANONICAL_ORDER, DEFAULT_LANGUAGES, Language, parse_language
-from .report import EvaluationReport, build_report, emit, report_from_json
+from .report import build_report, emit
 from .selectors import CountryMap, GlobalChoice, SelectorOutcome, Strategy, evaluate
 from .store import InferenceRecord, ResponseMatrix, RunStore, build_matrix, missing_cells
 from .synthetic import SyntheticSpec, generate
@@ -35,7 +35,6 @@ __all__ = [
     "CountryMap",
     "DEFAULT_LANGUAGES",
     "DatasetId",
-    "EvaluationReport",
     "GlobalChoice",
     "InferenceRecord",
     "Language",
@@ -63,7 +62,6 @@ __all__ = [
     "missing_cells",
     "parse_language",
     "reformat_culture_atlas",
-    "report_from_json",
     "save_dataset",
     "split",
     "train_lsk",

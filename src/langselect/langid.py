@@ -5,15 +5,13 @@ The bundled detector is deliberately lightweight. Any kana means Japanese;
 else the distinctive script (zh/ko/th/hi/bn/ar/ru, by Unicode code-point
 ranges) with the most code points wins; else the Latin-script language with
 the most stopword hits wins; ties go to canonical order, and text with no
-signal raises ``DetectionError`` (the pipeline counts it as undetectable). A
-heavier classifier can be plugged in through the ``detector`` argument of
-``pipeline.compute_verification_rate``.
+signal raises ``DetectionError`` (the pipeline counts it as undetectable).
 """
 
 from __future__ import annotations
 
 import re
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .languages import Language, canonical_index
 
@@ -23,10 +21,10 @@ class DetectionError(RuntimeError):
 
 
 # Names the decisions of ``detect_language``: ``pipeline.compute_verification_rate``
-# keeps the bundled detector's verdicts under it and re-detects when it differs.
+# keeps the detector's verdicts under it and re-detects when it differs.
 # Bump it with any edit of this file (tests/test_langid.py pins it to the file's
 # sha256) and with any change of ``extraction.extract_reasoning_text``.
-DETECTOR_VERSION = 1
+DETECTOR_VERSION = 2
 
 
 # Code-point ranges per distinctive script. Kana is kept separate from the
@@ -113,6 +111,3 @@ def detect_language(text: str) -> Language:
     if scores[best] == 0:
         raise DetectionError("no stopword signal for any Latin-script language")
     return best
-
-
-Detector = Callable[[str], Language]

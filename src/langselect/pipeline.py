@@ -48,7 +48,7 @@ from .config import ConfigError, RunConfig
 from .datasets import DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
 from .extraction import extract_expert_language, extract_final_answer, extract_reasoning_text
 from .gateway import AuthError, GatewayError, ModelEndpoint, TransportError, chat_complete
-from .langid import DETECTOR_VERSION, DetectionError, Detector, detect_language
+from .langid import DETECTOR_VERSION, DetectionError, detect_language
 from .languages import Language
 from .prompts import (
     HashRegistry,
@@ -57,7 +57,7 @@ from .prompts import (
     build_selection_prompt,
     prompt_hash,
 )
-from .report import build_report, emit, report_from_json
+from .report import build_report, emit
 from .selectors import (
     CountryMap,
     GlobalChoice,
@@ -542,14 +542,14 @@ VERDICTS_NAME = "verdicts.json"
 _VERDICT_CODES = frozenset([None, *(language.value for language in Language)])
 
 
-def _verdict(raw_output: str, detect: Detector) -> str | None:
+def _verdict(raw_output: str) -> str | None:
     """Code of the language ``raw_output`` reasoned in; None when it has no
     reasoning text or the detector cannot decide."""
     reasoning = extract_reasoning_text(raw_output)
     if not reasoning:
         return None
     try:
-        return detect(reasoning).value
+        return detect_language(reasoning).value
     except DetectionError:
         return None
 
@@ -576,41 +576,37 @@ def _load_verdicts(path: Path) -> dict[str, str | None]:
     return verdicts
 
 
-def compute_verification_rate(
-    store: RunStore,
-    model_name: str,
-    languages: Sequence[Language],
-    detector: Detector | None = None,
-) -> tuple[float | None, dict]:
-    """Fraction of ok records whose reasoning text is in the requested language.
+def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[float | None, dict]:
+    """Fraction of the matrix's ok cells whose reasoning text is in the cell's language.
 
-    Records without extractable reasoning text, and texts the detector cannot
-    classify, are excluded from the denominator (their counts are reported).
-    The bundled detector (``detector`` None) decides each distinct
-    ``raw_output`` once: its verdicts persist in the store directory's
-    ``verdicts.json``, keyed by the output's sha256. A given ``detector`` is
-    called on every text, every time.
+    A cell's record is the one ``build_matrix`` holds for it: the first-written
+    ok record of the matrix's model for that (item, language). Records without
+    extractable reasoning text, and texts the detector cannot classify, are
+    excluded from the denominator (their counts are reported). Each distinct
+    ``raw_output`` is detected once: the verdicts persist in the store
+    directory's ``verdicts.json``, keyed by the output's sha256.
     """
     verdicts_path = store.directory / VERDICTS_NAME
-    verdicts = _load_verdicts(verdicts_path) if detector is None else {}
+    verdicts = _load_verdicts(verdicts_path)
     detected = 0
-    lang_set = set(languages)
+    items = set(matrix.items)
+    languages = set(matrix.languages)
+    counted: set[tuple[str, Language]] = set()
     checked = 0
     matched = 0
     skipped = 0
     for record in store.records():
-        if record.model_name != model_name or record.status is not RecordStatus.OK:
+        if record.model_name != matrix.model_name or record.status is not RecordStatus.OK:
             continue
-        if record.language not in lang_set:
+        cell = (record.item_id, record.language)
+        if record.item_id not in items or record.language not in languages or cell in counted:
             continue
-        if detector is not None:
-            code = _verdict(record.raw_output, detector)
-        else:
-            digest = sha256(record.raw_output.encode("utf-8", "surrogatepass")).hexdigest()
-            if digest not in verdicts:
-                verdicts[digest] = _verdict(record.raw_output, detect_language)
-                detected += 1
-            code = verdicts[digest]
+        counted.add(cell)
+        digest = sha256(record.raw_output.encode("utf-8", "surrogatepass")).hexdigest()
+        if digest not in verdicts:
+            verdicts[digest] = _verdict(record.raw_output)
+            detected += 1
+        code = verdicts[digest]
         if code is None:
             skipped += 1
             continue
@@ -662,7 +658,7 @@ class Evaluation:
         out_dir = self.output_dir / "reports"
         for fmt, suffix in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
             write_atomic(out_dir / f"report.{suffix}", emit(report, fmt))
-        return {"accuracy_by_strategy": report.accuracy_by_strategy, "report_dir": str(out_dir)}
+        return {"accuracy_by_strategy": report["accuracy_by_strategy"], "report_dir": str(out_dir)}
 
 
 def evaluate_all(
@@ -762,7 +758,7 @@ def run_evaluate(
         ev = evaluate_all(
             config.output_dir, matrix, train, test, ks, fit_seeds, country_map, llm_choices, vectors
         )
-        rate, verification_counts = compute_verification_rate(store, model_name, config.languages)
+        rate, verification_counts = compute_verification_rate(store, matrix)
         snapshot = config_snapshot(config, model_name)
         snapshot["k_list"] = ks
         snapshot["seeds"] = fit_seeds
@@ -776,7 +772,8 @@ def run_evaluate(
 
 
 def rerender_report(report_path: Path, fmt: str) -> bytes:
-    return emit(report_from_json(Path(report_path).read_bytes()), fmt)
+    """``report.json`` at ``report_path`` in ``fmt``: the bytes ``evaluate`` wrote for it."""
+    return emit(json.loads(Path(report_path).read_bytes()), fmt)
 
 
 def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:

@@ -1,21 +1,25 @@
 """Evaluation reports: per-strategy accuracies, language distributions,
 cluster heatmaps, and cluster-size sweeps, emitted as plot-ready tables.
 
-Reports are value objects quantized to 4 decimals at build time, so every
-emission of the same report is byte-identical and the JSON form round-trips
-to an equal report. Oracle dominance is re-asserted at build; a violation is
-a selector bug, never a report to publish.
+A report is the plain JSON document ``report.json`` holds: ``build_report``
+returns the dict that ``json.loads`` reads back from it, quantized to 4
+decimals at build time, so every emission of it is byte-identical. The CSV
+and Markdown emitters put strategies, languages and k in display order
+whatever order the dict's keys come in, so a report re-rendered from its
+``report.json`` equals the one rendered at build. Oracle dominance is
+re-asserted at build; a violation is a selector bug, never a report to
+publish.
 """
 
 from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass, field
+from collections import Counter
 from fractions import Fraction
 
 from .clustering import ClusterModel
-from .languages import Language, canonical_sorted
+from .languages import Language, canonical_index
 from .selectors import SINGLE_LANGUAGE_STRATEGIES, SelectorOutcome, Strategy
 
 _STRATEGY_ORDER = (
@@ -27,6 +31,7 @@ _STRATEGY_ORDER = (
     Strategy.LSK_EXTRACTOR,
     Strategy.ORACLE,
 )
+_STRATEGY_RANK = {strategy.value: rank for rank, strategy in enumerate(_STRATEGY_ORDER)}
 
 FORMATS = ("json", "csv", "markdown")
 
@@ -56,49 +61,20 @@ def language_distribution(outcome: SelectorOutcome) -> dict[Language, int]:
     omitted. Majority has no single chosen language and is excluded."""
     if outcome.strategy is Strategy.MAJORITY:
         raise ReportError("majority chooses no single language, so it has no language distribution")
-    counts: dict[Language, int] = {}
-    for item in outcome.per_item:
-        if item.language is not None:
-            counts[item.language] = counts.get(item.language, 0) + 1
-    return {lang: counts[lang] for lang in canonical_sorted(counts)}
+    return dict(Counter(item.language for item in outcome.per_item if item.language is not None))
 
 
-@dataclass(frozen=True)
-class HeatmapRow:
-    cluster_id: int
-    expert: str
-    member_count: int
-    accuracy: dict[str, float]
-
-
-def cluster_heatmap(model: ClusterModel) -> list[HeatmapRow]:
+def cluster_heatmap(model: ClusterModel) -> list[dict]:
     """One row per cluster: expert language and per-language accuracies."""
-    rows = []
-    for cluster in sorted(model.expert_language):
-        accs = model.train_accuracy[cluster]
-        ordered = {lang.value: quantize(accs[lang]) for lang in canonical_sorted(accs)}
-        rows.append(
-            HeatmapRow(
-                cluster_id=cluster,
-                expert=model.expert_language[cluster].value,
-                member_count=model.member_counts[cluster],
-                accuracy=ordered,
-            )
-        )
-    return rows
-
-
-@dataclass(frozen=True)
-class EvaluationReport:
-    dataset_id: str
-    model_name: str
-    accuracy_by_strategy: dict[str, float]
-    global_language_choice: str | None
-    language_distribution: dict[str, dict[str, int]]
-    cluster_heatmap: list[HeatmapRow]
-    cluster_size_sweep: dict[int, float]
-    verification_rate: float | None
-    config_snapshot: dict = field(default_factory=dict)
+    return [
+        {
+            "cluster_id": cluster,
+            "expert": model.expert_language[cluster].value,
+            "member_count": model.member_counts[cluster],
+            "accuracy": {lang.value: quantize(acc) for lang, acc in model.train_accuracy[cluster].items()},
+        }
+        for cluster in sorted(model.expert_language)
+    ]
 
 
 def build_report(
@@ -111,8 +87,9 @@ def build_report(
     cluster_size_sweep: dict[int, SelectorOutcome] | None = None,
     verification_rate: float | None = None,
     config_snapshot: dict | None = None,
-) -> EvaluationReport:
-    """Assemble and integrity-check the report for one (dataset, model) run."""
+) -> dict:
+    """Assemble and integrity-check the report for one (dataset, model) run,
+    as the dict its ``report.json`` reads back to."""
     exact = {strategy: compute_accuracy(outcome) for strategy, outcome in outcomes.items()}
     if Strategy.ORACLE in exact:
         oracle = exact[Strategy.ORACLE]
@@ -126,9 +103,8 @@ def build_report(
         raise ReportError(f"outcomes cover different test sizes: {sorted(test_sizes)}")
 
     distributions: dict[str, dict[str, int]] = {}
-    for strategy in _STRATEGY_ORDER:
-        outcome = outcomes.get(strategy)
-        if outcome is None or strategy is Strategy.MAJORITY:
+    for strategy, outcome in outcomes.items():
+        if strategy is Strategy.MAJORITY:
             continue
         dist = language_distribution(outcome)
         if strategy in SINGLE_LANGUAGE_STRATEGIES and sum(dist.values()) != len(outcome.per_item):
@@ -138,144 +114,106 @@ def build_report(
     if verification_rate is not None and not 0.0 <= verification_rate <= 1.0:
         raise ReportError("verification_rate must be in [0, 1]")
 
-    return EvaluationReport(
-        dataset_id=dataset_id,
-        model_name=model_name,
-        accuracy_by_strategy={
-            strategy.value: quantize(exact[strategy]) for strategy in _STRATEGY_ORDER if strategy in exact
-        },
-        global_language_choice=global_language_choice.value if global_language_choice else None,
-        language_distribution=distributions,
-        cluster_heatmap=cluster_heatmap(cluster_model) if cluster_model is not None else [],
-        cluster_size_sweep={
-            k: quantize(compute_accuracy(outcome))
-            for k, outcome in sorted((cluster_size_sweep or {}).items())
-        },
-        verification_rate=quantize(verification_rate) if verification_rate is not None else None,
-        config_snapshot=dict(config_snapshot or {}),
-    )
-
-
-def _report_payload(report: EvaluationReport) -> dict:
     return {
-        "dataset_id": report.dataset_id,
-        "model_name": report.model_name,
-        "accuracy_by_strategy": report.accuracy_by_strategy,
-        "global_language_choice": report.global_language_choice,
-        "language_distribution": report.language_distribution,
-        "cluster_heatmap": [
-            {
-                "cluster_id": row.cluster_id,
-                "expert": row.expert,
-                "member_count": row.member_count,
-                "accuracy": row.accuracy,
-            }
-            for row in report.cluster_heatmap
-        ],
-        "cluster_size_sweep": {str(k): v for k, v in report.cluster_size_sweep.items()},
-        "verification_rate": report.verification_rate,
-        "config_snapshot": report.config_snapshot,
+        "dataset_id": dataset_id,
+        "model_name": model_name,
+        "accuracy_by_strategy": {strategy.value: quantize(acc) for strategy, acc in exact.items()},
+        "global_language_choice": global_language_choice.value if global_language_choice else None,
+        "language_distribution": distributions,
+        "cluster_heatmap": cluster_heatmap(cluster_model) if cluster_model is not None else [],
+        "cluster_size_sweep": {
+            str(k): quantize(compute_accuracy(outcome)) for k, outcome in (cluster_size_sweep or {}).items()
+        },
+        "verification_rate": quantize(verification_rate) if verification_rate is not None else None,
+        "config_snapshot": json.loads(json.dumps(config_snapshot or {})),
     }
 
 
-def report_from_json(data: bytes | str) -> EvaluationReport:
-    payload = json.loads(data)
-    return EvaluationReport(
-        dataset_id=payload["dataset_id"],
-        model_name=payload["model_name"],
-        accuracy_by_strategy=dict(payload["accuracy_by_strategy"]),
-        global_language_choice=payload.get("global_language_choice"),
-        language_distribution={s: dict(d) for s, d in payload["language_distribution"].items()},
-        cluster_heatmap=[
-            HeatmapRow(
-                cluster_id=row["cluster_id"],
-                expert=row["expert"],
-                member_count=row["member_count"],
-                accuracy=dict(row["accuracy"]),
-            )
-            for row in payload["cluster_heatmap"]
-        ],
-        cluster_size_sweep={int(k): v for k, v in payload["cluster_size_sweep"].items()},
-        verification_rate=payload.get("verification_rate"),
-        config_snapshot=dict(payload.get("config_snapshot", {})),
-    )
+def _by_strategy(mapping: dict) -> list[tuple]:
+    return sorted(mapping.items(), key=lambda kv: _STRATEGY_RANK[kv[0]])
 
 
-def _emit_json(report: EvaluationReport) -> bytes:
-    return (json.dumps(_report_payload(report), ensure_ascii=False, indent=2, sort_keys=True) + "\n").encode("utf-8")
+def _languages(codes) -> list[str]:
+    """Language codes in canonical order."""
+    return sorted(codes, key=lambda code: canonical_index(Language(code)))
+
+
+def _by_k(sweep: dict) -> list[tuple]:
+    return sorted(sweep.items(), key=lambda kv: int(kv[0]))
 
 
 def _fmt(value: float | None) -> str:
     return "" if value is None else f"{value:.4f}"
 
 
-def _emit_csv(report: EvaluationReport) -> bytes:
+def _emit_csv(report: dict) -> bytes:
     out = io.StringIO()
     out.write("section,strategy,accuracy\n")
-    for strategy, acc in report.accuracy_by_strategy.items():
+    for strategy, acc in _by_strategy(report["accuracy_by_strategy"]):
         out.write(f"accuracy,{strategy},{_fmt(acc)}\n")
     out.write("\nsection,strategy,language,count\n")
-    for strategy, dist in report.language_distribution.items():
-        for lang, count in dist.items():
-            out.write(f"language_distribution,{strategy},{lang},{count}\n")
+    for strategy, dist in _by_strategy(report["language_distribution"]):
+        for lang in _languages(dist):
+            out.write(f"language_distribution,{strategy},{lang},{dist[lang]}\n")
+    heatmap = report["cluster_heatmap"]
+    languages = _languages(heatmap[0]["accuracy"]) if heatmap else []
     out.write("\nsection,cluster_id,expert,member_count")
-    languages = list(report.cluster_heatmap[0].accuracy) if report.cluster_heatmap else []
     for lang in languages:
         out.write(f",acc_{lang}")
     out.write("\n")
-    for row in report.cluster_heatmap:
-        out.write(f"cluster_heatmap,{row.cluster_id},{row.expert},{row.member_count}")
+    for row in heatmap:
+        out.write(f"cluster_heatmap,{row['cluster_id']},{row['expert']},{row['member_count']}")
         for lang in languages:
-            out.write(f",{_fmt(row.accuracy[lang])}")
+            out.write(f",{_fmt(row['accuracy'][lang])}")
         out.write("\n")
     out.write("\nsection,k,accuracy\n")
-    for k, acc in report.cluster_size_sweep.items():
+    for k, acc in _by_k(report["cluster_size_sweep"]):
         out.write(f"cluster_size_sweep,{k},{_fmt(acc)}\n")
     out.write("\nsection,value\n")
-    out.write(f"verification_rate,{_fmt(report.verification_rate)}\n")
+    out.write(f"verification_rate,{_fmt(report['verification_rate'])}\n")
     return out.getvalue().encode("utf-8")
 
 
-def _emit_markdown(report: EvaluationReport) -> bytes:
+def _emit_markdown(report: dict) -> bytes:
     out = io.StringIO()
-    out.write(f"# Evaluation report: {report.dataset_id} / {report.model_name}\n\n")
+    out.write(f"# Evaluation report: {report['dataset_id']} / {report['model_name']}\n\n")
     out.write("## Accuracy by strategy\n\n")
     out.write("| strategy | accuracy |\n|---|---|\n")
-    for strategy, acc in report.accuracy_by_strategy.items():
+    for strategy, acc in _by_strategy(report["accuracy_by_strategy"]):
         suffix = ""
-        if strategy == Strategy.GLOBAL_LANGUAGE.value and report.global_language_choice:
-            suffix = f" (chose {report.global_language_choice})"
+        if strategy == Strategy.GLOBAL_LANGUAGE.value and report["global_language_choice"]:
+            suffix = f" (chose {report['global_language_choice']})"
         out.write(f"| {strategy}{suffix} | {_fmt(acc)} |\n")
-    if report.language_distribution:
+    distributions = report["language_distribution"]
+    if distributions:
         out.write("\n## Language distribution (chosen language counts)\n\n")
-        languages = sorted({lang for dist in report.language_distribution.values() for lang in dist})
+        languages = sorted({lang for dist in distributions.values() for lang in dist})
         out.write("| strategy | " + " | ".join(languages) + " |\n")
         out.write("|---|" + "---|" * len(languages) + "\n")
-        for strategy, dist in report.language_distribution.items():
-            out.write(
-                f"| {strategy} | " + " | ".join(str(dist.get(lang, 0)) for lang in languages) + " |\n"
-            )
-    if report.cluster_heatmap:
+        for strategy, dist in _by_strategy(distributions):
+            out.write(f"| {strategy} | " + " | ".join(str(dist.get(lang, 0)) for lang in languages) + " |\n")
+    heatmap = report["cluster_heatmap"]
+    if heatmap:
         out.write("\n## Cluster experts and per-language training accuracy\n\n")
-        languages = list(report.cluster_heatmap[0].accuracy)
+        languages = _languages(heatmap[0]["accuracy"])
         out.write("| cluster | expert | members | " + " | ".join(languages) + " |\n")
         out.write("|---|---|---|" + "---|" * len(languages) + "\n")
-        for row in report.cluster_heatmap:
-            accs = " | ".join(_fmt(row.accuracy[lang]) for lang in languages)
-            out.write(f"| {row.cluster_id} | {row.expert} | {row.member_count} | {accs} |\n")
-    if report.cluster_size_sweep:
+        for row in heatmap:
+            accs = " | ".join(_fmt(row["accuracy"][lang]) for lang in languages)
+            out.write(f"| {row['cluster_id']} | {row['expert']} | {row['member_count']} | {accs} |\n")
+    if report["cluster_size_sweep"]:
         out.write("\n## Cluster-size sweep\n\n| k | accuracy |\n|---|---|\n")
-        for k, acc in report.cluster_size_sweep.items():
+        for k, acc in _by_k(report["cluster_size_sweep"]):
             out.write(f"| {k} | {_fmt(acc)} |\n")
-    if report.verification_rate is not None:
-        out.write(f"\n## Reasoning-language verification rate\n\n{_fmt(report.verification_rate)}\n")
+    if report["verification_rate"] is not None:
+        out.write(f"\n## Reasoning-language verification rate\n\n{_fmt(report['verification_rate'])}\n")
     return out.getvalue().encode("utf-8")
 
 
-def emit(report: EvaluationReport, format: str) -> bytes:
+def emit(report: dict, format: str) -> bytes:
     """Serialize the report; bytes are deterministic for a fixed report."""
     if format == "json":
-        return _emit_json(report)
+        return (json.dumps(report, ensure_ascii=False, indent=2, sort_keys=True) + "\n").encode("utf-8")
     if format == "csv":
         return _emit_csv(report)
     if format == "markdown":

@@ -31,7 +31,6 @@ from langselect.pipeline import (
     store_dir,
     translation_file,
 )
-from langselect.report import report_from_json
 from langselect.store import RunStore
 
 from helpers import make_item
@@ -340,15 +339,15 @@ class TestEvaluateStage:
         config = self.run_full_pipeline(tmp_path, pipeline_stub)
         result = run_evaluate(config)
         assert result.exit_code == EXIT_OK
-        report = report_from_json((config.output_dir / "reports" / "report.json").read_bytes())
-        strategies = set(report.accuracy_by_strategy)
+        report = json.loads((config.output_dir / "reports" / "report.json").read_bytes())
+        strategies = set(report["accuracy_by_strategy"])
         assert strategies == {
             "only_english", "majority", "global_language", "llm_selected",
             "country", "lsk_extractor", "oracle",
         }
-        oracle = report.accuracy_by_strategy["oracle"]
-        assert all(acc <= oracle for acc in report.accuracy_by_strategy.values())
-        assert report.cluster_size_sweep == {2: report.accuracy_by_strategy["lsk_extractor"]}
+        oracle = report["accuracy_by_strategy"]["oracle"]
+        assert all(acc <= oracle for acc in report["accuracy_by_strategy"].values())
+        assert report["cluster_size_sweep"] == {"2": report["accuracy_by_strategy"]["lsk_extractor"]}
         assert (config.output_dir / "reports" / "report.csv").exists()
         assert (config.output_dir / "reports" / "report.md").exists()
         assert (config.output_dir / "global_choice.json").exists()
@@ -396,8 +395,8 @@ class TestEvaluateStage:
         run_infer(config, backoff=0.001)
         result = run_evaluate(config)
         assert "country" in result.summary["skipped_strategies"]
-        report = report_from_json((config.output_dir / "reports" / "report.json").read_bytes())
-        assert "country" not in report.accuracy_by_strategy
+        report = json.loads((config.output_dir / "reports" / "report.json").read_bytes())
+        assert "country" not in report["accuracy_by_strategy"]
 
 
 class TestSimulateStage:
@@ -423,14 +422,14 @@ class TestSimulateStage:
         spec = self.write_spec(tmp_path)
         result = run_simulate(spec, tmp_path / "sim")
         assert result.exit_code == EXIT_OK
-        report = report_from_json((tmp_path / "sim" / "reports" / "report.json").read_bytes())
-        assert set(report.accuracy_by_strategy) == {
+        report = json.loads((tmp_path / "sim" / "reports" / "report.json").read_bytes())
+        assert set(report["accuracy_by_strategy"]) == {
             "only_english", "majority", "global_language", "llm_selected",
             "country", "lsk_extractor", "oracle",
         }
-        assert report.accuracy_by_strategy["lsk_extractor"] == 1.0
-        assert report.accuracy_by_strategy["oracle"] == 1.0
-        assert report.config_snapshot["ground_truth"]["planted_experts_recovered"] == 3
+        assert report["accuracy_by_strategy"]["lsk_extractor"] == 1.0
+        assert report["accuracy_by_strategy"]["oracle"] == 1.0
+        assert report["config_snapshot"]["ground_truth"]["planted_experts_recovered"] == 3
         assert (tmp_path / "sim" / "items.jsonl").exists()
         assert (tmp_path / "sim" / "embeddings.jsonl").exists()
         assert (tmp_path / "sim" / "store" / "custom__synthetic" / "records.jsonl").exists()
@@ -452,9 +451,9 @@ class TestSimulateStage:
         store = out / "store" / "custom__synthetic"
         report_path = out / "reports" / "report.json"
         manifest = json.loads((store / "manifest.json").read_text(encoding="utf-8"))
-        report = report_from_json(report_path.read_bytes())
+        report = json.loads(report_path.read_bytes())
         assert manifest["synthetic_spec"] == payload
-        assert report.config_snapshot["synthetic_spec"] == payload
+        assert report["config_snapshot"]["synthetic_spec"] == payload
         records_before = (store / "records.jsonl").read_text(encoding="utf-8").splitlines()
         report_before = report_path.read_bytes()
         assert len(records_before) == 60 * 4
@@ -526,6 +525,28 @@ class TestCliInterface:
         rendered = runner.invoke(main, ["report", "--report", str(report_path), "--format", "markdown"])
         assert rendered.exit_code == 0
         assert "| oracle |" in rendered.output
+
+    def test_report_command_reproduces_the_written_reports(self, tmp_path):
+        # Languages out of canonical order and a k sweep out of numeric order:
+        # report.json sorts its keys, the CSV and Markdown renderings do not.
+        spec = TestSimulateStage().write_spec(
+            tmp_path, languages=["en", "ar", "zh", "fr"], expert_per_cluster=["ar", "zh", "fr"]
+        )
+        runner = CliRunner()
+        out = tmp_path / "sim"
+        result = runner.invoke(main, ["simulate", "--spec", str(spec), "--output", str(out), "--k", "12,3"])
+        assert result.exit_code == EXIT_OK, result.output
+        report_path = out / "reports" / "report.json"
+        for fmt, suffix in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
+            written = (out / "reports" / f"report.{suffix}").read_bytes()
+            assert pipeline.rerender_report(report_path, fmt) == written, fmt
+            rendered = tmp_path / f"rendered.{suffix}"
+            args = ["report", "--report", str(report_path), "--format", fmt, "--output", str(rendered)]
+            assert runner.invoke(main, args).exit_code == 0
+            assert rendered.read_bytes() == written, fmt
+        csv = (out / "reports" / "report.csv").read_text(encoding="utf-8")
+        assert csv.index("cluster_size_sweep,3,") < csv.index("cluster_size_sweep,12,")
+        assert "section,cluster_id,expert,member_count,acc_en,acc_ar,acc_zh,acc_fr\n" in csv
 
     def test_missing_config_file(self):
         runner = CliRunner()
@@ -880,8 +901,8 @@ def test_evaluate_uses_bundled_blend_country_map(tmp_path):
         run_infer(config, backoff=0.001)
         result = run_evaluate(config)
     assert result.exit_code == EXIT_OK
-    report = report_from_json((config.output_dir / "reports" / "report.json").read_bytes())
-    assert report.language_distribution["country"] == {"zh": 2}
+    report = json.loads((config.output_dir / "reports" / "report.json").read_bytes())
+    assert report["language_distribution"]["country"] == {"zh": 2}
 
 
 def test_lock_prevents_concurrent_drivers(tmp_path, pipeline_stub):

@@ -13,9 +13,9 @@ from langselect import pipeline
 from langselect.config import load_config
 from langselect.datasets import save_dataset
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
-from langselect.langid import DETECTOR_VERSION, detect_language
+from langselect.langid import DETECTOR_VERSION
 from langselect.languages import Language
-from langselect.store import InferenceRecord, RecordStatus, RunStore
+from langselect.store import InferenceRecord, RecordStatus, RunStore, build_matrix, matrix_counts
 from langselect.translation import ItemTranslationError
 
 from helpers import make_item
@@ -113,13 +113,13 @@ def test_auth_error_cancels_queued_tasks_and_still_yields_running_ones():
 ENGLISH_TEXT = "The answer is B because it was the one that they have chosen."
 
 
-def reasoning_record(item_id, language, text=ENGLISH_TEXT, model="m", status=RecordStatus.OK):
+def reasoning_record(item_id, language, text=ENGLISH_TEXT, model="m", status=RecordStatus.OK, prompt="h"):
     raw = {"final_answer": "B"} if text is None else {f"reasoning_in_{language.value}": text, "final_answer": "B"}
     return InferenceRecord(
         item_id=item_id,
         language=language,
         model_name=model,
-        prompt_hash=f"h-{item_id}",
+        prompt_hash=f"{prompt}-{item_id}",
         raw_output=json.dumps(raw, ensure_ascii=False),
         extracted_label="B" if status is RecordStatus.OK else None,
         status=status,
@@ -143,27 +143,36 @@ def verification_store(tmp_path):
     store.close()
 
 
+EN_FR = [Language.ENGLISH, Language.FRENCH]
+
+
+def verify(store, languages=EN_FR, item_ids=None):
+    """The verification rate of model "m" over the matrix of ``item_ids``
+    (by default every item ``store`` holds) in ``languages``."""
+    if item_ids is None:
+        item_ids = dict.fromkeys(record.item_id for record in store.records())
+    matrix = build_matrix(store, [make_item(i) for i in item_ids], "m", languages)
+    return pipeline.compute_verification_rate(store, matrix)
+
+
 def test_verification_rate_counts_only_ok_records_of_the_model_and_languages(verification_store):
     # q1 (other model), q2 (invalid output) and q3 (German, not requested) are
     # ignored; q4 (no reasoning key) and q5 (no detectable signal) are
     # undetectable; q6 is English text in a French cell; q7 matches.
-    rate, counts = pipeline.compute_verification_rate(
-        verification_store, "m", [Language.ENGLISH, Language.FRENCH]
-    )
+    rate, counts = verify(verification_store)
     assert counts == {"checked": 2, "matched": 1, "undetectable": 2}
     assert rate == 0.5
 
 
-def test_verification_rate_uses_the_given_detector(verification_store):
+def test_verification_rate_uses_the_given_detector(verification_store, monkeypatch):
     calls = []
 
     def always_french(text):
         calls.append(text)
         return Language.FRENCH
 
-    rate, counts = pipeline.compute_verification_rate(
-        verification_store, "m", [Language.ENGLISH, Language.FRENCH], detector=always_french
-    )
+    monkeypatch.setattr(pipeline, "detect_language", always_french)
+    rate, counts = verify(verification_store)
     assert sorted(calls) == sorted(["12345 67890 !!!", ENGLISH_TEXT, ENGLISH_TEXT])
     assert counts == {"checked": 3, "matched": 1, "undetectable": 1}
     assert rate == pytest.approx(1 / 3)
@@ -172,10 +181,21 @@ def test_verification_rate_uses_the_given_detector(verification_store):
 def test_verification_rate_is_none_when_nothing_is_checked(tmp_path):
     with RunStore(tmp_path / "store") as store:
         store.record(reasoning_record("q1", Language.ENGLISH, text=None))
-        assert pipeline.compute_verification_rate(store, "m", [Language.ENGLISH]) == (
-            None,
-            {"checked": 0, "matched": 0, "undetectable": 1},
-        )
+        assert verify(store, [Language.ENGLISH]) == (None, {"checked": 0, "matched": 0, "undetectable": 1})
+
+
+def test_verification_counts_the_record_each_matrix_cell_holds(tmp_path, detection_calls):
+    # q1 is stored under two prompt hashes, and q9 is an item the dataset no
+    # longer has: the matrix holds one ok cell, so verification checks one text.
+    with RunStore(tmp_path / "store") as store:
+        store.record(reasoning_record("q1", Language.ENGLISH))
+        store.record(reasoning_record("q1", Language.ENGLISH, FRENCH_TEXT, prompt="h2"))
+        store.record(reasoning_record("q9", Language.ENGLISH))
+        matrix = build_matrix(store, [make_item("q1")], "m", [Language.ENGLISH])
+        assert matrix_counts(matrix)["ok"] == 1
+        rate, counts = pipeline.compute_verification_rate(store, matrix)
+    assert (rate, counts) == (1.0, {"checked": 1, "matched": 1, "undetectable": 0})
+    assert detection_calls["detect_language"] == 1
 
 
 # --- The bundled detector's verdict cache (``<store>/verdicts.json``).
@@ -250,9 +270,9 @@ def test_second_evaluate_of_an_unchanged_run_detects_nothing(tmp_path, detection
 def test_cached_verdicts_count_as_a_fresh_detection_does(tmp_path):
     config = evaluate_run(tmp_path)
     with RunStore(pipeline.store_dir(config, "m")) as store:
-        uncached = pipeline.compute_verification_rate(store, "m", config.languages, detector=detect_language)
-        assert pipeline.compute_verification_rate(store, "m", config.languages) == uncached  # cold
-        assert pipeline.compute_verification_rate(store, "m", config.languages) == uncached  # warm
+        cold = verify(store, config.languages)
+        assert (store.directory / pipeline.VERDICTS_NAME).exists()
+        assert verify(store, config.languages) == cold == (1.0, {"checked": 12, "matched": 12, "undetectable": 0})
 
 
 def test_one_appended_record_costs_one_detection(tmp_path, detection_calls):
@@ -270,7 +290,7 @@ def test_one_appended_record_costs_one_detection(tmp_path, detection_calls):
 
 
 def test_sidecar_holds_one_verdict_per_distinct_output(verification_store):
-    pipeline.compute_verification_rate(verification_store, "m", [Language.ENGLISH, Language.FRENCH])
+    verify(verification_store)
     sidecar = json.loads((verification_store.directory / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
     outputs = {r.item_id: r.raw_output for r in verification_store.records()}
     # q4 has no reasoning text and q5 no detectable signal: both are null.
@@ -294,39 +314,23 @@ def test_sidecar_holds_one_verdict_per_distinct_output(verification_store):
     ],
 )
 def test_bad_or_stale_sidecar_is_ignored_and_rewritten(verification_store, detection_calls, caplog, content):
-    languages = [Language.ENGLISH, Language.FRENCH]
-    expected = pipeline.compute_verification_rate(verification_store, "m", languages)
+    expected = verify(verification_store)
     path = verification_store.directory / pipeline.VERDICTS_NAME
     good = path.read_bytes()
     path.write_bytes(good[: len(good) // 2] if content is None else content.encode("utf-8"))
 
     detection_calls.update(dict.fromkeys(detection_calls, 0))
-    assert pipeline.compute_verification_rate(verification_store, "m", languages) == expected
+    assert verify(verification_store) == expected
     assert detection_calls == {"detect_language": 3, "extract_reasoning_text": 4}
     assert path.read_bytes() == good
     assert "detecting again" in caplog.text
-
-
-def test_custom_detector_never_touches_the_sidecar(verification_store):
-    calls = []
-
-    def always_french(text):
-        calls.append(text)
-        return Language.FRENCH
-
-    for _ in range(2):
-        pipeline.compute_verification_rate(
-            verification_store, "m", [Language.ENGLISH, Language.FRENCH], detector=always_french
-        )
-    assert len(calls) == 2 * 3
-    assert not (verification_store.directory / pipeline.VERDICTS_NAME).exists()
 
 
 def test_output_with_a_lone_surrogate_gets_a_verdict(tmp_path):
     record = reasoning_record("q1", Language.ENGLISH, ENGLISH_TEXT + " \ud800")
     with RunStore(tmp_path / "store") as store:
         store.record(record)
-        rate, counts = pipeline.compute_verification_rate(store, "m", [Language.ENGLISH])
+        rate, counts = verify(store, [Language.ENGLISH])
     assert (rate, counts) == (1.0, {"checked": 1, "matched": 1, "undetectable": 0})
     sidecar = json.loads((tmp_path / "store" / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
     assert sidecar["verdicts"] == {digest(record.raw_output): "en"}

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from langselect.report import (
     emit,
     language_distribution,
     quantize,
-    report_from_json,
 )
 from langselect.selectors import ItemOutcome, SelectorOutcome, Strategy, evaluate, train_global_language
 
@@ -93,16 +93,18 @@ class TestClusterHeatmap:
     def test_one_row_per_cluster_canonical_columns(self):
         rows = cluster_heatmap(model_for_heatmap(k=12))
         assert len(rows) == 12
-        assert [r.cluster_id for r in rows] == list(range(12))
-        assert list(rows[0].accuracy) == ["en", "hi", "es"]
+        assert [r["cluster_id"] for r in rows] == list(range(12))
+        accuracy = {"en": 0.25, "hi": 0.5, "es": 0.1}
+        assert rows[0] == {"cluster_id": 0, "expert": "hi", "member_count": 10, "accuracy": accuracy}
+        assert "member_count,acc_en,acc_hi,acc_es\n" in emit(sample_report(), "csv").decode()
 
     def test_k1_single_row(self):
         rows = cluster_heatmap(model_for_heatmap(k=1))
         assert len(rows) == 1
-        assert rows[0].member_count == 10
+        assert rows[0]["member_count"] == 10
 
 
-def sample_report(verification_rate=0.969):
+def sample_report(verification_rate=0.969, sweep_ks=(12,)):
     outcomes = {
         Strategy.ONLY_ENGLISH: outcome_of(Strategy.ONLY_ENGLISH, [1, 0, 0]),
         Strategy.ORACLE: outcome_of(Strategy.ORACLE, [1, 1, 0], language=HI),
@@ -114,7 +116,7 @@ def sample_report(verification_rate=0.969):
         outcomes,
         global_language_choice=ES,
         cluster_model=model_for_heatmap(),
-        cluster_size_sweep={12: outcomes[Strategy.ORACLE]},
+        cluster_size_sweep={k: outcomes[Strategy.ORACLE] for k in sweep_ks},
         verification_rate=verification_rate,
         config_snapshot={"note": "fixture"},
     )
@@ -126,7 +128,7 @@ class TestBuildAndEmit:
         first = emit(report, "json")
         second = emit(report, "json")
         assert first == second
-        assert report_from_json(first) == report
+        assert json.loads(first) == report
 
     def test_emit_csv_and_markdown_deterministic(self):
         report = sample_report()
@@ -136,7 +138,7 @@ class TestBuildAndEmit:
     def test_markdown_has_row_per_strategy(self):
         report = sample_report()
         text = emit(report, "markdown").decode()
-        for strategy in report.accuracy_by_strategy:
+        for strategy in report["accuracy_by_strategy"]:
             assert f"| {strategy}" in text
 
     def test_csv_sections(self):
@@ -145,14 +147,37 @@ class TestBuildAndEmit:
         assert "cluster_size_sweep,12," in text
         assert "verification_rate,0.9690" in text
 
+    def test_display_order_does_not_depend_on_key_order(self):
+        report = sample_report(sweep_ks=(12, 3))
+
+        def reversed_keys(value):
+            if isinstance(value, dict):
+                return {k: reversed_keys(v) for k, v in reversed(value.items())}
+            if isinstance(value, list):
+                return [reversed_keys(v) for v in value]
+            return value
+
+        shuffled = reversed_keys(report)
+        for fmt in ("csv", "markdown"):
+            assert emit(shuffled, fmt) == emit(report, fmt)
+            assert emit(json.loads(emit(report, "json")), fmt) == emit(report, fmt)
+        text = emit(shuffled, "csv").decode()
+        strategies = [line.split(",")[1] for line in text.splitlines() if line.startswith("accuracy,")]
+        assert strategies == ["only_english", "global_language", "oracle"]
+        assert "section,cluster_id,expert,member_count,acc_en,acc_hi,acc_es\n" in text
+        assert text.index("cluster_size_sweep,3,") < text.index("cluster_size_sweep,12,")
+        markdown = emit(shuffled, "markdown").decode()
+        assert "| strategy | en | es | hi |\n" in markdown  # alphabetical, unlike the heatmap
+        assert "| cluster | expert | members | en | hi | es |\n" in markdown
+
     def test_unknown_format_rejected(self):
         with pytest.raises(ReportError):
             emit(sample_report(), "yaml")
 
     def test_accuracies_quantized_to_4_decimals(self):
         report = sample_report()
-        assert report.accuracy_by_strategy["oracle"] == 0.6667
-        assert report.accuracy_by_strategy["only_english"] == 0.3333
+        assert report["accuracy_by_strategy"]["oracle"] == 0.6667
+        assert report["accuracy_by_strategy"]["only_english"] == 0.3333
 
     def test_oracle_dominance_hard_fails(self):
         outcomes = {
@@ -200,7 +225,6 @@ def test_report_from_evaluated_matrix_end_to_end(m1):
         Strategy.ORACLE: evaluate(Strategy.ORACLE, items, matrix),
     }
     report = build_report("custom", "test", outcomes, global_language_choice=EN)
-    assert report.accuracy_by_strategy["oracle"] == 0.6667
-    assert report.accuracy_by_strategy["majority"] == 0.3333
-    parsed = report_from_json(emit(report, "json"))
-    assert parsed == report
+    assert report["accuracy_by_strategy"]["oracle"] == 0.6667
+    assert report["accuracy_by_strategy"]["majority"] == 0.3333
+    assert json.loads(emit(report, "json")) == report
