@@ -11,9 +11,12 @@ monotone in cosine distance on the sphere while keeping centroid means exact.
 They are expanded as ||x||^2 + ||c||^2 - 2 x.c and clamped at 0, so memory
 stays O(n*k + n*d) at embedding widths of 768-3072.
 
-Persisted vectors (the embedding cache and cluster centroids) are stored as
-base64 of their little-endian float64 bytes: exact, about half the size of
-the same floats as JSON text, and a small fraction of its encode and parse time.
+Persisted vectors (the embedding cache, cluster centroids and stored k-means
+fits) are stored as base64 of their little-endian float64 bytes: exact, about
+half the size of the same floats as JSON text, and a small fraction of its
+encode and parse time. A fit depends only on the train array, k and the seeds,
+never on the response matrix, so ``KMeansFits`` keeps each one for the next
+``evaluate`` of the same split.
 """
 
 from __future__ import annotations
@@ -25,19 +28,26 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .datasets import McqItem
 from .gateway import GatewayError, ModelEndpoint, embed_texts
 from .languages import Language, canonical_index
-from .store import ResponseMatrix
+from .store import ResponseMatrix, write_atomic
 
 logger = logging.getLogger(__name__)
 
 _MOVE_TOL = 1e-6
 _MAX_ITER = 100
+_INIT_BLOCK_BYTES = 256 * 1024
+
+# Names the code that turns a train array, k and seeds into centroids; a stored
+# fit is reused only under the same version. Bump it with every change to
+# what a fit computes: tests/test_clustering.py pins it to that code.
+FIT_VERSION = 1
+FITS_NAME = "kmeans_fits.json"
 
 
 class ClusteringError(RuntimeError):
@@ -153,9 +163,24 @@ def embed_items(items: Sequence[McqItem], endpoint: ModelEndpoint, *, backoff: f
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    n = X.shape[0]
+    """k-means++ seeding. Each step's squared distances, ``((X - x) ** 2).sum(axis=1)``
+    bit for bit, are computed in row blocks of about 256 KB through one reused
+    buffer, so no (n, d) temporary is made."""
+    n, d = X.shape
+    rows = max(1, _INIT_BLOCK_BYTES // (8 * d))
+    buffer = np.empty((min(rows, n), d))
+    step = np.empty(n)
+
+    def distances_to(x: np.ndarray) -> np.ndarray:
+        for start in range(0, n, rows):
+            block = buffer[: min(rows, n - start)]
+            np.subtract(X[start : start + rows], x, out=block)
+            np.square(block, out=block)
+            block.sum(axis=1, out=step[start : start + len(block)])
+        return step
+
     chosen: list[int] = [int(rng.integers(n))]
-    closest = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+    closest = distances_to(X[chosen[0]]).copy()
     while len(chosen) < k:
         total = float(closest.sum())
         if total <= 0.0:
@@ -166,7 +191,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
         else:
             idx = int(rng.choice(n, p=closest / total))
         chosen.append(idx)
-        closest = np.minimum(closest, ((X - X[idx]) ** 2).sum(axis=1))
+        np.minimum(closest, distances_to(X[idx]), out=closest)
     return X[np.asarray(chosen)].copy()
 
 
@@ -203,12 +228,14 @@ def _repair_empty_clusters(labels: np.ndarray, d2: np.ndarray, k: int) -> np.nda
     return labels
 
 
-def kmeans_fit(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
+def kmeans_fit(vectors: np.ndarray, k: int, seed: int, *, normalized: bool = False) -> np.ndarray:
     """Seeded spherical k-means; returns (k, d) unit centroids.
 
     Deterministic given (row order, k, seed). Stops after 100 iterations or
     once the largest centroid movement drops below 1e-6. Within-cluster
-    inertia is checked to be non-increasing every iteration.
+    inertia is checked to be non-increasing every iteration. ``normalized``
+    says the rows are already what ``_normalize_rows`` returns, so they are
+    used as given instead of copied.
     """
     X = np.asarray(vectors, dtype=np.float64)
     if X.ndim != 2:
@@ -218,7 +245,8 @@ def kmeans_fit(vectors: np.ndarray, k: int, seed: int) -> np.ndarray:
         raise ClusteringError("k must be >= 1")
     if k > n:
         raise ClusteringError(f"k={k} exceeds the {n} available vectors")
-    X = _normalize_rows(X, "input vector")
+    if not normalized:
+        X = _normalize_rows(X, "input vector")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(X, k, rng)
     previous_inertia = np.inf
@@ -312,19 +340,113 @@ class ClusterModel:
         )
 
 
-def train_lsk(
-    vectors: Mapping[str, np.ndarray],
-    train_matrix: ResponseMatrix,
-    k: int,
-    seed: int,
-) -> ClusterModel:
-    """Fit clusters over the training vectors and pick each cluster's expert."""
+def _fit_key(X: np.ndarray, k: int, seeds: Iterable[int]) -> str:
+    """sha256 naming a fit: ``FIT_VERSION``, numpy's version, k, the seed set,
+    and the shape and float64 bytes of the train array ``X``."""
+    header = json.dumps([FIT_VERSION, np.__version__, k, sorted(set(seeds)), list(X.shape)])
+    digest = hashlib.sha256(header.encode("ascii"))
+    digest.update(np.ascontiguousarray(X, dtype=_F8))
+    return digest.hexdigest()
+
+
+def _fit_centroids(fit: dict) -> np.ndarray:
+    shape = (int(fit["k"]), int(fit["dim"]))
+    return decode_f8(fit["centroids_f8"], shape[0] * shape[1]).reshape(shape)
+
+
+class KMeansFits:
+    """The k-means fits of one output directory, kept in ``kmeans_fits.json``.
+
+    Maps a ``_fit_key`` to the seed that won and its centroids. The file is
+    read once; a missing, unreadable or other-version file is ignored, so
+    every fit is made again. ``save`` rewrites it only when something was
+    fitted, with the fits used since it was read.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._fits = self._read()
+        self._used: set[str] = set()
+        self._fitted = False
+
+    def _read(self) -> dict[str, tuple[int, np.ndarray]]:
+        if not self.path.exists():
+            logger.debug("%s: no k-means fits yet", self.path)
+            return {}
+        try:
+            payload = json.loads(self.path.read_bytes())
+            version, fits = payload["version"], payload["fits"]
+            if version != FIT_VERSION:
+                logger.warning("%s: fits of version %r, not %r; fitting again", self.path, version, FIT_VERSION)
+                return {}
+            return {key: (int(fit["seed"]), _fit_centroids(fit)) for key, fit in fits.items()}
+        except (ClusteringError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            logger.warning("%s: unreadable (%s); fitting again", self.path, exc)
+            return {}
+
+    def get_or_fit(self, key: str, fit: Callable[[], tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
+        """The (seed, centroids) stored under ``key``, else ``fit()``'s, stored."""
+        if key not in self._fits:
+            self._fits[key] = fit()
+            self._fitted = True
+        self._used.add(key)
+        return self._fits[key]
+
+    def save(self) -> None:
+        if not self._fitted:
+            return
+        fits = {}
+        for key in sorted(self._used):
+            seed, centroids = self._fits[key]
+            k, dim = centroids.shape
+            fits[key] = {"k": k, "dim": dim, "seed": int(seed), "centroids_f8": encode_f8(centroids)}
+        write_atomic(self.path, (json.dumps({"version": FIT_VERSION, "fits": fits}, indent=1) + "\n").encode("ascii"))
+
+
+def _train_array(vectors: Mapping[str, np.ndarray], train_matrix: ResponseMatrix) -> np.ndarray:
     missing = [i for i in train_matrix.items if i not in vectors]
     if missing:
         raise ClusteringError(f"train items without embeddings: {missing[:5]}")
-    X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in train_matrix.items])
-    centroids = kmeans_fit(X, k, seed)
-    d2 = _squared_distances(_normalize_rows(X, "input vector"), centroids)
+    return np.stack([np.asarray(vectors[i], dtype=np.float64) for i in train_matrix.items])
+
+
+def _best_fit(X: np.ndarray, unit: np.ndarray, k: int, seeds: Sequence[int]) -> tuple[int, np.ndarray]:
+    """(seed, centroids) of the lowest inertia on ``X``; ties go to the lowest seed."""
+    best: tuple[float, int, np.ndarray] | None = None
+    for seed in seeds:
+        centroids = kmeans_fit(unit, k, seed, normalized=True)
+        score = inertia(X, centroids)
+        if best is None or score < best[0] - 1e-12:
+            best = (score, seed, centroids)
+    return best[1], best[2]
+
+
+def train_lsk_best(
+    vectors: Mapping[str, np.ndarray],
+    train_matrix: ResponseMatrix,
+    k: int,
+    seeds: Iterable[int],
+    *,
+    fits: KMeansFits | None = None,
+) -> ClusterModel:
+    """Fit clusters over the training vectors and pick each cluster's expert.
+
+    Of several seeds, the fit of lowest inertia wins; ties resolve to the
+    lowest seed. With ``fits``, a fit of the same train array, k and seed set
+    is taken from it instead of made again. Only the seed and centroids are
+    reused: the experts, accuracies and member counts always come from
+    ``train_matrix``.
+    """
+    seed_set = sorted(set(seeds))
+    if not seed_set:
+        raise ClusteringError("no seeds supplied")
+    X = _train_array(vectors, train_matrix)
+    unit = _normalize_rows(X, "input vector")
+    if fits is None:
+        seed, centroids = _best_fit(X, unit, k, seed_set)
+    else:
+        seed, centroids = fits.get_or_fit(_fit_key(X, k, seed_set), lambda: _best_fit(X, unit, k, seed_set))
+    d2 = _squared_distances(unit, centroids)
     labels = _repair_empty_clusters(d2.argmin(axis=1), d2, k)
 
     languages = train_matrix.languages
@@ -351,23 +473,14 @@ def train_lsk(
     )
 
 
-def train_lsk_best(
+def train_lsk(
     vectors: Mapping[str, np.ndarray],
     train_matrix: ResponseMatrix,
     k: int,
-    seeds: Iterable[int],
+    seed: int,
 ) -> ClusterModel:
-    """Best-of-inertia over several seeds; ties resolve to the lowest seed."""
-    best: tuple[float, int, ClusterModel] | None = None
-    X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in train_matrix.items])
-    for seed in sorted(set(seeds)):
-        model = train_lsk(vectors, train_matrix, k, seed)
-        score = inertia(X, model.centroids)
-        if best is None or score < best[0] - 1e-12:
-            best = (score, seed, model)
-    if best is None:
-        raise ClusteringError("no seeds supplied")
-    return best[2]
+    """``train_lsk_best`` with the one seed."""
+    return train_lsk_best(vectors, train_matrix, k, [seed])
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,10 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .clustering import (
+    FITS_NAME,
     ClusterModel,
     EmbeddingCache,
+    KMeansFits,
     LskRouter,
     assign_many,
     embed_items,
@@ -661,6 +663,19 @@ class Evaluation:
         return {"accuracy_by_strategy": report["accuracy_by_strategy"], "report_dir": str(out_dir)}
 
 
+def _check_fit_parameters(ks: Sequence[int], seeds: Sequence[int], n_train: int) -> None:
+    """Refuse a k-means sweep that cannot run: no k or seed, a k outside
+    1 .. ``n_train``, or a negative seed."""
+    if not ks or not seeds:
+        raise ConfigError("at least one k and one k-means seed are required")
+    bad_ks = [k for k in ks if not 1 <= k <= n_train]
+    if bad_ks:
+        raise ConfigError(f"k must be between 1 and the {n_train} train items, got {bad_ks}")
+    bad_seeds = [s for s in seeds if s < 0]
+    if bad_seeds:
+        raise ConfigError(f"k-means seeds must be non-negative, got {bad_seeds}")
+
+
 def evaluate_all(
     output_dir: Path,
     matrix: ResponseMatrix,
@@ -676,7 +691,8 @@ def evaluate_all(
 
     Each optional strategy gets its state or, as a string, the reason it is
     skipped. The global-language choice and one cluster model per k are written
-    to ``output_dir``; the model of the first k is the one reported.
+    to ``output_dir``; the model of the first k is the one reported. k-means
+    fits are reused from, and kept in, ``output_dir``'s ``kmeans_fits.json``.
     """
     train_matrix = matrix.subset([i.item_id for i in train])
     test_matrix = matrix.subset([i.item_id for i in test])
@@ -706,14 +722,16 @@ def evaluate_all(
     if isinstance(vectors, str):
         ev.skipped["lsk_extractor"] = vectors
         return ev
+    fits = KMeansFits(output_dir / FITS_NAME)
     for k in ks:
-        model = train_lsk_best(vectors, train_matrix, k, seeds)
+        model = train_lsk_best(vectors, train_matrix, k, seeds, fits=fits)
         ev.sweep[k] = evaluate(
             Strategy.LSK_EXTRACTOR, test, test_matrix, state=LskRouter(model=model, vectors=vectors)
         )
         write_atomic(output_dir / f"cluster_model_k{k}.json", (model.to_json() + "\n").encode("utf-8"))
         if ev.cluster_model is None:
             ev.cluster_model = model
+    fits.save()
     ev.outcomes[Strategy.LSK_EXTRACTOR] = ev.sweep[ks[0]]
     return ev
 
@@ -729,6 +747,7 @@ def run_evaluate(
     train, test = split_items(config, items)
     ks = list(k_list) if k_list else list(config.k_list)
     fit_seeds = list(seeds) if seeds else list(config.seeds)
+    _check_fit_parameters(ks, fit_seeds, len(train))
 
     with run_lock(config.output_dir):
         store = RunStore(store_dir(config, model_name))
@@ -830,14 +849,19 @@ def run_simulate(
     the same formats the live pipeline uses, then the matrix is rebuilt from
     the store and every strategy is evaluated against it. The LLM-selected
     stand-in is a seeded uniform-random language choice per test item; the
-    country strategy routes through the planted cluster-to-expert map. The
-    store is filled first, so an output directory holding another spec's run
-    is refused before anything in it is written.
+    country strategy routes through the planted cluster-to-expert map. Bad k
+    or seed values are refused first, and the store is filled next, so an
+    output directory holding another spec's run is refused before anything
+    in it is written.
     """
     spec_payload = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     spec = SyntheticSpec.from_dict(spec_payload)
     data = generate(spec)
     summary: dict = {"stage": "simulate", "n_items": spec.n_items, "k_true": spec.k_true}
+    n_test = test_count if test_count is not None else max(1, spec.n_items // 6)
+    n_train = train_count if train_count is not None else spec.n_items - n_test
+    ks = list(k_list) if k_list else [spec.k_true]
+    _check_fit_parameters(ks, seeds, n_train)
 
     with run_lock(output_dir):
         with _synthetic_store(output_dir / "store" / f"custom__{SYNTHETIC_MODEL_NAME}", data, spec_payload) as store:
@@ -850,10 +874,7 @@ def run_simulate(
             cache.put(item_embedding_key(item), item.item_id, data.vectors[item.item_id])
         cache.save()
 
-        n_test = test_count if test_count is not None else max(1, spec.n_items // 6)
-        n_train = train_count if train_count is not None else spec.n_items - n_test
         train, test = split(data.items, SplitSpec(seed=spec.seed, train_count=n_train, test_count=n_test))
-        ks = list(k_list) if k_list else [spec.k_true]
         country_map = CountryMap.from_entries({f"cluster-{c}": e for c, e in enumerate(data.experts)})
         rng = random.Random(spec.seed ^ 0x5E1EC7)
         llm_choices = {i.item_id: rng.choice(list(matrix.languages)) for i in test}

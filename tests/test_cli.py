@@ -548,6 +548,40 @@ class TestCliInterface:
         assert csv.index("cluster_size_sweep,3,") < csv.index("cluster_size_sweep,12,")
         assert "section,cluster_id,expert,member_count,acc_en,acc_ar,acc_zh,acc_fr\n" in csv
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(["--k", "3,0"], "k must be between 1 and the 50 train items, got [0]", id="k-0"),
+            pytest.param(["--k", "51"], "got [51]", id="k-above-train-count"),
+            pytest.param(["--seed=-1"], "k-means seeds must be non-negative, got [-1]", id="negative-seed"),
+        ],
+    )
+    def test_simulate_refuses_bad_k_or_seed_before_writing(self, tmp_path, args, message):
+        spec = TestSimulateStage().write_spec(tmp_path)  # 60 items: 50 train, 10 test
+        out = tmp_path / "sim"
+        result = CliRunner().invoke(main, ["simulate", "--spec", str(spec), "--output", str(out), *args])
+        assert result.exit_code == 2, result.output
+        assert message in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, k_list",
+        [
+            pytest.param(["--k", "0"], [2], id="flag-k-0"),
+            pytest.param(["--seed", "0,-2"], [2], id="flag-negative-seed"),
+            pytest.param([], [2, 7], id="config-k-above-train-count"),
+        ],
+    )
+    def test_evaluate_refuses_bad_k_or_seed_before_writing(self, tmp_path, pipeline_stub, args, k_list):
+        config_path = write_pipeline_config(tmp_path, pipeline_stub, n_items=8, k_list=k_list)  # 6 train items
+        result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path), *args])
+        assert result.exit_code == 2, result.output
+        assert "configuration error" in result.output
+        out = tmp_path / "out"
+        assert not (out / "global_choice.json").exists()
+        assert not (out / "reports").exists()
+        assert not list(out.glob("cluster_model_k*.json"))
+
     def test_missing_config_file(self):
         runner = CliRunner()
         result = runner.invoke(main, ["evaluate", "--config", "/nonexistent.json"])

@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -196,6 +198,39 @@ class TestKmeansFit:
             tracemalloc.stop()
         assert peak < 4 * X.nbytes, (peak, X.nbytes)
 
+    @pytest.mark.parametrize(
+        "n, d, k, duplicates",
+        [
+            (300, 768, 24, False),  # 42-row blocks: eight blocks a step, the last partial
+            (41, 5, 41, True),  # one block; duplicates exhaust the mass before k
+            (5, 40_000, 3, False),  # wider than a block: one row at a time
+            (200, 64, 12, True),
+        ],
+    )
+    def test_init_equals_the_unblocked_formula(self, n, d, k, duplicates):
+        def reference_pp_init(X, k, rng):
+            n = X.shape[0]
+            chosen = [int(rng.integers(n))]
+            closest = ((X - X[chosen[0]]) ** 2).sum(axis=1)
+            while len(chosen) < k:
+                total = float(closest.sum())
+                if total <= 0.0:
+                    remaining = np.setdiff1d(np.arange(n), np.asarray(chosen))
+                    idx = int(rng.choice(remaining))
+                else:
+                    idx = int(rng.choice(n, p=closest / total))
+                chosen.append(idx)
+                closest = np.minimum(closest, ((X - X[idx]) ** 2).sum(axis=1))
+            return X[np.asarray(chosen)].copy()
+
+        rng = np.random.default_rng(n + d)
+        X = unit_rows(rng.normal(size=(n, d)))
+        if duplicates:
+            X[rng.integers(n, size=n - 3)] = X[0]
+        for seed in range(3):
+            blocked = clustering._kmeans_pp_init(X, k, np.random.default_rng(seed))
+            assert blocked.tobytes() == reference_pp_init(X, k, np.random.default_rng(seed)).tobytes()
+
 
 class TestAssign:
     def test_exact_centroid_match(self):
@@ -335,6 +370,23 @@ class TestTrainLsk:
         for s in range(6):
             single = train_lsk(vectors, matrix, k=4, seed=s)
             assert best_inertia <= inertia(X, single.centroids) + 1e-9
+
+    def test_best_of_seeds_peaks_near_two_copies_of_the_train_array(self):
+        # The train array and its unit rows, plus O(n*k) and one cluster's
+        # members: stacking or normalizing it again, or an (n, d) temporary
+        # per k-means++ step, would each add a whole copy.
+        n, d = 2000, 256
+        items = [f"q{i}" for i in range(n)]
+        matrix = make_matrix({i: {EN: True, ES: False} for i in items})[1]
+        rng = np.random.default_rng(15)
+        vectors = {i: rng.normal(size=d) for i in items}
+        tracemalloc.start()
+        try:
+            train_lsk_best(vectors, matrix, 8, [0, 1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * n * d * 8, (peak, n * d * 8)
 
 
 class TestLskRouting:
@@ -517,3 +569,25 @@ class TestEmbeddingCacheFile:
             tracemalloc.stop()
         assert len(loaded) == n
         assert peak < 2 * n * d * 8, (peak, n * d * 8)
+
+
+# Stored k-means fits (``KMeansFits``) are reused only under the FIT_VERSION
+# that made them. An edit of the code below changes this digest: bump
+# FIT_VERSION with it, so stale fits are made again, then update both.
+FIT_CODE = (
+    "_normalize_rows",
+    "_kmeans_pp_init",
+    "_squared_distances",
+    "_repair_empty_clusters",
+    "kmeans_fit",
+    "inertia",
+    "_best_fit",
+)
+PINNED_FIT = (1, "c43480057467e1aaeda9943f27b23c974a49b9ae46c769b20e8251474f4c4972")
+
+
+def test_fit_version_is_bumped_with_every_edit_of_the_fit_code():
+    parts = [inspect.getsource(getattr(clustering, name)) for name in FIT_CODE]
+    parts += [repr(clustering._MOVE_TOL), repr(clustering._MAX_ITER)]
+    digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
+    assert (clustering.FIT_VERSION, digest) == PINNED_FIT

@@ -6,10 +6,13 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from langselect import pipeline
+from langselect import clustering, pipeline
+from langselect.clustering import EmbeddingCache, item_embedding_key
 from langselect.config import load_config
 from langselect.datasets import save_dataset
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
@@ -334,3 +337,153 @@ def test_output_with_a_lone_surrogate_gets_a_verdict(tmp_path):
     assert (rate, counts) == (1.0, {"checked": 1, "matched": 1, "undetectable": 0})
     sidecar = json.loads((tmp_path / "store" / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
     assert sidecar["verdicts"] == {digest(record.raw_output): "en"}
+
+
+# --- Stored k-means fits (``<output>/kmeans_fits.json``).
+
+
+@pytest.fixture
+def fit_calls(monkeypatch):
+    """(k, seed) of every ``kmeans_fit`` call."""
+    calls = []
+    real = clustering.kmeans_fit
+
+    def counting(vectors, k, seed, **kwargs):
+        calls.append((k, seed))
+        return real(vectors, k, seed, **kwargs)
+
+    monkeypatch.setattr(clustering, "kmeans_fit", counting)
+    return calls
+
+
+def fit_run(tmp_path, leave_out=()):
+    """``evaluate_run`` over 16 items with random 8-d embeddings, k in {2, 3} and seeds {0, 1}."""
+    config = replace(evaluate_run(tmp_path, n_items=16, leave_out=leave_out), k_list=(2, 3), seeds=(0, 1))
+    rng = np.random.default_rng(0)
+    cache = EmbeddingCache(pipeline.embeddings_path(config))
+    for item in pipeline.load_items(config):
+        cache.put(item_embedding_key(item), item.item_id, rng.normal(size=8))
+    cache.save()
+    return config
+
+
+def fits_path(config):
+    return config.output_dir / clustering.FITS_NAME
+
+
+def stored_fits(config) -> dict:
+    return json.loads(fits_path(config).read_bytes())["fits"]
+
+
+def outputs(config) -> dict[str, bytes]:
+    """Every file ``evaluate`` writes from the matrix: reports, global choice, cluster models."""
+    out = config.output_dir
+    paths = [*out.glob("reports/report.*"), out / "global_choice.json", *out.glob("cluster_model_k*.json")]
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(paths)}
+
+
+def test_second_evaluate_of_an_unchanged_run_fits_nothing(tmp_path, fit_calls):
+    config = fit_run(tmp_path)
+    assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
+    assert sorted(fit_calls) == [(2, 0), (2, 1), (3, 0), (3, 1)]
+    fits = stored_fits(config)
+    assert sorted(fit["k"] for fit in fits.values()) == [2, 3]
+    inode = fits_path(config).stat().st_ino
+
+    fit_calls.clear()
+    assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
+    assert fit_calls == []
+    assert fits_path(config).stat().st_ino == inode  # not rewritten
+
+
+def test_cold_and_warm_evaluate_write_the_same_bytes(tmp_path, fit_calls):
+    config = fit_run(tmp_path)
+    pipeline.run_evaluate(config)
+    cold = outputs(config)
+    assert len(cold) == 6
+    pipeline.run_evaluate(config)
+    assert outputs(config) == cold
+
+    # A cold run after the warm one, as well.
+    fits_path(config).unlink()
+    fit_calls.clear()
+    pipeline.run_evaluate(config)
+    assert len(fit_calls) == 4
+    assert outputs(config) == cold
+
+
+def test_appended_records_reuse_every_fit_and_count_in_the_experts(tmp_path, fit_calls):
+    config = fit_run(tmp_path, leave_out={(f"q{i}", Language.FRENCH) for i in range(16)})
+    pipeline.run_evaluate(config)
+    before = outputs(config)
+    with RunStore(pipeline.store_dir(config, "m")) as store:
+        for i in range(16):
+            record = reasoning_record(f"q{i}", Language.FRENCH, f"{FRENCH_TEXT} q{i}")
+            store.record(record._replace(extracted_label="A"))
+
+    fit_calls.clear()
+    pipeline.run_evaluate(config)
+    assert fit_calls == []
+    warm = outputs(config)
+    assert warm["cluster_model_k2.json"] != before["cluster_model_k2.json"]  # French accuracies now counted
+    fits_path(config).unlink()
+    pipeline.run_evaluate(config)
+    assert outputs(config) == warm
+
+
+def change_embedding(part):
+    """A change of the embedding of one train (part 0) or test (part 1) item."""
+
+    def change(config):
+        item = pipeline.split_items(config, pipeline.load_items(config))[part][0]
+        cache = EmbeddingCache(pipeline.embeddings_path(config))
+        cache.put(item_embedding_key(item), item.item_id, np.arange(1.0, 9.0))
+        cache.save()
+        return config
+
+    return change
+
+
+@pytest.mark.parametrize(
+    "change, refits, kept_ks",
+    [
+        pytest.param(lambda c: replace(c, k_list=(2, 4)), [(4, 0), (4, 1)], [2, 4], id="k-list"),
+        pytest.param(lambda c: replace(c, seeds=(0, 2)), [(2, 0), (2, 2), (3, 0), (3, 2)], [2, 3], id="seed-set"),
+        pytest.param(
+            lambda c: replace(c, split=replace(c.split, seed=4)), [(2, 0), (2, 1), (3, 0), (3, 1)], [2, 3], id="split"
+        ),
+        pytest.param(change_embedding(0), [(2, 0), (2, 1), (3, 0), (3, 1)], [2, 3], id="train-embedding"),
+        pytest.param(change_embedding(1), [], [2, 3], id="test-embedding"),
+    ],
+)
+def test_a_changed_input_refits_only_the_fits_it_changes(tmp_path, fit_calls, change, refits, kept_ks):
+    config = fit_run(tmp_path)
+    pipeline.run_evaluate(config)
+    before = stored_fits(config)
+
+    fit_calls.clear()
+    config = change(config)
+    pipeline.run_evaluate(config)
+    assert sorted(fit_calls) == refits
+    after = stored_fits(config)
+    assert sorted(fit["k"] for fit in after.values()) == kept_ks
+    reused = set(after) & set(before)
+    assert len(reused) == len(kept_ks) - len({k for k, _ in refits})
+    assert all(after[key] == before[key] for key in reused)
+
+
+@pytest.mark.parametrize("stale", [False, True], ids=["truncated", "other-version"])
+def test_bad_or_stale_fits_are_ignored_and_rewritten(tmp_path, fit_calls, caplog, stale):
+    config = fit_run(tmp_path)
+    pipeline.run_evaluate(config)
+    expected = outputs(config)
+    good = fits_path(config).read_bytes()
+    other_version = json.dumps({"version": clustering.FIT_VERSION + 1, "fits": {}}).encode("ascii")
+    fits_path(config).write_bytes(other_version if stale else good[: len(good) // 2])
+
+    fit_calls.clear()
+    pipeline.run_evaluate(config)
+    assert len(fit_calls) == 4
+    assert "fitting again" in caplog.text
+    assert fits_path(config).read_bytes() == good
+    assert outputs(config) == expected
