@@ -28,7 +28,7 @@ import logging
 import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -403,11 +403,22 @@ class KMeansFits:
         write_atomic(self.path, (json.dumps({"version": FIT_VERSION, "fits": fits}, indent=1) + "\n").encode("ascii"))
 
 
-def _train_array(vectors: Mapping[str, np.ndarray], train_matrix: ResponseMatrix) -> np.ndarray:
-    missing = [i for i in train_matrix.items if i not in vectors]
+class TrainArray(NamedTuple):
+    """The train vectors of a k sweep, stacked and normalized once: ``X`` holds
+    the vectors of ``items`` as rows, in that order, and ``unit`` its unit rows."""
+
+    items: tuple[str, ...]
+    X: np.ndarray
+    unit: np.ndarray
+
+
+def train_array(vectors: Mapping[str, np.ndarray], items: Sequence[str]) -> TrainArray:
+    """The ``TrainArray`` of ``items``; every item needs a vector."""
+    missing = [i for i in items if i not in vectors]
     if missing:
         raise ClusteringError(f"train items without embeddings: {missing[:5]}")
-    return np.stack([np.asarray(vectors[i], dtype=np.float64) for i in train_matrix.items])
+    X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in items])
+    return TrainArray(tuple(items), X, _normalize_rows(X, "input vector"))
 
 
 def _best_fit(X: np.ndarray, unit: np.ndarray, k: int, seeds: Sequence[int]) -> tuple[int, np.ndarray]:
@@ -428,6 +439,7 @@ def train_lsk_best(
     seeds: Iterable[int],
     *,
     fits: KMeansFits | None = None,
+    train: TrainArray | None = None,
 ) -> ClusterModel:
     """Fit clusters over the training vectors and pick each cluster's expert.
 
@@ -435,13 +447,17 @@ def train_lsk_best(
     lowest seed. With ``fits``, a fit of the same train array, k and seed set
     is taken from it instead of made again. Only the seed and centroids are
     reused: the experts, accuracies and member counts always come from
-    ``train_matrix``.
+    ``train_matrix``. ``train``, the ``train_array`` of ``train_matrix``'s
+    items, saves stacking and normalizing the vectors again for each k.
     """
     seed_set = sorted(set(seeds))
     if not seed_set:
         raise ClusteringError("no seeds supplied")
-    X = _train_array(vectors, train_matrix)
-    unit = _normalize_rows(X, "input vector")
+    if train is None:
+        train = train_array(vectors, train_matrix.items)
+    elif train.items != train_matrix.items:
+        raise ClusteringError("the train array is not of the train matrix's items")
+    _, X, unit = train
     if fits is None:
         seed, centroids = _best_fit(X, unit, k, seed_set)
     else:

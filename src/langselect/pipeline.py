@@ -44,6 +44,7 @@ from .clustering import (
     assign_many,
     embed_items,
     item_embedding_key,
+    train_array,
     train_lsk_best,
 )
 from .config import ConfigError, RunConfig
@@ -72,11 +73,13 @@ from .selectors import (
     train_global_language,
 )
 from .store import (
+    STATUS_OK,
     InferenceRecord,
     RecordStatus,
     ResponseMatrix,
     RunStore,
     build_matrix,
+    decisive_rows,
     matrix_counts,
     missing_cells,
     read_manifest,
@@ -591,29 +594,26 @@ def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[
     verdicts_path = store.directory / VERDICTS_NAME
     verdicts = _load_verdicts(verdicts_path)
     detected = 0
-    items = set(matrix.items)
-    languages = set(matrix.languages)
-    counted: set[tuple[str, Language]] = set()
     checked = 0
     matched = 0
     skipped = 0
-    for record in store.records():
-        if record.model_name != matrix.model_name or record.status is not RecordStatus.OK:
+    rows, _ = decisive_rows(store, matrix.model_name, matrix.items, matrix.languages)
+    codes = [lang.value for lang in matrix.languages] * len(matrix.items)
+    statuses, outputs = store.statuses, store.outputs
+    for row, code in zip(rows, codes):
+        if row < 0 or statuses[row] != STATUS_OK:
             continue
-        cell = (record.item_id, record.language)
-        if record.item_id not in items or record.language not in languages or cell in counted:
-            continue
-        counted.add(cell)
-        digest = sha256(record.raw_output.encode("utf-8", "surrogatepass")).hexdigest()
+        raw_output = outputs[row]
+        digest = sha256(raw_output.encode("utf-8", "surrogatepass")).hexdigest()
         if digest not in verdicts:
-            verdicts[digest] = _verdict(record.raw_output)
+            verdicts[digest] = _verdict(raw_output)
             detected += 1
-        code = verdicts[digest]
-        if code is None:
+        verdict = verdicts[digest]
+        if verdict is None:
             skipped += 1
             continue
         checked += 1
-        if code == record.language.value:
+        if verdict == code:
             matched += 1
     if detected:
         payload = {"detector": DETECTOR_VERSION, "verdicts": verdicts}
@@ -723,15 +723,16 @@ def evaluate_all(
         ev.skipped["lsk_extractor"] = vectors
         return ev
     fits = KMeansFits(output_dir / FITS_NAME)
-    for k in ks:
-        model = train_lsk_best(vectors, train_matrix, k, seeds, fits=fits)
+    train_vectors = train_array(vectors, train_matrix.items)
+    models = {k: train_lsk_best(vectors, train_matrix, k, seeds, fits=fits, train=train_vectors) for k in ks}
+    del train_vectors  # two copies of the train array: not held while the models are scored and encoded
+    fits.save()
+    for k, model in models.items():
         ev.sweep[k] = evaluate(
             Strategy.LSK_EXTRACTOR, test, test_matrix, state=LskRouter(model=model, vectors=vectors)
         )
         write_atomic(output_dir / f"cluster_model_k{k}.json", (model.to_json() + "\n").encode("utf-8"))
-        if ev.cluster_model is None:
-            ev.cluster_model = model
-    fits.save()
+    ev.cluster_model = models[ks[0]]
     ev.outcomes[Strategy.LSK_EXTRACTOR] = ev.sweep[ks[0]]
     return ev
 
@@ -849,19 +850,23 @@ def run_simulate(
     the same formats the live pipeline uses, then the matrix is rebuilt from
     the store and every strategy is evaluated against it. The LLM-selected
     stand-in is a seeded uniform-random language choice per test item; the
-    country strategy routes through the planted cluster-to-expert map. Bad k
-    or seed values are refused first, and the store is filled next, so an
-    output directory holding another spec's run is refused before anything
-    in it is written.
+    country strategy routes through the planted cluster-to-expert map. Bad
+    split counts, k or seed values are refused first, and the store is filled
+    next, so an output directory holding another spec's run is refused before
+    anything in it is written.
     """
     spec_payload = json.loads(Path(spec_path).read_text(encoding="utf-8"))
     spec = SyntheticSpec.from_dict(spec_payload)
-    data = generate(spec)
-    summary: dict = {"stage": "simulate", "n_items": spec.n_items, "k_true": spec.k_true}
     n_test = test_count if test_count is not None else max(1, spec.n_items // 6)
     n_train = train_count if train_count is not None else spec.n_items - n_test
+    if n_train < 1 or n_test < 1:
+        raise ConfigError(f"train and test counts must be positive, got {n_train} and {n_test}")
+    if n_train + n_test > spec.n_items:
+        raise ConfigError(f"the split needs {n_train + n_test} items, the spec has {spec.n_items}")
     ks = list(k_list) if k_list else [spec.k_true]
     _check_fit_parameters(ks, seeds, n_train)
+    data = generate(spec)
+    summary: dict = {"stage": "simulate", "n_items": spec.n_items, "k_true": spec.k_true}
 
     with run_lock(output_dir):
         with _synthetic_store(output_dir / "store" / f"custom__{SYNTHETIC_MODEL_NAME}", data, spec_payload) as store:

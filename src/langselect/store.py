@@ -57,6 +57,13 @@ LABELS = string.ascii_uppercase  # an ok record's label is one of these: one byt
 _LABEL_SET = frozenset(LABELS)
 MISSING = ord(".")  # grid byte of a cell with no ok or invalid record
 INVALID = ord("!")  # grid byte of a cell whose first decisive record is invalid
+STATUSES = tuple(RecordStatus)  # a store row's status byte indexes this
+_STATUS_BYTE = {status._value_: byte for byte, status in enumerate(STATUSES)}
+STATUS_OK = _STATUS_BYTE[RecordStatus.OK._value_]
+STATUS_INVALID = _STATUS_BYTE[RecordStatus.INVALID_OUTPUT._value_]
+_LOAD_BLOCK = 1 << 16  # bytes of records.jsonl decoded at a time
+# The scanner json.loads runs: (value, end) of the JSON value at an index of a str.
+_scan = json.JSONDecoder().scan_once
 
 
 def write_atomic(path: Path, data: bytes) -> None:
@@ -187,7 +194,15 @@ class ResponseMatrix:
 
 
 class RunStore:
-    """Append-only JSONL store with first-write-wins idempotence per key."""
+    """Append-only JSONL store with first-write-wins idempotence per key.
+
+    The store holds an index of its records, not the records: ``key -> row``
+    and three columns by row, in write order. ``statuses[row]`` indexes
+    ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label,
+    or for one that is no letter A-Z, which only a non-ok record may carry)
+    and ``outputs[row]`` is the ``raw_output``. ``records()`` reads the full
+    records back from ``records.jsonl``.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
@@ -195,54 +210,112 @@ class RunStore:
         self.records_path = self.directory / "records.jsonl"
         self.manifest_path = self.directory / MANIFEST_NAME
         self._lock = threading.Lock()
-        self._by_key: dict[tuple[str, str, str, str], InferenceRecord] = {}
+        self._rows: dict[tuple[str, str, str, str], int] = {}
+        self.statuses = bytearray()
+        self.labels = bytearray()
+        self.outputs: list[str] = []
+        self._other_labels: dict[int, object] = {}  # row -> a label with byte 0 other than None
         self.conflicts = 0
         self._unsynced = 0
         self._fh = None
         self._good_offset = 0
+        self._needs_newline = False
         self._load()
 
     def _load(self) -> None:
-        """Index the records of ``records.jsonl``, read one line at a time."""
-        self._needs_newline = False
+        """Index ``records.jsonl``, decoding ``_LOAD_BLOCK`` bytes at a time and
+        scanning each line once. A line is indexed exactly when ``InferenceRecord.from_json``
+        accepts it: one the scan does not take whole, and each line of a block that is
+        not UTF-8, is checked by ``from_json`` alone. A bad final line is a torn write
+        and is dropped; a bad line before it is corruption."""
         if not self.records_path.exists():
             return
+        lineno = 0
         with self.records_path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            end = 0
-            for lineno, line in enumerate(fh, 1):
-                end += len(line)
-                if line.strip():
-                    try:
-                        record = InferenceRecord.from_json(line.decode("utf-8"))
-                    except Exception as exc:
-                        if end >= size:
-                            # Torn final line from an interrupted write; drop it.
-                            logger.warning("%s: dropping torn final line %d", self.records_path, lineno)
-                            return
-                        raise StoreError(f"{self.records_path}: line {lineno} corrupt: {exc}") from None
-                    self._remember(record)
-                    self._good_offset = end
-                    self._needs_newline = not line.endswith(b"\n")
-                elif line.endswith(b"\n"):
-                    self._good_offset = end
+            pending: list[bytes] = []  # the file after the last newline read
+            while chunk := fh.read(_LOAD_BLOCK):
+                cut = chunk.rfind(b"\n") + 1
+                if not cut:
+                    pending.append(chunk)
+                    continue
+                block = b"".join([*pending, chunk[:cut]])
+                pending = [chunk[cut:]]
+                kept = self._index_block(block, lineno, final=self._good_offset + len(block) >= size)
+                self._good_offset += kept
+                if kept < len(block):
+                    return
+                lineno += block.count(b"\n")
+        rest = b"".join(pending)
+        if rest.strip() and self._index_line(rest, lineno + 1, final=True):
+            self._good_offset = size
+            self._needs_newline = True
 
-    def _remember(self, record: InferenceRecord, append: bool = False) -> bool:
-        """Index ``record`` unless its key is stored (another output under it is a
-        conflict); with ``append`` only once its line is written to the file."""
-        key = record.key
-        existing = self._by_key.get(key)
-        if existing is not None:
-            if (existing.raw_output, existing.extracted_label, existing.status) != (
-                record.raw_output, record.extracted_label, record.status
-            ):
+    def _index_block(self, block: bytes, lineno: int, final: bool) -> int:
+        """Index the lines of ``block``, which ends in a newline and starts at line
+        ``lineno + 1``, and return how many of its bytes were kept: all, unless
+        its last line was dropped as a torn final line."""
+        try:
+            texts = block.decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            texts = [""] * (block.count(b"\n") + 1)  # "" fails the scan: each line is checked alone
+        texts.pop()  # the empty text after the block's final newline
+        lines = None
+        for i, text in enumerate(texts):
+            try:  # the fields and checks of InferenceRecord.from_json
+                data, end = _scan(text, 0)
+                status = _STATUS_BYTE[data["status"]]
+                label = data.get("extracted_label")
+                if end == len(text) and (status != STATUS_OK or label in _LABEL_SET):
+                    language = _LANGUAGE_BY_CODE[data["language"]]._value_
+                    key = (data["item_id"], language, data["model_name"], data["prompt_hash"])
+                    self._index(key, data["raw_output"], label, status)
+                    continue
+            except Exception:
+                pass  # checked alone below
+            if lines is None:
+                lines = block.split(b"\n")
+            if not self._index_line(lines[i] + b"\n", lineno + i + 1, final and i == len(texts) - 1):
+                return len(block) - len(lines[i]) - 1
+        return len(block)
+
+    def _index_line(self, line: bytes, lineno: int, final: bool) -> bool:
+        """Index one line as ``InferenceRecord.from_json`` reads it; False when it
+        is a torn final line, dropped. A blank line is skipped."""
+        if not line.strip():
+            return True
+        try:
+            record = InferenceRecord.from_json(line.decode("utf-8"))
+        except Exception as exc:
+            if final:
+                # Torn final line from an interrupted write; drop it.
+                logger.warning("%s: dropping torn final line %d", self.records_path, lineno)
+                return False
+            raise StoreError(f"{self.records_path}: line {lineno} corrupt: {exc}") from None
+        self._index(record.key, record.raw_output, record.extracted_label, _STATUS_BYTE[record.status._value_])
+        return True
+
+    def _index(self, key, raw_output: str, label, status: int, record: InferenceRecord | None = None) -> bool:
+        """Give ``key`` the next row unless it has one (another output under it is a
+        conflict); with ``record``, only once its line is written to the file."""
+        row = self._rows.get(key)
+        if row is not None:
+            stored_label = chr(self.labels[row]) if self.labels[row] else self._other_labels.get(row)
+            if (self.outputs[row], self.statuses[row], stored_label) != (raw_output, status, label):
                 self.conflicts += 1
             return False
-        if append:
+        byte = ord(label) if isinstance(label, str) and label in _LABEL_SET else 0
+        if record is not None:
             # backslashreplace acts only on a lone surrogate (json.loads of a reply
             # can yield one): its \uXXXX escape is JSON and reads back equal.
             self._open_for_append().write((record.to_json() + "\n").encode("utf-8", "backslashreplace"))
-        self._by_key[key] = record
+        row = len(self.outputs)
+        if not byte and label is not None:
+            self._other_labels[row] = label
+        self._rows[key] = row
+        self.statuses.append(status)
+        self.labels.append(byte)
+        self.outputs.append(raw_output)
         return True
 
     def _open_for_append(self):
@@ -269,7 +342,9 @@ class RunStore:
         with self._lock:
             try:
                 for record in records:
-                    written += self._remember(record, append=True)
+                    written += self._index(
+                        record.key, record.raw_output, record.extracted_label, _STATUS_BYTE[record.status._value_], record
+                    )
             finally:
                 if self._fh is not None:
                     self._fh.flush()
@@ -302,12 +377,28 @@ class RunStore:
         self.close()
 
     def __len__(self) -> int:
-        return len(self._by_key)
+        return len(self.outputs)
 
     def records(self) -> Iterator[InferenceRecord]:
-        """Stored records in write order: ``_by_key`` is first-write-wins and
-        never loses a key, so its insertion order is write order."""
-        return iter(list(self._by_key.values()))
+        """Stored records in write order, read back from ``records.jsonl``: the
+        first line of each stored key (a later line under it repeats or conflicts)."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.flush()
+            count = len(self.outputs)
+        if not count:
+            return
+        row = 0
+        with self.records_path.open("rb") as fh:
+            for line in fh:
+                if not line.strip():
+                    continue
+                record = InferenceRecord.from_json(line.decode("utf-8"))
+                if self._rows.get(record.key) == row:
+                    yield record
+                    row += 1
+                    if row == count:
+                        return
 
     def write_manifest(self, manifest: Mapping) -> None:
         payload = json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
@@ -343,25 +434,11 @@ def build_matrix(
     if len(gold) != len(items):
         raise StoreError("dataset has duplicate item ids")
 
-    row_of = {item_id: row for row, item_id in enumerate(items)}
-    col_of = {lang: col for col, lang in enumerate(langs)}
-    width = len(langs)
-    cells = bytearray([MISSING]) * (len(items) * width)
-    unknown_items: dict[str, None] = {}  # insertion-ordered: first-seen order
-    for record in store.records():
-        col = col_of.get(record.language)
-        if record.model_name != model_name or col is None:
-            continue
-        row = row_of.get(record.item_id)
-        if row is None:
-            unknown_items[record.item_id] = None
-            continue
-        at = row * width + col
-        if record.status is RecordStatus.OK:
-            if cells[at] in (MISSING, INVALID):
-                cells[at] = ord(record.extracted_label)
-        elif record.status is RecordStatus.INVALID_OUTPUT and cells[at] == MISSING:
-            cells[at] = INVALID
+    rows, unknown_items = decisive_rows(store, model_name, items, langs)
+    labels, statuses = store.labels, store.statuses
+    cells = bytes(
+        MISSING if row < 0 else labels[row] if statuses[row] == STATUS_OK else INVALID for row in rows
+    )
 
     warnings = tuple(f"store record for unknown item {item_id}" for item_id in unknown_items)
     if unknown_items:
@@ -373,10 +450,41 @@ def build_matrix(
         model_name=model_name,
         languages=langs,
         items=items,
-        cells=bytes(cells),
+        cells=cells,
         gold=gold,
         warnings=warnings,
     )
+
+
+def decisive_rows(
+    store: RunStore, model_name: str, items: Sequence[str], languages: Sequence[Language]
+) -> tuple[list[int], dict[str, None]]:
+    """The store row of the record each (item, language) cell holds, row-major
+    over ``items`` x ``languages``: the first-written ok record of ``model_name``,
+    else its first invalid_output record, else -1. Also the ids, in first-seen
+    order, of the model's records in ``languages`` whose item is not in ``items``."""
+    row_of = {item_id: at for at, item_id in enumerate(items)}
+    col_of = {lang._value_: col for col, lang in enumerate(languages)}
+    width = len(col_of)
+    rows = [-1] * (len(items) * width)
+    statuses = store.statuses
+    unknown_items: dict[str, None] = {}  # insertion-ordered: first-seen order
+    for (item_id, code, model, _), row in store._rows.items():
+        col = col_of.get(code)
+        if model != model_name or col is None:
+            continue
+        at = row_of.get(item_id)
+        if at is None:
+            unknown_items[item_id] = None
+            continue
+        at = at * width + col
+        status = statuses[row]
+        if status == STATUS_OK:
+            if rows[at] < 0 or statuses[rows[at]] != STATUS_OK:
+                rows[at] = row
+        elif status == STATUS_INVALID and rows[at] < 0:
+            rows[at] = row
+    return rows, unknown_items
 
 
 def missing_cells(matrix: ResponseMatrix) -> list[tuple[str, Language]]:
@@ -402,6 +510,7 @@ __all__ = [
     "RunStore",
     "StoreError",
     "build_matrix",
+    "decisive_rows",
     "matrix_counts",
     "missing_cells",
     "utc_now",

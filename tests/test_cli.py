@@ -565,6 +565,19 @@ class TestCliInterface:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            pytest.param(["--train-count", "100"], "the split needs 110 items, the spec has 60", id="train-too-many"),
+            pytest.param(["--train-count", "40", "--test-count", "21"], "needs 61 items, the spec has 60", id="sum"),
+            pytest.param(["--train-count", "0"], "counts must be positive, got 0 and 10", id="train-0"),
+            pytest.param(["--test-count", "0"], "counts must be positive, got 60 and 0", id="test-0"),
+            pytest.param(["--test-count=-3"], "counts must be positive, got 63 and -3", id="test-negative"),
+        ],
+    )
+    def test_simulate_refuses_bad_split_counts_before_writing(self, tmp_path, args, message):
+        self.test_simulate_refuses_bad_k_or_seed_before_writing(tmp_path, args, message)
+
+    @pytest.mark.parametrize(
         "args, k_list",
         [
             pytest.param(["--k", "0"], [2], id="flag-k-0"),

@@ -1,0 +1,301 @@
+"""Opening a run store, checked against a per-line reference.
+
+``RunStore`` indexes ``records.jsonl`` by decoding blocks of lines and running
+the JSON scanner once per line. ``reference_load`` below is the per-line
+reading it must agree with: ``json.loads`` of each line plus
+``InferenceRecord.from_json``'s field checks, first write wins, a bad final
+line dropped as torn and a bad earlier line refused.
+"""
+
+import io
+import json
+import random
+
+import pytest
+
+from langselect import store as store_module
+from langselect.languages import Language
+from langselect.store import InferenceRecord, RecordStatus, RunStore, StoreError
+
+EN, FR, ZH = Language.ENGLISH, Language.FRENCH, Language.CHINESE
+BLOCK_SIZES = [None, 1, 7, 100, 4096]  # None: the store's own block size
+
+
+def reference_load(data: bytes):
+    """(records in write order, conflicts, good offset, needs newline), or the
+    error text of the first corrupt line."""
+    by_key: dict = {}
+    conflicts = 0
+    good = 0
+    needs_newline = False
+    end = 0
+    for lineno, line in enumerate(io.BytesIO(data), 1):
+        end += len(line)
+        if not line.strip():
+            if line.endswith(b"\n"):
+                good = end
+            continue
+        try:
+            record = InferenceRecord.from_json(line.decode("utf-8"))
+        except Exception as exc:
+            if end >= len(data):
+                break
+            return f"line {lineno} corrupt: {exc}"
+        existing = by_key.setdefault(record.key, record)
+        if existing is not record and (existing.raw_output, existing.extracted_label, existing.status) != (
+            record.raw_output,
+            record.extracted_label,
+            record.status,
+        ):
+            conflicts += 1
+        good = end
+        needs_newline = not line.endswith(b"\n")
+    return list(by_key.values()), conflicts, good, needs_newline
+
+
+APPENDED = InferenceRecord("appended", EN, "m", "h-appended", "{}", "C", RecordStatus.OK, 1, "t")
+
+
+def assert_loads_like_reference(tmp_path, data: bytes, monkeypatch=None, block=None):
+    """Open a store over ``data`` and check it against ``reference_load``,
+    including where its next append lands."""
+    if block is not None:
+        monkeypatch.setattr(store_module, "_LOAD_BLOCK", block)
+    path = tmp_path / f"run-{block}"
+    path.mkdir(parents=True)
+    (path / "records.jsonl").write_bytes(data)
+    expected = reference_load(data)
+    if isinstance(expected, str):
+        with pytest.raises(StoreError) as refused:
+            RunStore(path)
+        assert str(refused.value) == f"{path / 'records.jsonl'}: {expected}"
+        return expected
+    records, conflicts, good, needs_newline = expected
+    with RunStore(path) as store:
+        assert len(store) == len(records)
+        assert list(store.records()) == records
+        assert store.conflicts == conflicts
+        assert store.record(APPENDED) is (APPENDED.key not in {r.key for r in records})
+    if APPENDED.key not in {r.key for r in records}:
+        tail = (b"\n" if needs_newline else b"") + APPENDED.to_json().encode() + b"\n"
+        assert (path / "records.jsonl").read_bytes() == data[:good] + tail
+    return expected
+
+
+TEXTS = [
+    "plain",
+    'say "A" \\ back\\slash',
+    "".join(map(chr, range(0x20))) + "\x7f",
+    "line para  \x85",
+    "non-BMP \U0001F600 \U0001D11E",
+    "lone \ud800 surrogate \udfff",
+    "",
+    "é ü 中文 العربية",
+    "{\"final_answer\": \"B\"}\n{}",
+]
+
+
+def random_records(rng: random.Random, n: int) -> list[InferenceRecord]:
+    """Records over a few keys, so that some repeat (equal or conflicting)."""
+    out = []
+    for _ in range(n):
+        status = rng.choice(list(RecordStatus))
+        label = rng.choice("ABCD") if status is RecordStatus.OK else rng.choice([None, None, "AB", "", "z"])
+        text = rng.choice(TEXTS) * rng.choice([1, 1, 3, 40])
+        out.append(
+            InferenceRecord(
+                item_id=f"q{rng.randrange(n)}",
+                language=rng.choice([EN, FR, ZH]),
+                model_name=rng.choice(["m", "m", "other"]),
+                prompt_hash=rng.choice(["h1", "h2"]),
+                raw_output=text,
+                extracted_label=label,
+                status=status,
+                attempt_count=rng.randrange(1, 4),
+                created_at="2026-01-01T00:00:00+00:00",
+            )
+        )
+    return out
+
+
+def lines_of(records) -> list[bytes]:
+    return [(r.to_json() + "\n").encode("utf-8", "backslashreplace") for r in records]
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_random_valid_stores_load_like_the_reference(tmp_path, monkeypatch, seed, block):
+    rng = random.Random(seed)
+    data = b"".join(lines_of(random_records(rng, rng.choice([1, 5, 60, 300]))))
+    records, _, _, _ = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+    assert records
+
+
+def test_a_line_longer_than_a_block_loads(tmp_path, monkeypatch):
+    long = InferenceRecord("q1", ZH, "m", "h", "中文" * 100_000, "A", RecordStatus.OK, 1, "t")
+    data = b"".join(lines_of([random_records(random.Random(0), 1)[0], long, long._replace(item_id="q2")]))
+    for block in (None, 4096):
+        assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+
+
+GOOD = lines_of(
+    [
+        InferenceRecord("q1", EN, "m", "h", '{"final_answer": "A"}', "A", RecordStatus.OK, 1, "t"),
+        InferenceRecord("q2", FR, "m", "h", "é", None, RecordStatus.INVALID_OUTPUT, 2, "t"),
+        InferenceRecord("q3", ZH, "m", "h", "中文 \ud800", "B", RecordStatus.OK, 1, "t"),
+        InferenceRecord("q4", EN, "m", "h", "", None, RecordStatus.TRANSPORT_ERROR, 3, "t"),
+    ]
+)
+TWO_OBJECTS = GOOD[0].rstrip(b"\n") + GOOD[1]
+SPLIT_OBJECT = GOOD[2].replace(b'", "', b'",\n "', 1)
+FIELDS = b'"item_id": "q9", "language": "en", "model_name": "m", "prompt_hash": "h", "raw_output": "x"'
+BAD_LINES = {
+    "two objects on one line": TWO_OBJECTS,
+    "two objects next to an object split over two lines": TWO_OBJECTS + SPLIT_OBJECT,
+    "an object split across two lines": SPLIT_OBJECT,
+    "an object split inside a string": GOOD[1].replace(b'"\xc3\xa9"', b'"\xc3\xa9\n"'),
+    "a byte order mark": b"\xef\xbb\xbf" + GOOD[3],
+    "invalid UTF-8": GOOD[1].replace(b"\xc3\xa9", b"\xc3"),
+    "a UTF-8 encoded surrogate": GOOD[1].replace(b"\xc3\xa9", b"\xed\xa0\x80"),
+    "a vertical tab around the object": b"\x0b" + GOOD[3],
+    "an ok label of two letters": GOOD[0].replace(b'"extracted_label": "A"', b'"extracted_label": "AB"'),
+    "an ok label in lower case": GOOD[0].replace(b'"extracted_label": "A"', b'"extracted_label": "a"'),
+    "an ok record without a label": GOOD[0].replace(b'"extracted_label": "A"', b'"extracted_label": null'),
+    "an unknown status": GOOD[1].replace(b'"invalid_output"', b'"done"'),
+    "an unknown language": GOOD[1].replace(b'"language": "fr"', b'"language": "xx"'),
+    "a missing field": b"{" + FIELDS.replace(b', "raw_output": "x"', b"") + b', "status": "transport_error"}\n',
+    "a list": b"[" + GOOD[3].rstrip(b"\n") + b"]\n",
+    "a string": b'"q1"\n',
+    "a number": b"1\n",
+    "a half object": GOOD[0][:40] + b"\n",
+}
+ACCEPTED_LINES = {
+    "leading and trailing spaces, tabs and CR": b" \t" + GOOD[0].rstrip(b"\n") + b" \r\t\r\n",
+    "CR LF": GOOD[1].rstrip(b"\n") + b"\r\n",
+    "a blank line": b"\n",
+    "a line of whitespace": b" \t\r\x0b\x0c\n",
+    # from_json checks neither the attempt count nor a non-ok record's label
+    "a NaN attempt count and a list label": b"{"
+    + FIELDS
+    + b', "extracted_label": [1], "status": "invalid_output", "attempt_count": NaN}\n',
+    "a conflicting output under a stored key": GOOD[0].replace(b'"raw_output": "{', b'"raw_output": "x{'),
+    "a conflicting label under a stored key": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": "AB"'),
+    "a repeat of a stored line": GOOD[1],
+    "a lone surrogate escape": GOOD[1].replace(b'"\xc3\xa9"', b'"\\udc80 \\ud83d"'),
+}
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("name", sorted(BAD_LINES))
+def test_a_bad_middle_line_is_refused_with_its_number(tmp_path, monkeypatch, name, block):
+    data = b"".join(GOOD[:2]) + BAD_LINES[name] + b"".join(GOOD[2:])
+    error = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+    assert error.startswith("line 3 corrupt: ")
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("name", sorted(BAD_LINES))
+def test_a_bad_final_line_is_dropped_as_torn(tmp_path, monkeypatch, name, block):
+    data = b"".join(GOOD) + BAD_LINES[name]
+    outcome = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+    if BAD_LINES[name].count(b"\n") > 1:  # a bad line before the final one
+        assert outcome.startswith("line 5 corrupt: ")
+    else:
+        records, _, good, needs_newline = outcome
+        assert len(records) == 4 and good == len(b"".join(GOOD)) and not needs_newline
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("name", sorted(ACCEPTED_LINES))
+def test_lines_json_loads_accepts_are_indexed(tmp_path, monkeypatch, name, block):
+    for n, data in enumerate(
+        (
+            b"".join(GOOD[:2]) + ACCEPTED_LINES[name] + b"".join(GOOD[2:]),
+            b"".join(GOOD) + ACCEPTED_LINES[name],
+            ACCEPTED_LINES[name] + b"".join(GOOD),
+        )
+    ):
+        assert not isinstance(assert_loads_like_reference(tmp_path / str(n), data, monkeypatch, block), str)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_final_line_cut_inside_a_character_is_dropped(tmp_path, monkeypatch, block):
+    whole = b"".join(GOOD)
+    cut_at = GOOD[2].index("中".encode()) + 1
+    for final in (GOOD[2][:cut_at], GOOD[2][:cut_at] + b"\n"):
+        records, _, good, needs_newline = assert_loads_like_reference(
+            tmp_path / str(len(final)), whole + final, monkeypatch, block
+        )
+        assert len(records) == 4 and good == len(whole) and not needs_newline
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_last_line_without_a_newline_is_kept(tmp_path, monkeypatch, block):
+    data = b"".join(GOOD).rstrip(b"\n")
+    records, _, good, needs_newline = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+    assert len(records) == 4 and good == len(data) and needs_newline
+
+
+def test_an_empty_file_and_a_file_of_blank_lines(tmp_path, monkeypatch):
+    for n, data in enumerate((b"", b"\n\n", b"  \n \t", b"\r")):
+        records, _, good, _ = assert_loads_like_reference(tmp_path / str(n), data, monkeypatch, None)
+        assert records == []
+
+
+def test_records_after_unclosed_appends_are_in_write_order(tmp_path):
+    batch = random_records(random.Random(3), 200)
+    first_of_key = list({r.key: None for r in batch})
+    store = RunStore(tmp_path / "run")
+    written = store.record_many(batch[:120])
+    assert [r.key for r in store.records()] == first_of_key[:written]
+    store.record_many(batch[120:])
+    assert [r.key for r in store.records()] == first_of_key
+    by_key = {}
+    for r in batch:
+        by_key.setdefault(r.key, r)
+    assert list(store.records()) == list(by_key.values())
+    assert len(store) == len(by_key)
+    store.close()
+    assert list(RunStore(tmp_path / "run").records()) == list(by_key.values())
+
+
+def test_conflicts_count_the_same_when_appended_and_when_loaded(tmp_path):
+    batch = random_records(random.Random(5), 300)
+    by_key: dict = {}
+    conflicts = 0
+    for r in batch:
+        kept = by_key.setdefault(r.key, r)
+        conflicts += kept is not r and (kept.raw_output, kept.extracted_label, kept.status) != (
+            r.raw_output,
+            r.extracted_label,
+            r.status,
+        )
+    assert conflicts > 0
+    with RunStore(tmp_path / "appended") as store:
+        store.record_many(batch)
+        assert store.conflicts == conflicts
+    loaded = tmp_path / "loaded"
+    loaded.mkdir()
+    (loaded / "records.jsonl").write_bytes(b"".join(lines_of(batch)))
+    assert RunStore(loaded).conflicts == conflicts
+    reopened = RunStore(tmp_path / "appended")
+    assert reopened.conflicts == 0
+    reopened.record_many(batch)
+    assert reopened.conflicts == conflicts
+
+
+def test_the_columns_hold_status_label_and_output(tmp_path):
+    path = tmp_path / "run"
+    path.mkdir()
+    (path / "records.jsonl").write_bytes(b"".join(GOOD) + ACCEPTED_LINES["a NaN attempt count and a list label"])
+    store = RunStore(path)
+    assert [store_module.STATUSES[s] for s in store.statuses] == [
+        RecordStatus.OK,
+        RecordStatus.INVALID_OUTPUT,
+        RecordStatus.OK,
+        RecordStatus.TRANSPORT_ERROR,
+        RecordStatus.INVALID_OUTPUT,
+    ]
+    assert list(store.labels) == [ord("A"), 0, ord("B"), 0, 0]
+    assert store.outputs == [r.raw_output for r in store.records()]
+    assert json.loads(GOOD[2])["raw_output"] == store.outputs[2]
