@@ -1,10 +1,11 @@
 """Command-line pipeline driver.
 
 Each stage is a subcommand; expensive network stages (translate, infer,
-select-llm, embed) resume by default and support --dry-run to print the
-planned call counts without touching the network. They send at most the
-endpoint's ``max_in_flight`` requests at once and keep every finished task on
-any exit, an interrupt included, so a rerun calls only what is left.
+select-llm, embed) call only for what their outputs lack and support
+--dry-run to print the planned call counts without touching the network. They
+send at most the endpoint's ``max_in_flight`` requests at once and keep every
+finished task on any exit, an interrupt included, so a rerun calls only what
+is left.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ def _run_stage(fn, *args, **kwargs) -> None:
 
 config_option = click.option("--config", "config_path", required=True, type=click.Path(exists=True))
 languages_option = click.option("--languages", default=None, help="Comma-separated language codes")
-resume_option = click.option("--resume/--no-resume", default=True, show_default=True)
 dry_run_option = click.option("--dry-run", is_flag=True, help="Print planned network calls and exit")
 
 
@@ -93,33 +93,30 @@ def main(verbose: bool) -> None:
 @main.command()
 @config_option
 @languages_option
-@resume_option
 @dry_run_option
-def translate(config_path: str, languages: str | None, resume: bool, dry_run: bool) -> None:
+def translate(config_path: str, languages: str | None, dry_run: bool) -> None:
     """Translate the dataset into each configured non-English language."""
     config = _load(config_path)
-    _run_stage(run_translate, config, _parse_languages(languages), resume=resume, dry_run=dry_run)
+    _run_stage(run_translate, config, _parse_languages(languages), dry_run=dry_run)
 
 
 @main.command()
 @config_option
 @languages_option
-@resume_option
 @dry_run_option
-def infer(config_path: str, languages: str | None, resume: bool, dry_run: bool) -> None:
+def infer(config_path: str, languages: str | None, dry_run: bool) -> None:
     """Run reasoning inference for every missing (item, language) cell."""
     config = _load(config_path)
-    _run_stage(run_infer, config, _parse_languages(languages), resume=resume, dry_run=dry_run)
+    _run_stage(run_infer, config, _parse_languages(languages), dry_run=dry_run)
 
 
 @main.command(name="select-llm")
 @config_option
-@resume_option
 @dry_run_option
-def select_llm(config_path: str, resume: bool, dry_run: bool) -> None:
+def select_llm(config_path: str, dry_run: bool) -> None:
     """Ask the model for an expert language per test item (cached)."""
     config = _load(config_path)
-    _run_stage(run_select_llm, config, resume=resume, dry_run=dry_run)
+    _run_stage(run_select_llm, config, dry_run=dry_run)
 
 
 @main.command()

@@ -15,7 +15,7 @@ Persisted vectors (the embedding cache, cluster centroids and stored k-means
 fits) are stored as base64 of their little-endian float64 bytes: exact, about
 half the size of the same floats as JSON text, and a small fraction of its
 encode and parse time. A fit depends only on the train array, k and the seeds,
-never on the response matrix, so ``KMeansFits`` keeps each one for the next
+never on the response matrix, so ``kmeans_fits`` keeps each one for the next
 ``evaluate`` of the same split.
 """
 
@@ -25,17 +25,16 @@ import base64
 import hashlib
 import json
 import logging
-import os
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .datasets import McqItem
 from .gateway import GatewayError, ModelEndpoint, embed_texts
 from .languages import Language, canonical_index
-from .store import ResponseMatrix, write_atomic
+from .store import ResponseMatrix, Sidecar, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -136,16 +135,12 @@ class EmbeddingCache:
         self._item_key[item_id] = key
 
     def save(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            for item_id, key in sorted(self._item_key.items()):
-                values = self._by_key[key]
-                entry = {"item_id": item_id, "key": key, "dim": int(values.shape[0]), "f8": encode_f8(values)}
-                fh.write(json.dumps(entry) + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        tmp.replace(self.path)
+        write_atomic(self.path, (self._line(item_id, key) for item_id, key in sorted(self._item_key.items())))
+
+    def _line(self, item_id: str, key: str) -> bytes:
+        values = self._by_key[key]
+        entry = {"item_id": item_id, "key": key, "dim": int(values.shape[0]), "f8": encode_f8(values)}
+        return (json.dumps(entry) + "\n").encode("ascii")
 
 
 def item_embedding_key(item: McqItem) -> str:
@@ -340,76 +335,15 @@ class ClusterModel:
         )
 
 
-def _fit_key(X: np.ndarray, k: int, seeds: Iterable[int]) -> str:
-    """sha256 naming a fit: ``FIT_VERSION``, numpy's version, k, the seed set,
-    and the shape and float64 bytes of the train array ``X``."""
-    header = json.dumps([FIT_VERSION, np.__version__, k, sorted(set(seeds)), list(X.shape)])
-    digest = hashlib.sha256(header.encode("ascii"))
-    digest.update(np.ascontiguousarray(X, dtype=_F8))
-    return digest.hexdigest()
-
-
-def _fit_centroids(fit: dict) -> np.ndarray:
-    shape = (int(fit["k"]), int(fit["dim"]))
-    return decode_f8(fit["centroids_f8"], shape[0] * shape[1]).reshape(shape)
-
-
-class KMeansFits:
-    """The k-means fits of one output directory, kept in ``kmeans_fits.json``.
-
-    Maps a ``_fit_key`` to the seed that won and its centroids. The file is
-    read once; a missing, unreadable or other-version file is ignored, so
-    every fit is made again. ``save`` rewrites it only when something was
-    fitted, with the fits used since it was read.
-    """
-
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
-        self._fits = self._read()
-        self._used: set[str] = set()
-        self._fitted = False
-
-    def _read(self) -> dict[str, tuple[int, np.ndarray]]:
-        if not self.path.exists():
-            logger.debug("%s: no k-means fits yet", self.path)
-            return {}
-        try:
-            payload = json.loads(self.path.read_bytes())
-            version, fits = payload["version"], payload["fits"]
-            if version != FIT_VERSION:
-                logger.warning("%s: fits of version %r, not %r; fitting again", self.path, version, FIT_VERSION)
-                return {}
-            return {key: (int(fit["seed"]), _fit_centroids(fit)) for key, fit in fits.items()}
-        except (ClusteringError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            logger.warning("%s: unreadable (%s); fitting again", self.path, exc)
-            return {}
-
-    def get_or_fit(self, key: str, fit: Callable[[], tuple[int, np.ndarray]]) -> tuple[int, np.ndarray]:
-        """The (seed, centroids) stored under ``key``, else ``fit()``'s, stored."""
-        if key not in self._fits:
-            self._fits[key] = fit()
-            self._fitted = True
-        self._used.add(key)
-        return self._fits[key]
-
-    def save(self) -> None:
-        if not self._fitted:
-            return
-        fits = {}
-        for key in sorted(self._used):
-            seed, centroids = self._fits[key]
-            k, dim = centroids.shape
-            fits[key] = {"k": k, "dim": dim, "seed": int(seed), "centroids_f8": encode_f8(centroids)}
-        write_atomic(self.path, (json.dumps({"version": FIT_VERSION, "fits": fits}, indent=1) + "\n").encode("ascii"))
-
-
 class TrainArray(NamedTuple):
-    """The train vectors of a k sweep, stacked and normalized once: ``X`` holds
-    the vectors of ``items`` as rows, in that order, and ``unit`` its unit rows."""
+    """The train vectors of a k sweep, stacked, normalized and hashed once:
+    ``X`` holds the vectors of ``items`` as rows, in that order, ``unit`` its
+    unit rows and ``digest`` the sha256 of its shape and float64 bytes."""
 
     items: tuple[str, ...]
     X: np.ndarray
     unit: np.ndarray
+    digest: hashlib._Hash
 
 
 def train_array(vectors: Mapping[str, np.ndarray], items: Sequence[str]) -> TrainArray:
@@ -418,7 +352,37 @@ def train_array(vectors: Mapping[str, np.ndarray], items: Sequence[str]) -> Trai
     if missing:
         raise ClusteringError(f"train items without embeddings: {missing[:5]}")
     X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in items])
-    return TrainArray(tuple(items), X, _normalize_rows(X, "input vector"))
+    digest = hashlib.sha256(json.dumps(list(X.shape)).encode("ascii"))
+    digest.update(np.ascontiguousarray(X, dtype=_F8))
+    return TrainArray(tuple(items), X, _normalize_rows(X, "input vector"), digest)
+
+
+def _fit_key(train: TrainArray, k: int, seeds: list[int]) -> str:
+    """sha256 naming a fit: the train array's digest, numpy's version, k and the seed set."""
+    digest = train.digest.copy()
+    digest.update(json.dumps([np.__version__, k, seeds]).encode("ascii"))
+    return digest.hexdigest()
+
+
+def _decode_fit(fit: dict) -> tuple[int, np.ndarray]:
+    k, dim = int(fit["k"]), int(fit["dim"])
+    try:
+        centroids = decode_f8(fit["centroids_f8"], k * dim)
+    except ClusteringError as exc:
+        raise ValueError(str(exc)) from None
+    return int(fit["seed"]), centroids.reshape(k, dim)
+
+
+def _encode_fit(fit: tuple[int, np.ndarray]) -> dict:
+    seed, centroids = fit
+    k, dim = centroids.shape
+    return {"k": k, "dim": dim, "seed": int(seed), "centroids_f8": encode_f8(centroids)}
+
+
+def kmeans_fits(directory: Path) -> Sidecar:
+    """The k-means fits kept in ``directory``'s ``kmeans_fits.json``: the
+    (seed, centroids) of the seed that won, under the fit's ``_fit_key``."""
+    return Sidecar(directory / FITS_NAME, FIT_VERSION, _decode_fit, _encode_fit)
 
 
 def _best_fit(X: np.ndarray, unit: np.ndarray, k: int, seeds: Sequence[int]) -> tuple[int, np.ndarray]:
@@ -438,7 +402,7 @@ def train_lsk_best(
     k: int,
     seeds: Iterable[int],
     *,
-    fits: KMeansFits | None = None,
+    fits: Sidecar | None = None,
     train: TrainArray | None = None,
 ) -> ClusterModel:
     """Fit clusters over the training vectors and pick each cluster's expert.
@@ -457,11 +421,11 @@ def train_lsk_best(
         train = train_array(vectors, train_matrix.items)
     elif train.items != train_matrix.items:
         raise ClusteringError("the train array is not of the train matrix's items")
-    _, X, unit = train
+    _, X, unit, _ = train
     if fits is None:
         seed, centroids = _best_fit(X, unit, k, seed_set)
     else:
-        seed, centroids = fits.get_or_fit(_fit_key(X, k, seed_set), lambda: _best_fit(X, unit, k, seed_set))
+        seed, centroids = fits.get(_fit_key(train, k, seed_set), _best_fit, X, unit, k, seed_set)
     d2 = _squared_distances(unit, centroids)
     labels = _repair_empty_clusters(d2.argmin(axis=1), d2, k)
 

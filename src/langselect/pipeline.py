@@ -36,19 +36,18 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 import numpy as np
 
 from .clustering import (
-    FITS_NAME,
     ClusterModel,
     EmbeddingCache,
-    KMeansFits,
     LskRouter,
     assign_many,
     embed_items,
     item_embedding_key,
+    kmeans_fits,
     train_array,
     train_lsk_best,
 )
 from .config import ConfigError, RunConfig
-from .datasets import DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
+from .datasets import DatasetError, DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
 from .extraction import extract_expert_language, extract_final_answer, extract_reasoning_text
 from .gateway import AuthError, GatewayError, ModelEndpoint, TransportError, chat_complete
 from .langid import DETECTOR_VERSION, DetectionError, detect_language
@@ -78,6 +77,7 @@ from .store import (
     RecordStatus,
     ResponseMatrix,
     RunStore,
+    Sidecar,
     build_matrix,
     decisive_rows,
     matrix_counts,
@@ -150,7 +150,12 @@ def load_items(config: RunConfig) -> list[McqItem]:
 
 
 def split_items(config: RunConfig, items: Sequence[McqItem]) -> tuple[list[McqItem], list[McqItem]]:
-    return split(items, config.split)
+    """The configured train/test split of ``items``; a split the dataset cannot
+    fill is a configuration error."""
+    try:
+        return split(items, config.split)
+    except DatasetError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _templates(config: RunConfig) -> TemplateSet:
@@ -256,7 +261,6 @@ def run_translate(
     config: RunConfig,
     languages: Iterable[Language] | None = None,
     *,
-    resume: bool = True,
     dry_run: bool = False,
     backoff: float = 0.5,
 ) -> StageResult:
@@ -281,7 +285,7 @@ def run_translate(
         for target in targets:
             out_path = translation_file(config, target)
             existing: dict[str, McqItem] = {}
-            if resume and out_path.exists():
+            if out_path.exists():
                 existing = {
                     i.item_id: i
                     for i in load_dataset(out_path, config.dataset_id, source_language=target)
@@ -339,7 +343,6 @@ def run_infer(
     config: RunConfig,
     languages: Iterable[Language] | None = None,
     *,
-    resume: bool = True,
     dry_run: bool = False,
     backoff: float = 0.5,
 ) -> StageResult:
@@ -382,11 +385,8 @@ def run_infer(
             if store.read_manifest() is None:
                 store.write_manifest(config_snapshot(config, endpoint.model_name))
             matrix = build_matrix(store, items, endpoint.model_name, list(per_language))
-            todo = missing_cells(matrix) if resume else [
-                (item_id, lang) for item_id in matrix.items for lang in matrix.languages
-            ]
             plan: list[tuple[str, Language]] = []
-            for item_id, lang in todo:
+            for item_id, lang in missing_cells(matrix):
                 if item_id in per_language[lang]:
                     plan.append((item_id, lang))
                 else:
@@ -440,7 +440,6 @@ def run_infer(
 def run_select_llm(
     config: RunConfig,
     *,
-    resume: bool = True,
     dry_run: bool = False,
     backoff: float = 0.5,
 ) -> StageResult:
@@ -455,7 +454,7 @@ def run_select_llm(
     cache_path = selection_cache_path(config)
     with run_lock(config.output_dir):
         cache: dict[str, Language] = {}
-        if resume and cache_path.exists():
+        if cache_path.exists():
             cache = load_selection_cache(cache_path)
         todo = [i for i in test if i.item_id not in cache]
         summary: dict = {"stage": "select-llm", "cached": len(cache), "planned_calls": len(todo)}
@@ -559,26 +558,10 @@ def _verdict(raw_output: str) -> str | None:
         return None
 
 
-def _load_verdicts(path: Path) -> dict[str, str | None]:
-    """The bundled detector's verdicts kept at ``path`` (raw-output sha256 ->
-    language code or None); empty when there are none, or when the file does
-    not parse or holds another ``DETECTOR_VERSION``, which the next write replaces."""
-    if not path.exists():
-        return {}
-    try:
-        payload = json.loads(path.read_bytes())
-        version, verdicts = payload["detector"], payload["verdicts"]
-        if version != DETECTOR_VERSION:
-            logger.warning(
-                "%s: verdicts of detector version %r, not %r; detecting again", path, version, DETECTOR_VERSION
-            )
-            return {}
-        if not isinstance(verdicts, dict) or not set(verdicts.values()) <= _VERDICT_CODES:
-            raise ValueError("verdicts must map digests to language codes or null")
-    except (ValueError, KeyError, TypeError) as exc:
-        logger.warning("%s: unreadable (%s); detecting again", path, exc)
-        return {}
-    return verdicts
+def _verdict_code(value: str | None) -> str | None:
+    if value not in _VERDICT_CODES:
+        raise ValueError(f"{value!r} is not a language code or null")
+    return value
 
 
 def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[float | None, dict]:
@@ -591,9 +574,7 @@ def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[
     ``raw_output`` is detected once: the verdicts persist in the store
     directory's ``verdicts.json``, keyed by the output's sha256.
     """
-    verdicts_path = store.directory / VERDICTS_NAME
-    verdicts = _load_verdicts(verdicts_path)
-    detected = 0
+    verdicts = Sidecar(store.directory / VERDICTS_NAME, DETECTOR_VERSION, _verdict_code)
     checked = 0
     matched = 0
     skipped = 0
@@ -604,20 +585,14 @@ def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[
         if row < 0 or statuses[row] != STATUS_OK:
             continue
         raw_output = outputs[row]
-        digest = sha256(raw_output.encode("utf-8", "surrogatepass")).hexdigest()
-        if digest not in verdicts:
-            verdicts[digest] = _verdict(raw_output)
-            detected += 1
-        verdict = verdicts[digest]
+        verdict = verdicts.get(sha256(raw_output.encode("utf-8", "surrogatepass")).hexdigest(), _verdict, raw_output)
         if verdict is None:
             skipped += 1
             continue
         checked += 1
         if verdict == code:
             matched += 1
-    if detected:
-        payload = {"detector": DETECTOR_VERSION, "verdicts": verdicts}
-        write_atomic(verdicts_path, (json.dumps(payload, sort_keys=True) + "\n").encode("ascii"))
+    verdicts.save()
     rate = matched / checked if checked else None
     return rate, {"checked": checked, "matched": matched, "undetectable": skipped}
 
@@ -722,7 +697,7 @@ def evaluate_all(
     if isinstance(vectors, str):
         ev.skipped["lsk_extractor"] = vectors
         return ev
-    fits = KMeansFits(output_dir / FITS_NAME)
+    fits = kmeans_fits(output_dir)
     train_vectors = train_array(vectors, train_matrix.items)
     models = {k: train_lsk_best(vectors, train_matrix, k, seeds, fits=fits, train=train_vectors) for k in ks}
     del train_vectors  # two copies of the train array: not held while the models are scored and encoded

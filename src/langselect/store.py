@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,15 +66,68 @@ _LOAD_BLOCK = 1 << 16  # bytes of records.jsonl decoded at a time
 _scan = json.JSONDecoder().scan_once
 
 
-def write_atomic(path: Path, data: bytes) -> None:
-    """Replace ``path`` with ``data`` durably: temp file, fsync, rename."""
+def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
+    """Replace ``path`` with ``data``, bytes or an iterable of byte chunks
+    written as they come, durably: temp file, fsync, rename."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     with tmp.open("wb") as fh:
-        fh.write(data)
+        fh.writelines((data,) if isinstance(data, bytes) else data)
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def _same(value):
+    return value
+
+
+class Sidecar:
+    """Recomputable results kept in one file: a ``key -> value`` map written
+    as ``{"version": version, "values": {key: encode(value)}}``.
+
+    The file is read once. A missing file, one that does not parse, one of
+    another version, or one holding a value ``decode`` refuses (raises
+    ValueError on) is logged and ignored, so each of its values is computed
+    again. ``save`` rewrites the file only when a value was computed, with the
+    values used since the read.
+    """
+
+    def __init__(self, path: Path, version: int, decode: Callable = _same, encode: Callable = _same):
+        self.path = path
+        self.version = version
+        self._encode = encode
+        self._values = self._read(decode)
+        self._used: set[str] = set()
+        self._computed = False
+
+    def _read(self, decode: Callable) -> dict:
+        try:
+            payload = json.loads(self.path.read_bytes())
+            if payload["version"] != self.version:
+                raise ValueError(f"version {payload['version']!r}, not {self.version!r}")
+            return {key: decode(value) for key, value in payload["values"].items()}
+        except FileNotFoundError:
+            logger.debug("%s: not written yet; computing its values", self.path)
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            logger.warning("%s: ignored (%r); computing its values again", self.path, exc)
+        return {}
+
+    def get(self, key: str, compute: Callable, *args):
+        """The value stored under ``key``, else ``compute(*args)``'s, stored."""
+        try:
+            value = self._values[key]
+        except KeyError:
+            value = self._values[key] = compute(*args)
+            self._computed = True
+        self._used.add(key)
+        return value
+
+    def save(self) -> None:
+        if not self._computed:
+            return
+        values = {key: self._encode(self._values[key]) for key in sorted(self._used)}
+        write_atomic(self.path, (json.dumps({"version": self.version, "values": values}) + "\n").encode("ascii"))
 
 
 class _RecordFields(NamedTuple):
@@ -508,6 +561,7 @@ __all__ = [
     "RecordStatus",
     "ResponseMatrix",
     "RunStore",
+    "Sidecar",
     "StoreError",
     "build_matrix",
     "decisive_rows",

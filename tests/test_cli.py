@@ -595,6 +595,15 @@ class TestCliInterface:
         assert not (out / "reports").exists()
         assert not list(out.glob("cluster_model_k*.json"))
 
+    @pytest.mark.parametrize("stage, args", [("evaluate", []), ("select-llm", ["--dry-run"]), ("embed", ["--dry-run"])])
+    def test_a_split_larger_than_the_dataset_is_refused_before_writing(self, tmp_path, pipeline_stub, stage, args):
+        split = {"seed": 3, "train_count": 6, "test_count": 4}
+        config_path = write_pipeline_config(tmp_path, pipeline_stub, n_items=8, split=split)
+        result = CliRunner().invoke(main, [stage, "--config", str(config_path), *args])
+        assert result.exit_code == 2, result.output
+        assert "configuration error: split needs 10 items, dataset has 8" in result.output
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self):
         runner = CliRunner()
         result = runner.invoke(main, ["evaluate", "--config", "/nonexistent.json"])

@@ -6,6 +6,7 @@ import json
 import os
 import re
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,6 +372,38 @@ class TestTrainLsk:
             single = train_lsk(vectors, matrix, k=4, seed=s)
             assert best_inertia <= inertia(X, single.centroids) + 1e-9
 
+    def test_a_k_sweep_hashes_the_train_array_once(self, tmp_path, monkeypatch):
+        import random as _random
+
+        hashed = []  # the byte count of each chunk a sha256 of clustering takes
+
+        class CountingSha256:
+            def __init__(self, data=b"", state=None):
+                self.state = state or hashlib.sha256()
+                self.update(data)
+
+            def update(self, data):
+                hashed.append(memoryview(data).nbytes)
+                self.state.update(data)
+
+            def copy(self):
+                return CountingSha256(state=self.state.copy())
+
+            def hexdigest(self):
+                return self.state.hexdigest()
+
+        monkeypatch.setattr(clustering, "hashlib", SimpleNamespace(sha256=CountingSha256))
+        _, matrix = random_matrix(_random.Random(58), 40, [EN, ES])
+        vectors = vectors_for(matrix, seed=8)
+        fits = clustering.kmeans_fits(tmp_path)
+        train = clustering.train_array(vectors, matrix.items)
+        for k in (2, 3, 4):
+            train_lsk_best(vectors, matrix, k, [0, 1], fits=fits, train=train)
+        fits.save()
+        assert hashed.count(train.X.nbytes) == 1
+        assert sum(hashed) < 2 * train.X.nbytes
+        assert len(json.loads((tmp_path / clustering.FITS_NAME).read_bytes())["values"]) == 3
+
     def test_best_of_seeds_peaks_near_two_copies_of_the_train_array(self):
         # The train array and its unit rows, plus O(n*k) and one cluster's
         # members: stacking or normalizing it again, or an (n, d) temporary
@@ -571,7 +604,7 @@ class TestEmbeddingCacheFile:
         assert peak < 2 * n * d * 8, (peak, n * d * 8)
 
 
-# Stored k-means fits (``KMeansFits``) are reused only under the FIT_VERSION
+# Stored k-means fits (``kmeans_fits``) are reused only under the FIT_VERSION
 # that made them. An edit of the code below changes this digest: bump
 # FIT_VERSION with it, so stale fits are made again, then update both.
 FIT_CODE = (

@@ -3,6 +3,7 @@ and the reasoning-language verification rate that ``evaluate`` reports."""
 
 import hashlib
 import json
+import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -298,35 +299,14 @@ def test_sidecar_holds_one_verdict_per_distinct_output(verification_store):
     outputs = {r.item_id: r.raw_output for r in verification_store.records()}
     # q4 has no reasoning text and q5 no detectable signal: both are null.
     assert sidecar == {
-        "detector": DETECTOR_VERSION,
-        "verdicts": {
+        "version": DETECTOR_VERSION,
+        "values": {
             digest(outputs["q4"]): None,
             digest(outputs["q5"]): None,
             digest(outputs["q6"]): "en",
             digest(outputs["q7"]): "en",
         },
     }
-
-
-@pytest.mark.parametrize(
-    "content",
-    [
-        pytest.param(None, id="truncated"),
-        pytest.param(json.dumps({"detector": DETECTOR_VERSION + 1, "verdicts": {}}), id="other-version"),
-        pytest.param(json.dumps({"detector": DETECTOR_VERSION, "verdicts": {"x": "xx"}}), id="unknown-code"),
-    ],
-)
-def test_bad_or_stale_sidecar_is_ignored_and_rewritten(verification_store, detection_calls, caplog, content):
-    expected = verify(verification_store)
-    path = verification_store.directory / pipeline.VERDICTS_NAME
-    good = path.read_bytes()
-    path.write_bytes(good[: len(good) // 2] if content is None else content.encode("utf-8"))
-
-    detection_calls.update(dict.fromkeys(detection_calls, 0))
-    assert verify(verification_store) == expected
-    assert detection_calls == {"detect_language": 3, "extract_reasoning_text": 4}
-    assert path.read_bytes() == good
-    assert "detecting again" in caplog.text
 
 
 def test_output_with_a_lone_surrogate_gets_a_verdict(tmp_path):
@@ -336,7 +316,7 @@ def test_output_with_a_lone_surrogate_gets_a_verdict(tmp_path):
         rate, counts = verify(store, [Language.ENGLISH])
     assert (rate, counts) == (1.0, {"checked": 1, "matched": 1, "undetectable": 0})
     sidecar = json.loads((tmp_path / "store" / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
-    assert sidecar["verdicts"] == {digest(record.raw_output): "en"}
+    assert sidecar["values"] == {digest(record.raw_output): "en"}
 
 
 # --- Stored k-means fits (``<output>/kmeans_fits.json``).
@@ -372,7 +352,7 @@ def fits_path(config):
 
 
 def stored_fits(config) -> dict:
-    return json.loads(fits_path(config).read_bytes())["fits"]
+    return json.loads(fits_path(config).read_bytes())["values"]
 
 
 def outputs(config) -> dict[str, bytes]:
@@ -472,18 +452,76 @@ def test_a_changed_input_refits_only_the_fits_it_changes(tmp_path, fit_calls, ch
     assert all(after[key] == before[key] for key in reused)
 
 
-@pytest.mark.parametrize("stale", [False, True], ids=["truncated", "other-version"])
-def test_bad_or_stale_fits_are_ignored_and_rewritten(tmp_path, fit_calls, caplog, stale):
+# --- The contract both sidecars (``store.Sidecar``) keep.
+
+SIDECARS = {  # name -> (its file, its version, a change of one value that its decode refuses)
+    "verdicts": (
+        lambda config: pipeline.store_dir(config, "m") / pipeline.VERDICTS_NAME,
+        DETECTOR_VERSION,
+        lambda verdict: "xx",  # no language code
+    ),
+    "fits": (
+        fits_path,
+        clustering.FIT_VERSION,
+        lambda fit: {**fit, "dim": fit["dim"] + 1},  # centroids_f8 holds k * dim values, not k * (dim + 1)
+    ),
+}
+
+
+def computations(detection_calls, fit_calls) -> dict[str, int]:
+    return {"verdicts": detection_calls["detect_language"], "fits": len(fit_calls)}
+
+
+def damage(path, version, bad_value, how):
+    if how == "missing":
+        path.unlink()
+    elif how == "truncated":
+        path.write_bytes(path.read_bytes()[:-20])
+    else:
+        payload = json.loads(path.read_bytes())
+        if how == "other-version":
+            payload["version"] = version + 1
+        else:
+            key = sorted(payload["values"])[-1]
+            payload["values"][key] = bad_value(payload["values"][key])
+        path.write_text(json.dumps(payload), encoding="ascii")
+
+
+@pytest.mark.parametrize("how", ["missing", "truncated", "other-version", "bad-value"])
+@pytest.mark.parametrize("sidecar", list(SIDECARS))
+def test_a_bad_sidecar_is_logged_recomputed_and_rewritten(
+    tmp_path, detection_calls, fit_calls, caplog, sidecar, how
+):
+    caplog.set_level(logging.DEBUG, logger="langselect.store")
     config = fit_run(tmp_path)
     pipeline.run_evaluate(config)
+    cold = computations(detection_calls, fit_calls)
+    assert cold == {"verdicts": 32, "fits": 4}
     expected = outputs(config)
-    good = fits_path(config).read_bytes()
-    other_version = json.dumps({"version": clustering.FIT_VERSION + 1, "fits": {}}).encode("ascii")
-    fits_path(config).write_bytes(other_version if stale else good[: len(good) // 2])
+    path_of, version, bad_value = SIDECARS[sidecar]
+    path = path_of(config)
+    good = path.read_bytes()
+    damage(path, version, bad_value, how)
 
+    detection_calls.update(dict.fromkeys(detection_calls, 0))
+    fit_calls.clear()
+    caplog.clear()
+    pipeline.run_evaluate(config)
+    assert computations(detection_calls, fit_calls) == {**dict.fromkeys(cold, 0), sidecar: cold[sidecar]}
+    assert f"{path}: " in caplog.text
+    assert path.read_bytes() == good
+    assert outputs(config) == expected
+
+
+@pytest.mark.parametrize("sidecar", list(SIDECARS))
+def test_a_run_that_computes_nothing_leaves_the_sidecar_as_it_is(tmp_path, detection_calls, fit_calls, sidecar):
+    config = fit_run(tmp_path)
+    pipeline.run_evaluate(config)
+    path = SIDECARS[sidecar][0](config)
+    inode = path.stat().st_ino
+
+    detection_calls.update(dict.fromkeys(detection_calls, 0))
     fit_calls.clear()
     pipeline.run_evaluate(config)
-    assert len(fit_calls) == 4
-    assert "fitting again" in caplog.text
-    assert fits_path(config).read_bytes() == good
-    assert outputs(config) == expected
+    assert computations(detection_calls, fit_calls) == {"verdicts": 0, "fits": 0}
+    assert path.stat().st_ino == inode  # not rewritten
