@@ -6,7 +6,7 @@ seven language-selection strategies, including cluster-based expert-language
 routing and the hindsight oracle upper bound.
 """
 
-from .clustering import ClusterModel, LskRouter, kmeans_fit, train_lsk
+from .clustering import ClusterModel, LskRouter, kmeans_fit, train_lsk_best
 from .datasets import (
     ClaimRecord,
     DatasetId,
@@ -64,5 +64,5 @@ __all__ = [
     "reformat_culture_atlas",
     "save_dataset",
     "split",
-    "train_lsk",
+    "train_lsk_best",
 ]

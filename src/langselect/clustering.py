@@ -453,16 +453,6 @@ def train_lsk_best(
     )
 
 
-def train_lsk(
-    vectors: Mapping[str, np.ndarray],
-    train_matrix: ResponseMatrix,
-    k: int,
-    seed: int,
-) -> ClusterModel:
-    """``train_lsk_best`` with the one seed."""
-    return train_lsk_best(vectors, train_matrix, k, [seed])
-
-
 @dataclass(frozen=True)
 class LskRouter:
     """Binds a trained model to per-item test vectors for evaluation."""

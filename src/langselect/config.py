@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .datasets import DatasetId, SplitSpec
+from .datasets import DatasetError, DatasetId, SplitSpec
 from .gateway import ModelEndpoint
 from .languages import DEFAULT_LANGUAGES, Language
 
@@ -40,6 +40,34 @@ def _interpolate(value):
     return value
 
 
+def _path(path: Path, block: dict, field: str) -> Path | None:
+    """``block[field]`` of the config file at ``path`` as a path, a relative one
+    taken from the file's directory; None when the field is absent or empty."""
+    value = block.get(field)
+    if not value:
+        return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{path}: {field!r} must be a path, not {value!r}")
+    return path.parent / value
+
+
+def _integer(field: str, value) -> int:
+    """An integer field; a digit string, as ``${VAR}`` interpolation yields, counts."""
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigError(f"{field!r}: {value!r} is not an integer")
+
+
+def _list(data: dict, field: str, default: list) -> list:
+    value = data.get(field, default)
+    if not isinstance(value, list):
+        raise ConfigError(f"{field!r} must be a list, not {value!r}")
+    return value
+
+
 def _endpoint(block: dict | None, name: str) -> ModelEndpoint | None:
     if block is None:
         return None
@@ -48,9 +76,9 @@ def _endpoint(block: dict | None, name: str) -> ModelEndpoint | None:
             base_url=block["base_url"],
             model_name=block["model_name"],
             api_key_ref=block.get("api_key_ref", ""),
-            max_retries=int(block.get("max_retries", 3)),
+            max_retries=_integer("max_retries", block.get("max_retries", 3)),
             timeout=float(block.get("timeout", 60.0)),
-            max_in_flight=int(block.get("max_in_flight", 4)),
+            max_in_flight=_integer("max_in_flight", block.get("max_in_flight", 4)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name} endpoint block: {exc}") from None
@@ -88,9 +116,9 @@ def load_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
     dataset = data.get("dataset")
-    if not isinstance(dataset, dict) or "path" not in dataset or "id" not in dataset:
+    if not isinstance(dataset, dict) or not dataset.get("path") or "id" not in dataset:
         raise ConfigError(f"{path}: 'dataset' block with 'path' and 'id' is required")
-    dataset_path = (path.parent / dataset["path"]).resolve() if not Path(dataset["path"]).is_absolute() else Path(dataset["path"])
+    dataset_path = _path(path, dataset, "path")
     if not dataset_path.exists():
         raise ConfigError(f"dataset file not found: {dataset_path}")
     try:
@@ -98,56 +126,51 @@ def load_config(path: str | Path) -> RunConfig:
     except ValueError:
         raise ConfigError(f"unknown dataset id {dataset['id']!r}") from None
 
-    codes = data.get("languages")
-    if codes is None:
+    if data.get("languages") is None:
         languages = DEFAULT_LANGUAGES
     else:
         try:
-            languages = tuple(Language(c) for c in codes)
+            languages = tuple(Language(c) for c in _list(data, "languages", []))
         except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(f"'languages': {exc}") from None
         if not languages:
             raise ConfigError("language set must be non-empty")
         if len(set(languages)) != len(languages):
             raise ConfigError("language set has duplicates")
 
     split_block = data.get("split") or {}
-    split = SplitSpec(
-        seed=int(split_block.get("seed", 0)),
-        train_count=int(split_block.get("train_count", 0)),
-        test_count=int(split_block.get("test_count", 0)),
-    )
+    if not isinstance(split_block, dict):
+        raise ConfigError(f"'split' must be an object, not {split_block!r}")
+    try:
+        split = SplitSpec(
+            seed=_integer("split.seed", split_block.get("seed", 0)),
+            train_count=_integer("split.train_count", split_block.get("train_count", 0)),
+            test_count=_integer("split.test_count", split_block.get("test_count", 0)),
+        )
+    except DatasetError as exc:
+        raise ConfigError(f"'split': {exc}") from None
 
-    output_dir = data.get("output_dir")
-    if not output_dir:
+    output_dir = _path(path, data, "output_dir")
+    if output_dir is None:
         raise ConfigError(f"{path}: 'output_dir' is required")
-    output_path = (path.parent / output_dir) if not Path(output_dir).is_absolute() else Path(output_dir)
+    country_map = _path(path, data, "country_map")
+    if country_map is not None and not country_map.exists():
+        raise ConfigError(f"country map file not found: {country_map}")
+    template_dir = _path(path, data, "template_dir")
+    if template_dir is not None and not template_dir.is_dir():
+        raise ConfigError(f"template directory not found: {template_dir}")
 
-    country_map = data.get("country_map")
-    country_map_path = None
-    if country_map:
-        country_map_path = (path.parent / country_map) if not Path(country_map).is_absolute() else Path(country_map)
-        if not country_map_path.exists():
-            raise ConfigError(f"country map file not found: {country_map_path}")
-
-    template_dir = data.get("template_dir")
-    template_path = None
-    if template_dir:
-        template_path = (path.parent / template_dir) if not Path(template_dir).is_absolute() else Path(template_dir)
-        if not template_path.is_dir():
-            raise ConfigError(f"template directory not found: {template_path}")
-
-    k_list = tuple(int(k) for k in data.get("k_list", [12]))
+    k_list = tuple(_integer("k_list", k) for k in _list(data, "k_list", [12]))
     if not k_list or any(k < 1 for k in k_list):
         raise ConfigError("k_list must contain positive integers")
-    seeds = tuple(int(s) for s in data.get("seeds", [0]))
+    seeds = tuple(_integer("seeds", s) for s in _list(data, "seeds", [0]))
     if not seeds:
         raise ConfigError("seeds must be non-empty")
 
     return RunConfig(
         dataset_path=dataset_path,
         dataset_id=dataset_id,
-        output_dir=output_path,
+        output_dir=output_dir,
         languages=languages,
         split=split,
         chat_endpoint=_endpoint(data.get("chat_endpoint"), "chat"),
@@ -155,6 +178,6 @@ def load_config(path: str | Path) -> RunConfig:
         embedding_endpoint=_endpoint(data.get("embedding_endpoint"), "embedding"),
         k_list=k_list,
         seeds=seeds,
-        country_map_path=country_map_path,
-        template_dir=template_path,
+        country_map_path=country_map,
+        template_dir=template_dir,
     )

@@ -14,7 +14,7 @@ import string
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .languages import Language
 from .store import write_atomic
@@ -73,12 +73,6 @@ class McqItem:
     def labels(self) -> tuple[str, ...]:
         return tuple(c.label for c in self.choices)
 
-    def choice_text(self, label: str) -> str:
-        for c in self.choices:
-            if c.label == label:
-                return c.text
-        raise KeyError(label)
-
 
 @dataclass(frozen=True)
 class ClaimRecord:
@@ -124,6 +118,32 @@ def _choices_from_texts(texts: Sequence[str]) -> tuple[Choice, ...]:
     return tuple(Choice(_LETTERS[i], t) for i, t in enumerate(texts))
 
 
+def _load_records(path: str | Path, fields: tuple[str, ...], build: Callable[[dict], object]) -> list:
+    """``build`` of each record of a line-delimited JSON file, skipping blank
+    lines. A line that is not a JSON object holding ``fields``, or that ``build``
+    refuses with DatasetError, raises DatasetError naming the line."""
+    path = Path(path)
+    out = []
+    with path.open("r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DatasetError(f"invalid JSON: {exc}") from None
+                if not isinstance(record, dict):
+                    raise DatasetError("record is not an object")
+                for fld in fields:
+                    if fld not in record:
+                        raise DatasetError(f"missing field '{fld}'")
+                out.append(build(record))
+            except DatasetError as exc:
+                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
+    return out
+
+
 def load_dataset(
     path: str | Path,
     dataset_id: DatasetId,
@@ -135,43 +155,27 @@ def load_dataset(
     strings, position i maps to label letter i), ``answer`` (letter), optional
     ``country``. Records without an ``id`` get a content-hash id.
     """
-    path = Path(path)
-    items: list[McqItem] = []
     seen_ids: set[str] = set()
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            if not isinstance(record, dict):
-                raise DatasetError(f"{path}: line {lineno}: record is not an object")
-            for fld in ("question", "choices", "answer"):
-                if fld not in record:
-                    raise DatasetError(f"{path}: line {lineno}: missing field '{fld}'")
-            choices = record["choices"]
-            if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
-                raise DatasetError(f"{path}: line {lineno}: field 'choices' must be an array of strings")
-            item_id = record.get("id") or make_item_id(dataset_id, record["question"], choices, record["answer"])
-            if item_id in seen_ids:
-                raise DatasetError(f"{path}: line {lineno}: duplicate item id {item_id!r}")
-            seen_ids.add(item_id)
-            try:
-                item = McqItem(
-                    item_id=item_id,
-                    dataset_id=dataset_id,
-                    question=record["question"],
-                    choices=_choices_from_texts(choices),
-                    gold_label=record["answer"],
-                    country=record.get("country"),
-                    source_language=source_language,
-                )
-            except DatasetError as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
-            items.append(item)
-    return items
+
+    def build(record: dict) -> McqItem:
+        choices = record["choices"]
+        if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
+            raise DatasetError("field 'choices' must be an array of strings")
+        item_id = record.get("id") or make_item_id(dataset_id, record["question"], choices, record["answer"])
+        if item_id in seen_ids:
+            raise DatasetError(f"duplicate item id {item_id!r}")
+        seen_ids.add(item_id)
+        return McqItem(
+            item_id=item_id,
+            dataset_id=dataset_id,
+            question=record["question"],
+            choices=_choices_from_texts(choices),
+            gold_label=record["answer"],
+            country=record.get("country"),
+            source_language=source_language,
+        )
+
+    return _load_records(path, ("question", "choices", "answer"), build)
 
 
 def item_to_record(item: McqItem) -> dict:
@@ -198,31 +202,18 @@ def load_claims(path: str | Path) -> list[ClaimRecord]:
 
     ``label`` may be a JSON boolean or the strings "true"/"false".
     """
-    path = Path(path)
-    claims: list[ClaimRecord] = []
-    with path.open("r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}: line {lineno}: invalid JSON: {exc}") from None
-            for fld in ("country", "claim", "label"):
-                if fld not in record:
-                    raise DatasetError(f"{path}: line {lineno}: missing field '{fld}'")
-            label = record["label"]
-            if isinstance(label, str) and label.lower() in ("true", "false"):
-                truth = label.lower() == "true"
-            elif isinstance(label, bool):
-                truth = label
-            else:
-                raise DatasetError(f"{path}: line {lineno}: field 'label' must be true or false")
-            try:
-                claims.append(ClaimRecord(country=record["country"], claim=record["claim"], truth=truth))
-            except DatasetError as exc:
-                raise DatasetError(f"{path}: line {lineno}: {exc}") from None
-    return claims
+
+    def build(record: dict) -> ClaimRecord:
+        label = record["label"]
+        if isinstance(label, str) and label.lower() in ("true", "false"):
+            truth = label.lower() == "true"
+        elif isinstance(label, bool):
+            truth = label
+        else:
+            raise DatasetError("field 'label' must be true or false")
+        return ClaimRecord(country=record["country"], claim=record["claim"], truth=truth)
+
+    return _load_records(path, ("country", "claim", "label"), build)
 
 
 @dataclass

@@ -26,6 +26,8 @@ from .languages import Language, canonical_sorted, language_from_english_name
 from .prompts import EXPERT_LANGUAGE_KEY, FINAL_ANSWER_KEY
 
 REASONING_KEY_PREFIX = "reasoning_in_"
+# (value, end) of the JSON value at an index of a str; at a '{' the value is a dict.
+_decode = json.JSONDecoder().raw_decode
 
 
 def _strip_code_fences(raw: str) -> str:
@@ -34,40 +36,6 @@ def _strip_code_fences(raw: str) -> str:
         return raw
     kept = [line for line in raw.splitlines() if not line.lstrip().startswith("```")]
     return "\n".join(kept)
-
-
-def _scan_balanced_object(text: str, start: int) -> str | None:
-    """Return the balanced ``{...}`` slice starting at ``start``, if any."""
-    depth = 0
-    in_string = False
-    escaped = False
-    for i in range(start, len(text)):
-        ch = text[i]
-        if in_string:
-            if escaped:
-                escaped = False
-            elif ch == "\\":
-                escaped = True
-            elif ch == '"':
-                in_string = False
-            continue
-        if ch == '"':
-            in_string = True
-        elif ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                return text[start : i + 1]
-    return None
-
-
-def _try_parse_object(candidate: str) -> dict | None:
-    try:
-        obj = json.loads(candidate)
-    except (json.JSONDecodeError, RecursionError, ValueError):
-        return None
-    return obj if isinstance(obj, dict) else None
 
 
 def find_json_object(raw: str) -> dict | None:
@@ -81,19 +49,20 @@ def find_json_object(raw: str) -> dict | None:
     # Widest span first: first '{' through last '}'.
     last = text.rfind("}")
     if last > first:
-        obj = _try_parse_object(text[first : last + 1])
-        if obj is not None:
-            return obj
-    # Otherwise the first balanced object that parses, scanning brace starts
+        try:
+            obj = json.loads(text[first : last + 1])
+            if isinstance(obj, dict):
+                return obj
+        except (ValueError, RecursionError):
+            pass
+    # Otherwise the first object that parses at a brace, scanning brace starts
     # left to right (prose may precede or follow the real payload).
     pos = first
     while pos != -1:
-        candidate = _scan_balanced_object(text, pos)
-        if candidate is not None:
-            obj = _try_parse_object(candidate)
-            if obj is not None:
-                return obj
-        pos = text.find("{", pos + 1)
+        try:
+            return _decode(text, pos)[0]
+        except (ValueError, RecursionError):
+            pos = text.find("{", pos + 1)
     return None
 
 

@@ -116,8 +116,6 @@ def chat_complete(
     prompt: PromptText | str,
     endpoint: ModelEndpoint,
     *,
-    temperature: float = 0.0,
-    max_output_tokens: int = 1024,
     backoff: float = 0.5,
 ) -> ChatResponse:
     """Send one chat completion and return the model's text."""
@@ -125,8 +123,8 @@ def chat_complete(
     payload = {
         "model": endpoint.model_name,
         "messages": [{"role": "user", "content": body}],
-        "temperature": temperature,
-        "max_tokens": max_output_tokens,
+        "temperature": 0.0,
+        "max_tokens": 1024,
     }
     data, attempts = _post_json(f"{endpoint.base_url.rstrip('/')}/chat/completions", payload, endpoint, backoff)
     try:

@@ -86,7 +86,7 @@ from .store import (
     write_atomic,
 )
 from .synthetic import SYNTHETIC_MODEL_NAME, SyntheticSpec, expected_oracle_accuracy, generate
-from .translation import ItemTranslationError, translate_item
+from .translation import translate_item
 
 logger = logging.getLogger(__name__)
 
@@ -214,14 +214,14 @@ Result = TypeVar("Result")
 
 def run_bounded(
     endpoint: ModelEndpoint, work: Callable[[Task], Result], tasks: Sequence[Task]
-) -> Iterator[tuple[Task, Result | None, GatewayError | ItemTranslationError | None]]:
+) -> Iterator[tuple[Task, Result | None, GatewayError | None]]:
     """Run ``work`` on every task with at most ``endpoint.max_in_flight`` threads.
 
     A task is submitted only when a thread is free for it. Yields
     ``(task, result, error)`` as tasks complete, for each task that finished
-    (``error`` None) or failed at the endpoint (``error`` is the task's
-    ``ItemTranslationError``, or a ``GatewayError`` other than ``AuthError``;
-    ``result`` is None). After an ``AuthError`` no task is submitted, the tasks
+    (``error`` None) or failed at the endpoint (``error`` is a ``GatewayError``
+    other than ``AuthError``, an ``ItemTranslationError`` included; ``result``
+    is None). After an ``AuthError`` no task is submitted, the tasks
     still running are yielded, and then that ``AuthError`` is raised. Any other
     exception from ``work`` is raised at once. On every exit, an exception in
     the consuming thread or closing the generator included, the tasks still
@@ -246,7 +246,7 @@ def run_bounded(
                 if isinstance(error, AuthError):
                     auth_error = auth_error or error
                     continue
-                if error is not None and not isinstance(error, (GatewayError, ItemTranslationError)):
+                if error is not None and not isinstance(error, GatewayError):
                     raise error
                 if auth_error is None:
                     submit(1)
@@ -382,7 +382,7 @@ def run_infer(
     failed = 0
     with run_lock(config.output_dir):
         with RunStore(store_dir(config, endpoint.model_name)) as store:
-            if store.read_manifest() is None:
+            if read_manifest(store.directory) is None:
                 store.write_manifest(config_snapshot(config, endpoint.model_name))
             matrix = build_matrix(store, items, endpoint.model_name, list(per_language))
             plan: list[tuple[str, Language]] = []
@@ -724,9 +724,12 @@ def run_evaluate(
     ks = list(k_list) if k_list else list(config.k_list)
     fit_seeds = list(seeds) if seeds else list(config.seeds)
     _check_fit_parameters(ks, fit_seeds, len(train))
+    directory = store_dir(config, model_name)
+    if not (directory / "records.jsonl").exists():
+        raise ConfigError(f"no records of model {model_name!r} at {directory}; run the infer stage first")
 
     with run_lock(config.output_dir):
-        store = RunStore(store_dir(config, model_name))
+        store = RunStore(directory)
         matrix = build_matrix(store, items, model_name, config.languages)
         counts = matrix_counts(matrix)
 
@@ -773,7 +776,7 @@ def rerender_report(report_path: Path, fmt: str) -> bytes:
 
 def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
     store = RunStore(data_dir)
-    manifest = store.read_manifest()
+    manifest = read_manifest(data_dir)
     if manifest is None:
         store.write_manifest(
             {

@@ -64,17 +64,11 @@ class TemplateSet:
     def __init__(self, templates: Mapping[Language, PromptTemplate]):
         self._templates = dict(templates)
 
-    def __contains__(self, language: Language) -> bool:
-        return language in self._templates
-
     def get(self, language: Language) -> PromptTemplate:
         try:
             return self._templates[language]
         except KeyError:
             raise MissingTemplateError(f"no prompt template for language {language.value!r}") from None
-
-    def languages(self) -> list[Language]:
-        return list(self._templates)
 
     def content_hashes(self) -> dict[str, str]:
         """Per-language sha256 of template content, for provenance snapshots."""

@@ -22,16 +22,7 @@ from .clustering import ClusterModel
 from .languages import Language, canonical_index
 from .selectors import SINGLE_LANGUAGE_STRATEGIES, SelectorOutcome, Strategy
 
-_STRATEGY_ORDER = (
-    Strategy.ONLY_ENGLISH,
-    Strategy.MAJORITY,
-    Strategy.GLOBAL_LANGUAGE,
-    Strategy.LLM_SELECTED,
-    Strategy.COUNTRY,
-    Strategy.LSK_EXTRACTOR,
-    Strategy.ORACLE,
-)
-_STRATEGY_RANK = {strategy.value: rank for rank, strategy in enumerate(_STRATEGY_ORDER)}
+_STRATEGY_RANK = {strategy.value: rank for rank, strategy in enumerate(Strategy)}  # declaration order
 
 FORMATS = ("json", "csv", "markdown")
 

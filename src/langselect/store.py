@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -163,8 +163,8 @@ class InferenceRecord(_RecordFields):
         attempt_count: int = 1,
         created_at: str | None = None,
     ) -> "InferenceRecord":
-        if status is RecordStatus.OK and extracted_label not in _LABEL_SET:
-            raise ValueError(f"ok records must carry an extracted label: one letter A-Z, not {extracted_label!r}")
+        if extracted_label not in _LABEL_SET and (extracted_label is not None or status is RecordStatus.OK):
+            raise ValueError(f"extracted label must be one letter A-Z (or null, if not ok), not {extracted_label!r}")
         if created_at is None:
             created_at = utc_now()
         return tuple.__new__(
@@ -251,10 +251,8 @@ class RunStore:
 
     The store holds an index of its records, not the records: ``key -> row``
     and three columns by row, in write order. ``statuses[row]`` indexes
-    ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label,
-    or for one that is no letter A-Z, which only a non-ok record may carry)
-    and ``outputs[row]`` is the ``raw_output``. ``records()`` reads the full
-    records back from ``records.jsonl``.
+    ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label)
+    and ``outputs[row]`` is the ``raw_output``.
     """
 
     def __init__(self, directory: str | Path):
@@ -267,7 +265,6 @@ class RunStore:
         self.statuses = bytearray()
         self.labels = bytearray()
         self.outputs: list[str] = []
-        self._other_labels: dict[int, object] = {}  # row -> a label with byte 0 other than None
         self.conflicts = 0
         self._unsynced = 0
         self._fh = None
@@ -319,7 +316,7 @@ class RunStore:
                 data, end = _scan(text, 0)
                 status = _STATUS_BYTE[data["status"]]
                 label = data.get("extracted_label")
-                if end == len(text) and (status != STATUS_OK or label in _LABEL_SET):
+                if end == len(text) and (label in _LABEL_SET or label is None and status != STATUS_OK):
                     language = _LANGUAGE_BY_CODE[data["language"]]._value_
                     key = (data["item_id"], language, data["model_name"], data["prompt_hash"])
                     self._index(key, data["raw_output"], label, status)
@@ -351,21 +348,17 @@ class RunStore:
     def _index(self, key, raw_output: str, label, status: int, record: InferenceRecord | None = None) -> bool:
         """Give ``key`` the next row unless it has one (another output under it is a
         conflict); with ``record``, only once its line is written to the file."""
+        byte = ord(label) if label else 0
         row = self._rows.get(key)
         if row is not None:
-            stored_label = chr(self.labels[row]) if self.labels[row] else self._other_labels.get(row)
-            if (self.outputs[row], self.statuses[row], stored_label) != (raw_output, status, label):
+            if (self.outputs[row], self.statuses[row], self.labels[row]) != (raw_output, status, byte):
                 self.conflicts += 1
             return False
-        byte = ord(label) if isinstance(label, str) and label in _LABEL_SET else 0
         if record is not None:
             # backslashreplace acts only on a lone surrogate (json.loads of a reply
             # can yield one): its \uXXXX escape is JSON and reads back equal.
             self._open_for_append().write((record.to_json() + "\n").encode("utf-8", "backslashreplace"))
-        row = len(self.outputs)
-        if not byte and label is not None:
-            self._other_labels[row] = label
-        self._rows[key] = row
+        self._rows[key] = len(self.outputs)
         self.statuses.append(status)
         self.labels.append(byte)
         self.outputs.append(raw_output)
@@ -432,33 +425,9 @@ class RunStore:
     def __len__(self) -> int:
         return len(self.outputs)
 
-    def records(self) -> Iterator[InferenceRecord]:
-        """Stored records in write order, read back from ``records.jsonl``: the
-        first line of each stored key (a later line under it repeats or conflicts)."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-            count = len(self.outputs)
-        if not count:
-            return
-        row = 0
-        with self.records_path.open("rb") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                record = InferenceRecord.from_json(line.decode("utf-8"))
-                if self._rows.get(record.key) == row:
-                    yield record
-                    row += 1
-                    if row == count:
-                        return
-
     def write_manifest(self, manifest: Mapping) -> None:
         payload = json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
         write_atomic(self.manifest_path, payload.encode("utf-8"))
-
-    def read_manifest(self) -> dict | None:
-        return read_manifest(self.directory)
 
 
 def read_manifest(directory: str | Path) -> dict | None:

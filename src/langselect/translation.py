@@ -18,7 +18,7 @@ from .prompts import build_translation_prompt, translation_key
 logger = logging.getLogger(__name__)
 
 
-class ItemTranslationError(RuntimeError):
+class ItemTranslationError(GatewayError):
     """The item could not be fully translated; names the failing fields."""
 
     def __init__(self, item_id: str, target: Language, failed_fields: list[str], transport: bool = False):

@@ -9,7 +9,7 @@ from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.languages import Language, canonical_sorted
 from langselect.store import INVALID as INVALID_BYTE
 from langselect.store import MISSING as MISSING_BYTE
-from langselect.store import ResponseMatrix
+from langselect.store import InferenceRecord, ResponseMatrix, RunStore
 
 INVALID = "invalid"
 MISSING = None
@@ -112,3 +112,21 @@ def cell(matrix: ResponseMatrix, item_id: str, language: Language) -> str:
 def cell_correct(matrix: ResponseMatrix, item_id: str, language: Language) -> bool:
     """Whether one cell holds the item's gold label, read cell by cell."""
     return cell(matrix, item_id, language) == matrix.gold[item_id]
+
+
+def stored_records(store: RunStore) -> list[InferenceRecord]:
+    """The records ``store`` holds, in write order, read back from its
+    ``records.jsonl``: the first line of each key (a later line under it
+    repeats or conflicts). A torn final line past them is not read."""
+    if not len(store):
+        return []
+    store.flush()
+    records: dict[tuple, InferenceRecord] = {}
+    with store.records_path.open("rb") as fh:
+        for line in fh:
+            if line.strip():
+                record = InferenceRecord.from_json(line.decode("utf-8"))
+                records.setdefault(record.key, record)
+                if len(records) == len(store):
+                    break
+    return list(records.values())

@@ -18,7 +18,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from langselect.clustering import LskRouter, train_lsk
+from langselect.clustering import LskRouter, train_lsk_best
 from langselect.datasets import ClaimRecord, SplitSpec, reformat_culture_atlas, split
 from langselect.extraction import extract_final_answer
 from langselect.gateway import ModelEndpoint, chat_complete
@@ -112,7 +112,7 @@ def test_criterion_01_oracle_dominance_and_union_semantics():
                     for i, v in zip(items, np.random.default_rng(trial).normal(size=(len(items), 6)))
                 }
                 k = min(3, len(items))
-                model = train_lsk(vectors, matrix, k=k, seed=trial)
+                model = train_lsk_best(vectors, matrix, k, [trial])
                 states[Strategy.LSK_EXTRACTOR] = LskRouter(model=model, vectors=vectors)
             for strategy, state in states.items():
                 accuracy = evaluate(strategy, items, matrix, state=state).accuracy
@@ -179,7 +179,7 @@ def test_criterion_04_k1_collapse():
             vectors = {
                 i.item_id: v / np.linalg.norm(v) for i, v in zip(items, raw)
             }
-            model = train_lsk(vectors, matrix, k=1, seed=trial)
+            model = train_lsk_best(vectors, matrix, 1, [trial])
             assert model.expert_language[0] is train_global_language(matrix).language
 
 
@@ -195,7 +195,7 @@ def test_criterion_05_planted_cluster_recovery():
             train, test = split(data.items, SplitSpec(seed=seed, train_count=2000, test_count=400))
             train_matrix = data.matrix.subset([i.item_id for i in train])
             test_matrix = data.matrix.subset([i.item_id for i in test])
-            model = train_lsk(data.vectors, train_matrix, k=12, seed=seed)
+            model = train_lsk_best(data.vectors, train_matrix, 12, [seed])
             recovered, clusters = planted_recovery(model, data)
             recovered_total += recovered
             cluster_total += clusters
@@ -225,7 +225,7 @@ def test_criterion_06_noiseless_and_symmetric_limits():
             train, test = split(data.items, SplitSpec(seed=seed, train_count=500, test_count=100))
             train_matrix = data.matrix.subset([i.item_id for i in train])
             test_matrix = data.matrix.subset([i.item_id for i in test])
-            model = train_lsk(data.vectors, train_matrix, k=12, seed=seed)
+            model = train_lsk_best(data.vectors, train_matrix, 12, [seed])
             router = LskRouter(model=model, vectors=data.vectors)
             outcome = evaluate(Strategy.LSK_EXTRACTOR, test, test_matrix, state=router)
             assert outcome.accuracy == 1.0
@@ -238,7 +238,7 @@ def test_criterion_06_noiseless_and_symmetric_limits():
             train, test = split(data.items, SplitSpec(seed=seed, train_count=2000, test_count=400))
             train_matrix = data.matrix.subset([i.item_id for i in train])
             test_matrix = data.matrix.subset([i.item_id for i in test])
-            model = train_lsk(data.vectors, train_matrix, k=12, seed=seed)
+            model = train_lsk_best(data.vectors, train_matrix, 12, [seed])
             router = LskRouter(model=model, vectors=data.vectors)
             lsk_accuracies.append(
                 evaluate(Strategy.LSK_EXTRACTOR, test, test_matrix, state=router).accuracy

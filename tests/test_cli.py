@@ -31,7 +31,7 @@ from langselect.pipeline import (
     store_dir,
     translation_file,
 )
-from langselect.store import RunStore
+from langselect.store import RunStore, read_manifest
 
 from helpers import make_item
 from stub_server import StubServer, echo_translation_responder, hash_embedding
@@ -136,7 +136,7 @@ class TestInferStage:
         assert result.summary["remaining_missing_cells"] == 0
         store = RunStore(store_dir(config, "stub-model"))
         assert len(store) == 18
-        assert store.read_manifest()["model_name"] == "stub-model"
+        assert read_manifest(store.directory)["model_name"] == "stub-model"
 
     def test_rerun_zero_calls(self, tmp_path, pipeline_stub):
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
@@ -594,6 +594,38 @@ class TestCliInterface:
         assert not (out / "global_choice.json").exists()
         assert not (out / "reports").exists()
         assert not list(out.glob("cluster_model_k*.json"))
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            pytest.param("k_list", ["x"], id="k-not-a-number"),
+            pytest.param("seeds", ["x"], id="seed-not-a-number"),
+            pytest.param("split", {"seed": "x", "train_count": 6, "test_count": 2}, id="split-seed-not-a-number"),
+            pytest.param("k_list", 5, id="k-list-not-a-list"),
+            pytest.param("languages", "en", id="languages-not-a-list"),
+        ],
+    )
+    def test_evaluate_refuses_a_malformed_config_field(self, tmp_path, pipeline_stub, field, value):
+        config_path = write_pipeline_config(tmp_path, pipeline_stub, n_items=8, **{field: value})
+        result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: '{field}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_refuses_a_model_without_records(self, tmp_path, pipeline_stub):
+        config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+        config = load_config(config_path)
+        assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        payload["chat_endpoint"]["model_name"] = "stub-modle"  # a typo
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert "configuration error: no records of model 'stub-modle'" in result.output
+        out = tmp_path / "out"
+        assert [p.name for p in (out / "store").iterdir()] == [store_dir(config, "stub-model").name]
+        assert not (out / "global_choice.json").exists()
+        assert not (out / "reports").exists()
 
     @pytest.mark.parametrize("stage, args", [("evaluate", []), ("select-llm", ["--dry-run"]), ("embed", ["--dry-run"])])
     def test_a_split_larger_than_the_dataset_is_refused_before_writing(self, tmp_path, pipeline_stub, stage, args):

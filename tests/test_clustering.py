@@ -25,7 +25,6 @@ from langselect.clustering import (
     inertia,
     item_embedding_key,
     kmeans_fit,
-    train_lsk,
     train_lsk_best,
 )
 from langselect.gateway import GatewayError, ModelEndpoint
@@ -266,20 +265,20 @@ class TestTrainLsk:
     def test_expert_is_unique_maximizer(self):
         rows = {f"q{i}": {EN: False, HI: True, ES: False} for i in range(8)}
         _, matrix = make_matrix(rows)
-        model = train_lsk(vectors_for(matrix), matrix, k=2, seed=0)
+        model = train_lsk_best(vectors_for(matrix), matrix, 2, [0])
         assert set(model.expert_language.values()) == {HI}
 
     def test_all_zero_accuracy_defaults_english(self):
         rows = {f"q{i}": {EN: False, HI: False, ES: False} for i in range(6)}
         _, matrix = make_matrix(rows)
-        model = train_lsk(vectors_for(matrix), matrix, k=2, seed=0)
+        model = train_lsk_best(vectors_for(matrix), matrix, 2, [0])
         assert set(model.expert_language.values()) == {EN}
 
     def test_member_counts_sum_to_train_size(self):
         import random as _random
 
         _, matrix = random_matrix(_random.Random(0), 40, [EN, ES, HI])
-        model = train_lsk(vectors_for(matrix), matrix, k=5, seed=1)
+        model = train_lsk_best(vectors_for(matrix), matrix, 5, [1])
         assert sum(model.member_counts.values()) == 40
         assert all(count > 0 for count in model.member_counts.values())
 
@@ -297,7 +296,7 @@ class TestTrainLsk:
         blanked = bytes(b if n % 7 else ord(".") for n, b in enumerate(matrix.cells))
         matrix = dataclasses.replace(matrix, cells=blanked)
         vectors = vectors_for(matrix, seed=9)
-        model = train_lsk(vectors, matrix, k=5, seed=2)
+        model = train_lsk_best(vectors, matrix, 5, [2])
         labels = assign_many(np.stack([vectors[i] for i in matrix.items]), model.centroids)
         assert sum(model.member_counts.values()) == len(matrix.items)
         assert model.member_counts == dict(enumerate(np.bincount(labels, minlength=5).tolist()))
@@ -317,7 +316,7 @@ class TestTrainLsk:
 
         for trial in range(10):
             _, matrix = random_matrix(_random.Random(trial), 30, [EN, ES, HI])
-            model = train_lsk(vectors_for(matrix, seed=trial), matrix, k=4, seed=trial)
+            model = train_lsk_best(vectors_for(matrix, seed=trial), matrix, 4, [trial])
             for cluster, accs in model.train_accuracy.items():
                 expert = model.expert_language[cluster]
                 assert all(accs[expert] >= acc for acc in accs.values())
@@ -328,7 +327,7 @@ class TestTrainLsk:
         for trial in range(20):
             _, matrix = random_matrix(_random.Random(100 + trial), 25, [EN, ES, HI])
             vectors = vectors_for(matrix, seed=trial)
-            model = train_lsk(vectors, matrix, k=1, seed=0)
+            model = train_lsk_best(vectors, matrix, 1, [0])
             assert model.expert_language[0] is train_global_language(matrix).language
             routed = LskRouter(model=model, vectors=vectors).route(list(vectors))
             assert set(routed) == {train_global_language(matrix).language}
@@ -336,20 +335,20 @@ class TestTrainLsk:
     def test_missing_vector_errors(self):
         _, matrix = make_matrix({"q1": {EN: True}, "q2": {EN: False}})
         with pytest.raises(ClusteringError, match="without embeddings"):
-            train_lsk({"q1": np.ones(3)}, matrix, k=1, seed=0)
+            train_lsk_best({"q1": np.ones(3)}, matrix, 1, [0])
 
     def test_deterministic_model(self):
         import random as _random
 
         _, matrix = random_matrix(_random.Random(55), 30, [EN, ES])
         vectors = vectors_for(matrix, seed=5)
-        assert train_lsk(vectors, matrix, 3, seed=2) == train_lsk(vectors, matrix, 3, seed=2)
+        assert train_lsk_best(vectors, matrix, 3, [2]) == train_lsk_best(vectors, matrix, 3, [2])
 
     def test_json_round_trip_bit_exact(self):
         import random as _random
 
         _, matrix = random_matrix(_random.Random(56), 20, [EN, ES, HI])
-        model = train_lsk(vectors_for(matrix, seed=6), matrix, k=3, seed=4)
+        model = train_lsk_best(vectors_for(matrix, seed=6), matrix, 3, [4])
         restored = ClusterModel.from_json(model.to_json())
         assert restored == model
         assert restored.centroids.tobytes() == model.centroids.tobytes()
@@ -369,7 +368,7 @@ class TestTrainLsk:
         best = train_lsk_best(vectors, matrix, k=4, seeds=range(6))
         best_inertia = inertia(X, best.centroids)
         for s in range(6):
-            single = train_lsk(vectors, matrix, k=4, seed=s)
+            single = train_lsk_best(vectors, matrix, 4, [s])
             assert best_inertia <= inertia(X, single.centroids) + 1e-9
 
     def test_a_k_sweep_hashes_the_train_array_once(self, tmp_path, monkeypatch):
@@ -427,7 +426,7 @@ class TestLskRouting:
         rows = {f"q{i}": {EN: i % 2 == 0, HI: i % 2 == 1} for i in range(10)}
         _, matrix = make_matrix(rows)
         vectors = vectors_for(matrix, seed=8)
-        model = train_lsk(vectors, matrix, k=2, seed=0)
+        model = train_lsk_best(vectors, matrix, 2, [0])
         router = LskRouter(model=model, vectors=vectors)
         for item_id, vec in vectors.items():
             nearest = int(np.argmin(((model.centroids - vec) ** 2).sum(axis=1)))
@@ -475,7 +474,7 @@ class TestPlantedRecoverySmoke:
             seed=11,
         )
         data = generate(spec)
-        model = train_lsk(data.vectors, data.matrix, k=4, seed=1)
+        model = train_lsk_best(data.vectors, data.matrix, 4, [1])
         got = sorted(model.expert_language.values(), key=lambda l: l.value)
         assert got == sorted(spec.expert_per_cluster, key=lambda l: l.value)
 
@@ -624,3 +623,11 @@ def test_fit_version_is_bumped_with_every_edit_of_the_fit_code():
     parts += [repr(clustering._MOVE_TOL), repr(clustering._MAX_ITER)]
     digest = hashlib.sha256("\n".join(parts).encode("utf-8")).hexdigest()
     assert (clustering.FIT_VERSION, digest) == PINNED_FIT
+
+
+def test_the_package_exports_the_seed_set_trainer():
+    import langselect
+
+    assert langselect.train_lsk_best is train_lsk_best
+    assert "train_lsk_best" in langselect.__all__
+    assert not hasattr(clustering, "train_lsk")

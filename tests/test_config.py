@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -95,3 +96,50 @@ def test_invalid_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ConfigError, match="invalid JSON"):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        pytest.param({"k_list": ["x"]}, "'k_list': 'x' is not an integer", id="k-not-a-number"),
+        pytest.param({"seeds": ["x"]}, "'seeds': 'x' is not an integer", id="seed-not-a-number"),
+        pytest.param({"seeds": [None]}, "'seeds': None is not an integer", id="seed-null"),
+        pytest.param({"seeds": [True]}, "'seeds': True is not an integer", id="seed-boolean"),
+        pytest.param({"k_list": [2.7]}, "'k_list': 2.7 is not an integer", id="k-fraction"),
+        pytest.param({"split": {"seed": "x"}}, "'split.seed': 'x' is not an integer", id="split-seed"),
+        pytest.param({"split": {"train_count": -1}}, "'split': split counts must be non-negative", id="split-negative"),
+        pytest.param({"split": [1, 2]}, "'split' must be an object", id="split-not-an-object"),
+        pytest.param({"k_list": 5}, "'k_list' must be a list, not 5", id="k-list-not-a-list"),
+        pytest.param({"languages": "en"}, "'languages' must be a list, not 'en'", id="languages-not-a-list"),
+        pytest.param({"languages": ["en", "xx"]}, "'languages': 'xx' is not a valid Language", id="unknown-language"),
+        pytest.param(
+            {"chat_endpoint": {"base_url": "http://x", "model_name": "m", "max_in_flight": 2.5}},
+            "invalid chat endpoint block: 'max_in_flight': 2.5 is not an integer",
+            id="endpoint-fraction",
+        ),
+        pytest.param({"output_dir": 5}, "'output_dir' must be a path, not 5", id="output-dir-not-a-path"),
+    ],
+)
+def test_a_malformed_field_is_a_config_error_naming_it(tmp_path, overrides, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_config(write_config(tmp_path, **overrides))
+
+
+def test_numbers_from_environment_placeholders_are_read(tmp_path, monkeypatch):
+    monkeypatch.setenv("K", "4")
+    monkeypatch.setenv("SPLIT_SEED", "9")
+    config = load_config(write_config(tmp_path, k_list=["${K}", 2], seeds=["${K}"], split={"seed": "${SPLIT_SEED}"}))
+    assert config.k_list == (4, 2)
+    assert config.seeds == (4,)
+    assert config.split.seed == 9
+
+
+def test_relative_paths_are_taken_from_the_config_directory(tmp_path):
+    (tmp_path / "templates").mkdir()
+    (tmp_path / "map.json").write_text("{}", encoding="utf-8")
+    absolute = tmp_path / "elsewhere"
+    config = load_config(write_config(tmp_path, output_dir=str(absolute), country_map="map.json", template_dir="templates"))
+    assert config.dataset_path == tmp_path / "data.jsonl"
+    assert config.output_dir == absolute
+    assert config.country_map_path == tmp_path / "map.json"
+    assert config.template_dir == tmp_path / "templates"

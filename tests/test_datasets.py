@@ -149,6 +149,14 @@ class TestLoadClaims:
         with pytest.raises(DatasetError, match="missing field 'claim'"):
             load_claims(path)
 
+    @pytest.mark.parametrize("line", ["5", '"Samoa"', "[1, 2]", "null"])
+    def test_a_line_that_is_not_an_object_is_refused_with_its_number(self, tmp_path, line):
+        path = tmp_path / "claims.jsonl"
+        good = json.dumps({"country": "Samoa", "claim": "x", "label": True})
+        path.write_text(f"{good}\n\n{line}\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"claims.jsonl: line 3: record is not an object"):
+            load_claims(path)
+
     def test_round_trip_into_reformat(self, tmp_path):
         path = tmp_path / "claims.jsonl"
         records = [{"country": "Samoa", "claim": f"Samoa claim {i}", "label": i == 0} for i in range(4)]
@@ -171,14 +179,14 @@ class TestReformatCultureAtlas:
         item = result.items[0]
         assert item.question == "Which is the following is true about Samoa?"
         assert len(item.choices) == 4
-        assert item.choice_text(item.gold_label) == "Samoa true claim 0"
+        assert dict(item.choices)[item.gold_label] == "Samoa true claim 0"
         assert item.country == "Samoa"
         assert item.dataset_id is DatasetId.CULTURE_ATLAS
 
     def test_each_true_claim_used_at_most_once(self):
         result = reformat_culture_atlas(claims_for("Chile", 2, 6), seed=0)
         assert len(result.items) == 2
-        golds = {i.choice_text(i.gold_label) for i in result.items}
+        golds = {dict(i.choices)[i.gold_label] for i in result.items}
         assert golds == {"Chile true claim 0", "Chile true claim 1"}
 
     def test_too_few_false_claims_skips_with_summary(self):
@@ -192,14 +200,14 @@ class TestReformatCultureAtlas:
         assert len(result.items) == 3
         used = []
         for item in result.items:
-            used.extend(c.text for c in item.choices if c.text != item.choice_text(item.gold_label))
+            used.extend(c.text for c in item.choices if c.text != dict(item.choices)[item.gold_label])
         assert len(used) == len(set(used))
 
     def test_reuse_only_when_pool_too_small(self):
         result = reformat_culture_atlas(claims_for("Fiji", 4, 5), seed=3)
         assert len(result.items) == 4
         for item in result.items:
-            distractors = [c.text for c in item.choices if c.text != item.choice_text(item.gold_label)]
+            distractors = [c.text for c in item.choices if c.text != dict(item.choices)[item.gold_label]]
             assert len(set(distractors)) == 3
 
     def test_never_mixes_countries(self):

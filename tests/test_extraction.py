@@ -1,11 +1,13 @@
 import json
 import random
 import string
+import time
 
 import pytest
 
 from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.extraction import (
+    _strip_code_fences,
     extract_expert_language,
     extract_final_answer,
     extract_reasoning_text,
@@ -122,6 +124,117 @@ class TestFindJsonObject:
 
     def test_non_object_json_rejected(self):
         assert find_json_object("[1, 2, 3]") is None
+
+
+def _scan_balanced_object(text: str, start: int) -> str | None:
+    """Return the balanced ``{...}`` slice starting at ``start``, if any: the
+    brace and quote scanner ``find_json_object`` once ran at each brace."""
+    depth = 0
+    in_string = False
+    escaped = False
+    for i in range(start, len(text)):
+        ch = text[i]
+        if in_string:
+            if escaped:
+                escaped = False
+            elif ch == "\\":
+                escaped = True
+            elif ch == '"':
+                in_string = False
+            continue
+        if ch == '"':
+            in_string = True
+        elif ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                return text[start : i + 1]
+    return None
+
+
+def _parse_object(candidate: str) -> dict | None:
+    try:
+        obj = json.loads(candidate)
+    except (ValueError, RecursionError):
+        return None
+    return obj if isinstance(obj, dict) else None
+
+
+def reference_find_json_object(raw):
+    """``find_json_object`` as the scanner above made it: the widest span,
+    else the first balanced slice from a brace that parses as an object."""
+    if not isinstance(raw, str) or "{" not in raw:
+        return None
+    text = _strip_code_fences(raw)
+    first = text.find("{")
+    if first < 0:
+        return None
+    last = text.rfind("}")
+    if last > first:
+        obj = _parse_object(text[first : last + 1])
+        if obj is not None:
+            return obj
+    pos = first
+    while pos != -1:
+        candidate = _scan_balanced_object(text, pos)
+        if candidate is not None:
+            obj = _parse_object(candidate)
+            if obj is not None:
+                return obj
+        pos = text.find("{", pos + 1)
+    return None
+
+
+# Pieces that make fragments of JSON objects (and of what is nearly one) common.
+_PIECES = [
+    "{", "{", "{", "}", "}", "}", '"', '"', '"a"', '"final_answer"', ": ", ":", ", ", ",", "1", "-2.5e3",
+    "true", "null", "NaN", "[", "]", "\\", '\\"', "\\u00e9", "\\ud800", "x", "prose ", " ", "\n", "\t",
+    "```", "```json\n", "é", "漢", "\x00", "'", "{}", '{"a": 1}', '"b": "}"', '{"final_answer": "B"}',
+]
+
+
+def test_find_json_object_agrees_with_the_balanced_scanner_on_random_text():
+    rng = random.Random(17)
+    found = 0
+    for _ in range(100_000):
+        raw = "".join(rng.choice(_PIECES) for _ in range(rng.randrange(0, 25)))
+        expected = reference_find_json_object(raw)
+        assert find_json_object(raw) == expected, raw
+        found += expected is not None
+    assert found > 10_000  # the pieces make objects often enough for the agreement to mean something
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        pytest.param('{"a": 1} {"b": 2}', id="two-objects"),  # the widest span fails; the first object wins
+        pytest.param('say {"a": "}"} then {"b": 2}', id="brace-in-string"),
+        pytest.param('{"a": {"b": 1} trailing', id="unclosed-outer"),  # the inner object parses
+        pytest.param('{"a": "\\"}"} x }', id="escaped-quote"),
+        pytest.param("{" * 3000 + '{"a": 1}' + "}" * 10, id="many-open-braces"),
+        pytest.param('{"a": 1', id="unclosed"),
+        pytest.param("{{}", id="empty-inner"),
+    ],
+)
+def test_find_json_object_agrees_with_the_balanced_scanner_on_edge_cases(raw):
+    assert find_json_object(raw) == reference_find_json_object(raw)
+
+
+def test_an_object_nested_past_the_recursion_limit_yields_an_inner_one():
+    # Which depth first parses depends on the stack depth of the caller, so
+    # this is not compared with the reference.
+    raw = '{"a": ' * 5000 + "1" + "}" * 5000
+    obj = find_json_object(raw)
+    assert isinstance(obj, dict) and set(obj) == {"a"}
+
+
+def test_a_reply_of_many_open_braces_is_scanned_in_linear_time():
+    # The balanced scanner read to the end of the text from each of the braces.
+    started = time.perf_counter()
+    assert find_json_object("{" * 20_000) is None
+    assert extract_final_answer("{" * 20_000, STD) is None
+    assert time.perf_counter() - started < 2.0
 
 
 class TestNormalize:

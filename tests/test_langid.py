@@ -151,7 +151,7 @@ def _random_texts(count, seed):
     words, with tricky characters mixed in; a fifth are slices of the bundled
     template instructions with tricky characters spliced in."""
     templates = TemplateSet.bundled()
-    instructions = [templates.get(lang).instruction for lang in templates.languages()]
+    instructions = [templates.get(lang).instruction for lang in sorted(Language, key=lambda lang: lang.value)]
     words = sorted({w for text in instructions for w in text.split()} | {w for s in _STOPWORDS.values() for w in s})
     families = [*SCRIPT_ALPHABETS.values(), _HALFWIDTH_KANA, _LATIN, _LATIN, _LATIN, _LATIN]
     everything = "".join(families) + _TRICKY + "".join(instructions)

@@ -22,7 +22,7 @@ from langselect.languages import Language
 from langselect.store import InferenceRecord, RecordStatus, RunStore, build_matrix, matrix_counts
 from langselect.translation import ItemTranslationError
 
-from helpers import make_item
+from helpers import make_item, stored_records
 
 
 def endpoint(max_in_flight: int) -> ModelEndpoint:
@@ -154,7 +154,7 @@ def verify(store, languages=EN_FR, item_ids=None):
     """The verification rate of model "m" over the matrix of ``item_ids``
     (by default every item ``store`` holds) in ``languages``."""
     if item_ids is None:
-        item_ids = dict.fromkeys(record.item_id for record in store.records())
+        item_ids = dict.fromkeys(record.item_id for record in stored_records(store))
     matrix = build_matrix(store, [make_item(i) for i in item_ids], "m", languages)
     return pipeline.compute_verification_rate(store, matrix)
 
@@ -296,7 +296,7 @@ def test_one_appended_record_costs_one_detection(tmp_path, detection_calls):
 def test_sidecar_holds_one_verdict_per_distinct_output(verification_store):
     verify(verification_store)
     sidecar = json.loads((verification_store.directory / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
-    outputs = {r.item_id: r.raw_output for r in verification_store.records()}
+    outputs = {r.item_id: r.raw_output for r in stored_records(verification_store)}
     # q4 has no reasoning text and q5 no detectable signal: both are null.
     assert sidecar == {
         "version": DETECTOR_VERSION,

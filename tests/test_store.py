@@ -16,10 +16,11 @@ from langselect.store import (
     build_matrix,
     matrix_counts,
     missing_cells,
+    read_manifest,
 )
 from langselect.synthetic import SyntheticSpec, generate
 
-from helpers import cell, cell_correct, make_item
+from helpers import cell, cell_correct, make_item, stored_records
 
 
 def record_for(item_id, lang, label="A", status=RecordStatus.OK, raw=None, model="m", phash=None):
@@ -66,7 +67,7 @@ class TestRecordIdempotence:
         dropped = store.record(record_for("q1", EN, label="B"))
         assert dropped is False
         assert store.conflicts == 1
-        assert next(iter(store.records())).extracted_label == "A"
+        assert next(iter(stored_records(store))).extracted_label == "A"
 
     def test_persistence_across_reopen(self, tmp_path):
         path = tmp_path / "run"
@@ -96,6 +97,15 @@ class TestRecordIdempotence:
             record_for("q1", EN, label=label)
         assert record_for("q1", EN, label="Z").extracted_label == "Z"
 
+    @pytest.mark.parametrize("status", [RecordStatus.INVALID_OUTPUT, RecordStatus.TRANSPORT_ERROR])
+    @pytest.mark.parametrize("label", ["", "AB", "a", "É", 1])
+    def test_a_label_that_is_not_null_is_one_capital_letter_whatever_the_status(self, status, label):
+        # The label column holds one byte per record, so that conflicts compare bytes.
+        with pytest.raises(ValueError, match="one letter A-Z"):
+            InferenceRecord("q1", EN, "m", "h", "raw", label, status)
+        assert InferenceRecord("q1", EN, "m", "h", "raw", "C", status).extracted_label == "C"
+        assert InferenceRecord("q1", EN, "m", "h", "raw", None, status).extracted_label is None
+
     def test_concurrent_writers_are_serialized(self, tmp_path, store):
         def write_block(offset):
             for i in range(50):
@@ -119,7 +129,7 @@ class TestRecordIdempotence:
         assert b"\\ud800" in lines[0]
         assert "é".encode("utf-8") in lines[1]
         reopened = RunStore(path)
-        assert [r.raw_output for r in reopened.records()] == [rec.raw_output, "é"]
+        assert [r.raw_output for r in stored_records(reopened)] == [rec.raw_output, "é"]
         assert reopened.record(rec) is False
         assert reopened.conflicts == 0
 
@@ -162,7 +172,7 @@ AWKWARD_TEXTS = [
     "é ü 中文 العربية",
 ]
 CODEC_CASES = [
-    *(InferenceRecord(text, HI, text, text, text, text, RecordStatus.INVALID_OUTPUT, 7, text) for text in AWKWARD_TEXTS),
+    *(InferenceRecord(text, HI, text, text, text, None, RecordStatus.INVALID_OUTPUT, 7, text) for text in AWKWARD_TEXTS),
     record_for("q1", EN),
     record_for("q1", ES, status=RecordStatus.INVALID_OUTPUT, raw="?"),  # null label
     record_for("q1", HI, status=RecordStatus.TRANSPORT_ERROR, raw=""),
@@ -194,13 +204,13 @@ class TestRecordMany:
         batch = [record_for(item_id, lang) for item_id in ("q3", "q1", "q2") for lang in (HI, EN)]
         with RunStore(tmp_path / "run") as store:
             assert store.record_many(batch) == len(batch)
-        assert [r.key for r in RunStore(tmp_path / "run").records()] == [r.key for r in batch]
+        assert [r.key for r in stored_records(RunStore(tmp_path / "run"))] == [r.key for r in batch]
 
     def test_duplicates_in_one_batch_dropped_and_differing_one_is_a_conflict(self, tmp_path, store):
         first = record_for("q1", EN, label="A")
         assert store.record_many([first, first, record_for("q1", EN, label="B"), record_for("q2", EN)]) == 2
         assert store.conflicts == 1
-        assert [r.extracted_label for r in store.records()] == ["A", "A"]
+        assert [r.extracted_label for r in stored_records(store)] == ["A", "A"]
         assert len((tmp_path / "run" / "records.jsonl").read_bytes().splitlines()) == 2
 
     def test_returns_number_written_not_offered(self, store):
@@ -232,9 +242,9 @@ class TestRecordMany:
         with pytest.raises(RuntimeError, match="producer failed"):
             store.record_many(batch())
         assert len(store) == 2
-        assert list(RunStore(path).records()) == list(store.records())
+        assert list(stored_records(RunStore(path))) == list(stored_records(store))
         assert store.record(record_for("q3", EN)) is True
-        assert [r.item_id for r in RunStore(path).records()] == ["q1", "q2", "q3"]
+        assert [r.item_id for r in stored_records(RunStore(path))] == ["q1", "q2", "q3"]
 
     def test_synthetic_store_fsyncs_records_at_most_twice(self, tmp_path, monkeypatch):
         spec_path = Path(__file__).resolve().parents[1] / "configs" / "sample_synthetic_spec.json"
@@ -262,7 +272,7 @@ class TestCorruptStore:
         lines = (path / "records.jsonl").read_text().splitlines()
         lines[1] = lines[1].replace('"extracted_label": "A"', '"extracted_label": "AB"')
         (path / "records.jsonl").write_text("\n".join(lines) + "\n")
-        with pytest.raises(StoreError, match="line 2 corrupt: ok records must carry an extracted label"):
+        with pytest.raises(StoreError, match="line 2 corrupt: extracted label must be one letter A-Z"):
             RunStore(path)
 
     def test_torn_final_line_dropped_then_appendable(self, tmp_path):
@@ -285,9 +295,9 @@ class TestCorruptStore:
         data = (path / "records.jsonl").read_bytes()
         (path / "records.jsonl").write_bytes(data.replace(b"\n", b"\n  \n\n", 1).rstrip(b"\n"))
         with RunStore(path) as store:
-            assert [r.item_id for r in store.records()] == ["q1", "q2"]
+            assert [r.item_id for r in stored_records(store)] == ["q1", "q2"]
             store.record(record_for("q3", EN))
-        assert [r.item_id for r in RunStore(path).records()] == ["q1", "q2", "q3"]
+        assert [r.item_id for r in stored_records(RunStore(path))] == ["q1", "q2", "q3"]
         assert (path / "records.jsonl").read_bytes().endswith(b"}\n" + record_for("q3", EN).to_json().encode() + b"\n")
 
     def test_corrupt_final_line_ending_in_a_newline_is_dropped_as_torn(self, tmp_path):
@@ -299,7 +309,7 @@ class TestCorruptStore:
         with RunStore(path) as store:
             assert len(store) == 1
             store.record(record_for("q3", EN))
-        assert [r.item_id for r in RunStore(path).records()] == ["q1", "q3"]
+        assert [r.item_id for r in stored_records(RunStore(path))] == ["q1", "q3"]
 
     def test_load_holds_one_line_of_the_file_at_a_time(self, tmp_path):
         path = tmp_path / "run"
@@ -468,10 +478,10 @@ class TestReplayAndMonotonicity:
 class TestManifest:
     def test_round_trip(self, store):
         store.write_manifest({"model_name": "m", "languages": ["en"]})
-        assert store.read_manifest() == {"model_name": "m", "languages": ["en"]}
+        assert read_manifest(store.directory) == {"model_name": "m", "languages": ["en"]}
 
     def test_absent_manifest_is_none(self, tmp_path):
-        assert RunStore(tmp_path / "run").read_manifest() is None
+        assert read_manifest(RunStore(tmp_path / "run").directory) is None
 
 
 def test_subset_preserves_structure(items, store):

@@ -17,6 +17,8 @@ from langselect import store as store_module
 from langselect.languages import Language
 from langselect.store import InferenceRecord, RecordStatus, RunStore, StoreError
 
+from helpers import stored_records
+
 EN, FR, ZH = Language.ENGLISH, Language.FRENCH, Language.CHINESE
 BLOCK_SIZES = [None, 1, 7, 100, 4096]  # None: the store's own block size
 
@@ -73,7 +75,7 @@ def assert_loads_like_reference(tmp_path, data: bytes, monkeypatch=None, block=N
     records, conflicts, good, needs_newline = expected
     with RunStore(path) as store:
         assert len(store) == len(records)
-        assert list(store.records()) == records
+        assert list(stored_records(store)) == records
         assert store.conflicts == conflicts
         assert store.record(APPENDED) is (APPENDED.key not in {r.key for r in records})
     if APPENDED.key not in {r.key for r in records}:
@@ -100,7 +102,7 @@ def random_records(rng: random.Random, n: int) -> list[InferenceRecord]:
     out = []
     for _ in range(n):
         status = rng.choice(list(RecordStatus))
-        label = rng.choice("ABCD") if status is RecordStatus.OK else rng.choice([None, None, "AB", "", "z"])
+        label = rng.choice("ABCD") if status is RecordStatus.OK else rng.choice([None, None, "B", "Z"])
         text = rng.choice(TEXTS) * rng.choice([1, 1, 3, 40])
         out.append(
             InferenceRecord(
@@ -161,6 +163,9 @@ BAD_LINES = {
     "an ok label of two letters": GOOD[0].replace(b'"extracted_label": "A"', b'"extracted_label": "AB"'),
     "an ok label in lower case": GOOD[0].replace(b'"extracted_label": "A"', b'"extracted_label": "a"'),
     "an ok record without a label": GOOD[0].replace(b'"extracted_label": "A"', b'"extracted_label": null'),
+    "a label of two letters": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": "AB"'),
+    "an empty label": GOOD[3].replace(b'"extracted_label": null', b'"extracted_label": ""'),
+    "a list label": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": [1]'),
     "an unknown status": GOOD[1].replace(b'"invalid_output"', b'"done"'),
     "an unknown language": GOOD[1].replace(b'"language": "fr"', b'"language": "xx"'),
     "a missing field": b"{" + FIELDS.replace(b', "raw_output": "x"', b"") + b', "status": "transport_error"}\n',
@@ -174,12 +179,11 @@ ACCEPTED_LINES = {
     "CR LF": GOOD[1].rstrip(b"\n") + b"\r\n",
     "a blank line": b"\n",
     "a line of whitespace": b" \t\r\x0b\x0c\n",
-    # from_json checks neither the attempt count nor a non-ok record's label
-    "a NaN attempt count and a list label": b"{"
-    + FIELDS
-    + b', "extracted_label": [1], "status": "invalid_output", "attempt_count": NaN}\n',
+    # from_json does not check the attempt count
+    "a NaN attempt count": b"{" + FIELDS + b', "extracted_label": null, "status": "invalid_output", "attempt_count": NaN}\n',
+    "a label on a record that is not ok": GOOD[3].replace(b'"extracted_label": null', b'"extracted_label": "C"'),
     "a conflicting output under a stored key": GOOD[0].replace(b'"raw_output": "{', b'"raw_output": "x{'),
-    "a conflicting label under a stored key": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": "AB"'),
+    "a conflicting label under a stored key": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": "B"'),
     "a repeat of a stored line": GOOD[1],
     "a lone surrogate escape": GOOD[1].replace(b'"\xc3\xa9"', b'"\\udc80 \\ud83d"'),
 }
@@ -247,16 +251,16 @@ def test_records_after_unclosed_appends_are_in_write_order(tmp_path):
     first_of_key = list({r.key: None for r in batch})
     store = RunStore(tmp_path / "run")
     written = store.record_many(batch[:120])
-    assert [r.key for r in store.records()] == first_of_key[:written]
+    assert [r.key for r in stored_records(store)] == first_of_key[:written]
     store.record_many(batch[120:])
-    assert [r.key for r in store.records()] == first_of_key
+    assert [r.key for r in stored_records(store)] == first_of_key
     by_key = {}
     for r in batch:
         by_key.setdefault(r.key, r)
-    assert list(store.records()) == list(by_key.values())
+    assert list(stored_records(store)) == list(by_key.values())
     assert len(store) == len(by_key)
     store.close()
-    assert list(RunStore(tmp_path / "run").records()) == list(by_key.values())
+    assert list(stored_records(RunStore(tmp_path / "run"))) == list(by_key.values())
 
 
 def test_conflicts_count_the_same_when_appended_and_when_loaded(tmp_path):
@@ -287,7 +291,7 @@ def test_conflicts_count_the_same_when_appended_and_when_loaded(tmp_path):
 def test_the_columns_hold_status_label_and_output(tmp_path):
     path = tmp_path / "run"
     path.mkdir()
-    (path / "records.jsonl").write_bytes(b"".join(GOOD) + ACCEPTED_LINES["a NaN attempt count and a list label"])
+    (path / "records.jsonl").write_bytes(b"".join(GOOD) + ACCEPTED_LINES["a NaN attempt count"])
     store = RunStore(path)
     assert [store_module.STATUSES[s] for s in store.statuses] == [
         RecordStatus.OK,
@@ -297,5 +301,5 @@ def test_the_columns_hold_status_label_and_output(tmp_path):
         RecordStatus.INVALID_OUTPUT,
     ]
     assert list(store.labels) == [ord("A"), 0, ord("B"), 0, 0]
-    assert store.outputs == [r.raw_output for r in store.records()]
+    assert store.outputs == [r.raw_output for r in stored_records(store)]
     assert json.loads(GOOD[2])["raw_output"] == store.outputs[2]

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from langselect.gateway import ModelEndpoint
+from langselect.gateway import GatewayError, ModelEndpoint
 from langselect.languages import Language
 from langselect.translation import ItemTranslationError, parse_translation, translate_item
 
@@ -35,14 +35,14 @@ class TestTranslateItem:
         assert result.labels == dress_code_item.labels
         assert result.source_language is Language.HINDI
         assert result.question.startswith("[Hindi] ")
-        assert result.choice_text("B") == "[Hindi] black formal suit"
+        assert dict(result.choices)["B"] == "[Hindi] black formal suit"
         assert result.country == dress_code_item.country
 
     def test_gold_label_preserved_with_fixed_stub_output(self, dress_code_item):
         with StubServer(chat_responder=echo_translation_responder) as stub:
             result = translate_item(dress_code_item, Language.SPANISH, endpoint_for(stub), backoff=0.001)
         assert result.gold_label == "B"
-        assert result.choice_text("B").endswith("black formal suit")
+        assert dict(result.choices)["B"].endswith("black formal suit")
 
     def test_unparsable_field_reasks_once_then_fails(self, dress_code_item):
         calls = []
@@ -65,6 +65,7 @@ class TestTranslateItem:
             with pytest.raises(ItemTranslationError) as info:
                 translate_item(dress_code_item, Language.FRENCH, endpoint, backoff=0.001)
         assert len(info.value.failed_fields) == 3
+        assert isinstance(info.value, GatewayError)  # run_bounded yields it as a failed task
 
 
 class TestParseTranslation:
