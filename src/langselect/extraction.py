@@ -46,17 +46,8 @@ def find_json_object(raw: str) -> dict | None:
     first = text.find("{")
     if first < 0:
         return None
-    # Widest span first: first '{' through last '}'.
-    last = text.rfind("}")
-    if last > first:
-        try:
-            obj = json.loads(text[first : last + 1])
-            if isinstance(obj, dict):
-                return obj
-        except (ValueError, RecursionError):
-            pass
-    # Otherwise the first object that parses at a brace, scanning brace starts
-    # left to right (prose may precede or follow the real payload).
+    # The first object that parses at a brace, scanning brace starts left to
+    # right (prose may precede or follow the real payload).
     pos = first
     while pos != -1:
         try:

@@ -15,7 +15,7 @@ import pytest
 
 from langselect import store as store_module
 from langselect.languages import Language
-from langselect.store import InferenceRecord, RecordStatus, RunStore, StoreError
+from langselect.store import STATUSES, InferenceRecord, RecordStatus, RunStore, StoreError
 
 from helpers import stored_records
 
@@ -55,6 +55,14 @@ def reference_load(data: bytes):
     return list(by_key.values()), conflicts, good, needs_newline
 
 
+def assert_columns(store: RunStore, records: list[InferenceRecord]) -> None:
+    """``store`` indexes ``records``, one row each in this order, in its own columns."""
+    assert store._rows == {r.key: row for row, r in enumerate(records)}
+    assert store.outputs == [r.raw_output for r in records]
+    assert bytes(store.labels) == bytes(ord(r.extracted_label) if r.extracted_label else 0 for r in records)
+    assert bytes(store.statuses) == bytes(STATUSES.index(r.status) for r in records)
+
+
 APPENDED = InferenceRecord("appended", EN, "m", "h-appended", "{}", "C", RecordStatus.OK, 1, "t")
 
 
@@ -75,7 +83,7 @@ def assert_loads_like_reference(tmp_path, data: bytes, monkeypatch=None, block=N
     records, conflicts, good, needs_newline = expected
     with RunStore(path) as store:
         assert len(store) == len(records)
-        assert list(stored_records(store)) == records
+        assert_columns(store, records)
         assert store.conflicts == conflicts
         assert store.record(APPENDED) is (APPENDED.key not in {r.key for r in records})
     if APPENDED.key not in {r.key for r in records}:
@@ -252,15 +260,18 @@ def test_records_after_unclosed_appends_are_in_write_order(tmp_path):
     store = RunStore(tmp_path / "run")
     written = store.record_many(batch[:120])
     assert [r.key for r in stored_records(store)] == first_of_key[:written]
+    assert list(store._rows) == first_of_key[:written]
     store.record_many(batch[120:])
     assert [r.key for r in stored_records(store)] == first_of_key
     by_key = {}
     for r in batch:
         by_key.setdefault(r.key, r)
     assert list(stored_records(store)) == list(by_key.values())
-    assert len(store) == len(by_key)
+    assert_columns(store, list(by_key.values()))
     store.close()
-    assert list(stored_records(RunStore(tmp_path / "run"))) == list(by_key.values())
+    reopened = RunStore(tmp_path / "run")
+    assert list(stored_records(reopened)) == list(by_key.values())
+    assert_columns(reopened, list(by_key.values()))
 
 
 def test_conflicts_count_the_same_when_appended_and_when_loaded(tmp_path):
