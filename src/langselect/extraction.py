@@ -28,6 +28,10 @@ from .prompts import EXPERT_LANGUAGE_KEY, FINAL_ANSWER_KEY
 REASONING_KEY_PREFIX = "reasoning_in_"
 # (value, end) of the JSON value at an index of a str; at a '{' the value is a dict.
 _decode = json.JSONDecoder().raw_decode
+# Objects and arrays a found object may nest inside each other. The decoder
+# recurses once per level and gives up at a depth set by the caller's stack,
+# so a deeper object is skipped, whether or not the decoder gave up on it.
+MAX_NESTING = 256
 
 
 def _strip_code_fences(raw: str) -> str:
@@ -38,6 +42,16 @@ def _strip_code_fences(raw: str) -> str:
     return "\n".join(kept)
 
 
+def _too_deep(value) -> bool:
+    """Whether a decoded JSON value nests more than ``MAX_NESTING`` objects and
+    arrays inside each other."""
+    level = [value]
+    for _ in range(MAX_NESTING):
+        containers = [v for v in level if isinstance(v, (dict, list))]
+        level = [child for v in containers for child in (v.values() if isinstance(v, dict) else v)]
+    return any(isinstance(v, (dict, list)) for v in level)
+
+
 def find_json_object(raw: str) -> dict | None:
     """Best-effort parse of the outermost JSON object embedded in raw text."""
     if not isinstance(raw, str) or "{" not in raw:
@@ -46,14 +60,20 @@ def find_json_object(raw: str) -> dict | None:
     first = text.find("{")
     if first < 0:
         return None
-    # The first object that parses at a brace, scanning brace starts left to
-    # right (prose may precede or follow the real payload).
+    # Only a text of more brackets than the cap can nest past it.
+    deep = text.count("{") + text.count("[") > MAX_NESTING
+    # The first object that parses at a brace, nested no deeper than the cap,
+    # scanning brace starts left to right (prose may precede or follow the
+    # real payload).
     pos = first
     while pos != -1:
         try:
-            return _decode(text, pos)[0]
+            obj = _decode(text, pos)[0]
+            if not (deep and _too_deep(obj)):
+                return obj
         except (ValueError, RecursionError):
-            pos = text.find("{", pos + 1)
+            pass
+        pos = text.find("{", pos + 1)
     return None
 
 

@@ -24,7 +24,7 @@ class DetectionError(RuntimeError):
 # keeps the detector's verdicts under it and re-detects when it differs.
 # Bump it with any edit of this file (tests/test_langid.py pins it to the file's
 # sha256) and with any change of ``extraction.extract_reasoning_text``.
-DETECTOR_VERSION = 2
+DETECTOR_VERSION = 3
 
 
 # Code-point ranges per distinctive script. Kana is kept separate from the

@@ -72,6 +72,7 @@ from .selectors import (
     train_global_language,
 )
 from .store import (
+    DIGEST_SIZE,
     STATUS_OK,
     InferenceRecord,
     RecordStatus,
@@ -79,7 +80,6 @@ from .store import (
     RunStore,
     Sidecar,
     build_matrix,
-    decisive_rows,
     matrix_counts,
     missing_cells,
     read_manifest,
@@ -558,6 +558,10 @@ def _verdict(raw_output: str) -> str | None:
         return None
 
 
+def _row_verdict(store: RunStore, row: int) -> str | None:
+    return _verdict(store.output(row))
+
+
 def _verdict_code(value: str | None) -> str | None:
     if value not in _VERDICT_CODES:
         raise ValueError(f"{value!r} is not a language code or null")
@@ -567,25 +571,26 @@ def _verdict_code(value: str | None) -> str | None:
 def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[float | None, dict]:
     """Fraction of the matrix's ok cells whose reasoning text is in the cell's language.
 
-    A cell's record is the one ``build_matrix`` holds for it: the first-written
-    ok record of the matrix's model for that (item, language). Records without
-    extractable reasoning text, and texts the detector cannot classify, are
-    excluded from the denominator (their counts are reported). Each distinct
-    ``raw_output`` is detected once: the verdicts persist in the store
-    directory's ``verdicts.json``, keyed by the output's sha256.
+    ``matrix`` is ``build_matrix``'s on ``store``: a cell's record is the row it
+    resolved for the cell (``matrix.rows``), the first-written ok record of the
+    matrix's model for that (item, language). Records without extractable
+    reasoning text, and texts the detector cannot classify, are excluded from
+    the denominator (their counts are reported). Each distinct ``raw_output``
+    is detected once: the verdicts persist in the store directory's
+    ``verdicts.json``, keyed by the output's sha256 (the store's digest
+    column), and an output is read back from the file only to detect it.
     """
     verdicts = Sidecar(store.directory / VERDICTS_NAME, DETECTOR_VERSION, _verdict_code)
     checked = 0
     matched = 0
     skipped = 0
-    rows, _ = decisive_rows(store, matrix.model_name, matrix.items, matrix.languages)
     codes = [lang.value for lang in matrix.languages] * len(matrix.items)
-    statuses, outputs = store.statuses, store.outputs
-    for row, code in zip(rows, codes):
+    statuses, digests = store.statuses, store.digests
+    for row, code in zip(matrix.rows, codes):
         if row < 0 or statuses[row] != STATUS_OK:
             continue
-        raw_output = outputs[row]
-        verdict = verdicts.get(sha256(raw_output.encode("utf-8", "surrogatepass")).hexdigest(), _verdict, raw_output)
+        at = row * DIGEST_SIZE
+        verdict = verdicts.get(digests[at : at + DIGEST_SIZE].hex(), _row_verdict, store, row)
         if verdict is None:
             skipped += 1
             continue
@@ -757,6 +762,7 @@ def run_evaluate(
             config.output_dir, matrix, train, test, ks, fit_seeds, country_map, llm_choices, vectors
         )
         rate, verification_counts = compute_verification_rate(store, matrix)
+        store.save_index()
         snapshot = config_snapshot(config, model_name)
         snapshot["k_list"] = ks
         snapshot["seeds"] = fit_seeds

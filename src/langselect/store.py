@@ -2,6 +2,8 @@
 
 One directory per (dataset, model) holds ``records.jsonl`` (one record per
 line, first write wins per key) and a ``manifest.json`` provenance sidecar.
+The store keeps an index of the file, not its text; ``evaluate`` persists that
+index in ``records.index.json``, so a later open parses only appended lines.
 Matrices are rebuilt from the store on demand as a byte grid: one byte per
 (item, language) cell, rows in item order and columns in canonical language
 order. The byte is the ok answer's label letter, ``.`` for a missing cell or
@@ -17,8 +19,12 @@ import logging
 import os
 import string
 import threading
-from dataclasses import dataclass
+from array import array
+from base64 import b64decode, b64encode
+from dataclasses import dataclass, field
 from enum import Enum
+from hashlib import sha256
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -47,6 +53,9 @@ def utc_now() -> str:
 
 
 MANIFEST_NAME = "manifest.json"
+INDEX_NAME = "records.index.json"
+INDEX_VERSION = 1  # bump with any change of what the index holds or of what a line indexes to
+DIGEST_SIZE = 32  # bytes of a row's output digest in RunStore.digests
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
 # A JSON string literal with only '"', '\' and control characters escaped: the
 # C-accelerated function json.JSONEncoder(ensure_ascii=False) quotes with.
@@ -55,6 +64,7 @@ _LANGUAGE_BY_CODE = {lang._value_: lang for lang in Language}
 _STATUS_BY_CODE = {status._value_: status for status in RecordStatus}
 LABELS = string.ascii_uppercase  # an ok record's label is one of these: one byte of the matrix grid
 _LABEL_SET = frozenset(LABELS)
+_LABEL_BYTES = b"\0" + LABELS.encode("ascii")  # the label column's bytes
 MISSING = ord(".")  # grid byte of a cell with no ok or invalid record
 INVALID = ord("!")  # grid byte of a cell whose first decisive record is invalid
 STATUSES = tuple(RecordStatus)  # a store row's status byte indexes this
@@ -62,6 +72,7 @@ _STATUS_BYTE = {status._value_: byte for byte, status in enumerate(STATUSES)}
 STATUS_OK = _STATUS_BYTE[RecordStatus.OK._value_]
 STATUS_INVALID = _STATUS_BYTE[RecordStatus.INVALID_OUTPUT._value_]
 _LOAD_BLOCK = 1 << 16  # bytes of records.jsonl decoded at a time
+_HASH_BLOCK = 1 << 20  # bytes of records.jsonl hashed at a time to check an index
 # The scanner json.loads runs: (value, end) of the JSON value at an index of a str.
 _scan = json.JSONDecoder().scan_once
 
@@ -76,6 +87,12 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def output_digest(raw_output: str) -> bytes:
+    """sha256 of a ``raw_output``'s UTF-8 bytes, a lone surrogate kept as its
+    three bytes: the key of the output's verdict."""
+    return sha256(raw_output.encode("utf-8", "surrogatepass")).digest()
 
 
 def _same(value):
@@ -192,6 +209,8 @@ class InferenceRecord(_RecordFields):
     @classmethod
     def from_json(cls, line: str) -> "InferenceRecord":
         data = json.loads(line)
+        if not isinstance(data["raw_output"], str):
+            raise ValueError(f"raw_output must be a string, not {data['raw_output']!r}")
         return cls(
             item_id=data["item_id"],
             language=_LANGUAGE_BY_CODE[data["language"]],
@@ -217,6 +236,9 @@ class ResponseMatrix:
     cells: bytes
     gold: dict[str, str]
     warnings: tuple[str, ...] = ()
+    # The store row of the record each cell holds, row-major, -1 for none;
+    # set by ``build_matrix`` (``decisive_rows``), None on any other matrix.
+    rows: Sequence[int] | None = field(default=None, compare=False, repr=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -250,9 +272,15 @@ class RunStore:
     """Append-only JSONL store with first-write-wins idempotence per key.
 
     The store holds an index of its records, not the records: ``key -> row``
-    and three columns by row, in write order. ``statuses[row]`` indexes
-    ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label)
-    and ``outputs[row]`` is the ``raw_output``.
+    and four columns by row, in write order. ``statuses[row]`` indexes
+    ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label),
+    ``digests[DIGEST_SIZE * row:][:DIGEST_SIZE]`` is the ``output_digest`` of
+    the ``raw_output`` and ``offsets[row]`` is where the row's line starts in
+    ``records.jsonl``; ``output(row)`` reads the text back from there.
+
+    An open takes the columns of the file's first N bytes from
+    ``records.index.json`` when that index holds N and the sha256 of exactly
+    those bytes, and parses only the lines after them; ``save_index`` writes it.
     """
 
     def __init__(self, directory: str | Path):
@@ -260,29 +288,36 @@ class RunStore:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.records_path = self.directory / "records.jsonl"
         self.manifest_path = self.directory / MANIFEST_NAME
+        self.index_path = self.directory / INDEX_NAME
         self._lock = threading.Lock()
         self._rows: dict[tuple[str, str, str, str], int] = {}
         self.statuses = bytearray()
         self.labels = bytearray()
-        self.outputs: list[str] = []
+        self.digests = bytearray()
+        self.offsets = array("q")
         self.conflicts = 0
         self._unsynced = 0
         self._fh = None
-        self._good_offset = 0
+        self._good_offset = 0  # bytes of records.jsonl read or written as indexed lines
         self._needs_newline = False
+        self._index_length = 0  # bytes of records.jsonl the index file gave at the open
+        # (bytes, lines, rows, conflicts, sha256 hex) of the whole lines the open read
+        self._parsed = (0, 0, 0, 0, "")
         self._load()
 
     def _load(self) -> None:
-        """Index ``records.jsonl``, decoding ``_LOAD_BLOCK`` bytes at a time and
-        scanning each line once. A line is indexed exactly when ``InferenceRecord.from_json``
-        accepts it: one the scan does not take whole, and each line of a block that is
-        not UTF-8, is checked by ``from_json`` alone. A bad final line is a torn write
-        and is dropped; a bad line before it is corruption."""
+        """Index ``records.jsonl``: the prefix the index file describes, then the
+        rest ``_LOAD_BLOCK`` bytes at a time, scanning each line once. A line is
+        indexed exactly when ``InferenceRecord.from_json`` accepts it: one the scan
+        does not take whole, and each line of a block that is not UTF-8, is checked
+        by ``from_json`` alone. A bad final line is a torn write and is dropped; a
+        bad line before it is corruption."""
         if not self.records_path.exists():
             return
-        lineno = 0
         with self.records_path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
+            digest, lineno = self._read_index(fh, size)
+            fh.seek(self._good_offset)
             pending: list[bytes] = []  # the file after the last newline read
             while chunk := fh.read(_LOAD_BLOCK):
                 cut = chunk.rfind(b"\n") + 1
@@ -292,46 +327,119 @@ class RunStore:
                 block = b"".join([*pending, chunk[:cut]])
                 pending = [chunk[cut:]]
                 kept = self._index_block(block, lineno, final=self._good_offset + len(block) >= size)
+                digest.update(memoryview(block)[:kept])
                 self._good_offset += kept
+                lineno += block.count(b"\n", 0, kept)
                 if kept < len(block):
-                    return
-                lineno += block.count(b"\n")
+                    pending = []  # the torn final line ends the file
+                    break
+        self._parsed = (self._good_offset, lineno, len(self), self.conflicts, digest.hexdigest())
         rest = b"".join(pending)
-        if rest.strip() and self._index_line(rest, lineno + 1, final=True):
+        if rest.strip() and self._index_line(rest, lineno + 1, final=True, offset=self._good_offset):
             self._good_offset = size
             self._needs_newline = True
 
+    def _read_index(self, fh, size: int):
+        """Take the columns of the first N bytes of ``records.jsonl`` from the index
+        file, reading ``fh`` past them: (the sha256 of those bytes, their line count).
+        A missing index, or one that does not describe the file, is logged and the
+        whole file is parsed: (an empty sha256, 0)."""
+        digest = sha256()
+        try:
+            index = json.loads(self.index_path.read_bytes())
+            if index["version"] != INDEX_VERSION:
+                raise ValueError(f"version {index['version']!r}, not {INDEX_VERSION!r}")
+            length, lines, conflicts = index["length"], index["lines"], index["conflicts"]
+            if not all(isinstance(value, int) and value >= 0 for value in (length, lines, conflicts)):
+                raise ValueError("length, lines and conflicts must be counts")
+            if length > size:
+                raise ValueError(f"it covers {length} bytes of a file of {size}")
+            keys = index["keys"]
+            n = len(keys)
+            rows = dict(zip(map(tuple, keys), range(n)))
+            statuses, labels = b64decode(index["statuses"]), b64decode(index["labels"])
+            digests, offsets = b64decode(index["digests"]), array("q", index["offsets"])
+            starts = np.array(offsets, dtype=np.int64)
+            if (
+                {len(rows), len(statuses), len(labels), len(offsets)} != {n}
+                or len(digests) != n * DIGEST_SIZE
+                or set(map(len, keys)) - {4}
+                or max(statuses, default=0) >= len(STATUSES)
+                or labels.translate(None, _LABEL_BYTES)
+                or (n and not (0 <= starts[0] and starts[-1] < length and (np.diff(starts) > 0).all()))
+            ):
+                raise ValueError("its columns do not agree")
+            left = length
+            while left and (chunk := fh.read(min(_HASH_BLOCK, left))):
+                digest.update(chunk)
+                left -= len(chunk)
+            if digest.hexdigest() != index["sha256"]:
+                raise ValueError(f"the first {length} bytes of {self.records_path.name} changed")
+        except FileNotFoundError:
+            logger.debug("%s: not written yet; parsing all of %s", self.index_path, self.records_path)
+            return sha256(), 0
+        except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
+            logger.warning("%s: ignored (%r); parsing all of %s", self.index_path, exc, self.records_path)
+            return sha256(), 0
+        self._rows, self.offsets, self.conflicts = rows, offsets, conflicts
+        self.statuses, self.labels, self.digests = bytearray(statuses), bytearray(labels), bytearray(digests)
+        self._good_offset = self._index_length = length
+        return digest, lines
+
+    def save_index(self) -> None:
+        """Write ``records.index.json``: the columns of the whole lines the open
+        read, unless the index file gave all of them. Rows appended since the open,
+        and a final line without a newline, are left for the next open to parse."""
+        length, lines, n, conflicts, digest = self._parsed
+        if length == self._index_length:
+            return
+        index = {
+            "version": INDEX_VERSION,
+            "length": length,
+            "lines": lines,
+            "sha256": digest,
+            "conflicts": conflicts,
+            "keys": list(islice(self._rows, n)),
+            "statuses": b64encode(self.statuses[:n]).decode("ascii"),
+            "labels": b64encode(self.labels[:n]).decode("ascii"),
+            "digests": b64encode(self.digests[: n * DIGEST_SIZE]).decode("ascii"),
+            "offsets": self.offsets[:n].tolist(),
+        }
+        write_atomic(self.index_path, json.dumps(index, separators=(",", ":")).encode("ascii"))
+
     def _index_block(self, block: bytes, lineno: int, final: bool) -> int:
-        """Index the lines of ``block``, which ends in a newline and starts at line
-        ``lineno + 1``, and return how many of its bytes were kept: all, unless
-        its last line was dropped as a torn final line."""
+        """Index the lines of ``block``, which ends in a newline, starts at line
+        ``lineno + 1`` and at byte ``_good_offset`` of the file, and return how many
+        of its bytes were kept: all, unless its last line was dropped as a torn final line."""
         try:
             texts = block.decode("utf-8").split("\n")
         except UnicodeDecodeError:
             texts = [""] * (block.count(b"\n") + 1)  # "" fails the scan: each line is checked alone
         texts.pop()  # the empty text after the block's final newline
-        lines = None
+        base = self._good_offset
+        start = 0
         for i, text in enumerate(texts):
+            end = block.index(b"\n", start) + 1
             try:  # the fields and checks of InferenceRecord.from_json
-                data, end = _scan(text, 0)
+                data, stop = _scan(text, 0)
                 status = _STATUS_BYTE[data["status"]]
                 label = data.get("extracted_label")
-                if end == len(text) and (label in _LABEL_SET or label is None and status != STATUS_OK):
+                if stop == len(text) and (label in _LABEL_SET or label is None and status != STATUS_OK):
                     language = _LANGUAGE_BY_CODE[data["language"]]._value_
                     key = (data["item_id"], language, data["model_name"], data["prompt_hash"])
-                    self._index(key, data["raw_output"], label, status)
+                    self._index(key, output_digest(data["raw_output"]), label, status, base + start)
+                    start = end
                     continue
             except Exception:
                 pass  # checked alone below
-            if lines is None:
-                lines = block.split(b"\n")
-            if not self._index_line(lines[i] + b"\n", lineno + i + 1, final and i == len(texts) - 1):
-                return len(block) - len(lines[i]) - 1
+            if not self._index_line(block[start:end], lineno + i + 1, final and end == len(block), base + start):
+                return start
+            start = end
         return len(block)
 
-    def _index_line(self, line: bytes, lineno: int, final: bool) -> bool:
-        """Index one line as ``InferenceRecord.from_json`` reads it; False when it
-        is a torn final line, dropped. A blank line is skipped."""
+    def _index_line(self, line: bytes, lineno: int, final: bool, offset: int) -> bool:
+        """Index one line, at byte ``offset`` of the file, as ``InferenceRecord.from_json``
+        reads it; False when it is a torn final line, dropped. A blank line is skipped."""
         if not line.strip():
             return True
         try:
@@ -342,26 +450,35 @@ class RunStore:
                 logger.warning("%s: dropping torn final line %d", self.records_path, lineno)
                 return False
             raise StoreError(f"{self.records_path}: line {lineno} corrupt: {exc}") from None
-        self._index(record.key, record.raw_output, record.extracted_label, _STATUS_BYTE[record.status._value_])
+        status = _STATUS_BYTE[record.status._value_]
+        self._index(record.key, output_digest(record.raw_output), record.extracted_label, status, offset)
         return True
 
-    def _index(self, key, raw_output: str, label, status: int, record: InferenceRecord | None = None) -> bool:
+    def _index(
+        self, key, digest: bytes, label, status: int, offset: int | None, record: InferenceRecord | None = None
+    ) -> bool:
         """Give ``key`` the next row unless it has one (another output under it is a
-        conflict); with ``record``, only once its line is written to the file."""
+        conflict); with ``record``, only once its line is appended to the file."""
         byte = ord(label) if label else 0
         row = self._rows.get(key)
         if row is not None:
-            if (self.outputs[row], self.statuses[row], self.labels[row]) != (raw_output, status, byte):
+            at = row * DIGEST_SIZE
+            if (self.digests[at : at + DIGEST_SIZE], self.statuses[row], self.labels[row]) != (digest, status, byte):
                 self.conflicts += 1
             return False
         if record is not None:
             # backslashreplace acts only on a lone surrogate (json.loads of a reply
             # can yield one): its \uXXXX escape is JSON and reads back equal.
-            self._open_for_append().write((record.to_json() + "\n").encode("utf-8", "backslashreplace"))
-        self._rows[key] = len(self.outputs)
+            line = (record.to_json() + "\n").encode("utf-8", "backslashreplace")
+            fh = self._open_for_append()
+            offset = self._good_offset
+            fh.write(line)
+            self._good_offset += len(line)
+        self._rows[key] = len(self.statuses)
         self.statuses.append(status)
         self.labels.append(byte)
-        self.outputs.append(raw_output)
+        self.digests += digest
+        self.offsets.append(offset)
         return True
 
     def _open_for_append(self):
@@ -373,6 +490,7 @@ class RunStore:
             self._fh = self.records_path.open("ab")
             if self._needs_newline:
                 self._fh.write(b"\n")
+                self._good_offset += 1
                 self._needs_newline = False
         return self._fh
 
@@ -383,14 +501,19 @@ class RunStore:
     def record_many(self, records: Iterable[InferenceRecord]) -> int:
         """Append ``records`` in order, dropping any whose key is stored (earlier
         in the batch too), and return how many were written. One flush at the
-        end, also when ``records`` raises; an fsync once ``FSYNC_EVERY`` are unsynced."""
+        end, also when ``records`` raises; an fsync once ``FSYNC_EVERY`` are
+        unsynced. Each distinct output of the batch is hashed once."""
         written = 0
+        digests: dict[str, bytes] = {}
         with self._lock:
             try:
                 for record in records:
-                    written += self._index(
-                        record.key, record.raw_output, record.extracted_label, _STATUS_BYTE[record.status._value_], record
-                    )
+                    raw = record.raw_output
+                    digest = digests.get(raw)
+                    if digest is None:
+                        digest = digests[raw] = output_digest(raw)
+                    status = _STATUS_BYTE[record.status._value_]
+                    written += self._index(record.key, digest, record.extracted_label, status, None, record)
             finally:
                 if self._fh is not None:
                     self._fh.flush()
@@ -399,6 +522,15 @@ class RunStore:
                     os.fsync(self._fh.fileno())
                     self._unsynced = 0
         return written
+
+    def output(self, row: int) -> str:
+        """The ``raw_output`` of row ``row``, read back from its line of ``records.jsonl``."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.flush()
+        with self.records_path.open("rb") as fh:
+            fh.seek(self.offsets[row])
+            return InferenceRecord.from_json(fh.readline().decode("utf-8")).raw_output
 
     def flush(self) -> None:
         with self._lock:
@@ -423,7 +555,7 @@ class RunStore:
         self.close()
 
     def __len__(self) -> int:
-        return len(self.outputs)
+        return len(self.statuses)
 
     def write_manifest(self, manifest: Mapping) -> None:
         payload = json.dumps(manifest, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
@@ -475,6 +607,7 @@ def build_matrix(
         cells=cells,
         gold=gold,
         warnings=warnings,
+        rows=rows,
     )
 
 
@@ -524,6 +657,7 @@ def matrix_counts(matrix: ResponseMatrix) -> dict[str, int]:
 
 __all__ = [
     "INVALID",
+    "DIGEST_SIZE",
     "InferenceRecord",
     "LABELS",
     "MISSING",
@@ -536,6 +670,7 @@ __all__ = [
     "decisive_rows",
     "matrix_counts",
     "missing_cells",
+    "output_digest",
     "utc_now",
     "write_atomic",
 ]

@@ -31,7 +31,7 @@ from langselect.pipeline import (
     store_dir,
     translation_file,
 )
-from langselect.store import RunStore, read_manifest
+from langselect.store import INDEX_NAME, RunStore, read_manifest
 
 from helpers import make_item
 from stub_server import StubServer, echo_translation_responder, hash_embedding
@@ -360,6 +360,23 @@ class TestEvaluateStage:
         first = report_path.read_bytes()
         run_evaluate(config)
         assert report_path.read_bytes() == first
+
+    def test_only_evaluate_writes_the_store_index(self, tmp_path, pipeline_stub):
+        # A resumed network stage leaves every store file as it was, before and
+        # after evaluate has written records.index.json.
+        config = self.run_full_pipeline(tmp_path, pipeline_stub)
+        store_root = config.output_dir / "store"
+
+        def store_files():
+            return {str(p.relative_to(store_root)): p.read_bytes() for p in sorted(store_root.rglob("*")) if p.is_file()}
+
+        for indexed in (False, True):
+            before = store_files()
+            assert any(name.endswith(INDEX_NAME) for name in before) is indexed
+            for stage, run in NETWORK_STAGES.items():
+                assert run(config, backoff=0.001).exit_code == EXIT_OK, stage
+                assert store_files() == before, stage
+            assert run_evaluate(config).exit_code == EXIT_OK
 
     def test_skips_are_named(self, tmp_path, pipeline_stub):
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub, languages=("en",)))

@@ -7,6 +7,7 @@ import pytest
 
 from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.extraction import (
+    MAX_NESTING,
     _strip_code_fences,
     extract_expert_language,
     extract_final_answer,
@@ -221,12 +222,38 @@ def test_find_json_object_agrees_with_the_balanced_scanner_on_edge_cases(raw):
     assert find_json_object(raw) == reference_find_json_object(raw)
 
 
+def nesting(obj) -> int:
+    depth = 0
+    while isinstance(obj, dict):
+        obj = obj["a"]
+        depth += 1
+    return depth
+
+
 def test_an_object_nested_past_the_recursion_limit_yields_an_inner_one():
-    # Which depth first parses depends on the stack depth of the caller, so
-    # this is not compared with the reference.
+    # Not compared with the reference, which leaves the depth to the decoder's
+    # recursion limit.
     raw = '{"a": ' * 5000 + "1" + "}" * 5000
-    obj = find_json_object(raw)
-    assert isinstance(obj, dict) and set(obj) == {"a"}
+    assert nesting(find_json_object(raw)) == MAX_NESTING
+
+
+def called_under(frames: int, fn, *args):
+    return called_under(frames - 1, fn, *args) if frames else fn(*args)
+
+
+def test_the_object_found_in_a_deep_nest_does_not_depend_on_the_callers_stack():
+    raw = '{"a": ' * 1100 + "1" + "}" * 1100
+    found = find_json_object(raw)
+    assert nesting(found) == MAX_NESTING
+    assert called_under(200, find_json_object, raw) == found
+    nested_reply = '{"reasoning_in_en": "x", "a": ' + raw + "}"  # the reply itself nests past the cap
+    assert called_under(200, extract_reasoning_text, nested_reply) == extract_reasoning_text(nested_reply) is None
+
+
+def test_arrays_count_toward_the_cap():
+    within = '{"a": ' + "[" * (MAX_NESTING - 1) + "]" * (MAX_NESTING - 1) + "} [] []"  # checked: 258 brackets
+    assert find_json_object(within) is not None
+    assert find_json_object('{"a": ' + "[" * MAX_NESTING + "]" * MAX_NESTING + "}") is None
 
 
 def test_a_reply_of_many_open_braces_is_scanned_in_linear_time():

@@ -213,7 +213,7 @@ def test_script_ranges_are_pairwise_disjoint():
 # Cached verdicts (``pipeline.compute_verification_rate``) are valid only for
 # the detector that made them. Any edit of langid.py changes this digest: bump
 # DETECTOR_VERSION with it, so stale caches are detected again, then update both.
-PINNED_DETECTOR = (2, "f574166ee83c40b17478f1d77b5ba81461526114e65bcb8ec63efee6edfd6651")
+PINNED_DETECTOR = (3, "bde45e138a94788e3b30fb763ec138f90d97d9d75968d6aa41aa0630799807c4")
 
 
 def test_detector_version_is_bumped_with_every_edit_of_the_detector():

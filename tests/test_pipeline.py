@@ -19,7 +19,7 @@ from langselect.datasets import save_dataset
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
 from langselect.langid import DETECTOR_VERSION
 from langselect.languages import Language
-from langselect.store import InferenceRecord, RecordStatus, RunStore, build_matrix, matrix_counts
+from langselect.store import INDEX_NAME, InferenceRecord, RecordStatus, RunStore, build_matrix, matrix_counts
 from langselect.translation import ItemTranslationError
 
 from helpers import make_item, stored_records
@@ -269,6 +269,65 @@ def test_second_evaluate_of_an_unchanged_run_detects_nothing(tmp_path, detection
     assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
     assert detection_calls == {"detect_language": 0, "extract_reasoning_text": 0}
     assert report_bytes(config) == cold
+
+
+def store_files(directory) -> dict:
+    """Every file of a store directory: its bytes, inode and modification time."""
+    return {p.name: (p.read_bytes(), p.stat().st_ino, p.stat().st_mtime_ns) for p in sorted(directory.iterdir())}
+
+
+@pytest.fixture
+def parsed_blocks(monkeypatch):
+    """The blocks of ``records.jsonl`` the store's loader parses."""
+    blocks = []
+    real = RunStore._index_block
+
+    def counting(self, block, *args, **kwargs):
+        blocks.append(block)
+        return real(self, block, *args, **kwargs)
+
+    monkeypatch.setattr(RunStore, "_index_block", counting)
+    return blocks
+
+
+def test_second_evaluate_of_an_unchanged_run_reads_the_index_and_writes_no_store_file(tmp_path, parsed_blocks):
+    config = evaluate_run(tmp_path)
+    directory = pipeline.store_dir(config, "m")
+    assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
+    assert len(parsed_blocks) == 1
+    assert (directory / INDEX_NAME).exists()
+    before = store_files(directory)
+    cold = report_bytes(config)
+
+    parsed_blocks.clear()
+    assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
+    assert parsed_blocks == []
+    assert store_files(directory) == before
+    assert report_bytes(config) == cold
+
+
+def test_evaluate_after_an_append_parses_only_the_appended_lines(tmp_path, parsed_blocks):
+    config = evaluate_run(tmp_path, leave_out={("q0", Language.FRENCH)})
+    pipeline.run_evaluate(config)
+    directory = pipeline.store_dir(config, "m")
+    with RunStore(directory) as store:
+        line_start = store._good_offset
+        store.record(reasoning_record("q0", Language.FRENCH, f"{FRENCH_TEXT} q0"))
+    warm_index = json.loads((directory / INDEX_NAME).read_bytes())
+
+    parsed_blocks.clear()
+    pipeline.run_evaluate(config)
+    assert [len(block) for block in parsed_blocks] == [(directory / "records.jsonl").stat().st_size - line_start]
+    index = json.loads((directory / INDEX_NAME).read_bytes())
+    assert (warm_index["length"], len(warm_index["keys"])) == (line_start, 11)
+    assert (index["length"], len(index["keys"])) == ((directory / "records.jsonl").stat().st_size, 12)
+    warm = report_bytes(config)
+
+    (directory / INDEX_NAME).unlink()
+    (directory / pipeline.VERDICTS_NAME).unlink()
+    pipeline.run_evaluate(config)
+    assert report_bytes(config) == warm
+    assert json.loads((directory / INDEX_NAME).read_bytes()) == index
 
 
 def test_cached_verdicts_count_as_a_fresh_detection_does(tmp_path):

@@ -7,15 +7,18 @@ reading it must agree with: ``json.loads`` of each line plus
 line dropped as torn and a bad earlier line refused.
 """
 
+import base64
 import io
 import json
+import logging
 import random
+import re
 
 import pytest
 
 from langselect import store as store_module
 from langselect.languages import Language
-from langselect.store import STATUSES, InferenceRecord, RecordStatus, RunStore, StoreError
+from langselect.store import STATUSES, InferenceRecord, RecordStatus, RunStore, StoreError, output_digest
 
 from helpers import stored_records
 
@@ -56,11 +59,20 @@ def reference_load(data: bytes):
 
 
 def assert_columns(store: RunStore, records: list[InferenceRecord]) -> None:
-    """``store`` indexes ``records``, one row each in this order, in its own columns."""
+    """``store`` indexes ``records``, one row each in this order, in its own columns:
+    the output digests, and offsets at which each record's own line is read back."""
     assert store._rows == {r.key: row for row, r in enumerate(records)}
-    assert store.outputs == [r.raw_output for r in records]
+    assert bytes(store.digests) == b"".join(output_digest(r.raw_output) for r in records)
+    assert [store.output(row) for row in range(len(records))] == [r.raw_output for r in records]
+    assert [record_at(store, offset) for offset in store.offsets] == records
     assert bytes(store.labels) == bytes(ord(r.extracted_label) if r.extracted_label else 0 for r in records)
     assert bytes(store.statuses) == bytes(STATUSES.index(r.status) for r in records)
+
+
+def record_at(store: RunStore, offset: int) -> InferenceRecord:
+    with store.records_path.open("rb") as fh:
+        fh.seek(offset)
+        return InferenceRecord.from_json(fh.readline().decode("utf-8"))
 
 
 APPENDED = InferenceRecord("appended", EN, "m", "h-appended", "{}", "C", RecordStatus.OK, 1, "t")
@@ -174,6 +186,7 @@ BAD_LINES = {
     "a label of two letters": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": "AB"'),
     "an empty label": GOOD[3].replace(b'"extracted_label": null', b'"extracted_label": ""'),
     "a list label": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": [1]'),
+    "an output that is no string": GOOD[1].replace(b'"raw_output": "\xc3\xa9"', b'"raw_output": 5'),
     "an unknown status": GOOD[1].replace(b'"invalid_output"', b'"done"'),
     "an unknown language": GOOD[1].replace(b'"language": "fr"', b'"language": "xx"'),
     "a missing field": b"{" + FIELDS.replace(b', "raw_output": "x"', b"") + b', "status": "transport_error"}\n',
@@ -312,5 +325,227 @@ def test_the_columns_hold_status_label_and_output(tmp_path):
         RecordStatus.INVALID_OUTPUT,
     ]
     assert list(store.labels) == [ord("A"), 0, ord("B"), 0, 0]
-    assert store.outputs == [r.raw_output for r in stored_records(store)]
-    assert json.loads(GOOD[2])["raw_output"] == store.outputs[2]
+    assert [store.output(row) for row in range(5)] == [r.raw_output for r in stored_records(store)]
+    assert json.loads(GOOD[2])["raw_output"] == store.output(2)
+    assert store.digests[64:96] == output_digest(store.output(2))
+
+
+# --- The persisted index (``records.index.json``). An open through it takes
+# the columns of the file's first N bytes from the index and parses the rest;
+# it must equal a full parse, and so the per-line reference above.
+
+
+def opened(path):
+    """The store at ``path`` as an open leaves it, and the file after one more
+    append: ((columns, conflicts, where the next append lands), file bytes), or
+    the error text of a refused open."""
+    try:
+        store = RunStore(path)
+    except StoreError as exc:
+        return str(exc).replace(str(path), "<dir>")
+    with store:
+        state = (
+            store._rows,
+            bytes(store.statuses),
+            bytes(store.labels),
+            bytes(store.digests),
+            store.offsets.tolist(),
+            [store.output(row) for row in range(len(store))],
+            store.conflicts,
+            store._good_offset,
+            store._needs_newline,
+        )
+        store.record(APPENDED)
+    return state, (path / "records.jsonl").read_bytes()
+
+
+def index_open_and_full_parse(path):
+    """(``opened`` through ``path``'s index, ``opened`` by a full parse of a
+    copy of its records, the number of bytes the index gave)."""
+    bare = path.with_name(path.name + "-bare")
+    bare.mkdir(exist_ok=True)
+    (bare / "records.jsonl").write_bytes((path / "records.jsonl").read_bytes())
+    try:
+        index_length = RunStore(path)._index_length
+    except StoreError:
+        index_length = None
+    return opened(path), opened(bare), index_length
+
+
+def indexed_store(path, data: bytes) -> dict:
+    """A store over ``data`` whose index ``save_index`` wrote; the index's JSON."""
+    path.mkdir(parents=True)
+    (path / "records.jsonl").write_bytes(data)
+    RunStore(path).save_index()
+    return json.loads((path / store_module.INDEX_NAME).read_bytes())
+
+
+def cut_inside_a_character(line: bytes, rng: random.Random) -> bytes:
+    starts = [i for i, byte in enumerate(line) if byte >= 0xC0]
+    return line[: rng.choice(starts) + 1] if starts else line[: rng.randrange(1, len(line))]
+
+
+def other_label(label: bytes) -> bytes:
+    return b"A" if label == b'"B"' else b"B"
+
+
+def edit_a_middle_line(data: bytes, length: int, rng: random.Random) -> bytes:
+    """``data`` with one line in its first ``length`` bytes changed: same length
+    (another date or label), a conflicting output, or broken JSON."""
+    lines = data[:length].splitlines(keepends=True)
+    at = rng.randrange(len(lines))
+    line = lines[at]
+    lines[at] = rng.choice(
+        [
+            line.replace(b'"created_at": "2026', b'"created_at": "2027'),
+            re.sub(rb'"extracted_label": (null|"[A-Z]")', lambda m: b'"extracted_label": "%s"' % other_label(m[1]), line),
+            line.replace(b'"raw_output": "', b'"raw_output": "edited ', 1),
+            line[: len(line) // 2] + b"\n",
+        ]
+    )
+    return b"".join(lines) + data[length:]
+
+
+def multibyte_line(rng: random.Random) -> bytes:
+    text = rng.choice(["中文 ", "é ü ", "\U0001F600 "]) * rng.randrange(1, 20)
+    return lines_of([InferenceRecord(f"mb{rng.randrange(99)}", ZH, "m", "h1", text, "A", RecordStatus.OK, 1, "t")])[0]
+
+
+CHANGES_AFTER_THE_INDEX = {
+    # name: (new file bytes from (file, index length, more whole lines, rng), index used)
+    "appended lines": (lambda data, n, more, rng: data + more, True),
+    "a torn tail": (lambda data, n, more, rng: data + more + multibyte_line(rng)[: rng.randrange(1, 60)], True),
+    "a tail cut inside a character": (
+        lambda data, n, more, rng: data + more + cut_inside_a_character(multibyte_line(rng), rng),
+        True,
+    ),
+    "a torn tail ending in a newline": (lambda data, n, more, rng: data + more + GOOD[0][:30] + b"\n", True),
+    "an unterminated final line": (lambda data, n, more, rng: data + more + GOOD[2].rstrip(b"\n"), True),
+    "a corrupt appended line": (lambda data, n, more, rng: data + GOOD[0][:30] + b"\n" + more, True),
+    "an edited middle line": (lambda data, n, more, rng: edit_a_middle_line(data, n, rng) + more, False),
+    "a file truncated below the index": (lambda data, n, more, rng: data[: rng.randrange(n)], False),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("change", sorted(CHANGES_AFTER_THE_INDEX))
+def test_an_open_through_the_index_equals_a_full_parse(tmp_path, seed, change):
+    rng = random.Random(seed)
+    lines = lines_of(random_records(rng, rng.choice([5, 60, 300])) + [random_records(rng, 1)[0]._replace(item_id="last")])
+    cut = rng.randrange(1, len(lines))
+    data = b"".join(lines[:cut])
+    path = tmp_path / "run"
+    index = indexed_store(path, data)
+    assert index["length"] == len(data)
+    make, uses_index = CHANGES_AFTER_THE_INDEX[change]
+    (path / "records.jsonl").write_bytes(make(data, len(data), b"".join(lines[cut:]), rng))
+
+    through_index, full, index_length = index_open_and_full_parse(path)
+    assert through_index == full
+    if not isinstance(full, str):
+        assert index_length == (len(data) if uses_index else 0)
+
+
+def test_an_index_of_the_whole_file_is_taken_without_parsing(tmp_path, monkeypatch):
+    data = b"".join(lines_of(random_records(random.Random(1), 300)))
+    path = tmp_path / "run"
+    indexed_store(path, data)
+    blocks = []
+    real = RunStore._index_block
+    monkeypatch.setattr(RunStore, "_index_block", lambda self, *args, **kw: blocks.append(args) or real(self, *args, **kw))
+    store = RunStore(path)
+    assert blocks == [] and store._index_length == len(data)
+    inode = (path / store_module.INDEX_NAME).stat().st_ino
+    store.save_index()  # nothing parsed past the index: not rewritten
+    assert (path / store_module.INDEX_NAME).stat().st_ino == inode
+    monkeypatch.undo()
+    through_index, full, _ = index_open_and_full_parse(path)
+    assert through_index == full
+
+
+def test_the_index_covers_whole_lines_only(tmp_path):
+    whole = b"".join(GOOD)
+    for n, (tail, covered) in enumerate(
+        (
+            (GOOD[0].rstrip(b"\n"), len(whole)),  # an unterminated final line: indexed, not in the index
+            (GOOD[0][:30] + b"\n", len(whole)),  # a torn final line: dropped
+            (b"  \n \t", len(whole) + 3),  # a blank line, then whitespace without a newline
+        )
+    ):
+        index = indexed_store(tmp_path / str(n), whole + tail)
+        assert index["length"] == covered
+        assert len(index["keys"]) == 4
+        through_index, full, index_length = index_open_and_full_parse(tmp_path / str(n))
+        assert through_index == full and index_length == covered
+
+
+def rewrite_index(path, edit) -> None:
+    index_path = path / store_module.INDEX_NAME
+    index = json.loads(index_path.read_bytes())
+    edit(index)
+    index_path.write_text(json.dumps(index), encoding="ascii")
+
+
+BAD_INDEXES = {
+    "another version": lambda index: index.update(version=index["version"] + 1),
+    "a short offsets column": lambda index: index["offsets"].pop(),
+    "a short digest column": lambda index: index.update(digests=index["digests"][:-8]),
+    "a key too few": lambda index: index["keys"].pop(),
+    "a repeated key": lambda index: index["keys"].__setitem__(1, index["keys"][0]),
+    "a status out of range": lambda index: index.update(statuses=base64.b64encode(b"\x07" * len(index["keys"])).decode()),
+    "a label that is no letter": lambda index: index.update(labels=base64.b64encode(b"a" * len(index["keys"])).decode()),
+    "offsets out of order": lambda index: index["offsets"].reverse(),
+    "a length past the file": lambda index: index.update(length=index["length"] + 1),
+    "another prefix digest": lambda index: index.update(sha256="0" * 64),
+    "a missing column": lambda index: index.pop("labels"),
+    "a string length": lambda index: index.update(length=str(index["length"])),
+    "a negative line count": lambda index: index.update(lines=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_INDEXES))
+def test_an_index_that_does_not_describe_the_file_is_ignored(tmp_path, caplog, name):
+    data = b"".join(lines_of(random_records(random.Random(2), 60)))
+    path = tmp_path / "run"
+    indexed_store(path, data)
+    rewrite_index(path, BAD_INDEXES[name])
+    with caplog.at_level(logging.WARNING, logger="langselect.store"):
+        through_index, full, index_length = index_open_and_full_parse(path)
+    assert through_index == full and index_length == 0
+    assert f"{store_module.INDEX_NAME}: ignored" in caplog.text
+    RunStore(path).save_index()  # the full parse writes a good index
+    assert index_open_and_full_parse(path)[2] == (path / "records.jsonl").stat().st_size
+
+
+@pytest.mark.parametrize("content", [b"", b"{", b"[]", b'{"version": 1}', b"\xff"])
+def test_an_unreadable_index_is_ignored(tmp_path, content):
+    data = b"".join(lines_of(random_records(random.Random(4), 20)))
+    path = tmp_path / "run"
+    indexed_store(path, data)
+    (path / store_module.INDEX_NAME).write_bytes(content)
+    through_index, full, index_length = index_open_and_full_parse(path)
+    assert through_index == full and index_length == 0
+
+
+def test_save_index_writes_nothing_without_a_whole_line(tmp_path):
+    for n, data in enumerate((None, b"", b"  \t", GOOD[0][:30])):
+        path = tmp_path / str(n)
+        path.mkdir()
+        if data is not None:
+            (path / "records.jsonl").write_bytes(data)
+        RunStore(path).save_index()
+        assert not (path / store_module.INDEX_NAME).exists()
+
+
+def test_appends_after_a_close_keep_the_records_before_it(tmp_path):
+    batch = random_records(random.Random(6), 40)
+    store = RunStore(tmp_path / "run")
+    store.record_many(batch[:20])
+    store.close()
+    store.record_many(batch[20:])
+    store.close()
+    by_key = {}
+    for r in batch:
+        by_key.setdefault(r.key, r)
+    assert stored_records(RunStore(tmp_path / "run")) == list(by_key.values())
+    assert_columns(store, list(by_key.values()))
