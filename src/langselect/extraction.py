@@ -19,6 +19,7 @@ yields the same label (or invalid). The cascade, first hit wins:
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 
 from .datasets import McqItem
@@ -32,6 +33,12 @@ _decode = json.JSONDecoder().raw_decode
 # recurses once per level and gives up at a depth set by the caller's stack,
 # so a deeper object is skipped, whether or not the decoder gave up on it.
 MAX_NESTING = 256
+# A run of objects and arrays each opening as the first value of the one before:
+# "{" and a key that holds no bracket, or "[". Each of its brackets is one level deeper.
+_OPENINGS = re.compile(
+    r'(?:\{[ \t\n\r]*"[^"\\{}\[\]]*(?:\\["\\/bfnrtu][^"\\{}\[\]]*)*"[ \t\n\r]*:[ \t\n\r]*|\[[ \t\n\r]*)*'
+)
+_BRACKET = re.compile(r"[{\[]")
 
 
 def _strip_code_fences(raw: str) -> str:
@@ -67,6 +74,12 @@ def find_json_object(raw: str) -> dict | None:
     # real payload).
     pos = first
     while pos != -1:
+        if deep:
+            end = _OPENINGS.match(text, pos).end()
+            if text.count("{", pos, end) + text.count("[", pos, end) > MAX_NESTING:
+                # An object at any but the run's last MAX_NESTING brackets nests past the cap.
+                pos = text.find("{", [m.start() for m in _BRACKET.finditer(text, pos, end)][-MAX_NESTING])
+                continue
         try:
             obj = _decode(text, pos)[0]
             if not (deep and _too_deep(obj)):

@@ -80,9 +80,12 @@ from .store import (
     RunStore,
     Sidecar,
     build_matrix,
+    json_string,
     matrix_counts,
     missing_cells,
+    output_digest,
     read_manifest,
+    record_line,
     write_atomic,
 )
 from .synthetic import SYNTHETIC_MODEL_NAME, SyntheticSpec, expected_oracle_accuracy, generate
@@ -794,27 +797,24 @@ def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
         )
     elif manifest.get("synthetic_spec") != spec_payload:
         raise ConfigError(f"{data_dir} holds the run of another synthetic spec; use a new output directory")
-    codes = [(lang, lang.value) for lang in data.matrix.languages]
-    labels = data.matrix.cells.decode("ascii")  # all ok: one label letter per cell
-    raw_by_label = {label: json.dumps({"final_answer": label}) for label in set(labels)}
+    # Each line's JSON literals, quoted once per item, language and label.
+    codes = [(lang._value_, json_string(lang._value_)) for lang in data.matrix.languages]
+    model, ok, created_at = map(json_string, (SYNTHETIC_MODEL_NAME, RecordStatus.OK.value, "1970-01-01T00:00:00+00:00"))
+    raws = {label: json.dumps({"final_answer": chr(label)}) for label in set(data.matrix.cells)}  # all cells are ok
+    by_label = {label: (json_string(raw), json_string(chr(label)), output_digest(raw)) for label, raw in raws.items()}
 
-    def records() -> Iterator[InferenceRecord]:
+    def entries():
         width = len(codes)
         for row, item in enumerate(data.items):
             item_id = item.item_id
-            for (lang, code), label in zip(codes, labels[row * width : (row + 1) * width]):
-                yield InferenceRecord(
-                    item_id=item_id,
-                    language=lang,
-                    model_name=SYNTHETIC_MODEL_NAME,
-                    prompt_hash=prompt_hash(f"synthetic:{item_id}:{code}", SYNTHETIC_MODEL_NAME),
-                    raw_output=raw_by_label[label],
-                    extracted_label=label,
-                    status=RecordStatus.OK,
-                    created_at="1970-01-01T00:00:00+00:00",
-                )
+            quoted_id = json_string(item_id)
+            for (code, quoted_code), label in zip(codes, data.matrix.cells[row * width : (row + 1) * width]):
+                phash = prompt_hash(f"synthetic:{item_id}:{code}", SYNTHETIC_MODEL_NAME)
+                raw, quoted_label, digest = by_label[label]
+                line = record_line(quoted_id, quoted_code, model, f'"{phash}"', raw, quoted_label, ok, "1", created_at)
+                yield (item_id, code, SYNTHETIC_MODEL_NAME, phash), (line + "\n").encode(), STATUS_OK, label, digest
 
-    store.record_many(records())
+    store.append(entries())
     store.flush()
     return store
 

@@ -23,6 +23,7 @@ from array import array
 from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cache
 from hashlib import sha256
 from itertools import islice
 from pathlib import Path
@@ -59,7 +60,7 @@ DIGEST_SIZE = 32  # bytes of a row's output digest in RunStore.digests
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
 # A JSON string literal with only '"', '\' and control characters escaped: the
 # C-accelerated function json.JSONEncoder(ensure_ascii=False) quotes with.
-_quote = json.encoder.encode_basestring
+json_string = json.encoder.encode_basestring
 _LANGUAGE_BY_CODE = {lang._value_: lang for lang in Language}
 _STATUS_BY_CODE = {status._value_: status for status in RecordStatus}
 LABELS = string.ascii_uppercase  # an ok record's label is one of these: one byte of the matrix grid
@@ -72,6 +73,7 @@ _STATUS_BYTE = {status._value_: byte for byte, status in enumerate(STATUSES)}
 STATUS_OK = _STATUS_BYTE[RecordStatus.OK._value_]
 STATUS_INVALID = _STATUS_BYTE[RecordStatus.INVALID_OUTPUT._value_]
 _LOAD_BLOCK = 1 << 16  # bytes of records.jsonl decoded at a time
+_APPEND_BUFFER = 1 << 16  # bytes of appended lines handed to the OS at a time
 _HASH_BLOCK = 1 << 20  # bytes of records.jsonl hashed at a time to check an index
 # The scanner json.loads runs: (value, end) of the JSON value at an index of a str.
 _scan = json.JSONDecoder().scan_once
@@ -93,6 +95,16 @@ def output_digest(raw_output: str) -> bytes:
     """sha256 of a ``raw_output``'s UTF-8 bytes, a lone surrogate kept as its
     three bytes: the key of the output's verdict."""
     return sha256(raw_output.encode("utf-8", "surrogatepass")).digest()
+
+
+def record_line(item_id, language, model_name, prompt_hash, raw_output, label, status, attempt_count, created_at) -> str:
+    """A record's line, without its newline, from its fields as JSON literals: what
+    ``json.JSONEncoder(ensure_ascii=False)`` writes for the field dict, as earlier stores were."""
+    return (
+        f'{{"item_id": {item_id}, "language": {language}, "model_name": {model_name}, '
+        f'"prompt_hash": {prompt_hash}, "raw_output": {raw_output}, "extracted_label": {label}, '
+        f'"status": {status}, "attempt_count": {attempt_count}, "created_at": {created_at}}}'
+    )
 
 
 def _same(value):
@@ -194,16 +206,14 @@ class InferenceRecord(_RecordFields):
         return (self.item_id, self.language._value_, self.model_name, self.prompt_hash)
 
     def to_json(self) -> str:
-        """The record's line: byte-identical to ``json.JSONEncoder(ensure_ascii=False)``
-        on the field dict in declaration order, which earlier stores were written with."""
+        """The record's line, without its newline (see ``record_line``)."""
         item_id, language, model_name, prompt_hash, raw_output, label, status, attempt_count, created_at = self
-        return (
-            f'{{"item_id": {_quote(item_id)}, "language": {_quote(language._value_)}, '
-            f'"model_name": {_quote(model_name)}, "prompt_hash": {_quote(prompt_hash)}, '
-            f'"raw_output": {_quote(raw_output)}, '
-            f'"extracted_label": {"null" if label is None else _quote(label)}, '
-            f'"status": {_quote(status._value_)}, "attempt_count": {attempt_count:d}, '
-            f'"created_at": {_quote(created_at)}}}'
+        return record_line(
+            *map(json_string, (item_id, language._value_, model_name, prompt_hash, raw_output)),
+            "null" if label is None else json_string(label),
+            json_string(status._value_),
+            f"{attempt_count:d}",
+            json_string(created_at),
         )
 
     @classmethod
@@ -454,32 +464,20 @@ class RunStore:
         self._index(record.key, output_digest(record.raw_output), record.extracted_label, status, offset)
         return True
 
-    def _index(
-        self, key, digest: bytes, label, status: int, offset: int | None, record: InferenceRecord | None = None
-    ) -> bool:
-        """Give ``key`` the next row unless it has one (another output under it is a
-        conflict); with ``record``, only once its line is appended to the file."""
+    def _index(self, key, digest: bytes, label, status: int, offset: int) -> None:
+        """Give ``key`` the next row, its line at byte ``offset``, unless it has one; a differing one is a conflict."""
         byte = ord(label) if label else 0
         row = self._rows.get(key)
         if row is not None:
             at = row * DIGEST_SIZE
             if (self.digests[at : at + DIGEST_SIZE], self.statuses[row], self.labels[row]) != (digest, status, byte):
                 self.conflicts += 1
-            return False
-        if record is not None:
-            # backslashreplace acts only on a lone surrogate (json.loads of a reply
-            # can yield one): its \uXXXX escape is JSON and reads back equal.
-            line = (record.to_json() + "\n").encode("utf-8", "backslashreplace")
-            fh = self._open_for_append()
-            offset = self._good_offset
-            fh.write(line)
-            self._good_offset += len(line)
+            return
         self._rows[key] = len(self.statuses)
         self.statuses.append(status)
         self.labels.append(byte)
         self.digests += digest
         self.offsets.append(offset)
-        return True
 
     def _open_for_append(self):
         if self._fh is None:
@@ -487,41 +485,70 @@ class RunStore:
                 # Truncate away a torn final line before appending.
                 with self.records_path.open("rb+") as fh:
                     fh.truncate(self._good_offset)
-            self._fh = self.records_path.open("ab")
+            self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
             if self._needs_newline:
                 self._fh.write(b"\n")
                 self._good_offset += 1
                 self._needs_newline = False
         return self._fh
 
+    def append(self, entries: Iterable[tuple[tuple[str, str, str, str], bytes, int, int, bytes]]) -> int:
+        """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
+        with its line's bytes ending in a newline, and return how many lines were
+        written. An entry whose key is stored (earlier in the batch too) is dropped,
+        a conflict if it differs; a status byte not in ``STATUSES``, a label byte
+        not 0 or A-Z, or an ok one of 0 is refused with ValueError. A row is indexed
+        once its line is in the file's 64 KiB buffer. One flush at the end, also when
+        ``entries`` raises; an fsync once ``FSYNC_EVERY`` lines are unsynced."""
+        with self._lock:
+            rows, statuses, labels, digests, offsets = self._rows, self.statuses, self.labels, self.digests, self.offsets
+            first, fh, offset = len(statuses), self._fh, self._good_offset
+            try:
+                for key, line, status, label, digest in entries:
+                    row = rows.get(key)
+                    if row is not None:
+                        at = row * DIGEST_SIZE
+                        if digests[at : at + DIGEST_SIZE] != digest or statuses[row] != status or labels[row] != label:
+                            self.conflicts += 1
+                        continue
+                    if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
+                        raise ValueError(f"{key}: status byte {status!r} with label byte {label!r}")
+                    if fh is None:
+                        fh = self._open_for_append()
+                        offset = self._good_offset
+                    fh.write(line)
+                    rows[key] = len(statuses)
+                    statuses.append(status)
+                    labels.append(label)
+                    digests += digest
+                    offsets.append(offset)
+                    offset += len(line)
+            finally:
+                written = len(statuses) - first
+                if fh is not None:
+                    self._good_offset = offset
+                    fh.flush()
+                self._unsynced += written
+                if self._unsynced >= FSYNC_EVERY:
+                    os.fsync(fh.fileno())
+                    self._unsynced = 0
+        return written
+
     def record(self, record: InferenceRecord) -> bool:
         """Append one record, flushed; True when written, False when its key is stored."""
         return self.record_many((record,)) == 1
 
     def record_many(self, records: Iterable[InferenceRecord]) -> int:
-        """Append ``records`` in order, dropping any whose key is stored (earlier
-        in the batch too), and return how many were written. One flush at the
-        end, also when ``records`` raises; an fsync once ``FSYNC_EVERY`` are
-        unsynced. Each distinct output of the batch is hashed once."""
-        written = 0
-        digests: dict[str, bytes] = {}
-        with self._lock:
-            try:
-                for record in records:
-                    raw = record.raw_output
-                    digest = digests.get(raw)
-                    if digest is None:
-                        digest = digests[raw] = output_digest(raw)
-                    status = _STATUS_BYTE[record.status._value_]
-                    written += self._index(record.key, digest, record.extracted_label, status, None, record)
-            finally:
-                if self._fh is not None:
-                    self._fh.flush()
-                self._unsynced += written
-                if self._unsynced >= FSYNC_EVERY:
-                    os.fsync(self._fh.fileno())
-                    self._unsynced = 0
-        return written
+        """``append`` the entries of ``records``, building each record's line once and
+        hashing each distinct output of the batch once."""
+        digest = cache(output_digest)
+        # backslashreplace acts only on a lone surrogate (json.loads of a reply
+        # can yield one): its \uXXXX escape is JSON and reads back equal.
+        return self.append(
+            (r.key, (r.to_json() + "\n").encode("utf-8", "backslashreplace"), _STATUS_BYTE[r.status._value_],
+             ord(r.extracted_label or "\0"), digest(r.raw_output))
+            for r in records
+        )
 
     def output(self, row: int) -> str:
         """The ``raw_output`` of row ``row``, read back from its line of ``records.jsonl``."""

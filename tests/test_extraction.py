@@ -264,6 +264,13 @@ def test_a_reply_of_many_open_braces_is_scanned_in_linear_time():
     assert time.perf_counter() - started < 2.0
 
 
+def test_a_reply_of_deeply_nested_openings_is_scanned_in_linear_time():
+    # Decoded from each "{", this reply ran to the recursion limit every time.
+    started = time.process_time()
+    assert find_json_object('{"a":[' * 20_000) is None
+    assert time.process_time() - started < 0.2
+
+
 class TestNormalize:
     def test_strips_punctuation_and_whitespace(self):
         assert normalize_answer_text("  Black, Formal; Suit!  ") == "blackformalsuit"

@@ -8,6 +8,7 @@ import pytest
 
 from langselect.languages import Language
 from langselect.pipeline import _synthetic_store
+from langselect.prompts import prompt_hash
 from langselect.store import (
     InferenceRecord,
     RecordStatus,
@@ -261,6 +262,102 @@ class TestRecordMany:
         with _synthetic_store(tmp_path / "store", data, spec_payload) as store:
             assert len(store) == len(data.items) * len(data.matrix.languages) == 38_400
             assert synced_inodes.count(store.records_path.stat().st_ino) <= 2
+
+
+SMALL_SPEC = {
+    "n_items": 30, "k_true": 2, "dim": 4, "languages": ["en", "es", "hi", "zh"],
+    "expert_per_cluster": ["es", "hi"], "p_expert": 0.9, "p_other": 0.3, "seed": 5,
+}
+
+
+def synthetic_records(data):
+    """The records ``_synthetic_store`` writes for ``data``, built one by one."""
+    width = len(data.matrix.languages)
+    for row, item in enumerate(data.items):
+        for col, lang in enumerate(data.matrix.languages):
+            label = chr(data.matrix.cells[row * width + col])
+            yield InferenceRecord(
+                item_id=item.item_id,
+                language=lang,
+                model_name="synthetic",
+                prompt_hash=prompt_hash(f"synthetic:{item.item_id}:{lang.value}", "synthetic"),
+                raw_output=json.dumps({"final_answer": label}),
+                extracted_label=label,
+                status=RecordStatus.OK,
+                created_at="1970-01-01T00:00:00+00:00",
+            )
+
+
+def assert_same_store(a: RunStore, b: RunStore) -> None:
+    assert a.records_path.read_bytes() == b.records_path.read_bytes()
+    assert a._rows == b._rows
+    assert (a.statuses, a.labels, a.digests, a.offsets) == (b.statuses, b.labels, b.digests, b.offsets)
+    assert a.conflicts == b.conflicts
+
+
+class TestAppend:
+    """``RunStore.append`` and its two feeders: ``record_many`` and the synthetic fill."""
+
+    def test_the_synthetic_fill_writes_what_record_many_writes(self, tmp_path):
+        data = generate(SyntheticSpec.from_dict(SMALL_SPEC))
+        with _synthetic_store(tmp_path / "fill", data, SMALL_SPEC) as filled, RunStore(tmp_path / "records") as recorded:
+            assert recorded.record_many(synthetic_records(data)) == len(filled) == 30 * 4
+            assert_same_store(filled, recorded)
+        assert_same_store(RunStore(tmp_path / "fill"), RunStore(tmp_path / "records"))
+
+    def test_a_second_fill_writes_no_line_and_counts_no_conflict(self, tmp_path):
+        data = generate(SyntheticSpec.from_dict(SMALL_SPEC))
+        _synthetic_store(tmp_path / "fill", data, SMALL_SPEC).close()
+        before = (tmp_path / "fill" / "records.jsonl").read_bytes()
+        with _synthetic_store(tmp_path / "fill", data, SMALL_SPEC) as store:
+            assert (len(store), store.conflicts) == (30 * 4, 0)
+        assert (tmp_path / "fill" / "records.jsonl").read_bytes() == before
+
+    @pytest.mark.parametrize("newline", [False, True], ids=["torn", "unterminated"])
+    def test_a_fill_after_a_cut_final_line_repairs_it_as_record_many_does(self, tmp_path, newline):
+        data = generate(SyntheticSpec.from_dict(SMALL_SPEC))
+        _synthetic_store(tmp_path / "fill", data, SMALL_SPEC).close()
+        lines = (tmp_path / "fill" / "records.jsonl").read_bytes().splitlines(keepends=True)
+        # 50 whole lines, then line 51 cut inside its raw_output, or without its newline only.
+        tail = lines[50][:-1] if newline else lines[50][: lines[50].index(b"final_answer") + 5]
+        for name in ("fill", "records"):
+            (tmp_path / name).mkdir(exist_ok=True)
+            (tmp_path / name / "records.jsonl").write_bytes(b"".join(lines[:50]) + tail)
+        with _synthetic_store(tmp_path / "fill", data, SMALL_SPEC) as filled, RunStore(tmp_path / "records") as recorded:
+            assert recorded.record_many(synthetic_records(data)) == len(filled) - 50 - newline
+            assert_same_store(filled, recorded)
+        assert (tmp_path / "fill" / "records.jsonl").read_bytes() == b"".join(lines)
+
+    @pytest.mark.parametrize(
+        "status, label",
+        [(0, 0), (0, ord("a")), (0, ord("!")), (1, ord(".")), (3, ord("A")), (255, 0)],
+        ids=["ok-without-label", "ok-lowercase", "ok-punctuation", "invalid-punctuation", "status-3", "status-255"],
+    )
+    def test_a_bad_entry_is_refused_and_neither_written_nor_indexed(self, tmp_path, status, label):
+        def entry(record, status, label):
+            return record.key, (record.to_json() + "\n").encode("utf-8"), status, label, bytes(32)
+
+        good, bad = record_for("q1", EN), record_for("q2", EN)
+        with RunStore(tmp_path / "run") as store:
+            with pytest.raises(ValueError):
+                store.append([entry(good, 0, ord("A")), entry(bad, status, label)])
+            assert len(store) == 1 and bad.key not in store._rows
+        assert [r.key for r in stored_records(RunStore(tmp_path / "run"))] == [good.key]
+
+    def test_the_sample_fill_holds_no_more_than_a_block_of_lines(self, tmp_path):
+        spec_path = Path(__file__).resolve().parents[1] / "configs" / "sample_synthetic_spec.json"
+        spec_payload = json.loads(spec_path.read_text(encoding="utf-8"))
+        data = generate(SyntheticSpec.from_dict(spec_payload))
+        tracemalloc.start()
+        try:
+            store = _synthetic_store(tmp_path / "store", data, spec_payload)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        store.close()
+        assert store.records_path.stat().st_size > 11_000_000
+        # Lines held for a whole-batch write would be the file's 11 MB.
+        assert peak - retained < 1_000_000
 
 
 class TestCorruptStore:
