@@ -161,6 +161,14 @@ def split_items(config: RunConfig, items: Sequence[McqItem]) -> tuple[list[McqIt
         raise ConfigError(str(exc)) from None
 
 
+def _selection_cache(path: Path) -> dict[str, Language]:
+    """The selection cache at ``path``; a file ``load_selection_cache`` refuses is a configuration error."""
+    try:
+        return load_selection_cache(path)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+
+
 def _templates(config: RunConfig) -> TemplateSet:
     if config.template_dir is not None:
         return TemplateSet.from_directory(config.template_dir)
@@ -458,7 +466,7 @@ def run_select_llm(
     with run_lock(config.output_dir):
         cache: dict[str, Language] = {}
         if cache_path.exists():
-            cache = load_selection_cache(cache_path)
+            cache = _selection_cache(cache_path)
         todo = [i for i in test if i.item_id not in cache]
         summary: dict = {"stage": "select-llm", "cached": len(cache), "planned_calls": len(todo)}
         if dry_run:
@@ -751,7 +759,7 @@ def run_evaluate(
         cache_path = selection_cache_path(config)
         llm_choices = f"no selection cache at {cache_path}; run the select-llm stage"
         if cache_path.exists():
-            llm_choices = load_selection_cache(cache_path)
+            llm_choices = _selection_cache(cache_path)
 
         emb_path = embeddings_path(config)
         vectors = f"no embedding cache at {emb_path}; run the embed stage"

@@ -239,5 +239,18 @@ def save_selection_cache(cache: Mapping[str, Language], path: str | Path) -> Non
 
 
 def load_selection_cache(path: str | Path) -> dict[str, Language]:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {item_id: Language(code) for item_id, code in data.items()}
+    """The ``item id -> Language`` map ``save_selection_cache`` wrote; ValueError
+    naming the file, and the entry, when it holds anything else."""
+    try:
+        data = json.loads(Path(path).read_bytes())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not an object of item ids to language codes")
+    cache = {}
+    for item_id, code in data.items():
+        try:
+            cache[item_id] = Language(code)
+        except ValueError:
+            raise ValueError(f"{path}: item {item_id!r} has {code!r}, not a language code") from None
+    return cache

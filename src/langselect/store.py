@@ -3,7 +3,8 @@
 One directory per (dataset, model) holds ``records.jsonl`` (one record per
 line, first write wins per key) and a ``manifest.json`` provenance sidecar.
 The store keeps an index of the file, not its text; ``evaluate`` persists that
-index in ``records.index.json``, so a later open parses only appended lines.
+index in ``records.index.json``, so a later open parses only appended lines,
+each with ``_parse_line``, and leaves the file holding whole lines only.
 Matrices are rebuilt from the store on demand as a byte grid: one byte per
 (item, language) cell, rows in item order and columns in canonical language
 order. The byte is the ok answer's label letter, ``.`` for a missing cell or
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from hashlib import sha256
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -72,11 +73,8 @@ STATUSES = tuple(RecordStatus)  # a store row's status byte indexes this
 _STATUS_BYTE = {status._value_: byte for byte, status in enumerate(STATUSES)}
 STATUS_OK = _STATUS_BYTE[RecordStatus.OK._value_]
 STATUS_INVALID = _STATUS_BYTE[RecordStatus.INVALID_OUTPUT._value_]
-_LOAD_BLOCK = 1 << 16  # bytes of records.jsonl decoded at a time
 _APPEND_BUFFER = 1 << 16  # bytes of appended lines handed to the OS at a time
 _HASH_BLOCK = 1 << 20  # bytes of records.jsonl hashed at a time to check an index
-# The scanner json.loads runs: (value, end) of the JSON value at an index of a str.
-_scan = json.JSONDecoder().scan_once
 
 
 def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
@@ -218,20 +216,26 @@ class InferenceRecord(_RecordFields):
 
     @classmethod
     def from_json(cls, line: str) -> "InferenceRecord":
-        data = json.loads(line)
-        if not isinstance(data["raw_output"], str):
-            raise ValueError(f"raw_output must be a string, not {data['raw_output']!r}")
-        return cls(
-            item_id=data["item_id"],
-            language=_LANGUAGE_BY_CODE[data["language"]],
-            model_name=data["model_name"],
-            prompt_hash=data["prompt_hash"],
-            raw_output=data["raw_output"],
-            extracted_label=data.get("extracted_label"),
-            status=_STATUS_BY_CODE[data["status"]],
-            attempt_count=data.get("attempt_count", 1),
-            created_at=data.get("created_at", ""),
-        )
+        return _parse_line(line)
+
+
+def _parse_line(text: str) -> InferenceRecord:
+    """The record of one line of ``records.jsonl``; any exception refuses the line."""
+    data = json.loads(text)
+    for name in ("item_id", "model_name", "prompt_hash", "raw_output"):
+        if not isinstance(data[name], str):
+            raise ValueError(f"{name} must be a string, not {data[name]!r}")
+    return InferenceRecord(
+        item_id=data["item_id"],
+        language=_LANGUAGE_BY_CODE[data["language"]],
+        model_name=data["model_name"],
+        prompt_hash=data["prompt_hash"],
+        raw_output=data["raw_output"],
+        extracted_label=data.get("extracted_label"),
+        status=_STATUS_BY_CODE[data["status"]],
+        attempt_count=data.get("attempt_count", 1),
+        created_at=data.get("created_at", ""),
+    )
 
 
 @dataclass(frozen=True, eq=True)
@@ -291,6 +295,9 @@ class RunStore:
     An open takes the columns of the file's first N bytes from
     ``records.index.json`` when that index holds N and the sha256 of exactly
     those bytes, and parses only the lines after them; ``save_index`` writes it.
+    An open may also repair the file's tail, so the caller holds the run's lock:
+    a torn final line, or whitespace after the last newline, is cut off, and a
+    good final line without its newline gets one.
     """
 
     def __init__(self, directory: str | Path):
@@ -308,46 +315,45 @@ class RunStore:
         self.conflicts = 0
         self._unsynced = 0
         self._fh = None
-        self._good_offset = 0  # bytes of records.jsonl read or written as indexed lines
-        self._needs_newline = False
         self._index_length = 0  # bytes of records.jsonl the index file gave at the open
-        # (bytes, lines, rows, conflicts, sha256 hex) of the whole lines the open read
+        # (bytes, lines, rows, conflicts, sha256 hex) of the file as the open left it
         self._parsed = (0, 0, 0, 0, "")
         self._load()
 
     def _load(self) -> None:
-        """Index ``records.jsonl``: the prefix the index file describes, then the
-        rest ``_LOAD_BLOCK`` bytes at a time, scanning each line once. A line is
-        indexed exactly when ``InferenceRecord.from_json`` accepts it: one the scan
-        does not take whole, and each line of a block that is not UTF-8, is checked
-        by ``from_json`` alone. A bad final line is a torn write and is dropped; a
-        bad line before it is corruption."""
+        """Index ``records.jsonl``: the prefix the index file describes, then each
+        line after it as ``_parse_line`` reads it. A bad final line is a torn write,
+        dropped; a bad line before it is corruption. Then repair the tail."""
         if not self.records_path.exists():
             return
         with self.records_path.open("rb") as fh:
             size = os.fstat(fh.fileno()).st_size
-            digest, lineno = self._read_index(fh, size)
-            fh.seek(self._good_offset)
-            pending: list[bytes] = []  # the file after the last newline read
-            while chunk := fh.read(_LOAD_BLOCK):
-                cut = chunk.rfind(b"\n") + 1
-                if not cut:
-                    pending.append(chunk)
-                    continue
-                block = b"".join([*pending, chunk[:cut]])
-                pending = [chunk[cut:]]
-                kept = self._index_block(block, lineno, final=self._good_offset + len(block) >= size)
-                digest.update(memoryview(block)[:kept])
-                self._good_offset += kept
-                lineno += block.count(b"\n", 0, kept)
-                if kept < len(block):
-                    pending = []  # the torn final line ends the file
-                    break
-        self._parsed = (self._good_offset, lineno, len(self), self.conflicts, digest.hexdigest())
-        rest = b"".join(pending)
-        if rest.strip() and self._index_line(rest, lineno + 1, final=True, offset=self._good_offset):
-            self._good_offset = size
-            self._needs_newline = True
+            digest, lines = self._read_index(fh, size)
+            offset = fh.seek(self._index_length)
+            for line in fh:
+                if line.strip():
+                    try:
+                        record = _parse_line(line.decode("utf-8"))
+                    except Exception as exc:
+                        if offset + len(line) < size:
+                            raise StoreError(f"{self.records_path}: line {lines + 1} corrupt: {exc}") from None
+                        logger.warning("%s: dropping torn final line %d", self.records_path, lines + 1)
+                        break
+                    status = _STATUS_BYTE[record.status._value_]
+                    self._index(record.key, output_digest(record.raw_output), record.extracted_label, status, offset)
+                elif not line.endswith(b"\n"):
+                    break  # whitespace after the last newline
+                if not line.endswith(b"\n"):
+                    line += b"\n"  # a good final line: its newline is written below
+                digest.update(line)
+                offset += len(line)
+                lines += 1
+        if offset < size:
+            os.truncate(self.records_path, offset)
+        elif offset > size:
+            with self.records_path.open("ab") as fh:
+                fh.write(b"\n")
+        self._parsed = (offset, lines, len(self), self.conflicts, digest.hexdigest())
 
     def _read_index(self, fh, size: int):
         """Take the columns of the first N bytes of ``records.jsonl`` from the index
@@ -374,6 +380,7 @@ class RunStore:
                 {len(rows), len(statuses), len(labels), len(offsets)} != {n}
                 or len(digests) != n * DIGEST_SIZE
                 or set(map(len, keys)) - {4}
+                or set(map(type, chain.from_iterable(keys))) - {str}
                 or max(statuses, default=0) >= len(STATUSES)
                 or labels.translate(None, _LABEL_BYTES)
                 or (n and not (0 <= starts[0] and starts[-1] < length and (np.diff(starts) > 0).all()))
@@ -393,13 +400,13 @@ class RunStore:
             return sha256(), 0
         self._rows, self.offsets, self.conflicts = rows, offsets, conflicts
         self.statuses, self.labels, self.digests = bytearray(statuses), bytearray(labels), bytearray(digests)
-        self._good_offset = self._index_length = length
+        self._index_length = length
         return digest, lines
 
     def save_index(self) -> None:
-        """Write ``records.index.json``: the columns of the whole lines the open
-        read, unless the index file gave all of them. Rows appended since the open,
-        and a final line without a newline, are left for the next open to parse."""
+        """Write ``records.index.json``: the columns of the file as the open left
+        it, unless the index file gave all of them. Rows appended since the open
+        are left for the next open to parse."""
         length, lines, n, conflicts, digest = self._parsed
         if length == self._index_length:
             return
@@ -417,53 +424,6 @@ class RunStore:
         }
         write_atomic(self.index_path, json.dumps(index, separators=(",", ":")).encode("ascii"))
 
-    def _index_block(self, block: bytes, lineno: int, final: bool) -> int:
-        """Index the lines of ``block``, which ends in a newline, starts at line
-        ``lineno + 1`` and at byte ``_good_offset`` of the file, and return how many
-        of its bytes were kept: all, unless its last line was dropped as a torn final line."""
-        try:
-            texts = block.decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            texts = [""] * (block.count(b"\n") + 1)  # "" fails the scan: each line is checked alone
-        texts.pop()  # the empty text after the block's final newline
-        base = self._good_offset
-        start = 0
-        for i, text in enumerate(texts):
-            end = block.index(b"\n", start) + 1
-            try:  # the fields and checks of InferenceRecord.from_json
-                data, stop = _scan(text, 0)
-                status = _STATUS_BYTE[data["status"]]
-                label = data.get("extracted_label")
-                if stop == len(text) and (label in _LABEL_SET or label is None and status != STATUS_OK):
-                    language = _LANGUAGE_BY_CODE[data["language"]]._value_
-                    key = (data["item_id"], language, data["model_name"], data["prompt_hash"])
-                    self._index(key, output_digest(data["raw_output"]), label, status, base + start)
-                    start = end
-                    continue
-            except Exception:
-                pass  # checked alone below
-            if not self._index_line(block[start:end], lineno + i + 1, final and end == len(block), base + start):
-                return start
-            start = end
-        return len(block)
-
-    def _index_line(self, line: bytes, lineno: int, final: bool, offset: int) -> bool:
-        """Index one line, at byte ``offset`` of the file, as ``InferenceRecord.from_json``
-        reads it; False when it is a torn final line, dropped. A blank line is skipped."""
-        if not line.strip():
-            return True
-        try:
-            record = InferenceRecord.from_json(line.decode("utf-8"))
-        except Exception as exc:
-            if final:
-                # Torn final line from an interrupted write; drop it.
-                logger.warning("%s: dropping torn final line %d", self.records_path, lineno)
-                return False
-            raise StoreError(f"{self.records_path}: line {lineno} corrupt: {exc}") from None
-        status = _STATUS_BYTE[record.status._value_]
-        self._index(record.key, output_digest(record.raw_output), record.extracted_label, status, offset)
-        return True
-
     def _index(self, key, digest: bytes, label, status: int, offset: int) -> None:
         """Give ``key`` the next row, its line at byte ``offset``, unless it has one; a differing one is a conflict."""
         byte = ord(label) if label else 0
@@ -479,19 +439,6 @@ class RunStore:
         self.digests += digest
         self.offsets.append(offset)
 
-    def _open_for_append(self):
-        if self._fh is None:
-            if self.records_path.exists() and self.records_path.stat().st_size > self._good_offset:
-                # Truncate away a torn final line before appending.
-                with self.records_path.open("rb+") as fh:
-                    fh.truncate(self._good_offset)
-            self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
-            if self._needs_newline:
-                self._fh.write(b"\n")
-                self._good_offset += 1
-                self._needs_newline = False
-        return self._fh
-
     def append(self, entries: Iterable[tuple[tuple[str, str, str, str], bytes, int, int, bytes]]) -> int:
         """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
         with its line's bytes ending in a newline, and return how many lines were
@@ -502,7 +449,8 @@ class RunStore:
         ``entries`` raises; an fsync once ``FSYNC_EVERY`` lines are unsynced."""
         with self._lock:
             rows, statuses, labels, digests, offsets = self._rows, self.statuses, self.labels, self.digests, self.offsets
-            first, fh, offset = len(statuses), self._fh, self._good_offset
+            first, fh = len(statuses), self._fh
+            offset = fh.tell() if fh is not None else None  # where the next line lands, once the file is open
             try:
                 for key, line, status, label, digest in entries:
                     row = rows.get(key)
@@ -514,8 +462,8 @@ class RunStore:
                     if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
                         raise ValueError(f"{key}: status byte {status!r} with label byte {label!r}")
                     if fh is None:
-                        fh = self._open_for_append()
-                        offset = self._good_offset
+                        fh = self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
+                        offset = fh.tell()
                     fh.write(line)
                     rows[key] = len(statuses)
                     statuses.append(status)
@@ -526,7 +474,6 @@ class RunStore:
             finally:
                 written = len(statuses) - first
                 if fh is not None:
-                    self._good_offset = offset
                     fh.flush()
                 self._unsynced += written
                 if self._unsynced >= FSYNC_EVERY:
@@ -557,7 +504,7 @@ class RunStore:
                 self._fh.flush()
         with self.records_path.open("rb") as fh:
             fh.seek(self.offsets[row])
-            return InferenceRecord.from_json(fh.readline().decode("utf-8")).raw_output
+            return _parse_line(fh.readline().decode("utf-8")).raw_output
 
     def flush(self) -> None:
         with self._lock:

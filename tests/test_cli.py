@@ -653,6 +653,27 @@ class TestCliInterface:
         assert "configuration error: split needs 10 items, dataset has 8" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("stage, args", [("evaluate", []), ("select-llm", ["--dry-run"])])
+    @pytest.mark.parametrize(
+        "cache, error",
+        [
+            ('{"q1": "xx"}', "item 'q1' has 'xx', not a language code"),
+            ('{"q1": "th", "q2": [1]}', "item 'q2' has [1], not a language code"),
+            ("[1, 2]", "not an object of item ids to language codes"),
+            ('{"q1": "th"', "not JSON: "),
+        ],
+        ids=["unknown-code", "list-code", "list", "truncated"],
+    )
+    def test_a_corrupt_selection_cache_is_refused_naming_it(self, tmp_path, pipeline_stub, stage, args, cache, error):
+        config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+        config = load_config(config_path)
+        assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+        selection_cache_path(config).write_text(cache, encoding="utf-8")
+        result = CliRunner().invoke(main, [stage, "--config", str(config_path), *args])
+        assert result.exit_code == 2, result.output
+        assert f"configuration error: {selection_cache_path(config)}: {error}" in result.output
+        assert not (config.output_dir / "reports").exists()
+
     def test_missing_config_file(self):
         runner = CliRunner()
         result = runner.invoke(main, ["evaluate", "--config", "/nonexistent.json"])

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from langselect import clustering, pipeline
+from langselect import store as store_module
 from langselect.clustering import EmbeddingCache, item_embedding_key
 from langselect.config import load_config
 from langselect.datasets import save_dataset
@@ -277,47 +278,48 @@ def store_files(directory) -> dict:
 
 
 @pytest.fixture
-def parsed_blocks(monkeypatch):
-    """The blocks of ``records.jsonl`` the store's loader parses."""
-    blocks = []
-    real = RunStore._index_block
+def parsed_lines(monkeypatch):
+    """The lines of ``records.jsonl`` that opens of a store parse."""
+    lines = []
+    load, parse = RunStore._load, store_module._parse_line
 
-    def counting(self, block, *args, **kwargs):
-        blocks.append(block)
-        return real(self, block, *args, **kwargs)
+    def counting(self):
+        monkeypatch.setattr(store_module, "_parse_line", lambda text: lines.append(text) or parse(text))
+        load(self)
+        monkeypatch.setattr(store_module, "_parse_line", parse)
 
-    monkeypatch.setattr(RunStore, "_index_block", counting)
-    return blocks
+    monkeypatch.setattr(RunStore, "_load", counting)
+    return lines
 
 
-def test_second_evaluate_of_an_unchanged_run_reads_the_index_and_writes_no_store_file(tmp_path, parsed_blocks):
+def test_second_evaluate_of_an_unchanged_run_reads_the_index_and_writes_no_store_file(tmp_path, parsed_lines):
     config = evaluate_run(tmp_path)
     directory = pipeline.store_dir(config, "m")
     assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
-    assert len(parsed_blocks) == 1
+    assert len(parsed_lines) == 12
     assert (directory / INDEX_NAME).exists()
     before = store_files(directory)
     cold = report_bytes(config)
 
-    parsed_blocks.clear()
+    parsed_lines.clear()
     assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
-    assert parsed_blocks == []
+    assert parsed_lines == []
     assert store_files(directory) == before
     assert report_bytes(config) == cold
 
 
-def test_evaluate_after_an_append_parses_only_the_appended_lines(tmp_path, parsed_blocks):
+def test_evaluate_after_an_append_parses_only_the_appended_lines(tmp_path, parsed_lines):
     config = evaluate_run(tmp_path, leave_out={("q0", Language.FRENCH)})
     pipeline.run_evaluate(config)
     directory = pipeline.store_dir(config, "m")
+    line_start = (directory / "records.jsonl").stat().st_size
     with RunStore(directory) as store:
-        line_start = store._good_offset
         store.record(reasoning_record("q0", Language.FRENCH, f"{FRENCH_TEXT} q0"))
     warm_index = json.loads((directory / INDEX_NAME).read_bytes())
 
-    parsed_blocks.clear()
+    parsed_lines.clear()
     pipeline.run_evaluate(config)
-    assert [len(block) for block in parsed_blocks] == [(directory / "records.jsonl").stat().st_size - line_start]
+    assert parsed_lines == [(directory / "records.jsonl").read_bytes()[line_start:].decode("utf-8")]
     index = json.loads((directory / INDEX_NAME).read_bytes())
     assert (warm_index["length"], len(warm_index["keys"])) == (line_start, 11)
     assert (index["length"], len(index["keys"])) == ((directory / "records.jsonl").stat().st_size, 12)

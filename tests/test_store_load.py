@@ -1,10 +1,10 @@
 """Opening a run store, checked against a per-line reference.
 
-``RunStore`` indexes ``records.jsonl`` by decoding blocks of lines and running
-the JSON scanner once per line. ``reference_load`` below is the per-line
-reading it must agree with: ``json.loads`` of each line plus
-``InferenceRecord.from_json``'s field checks, first write wins, a bad final
-line dropped as torn and a bad earlier line refused.
+``RunStore`` indexes ``records.jsonl`` one line at a time and repairs its
+tail. ``reference_load`` below is the reading it must agree with: each line
+read by ``InferenceRecord.from_json``, first write wins, a bad final line
+dropped as torn and a bad earlier line refused, and the file left holding
+whole lines only.
 """
 
 import base64
@@ -23,39 +23,35 @@ from langselect.store import STATUSES, InferenceRecord, RecordStatus, RunStore, 
 from helpers import stored_records
 
 EN, FR, ZH = Language.ENGLISH, Language.FRENCH, Language.CHINESE
-BLOCK_SIZES = [None, 1, 7, 100, 4096]  # None: the store's own block size
 
 
 def reference_load(data: bytes):
-    """(records in write order, conflicts, good offset, needs newline), or the
-    error text of the first corrupt line."""
+    """(records in write order, conflicts, the file as the open leaves it), or
+    the error text of the first corrupt line."""
     by_key: dict = {}
     conflicts = 0
-    good = 0
-    needs_newline = False
+    kept = []
     end = 0
     for lineno, line in enumerate(io.BytesIO(data), 1):
         end += len(line)
-        if not line.strip():
-            if line.endswith(b"\n"):
-                good = end
-            continue
-        try:
-            record = InferenceRecord.from_json(line.decode("utf-8"))
-        except Exception as exc:
-            if end >= len(data):
-                break
-            return f"line {lineno} corrupt: {exc}"
-        existing = by_key.setdefault(record.key, record)
-        if existing is not record and (existing.raw_output, existing.extracted_label, existing.status) != (
-            record.raw_output,
-            record.extracted_label,
-            record.status,
-        ):
-            conflicts += 1
-        good = end
-        needs_newline = not line.endswith(b"\n")
-    return list(by_key.values()), conflicts, good, needs_newline
+        if line.strip():
+            try:
+                record = InferenceRecord.from_json(line.decode("utf-8"))
+            except Exception as exc:
+                if end >= len(data):
+                    break
+                return f"line {lineno} corrupt: {exc}"
+            existing = by_key.setdefault(record.key, record)
+            if existing is not record and (existing.raw_output, existing.extracted_label, existing.status) != (
+                record.raw_output,
+                record.extracted_label,
+                record.status,
+            ):
+                conflicts += 1
+        elif not line.endswith(b"\n"):
+            break
+        kept.append(line.rstrip(b"\n") + b"\n")
+    return list(by_key.values()), conflicts, b"".join(kept)
 
 
 def assert_columns(store: RunStore, records: list[InferenceRecord]) -> None:
@@ -78,12 +74,10 @@ def record_at(store: RunStore, offset: int) -> InferenceRecord:
 APPENDED = InferenceRecord("appended", EN, "m", "h-appended", "{}", "C", RecordStatus.OK, 1, "t")
 
 
-def assert_loads_like_reference(tmp_path, data: bytes, monkeypatch=None, block=None):
+def assert_loads_like_reference(tmp_path, data: bytes):
     """Open a store over ``data`` and check it against ``reference_load``,
-    including where its next append lands."""
-    if block is not None:
-        monkeypatch.setattr(store_module, "_LOAD_BLOCK", block)
-    path = tmp_path / f"run-{block}"
+    including the file the open leaves and where the next append lands."""
+    path = tmp_path / "run"
     path.mkdir(parents=True)
     (path / "records.jsonl").write_bytes(data)
     expected = reference_load(data)
@@ -91,16 +85,17 @@ def assert_loads_like_reference(tmp_path, data: bytes, monkeypatch=None, block=N
         with pytest.raises(StoreError) as refused:
             RunStore(path)
         assert str(refused.value) == f"{path / 'records.jsonl'}: {expected}"
+        assert (path / "records.jsonl").read_bytes() == data
         return expected
-    records, conflicts, good, needs_newline = expected
+    records, conflicts, after = expected
     with RunStore(path) as store:
+        assert (path / "records.jsonl").read_bytes() == after
         assert len(store) == len(records)
         assert_columns(store, records)
         assert store.conflicts == conflicts
         assert store.record(APPENDED) is (APPENDED.key not in {r.key for r in records})
     if APPENDED.key not in {r.key for r in records}:
-        tail = (b"\n" if needs_newline else b"") + APPENDED.to_json().encode() + b"\n"
-        assert (path / "records.jsonl").read_bytes() == data[:good] + tail
+        assert (path / "records.jsonl").read_bytes() == after + APPENDED.to_json().encode() + b"\n"
     return expected
 
 
@@ -145,19 +140,17 @@ def lines_of(records) -> list[bytes]:
 
 
 @pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_random_valid_stores_load_like_the_reference(tmp_path, monkeypatch, seed, block):
+def test_random_valid_stores_load_like_the_reference(tmp_path, seed):
     rng = random.Random(seed)
     data = b"".join(lines_of(random_records(rng, rng.choice([1, 5, 60, 300]))))
-    records, _, _, _ = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
-    assert records
+    records, _, after = assert_loads_like_reference(tmp_path, data)
+    assert records and after == data
 
 
-def test_a_line_longer_than_a_block_loads(tmp_path, monkeypatch):
+def test_a_long_line_loads(tmp_path):
     long = InferenceRecord("q1", ZH, "m", "h", "中文" * 100_000, "A", RecordStatus.OK, 1, "t")
     data = b"".join(lines_of([random_records(random.Random(0), 1)[0], long, long._replace(item_id="q2")]))
-    for block in (None, 4096):
-        assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+    assert_loads_like_reference(tmp_path, data)
 
 
 GOOD = lines_of(
@@ -187,6 +180,10 @@ BAD_LINES = {
     "an empty label": GOOD[3].replace(b'"extracted_label": null', b'"extracted_label": ""'),
     "a list label": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": [1]'),
     "an output that is no string": GOOD[1].replace(b'"raw_output": "\xc3\xa9"', b'"raw_output": 5'),
+    "an item id that is a list": GOOD[1].replace(b'"item_id": "q2"', b'"item_id": ["q2"]'),
+    "an item id that is null": GOOD[1].replace(b'"item_id": "q2"', b'"item_id": null'),
+    "a model name that is an object": GOOD[1].replace(b'"model_name": "m"', b'"model_name": {"m": 1}'),
+    "a prompt hash that is a number": GOOD[1].replace(b'"prompt_hash": "h"', b'"prompt_hash": 7'),
     "an unknown status": GOOD[1].replace(b'"invalid_output"', b'"done"'),
     "an unknown language": GOOD[1].replace(b'"language": "fr"', b'"language": "xx"'),
     "a missing field": b"{" + FIELDS.replace(b', "raw_output": "x"', b"") + b', "status": "transport_error"}\n',
@@ -210,29 +207,26 @@ ACCEPTED_LINES = {
 }
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("name", sorted(BAD_LINES))
-def test_a_bad_middle_line_is_refused_with_its_number(tmp_path, monkeypatch, name, block):
+def test_a_bad_middle_line_is_refused_with_its_number(tmp_path, name):
     data = b"".join(GOOD[:2]) + BAD_LINES[name] + b"".join(GOOD[2:])
-    error = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+    error = assert_loads_like_reference(tmp_path, data)
     assert error.startswith("line 3 corrupt: ")
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("name", sorted(BAD_LINES))
-def test_a_bad_final_line_is_dropped_as_torn(tmp_path, monkeypatch, name, block):
+def test_a_bad_final_line_is_dropped_as_torn(tmp_path, name):
     data = b"".join(GOOD) + BAD_LINES[name]
-    outcome = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
+    outcome = assert_loads_like_reference(tmp_path, data)
     if BAD_LINES[name].count(b"\n") > 1:  # a bad line before the final one
         assert outcome.startswith("line 5 corrupt: ")
     else:
-        records, _, good, needs_newline = outcome
-        assert len(records) == 4 and good == len(b"".join(GOOD)) and not needs_newline
+        records, _, after = outcome
+        assert len(records) == 4 and after == b"".join(GOOD)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
 @pytest.mark.parametrize("name", sorted(ACCEPTED_LINES))
-def test_lines_json_loads_accepts_are_indexed(tmp_path, monkeypatch, name, block):
+def test_lines_json_loads_accepts_are_indexed(tmp_path, name):
     for n, data in enumerate(
         (
             b"".join(GOOD[:2]) + ACCEPTED_LINES[name] + b"".join(GOOD[2:]),
@@ -240,31 +234,52 @@ def test_lines_json_loads_accepts_are_indexed(tmp_path, monkeypatch, name, block
             ACCEPTED_LINES[name] + b"".join(GOOD),
         )
     ):
-        assert not isinstance(assert_loads_like_reference(tmp_path / str(n), data, monkeypatch, block), str)
+        assert not isinstance(assert_loads_like_reference(tmp_path / str(n), data), str)
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_final_line_cut_inside_a_character_is_dropped(tmp_path, monkeypatch, block):
+def test_final_line_cut_inside_a_character_is_dropped(tmp_path):
     whole = b"".join(GOOD)
     cut_at = GOOD[2].index("中".encode()) + 1
     for final in (GOOD[2][:cut_at], GOOD[2][:cut_at] + b"\n"):
-        records, _, good, needs_newline = assert_loads_like_reference(
-            tmp_path / str(len(final)), whole + final, monkeypatch, block
-        )
-        assert len(records) == 4 and good == len(whole) and not needs_newline
+        records, _, after = assert_loads_like_reference(tmp_path / str(len(final)), whole + final)
+        assert len(records) == 4 and after == whole
 
 
-@pytest.mark.parametrize("block", BLOCK_SIZES)
-def test_last_line_without_a_newline_is_kept(tmp_path, monkeypatch, block):
+def test_last_line_without_a_newline_is_kept_and_ended(tmp_path):
     data = b"".join(GOOD).rstrip(b"\n")
-    records, _, good, needs_newline = assert_loads_like_reference(tmp_path, data, monkeypatch, block)
-    assert len(records) == 4 and good == len(data) and needs_newline
+    records, _, after = assert_loads_like_reference(tmp_path, data)
+    assert len(records) == 4 and after == data + b"\n"
 
 
-def test_an_empty_file_and_a_file_of_blank_lines(tmp_path, monkeypatch):
-    for n, data in enumerate((b"", b"\n\n", b"  \n \t", b"\r")):
-        records, _, good, _ = assert_loads_like_reference(tmp_path / str(n), data, monkeypatch, None)
-        assert records == []
+def test_an_empty_file_and_a_file_of_blank_lines(tmp_path):
+    for n, (data, after) in enumerate(((b"", b""), (b"\n\n", b"\n\n"), (b"  \n \t", b"  \n"), (b"\r", b""))):
+        assert assert_loads_like_reference(tmp_path / str(n), data) == ([], 0, after)
+
+
+@pytest.mark.parametrize(
+    "tail, warned, kept",
+    [
+        (GOOD[0][:30], True, b""),
+        (GOOD[0][:30] + b"\n", True, b""),
+        (b" \t", False, b""),
+        (GOOD[0].rstrip(b"\n"), False, GOOD[0]),
+    ],
+    ids=["torn", "torn-with-newline", "whitespace", "unterminated"],
+)
+def test_the_first_open_repairs_the_tail_and_a_second_open_sees_whole_lines(tmp_path, caplog, tail, warned, kept):
+    path = tmp_path / "run"
+    path.mkdir()
+    records = path / "records.jsonl"
+    records.write_bytes(b"".join(GOOD) + tail)
+    with caplog.at_level(logging.WARNING, logger="langselect.store"):
+        first = len(RunStore(path))
+        assert caplog.messages == ([f"{records}: dropping torn final line 5"] if warned else [])
+        repaired = records.read_bytes(), records.stat().st_mtime_ns
+        caplog.clear()
+        assert len(RunStore(path)) == first
+    assert caplog.messages == []
+    assert repaired == (records.read_bytes(), records.stat().st_mtime_ns)
+    assert repaired[0] == b"".join(GOOD) + kept
 
 
 def test_records_after_unclosed_appends_are_in_write_order(tmp_path):
@@ -337,8 +352,8 @@ def test_the_columns_hold_status_label_and_output(tmp_path):
 
 def opened(path):
     """The store at ``path`` as an open leaves it, and the file after one more
-    append: ((columns, conflicts, where the next append lands), file bytes), or
-    the error text of a refused open."""
+    append: ((columns, conflicts, file bytes), file bytes), or the error text
+    of a refused open."""
     try:
         store = RunStore(path)
     except StoreError as exc:
@@ -352,8 +367,7 @@ def opened(path):
             store.offsets.tolist(),
             [store.output(row) for row in range(len(store))],
             store.conflicts,
-            store._good_offset,
-            store._needs_newline,
+            store.records_path.read_bytes(),
         )
         store.record(APPENDED)
     return state, (path / "records.jsonl").read_bytes()
@@ -450,11 +464,11 @@ def test_an_index_of_the_whole_file_is_taken_without_parsing(tmp_path, monkeypat
     data = b"".join(lines_of(random_records(random.Random(1), 300)))
     path = tmp_path / "run"
     indexed_store(path, data)
-    blocks = []
-    real = RunStore._index_block
-    monkeypatch.setattr(RunStore, "_index_block", lambda self, *args, **kw: blocks.append(args) or real(self, *args, **kw))
+    parsed = []
+    parse = store_module._parse_line
+    monkeypatch.setattr(store_module, "_parse_line", lambda text: parsed.append(text) or parse(text))
     store = RunStore(path)
-    assert blocks == [] and store._index_length == len(data)
+    assert parsed == [] and store._index_length == len(data)
     inode = (path / store_module.INDEX_NAME).stat().st_ino
     store.save_index()  # nothing parsed past the index: not rewritten
     assert (path / store_module.INDEX_NAME).stat().st_ino == inode
@@ -465,16 +479,16 @@ def test_an_index_of_the_whole_file_is_taken_without_parsing(tmp_path, monkeypat
 
 def test_the_index_covers_whole_lines_only(tmp_path):
     whole = b"".join(GOOD)
-    for n, (tail, covered) in enumerate(
+    fifth = GOOD[0].replace(b'"item_id": "q1"', b'"item_id": "q5"')
+    for n, (tail, covered, keys) in enumerate(
         (
-            (GOOD[0].rstrip(b"\n"), len(whole)),  # an unterminated final line: indexed, not in the index
-            (GOOD[0][:30] + b"\n", len(whole)),  # a torn final line: dropped
-            (b"  \n \t", len(whole) + 3),  # a blank line, then whitespace without a newline
+            (fifth.rstrip(b"\n"), len(whole) + len(fifth), 5),  # an unterminated final line: ended, indexed
+            (GOOD[0][:30] + b"\n", len(whole), 4),  # a torn final line: dropped
+            (b"  \n \t", len(whole) + 3, 4),  # a blank line, then whitespace without a newline: dropped
         )
     ):
         index = indexed_store(tmp_path / str(n), whole + tail)
-        assert index["length"] == covered
-        assert len(index["keys"]) == 4
+        assert (index["length"], len(index["keys"])) == (covered, keys)
         through_index, full, index_length = index_open_and_full_parse(tmp_path / str(n))
         assert through_index == full and index_length == covered
 
@@ -500,6 +514,9 @@ BAD_INDEXES = {
     "a missing column": lambda index: index.pop("labels"),
     "a string length": lambda index: index.update(length=str(index["length"])),
     "a negative line count": lambda index: index.update(lines=-1),
+    "a key part that is a number": lambda index: index["keys"][0].__setitem__(0, 5),
+    "a key part that is null": lambda index: index["keys"][1].__setitem__(3, None),
+    "a key part that is a list": lambda index: index["keys"][2].__setitem__(2, ["m"]),
 }
 
 
