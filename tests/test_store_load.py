@@ -23,6 +23,7 @@ from langselect.store import STATUSES, InferenceRecord, RecordStatus, RunStore, 
 from helpers import stored_records
 
 EN, FR, ZH = Language.ENGLISH, Language.FRENCH, Language.CHINESE
+INDEXED_LINES = [0, 1, 2]  # leading lines of the file an index saved before the open covers
 
 
 def reference_load(data: bytes):
@@ -74,21 +75,33 @@ def record_at(store: RunStore, offset: int) -> InferenceRecord:
 APPENDED = InferenceRecord("appended", EN, "m", "h-appended", "{}", "C", RecordStatus.OK, 1, "t")
 
 
-def assert_loads_like_reference(tmp_path, data: bytes):
+def assert_loads_like_reference(tmp_path, data: bytes, indexed: int = 0):
     """Open a store over ``data`` and check it against ``reference_load``,
-    including the file the open leaves and where the next append lands."""
+    including the file the open leaves and where the next append lands. With
+    ``indexed``, an index of ``data``'s first ``indexed`` lines is saved first,
+    and the open takes those lines from it and parses only the rest."""
     path = tmp_path / "run"
-    path.mkdir(parents=True)
+    if indexed:
+        assert indexed_store(path, b"".join(io.BytesIO(data).readlines()[:indexed]))["lines"] == indexed
+    else:
+        path.mkdir(parents=True)
     (path / "records.jsonl").write_bytes(data)
     expected = reference_load(data)
-    if isinstance(expected, str):
-        with pytest.raises(StoreError) as refused:
-            RunStore(path)
-        assert str(refused.value) == f"{path / 'records.jsonl'}: {expected}"
-        assert (path / "records.jsonl").read_bytes() == data
-        return expected
+    taken = []  # (sha256, lines) as each open read the index
+    read_index = RunStore._read_index
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(RunStore, "_read_index", lambda self, *args: taken.append(read_index(self, *args)) or taken[-1])
+        if isinstance(expected, str):
+            with pytest.raises(StoreError) as refused:
+                RunStore(path)
+            assert str(refused.value) == f"{path / 'records.jsonl'}: {expected}"
+            assert (path / "records.jsonl").read_bytes() == data
+            assert [lines for _, lines in taken] == [indexed]
+            return expected
+        store = RunStore(path)
+    assert [lines for _, lines in taken] == [indexed]
     records, conflicts, after = expected
-    with RunStore(path) as store:
+    with store:
         assert (path / "records.jsonl").read_bytes() == after
         assert len(store) == len(records)
         assert_columns(store, records)
@@ -139,11 +152,13 @@ def lines_of(records) -> list[bytes]:
     return [(r.to_json() + "\n").encode("utf-8", "backslashreplace") for r in records]
 
 
+@pytest.mark.parametrize("indexed", INDEXED_LINES)
 @pytest.mark.parametrize("seed", range(12))
-def test_random_valid_stores_load_like_the_reference(tmp_path, seed):
+def test_random_valid_stores_load_like_the_reference(tmp_path, seed, indexed):
     rng = random.Random(seed)
-    data = b"".join(lines_of(random_records(rng, rng.choice([1, 5, 60, 300]))))
-    records, _, after = assert_loads_like_reference(tmp_path, data)
+    lines = lines_of(random_records(rng, rng.choice([1, 5, 60, 300])))
+    data = b"".join(lines)
+    records, _, after = assert_loads_like_reference(tmp_path, data, min(indexed, len(lines)))
     assert records and after == data
 
 
@@ -207,17 +222,19 @@ ACCEPTED_LINES = {
 }
 
 
+@pytest.mark.parametrize("at, indexed", [(at, n) for at in range(1, 5) for n in INDEXED_LINES if n < at])
 @pytest.mark.parametrize("name", sorted(BAD_LINES))
-def test_a_bad_middle_line_is_refused_with_its_number(tmp_path, name):
-    data = b"".join(GOOD[:2]) + BAD_LINES[name] + b"".join(GOOD[2:])
-    error = assert_loads_like_reference(tmp_path, data)
-    assert error.startswith("line 3 corrupt: ")
+def test_a_bad_middle_line_is_refused_with_its_number(tmp_path, name, at, indexed):
+    data = b"".join(GOOD[: at - 1]) + BAD_LINES[name] + b"".join(GOOD[at - 1 :])
+    error = assert_loads_like_reference(tmp_path, data, indexed)
+    assert error.startswith(f"line {at} corrupt: ")
 
 
+@pytest.mark.parametrize("indexed", INDEXED_LINES)
 @pytest.mark.parametrize("name", sorted(BAD_LINES))
-def test_a_bad_final_line_is_dropped_as_torn(tmp_path, name):
+def test_a_bad_final_line_is_dropped_as_torn(tmp_path, name, indexed):
     data = b"".join(GOOD) + BAD_LINES[name]
-    outcome = assert_loads_like_reference(tmp_path, data)
+    outcome = assert_loads_like_reference(tmp_path, data, indexed)
     if BAD_LINES[name].count(b"\n") > 1:  # a bad line before the final one
         assert outcome.startswith("line 5 corrupt: ")
     else:
@@ -225,8 +242,9 @@ def test_a_bad_final_line_is_dropped_as_torn(tmp_path, name):
         assert len(records) == 4 and after == b"".join(GOOD)
 
 
+@pytest.mark.parametrize("indexed", INDEXED_LINES)
 @pytest.mark.parametrize("name", sorted(ACCEPTED_LINES))
-def test_lines_json_loads_accepts_are_indexed(tmp_path, name):
+def test_lines_json_loads_accepts_are_indexed(tmp_path, name, indexed):
     for n, data in enumerate(
         (
             b"".join(GOOD[:2]) + ACCEPTED_LINES[name] + b"".join(GOOD[2:]),
@@ -234,20 +252,22 @@ def test_lines_json_loads_accepts_are_indexed(tmp_path, name):
             ACCEPTED_LINES[name] + b"".join(GOOD),
         )
     ):
-        assert not isinstance(assert_loads_like_reference(tmp_path / str(n), data), str)
+        assert not isinstance(assert_loads_like_reference(tmp_path / str(n), data, indexed), str)
 
 
-def test_final_line_cut_inside_a_character_is_dropped(tmp_path):
+@pytest.mark.parametrize("indexed", INDEXED_LINES)
+def test_final_line_cut_inside_a_character_is_dropped(tmp_path, indexed):
     whole = b"".join(GOOD)
     cut_at = GOOD[2].index("中".encode()) + 1
     for final in (GOOD[2][:cut_at], GOOD[2][:cut_at] + b"\n"):
-        records, _, after = assert_loads_like_reference(tmp_path / str(len(final)), whole + final)
+        records, _, after = assert_loads_like_reference(tmp_path / str(len(final)), whole + final, indexed)
         assert len(records) == 4 and after == whole
 
 
-def test_last_line_without_a_newline_is_kept_and_ended(tmp_path):
+@pytest.mark.parametrize("indexed", INDEXED_LINES)
+def test_last_line_without_a_newline_is_kept_and_ended(tmp_path, indexed):
     data = b"".join(GOOD).rstrip(b"\n")
-    records, _, after = assert_loads_like_reference(tmp_path, data)
+    records, _, after = assert_loads_like_reference(tmp_path, data, indexed)
     assert len(records) == 4 and after == data + b"\n"
 
 
