@@ -6,6 +6,9 @@ select-llm, embed) call only for what their outputs lack and support
 send at most the endpoint's ``max_in_flight`` requests at once and keep every
 finished task on any exit, an interrupt included, so a rerun calls only what
 is left.
+
+A bad config, dataset, run store, manifest, cache, country map or spec, or a
+locked run directory, is refused in one place, ``_run_stage``: one line, exit 2.
 """
 
 from __future__ import annotations
@@ -14,10 +17,13 @@ import json
 import logging
 import sys
 from pathlib import Path
+from typing import Callable
 
 import click
 
-from .config import ConfigError, RunConfig, load_config
+from .clustering import ClusteringError
+from .config import ConfigError, load_config
+from .datasets import DatasetError
 from .languages import Language, UnknownLanguageError, parse_language
 from .pipeline import (
     EXIT_CONFIG,
@@ -31,8 +37,9 @@ from .pipeline import (
     run_simulate,
     run_translate,
 )
-
-logger = logging.getLogger(__name__)
+from .selectors import SelectorError
+from .store import StoreError
+from .synthetic import SyntheticSpecError
 
 
 def _parse_languages(value: str | None) -> list[Language] | None:
@@ -53,26 +60,20 @@ def _parse_ints(value: str | None) -> list[int] | None:
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}")
 
 
-def _load(config_path: str) -> RunConfig:
+# What a bad config, dataset, run directory, cache, map or spec raises.
+BAD_INPUT = (ConfigError, RunLockedError, DatasetError, StoreError, ClusteringError, SelectorError, SyntheticSpecError)
+
+
+def _run_stage(stage: Callable[[], StageResult]) -> None:
+    """Run ``stage``, print its summary and exit with its code; a bad input ends it
+    with one ``configuration error`` line and exit 2, never a traceback."""
     try:
-        return load_config(config_path)
-    except ConfigError as exc:
+        result = stage()
+    except BAD_INPUT as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
-
-
-def _report_result(result: StageResult) -> None:
     click.echo(json.dumps(result.summary, ensure_ascii=False, indent=2, sort_keys=True))
     sys.exit(result.exit_code)
-
-
-def _run_stage(fn, *args, **kwargs) -> None:
-    try:
-        result = fn(*args, **kwargs)
-    except (ConfigError, RunLockedError) as exc:
-        click.echo(f"configuration error: {exc}", err=True)
-        sys.exit(EXIT_CONFIG)
-    _report_result(result)
 
 
 config_option = click.option("--config", "config_path", required=True, type=click.Path(exists=True))
@@ -96,8 +97,7 @@ def main(verbose: bool) -> None:
 @dry_run_option
 def translate(config_path: str, languages: str | None, dry_run: bool) -> None:
     """Translate the dataset into each configured non-English language."""
-    config = _load(config_path)
-    _run_stage(run_translate, config, _parse_languages(languages), dry_run=dry_run)
+    _run_stage(lambda: run_translate(load_config(config_path), _parse_languages(languages), dry_run=dry_run))
 
 
 @main.command()
@@ -106,8 +106,7 @@ def translate(config_path: str, languages: str | None, dry_run: bool) -> None:
 @dry_run_option
 def infer(config_path: str, languages: str | None, dry_run: bool) -> None:
     """Run reasoning inference for every missing (item, language) cell."""
-    config = _load(config_path)
-    _run_stage(run_infer, config, _parse_languages(languages), dry_run=dry_run)
+    _run_stage(lambda: run_infer(load_config(config_path), _parse_languages(languages), dry_run=dry_run))
 
 
 @main.command(name="select-llm")
@@ -115,8 +114,7 @@ def infer(config_path: str, languages: str | None, dry_run: bool) -> None:
 @dry_run_option
 def select_llm(config_path: str, dry_run: bool) -> None:
     """Ask the model for an expert language per test item (cached)."""
-    config = _load(config_path)
-    _run_stage(run_select_llm, config, dry_run=dry_run)
+    _run_stage(lambda: run_select_llm(load_config(config_path), dry_run=dry_run))
 
 
 @main.command()
@@ -124,8 +122,7 @@ def select_llm(config_path: str, dry_run: bool) -> None:
 @dry_run_option
 def embed(config_path: str, dry_run: bool) -> None:
     """Embed split items for cluster-based routing (cached)."""
-    config = _load(config_path)
-    _run_stage(run_embed, config, dry_run=dry_run)
+    _run_stage(lambda: run_embed(load_config(config_path), dry_run=dry_run))
 
 
 @main.command()
@@ -134,8 +131,7 @@ def embed(config_path: str, dry_run: bool) -> None:
 @click.option("--seed", "seeds", default=None, help="Comma-separated k-means seeds (overrides config)")
 def evaluate(config_path: str, k_values: str | None, seeds: str | None) -> None:
     """Evaluate all applicable strategies and write reports."""
-    config = _load(config_path)
-    _run_stage(run_evaluate, config, _parse_ints(k_values), _parse_ints(seeds))
+    _run_stage(lambda: run_evaluate(load_config(config_path), _parse_ints(k_values), _parse_ints(seeds)))
 
 
 @main.command()
@@ -155,13 +151,14 @@ def simulate(
 ) -> None:
     """Generate a planted synthetic benchmark and evaluate it end to end."""
     _run_stage(
-        run_simulate,
-        Path(spec_path),
-        Path(output_dir),
-        k_list=_parse_ints(k_values),
-        seeds=_parse_ints(seeds) or [0],
-        train_count=train_count,
-        test_count=test_count,
+        lambda: run_simulate(
+            Path(spec_path),
+            Path(output_dir),
+            k_list=_parse_ints(k_values),
+            seeds=_parse_ints(seeds) or [0],
+            train_count=train_count,
+            test_count=test_count,
+        )
     )
 
 

@@ -149,6 +149,8 @@ def load_config(path: str | Path) -> RunConfig:
         )
     except DatasetError as exc:
         raise ConfigError(f"'split': {exc}") from None
+    if "test_count" in split_block and split.test_count < 1:  # every stage that reads a split needs test items
+        raise ConfigError(f"{path}: 'split.test_count' must be positive, not {split.test_count}")
 
     output_dir = _path(path, data, "output_dir")
     if output_dir is None:

@@ -23,7 +23,9 @@ _RETRYABLE_STATUS = frozenset({408, 429})
 
 
 class GatewayError(RuntimeError):
-    """Base class for endpoint failures."""
+    """Base class for endpoint failures; ``transport`` is set when retries ran out."""
+
+    transport = False
 
     def __init__(self, message: str, attempts: int = 1):
         super().__init__(message)
@@ -36,6 +38,8 @@ class AuthError(GatewayError):
 
 class TransportError(GatewayError):
     """Network-level failure or retryable status, after retries exhausted."""
+
+    transport = True
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
 """Pipeline stages behind the CLI subcommands.
 
 The four network stages (translate, infer, select-llm, embed) share one shape:
-plan the missing work under the run lock, stop there on a dry run, run every
-task through ``run_bounded``, and save what finished in a ``finally``, so an
-auth failure, an interrupt or a crash keeps every finished task. A task whose
-request fails at the endpoint (retries exhausted, or a rejected or malformed
-reply) fails only itself.
+plan the missing work under the run lock, stop there on a dry run, and hand
+every task to ``run_bounded`` with what to do as each task ends and how to save
+what finished. ``run_bounded`` saves on every exit, so an auth failure, an
+interrupt or a crash keeps every finished task, and it alone turns the failed
+tasks into the exit code. A task whose request fails at the endpoint (retries
+exhausted, or a rejected or malformed reply) fails only itself.
 
 Every stage is resumable and idempotent on completed work: reruns cost zero
 network calls and rewrite byte-identical outputs. All writes are atomic
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from hashlib import sha256
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -47,9 +48,9 @@ from .clustering import (
     train_lsk_best,
 )
 from .config import ConfigError, RunConfig
-from .datasets import DatasetError, DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
+from .datasets import DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
 from .extraction import extract_expert_language, extract_final_answer, extract_reasoning_text
-from .gateway import AuthError, GatewayError, ModelEndpoint, TransportError, chat_complete
+from .gateway import AuthError, GatewayError, ModelEndpoint, chat_complete
 from .langid import DETECTOR_VERSION, DetectionError, detect_language
 from .languages import Language
 from .prompts import (
@@ -88,7 +89,7 @@ from .store import (
     record_line,
     write_atomic,
 )
-from .synthetic import SYNTHETIC_MODEL_NAME, SyntheticSpec, expected_oracle_accuracy, generate
+from .synthetic import SYNTHETIC_MODEL_NAME, SyntheticSpec, SyntheticSpecError, expected_oracle_accuracy, generate
 from .translation import translate_item
 
 logger = logging.getLogger(__name__)
@@ -129,11 +130,8 @@ def _safe_name(name: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", name)
 
 
-def translations_dir(config: RunConfig) -> Path:
-    return config.output_dir / "translations"
-
 def translation_file(config: RunConfig, language: Language) -> Path:
-    return translations_dir(config) / f"{language.value}.jsonl"
+    return config.output_dir / "translations" / f"{language.value}.jsonl"
 
 def store_dir(config: RunConfig, model_name: str) -> Path:
     return config.output_dir / "store" / f"{config.dataset_id.value}__{_safe_name(model_name)}"
@@ -152,23 +150,6 @@ def load_items(config: RunConfig) -> list[McqItem]:
     return load_dataset(config.dataset_path, config.dataset_id)
 
 
-def split_items(config: RunConfig, items: Sequence[McqItem]) -> tuple[list[McqItem], list[McqItem]]:
-    """The configured train/test split of ``items``; a split the dataset cannot
-    fill is a configuration error."""
-    try:
-        return split(items, config.split)
-    except DatasetError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def _selection_cache(path: Path) -> dict[str, Language]:
-    """The selection cache at ``path``; a file ``load_selection_cache`` refuses is a configuration error."""
-    try:
-        return load_selection_cache(path)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _templates(config: RunConfig) -> TemplateSet:
     if config.template_dir is not None:
         return TemplateSet.from_directory(config.template_dir)
@@ -185,14 +166,10 @@ def _resolve_languages(config: RunConfig, requested: Iterable[Language] | None) 
     return requested
 
 
-def _dataset_digest(path: Path) -> str:
-    return sha256(path.read_bytes()).hexdigest()
-
-
 def config_snapshot(config: RunConfig, model_name: str) -> dict:
     snapshot = {
         "dataset_id": config.dataset_id.value,
-        "dataset_sha256": _dataset_digest(config.dataset_path),
+        "dataset_sha256": sha256(config.dataset_path.read_bytes()).hexdigest(),
         "languages": [l.value for l in config.languages],
         "split": {
             "seed": config.split.seed,
@@ -211,32 +188,31 @@ def config_snapshot(config: RunConfig, model_name: str) -> dict:
     return snapshot
 
 
-def _finish(ok_count: int, failures: int, transport_failures: int, summary: dict) -> StageResult:
-    if failures == 0 and transport_failures == 0:
-        return StageResult(EXIT_OK, summary)
-    if ok_count == 0 and transport_failures > 0 and transport_failures >= failures:
-        return StageResult(EXIT_TRANSPORT, summary)
-    return StageResult(EXIT_PARTIAL, summary)
-
-
 Task = TypeVar("Task")
 Result = TypeVar("Result")
 
 
 def run_bounded(
-    endpoint: ModelEndpoint, work: Callable[[Task], Result], tasks: Sequence[Task]
-) -> Iterator[tuple[Task, Result | None, GatewayError | None]]:
-    """Run ``work`` on every task with at most ``endpoint.max_in_flight`` threads.
+    endpoint: ModelEndpoint,
+    work: Callable[[Task], Result],
+    tasks: Sequence[Task],
+    done: Callable[[Task, Result | None, GatewayError | None], None],
+    persist: Callable[[], None],
+    summary: dict,
+    failed: int = 0,
+) -> StageResult:
+    """Run ``work`` on every task, on at most ``endpoint.max_in_flight`` threads at
+    once, each task submitted only when a thread is free for it; the stage's result.
 
-    A task is submitted only when a thread is free for it. Yields
-    ``(task, result, error)`` as tasks complete, for each task that finished
-    (``error`` None) or failed at the endpoint (``error`` is a ``GatewayError``
-    other than ``AuthError``, an ``ItemTranslationError`` included; ``result``
-    is None). After an ``AuthError`` no task is submitted, the tasks
-    still running are yielded, and then that ``AuthError`` is raised. Any other
-    exception from ``work`` is raised at once. On every exit, an exception in
-    the consuming thread or closing the generator included, the tasks still
-    running are waited for and their results dropped.
+    ``done(task, result, error)`` runs in this thread as each task finishes
+    (``error`` None) or fails at the endpoint (``error`` a ``GatewayError``,
+    ``result`` None). After an ``AuthError`` no task is submitted, the running
+    ones still go to ``done``, and the result is ``EXIT_CONFIG`` with
+    ``summary["error"]``. Any other exception from ``work`` is raised at once.
+    On every exit the running tasks are waited for, and then ``persist()`` runs.
+    Otherwise the exit code counts tasks, and ``failed`` failures found before:
+    0 with no failure; 4 when none finished and every failure has ``transport``
+    set; else 3.
     """
     pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
     queued = iter(tasks)
@@ -246,12 +222,13 @@ def run_bounded(
         for task in islice(queued, count):
             running[pool.submit(work, task)] = task
 
+    finished = transport = 0
     auth_error: AuthError | None = None
     try:
         submit(endpoint.max_in_flight)
         while running:
-            done, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in done:
+            ready, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in ready:
                 task = running.pop(future)
                 error = future.exception()
                 if isinstance(error, AuthError):
@@ -261,11 +238,21 @@ def run_bounded(
                     raise error
                 if auth_error is None:
                     submit(1)
-                yield task, None if error else future.result(), error
-        if auth_error is not None:
-            raise auth_error
+                done(task, None if error else future.result(), error)
+                if error is None:
+                    finished += 1
+                else:
+                    failed += 1
+                    transport += error.transport
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        persist()
+    if auth_error is not None:
+        summary["error"] = str(auth_error)
+        return StageResult(EXIT_CONFIG, summary)
+    if not failed:
+        return StageResult(EXIT_OK, summary)
+    return StageResult(EXIT_TRANSPORT if not finished and transport == failed else EXIT_PARTIAL, summary)
 
 
 def run_translate(
@@ -287,9 +274,6 @@ def run_translate(
     position = {item.item_id: n for n, item in enumerate(items)}
     targets = [l for l in _resolve_languages(config, languages) if l is not Language.ENGLISH]
     summary: dict = {"stage": "translate", "languages": {}, "planned_calls": 0}
-    ok_items = 0
-    failed_items = 0
-    transport_items = 0
     with run_lock(config.output_dir):
         translated: dict[Language, dict[str, McqItem]] = {}
         plan: list[tuple[Language, McqItem]] = []
@@ -326,28 +310,24 @@ def run_translate(
         def work(task: tuple[Language, McqItem]) -> McqItem:
             return translate_item(task[1], task[0], endpoint, backoff=backoff)
 
-        try:
-            for (target, item), result, error in run_bounded(endpoint, work, plan):
-                finished[target] += 1
-                if error is None:
-                    translated[target][item.item_id] = result
-                    ok_items += 1
-                else:
-                    failed_items += 1
-                    transport_items += error.transport
-                    summary["languages"][target.value]["failed"].append(
-                        {"item_id": error.item_id, "fields": error.failed_fields}
-                    )
-                if finished[target] == planned[target]:
-                    write(target)
-        except AuthError as exc:
-            summary["error"] = str(exc)
-            return StageResult(EXIT_CONFIG, summary)
-        finally:
+        def done(task: tuple[Language, McqItem], result: McqItem | None, error: GatewayError | None) -> None:
+            target, item = task
+            finished[target] += 1
+            if error is None:
+                translated[target][item.item_id] = result
+            else:
+                summary["languages"][target.value]["failed"].append(
+                    {"item_id": error.item_id, "fields": error.failed_fields}
+                )
+            if finished[target] == planned[target]:
+                write(target)
+
+        def persist() -> None:
             for target in targets:
                 if 0 < finished[target] < planned[target]:
                     write(target)
-    return _finish(ok_items, failed_items, transport_items, summary)
+
+        return run_bounded(endpoint, work, plan, done, persist, summary)
 
 
 def run_infer(
@@ -390,7 +370,6 @@ def run_infer(
         "transport_failures": 0,
         "skipped_untranslated_cells": 0,
     }
-    failed = 0
     with run_lock(config.output_dir):
         with RunStore(store_dir(config, endpoint.model_name)) as store:
             if read_manifest(store.directory) is None:
@@ -430,22 +409,21 @@ def run_infer(
                 )
                 return status
 
-            try:
-                for _, status, error in run_bounded(endpoint, work, plan):
-                    if error is None:
-                        summary["ok" if status is RecordStatus.OK else "invalid"] += 1
-                    else:
-                        failed += 1
-                        summary["transport_failures"] += isinstance(error, TransportError)
-            except AuthError as exc:
-                summary["error"] = str(exc)
-                return StageResult(EXIT_CONFIG, summary)
-            finally:
+            def done(cell: tuple[str, Language], status: RecordStatus | None, error: GatewayError | None) -> None:
+                if error is None:
+                    summary["ok" if status is RecordStatus.OK else "invalid"] += 1
+                else:
+                    summary["transport_failures"] += error.transport
+
+            def persist() -> None:
                 summary["conflicts"] = store.conflicts
-            remaining = len(missing_cells(build_matrix(store, items, endpoint.model_name, langs)))
-            summary["remaining_missing_cells"] = remaining
-    failures = failed + summary["skipped_untranslated_cells"] + len(untranslated_languages)
-    return _finish(summary["ok"] + summary["invalid"], failures, summary["transport_failures"], summary)
+
+            skipped = summary["skipped_untranslated_cells"] + len(untranslated_languages)
+            result = run_bounded(endpoint, work, plan, done, persist, summary, failed=skipped)
+            if result.exit_code != EXIT_CONFIG:
+                remaining = len(missing_cells(build_matrix(store, items, endpoint.model_name, langs)))
+                summary["remaining_missing_cells"] = remaining
+    return result
 
 
 def run_select_llm(
@@ -460,38 +438,30 @@ def run_select_llm(
     """
     endpoint = config.require_endpoint("chat")
     candidates = list(config.languages)
-    items = load_items(config)
-    _, test = split_items(config, items)
+    _, test = split(load_items(config), config.split)
     cache_path = selection_cache_path(config)
     with run_lock(config.output_dir):
-        cache: dict[str, Language] = {}
-        if cache_path.exists():
-            cache = _selection_cache(cache_path)
+        cache = load_selection_cache(cache_path) if cache_path.exists() else {}
         todo = [i for i in test if i.item_id not in cache]
         summary: dict = {"stage": "select-llm", "cached": len(cache), "planned_calls": len(todo)}
         if dry_run:
             return StageResult(EXIT_OK, summary)
+        summary["transport_failures"] = 0
 
         def ask(item: McqItem) -> str:
             return chat_complete(build_selection_prompt(item, candidates), endpoint, backoff=backoff).text
 
-        failed = 0
-        transport_failures = 0
-        try:
-            for item, text, error in run_bounded(endpoint, ask, todo):
-                if error is None:
-                    cache[item.item_id] = extract_expert_language(text, candidates)
-                else:
-                    failed += 1
-                    transport_failures += isinstance(error, TransportError)
-        except AuthError as exc:
-            summary["error"] = str(exc)
-            return StageResult(EXIT_CONFIG, summary)
-        finally:
+        def done(item: McqItem, text: str | None, error: GatewayError | None) -> None:
+            if error is None:
+                cache[item.item_id] = extract_expert_language(text, candidates)
+            else:
+                summary["transport_failures"] += error.transport
+
+        def persist() -> None:
             save_selection_cache(cache, cache_path)
             summary["selected"] = len(cache)
-            summary["transport_failures"] = transport_failures
-    return _finish(len(cache) - summary["cached"], failed, transport_failures, summary)
+
+        return run_bounded(endpoint, ask, todo, done, persist, summary)
 
 
 EMBED_BATCH_SIZE = 64  # items per embeddings request
@@ -504,8 +474,7 @@ def run_embed(config: RunConfig, *, dry_run: bool = False, backoff: float = 0.5)
     is saved on every exit with the vectors finished so far.
     """
     endpoint = config.require_endpoint("embedding")
-    items = load_items(config)
-    train, test = split_items(config, items)
+    train, test = split(load_items(config), config.split)
     wanted = train + test
     with run_lock(config.output_dir):
         cache = EmbeddingCache(embeddings_path(config))
@@ -517,26 +486,20 @@ def run_embed(config: RunConfig, *, dry_run: bool = False, backoff: float = 0.5)
         def work(batch: list[McqItem]) -> np.ndarray:
             return embed_items(batch, endpoint, backoff=backoff)
 
+        unembedded: list[McqItem] = []
+
+        def done(batch: list[McqItem], vectors: np.ndarray | None, error: GatewayError | None) -> None:
+            if error is not None:
+                unembedded.extend(batch)
+                return
+            for item, values in zip(batch, vectors):
+                cache.put(item_embedding_key(item), item.item_id, values)
+
         batches = [todo[n : n + EMBED_BATCH_SIZE] for n in range(0, len(todo), EMBED_BATCH_SIZE)]
-        embedded = 0
-        failed = 0
-        transport_failures = 0
-        try:
-            for batch, vectors, error in run_bounded(endpoint, work, batches):
-                if error is None:
-                    for item, values in zip(batch, vectors):
-                        cache.put(item_embedding_key(item), item.item_id, values)
-                    embedded += len(batch)
-                else:
-                    failed += len(batch)
-                    transport_failures += len(batch) * isinstance(error, TransportError)
-        except AuthError as exc:
-            summary["error"] = str(exc)
-            return StageResult(EXIT_CONFIG, summary)
-        finally:
-            cache.save()
-    summary["embedded"] = len(wanted) - failed
-    return _finish(embedded, failed, transport_failures, summary)
+        result = run_bounded(endpoint, work, batches, done, cache.save, summary)
+    if result.exit_code != EXIT_CONFIG:
+        summary["embedded"] = len(wanted) - len(unembedded)
+    return result
 
 
 def bundled_country_map(dataset_id: DatasetId) -> CountryMap | None:
@@ -736,7 +699,7 @@ def run_evaluate(
     """Run every applicable strategy on the test split and write the reports."""
     model_name = _model_name_for_evaluate(config)
     items = load_items(config)
-    train, test = split_items(config, items)
+    train, test = split(items, config.split)
     ks = list(k_list) if k_list else list(config.k_list)
     fit_seeds = list(seeds) if seeds else list(config.seeds)
     _check_fit_parameters(ks, fit_seeds, len(train))
@@ -759,7 +722,7 @@ def run_evaluate(
         cache_path = selection_cache_path(config)
         llm_choices = f"no selection cache at {cache_path}; run the select-llm stage"
         if cache_path.exists():
-            llm_choices = _selection_cache(cache_path)
+            llm_choices = load_selection_cache(cache_path)
 
         emb_path = embeddings_path(config)
         vectors = f"no embedding cache at {emb_path}; run the embed stage"
@@ -847,8 +810,11 @@ def run_simulate(
     next, so an output directory holding another spec's run is refused before
     anything in it is written.
     """
-    spec_payload = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    spec = SyntheticSpec.from_dict(spec_payload)
+    try:
+        spec_payload = json.loads(Path(spec_path).read_bytes())
+        spec = SyntheticSpec.from_dict(spec_payload)
+    except (ValueError, TypeError) as exc:  # not JSON, or not a spec
+        raise SyntheticSpecError(f"{spec_path}: {exc}") from None
     n_test = test_count if test_count is not None else max(1, spec.n_items // 6)
     n_train = train_count if train_count is not None else spec.n_items - n_test
     if n_train < 1 or n_test < 1:

@@ -71,9 +71,14 @@ class CountryMap:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "CountryMap":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        default = Language(data.pop("_default", "en"))
-        return cls.from_entries({k: Language(v) for k, v in data.items()}, default=default)
+        """The JSON object of country names to language codes at ``path``, ``_default``
+        that of unmapped countries; SelectorError naming the file when it is bad."""
+        entries = _language_map(path, "country", "country names")
+        default = entries.pop("_default", Language.ENGLISH)
+        try:
+            return cls.from_entries(entries, default=default)
+        except ValueError as exc:
+            raise SelectorError(f"{path}: {exc}") from None
 
     @classmethod
     def default_only(cls, default: Language = Language.ENGLISH) -> "CountryMap":
@@ -239,18 +244,24 @@ def save_selection_cache(cache: Mapping[str, Language], path: str | Path) -> Non
 
 
 def load_selection_cache(path: str | Path) -> dict[str, Language]:
-    """The ``item id -> Language`` map ``save_selection_cache`` wrote; ValueError
+    """The ``item id -> Language`` map ``save_selection_cache`` wrote; SelectorError
     naming the file, and the entry, when it holds anything else."""
+    return _language_map(path, "item", "item ids")
+
+
+def _language_map(path: str | Path, key: str, keys: str) -> dict[str, Language]:
+    """The JSON object at ``path`` of ``keys`` to language codes; SelectorError
+    naming the file, and the ``key`` whose code is bad, when it holds anything else."""
     try:
         data = json.loads(Path(path).read_bytes())
     except ValueError as exc:
-        raise ValueError(f"{path}: not JSON: {exc}") from None
+        raise SelectorError(f"{path}: not JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: not an object of item ids to language codes")
-    cache = {}
-    for item_id, code in data.items():
+        raise SelectorError(f"{path}: not an object of {keys} to language codes")
+    languages = {}
+    for name, code in data.items():
         try:
-            cache[item_id] = Language(code)
+            languages[name] = Language(code)
         except ValueError:
-            raise ValueError(f"{path}: item {item_id!r} has {code!r}, not a language code") from None
-    return cache
+            raise SelectorError(f"{path}: {key} {name!r} has {code!r}, not a language code") from None
+    return languages

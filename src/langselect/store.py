@@ -56,7 +56,7 @@ def utc_now() -> str:
 
 MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "records.index.json"
-INDEX_VERSION = 1  # bump with any change of what the index holds or of what a line indexes to
+INDEX_VERSION = 2  # bump with any change of what the index holds or of what a line indexes to
 DIGEST_SIZE = 32  # bytes of a row's output digest in RunStore.digests
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
 # A JSON string literal with only '"', '\' and control characters escaped: the
@@ -225,6 +225,9 @@ def _parse_line(text: str) -> InferenceRecord:
     for name in ("item_id", "model_name", "prompt_hash", "raw_output"):
         if not isinstance(data[name], str):
             raise ValueError(f"{name} must be a string, not {data[name]!r}")
+    attempt_count, created_at = data.get("attempt_count", 1), data.get("created_at", "")
+    if type(attempt_count) is not int or not isinstance(created_at, str):  # a bool count is refused too
+        raise ValueError(f"attempt_count {attempt_count!r} is no integer or created_at {created_at!r} no string")
     return InferenceRecord(
         item_id=data["item_id"],
         language=_LANGUAGE_BY_CODE[data["language"]],
@@ -233,8 +236,8 @@ def _parse_line(text: str) -> InferenceRecord:
         raw_output=data["raw_output"],
         extracted_label=data.get("extracted_label"),
         status=_STATUS_BY_CODE[data["status"]],
-        attempt_count=data.get("attempt_count", 1),
-        created_at=data.get("created_at", ""),
+        attempt_count=attempt_count,
+        created_at=created_at,
     )
 
 
@@ -537,11 +540,18 @@ class RunStore:
 
 
 def read_manifest(directory: str | Path) -> dict | None:
-    """The manifest of the store in ``directory``, read without loading its records."""
+    """The manifest of the store in ``directory``, read without loading its records;
+    StoreError naming the file when it is not a JSON object."""
     path = Path(directory) / MANIFEST_NAME
     if not path.exists():
         return None
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_bytes())
+    except ValueError as exc:
+        raise StoreError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{path}: not a JSON object")
+    return manifest
 
 
 def build_matrix(

@@ -1038,3 +1038,84 @@ def test_lock_prevents_concurrent_drivers(tmp_path, pipeline_stub):
     with run_lock(config.output_dir):
         with pytest.raises(RunLockedError):
             run_translate(config, backoff=0.001)
+
+
+# A bad input: each function breaks one file of a run and returns the command that
+# reads it, and the file.
+def cut_a_middle_record_line(tmp_path, config_path, config):
+    path = store_dir(config, "stub-model") / "records.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:40] + b"\n"
+    path.write_bytes(b"".join(lines))
+    return ["evaluate", "--config", str(config_path)], path
+
+
+def corrupt_the_embedding_cache(tmp_path, config_path, config):
+    path = pipeline.embeddings_path(config)
+    path.write_text('{"item_id": "q0", "key": "k", "dim": 2, "f8": "not base64!"}\n', encoding="utf-8")
+    return ["evaluate", "--config", str(config_path)], path
+
+
+def drop_the_choices_of_an_item(tmp_path, config_path, config):
+    lines = config.dataset_path.read_text(encoding="utf-8").splitlines()
+    record = json.loads(lines[1])
+    del record["choices"]
+    lines[1] = json.dumps(record)
+    config.dataset_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return ["evaluate", "--config", str(config_path)], config.dataset_path
+
+
+def corrupt_the_manifest(tmp_path, config_path, config):
+    path = store_dir(config, "stub-model") / "manifest.json"
+    path.write_text('{"model_name": ', encoding="utf-8")
+    return ["infer", "--config", str(config_path), "--dry-run"], path
+
+
+def drop_k_true_from_a_spec(tmp_path, config_path, config):
+    spec = TestSimulateStage().write_spec(tmp_path)
+    payload = json.loads(spec.read_text(encoding="utf-8"))
+    del payload["k_true"]
+    spec.write_text(json.dumps(payload), encoding="utf-8")
+    return ["simulate", "--spec", str(spec), "--output", str(tmp_path / "sim")], spec
+
+
+def map_a_country_to_no_language(tmp_path, config_path, config):
+    path = tmp_path / "countries.json"
+    path.write_text('{"a": "xx"}', encoding="utf-8")
+    payload = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps({**payload, "country_map": "countries.json"}), encoding="utf-8")
+    return ["evaluate", "--config", str(config_path)], path
+
+
+def set_test_count_to_zero(tmp_path, config_path, config):
+    payload = json.loads(config_path.read_text(encoding="utf-8"))
+    payload["split"]["test_count"] = 0
+    config_path.write_text(json.dumps(payload), encoding="utf-8")
+    return ["evaluate", "--config", str(config_path)], config_path
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [
+        pytest.param(cut_a_middle_record_line, id="records-cut-middle-line"),
+        pytest.param(corrupt_the_embedding_cache, id="embeddings-corrupt"),
+        pytest.param(drop_the_choices_of_an_item, id="item-without-choices"),
+        pytest.param(corrupt_the_manifest, id="manifest-corrupt"),
+        pytest.param(drop_k_true_from_a_spec, id="spec-without-k-true"),
+        pytest.param(map_a_country_to_no_language, id="country-map-bad-code"),
+        pytest.param(set_test_count_to_zero, id="test-count-0"),
+    ],
+)
+def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, breaks):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    # Every item has a country, so that evaluate reads the country map.
+    save_dataset([make_item(f"q{i}", country="China") for i in range(6)], tmp_path / "data.jsonl")
+    config = load_config(config_path)
+    assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+    args, named = breaks(tmp_path, config_path, config)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith("configuration error: ") and str(named) in line, line

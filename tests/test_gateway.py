@@ -11,6 +11,8 @@ from langselect.gateway import (
     chat_complete,
     embed_texts,
 )
+from langselect.languages import Language
+from langselect.translation import ItemTranslationError
 
 from stub_server import StubServer
 
@@ -146,3 +148,12 @@ def test_custom_responder_round_trips(stub):
     stub.chat_responder = lambda body, payload: json.dumps({"echo": body})
     result = chat_complete("ping", endpoint_for(stub), backoff=0.001)
     assert json.loads(result.text) == {"echo": "ping"}
+
+
+def test_only_a_transport_error_is_a_transport_failure():
+    # run_bounded reads this flag to tell an unreachable endpoint (exit 4) from a partial run (exit 3).
+    assert TransportError("down").transport is True
+    assert GatewayError("rejected").transport is False
+    assert AuthError("bad key").transport is False
+    assert ItemTranslationError("q1", Language.THAI, ["question"]).transport is False
+    assert ItemTranslationError("q1", Language.THAI, ["question"], transport=True).transport is True

@@ -16,7 +16,7 @@ from langselect import clustering, pipeline
 from langselect import store as store_module
 from langselect.clustering import EmbeddingCache, item_embedding_key
 from langselect.config import load_config
-from langselect.datasets import save_dataset
+from langselect.datasets import save_dataset, split
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
 from langselect.langid import DETECTOR_VERSION
 from langselect.languages import Language
@@ -61,7 +61,28 @@ class Work:
                 self.running -= 1
 
 
-def test_yields_every_result_on_at_most_max_in_flight_threads(monkeypatch):
+class Run:
+    """``run_bounded``'s callbacks: every ``done`` call in order, and each ``persist``
+    call with the number of ``done`` calls before it."""
+
+    def __init__(self, stop_on_first: bool = False):
+        self.stop_on_first = stop_on_first
+        self.results: list = []
+        self.persisted: list[int] = []
+
+    def done(self, task, result, error) -> None:
+        if self.stop_on_first:
+            raise KeyboardInterrupt
+        self.results.append((task, result, error))
+
+    def persist(self) -> None:
+        self.persisted.append(len(self.results))
+
+    def __call__(self, work, tasks, max_in_flight: int = 2, **kwargs):
+        return pipeline.run_bounded(endpoint(max_in_flight), work, tasks, self.done, self.persist, {}, **kwargs)
+
+
+def test_passes_every_result_to_done_on_at_most_max_in_flight_threads(monkeypatch):
     pools = []
 
     class CountingPool(ThreadPoolExecutor):
@@ -71,48 +92,67 @@ def test_yields_every_result_on_at_most_max_in_flight_threads(monkeypatch):
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", CountingPool)
     work = Work(seconds=0.02)
-    results = list(pipeline.run_bounded(endpoint(3), work, list(range(12))))
+    run = Run()
+    result = run(work, list(range(12)), max_in_flight=3)
     assert pools == [3]
-    assert sorted(results) == [(task, task * 10, None) for task in range(12)]
+    assert sorted(run.results) == [(task, task * 10, None) for task in range(12)]
     assert work.peak == 3
+    assert result.exit_code == pipeline.EXIT_OK
+    assert run.persisted == [12]
 
 
-def test_task_errors_are_yielded_not_raised():
+def test_task_errors_go_to_done_and_set_the_exit_code():
     # Per-task endpoint failures: a rejected reply, an untranslated item.
-    for first_error in (GatewayError("rejected with status 400"), ItemTranslationError("q0", Language.THAI, ["question"])):
+    rejected = GatewayError("rejected with status 400")
+    untranslated = ItemTranslationError("q0", Language.THAI, ["question"], transport=True)
+    for first_error in (rejected, untranslated):
         work = Work(seconds=0.0, first_error=first_error)
-        results = {task: (result, error) for task, result, error in pipeline.run_bounded(endpoint(2), work, [0, 1, 2])}
+        run = Run()
+        result = run(work, [0, 1, 2])
+        results = {task: (result, error) for task, result, error in run.results}
         assert results.pop(0) == (None, first_error)
         assert results == {1: (10, None), 2: (20, None)}
+        assert result.exit_code == pipeline.EXIT_PARTIAL
+        assert run.persisted == [3]
+    # Every task a transport failure: 4; a failure counted before the run as well: 3.
+    for failed, exit_code in ((0, pipeline.EXIT_TRANSPORT), (1, pipeline.EXIT_PARTIAL)):
+        run = Run()
+        result = run(Work(seconds=0.0, first_error=untranslated), [0], failed=failed)
+        assert (result.exit_code, run.results, run.persisted) == (exit_code, [(0, None, untranslated)], [1])
+    assert Run()(Work(seconds=0.0, first_error=rejected), [0]).exit_code == pipeline.EXIT_PARTIAL
 
 
 def test_other_task_errors_are_raised_at_once():
     work = Work(seconds=0.2, first_error=ValueError("bug"))
+    run = Run()
     with pytest.raises(ValueError, match="bug"):
-        for _ in pipeline.run_bounded(endpoint(2), work, list(range(50))):
-            pass
+        run(work, list(range(50)))
     assert len(work.started) <= 2 + 1
+    assert run.persisted == [0]
 
 
-def test_keyboard_interrupt_in_consumer_cancels_queued_tasks():
+def test_keyboard_interrupt_in_done_cancels_queued_tasks():
     work = Work(seconds=0.2)
+    run = Run(stop_on_first=True)
     with pytest.raises(KeyboardInterrupt):
-        for _ in pipeline.run_bounded(endpoint(2), work, list(range(50))):
-            raise KeyboardInterrupt
-    # Task 0 ends at once, so its worker starts one more task before the
-    # consumer sees the result; every queued task after that is cancelled.
+        run(work, list(range(50)))
+    # Task 0 ends at once, so its worker starts one more task before done
+    # sees the result; every queued task after that is cancelled.
     assert len(work.started) <= 2 + 1
+    assert run.persisted == [0]
 
 
-def test_auth_error_cancels_queued_tasks_and_still_yields_running_ones():
+def test_auth_error_cancels_queued_tasks_and_still_passes_running_ones_to_done():
     work = Work(seconds=0.1, first_error=AuthError("bad key"))
-    results = []
-    with pytest.raises(AuthError, match="bad key"):
-        for result in pipeline.run_bounded(endpoint(2), work, list(range(50))):
-            results.append(result)
+    run = Run()
+    summary: dict = {}
+    result = pipeline.run_bounded(endpoint(2), work, list(range(50)), run.done, run.persist, summary)
+    assert (result.exit_code, result.summary) == (pipeline.EXIT_CONFIG, {"error": "bad key"})
+    assert result.summary is summary
     assert len(work.started) <= 2 + 1
-    assert sorted(task for task, _, _ in results) == sorted(work.started)[1:]
-    assert all(error is None for _, _, error in results)
+    assert sorted(task for task, _, _ in run.results) == sorted(work.started)[1:]
+    assert all(error is None for _, _, error in run.results)
+    assert run.persisted == [len(run.results)]
 
 
 ENGLISH_TEXT = "The answer is B because it was the one that they have chosen."
@@ -476,7 +516,7 @@ def change_embedding(part):
     """A change of the embedding of one train (part 0) or test (part 1) item."""
 
     def change(config):
-        item = pipeline.split_items(config, pipeline.load_items(config))[part][0]
+        item = split(pipeline.load_items(config), config.split)[part][0]
         cache = EmbeddingCache(pipeline.embeddings_path(config))
         cache.put(item_embedding_key(item), item.item_id, np.arange(1.0, 9.0))
         cache.save()

@@ -206,14 +206,18 @@ BAD_LINES = {
     "a string": b'"q1"\n',
     "a number": b"1\n",
     "a half object": GOOD[0][:40] + b"\n",
+    "a NaN attempt count": b"{" + FIELDS + b', "extracted_label": null, "status": "invalid_output", "attempt_count": NaN}\n',
+    "an attempt count that is a string": GOOD[1].replace(b'"attempt_count": 2', b'"attempt_count": "2"'),
+    "an attempt count that is a bool": GOOD[1].replace(b'"attempt_count": 2', b'"attempt_count": true'),
+    "an attempt count that is a float": GOOD[1].replace(b'"attempt_count": 2', b'"attempt_count": 2.0'),
+    "a creation time that is a number": GOOD[1].replace(b'"created_at": "t"', b'"created_at": 0'),
 }
 ACCEPTED_LINES = {
     "leading and trailing spaces, tabs and CR": b" \t" + GOOD[0].rstrip(b"\n") + b" \r\t\r\n",
     "CR LF": GOOD[1].rstrip(b"\n") + b"\r\n",
     "a blank line": b"\n",
     "a line of whitespace": b" \t\r\x0b\x0c\n",
-    # from_json does not check the attempt count
-    "a NaN attempt count": b"{" + FIELDS + b', "extracted_label": null, "status": "invalid_output", "attempt_count": NaN}\n',
+    "no attempt count and no creation time": b"{" + FIELDS + b', "extracted_label": null, "status": "invalid_output"}\n',
     "a label on a record that is not ok": GOOD[3].replace(b'"extracted_label": null', b'"extracted_label": "C"'),
     "a conflicting output under a stored key": GOOD[0].replace(b'"raw_output": "{', b'"raw_output": "x{'),
     "a conflicting label under a stored key": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": "B"'),
@@ -350,7 +354,7 @@ def test_conflicts_count_the_same_when_appended_and_when_loaded(tmp_path):
 def test_the_columns_hold_status_label_and_output(tmp_path):
     path = tmp_path / "run"
     path.mkdir()
-    (path / "records.jsonl").write_bytes(b"".join(GOOD) + ACCEPTED_LINES["a NaN attempt count"])
+    (path / "records.jsonl").write_bytes(b"".join(GOOD) + ACCEPTED_LINES["no attempt count and no creation time"])
     store = RunStore(path)
     assert [store_module.STATUSES[s] for s in store.statuses] == [
         RecordStatus.OK,
