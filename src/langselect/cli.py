@@ -7,8 +7,9 @@ send at most the endpoint's ``max_in_flight`` requests at once and keep every
 finished task on any exit, an interrupt included, so a rerun calls only what
 is left.
 
-A bad config, dataset, run store, manifest, cache, country map or spec, or a
-locked run directory, is refused in one place, ``_run_stage``: one line, exit 2.
+A bad config, dataset, run store, manifest, cache, country map, spec or report,
+or a locked run directory, is refused in one place, ``_refuse_bad_input``: one
+line, exit 2.
 """
 
 from __future__ import annotations
@@ -60,18 +61,22 @@ def _parse_ints(value: str | None) -> list[int] | None:
         raise click.BadParameter(f"expected comma-separated integers, got {value!r}")
 
 
-# What a bad config, dataset, run directory, cache, map or spec raises.
+# What a bad config, dataset, run directory, cache, map, spec or report raises.
 BAD_INPUT = (ConfigError, RunLockedError, DatasetError, StoreError, ClusteringError, SelectorError, SyntheticSpecError)
 
 
-def _run_stage(stage: Callable[[], StageResult]) -> None:
-    """Run ``stage``, print its summary and exit with its code; a bad input ends it
-    with one ``configuration error`` line and exit 2, never a traceback."""
+def _refuse_bad_input(action: Callable):
+    """``action()``; a bad input ends it in one ``configuration error`` line, exit 2, no traceback."""
     try:
-        result = stage()
+        return action()
     except BAD_INPUT as exc:
         click.echo(f"configuration error: {exc}", err=True)
         sys.exit(EXIT_CONFIG)
+
+
+def _run_stage(stage: Callable[[], StageResult]) -> None:
+    """Run ``stage`` through ``_refuse_bad_input``, print its summary and exit with its code."""
+    result = _refuse_bad_input(stage)
     click.echo(json.dumps(result.summary, ensure_ascii=False, indent=2, sort_keys=True))
     sys.exit(result.exit_code)
 
@@ -168,7 +173,7 @@ def simulate(
 @click.option("--output", "output_path", default=None, type=click.Path())
 def report(report_path: str, fmt: str, output_path: str | None) -> None:
     """Re-render a stored report.json to another format."""
-    data = rerender_report(Path(report_path), fmt)
+    data = _refuse_bad_input(lambda: rerender_report(Path(report_path), fmt))
     if output_path:
         Path(output_path).write_bytes(data)
         click.echo(f"wrote {output_path}")

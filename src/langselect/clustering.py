@@ -108,12 +108,12 @@ class EmbeddingCache:
         self._by_key: dict[str, np.ndarray] = {}
         self._item_key: dict[str, str] = {}
         if self.path.exists():
-            with self.path.open("r", encoding="utf-8") as fh:
+            with self.path.open("rb") as fh:
                 for lineno, line in enumerate(fh, 1):
                     if not line.strip():
                         continue
                     try:
-                        entry = json.loads(line)
+                        entry = json.loads(line.decode("utf-8"))
                         values = _cache_vector(entry)
                         key, item_id = entry["key"], entry["item_id"]
                     except (ClusteringError, ValueError, KeyError, TypeError) as exc:

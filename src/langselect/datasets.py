@@ -120,18 +120,18 @@ def _choices_from_texts(texts: Sequence[str]) -> tuple[Choice, ...]:
 
 def _load_records(path: str | Path, fields: tuple[str, ...], build: Callable[[dict], object]) -> list:
     """``build`` of each record of a line-delimited JSON file, skipping blank
-    lines. A line that is not a JSON object holding ``fields``, or that ``build``
+    lines. A line that is not a UTF-8 JSON object holding ``fields``, or that ``build``
     refuses with DatasetError, raises DatasetError naming the line."""
     path = Path(path)
     out = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
+                    record = json.loads(line.decode("utf-8"))
+                except ValueError as exc:  # not UTF-8, or not JSON
                     raise DatasetError(f"invalid JSON: {exc}") from None
                 if not isinstance(record, dict):
                     raise DatasetError("record is not an object")

@@ -51,7 +51,7 @@ from .config import ConfigError, RunConfig
 from .datasets import DatasetId, McqItem, SplitSpec, load_dataset, save_dataset, split
 from .extraction import extract_expert_language, extract_final_answer, extract_reasoning_text
 from .gateway import AuthError, GatewayError, ModelEndpoint, chat_complete
-from .langid import DETECTOR_VERSION, DetectionError, detect_language
+from .langid import DetectionError, detect_language
 from .languages import Language
 from .prompts import (
     HashRegistry,
@@ -75,11 +75,13 @@ from .selectors import (
 from .store import (
     DIGEST_SIZE,
     STATUS_OK,
+    UNDETECTABLE,
+    UNDETECTED,
+    VERDICT,
     InferenceRecord,
     RecordStatus,
     ResponseMatrix,
     RunStore,
-    Sidecar,
     build_matrix,
     json_string,
     matrix_counts,
@@ -516,30 +518,15 @@ def bundled_country_map(dataset_id: DatasetId) -> CountryMap | None:
         return CountryMap.from_json(path)
 
 
-VERDICTS_NAME = "verdicts.json"
-_VERDICT_CODES = frozenset([None, *(language.value for language in Language)])
-
-
-def _verdict(raw_output: str) -> str | None:
-    """Code of the language ``raw_output`` reasoned in; None when it has no
-    reasoning text or the detector cannot decide."""
+def _verdict(raw_output: str) -> int:
+    """``VERDICT`` of the language ``raw_output`` reasoned in; UNDETECTABLE for no reasoning text or no decision."""
     reasoning = extract_reasoning_text(raw_output)
     if not reasoning:
-        return None
+        return UNDETECTABLE
     try:
-        return detect_language(reasoning).value
+        return VERDICT[detect_language(reasoning)]
     except DetectionError:
-        return None
-
-
-def _row_verdict(store: RunStore, row: int) -> str | None:
-    return _verdict(store.output(row))
-
-
-def _verdict_code(value: str | None) -> str | None:
-    if value not in _VERDICT_CODES:
-        raise ValueError(f"{value!r} is not a language code or null")
-    return value
+        return UNDETECTABLE
 
 
 def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[float | None, dict]:
@@ -549,31 +536,26 @@ def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[
     resolved for the cell (``matrix.rows``), the first-written ok record of the
     matrix's model for that (item, language). Records without extractable
     reasoning text, and texts the detector cannot classify, are excluded from
-    the denominator (their counts are reported). Each distinct ``raw_output``
-    is detected once: the verdicts persist in the store directory's
-    ``verdicts.json``, keyed by the output's sha256 (the store's digest
-    column), and an output is read back from the file only to detect it.
+    the denominator (their counts are reported). Only rows whose verdict
+    (``RunStore.verdicts``) is UNDETECTED are read back and detected, each
+    distinct output once per call; ``RunStore.save_index`` keeps the verdicts.
     """
-    verdicts = Sidecar(store.directory / VERDICTS_NAME, DETECTOR_VERSION, _verdict_code)
-    checked = 0
-    matched = 0
-    skipped = 0
-    codes = [lang.value for lang in matrix.languages] * len(matrix.items)
-    statuses, digests = store.statuses, store.digests
-    for row, code in zip(matrix.rows, codes):
-        if row < 0 or statuses[row] != STATUS_OK:
-            continue
-        at = row * DIGEST_SIZE
-        verdict = verdicts.get(digests[at : at + DIGEST_SIZE].hex(), _row_verdict, store, row)
-        if verdict is None:
-            skipped += 1
-            continue
-        checked += 1
-        if verdict == code:
-            matched += 1
-    verdicts.save()
-    rate = matched / checked if checked else None
-    return rate, {"checked": checked, "matched": matched, "undetectable": skipped}
+    rows = np.array(matrix.rows, dtype=np.intp)
+    cells = np.flatnonzero(rows >= 0)
+    cells = cells[np.frombuffer(store.statuses, dtype=np.uint8)[rows[cells]] == STATUS_OK]  # the ok cells
+    rows = rows[cells]
+    wanted = np.array([VERDICT[lang] for lang in matrix.languages], dtype=np.uint8)[cells % len(matrix.languages)]
+    found: dict[bytes, int] = {}
+    for row in rows[np.frombuffer(store.verdicts, dtype=np.uint8)[rows] == UNDETECTED].tolist():
+        digest = bytes(store.digests[row * DIGEST_SIZE : (row + 1) * DIGEST_SIZE])
+        if digest not in found:
+            found[digest] = _verdict(store.output(row))
+        store.verdicts[row] = found[digest]
+    verdicts = np.frombuffer(store.verdicts, dtype=np.uint8)[rows]
+    skipped = int(np.count_nonzero(verdicts == UNDETECTABLE))
+    checked = len(rows) - skipped
+    matched = int(np.count_nonzero(verdicts == wanted))
+    return (matched / checked if checked else None), {"checked": checked, "matched": matched, "undetectable": skipped}
 
 
 def _model_name_for_evaluate(config: RunConfig) -> str:
@@ -750,8 +732,11 @@ def run_evaluate(
 
 
 def rerender_report(report_path: Path, fmt: str) -> bytes:
-    """``report.json`` at ``report_path`` in ``fmt``: the bytes ``evaluate`` wrote for it."""
-    return emit(json.loads(Path(report_path).read_bytes()), fmt)
+    """``report.json`` at ``report_path`` in ``fmt``, the bytes ``evaluate`` wrote for it; ConfigError if no report."""
+    try:
+        return emit(json.loads(Path(report_path).read_bytes()), fmt)
+    except (ValueError, LookupError, TypeError, AttributeError) as exc:
+        raise ConfigError(f"{report_path}: not a report: {exc!r}") from None
 
 
 def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:

@@ -2,9 +2,9 @@
 
 One directory per (dataset, model) holds ``records.jsonl`` (one record per
 line, first write wins per key) and a ``manifest.json`` provenance sidecar.
-The store keeps an index of the file, not its text; ``evaluate`` persists that
-index in ``records.index.json``, so a later open parses only appended lines,
-each with ``_parse_line``, and leaves the file holding whole lines only.
+The store keeps an index of the file and each row's language verdict, not its
+text; ``evaluate`` persists it in ``records.index.json``, so a later open parses
+only appended lines, each with ``_parse_line``, and leaves whole lines only.
 Matrices are rebuilt from the store on demand as a byte grid: one byte per
 (item, language) cell, rows in item order and columns in canonical language
 order. The byte is the ok answer's label letter, ``.`` for a missing cell or
@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Seque
 
 import numpy as np
 
+from .langid import DETECTOR_VERSION
 from .languages import Language, canonical_sorted
 
 if TYPE_CHECKING:
@@ -56,7 +57,7 @@ def utc_now() -> str:
 
 MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "records.index.json"
-INDEX_VERSION = 2  # bump with any change of what the index holds or of what a line indexes to
+INDEX_VERSION = 3  # bump with any change of what the index holds or of what a line indexes to
 DIGEST_SIZE = 32  # bytes of a row's output digest in RunStore.digests
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
 # A JSON string literal with only '"', '\' and control characters escaped: the
@@ -75,6 +76,10 @@ STATUS_OK = _STATUS_BYTE[RecordStatus.OK._value_]
 STATUS_INVALID = _STATUS_BYTE[RecordStatus.INVALID_OUTPUT._value_]
 _APPEND_BUFFER = 1 << 16  # bytes of appended lines handed to the OS at a time
 _HASH_BLOCK = 1 << 20  # bytes of records.jsonl hashed at a time to check an index
+UNDETECTED, UNDETECTABLE = 0, 1  # verdict bytes: not detected yet; no reasoning text or no signal
+VERDICT = {language: byte for byte, language in enumerate(Language, 2)}  # the verdict byte of a detected language
+# What the index's verdict bytes mean: the detector that made them and the languages they index.
+_DETECTOR = {"version": DETECTOR_VERSION, "languages": [language._value_ for language in VERDICT]}
 
 
 def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
@@ -91,7 +96,7 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
 
 def output_digest(raw_output: str) -> bytes:
     """sha256 of a ``raw_output``'s UTF-8 bytes, a lone surrogate kept as its
-    three bytes: the key of the output's verdict."""
+    three bytes: rows with equal digests share one verdict, detected once."""
     return sha256(raw_output.encode("utf-8", "surrogatepass")).digest()
 
 
@@ -105,10 +110,6 @@ def record_line(item_id, language, model_name, prompt_hash, raw_output, label, s
     )
 
 
-def _same(value):
-    return value
-
-
 class Sidecar:
     """Recomputable results kept in one file: a ``key -> value`` map written
     as ``{"version": version, "values": {key: encode(value)}}``.
@@ -120,10 +121,8 @@ class Sidecar:
     values used since the read.
     """
 
-    def __init__(self, path: Path, version: int, decode: Callable = _same, encode: Callable = _same):
-        self.path = path
-        self.version = version
-        self._encode = encode
+    def __init__(self, path: Path, version: int, decode: Callable, encode: Callable):
+        self.path, self.version, self._encode = path, version, encode
         self._values = self._read(decode)
         self._used: set[str] = set()
         self._computed = False
@@ -214,10 +213,6 @@ class InferenceRecord(_RecordFields):
             json_string(created_at),
         )
 
-    @classmethod
-    def from_json(cls, line: str) -> "InferenceRecord":
-        return _parse_line(line)
-
 
 def _parse_line(text: str) -> InferenceRecord:
     """The record of one line of ``records.jsonl``; any exception refuses the line."""
@@ -289,15 +284,18 @@ class RunStore:
     """Append-only JSONL store with first-write-wins idempotence per key.
 
     The store holds an index of its records, not the records: ``key -> row``
-    and four columns by row, in write order. ``statuses[row]`` indexes
+    and five columns by row, in write order. ``statuses[row]`` indexes
     ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label),
     ``digests[DIGEST_SIZE * row:][:DIGEST_SIZE]`` is the ``output_digest`` of
-    the ``raw_output`` and ``offsets[row]`` is where the row's line starts in
-    ``records.jsonl``; ``output(row)`` reads the text back from there.
+    the ``raw_output``, ``offsets[row]`` is where the row's line starts in
+    ``records.jsonl`` (``output(row)`` reads the text back from there) and
+    ``verdicts[row]`` is UNDETECTED until ``pipeline.compute_verification_rate``
+    sets it to the output's language byte (``VERDICT``) or UNDETECTABLE.
 
     An open takes the columns of the file's first N bytes from
     ``records.index.json`` when that index holds N and the sha256 of exactly
     those bytes, and parses only the lines after them; ``save_index`` writes it.
+    Verdicts of another ``_DETECTOR``, and those of parsed rows, start UNDETECTED.
     An open may also repair the file's tail, so the caller holds the run's lock:
     a torn final line, or whitespace after the last newline, is cut off, and a
     good final line without its newline gets one.
@@ -315,10 +313,12 @@ class RunStore:
         self.labels = bytearray()
         self.digests = bytearray()
         self.offsets = array("q")
+        self.verdicts = bytearray()
         self.conflicts = 0
         self._unsynced = 0
         self._fh = None
         self._index_length = 0  # bytes of records.jsonl the index file gave at the open
+        self._index_verdicts: bytes | None = b""  # its verdicts, None if of another detector
         # (bytes, lines, rows, conflicts, sha256 hex) of the file as the open left it
         self._parsed = (0, 0, 0, 0, "")
         self._load()
@@ -351,6 +351,7 @@ class RunStore:
                 digest.update(line)
                 offset += len(line)
                 lines += 1
+        self.verdicts += bytes(len(self.statuses) - len(self.verdicts))
         if offset < size:
             os.truncate(self.records_path, offset)
         elif offset > size:
@@ -378,14 +379,16 @@ class RunStore:
             rows = dict(zip(map(tuple, keys), range(n)))
             statuses, labels = b64decode(index["statuses"]), b64decode(index["labels"])
             digests, offsets = b64decode(index["digests"]), array("q", index["offsets"])
+            verdicts, detector = b64decode(index["verdicts"]), index["detector"]
             starts = np.array(offsets, dtype=np.int64)
             if (
-                {len(rows), len(statuses), len(labels), len(offsets)} != {n}
+                {len(rows), len(statuses), len(labels), len(offsets), len(verdicts)} != {n}
                 or len(digests) != n * DIGEST_SIZE
                 or set(map(len, keys)) - {4}
                 or set(map(type, chain.from_iterable(keys))) - {str}
                 or max(statuses, default=0) >= len(STATUSES)
                 or labels.translate(None, _LABEL_BYTES)
+                or max(verdicts, default=0) >= 2 + len(detector["languages"])
                 or (n and not (0 <= starts[0] and starts[-1] < length and (np.diff(starts) > 0).all()))
             ):
                 raise ValueError("its columns do not agree")
@@ -404,14 +407,17 @@ class RunStore:
         self._rows, self.offsets, self.conflicts = rows, offsets, conflicts
         self.statuses, self.labels, self.digests = bytearray(statuses), bytearray(labels), bytearray(digests)
         self._index_length = length
+        fresh = detector == _DETECTOR
+        self.verdicts, self._index_verdicts = (bytearray(verdicts), verdicts) if fresh else (bytearray(n), None)
         return digest, lines
 
     def save_index(self) -> None:
         """Write ``records.index.json``: the columns of the file as the open left
-        it, unless the index file gave all of them. Rows appended since the open
-        are left for the next open to parse."""
+        it, unless the index file gave all of them and each of their verdicts.
+        Rows appended since the open are left for the next open to parse."""
         length, lines, n, conflicts, digest = self._parsed
-        if length == self._index_length:
+        verdicts = bytes(self.verdicts[:n])
+        if length == self._index_length and verdicts == self._index_verdicts:
             return
         index = {
             "version": INDEX_VERSION,
@@ -424,6 +430,8 @@ class RunStore:
             "labels": b64encode(self.labels[:n]).decode("ascii"),
             "digests": b64encode(self.digests[: n * DIGEST_SIZE]).decode("ascii"),
             "offsets": self.offsets[:n].tolist(),
+            "detector": _DETECTOR,
+            "verdicts": b64encode(verdicts).decode("ascii"),
         }
         write_atomic(self.index_path, json.dumps(index, separators=(",", ":")).encode("ascii"))
 
@@ -476,6 +484,7 @@ class RunStore:
                     offset += len(line)
             finally:
                 written = len(statuses) - first
+                self.verdicts += bytes(written)
                 if fh is not None:
                     fh.flush()
                 self._unsynced += written

@@ -9,7 +9,7 @@ from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.languages import Language, canonical_sorted
 from langselect.store import INVALID as INVALID_BYTE
 from langselect.store import MISSING as MISSING_BYTE
-from langselect.store import InferenceRecord, ResponseMatrix, RunStore
+from langselect.store import InferenceRecord, ResponseMatrix, RunStore, _parse_line
 
 INVALID = "invalid"
 MISSING = None
@@ -125,7 +125,7 @@ def stored_records(store: RunStore) -> list[InferenceRecord]:
     with store.records_path.open("rb") as fh:
         for line in fh:
             if line.strip():
-                record = InferenceRecord.from_json(line.decode("utf-8"))
+                record = _parse_line(line.decode("utf-8"))
                 records.setdefault(record.key, record)
                 if len(records) == len(store):
                     break

@@ -1056,6 +1056,20 @@ def corrupt_the_embedding_cache(tmp_path, config_path, config):
     return ["evaluate", "--config", str(config_path)], path
 
 
+def put_a_non_utf8_byte_in_the_embedding_cache(tmp_path, config_path, config):
+    path = pipeline.embeddings_path(config)
+    path.write_bytes(b'{"item_id": "q0\xff", "key": "k", "dim": 2, "f8": "AAAAAAAAAAAAAAAAAAAAAA=="}\n')
+    return ["evaluate", "--config", str(config_path)], path
+
+
+def put_a_non_utf8_byte_in_an_item(tmp_path, config_path, config):
+    lines = config.dataset_path.read_bytes().splitlines(keepends=True)
+    assert b'"question": "' in lines[1]
+    lines[1] = lines[1].replace(b'"question": "', b'"question": "\xff', 1)
+    config.dataset_path.write_bytes(b"".join(lines))
+    return ["evaluate", "--config", str(config_path)], config.dataset_path
+
+
 def drop_the_choices_of_an_item(tmp_path, config_path, config):
     lines = config.dataset_path.read_text(encoding="utf-8").splitlines()
     record = json.loads(lines[1])
@@ -1099,7 +1113,9 @@ def set_test_count_to_zero(tmp_path, config_path, config):
     [
         pytest.param(cut_a_middle_record_line, id="records-cut-middle-line"),
         pytest.param(corrupt_the_embedding_cache, id="embeddings-corrupt"),
+        pytest.param(put_a_non_utf8_byte_in_the_embedding_cache, id="embeddings-not-utf8"),
         pytest.param(drop_the_choices_of_an_item, id="item-without-choices"),
+        pytest.param(put_a_non_utf8_byte_in_an_item, id="item-not-utf8"),
         pytest.param(corrupt_the_manifest, id="manifest-corrupt"),
         pytest.param(drop_k_true_from_a_spec, id="spec-without-k-true"),
         pytest.param(map_a_country_to_no_language, id="country-map-bad-code"),
@@ -1119,3 +1135,17 @@ def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, b
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
     assert line.startswith("configuration error: ") and str(named) in line, line
+
+
+@pytest.mark.parametrize(
+    "content", [pytest.param(b'{"x": ', id="not-json"), pytest.param(b'{"x": 1}', id="not-a-report")]
+)
+def test_a_bad_report_ends_in_one_line_naming_its_file(tmp_path, content):
+    path = tmp_path / "report.json"
+    path.write_bytes(content)
+    result = CliRunner().invoke(main, ["report", "--report", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"configuration error: {path}: not a report: "), line

@@ -1,7 +1,7 @@
 """The bounded executor and its failure triage, which drive the network stages,
 and the reasoning-language verification rate that ``evaluate`` reports."""
 
-import hashlib
+import base64
 import json
 import logging
 import threading
@@ -20,7 +20,17 @@ from langselect.datasets import save_dataset, split
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
 from langselect.langid import DETECTOR_VERSION
 from langselect.languages import Language
-from langselect.store import INDEX_NAME, InferenceRecord, RecordStatus, RunStore, build_matrix, matrix_counts
+from langselect.store import (
+    INDEX_NAME,
+    UNDETECTABLE,
+    UNDETECTED,
+    VERDICT,
+    InferenceRecord,
+    RecordStatus,
+    RunStore,
+    build_matrix,
+    matrix_counts,
+)
 from langselect.translation import ItemTranslationError
 
 from helpers import make_item, stored_records
@@ -243,13 +253,9 @@ def test_verification_counts_the_record_each_matrix_cell_holds(tmp_path, detecti
     assert detection_calls["detect_language"] == 1
 
 
-# --- The bundled detector's verdict cache (``<store>/verdicts.json``).
+# --- The store's verdict column (``RunStore.verdicts``), kept in ``records.index.json``.
 
 FRENCH_TEXT = "Le modèle est entraîné dans les données et ce n'est pas pour une raison simple."
-
-
-def digest(raw_output: str) -> str:
-    return hashlib.sha256(raw_output.encode("utf-8", "surrogatepass")).hexdigest()
 
 
 @pytest.fixture
@@ -366,18 +372,21 @@ def test_evaluate_after_an_append_parses_only_the_appended_lines(tmp_path, parse
     warm = report_bytes(config)
 
     (directory / INDEX_NAME).unlink()
-    (directory / pipeline.VERDICTS_NAME).unlink()
     pipeline.run_evaluate(config)
     assert report_bytes(config) == warm
     assert json.loads((directory / INDEX_NAME).read_bytes()) == index
 
 
-def test_cached_verdicts_count_as_a_fresh_detection_does(tmp_path):
+def test_cached_verdicts_count_as_a_fresh_detection_does(tmp_path, detection_calls):
     config = evaluate_run(tmp_path)
-    with RunStore(pipeline.store_dir(config, "m")) as store:
+    directory = pipeline.store_dir(config, "m")
+    with RunStore(directory) as store:
         cold = verify(store, config.languages)
-        assert (store.directory / pipeline.VERDICTS_NAME).exists()
         assert verify(store, config.languages) == cold == (1.0, {"checked": 12, "matched": 12, "undetectable": 0})
+        store.save_index()
+    with RunStore(directory) as store:  # the verdicts read back from the index
+        assert verify(store, config.languages) == cold
+    assert detection_calls["detect_language"] == 12
 
 
 def test_one_appended_record_costs_one_detection(tmp_path, detection_calls):
@@ -394,20 +403,32 @@ def test_one_appended_record_costs_one_detection(tmp_path, detection_calls):
     assert verification == {"checked": 12, "matched": 12, "undetectable": 0}
 
 
-def test_sidecar_holds_one_verdict_per_distinct_output(verification_store):
-    verify(verification_store)
-    sidecar = json.loads((verification_store.directory / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
-    outputs = {r.item_id: r.raw_output for r in stored_records(verification_store)}
-    # q4 has no reasoning text and q5 no detectable signal: both are null.
-    assert sidecar == {
-        "version": DETECTOR_VERSION,
-        "values": {
-            digest(outputs["q4"]): None,
-            digest(outputs["q5"]): None,
-            digest(outputs["q6"]): "en",
-            digest(outputs["q7"]): "en",
-        },
+def test_the_saved_index_holds_each_rows_verdict(verification_store):
+    directory = verification_store.directory
+    verification_store.close()
+    with RunStore(directory) as store:
+        verify(store)
+        store.save_index()
+    index = json.loads((directory / INDEX_NAME).read_bytes())
+    assert index["detector"] == {"version": DETECTOR_VERSION, "languages": [language.value for language in Language]}
+    verdicts = dict(zip((key[0] for key in index["keys"]), base64.b64decode(index["verdicts"])))
+    # q1-q3 are in no ok cell of the matrix: not detected. q4 has no reasoning
+    # text and q5 no detectable signal; q6 and q7 reasoned in English.
+    assert verdicts == {
+        **dict.fromkeys(["q1", "q2", "q3"], UNDETECTED),
+        **dict.fromkeys(["q4", "q5"], UNDETECTABLE),
+        **dict.fromkeys(["q6", "q7"], VERDICT[Language.ENGLISH]),
     }
+
+
+def test_equal_outputs_are_detected_once(tmp_path, detection_calls):
+    with RunStore(tmp_path / "store") as store:
+        for item_id in ("q1", "q2", "q3"):  # one output, stored three times
+            store.record(reasoning_record(item_id, Language.ENGLISH))
+        store.record(reasoning_record("q4", Language.FRENCH, FRENCH_TEXT))
+        assert verify(store)[1] == {"checked": 4, "matched": 4, "undetectable": 0}
+        assert bytes(store.verdicts) == bytes([VERDICT[Language.ENGLISH]] * 3 + [VERDICT[Language.FRENCH]])
+    assert detection_calls["detect_language"] == 2
 
 
 def test_output_with_a_lone_surrogate_gets_a_verdict(tmp_path):
@@ -415,9 +436,46 @@ def test_output_with_a_lone_surrogate_gets_a_verdict(tmp_path):
     with RunStore(tmp_path / "store") as store:
         store.record(record)
         rate, counts = verify(store, [Language.ENGLISH])
+        assert bytes(store.verdicts) == bytes([VERDICT[Language.ENGLISH]])
     assert (rate, counts) == (1.0, {"checked": 1, "matched": 1, "undetectable": 0})
-    sidecar = json.loads((tmp_path / "store" / pipeline.VERDICTS_NAME).read_text(encoding="utf-8"))
-    assert sidecar["values"] == {digest(record.raw_output): "en"}
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda detector: detector.update(version=detector["version"] + 1), id="detector-version"),
+        pytest.param(lambda detector: detector["languages"].reverse(), id="language-order"),
+    ],
+)
+def test_verdicts_of_another_detector_are_detected_again_without_a_parse(tmp_path, parsed_lines, detection_calls, edit):
+    config = evaluate_run(tmp_path)
+    pipeline.run_evaluate(config)
+    index_path = pipeline.store_dir(config, "m") / INDEX_NAME
+    good = index_path.read_bytes()
+    cold = report_bytes(config)
+    index = json.loads(good)
+    edit(index["detector"])
+    index_path.write_text(json.dumps(index), encoding="ascii")
+
+    parsed_lines.clear()
+    detection_calls.update(dict.fromkeys(detection_calls, 0))
+    pipeline.run_evaluate(config)
+    assert parsed_lines == []
+    assert detection_calls == {"detect_language": 12, "extract_reasoning_text": 12}
+    assert index_path.read_bytes() == good  # rewritten, under this detector
+    assert report_bytes(config) == cold
+
+
+def test_no_evaluate_writes_a_verdicts_file(tmp_path):
+    config = evaluate_run(tmp_path, leave_out={("q0", Language.FRENCH)})
+    pipeline.run_evaluate(config)
+    directory = pipeline.store_dir(config, "m")
+    with RunStore(directory) as store:
+        store.record(reasoning_record("q0", Language.FRENCH, f"{FRENCH_TEXT} q0"))
+    pipeline.run_evaluate(config)
+    pipeline.run_evaluate(config)
+    assert sorted(p.name for p in directory.iterdir()) == ["records.index.json", "records.jsonl"]
+    assert not list(config.output_dir.rglob("verdicts.json"))
 
 
 # --- Stored k-means fits (``<output>/kmeans_fits.json``).
@@ -553,14 +611,9 @@ def test_a_changed_input_refits_only_the_fits_it_changes(tmp_path, fit_calls, ch
     assert all(after[key] == before[key] for key in reused)
 
 
-# --- The contract both sidecars (``store.Sidecar``) keep.
+# --- The contract a sidecar (``store.Sidecar``) keeps; the store index keeps the verdicts.
 
 SIDECARS = {  # name -> (its file, its version, a change of one value that its decode refuses)
-    "verdicts": (
-        lambda config: pipeline.store_dir(config, "m") / pipeline.VERDICTS_NAME,
-        DETECTOR_VERSION,
-        lambda verdict: "xx",  # no language code
-    ),
     "fits": (
         fits_path,
         clustering.FIT_VERSION,

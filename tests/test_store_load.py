@@ -2,7 +2,7 @@
 
 ``RunStore`` indexes ``records.jsonl`` one line at a time and repairs its
 tail. ``reference_load`` below is the reading it must agree with: each line
-read by ``InferenceRecord.from_json``, first write wins, a bad final line
+read by ``store._parse_line``, first write wins, a bad final line
 dropped as torn and a bad earlier line refused, and the file left holding
 whole lines only.
 """
@@ -37,7 +37,7 @@ def reference_load(data: bytes):
         end += len(line)
         if line.strip():
             try:
-                record = InferenceRecord.from_json(line.decode("utf-8"))
+                record = store_module._parse_line(line.decode("utf-8"))
             except Exception as exc:
                 if end >= len(data):
                     break
@@ -69,7 +69,7 @@ def assert_columns(store: RunStore, records: list[InferenceRecord]) -> None:
 def record_at(store: RunStore, offset: int) -> InferenceRecord:
     with store.records_path.open("rb") as fh:
         fh.seek(offset)
-        return InferenceRecord.from_json(fh.readline().decode("utf-8"))
+        return store_module._parse_line(fh.readline().decode("utf-8"))
 
 
 APPENDED = InferenceRecord("appended", EN, "m", "h-appended", "{}", "C", RecordStatus.OK, 1, "t")
@@ -389,6 +389,7 @@ def opened(path):
             bytes(store.labels),
             bytes(store.digests),
             store.offsets.tolist(),
+            bytes(store.verdicts),
             [store.output(row) for row in range(len(store))],
             store.conflicts,
             store.records_path.read_bytes(),
@@ -536,6 +537,11 @@ BAD_INDEXES = {
     "a length past the file": lambda index: index.update(length=index["length"] + 1),
     "another prefix digest": lambda index: index.update(sha256="0" * 64),
     "a missing column": lambda index: index.pop("labels"),
+    "a short verdict column": lambda index: index.update(verdicts=base64.b64encode(bytes(len(index["keys"]) - 1)).decode()),
+    "a verdict byte past the last language": lambda index: index.update(
+        verdicts=base64.b64encode(bytes([2 + len(index["detector"]["languages"])]) * len(index["keys"])).decode()
+    ),
+    "no detector": lambda index: index.pop("detector"),
     "a string length": lambda index: index.update(length=str(index["length"])),
     "a negative line count": lambda index: index.update(lines=-1),
     "a key part that is a number": lambda index: index["keys"][0].__setitem__(0, 5),
