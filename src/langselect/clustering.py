@@ -11,12 +11,12 @@ monotone in cosine distance on the sphere while keeping centroid means exact.
 They are expanded as ||x||^2 + ||c||^2 - 2 x.c and clamped at 0, so memory
 stays O(n*k + n*d) at embedding widths of 768-3072.
 
-Persisted vectors (the embedding cache, cluster centroids and stored k-means
-fits) are stored as base64 of their little-endian float64 bytes: exact, about
-half the size of the same floats as JSON text, and a small fraction of its
-encode and parse time. A fit depends only on the train array, k and the seeds,
-never on the response matrix, so ``kmeans_fits`` keeps each one for the next
-``evaluate`` of the same split.
+Persisted vectors (the embedding cache and cluster centroids) are stored as
+base64 of their little-endian float64 bytes: exact, about half the size of the
+same floats as JSON text, and a small fraction of its encode and parse time. A
+fit depends only on the train array, k and the seeds, never on the response
+matrix, so a cluster model file is also the fit cache: it names its fit by
+``fit_key``, and the next ``evaluate`` of the same split reuses that fit.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 from .datasets import McqItem
 from .gateway import GatewayError, ModelEndpoint, embed_texts
 from .languages import Language, canonical_index
-from .store import ResponseMatrix, Sidecar, write_atomic
+from .store import ResponseMatrix, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +46,6 @@ _INIT_BLOCK_BYTES = 256 * 1024
 # fit is reused only under the same version. Bump it with every change to
 # what a fit computes: tests/test_clustering.py pins it to that code.
 FIT_VERSION = 1
-FITS_NAME = "kmeans_fits.json"
 
 
 class ClusteringError(RuntimeError):
@@ -283,10 +282,12 @@ def assign_many(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Fitted centroids plus per-cluster language accuracies and experts."""
+    """Fitted centroids plus per-cluster language accuracies and experts.
+    ``fit_key`` names the fit that gave ``seed`` and ``centroids`` (``_fit_key``)."""
 
     k: int
     seed: int
+    fit_key: str
     centroids: np.ndarray
     expert_language: dict[int, Language]
     train_accuracy: dict[int, dict[Language, float]]
@@ -298,6 +299,7 @@ class ClusterModel:
         return (
             self.k == other.k
             and self.seed == other.seed
+            and self.fit_key == other.fit_key
             and np.array_equal(self.centroids, other.centroids)
             and self.expert_language == other.expert_language
             and self.train_accuracy == other.train_accuracy
@@ -308,6 +310,7 @@ class ClusterModel:
         payload = {
             "k": self.k,
             "seed": self.seed,
+            "fit_key": self.fit_key,
             "dim": int(self.centroids.shape[1]),
             "centroids_f8": [encode_f8(row) for row in self.centroids],
             "expert_language": {str(c): lang.value for c, lang in sorted(self.expert_language.items())},
@@ -320,12 +323,16 @@ class ClusterModel:
         return json.dumps(payload, ensure_ascii=False, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "ClusterModel":
+    def from_json(cls, text: str | bytes) -> "ClusterModel":
         data = json.loads(text)
+        k, rows = int(data["k"]), data["centroids_f8"]
+        if len(rows) != k:
+            raise ClusteringError(f"{len(rows)} centroid rows, expected k = {k}")
         return cls(
-            k=int(data["k"]),
+            k=k,
             seed=int(data["seed"]),
-            centroids=np.stack([decode_f8(row, data["dim"]) for row in data["centroids_f8"]]),
+            fit_key=data["fit_key"],
+            centroids=np.stack([decode_f8(row, data["dim"]) for row in rows]),
             expert_language={int(c): Language(v) for c, v in data["expert_language"].items()},
             train_accuracy={
                 int(c): {Language(lang): float(acc) for lang, acc in accs.items()}
@@ -333,6 +340,18 @@ class ClusterModel:
             },
             member_counts={int(c): int(n) for c, n in data["member_counts"].items()},
         )
+
+
+def read_model(path: Path) -> ClusterModel | None:
+    """The model ``path`` holds, or None, logged, if it holds none: a missing file
+    at debug level, one that does not parse or is not a model as a warning."""
+    try:
+        return ClusterModel.from_json(path.read_bytes())
+    except FileNotFoundError:
+        logger.debug("%s: not written yet; fitting", path)
+    except (ClusteringError, ValueError, LookupError, TypeError, AttributeError) as exc:
+        logger.warning("%s: ignored (%r); fitting again", path, exc)
+    return None
 
 
 class TrainArray(NamedTuple):
@@ -358,31 +377,10 @@ def train_array(vectors: Mapping[str, np.ndarray], items: Sequence[str]) -> Trai
 
 
 def _fit_key(train: TrainArray, k: int, seeds: list[int]) -> str:
-    """sha256 naming a fit: the train array's digest, numpy's version, k and the seed set."""
+    """sha256 naming a fit: the train array's digest, FIT_VERSION, numpy's version, k and the seed set."""
     digest = train.digest.copy()
-    digest.update(json.dumps([np.__version__, k, seeds]).encode("ascii"))
+    digest.update(json.dumps([FIT_VERSION, np.__version__, k, seeds]).encode("ascii"))
     return digest.hexdigest()
-
-
-def _decode_fit(fit: dict) -> tuple[int, np.ndarray]:
-    k, dim = int(fit["k"]), int(fit["dim"])
-    try:
-        centroids = decode_f8(fit["centroids_f8"], k * dim)
-    except ClusteringError as exc:
-        raise ValueError(str(exc)) from None
-    return int(fit["seed"]), centroids.reshape(k, dim)
-
-
-def _encode_fit(fit: tuple[int, np.ndarray]) -> dict:
-    seed, centroids = fit
-    k, dim = centroids.shape
-    return {"k": k, "dim": dim, "seed": int(seed), "centroids_f8": encode_f8(centroids)}
-
-
-def kmeans_fits(directory: Path) -> Sidecar:
-    """The k-means fits kept in ``directory``'s ``kmeans_fits.json``: the
-    (seed, centroids) of the seed that won, under the fit's ``_fit_key``."""
-    return Sidecar(directory / FITS_NAME, FIT_VERSION, _decode_fit, _encode_fit)
 
 
 def _best_fit(X: np.ndarray, unit: np.ndarray, k: int, seeds: Sequence[int]) -> tuple[int, np.ndarray]:
@@ -402,15 +400,16 @@ def train_lsk_best(
     k: int,
     seeds: Iterable[int],
     *,
-    fits: Sidecar | None = None,
     train: TrainArray | None = None,
+    stored: ClusterModel | None = None,
 ) -> ClusterModel:
     """Fit clusters over the training vectors and pick each cluster's expert.
 
     Of several seeds, the fit of lowest inertia wins; ties resolve to the
-    lowest seed. With ``fits``, a fit of the same train array, k and seed set
-    is taken from it instead of made again. Only the seed and centroids are
-    reused: the experts, accuracies and member counts always come from
+    lowest seed. ``stored``, a model of an earlier run, gives its seed and
+    centroids instead when its ``fit_key`` is this fit's: the same train
+    array, k, seed set and fit code. Only the seed and centroids are reused:
+    the experts, accuracies and member counts always come from
     ``train_matrix``. ``train``, the ``train_array`` of ``train_matrix``'s
     items, saves stacking and normalizing the vectors again for each k.
     """
@@ -422,10 +421,11 @@ def train_lsk_best(
     elif train.items != train_matrix.items:
         raise ClusteringError("the train array is not of the train matrix's items")
     _, X, unit, _ = train
-    if fits is None:
-        seed, centroids = _best_fit(X, unit, k, seed_set)
+    fit_key = _fit_key(train, k, seed_set)
+    if stored is not None and stored.fit_key == fit_key:
+        seed, centroids = stored.seed, stored.centroids
     else:
-        seed, centroids = fits.get(_fit_key(train, k, seed_set), _best_fit, X, unit, k, seed_set)
+        seed, centroids = _best_fit(X, unit, k, seed_set)
     d2 = _squared_distances(unit, centroids)
     labels = _repair_empty_clusters(d2.argmin(axis=1), d2, k)
 
@@ -446,6 +446,7 @@ def train_lsk_best(
     return ClusterModel(
         k=k,
         seed=seed,
+        fit_key=fit_key,
         centroids=centroids,
         expert_language=expert,
         train_accuracy=accuracy,

@@ -43,7 +43,7 @@ from .clustering import (
     assign_many,
     embed_items,
     item_embedding_key,
-    kmeans_fits,
+    read_model,
     train_array,
     train_lsk_best,
 )
@@ -60,7 +60,7 @@ from .prompts import (
     build_selection_prompt,
     prompt_hash,
 )
-from .report import build_report, emit
+from .report import FORMATS, build_report, emit
 from .selectors import (
     CountryMap,
     GlobalChoice,
@@ -627,8 +627,9 @@ def evaluate_all(
 
     Each optional strategy gets its state or, as a string, the reason it is
     skipped. The global-language choice and one cluster model per k are written
-    to ``output_dir``; the model of the first k is the one reported. k-means
-    fits are reused from, and kept in, ``output_dir``'s ``kmeans_fits.json``.
+    to ``output_dir``; the model of the first k is the one reported. Each k's
+    model file is read before its fit, and a fit with the same ``fit_key`` is
+    reused instead of made again.
     """
     train_matrix = matrix.subset([i.item_id for i in train])
     test_matrix = matrix.subset([i.item_id for i in test])
@@ -658,16 +659,18 @@ def evaluate_all(
     if isinstance(vectors, str):
         ev.skipped["lsk_extractor"] = vectors
         return ev
-    fits = kmeans_fits(output_dir)
+    paths = {k: output_dir / f"cluster_model_k{k}.json" for k in ks}
     train_vectors = train_array(vectors, train_matrix.items)
-    models = {k: train_lsk_best(vectors, train_matrix, k, seeds, fits=fits, train=train_vectors) for k in ks}
+    models = {
+        k: train_lsk_best(vectors, train_matrix, k, seeds, train=train_vectors, stored=read_model(path))
+        for k, path in paths.items()
+    }
     del train_vectors  # two copies of the train array: not held while the models are scored and encoded
-    fits.save()
     for k, model in models.items():
         ev.sweep[k] = evaluate(
             Strategy.LSK_EXTRACTOR, test, test_matrix, state=LskRouter(model=model, vectors=vectors)
         )
-        write_atomic(output_dir / f"cluster_model_k{k}.json", (model.to_json() + "\n").encode("utf-8"))
+        write_atomic(paths[k], (model.to_json() + "\n").encode("utf-8"))
     ev.cluster_model = models[ks[0]]
     ev.outcomes[Strategy.LSK_EXTRACTOR] = ev.sweep[ks[0]]
     return ev
@@ -732,11 +735,15 @@ def run_evaluate(
 
 
 def rerender_report(report_path: Path, fmt: str) -> bytes:
-    """``report.json`` at ``report_path`` in ``fmt``, the bytes ``evaluate`` wrote for it; ConfigError if no report."""
+    """``report.json`` at ``report_path`` in ``fmt``, the bytes ``evaluate`` wrote for it. ConfigError
+    if no report, that is, if a format cannot render it: every format refuses the same files."""
     try:
-        return emit(json.loads(Path(report_path).read_bytes()), fmt)
+        report = json.loads(Path(report_path).read_bytes())
+        for check in FORMATS:
+            emit(report, check)
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
         raise ConfigError(f"{report_path}: not a report: {exc!r}") from None
+    return emit(report, fmt)
 
 
 def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:

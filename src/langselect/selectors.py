@@ -108,16 +108,6 @@ class GlobalChoice:
         }
         return json.dumps(payload, ensure_ascii=False, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str) -> "GlobalChoice":
-        data = json.loads(text)
-        return cls(
-            language=Language(data["language"]),
-            train_accuracy_by_language={
-                Language(k): float(v) for k, v in data["train_accuracy_by_language"].items()
-            },
-        )
-
 
 @dataclass(frozen=True)
 class ItemOutcome:

@@ -28,7 +28,7 @@ from functools import cache
 from hashlib import sha256
 from itertools import chain, islice
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -108,52 +108,6 @@ def record_line(item_id, language, model_name, prompt_hash, raw_output, label, s
         f'"prompt_hash": {prompt_hash}, "raw_output": {raw_output}, "extracted_label": {label}, '
         f'"status": {status}, "attempt_count": {attempt_count}, "created_at": {created_at}}}'
     )
-
-
-class Sidecar:
-    """Recomputable results kept in one file: a ``key -> value`` map written
-    as ``{"version": version, "values": {key: encode(value)}}``.
-
-    The file is read once. A missing file, one that does not parse, one of
-    another version, or one holding a value ``decode`` refuses (raises
-    ValueError on) is logged and ignored, so each of its values is computed
-    again. ``save`` rewrites the file only when a value was computed, with the
-    values used since the read.
-    """
-
-    def __init__(self, path: Path, version: int, decode: Callable, encode: Callable):
-        self.path, self.version, self._encode = path, version, encode
-        self._values = self._read(decode)
-        self._used: set[str] = set()
-        self._computed = False
-
-    def _read(self, decode: Callable) -> dict:
-        try:
-            payload = json.loads(self.path.read_bytes())
-            if payload["version"] != self.version:
-                raise ValueError(f"version {payload['version']!r}, not {self.version!r}")
-            return {key: decode(value) for key, value in payload["values"].items()}
-        except FileNotFoundError:
-            logger.debug("%s: not written yet; computing its values", self.path)
-        except (ValueError, LookupError, TypeError, AttributeError) as exc:
-            logger.warning("%s: ignored (%r); computing its values again", self.path, exc)
-        return {}
-
-    def get(self, key: str, compute: Callable, *args):
-        """The value stored under ``key``, else ``compute(*args)``'s, stored."""
-        try:
-            value = self._values[key]
-        except KeyError:
-            value = self._values[key] = compute(*args)
-            self._computed = True
-        self._used.add(key)
-        return value
-
-    def save(self) -> None:
-        if not self._computed:
-            return
-        values = {key: self._encode(self._values[key]) for key in sorted(self._used)}
-        write_atomic(self.path, (json.dumps({"version": self.version, "values": values}) + "\n").encode("ascii"))
 
 
 class _RecordFields(NamedTuple):
@@ -657,7 +611,6 @@ __all__ = [
     "RecordStatus",
     "ResponseMatrix",
     "RunStore",
-    "Sidecar",
     "StoreError",
     "build_matrix",
     "decisive_rows",

@@ -1138,12 +1138,18 @@ def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, b
 
 
 @pytest.mark.parametrize(
-    "content", [pytest.param(b'{"x": ', id="not-json"), pytest.param(b'{"x": 1}', id="not-a-report")]
+    "content",
+    [
+        pytest.param(b'{"x": ', id="not-json"),
+        pytest.param(b'{"x": 1}', id="not-a-report"),
+        pytest.param(b"[1]", id="a-list"),
+    ],
 )
-def test_a_bad_report_ends_in_one_line_naming_its_file(tmp_path, content):
+@pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
+def test_a_bad_report_ends_in_one_line_naming_its_file(tmp_path, fmt, content):
     path = tmp_path / "report.json"
     path.write_bytes(content)
-    result = CliRunner().invoke(main, ["report", "--report", str(path)])
+    result = CliRunner().invoke(main, ["report", "--report", str(path), "--format", fmt])
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
     assert result.stdout == ""

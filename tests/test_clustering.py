@@ -356,8 +356,17 @@ class TestTrainLsk:
         as_text = json.dumps([[float(v) for v in row] for row in model.centroids], indent=2)
         assert restored.centroids.tobytes() == np.asarray(json.loads(as_text), dtype=np.float64).tobytes()
         assert set(json.loads(model.to_json())) == {
-            "k", "seed", "dim", "centroids_f8", "expert_language", "train_accuracy", "member_counts"
+            "k", "seed", "fit_key", "dim", "centroids_f8", "expert_language", "train_accuracy", "member_counts"
         }
+
+    def test_a_file_whose_centroid_rows_are_not_k_is_refused(self):
+        import random as _random
+
+        _, matrix = random_matrix(_random.Random(56), 20, [EN, ES, HI])
+        payload = json.loads(train_lsk_best(vectors_for(matrix, seed=6), matrix, 3, [4]).to_json())
+        for rows in (payload["centroids_f8"][:-1], payload["centroids_f8"] * 2, []):
+            with pytest.raises(ClusteringError, match=f"{len(rows)} centroid rows, expected k = 3"):
+                ClusterModel.from_json(json.dumps({**payload, "centroids_f8": rows}))
 
     def test_best_of_seeds_prefers_lower_inertia(self):
         import random as _random
@@ -371,7 +380,7 @@ class TestTrainLsk:
             single = train_lsk_best(vectors, matrix, 4, [s])
             assert best_inertia <= inertia(X, single.centroids) + 1e-9
 
-    def test_a_k_sweep_hashes_the_train_array_once(self, tmp_path, monkeypatch):
+    def test_a_k_sweep_hashes_the_train_array_once(self, monkeypatch):
         import random as _random
 
         hashed = []  # the byte count of each chunk a sha256 of clustering takes
@@ -394,14 +403,40 @@ class TestTrainLsk:
         monkeypatch.setattr(clustering, "hashlib", SimpleNamespace(sha256=CountingSha256))
         _, matrix = random_matrix(_random.Random(58), 40, [EN, ES])
         vectors = vectors_for(matrix, seed=8)
-        fits = clustering.kmeans_fits(tmp_path)
         train = clustering.train_array(vectors, matrix.items)
-        for k in (2, 3, 4):
-            train_lsk_best(vectors, matrix, k, [0, 1], fits=fits, train=train)
-        fits.save()
+        models = [train_lsk_best(vectors, matrix, k, [0, 1], train=train) for k in (2, 3, 4)]
         assert hashed.count(train.X.nbytes) == 1
         assert sum(hashed) < 2 * train.X.nbytes
-        assert len(json.loads((tmp_path / clustering.FITS_NAME).read_bytes())["values"]) == 3
+        assert len({model.fit_key for model in models}) == 3
+
+    def test_the_fit_key_names_the_array_the_fit_version_numpy_k_and_the_seed_set(self, monkeypatch):
+        import random as _random
+
+        _, matrix = random_matrix(_random.Random(58), 40, [EN, ES])
+        vectors = vectors_for(matrix, seed=8)
+        train = clustering.train_array(vectors, matrix.items)
+        X = np.stack([vectors[i] for i in matrix.items])
+        expected = hashlib.sha256(json.dumps(list(X.shape)).encode("ascii") + X.astype("<f8").tobytes())
+        expected.update(json.dumps([clustering.FIT_VERSION, np.__version__, 3, [0, 1]]).encode("ascii"))
+        model = train_lsk_best(vectors, matrix, 3, [1, 0, 1], train=train)
+        assert model.fit_key == expected.hexdigest()
+        monkeypatch.setattr(clustering, "FIT_VERSION", clustering.FIT_VERSION + 1)
+        assert clustering._fit_key(train, 3, [0, 1]) != model.fit_key
+
+    def test_a_stored_model_gives_its_fit_only_under_the_same_key(self, monkeypatch):
+        import random as _random
+
+        _, matrix = random_matrix(_random.Random(59), 40, [EN, ES])
+        vectors = vectors_for(matrix, seed=9)
+        fitted = train_lsk_best(vectors, matrix, 3, [0, 1])
+        planted = dataclasses.replace(fitted, seed=7, centroids=fitted.centroids[::-1].copy())
+        monkeypatch.setattr(clustering, "_best_fit", lambda *args: pytest.fail("refit under the same key"))
+        reused = train_lsk_best(vectors, matrix, 3, [0, 1], stored=planted)
+        assert reused.seed == 7 and reused.centroids.tobytes() == planted.centroids.tobytes()
+        assert reused.fit_key == fitted.fit_key
+        monkeypatch.undo()
+        for other in (dataclasses.replace(planted, fit_key=""), train_lsk_best(vectors, matrix, 3, [0, 2])):
+            assert train_lsk_best(vectors, matrix, 3, [0, 1], stored=other) == fitted
 
     def test_best_of_seeds_peaks_near_two_copies_of_the_train_array(self):
         # The train array and its unit rows, plus O(n*k) and one cluster's
@@ -437,6 +472,7 @@ class TestLskRouting:
         model = ClusterModel(
             k=1,
             seed=0,
+            fit_key="",
             centroids=np.array([[1.0, 0.0]]),
             expert_language={0: Language.FRENCH},
             train_accuracy={0: {Language.FRENCH: 1.0}},
@@ -449,6 +485,7 @@ class TestLskRouting:
         model = ClusterModel(
             k=1,
             seed=0,
+            fit_key="",
             centroids=np.array([[1.0, 0.0]]),
             expert_language={0: EN},
             train_accuracy={0: {EN: 1.0}},
@@ -603,9 +640,10 @@ class TestEmbeddingCacheFile:
         assert peak < 2 * n * d * 8, (peak, n * d * 8)
 
 
-# Stored k-means fits (``kmeans_fits``) are reused only under the FIT_VERSION
-# that made them. An edit of the code below changes this digest: bump
-# FIT_VERSION with it, so stale fits are made again, then update both.
+# A stored k-means fit (a cluster model file) is reused only under the
+# FIT_VERSION that made it, which its ``fit_key`` hashes. An edit of the code
+# below changes this digest: bump FIT_VERSION with it, so stale fits are made
+# again, then update both.
 FIT_CODE = (
     "_normalize_rows",
     "_kmeans_pp_init",

@@ -478,7 +478,7 @@ def test_no_evaluate_writes_a_verdicts_file(tmp_path):
     assert not list(config.output_dir.rglob("verdicts.json"))
 
 
-# --- Stored k-means fits (``<output>/kmeans_fits.json``).
+# --- Stored k-means fits: each ``cluster_model_k{k}.json`` keeps its fit under its ``fit_key``.
 
 
 @pytest.fixture
@@ -506,12 +506,24 @@ def fit_run(tmp_path, leave_out=()):
     return config
 
 
-def fits_path(config):
-    return config.output_dir / clustering.FITS_NAME
+def model_path(config, k):
+    return config.output_dir / f"cluster_model_k{k}.json"
 
 
 def stored_fits(config) -> dict:
-    return json.loads(fits_path(config).read_bytes())["values"]
+    """fit key -> (k, seed, centroids) of the model file of each k of ``config``."""
+    models = [json.loads(model_path(config, k).read_bytes()) for k in config.k_list]
+    return {model["fit_key"]: (model["k"], model["seed"], model["centroids_f8"]) for model in models}
+
+
+def fit_key(config, k, fit_version):
+    """The key of ``config``'s fit at k, as the fit code of ``fit_version`` names it."""
+    train, _ = split(pipeline.load_items(config), config.split)
+    vectors = EmbeddingCache(pipeline.embeddings_path(config)).vectors_by_item()
+    array = clustering.train_array(vectors, [item.item_id for item in train])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "FIT_VERSION", fit_version)
+        return clustering._fit_key(array, k, sorted(set(config.seeds)))
 
 
 def outputs(config) -> dict[str, bytes]:
@@ -526,13 +538,12 @@ def test_second_evaluate_of_an_unchanged_run_fits_nothing(tmp_path, fit_calls):
     assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
     assert sorted(fit_calls) == [(2, 0), (2, 1), (3, 0), (3, 1)]
     fits = stored_fits(config)
-    assert sorted(fit["k"] for fit in fits.values()) == [2, 3]
-    inode = fits_path(config).stat().st_ino
+    assert sorted(k for k, _, _ in fits.values()) == [2, 3]
 
     fit_calls.clear()
     assert pipeline.run_evaluate(config).exit_code == pipeline.EXIT_OK
     assert fit_calls == []
-    assert fits_path(config).stat().st_ino == inode  # not rewritten
+    assert stored_fits(config) == fits
 
 
 def test_cold_and_warm_evaluate_write_the_same_bytes(tmp_path, fit_calls):
@@ -544,7 +555,8 @@ def test_cold_and_warm_evaluate_write_the_same_bytes(tmp_path, fit_calls):
     assert outputs(config) == cold
 
     # A cold run after the warm one, as well.
-    fits_path(config).unlink()
+    for k in config.k_list:
+        model_path(config, k).unlink()
     fit_calls.clear()
     pipeline.run_evaluate(config)
     assert len(fit_calls) == 4
@@ -565,7 +577,8 @@ def test_appended_records_reuse_every_fit_and_count_in_the_experts(tmp_path, fit
     assert fit_calls == []
     warm = outputs(config)
     assert warm["cluster_model_k2.json"] != before["cluster_model_k2.json"]  # French accuracies now counted
-    fits_path(config).unlink()
+    for k in config.k_list:
+        model_path(config, k).unlink()
     pipeline.run_evaluate(config)
     assert outputs(config) == warm
 
@@ -605,77 +618,74 @@ def test_a_changed_input_refits_only_the_fits_it_changes(tmp_path, fit_calls, ch
     pipeline.run_evaluate(config)
     assert sorted(fit_calls) == refits
     after = stored_fits(config)
-    assert sorted(fit["k"] for fit in after.values()) == kept_ks
+    assert sorted(k for k, _, _ in after.values()) == kept_ks
     reused = set(after) & set(before)
     assert len(reused) == len(kept_ks) - len({k for k, _ in refits})
     assert all(after[key] == before[key] for key in reused)
 
 
-# --- The contract a sidecar (``store.Sidecar``) keeps; the store index keeps the verdicts.
-
-SIDECARS = {  # name -> (its file, its version, a change of one value that its decode refuses)
-    "fits": (
-        fits_path,
-        clustering.FIT_VERSION,
-        lambda fit: {**fit, "dim": fit["dim"] + 1},  # centroids_f8 holds k * dim values, not k * (dim + 1)
-    ),
-}
-
-
-def computations(detection_calls, fit_calls) -> dict[str, int]:
-    return {"verdicts": detection_calls["detect_language"], "fits": len(fit_calls)}
-
-
-def damage(path, version, bad_value, how):
+def damage(config, path, how):
     if how == "missing":
         path.unlink()
     elif how == "truncated":
         path.write_bytes(path.read_bytes()[:-20])
     else:
-        payload = json.loads(path.read_bytes())
-        if how == "other-version":
-            payload["version"] = version + 1
-        else:
-            key = sorted(payload["values"])[-1]
-            payload["values"][key] = bad_value(payload["values"][key])
-        path.write_text(json.dumps(payload), encoding="ascii")
+        model = json.loads(path.read_bytes())
+        if how == "no-key":  # as the model files of earlier versions are
+            del model["fit_key"]
+        elif how == "other-fit-version":
+            model["fit_key"] = fit_key(config, model["k"], clustering.FIT_VERSION + 1)
+        else:  # wrong-row-count
+            model["centroids_f8"].pop()
+        path.write_text(json.dumps(model, indent=2), encoding="ascii")
 
 
-@pytest.mark.parametrize("how", ["missing", "truncated", "other-version", "bad-value"])
-@pytest.mark.parametrize("sidecar", list(SIDECARS))
-def test_a_bad_sidecar_is_logged_recomputed_and_rewritten(
-    tmp_path, detection_calls, fit_calls, caplog, sidecar, how
+# How a damaged model file is logged: a missing one at debug level, one that is no
+# model of this version as a warning; one of another fit's key is the usual change of input.
+LOGGED = {
+    "missing": [logging.DEBUG],
+    "truncated": [logging.WARNING],
+    "no-key": [logging.WARNING],
+    "other-fit-version": [],
+    "wrong-row-count": [logging.WARNING],
+}
+
+
+@pytest.mark.parametrize("how", list(LOGGED))
+def test_a_model_file_without_this_fit_is_refit_to_a_cold_runs_bytes(
+    tmp_path, detection_calls, fit_calls, caplog, how
 ):
-    caplog.set_level(logging.DEBUG, logger="langselect.store")
+    caplog.set_level(logging.DEBUG, logger="langselect.clustering")
     config = fit_run(tmp_path)
     pipeline.run_evaluate(config)
-    cold = computations(detection_calls, fit_calls)
-    assert cold == {"verdicts": 32, "fits": 4}
+    assert (detection_calls["detect_language"], len(fit_calls)) == (32, 4)
     expected = outputs(config)
-    path_of, version, bad_value = SIDECARS[sidecar]
-    path = path_of(config)
-    good = path.read_bytes()
-    damage(path, version, bad_value, how)
+    path = model_path(config, 3)
+    assert json.loads(path.read_bytes())["fit_key"] == fit_key(config, 3, clustering.FIT_VERSION)
+    damage(config, path, how)
 
     detection_calls.update(dict.fromkeys(detection_calls, 0))
     fit_calls.clear()
     caplog.clear()
     pipeline.run_evaluate(config)
-    assert computations(detection_calls, fit_calls) == {**dict.fromkeys(cold, 0), sidecar: cold[sidecar]}
-    assert f"{path}: " in caplog.text
-    assert path.read_bytes() == good
+    assert detection_calls["detect_language"] == 0
+    assert sorted(fit_calls) == [(3, 0), (3, 1)]
+    assert [r.levelno for r in caplog.records if r.getMessage().startswith(f"{path}: ")] == LOGGED[how]
     assert outputs(config) == expected
 
 
-@pytest.mark.parametrize("sidecar", list(SIDECARS))
-def test_a_run_that_computes_nothing_leaves_the_sidecar_as_it_is(tmp_path, detection_calls, fit_calls, sidecar):
+def test_no_evaluate_reads_or_writes_a_kmeans_fits_file(tmp_path, fit_calls, caplog):
+    caplog.set_level(logging.DEBUG)
     config = fit_run(tmp_path)
     pipeline.run_evaluate(config)
-    path = SIDECARS[sidecar][0](config)
-    inode = path.stat().st_ino
+    assert not (config.output_dir / "kmeans_fits.json").exists()
 
-    detection_calls.update(dict.fromkeys(detection_calls, 0))
+    for k in config.k_list:
+        model_path(config, k).unlink()
+    old_fits = config.output_dir / "kmeans_fits.json"  # as earlier versions kept the fits
+    old_fits.write_bytes(b'{"version": 1, "values": ')
     fit_calls.clear()
     pipeline.run_evaluate(config)
-    assert computations(detection_calls, fit_calls) == {"verdicts": 0, "fits": 0}
-    assert path.stat().st_ino == inode  # not rewritten
+    assert len(fit_calls) == 4
+    assert "kmeans_fits" not in caplog.text
+    assert old_fits.read_bytes() == b'{"version": 1, "values": '

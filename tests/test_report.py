@@ -80,6 +80,7 @@ def model_for_heatmap(k=3):
     return ClusterModel(
         k=k,
         seed=0,
+        fit_key="",
         centroids=np.eye(k),
         expert_language={c: [HI, EN, ES][c % 3] for c in range(k)},
         train_accuracy={

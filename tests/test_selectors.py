@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import string
 from importlib import resources
@@ -175,7 +176,7 @@ class TestGlobalLanguage:
 
     def test_json_round_trip(self):
         choice = GlobalChoice(language=HI, train_accuracy_by_language={EN: 0.5, HI: 0.75})
-        assert GlobalChoice.from_json(choice.to_json()) == choice
+        assert json.loads(choice.to_json()) == {"language": "hi", "train_accuracy_by_language": {"en": 0.5, "hi": 0.75}}
 
 
 class TestCountry:
