@@ -13,10 +13,16 @@ stays O(n*k + n*d) at embedding widths of 768-3072.
 
 Persisted vectors (the embedding cache and cluster centroids) are stored as
 base64 of their little-endian float64 bytes: exact, about half the size of the
-same floats as JSON text, and a small fraction of its encode and parse time. A
-fit depends only on the train array, k and the seeds, never on the response
-matrix, so a cluster model file is also the fit cache: it names its fit by
-``fit_key``, and the next ``evaluate`` of the same split reuses that fit.
+same floats as JSON text, and a small fraction of its encode and parse time.
+
+Each cache is read by the key it is written under. A vector is found by its
+item's content key (``item_embedding_key``), by ``embed`` and ``evaluate``
+alike, so an edited item has no vector until it is embedded again and an item
+with the text of a cached one shares its vector. A fit depends only on the
+train array, k and the seeds, never on the response matrix, so a cluster model
+file is also the fit cache: it names its fit by ``fit_key``, and the next
+``evaluate`` of the same split reads back only that key, the seed and the
+centroids (``stored_fit``) and reuses them under the same key.
 """
 
 from __future__ import annotations
@@ -120,14 +126,10 @@ class EmbeddingCache:
                     self._by_key[key] = values
                     self._item_key[item_id] = key
 
-    def __len__(self) -> int:
-        return len(self._by_key)
-
-    def get(self, key: str) -> np.ndarray | None:
-        return self._by_key.get(key)
-
-    def vectors_by_item(self) -> dict[str, np.ndarray]:
-        return {item_id: self._by_key[key] for item_id, key in self._item_key.items()}
+    def vectors(self, items: Iterable[McqItem]) -> dict[str, np.ndarray]:
+        """``{item_id: vector}`` of each of ``items`` whose ``item_embedding_key`` is cached."""
+        found = ((item.item_id, self._by_key.get(item_embedding_key(item))) for item in items)
+        return {item_id: values for item_id, values in found if values is not None}
 
     def put(self, key: str, item_id: str, values: np.ndarray) -> None:
         self._by_key[key] = values
@@ -280,7 +282,7 @@ def assign_many(vectors: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return _squared_distances(X, centroids).argmin(axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterModel:
     """Fitted centroids plus per-cluster language accuracies and experts.
     ``fit_key`` names the fit that gave ``seed`` and ``centroids`` (``_fit_key``)."""
@@ -292,19 +294,6 @@ class ClusterModel:
     expert_language: dict[int, Language]
     train_accuracy: dict[int, dict[Language, float]]
     member_counts: dict[int, int]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ClusterModel):
-            return NotImplemented
-        return (
-            self.k == other.k
-            and self.seed == other.seed
-            and self.fit_key == other.fit_key
-            and np.array_equal(self.centroids, other.centroids)
-            and self.expert_language == other.expert_language
-            and self.train_accuracy == other.train_accuracy
-            and self.member_counts == other.member_counts
-        )
 
     def to_json(self) -> str:
         payload = {
@@ -322,34 +311,25 @@ class ClusterModel:
         }
         return json.dumps(payload, ensure_ascii=False, indent=2)
 
-    @classmethod
-    def from_json(cls, text: str | bytes) -> "ClusterModel":
-        data = json.loads(text)
-        k, rows = int(data["k"]), data["centroids_f8"]
+
+def stored_fit(path: Path, k: int, dim: int) -> tuple[str, int, np.ndarray] | None:
+    """The ``(fit_key, seed, centroids)`` the model file at ``path`` stores, or None,
+    logged, if it stores no fit: a missing file at debug level; one that does not
+    parse, names no fit, or whose centroids are not ``k`` finite rows of width
+    ``dim`` as a warning. Nothing else of the file is read, since
+    ``train_lsk_best`` recomputes the rest."""
+    try:
+        data = json.loads(path.read_bytes())
+        fit_key, seed, rows = data["fit_key"], int(data["seed"]), data["centroids_f8"]
         if len(rows) != k:
             raise ClusteringError(f"{len(rows)} centroid rows, expected k = {k}")
-        return cls(
-            k=k,
-            seed=int(data["seed"]),
-            fit_key=data["fit_key"],
-            centroids=np.stack([decode_f8(row, data["dim"]) for row in rows]),
-            expert_language={int(c): Language(v) for c, v in data["expert_language"].items()},
-            train_accuracy={
-                int(c): {Language(lang): float(acc) for lang, acc in accs.items()}
-                for c, accs in data["train_accuracy"].items()
-            },
-            member_counts={int(c): int(n) for c, n in data["member_counts"].items()},
-        )
-
-
-def read_model(path: Path) -> ClusterModel | None:
-    """The model ``path`` holds, or None, logged, if it holds none: a missing file
-    at debug level, one that does not parse or is not a model as a warning."""
-    try:
-        return ClusterModel.from_json(path.read_bytes())
+        centroids = np.stack([decode_f8(row, dim) for row in rows])
+        if not np.isfinite(centroids).all():
+            raise ClusteringError("non-finite centroid")
+        return fit_key, seed, centroids
     except FileNotFoundError:
         logger.debug("%s: not written yet; fitting", path)
-    except (ClusteringError, ValueError, LookupError, TypeError, AttributeError) as exc:
+    except (ClusteringError, ValueError, LookupError, TypeError) as exc:
         logger.warning("%s: ignored (%r); fitting again", path, exc)
     return None
 
@@ -401,17 +381,17 @@ def train_lsk_best(
     seeds: Iterable[int],
     *,
     train: TrainArray | None = None,
-    stored: ClusterModel | None = None,
+    stored: tuple[str, int, np.ndarray] | None = None,
 ) -> ClusterModel:
     """Fit clusters over the training vectors and pick each cluster's expert.
 
     Of several seeds, the fit of lowest inertia wins; ties resolve to the
-    lowest seed. ``stored``, a model of an earlier run, gives its seed and
-    centroids instead when its ``fit_key`` is this fit's: the same train
-    array, k, seed set and fit code. Only the seed and centroids are reused:
-    the experts, accuracies and member counts always come from
-    ``train_matrix``. ``train``, the ``train_array`` of ``train_matrix``'s
-    items, saves stacking and normalizing the vectors again for each k.
+    lowest seed. ``stored``, the ``stored_fit`` of an earlier run, gives its
+    seed and centroids instead when its ``fit_key`` is this fit's: the same
+    train array, k, seed set and fit code. The experts, accuracies and member
+    counts always come from ``train_matrix``. ``train``, the ``train_array``
+    of ``train_matrix``'s items, saves stacking and normalizing the vectors
+    again for each k.
     """
     seed_set = sorted(set(seeds))
     if not seed_set:
@@ -422,27 +402,19 @@ def train_lsk_best(
         raise ClusteringError("the train array is not of the train matrix's items")
     _, X, unit, _ = train
     fit_key = _fit_key(train, k, seed_set)
-    if stored is not None and stored.fit_key == fit_key:
-        seed, centroids = stored.seed, stored.centroids
+    if stored is not None and stored[0] == fit_key:
+        _, seed, centroids = stored
     else:
         seed, centroids = _best_fit(X, unit, k, seed_set)
     d2 = _squared_distances(unit, centroids)
     labels = _repair_empty_clusters(d2.argmin(axis=1), d2, k)
 
     languages = train_matrix.languages
-    correct = train_matrix.correct.astype(np.int64)
     hits = np.zeros((k, len(languages)), dtype=np.int64)
-    np.add.at(hits, labels, correct)
-    sizes = np.bincount(labels, minlength=k)
-
-    expert: dict[int, Language] = {}
-    accuracy: dict[int, dict[Language, float]] = {}
-    counts: dict[int, int] = {}
-    for cluster in range(k):
-        counts[cluster] = int(sizes[cluster])
-        per_language = {lang: int(hits[cluster, j]) / counts[cluster] for j, lang in enumerate(languages)}
-        accuracy[cluster] = per_language
-        expert[cluster] = max(per_language, key=lambda lang: (per_language[lang], -canonical_index(lang)))
+    np.add.at(hits, labels, train_matrix.correct.astype(np.int64))
+    counts = dict(enumerate(np.bincount(labels, minlength=k).tolist()))
+    accuracy = {c: {lang: int(hits[c, j]) / counts[c] for j, lang in enumerate(languages)} for c in counts}
+    expert = {c: max(acc, key=lambda lang: (acc[lang], -canonical_index(lang))) for c, acc in accuracy.items()}
     return ClusterModel(
         k=k,
         seed=seed,

@@ -150,8 +150,10 @@ def embed_texts(texts: Sequence[str], endpoint: ModelEndpoint, *, backoff: float
         rows = data["data"]
         rows = sorted(rows, key=lambda r: r.get("index", 0))
         vectors = [list(map(float, r["embedding"])) for r in rows]
-    except (KeyError, TypeError, ValueError):
+    except (KeyError, TypeError, ValueError, AttributeError):  # AttributeError: an entry that is no object
         raise GatewayError("embedding response missing data[*].embedding", attempts)
     if len(vectors) != len(texts):
         raise GatewayError(f"embedding response has {len(vectors)} vectors for {len(texts)} inputs", attempts)
+    if len({len(v) for v in vectors}) > 1:
+        raise GatewayError("embedding response has vectors of different widths", attempts)
     return vectors

@@ -43,7 +43,7 @@ from .clustering import (
     assign_many,
     embed_items,
     item_embedding_key,
-    read_model,
+    stored_fit,
     train_array,
     train_lsk_best,
 )
@@ -480,7 +480,8 @@ def run_embed(config: RunConfig, *, dry_run: bool = False, backoff: float = 0.5)
     wanted = train + test
     with run_lock(config.output_dir):
         cache = EmbeddingCache(embeddings_path(config))
-        todo = [i for i in wanted if cache.get(item_embedding_key(i)) is None]
+        cached = cache.vectors(wanted)
+        todo = [i for i in wanted if i.item_id not in cached]
         summary: dict = {"stage": "embed", "cached": len(wanted) - len(todo), "planned_calls": len(todo)}
         if dry_run:
             return StageResult(EXIT_OK, summary)
@@ -628,8 +629,8 @@ def evaluate_all(
     Each optional strategy gets its state or, as a string, the reason it is
     skipped. The global-language choice and one cluster model per k are written
     to ``output_dir``; the model of the first k is the one reported. Each k's
-    model file is read before its fit, and a fit with the same ``fit_key`` is
-    reused instead of made again.
+    model file is read for its stored fit (``stored_fit``) before the fit, and a
+    fit with the same ``fit_key`` is reused instead of made again.
     """
     train_matrix = matrix.subset([i.item_id for i in train])
     test_matrix = matrix.subset([i.item_id for i in test])
@@ -661,8 +662,9 @@ def evaluate_all(
         return ev
     paths = {k: output_dir / f"cluster_model_k{k}.json" for k in ks}
     train_vectors = train_array(vectors, train_matrix.items)
+    dim = train_vectors.X.shape[1]
     models = {
-        k: train_lsk_best(vectors, train_matrix, k, seeds, train=train_vectors, stored=read_model(path))
+        k: train_lsk_best(vectors, train_matrix, k, seeds, train=train_vectors, stored=stored_fit(path, k, dim))
         for k, path in paths.items()
     }
     del train_vectors  # two copies of the train array: not held while the models are scored and encoded
@@ -712,10 +714,10 @@ def run_evaluate(
         emb_path = embeddings_path(config)
         vectors = f"no embedding cache at {emb_path}; run the embed stage"
         if emb_path.exists():
-            vectors = EmbeddingCache(emb_path).vectors_by_item()
-            uncovered = [i.item_id for i in train + test if i.item_id not in vectors]
+            vectors = EmbeddingCache(emb_path).vectors(train + test)
+            uncovered = len(train) + len(test) - len(vectors)
             if uncovered:
-                vectors = f"{len(uncovered)} split items lack embeddings; rerun the embed stage"
+                vectors = f"{uncovered} split items lack embeddings; rerun the embed stage"
 
         ev = evaluate_all(
             config.output_dir, matrix, train, test, ks, fit_seeds, country_map, llm_choices, vectors

@@ -38,14 +38,11 @@ class MissingTemplateError(KeyError):
 @dataclass(frozen=True)
 class PromptText:
     body: str
-    expected_json_keys: tuple[str, ...]
     language: Language
 
     def __post_init__(self) -> None:
         if not self.body:
             raise ValueError("prompt body is empty")
-        if not self.expected_json_keys:
-            raise ValueError("expected_json_keys is empty")
 
 
 @dataclass(frozen=True)
@@ -127,7 +124,7 @@ def build_reasoning_prompt(item: McqItem, language: Language, templates: Templat
         f'  "{FINAL_ANSWER_KEY}": "{tpl.answer_placeholder}"\n'
         f"}}"
     )
-    return PromptText(body=body, expected_json_keys=(key, FINAL_ANSWER_KEY), language=language)
+    return PromptText(body=body, language=language)
 
 
 def build_selection_prompt(item: McqItem, languages: Sequence[Language]) -> PromptText:
@@ -152,7 +149,7 @@ def build_selection_prompt(item: McqItem, languages: Sequence[Language]) -> Prom
         f' "{EXPERT_LANGUAGE_KEY}": "<the expert language from the above list>"\n'
         "}"
     )
-    return PromptText(body=body, expected_json_keys=(EXPERT_LANGUAGE_KEY,), language=item.source_language)
+    return PromptText(body=body, language=item.source_language)
 
 
 def translation_key(target: Language) -> str:
@@ -173,7 +170,7 @@ def build_translation_prompt(text: str, target: Language) -> PromptText:
         f'    "{key}": <output the translated input here>.\n'
         "}"
     )
-    return PromptText(body=body, expected_json_keys=(key,), language=target)
+    return PromptText(body=body, language=target)
 
 
 def prompt_hash(body: str, model_name: str) -> str:

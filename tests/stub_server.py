@@ -58,6 +58,7 @@ class StubServer:
         self.fail_after: int | None = None
         self.fail_when = None  # callable(chat body) -> bool
         self.raw_chat_body: dict | None = None
+        self.raw_embedding_body: dict | None = None
         self.hold_until_overlap: float | None = None
         self.lock = threading.Lock()
         self.overlap = threading.Condition(self.lock)
@@ -124,6 +125,8 @@ class StubServer:
                         200, {"choices": [{"message": {"role": "assistant", "content": content}}]}
                     )
                 if self.path.endswith("/embeddings"):
+                    if stub.raw_embedding_body is not None:
+                        return self._reply(200, stub.raw_embedding_body)
                     texts = payload["input"]
                     data = [
                         {"index": i, "embedding": hash_embedding(t, stub.embed_dim)}

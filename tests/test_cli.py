@@ -74,6 +74,16 @@ def write_pipeline_config(tmp_path, stub, languages=("en", "tr", "th"), n_items=
     return path
 
 
+def cached_vectors(config) -> dict:
+    """The vector ``evaluate`` finds for each dataset item: the cached one under its content key."""
+    items = load_dataset(config.dataset_path, DatasetId.CUSTOM)
+    return EmbeddingCache(pipeline.embeddings_path(config)).vectors(items)
+
+
+def embedding_requests(stub) -> int:
+    return sum(r["path"].endswith("/embeddings") for r in stub.requests)
+
+
 class TestTranslateStage:
     def test_writes_one_file_per_non_english_language(self, tmp_path, pipeline_stub):
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
@@ -244,7 +254,7 @@ class TestEmbedStage:
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
         assert run_embed(config, backoff=0.001).exit_code == EXIT_OK
         path = config.output_dir / "embeddings.jsonl"
-        vectors = EmbeddingCache(path).vectors_by_item()
+        vectors = cached_vectors(config)
         assert sorted(vectors) == [f"q{i}" for i in range(6)]  # every split item
         for values in vectors.values():
             assert values.shape == (8,)
@@ -258,7 +268,7 @@ class TestEmbedStage:
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
         run_embed(config, backoff=0.001)
         path = config.output_dir / "embeddings.jsonl"
-        by_item = EmbeddingCache(path).vectors_by_item()
+        by_item = cached_vectors(config)
         for item in load_dataset(config.dataset_path, DatasetId.CUSTOM):
             raw = np.array(hash_embedding(embedding_text(item)))
             assert np.array_equal(by_item[item.item_id], raw / np.linalg.norm(raw[None, :], axis=1))
@@ -286,16 +296,14 @@ class TestEmbedStage:
         result = run_embed(config, backoff=0.001)
         assert result.exit_code == EXIT_PARTIAL
         assert result.summary["embedded"] == 4
-        path = config.output_dir / "embeddings.jsonl"
-        cached = EmbeddingCache(path).vectors_by_item()
-        assert len(cached) == 4
+        assert len(cached_vectors(config)) == 4
         monkeypatch.setattr(clustering, "embed_texts", real_embed_texts)
         before = len(pipeline_stub.requests)
         rerun = run_embed(config, backoff=0.001)
         assert rerun.exit_code == EXIT_OK
         assert (rerun.summary["cached"], rerun.summary["planned_calls"]) == (4, 2)
         assert [r["payload"]["input"] for r in pipeline_stub.requests[before:]] == [calls[1]]
-        assert len(EmbeddingCache(path).vectors_by_item()) == 6
+        assert len(cached_vectors(config)) == 6
 
     def test_degenerate_embedding_fails_only_its_batch(self, tmp_path, pipeline_stub, monkeypatch):
         config = load_config(
@@ -319,10 +327,35 @@ class TestEmbedStage:
         result = run_embed(config, backoff=0.001)
         assert result.exit_code == EXIT_PARTIAL
         assert result.summary["embedded"] == 4
-        cached = EmbeddingCache(config.output_dir / "embeddings.jsonl").vectors_by_item()
+        cached = cached_vectors(config)
         assert len(cached) == 4
         failed = {i.item_id for i in load_dataset(config.dataset_path, DatasetId.CUSTOM) if embedding_text(i) in calls[1]}
         assert len(failed) == 2 and not failed & cached.keys()
+        assert len(pipeline_stub.requests) == 3  # the third batch still ran
+
+    def test_a_reply_that_is_no_embedding_fails_only_its_batch(self, tmp_path, pipeline_stub, monkeypatch):
+        config = load_config(
+            write_pipeline_config(
+                tmp_path,
+                pipeline_stub,
+                embedding_endpoint={"base_url": pipeline_stub.base_url, "model_name": "e", "max_in_flight": 1},
+            )
+        )
+        monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)
+        real_embed_texts, calls = clustering.embed_texts, []
+
+        def second_reply_malformed(texts, *args, **kwargs):
+            calls.append(texts)
+            pipeline_stub.raw_embedding_body = {"data": [[0.1, 0.2]] * len(texts)} if len(calls) == 2 else None
+            return real_embed_texts(texts, *args, **kwargs)
+
+        monkeypatch.setattr(clustering, "embed_texts", second_reply_malformed)
+        result = run_embed(config, backoff=0.001)
+        assert result.exit_code == EXIT_PARTIAL
+        assert result.summary["embedded"] == 4
+        failed = {i.item_id for i in load_dataset(config.dataset_path, DatasetId.CUSTOM) if embedding_text(i) in calls[1]}
+        assert len(failed) == 2 and failed.isdisjoint(cached_vectors(config))
+        assert len(cached_vectors(config)) == 4
         assert len(pipeline_stub.requests) == 3  # the third batch still ran
 
 
@@ -377,6 +410,37 @@ class TestEvaluateStage:
                 assert run(config, backoff=0.001).exit_code == EXIT_OK, stage
                 assert store_files() == before, stage
             assert run_evaluate(config).exit_code == EXIT_OK
+
+    def test_an_edited_item_has_no_vector_until_it_is_embedded_again(self, tmp_path, pipeline_stub):
+        config = self.run_full_pipeline(tmp_path, pipeline_stub)
+        assert "lsk_extractor" not in run_evaluate(config).summary["skipped_strategies"]
+        items = load_dataset(config.dataset_path, DatasetId.CUSTOM)
+        items[0] = replace(items[0], question="an edited question?")
+        save_dataset(items, config.dataset_path)
+
+        result = run_evaluate(config)
+        assert result.summary["skipped_strategies"]["lsk_extractor"] == (
+            "1 split items lack embeddings; rerun the embed stage"
+        )
+        before = embedding_requests(pipeline_stub)
+        assert run_embed(config, backoff=0.001).summary["planned_calls"] == 1
+        assert embedding_requests(pipeline_stub) == before + 1
+        assert "lsk_extractor" not in run_evaluate(config).summary["skipped_strategies"]
+        report = json.loads((config.output_dir / "reports" / "report.json").read_bytes())
+        assert "lsk_extractor" in report["accuracy_by_strategy"]
+
+    def test_an_added_item_with_the_text_of_a_cached_one_shares_its_vector(self, tmp_path, pipeline_stub):
+        config = self.run_full_pipeline(tmp_path, pipeline_stub)
+        items = load_dataset(config.dataset_path, DatasetId.CUSTOM)
+        save_dataset([*items, replace(items[0], item_id="q8")], config.dataset_path)
+        config = replace(config, split=replace(config.split, train_count=7))  # every item in the split
+
+        before = embedding_requests(pipeline_stub)
+        assert run_embed(config, backoff=0.001).summary["planned_calls"] == 0
+        assert embedding_requests(pipeline_stub) == before
+        assert "lsk_extractor" not in run_evaluate(config).summary["skipped_strategies"]
+        vectors = cached_vectors(config)
+        assert vectors["q8"] is vectors["q0"]
 
     def test_skips_are_named(self, tmp_path, pipeline_stub):
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub, languages=("en",)))

@@ -25,6 +25,7 @@ from langselect.clustering import (
     inertia,
     item_embedding_key,
     kmeans_fit,
+    stored_fit,
     train_lsk_best,
 )
 from langselect.gateway import GatewayError, ModelEndpoint
@@ -342,31 +343,49 @@ class TestTrainLsk:
 
         _, matrix = random_matrix(_random.Random(55), 30, [EN, ES])
         vectors = vectors_for(matrix, seed=5)
-        assert train_lsk_best(vectors, matrix, 3, [2]) == train_lsk_best(vectors, matrix, 3, [2])
+        assert train_lsk_best(vectors, matrix, 3, [2]).to_json() == train_lsk_best(vectors, matrix, 3, [2]).to_json()
 
-    def test_json_round_trip_bit_exact(self):
+    def test_the_stored_fit_reads_back_bit_exact(self, tmp_path):
         import random as _random
 
         _, matrix = random_matrix(_random.Random(56), 20, [EN, ES, HI])
         model = train_lsk_best(vectors_for(matrix, seed=6), matrix, 3, [4])
-        restored = ClusterModel.from_json(model.to_json())
-        assert restored == model
-        assert restored.centroids.tobytes() == model.centroids.tobytes()
+        path = tmp_path / "cluster_model_k3.json"
+        path.write_text(model.to_json(), encoding="utf-8")
+        fit_key, seed, centroids = stored_fit(path, 3, model.centroids.shape[1])
+        assert (fit_key, seed) == (model.fit_key, 4)
+        assert centroids.tobytes() == model.centroids.tobytes()
         # Bit for bit what the earlier text format, a JSON list of floats, read back.
         as_text = json.dumps([[float(v) for v in row] for row in model.centroids], indent=2)
-        assert restored.centroids.tobytes() == np.asarray(json.loads(as_text), dtype=np.float64).tobytes()
+        assert centroids.tobytes() == np.asarray(json.loads(as_text), dtype=np.float64).tobytes()
         assert set(json.loads(model.to_json())) == {
             "k", "seed", "fit_key", "dim", "centroids_f8", "expert_language", "train_accuracy", "member_counts"
         }
 
-    def test_a_file_whose_centroid_rows_are_not_k_is_refused(self):
+    @pytest.mark.parametrize(
+        "centroids, error",
+        [
+            pytest.param(lambda c: c[:-1], "2 centroid rows, expected k = 3", id="fewer-rows"),
+            pytest.param(lambda c: np.vstack([c, c]), "6 centroid rows, expected k = 3", id="more-rows"),
+            pytest.param(lambda c: c[:0], "0 centroid rows, expected k = 3", id="no-rows"),
+            pytest.param(lambda c: c[:, :-1], "bytes decoded, expected", id="narrower-rows"),
+            pytest.param(lambda c: np.where(c == c[1, 2], np.nan, c), "non-finite centroid", id="nan"),
+            pytest.param(lambda c: np.where(c == c[0, 0], np.inf, c), "non-finite centroid", id="inf"),
+        ],
+    )
+    def test_a_fit_whose_centroids_are_not_k_finite_rows_of_the_width_is_refused(
+        self, tmp_path, caplog, centroids, error
+    ):
         import random as _random
 
         _, matrix = random_matrix(_random.Random(56), 20, [EN, ES, HI])
-        payload = json.loads(train_lsk_best(vectors_for(matrix, seed=6), matrix, 3, [4]).to_json())
-        for rows in (payload["centroids_f8"][:-1], payload["centroids_f8"] * 2, []):
-            with pytest.raises(ClusteringError, match=f"{len(rows)} centroid rows, expected k = 3"):
-                ClusterModel.from_json(json.dumps({**payload, "centroids_f8": rows}))
+        model = train_lsk_best(vectors_for(matrix, seed=6), matrix, 3, [4])
+        path = tmp_path / "cluster_model_k3.json"
+        rows = [encode_f8(row) for row in centroids(model.centroids)]
+        path.write_text(json.dumps({**json.loads(model.to_json()), "centroids_f8": rows}), encoding="utf-8")
+        assert stored_fit(path, 3, model.centroids.shape[1]) is None
+        [record] = caplog.records
+        assert record.levelname == "WARNING" and error in record.getMessage()
 
     def test_best_of_seeds_prefers_lower_inertia(self):
         import random as _random
@@ -429,14 +448,14 @@ class TestTrainLsk:
         _, matrix = random_matrix(_random.Random(59), 40, [EN, ES])
         vectors = vectors_for(matrix, seed=9)
         fitted = train_lsk_best(vectors, matrix, 3, [0, 1])
-        planted = dataclasses.replace(fitted, seed=7, centroids=fitted.centroids[::-1].copy())
+        planted = fitted.centroids[::-1].copy()
         monkeypatch.setattr(clustering, "_best_fit", lambda *args: pytest.fail("refit under the same key"))
-        reused = train_lsk_best(vectors, matrix, 3, [0, 1], stored=planted)
-        assert reused.seed == 7 and reused.centroids.tobytes() == planted.centroids.tobytes()
+        reused = train_lsk_best(vectors, matrix, 3, [0, 1], stored=(fitted.fit_key, 7, planted))
+        assert reused.seed == 7 and reused.centroids.tobytes() == planted.tobytes()
         assert reused.fit_key == fitted.fit_key
         monkeypatch.undo()
-        for other in (dataclasses.replace(planted, fit_key=""), train_lsk_best(vectors, matrix, 3, [0, 2])):
-            assert train_lsk_best(vectors, matrix, 3, [0, 1], stored=other) == fitted
+        for other_key in ("", train_lsk_best(vectors, matrix, 3, [0, 2]).fit_key):
+            assert train_lsk_best(vectors, matrix, 3, [0, 1], stored=(other_key, 7, planted)).to_json() == fitted.to_json()
 
     def test_best_of_seeds_peaks_near_two_copies_of_the_train_array(self):
         # The train array and its unit rows, plus O(n*k) and one cluster's
@@ -591,14 +610,16 @@ class TestEmbeddingCacheFile:
         vectors = {f"q{i}": unit_rows(rng.normal(size=(1, 16)))[0] for i in range(5)}
         vectors["q0"][:3] = (-0.0, 5e-324, 1e308)
         path = tmp_path / "emb.jsonl"
-        path.write_text("".join(legacy_line(i, f"key-{i}", v) for i, v in vectors.items()), encoding="utf-8")
+        items = [make_item(item_id) for item_id in vectors]
+        lines = (legacy_line(i.item_id, item_embedding_key(i), vectors[i.item_id]) for i in items)
+        path.write_text("".join(lines), encoding="utf-8")
 
-        legacy = EmbeddingCache(path).vectors_by_item()
+        legacy = EmbeddingCache(path).vectors(items)
         assert {i: v.tobytes() for i, v in legacy.items()} == {i: v.tobytes() for i, v in vectors.items()}
         EmbeddingCache(path).save()
         entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
         assert [set(e) for e in entries] == [{"item_id", "key", "dim", "f8"}] * 5
-        rewritten = EmbeddingCache(path).vectors_by_item()
+        rewritten = EmbeddingCache(path).vectors(items)
         assert {i: v.tobytes() for i, v in rewritten.items()} == {i: v.tobytes() for i, v in vectors.items()}
 
     @pytest.mark.parametrize(
@@ -626,8 +647,9 @@ class TestEmbeddingCacheFile:
         n, d = 500, 3072
         path = tmp_path / "emb.jsonl"
         cache = EmbeddingCache(path)
-        for i, v in enumerate(np.random.default_rng(14).normal(size=(n, d))):
-            cache.put(f"key-{i}", f"q{i}", v)
+        items = [make_item(f"q{i}") for i in range(n)]
+        for item, v in zip(items, np.random.default_rng(14).normal(size=(n, d))):
+            cache.put(item_embedding_key(item), item.item_id, v)
         cache.save()
         del cache
         tracemalloc.start()
@@ -636,7 +658,7 @@ class TestEmbeddingCacheFile:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(loaded) == n
+        assert len(loaded.vectors(items)) == n
         assert peak < 2 * n * d * 8, (peak, n * d * 8)
 
 

@@ -138,6 +138,26 @@ class TestEmbeddings:
         assert stub.requests[0]["path"].endswith("/embeddings")
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        pytest.param({"data": [[0.1, 0.2]]}, id="entry-a-list"),
+        pytest.param({"data": {"a": 1}}, id="data-an-object"),
+        pytest.param({"data": [{"embedding": [1.0]}, 5]}, id="entry-a-number"),
+    ],
+)
+def test_embedding_entries_that_are_no_objects_are_a_gateway_error(stub, body):
+    stub.raw_embedding_body = body
+    with pytest.raises(GatewayError, match=r"data\[\*\]\.embedding"):
+        embed_texts(["x", "y"], endpoint_for(stub), backoff=0.001)
+
+
+def test_embeddings_of_different_widths_are_a_gateway_error(stub):
+    stub.raw_embedding_body = {"data": [{"index": 0, "embedding": [1.0]}, {"index": 1, "embedding": [1.0, 2.0]}]}
+    with pytest.raises(GatewayError, match="different widths"):
+        embed_texts(["x", "y"], endpoint_for(stub), backoff=0.001)
+
+
 def test_chat_response_missing_choices_is_gateway_error(stub):
     stub.raw_chat_body = {"unexpected": "shape"}
     with pytest.raises(GatewayError, match="choices"):

@@ -519,7 +519,7 @@ def stored_fits(config) -> dict:
 def fit_key(config, k, fit_version):
     """The key of ``config``'s fit at k, as the fit code of ``fit_version`` names it."""
     train, _ = split(pipeline.load_items(config), config.split)
-    vectors = EmbeddingCache(pipeline.embeddings_path(config)).vectors_by_item()
+    vectors = EmbeddingCache(pipeline.embeddings_path(config)).vectors(train)
     array = clustering.train_array(vectors, [item.item_id for item in train])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(clustering, "FIT_VERSION", fit_version)
@@ -635,19 +635,27 @@ def damage(config, path, how):
             del model["fit_key"]
         elif how == "other-fit-version":
             model["fit_key"] = fit_key(config, model["k"], clustering.FIT_VERSION + 1)
-        else:  # wrong-row-count
+        elif how == "wrong-row-count":
             model["centroids_f8"].pop()
+        elif how == "wrong-width":  # with the fit's key intact, and a dim that matches the rows
+            model["dim"] //= 2
+            model["centroids_f8"] = [clustering.encode_f8(np.ones(model["dim"])) for _ in range(model["k"])]
+        else:  # non-finite, with the fit's key intact
+            model["centroids_f8"][0] = clustering.encode_f8(np.full(model["dim"], np.nan))
         path.write_text(json.dumps(model, indent=2), encoding="ascii")
 
 
-# How a damaged model file is logged: a missing one at debug level, one that is no
-# model of this version as a warning; one of another fit's key is the usual change of input.
+# How a damaged model file is logged: a missing one at debug level, one that
+# stores no fit of this version as a warning; one of another fit's key is the
+# usual change of input.
 LOGGED = {
     "missing": [logging.DEBUG],
     "truncated": [logging.WARNING],
     "no-key": [logging.WARNING],
     "other-fit-version": [],
     "wrong-row-count": [logging.WARNING],
+    "wrong-width": [logging.WARNING],
+    "non-finite": [logging.WARNING],
 }
 
 
@@ -671,6 +679,28 @@ def test_a_model_file_without_this_fit_is_refit_to_a_cold_runs_bytes(
     assert detection_calls["detect_language"] == 0
     assert sorted(fit_calls) == [(3, 0), (3, 1)]
     assert [r.levelno for r in caplog.records if r.getMessage().startswith(f"{path}: ")] == LOGGED[how]
+    assert outputs(config) == expected
+
+
+def test_a_bad_derived_field_under_an_intact_fit_is_recomputed_without_a_refit(tmp_path, fit_calls, caplog):
+    # Only the fit key, seed and centroids of a model file are read: the experts,
+    # accuracies and member counts are recomputed on every run, whatever the file holds.
+    caplog.set_level(logging.DEBUG, logger="langselect.clustering")
+    config = fit_run(tmp_path)
+    pipeline.run_evaluate(config)
+    expected = outputs(config)
+    path = model_path(config, 3)
+    model = json.loads(path.read_bytes())
+    model["expert_language"]["0"] = "xx"
+    model["train_accuracy"] = "not read"
+    del model["member_counts"]
+    path.write_text(json.dumps(model, indent=2), encoding="ascii")
+
+    fit_calls.clear()
+    caplog.clear()
+    pipeline.run_evaluate(config)
+    assert fit_calls == []
+    assert caplog.records == []
     assert outputs(config) == expected
 
 

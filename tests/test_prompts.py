@@ -50,13 +50,11 @@ class TestReasoningPrompt:
     def test_english_template_exact(self, dress_code_item):
         prompt = build_reasoning_prompt(dress_code_item, Language.ENGLISH, TEMPLATES)
         assert prompt.body == EXPECTED_EN_BODY
-        assert prompt.expected_json_keys == ("reasoning_in_English", "final_answer")
         assert prompt.language is Language.ENGLISH
 
     def test_turkish_template_exact(self, dress_code_item):
         prompt = build_reasoning_prompt(dress_code_item, Language.TURKISH, TEMPLATES)
         assert prompt.body == EXPECTED_TR_BODY
-        assert prompt.expected_json_keys == ("reasoning_in_Turkish", "final_answer")
 
     def test_templates_exist_for_all_sixteen_languages(self, dress_code_item):
         for lang in Language:
@@ -107,7 +105,6 @@ class TestSelectionPrompt:
         prompt = build_selection_prompt(dress_code_item, list(Language))
         for lang in Language:
             assert lang.english_name in prompt.body
-        assert prompt.expected_json_keys == ("expert_language",)
         assert "best expert language" in prompt.body
         assert dress_code_item.question in prompt.body
 
@@ -124,13 +121,12 @@ class TestSelectionPrompt:
 class TestTranslationPrompt:
     def test_turkish_key(self):
         prompt = build_translation_prompt("What is the capital of France?", Language.TURKISH)
-        assert prompt.expected_json_keys == ("Turkish_translation",)
         assert 'into Turkish: "What is the capital of France?"' in prompt.body
         assert '"Turkish_translation"' in prompt.body
 
     def test_english_target_still_builds(self):
         prompt = build_translation_prompt("x", Language.ENGLISH)
-        assert prompt.expected_json_keys == ("English_translation",)
+        assert '"English_translation"' in prompt.body
 
     def test_empty_text_rejected(self):
         with pytest.raises(ValueError):
@@ -138,11 +134,9 @@ class TestTranslationPrompt:
 
 
 class TestPromptText:
-    def test_rejects_empty_body_or_keys(self):
+    def test_rejects_empty_body(self):
         with pytest.raises(ValueError):
-            PromptText(body="", expected_json_keys=("k",), language=Language.ENGLISH)
-        with pytest.raises(ValueError):
-            PromptText(body="x", expected_json_keys=(), language=Language.ENGLISH)
+            PromptText(body="", language=Language.ENGLISH)
 
 
 class TestPromptHash:
