@@ -150,11 +150,13 @@ def item_embedding_key(item: McqItem) -> str:
 
 def embed_items(items: Sequence[McqItem], endpoint: ModelEndpoint, *, backoff: float = 0.5) -> np.ndarray:
     """One batch: a unit vector per item, as the rows of an array in item order."""
-    vectors = embed_texts([embedding_text(i) for i in items], endpoint, backoff=backoff)
+    vectors = np.asarray(embed_texts([embedding_text(i) for i in items], endpoint, backoff=backoff), dtype=np.float64)
+    # A malformed reply fails this batch only, like any other bad reply. A NaN or inf passes the zero-norm check.
+    if not np.isfinite(vectors).all():
+        raise GatewayError("degenerate embedding from endpoint: non-finite vector")
     try:
-        return _normalize_rows(np.asarray(vectors, dtype=np.float64), "vector from endpoint")
+        return _normalize_rows(vectors, "vector from endpoint")
     except ClusteringError:
-        # A malformed reply: it fails this batch only, like any other bad reply.
         raise GatewayError("degenerate embedding from endpoint: zero-norm vector") from None
 
 
@@ -350,6 +352,9 @@ def train_array(vectors: Mapping[str, np.ndarray], items: Sequence[str]) -> Trai
     missing = [i for i in items if i not in vectors]
     if missing:
         raise ClusteringError(f"train items without embeddings: {missing[:5]}")
+    width = len(vectors[items[0]]) if items else 0
+    if (odd := next((i for i in items if len(vectors[i]) != width), None)) is not None:
+        raise ClusteringError(f"train item {odd}: embedding width {len(vectors[odd])}, not {width} as {items[0]}")
     X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in items])
     digest = hashlib.sha256(json.dumps(list(X.shape)).encode("ascii"))
     digest.update(np.ascontiguousarray(X, dtype=_F8))

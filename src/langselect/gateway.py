@@ -5,7 +5,8 @@ Wire format is the common one: POST ``{base_url}/chat/completions`` with
 with ``{model, input}``. Transient failures (connection errors, 429, 5xx) are
 retried with exponential backoff up to ``max_retries``, waiting at least as
 long as a ``Retry-After`` header of whole seconds asks; auth and other client
-errors surface immediately.
+errors surface immediately. ``requests`` is imported at the first call, so the
+offline commands (``simulate``, ``evaluate``, ``report``) never load it.
 """
 
 from __future__ import annotations
@@ -13,11 +14,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from typing import Sequence
-
-import requests
+from typing import TYPE_CHECKING, Sequence
 
 from .prompts import PromptText
+
+if TYPE_CHECKING:
+    import requests
 
 _RETRYABLE_STATUS = frozenset({408, 429})
 
@@ -87,6 +89,8 @@ def _retry_after_s(response: requests.Response) -> int:
 
 def _post_json(url: str, payload: dict, endpoint: ModelEndpoint, backoff: float) -> tuple[dict, int]:
     """POST with retry policy; returns (parsed body, attempts used)."""
+    import requests  # here, not at the top: see the module docstring
+
     headers = endpoint.headers()
     attempts = 0
     last_error = "no attempt made"

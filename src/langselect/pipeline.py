@@ -58,7 +58,6 @@ from .prompts import (
     TemplateSet,
     build_reasoning_prompt,
     build_selection_prompt,
-    prompt_hash,
 )
 from .report import FORMATS, build_report, emit
 from .selectors import (
@@ -762,22 +761,29 @@ def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
         )
     elif manifest.get("synthetic_spec") != spec_payload:
         raise ConfigError(f"{data_dir} holds the run of another synthetic spec; use a new output directory")
-    # Each line's JSON literals, quoted once per item, language and label.
-    codes = [(lang._value_, json_string(lang._value_)) for lang in data.matrix.languages]
+    # Each line is record_line's, put together from pieces quoted and encoded
+    # once per item, language and label around the cell's prompt hash.
     model, ok, created_at = map(json_string, (SYNTHETIC_MODEL_NAME, RecordStatus.OK.value, "1970-01-01T00:00:00+00:00"))
+    line = record_line("\0", "\0", model, '"\0"', "\0", "\0", ok, "1", created_at) + "\n"
+    begin, after_id, after_code, after_hash, after_raw, end = line.split("\0")
+    codes = [(lang._value_, (json_string(lang._value_) + after_code).encode()) for lang in data.matrix.languages]
     raws = {label: json.dumps({"final_answer": chr(label)}) for label in set(data.matrix.cells)}  # all cells are ok
-    by_label = {label: (json_string(raw), json_string(chr(label)), output_digest(raw)) for label, raw in raws.items()}
+    by_label = {
+        label: ((after_hash + json_string(raw) + after_raw + json_string(chr(label)) + end).encode(), output_digest(raw))
+        for label, raw in raws.items()
+    }
 
     def entries():
         width = len(codes)
         for row, item in enumerate(data.items):
             item_id = item.item_id
-            quoted_id = json_string(item_id)
-            for (code, quoted_code), label in zip(codes, data.matrix.cells[row * width : (row + 1) * width]):
-                phash = prompt_hash(f"synthetic:{item_id}:{code}", SYNTHETIC_MODEL_NAME)
-                raw, quoted_label, digest = by_label[label]
-                line = record_line(quoted_id, quoted_code, model, f'"{phash}"', raw, quoted_label, ok, "1", created_at)
-                yield (item_id, code, SYNTHETIC_MODEL_NAME, phash), (line + "\n").encode(), STATUS_OK, label, digest
+            start = (begin + json_string(item_id) + after_id).encode()
+            hashed = f"{SYNTHETIC_MODEL_NAME}\nsynthetic:{item_id}:"  # prompt_hash's input, less the language code
+            for (code, middle), label in zip(codes, data.matrix.cells[row * width : (row + 1) * width]):
+                phash = sha256((hashed + code).encode()).hexdigest()  # prompt_hash(f"synthetic:{item_id}:{code}", ...)
+                tail, digest = by_label[label]
+                key = (item_id, code, SYNTHETIC_MODEL_NAME, phash)
+                yield key, start + middle + phash.encode() + tail, STATUS_OK, label, digest
 
     store.append(entries())
     store.flush()

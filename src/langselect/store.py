@@ -19,6 +19,7 @@ import json
 import logging
 import os
 import string
+import struct
 import threading
 from array import array
 from base64 import b64decode, b64encode
@@ -26,7 +27,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from hashlib import sha256
-from itertools import chain, islice
+from itertools import chain, count
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -59,12 +61,16 @@ MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "records.index.json"
 INDEX_VERSION = 3  # bump with any change of what the index holds or of what a line indexes to
 DIGEST_SIZE = 32  # bytes of a row's output digest in RunStore.digests
+HASH_SIZE = 32  # bytes of a prompt hash of 64 lowercase hex characters in a row's compact key
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
 # A JSON string literal with only '"', '\' and control characters escaped: the
 # C-accelerated function json.JSONEncoder(ensure_ascii=False) quotes with.
 json_string = json.encoder.encode_basestring
 _LANGUAGE_BY_CODE = {lang._value_: lang for lang in Language}
 _STATUS_BY_CODE = {status._value_: status for status in RecordStatus}
+_LANGUAGE_BYTE = {code: byte for byte, code in enumerate(_LANGUAGE_BY_CODE)}  # a key's language byte
+# A row's key codes in RunStore.codes, and packed as its compact key starts.
+KEY_CODES, _CODES = np.dtype([("item", "<u4"), ("model", "<u2"), ("language", "u1")]), struct.Struct("<IHB")
 LABELS = string.ascii_uppercase  # an ok record's label is one of these: one byte of the matrix grid
 _LABEL_SET = frozenset(LABELS)
 _LABEL_BYTES = b"\0" + LABELS.encode("ascii")  # the label column's bytes
@@ -202,9 +208,9 @@ class ResponseMatrix:
     cells: bytes
     gold: dict[str, str]
     warnings: tuple[str, ...] = ()
-    # The store row of the record each cell holds, row-major, -1 for none;
+    # The store row of the record each cell holds, row-major, -1 for none (int64);
     # set by ``build_matrix`` (``decisive_rows``), None on any other matrix.
-    rows: Sequence[int] | None = field(default=None, compare=False, repr=False)
+    rows: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -237,8 +243,13 @@ class ResponseMatrix:
 class RunStore:
     """Append-only JSONL store with first-write-wins idempotence per key.
 
-    The store holds an index of its records, not the records: ``key -> row``
-    and five columns by row, in write order. ``statuses[row]`` indexes
+    The store holds an index of its records, not the records: a compact key
+    per row (``keys()`` gives the keys back) and six columns by row, in write
+    order. ``codes[row]`` is the row's ``KEY_CODES``: its item id's and model
+    name's positions in the store's tables of distinct ones, and its language's
+    in ``tuple(Language)``. The compact key is those codes, then the prompt hash
+    as its 32 bytes, or, unless it is 64 lowercase hex characters, as 33 zero
+    bytes and its UTF-8. ``statuses[row]`` indexes
     ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label),
     ``digests[DIGEST_SIZE * row:][:DIGEST_SIZE]`` is the ``output_digest`` of
     the ``raw_output``, ``offsets[row]`` is where the row's line starts in
@@ -262,7 +273,9 @@ class RunStore:
         self.manifest_path = self.directory / MANIFEST_NAME
         self.index_path = self.directory / INDEX_NAME
         self._lock = threading.Lock()
-        self._rows: dict[tuple[str, str, str, str], int] = {}
+        self._rows: dict[bytes, int] = {}  # compact key -> row
+        self._item_ids, self._models = {}, {}  # the tables: item id or model name -> its code
+        self.codes = bytearray()
         self.statuses = bytearray()
         self.labels = bytearray()
         self.digests = bytearray()
@@ -330,7 +343,9 @@ class RunStore:
                 raise ValueError(f"it covers {length} bytes of a file of {size}")
             keys = index["keys"]
             n = len(keys)
-            rows = dict(zip(map(tuple, keys), range(n)))
+            if set(map(len, keys)) - {4} or set(map(type, chain.from_iterable(keys))) - {str}:
+                raise ValueError("its keys are not 4 strings each")
+            rows = self._code_keys(keys)
             statuses, labels = b64decode(index["statuses"]), b64decode(index["labels"])
             digests, offsets = b64decode(index["digests"]), array("q", index["offsets"])
             verdicts, detector = b64decode(index["verdicts"]), index["detector"]
@@ -338,8 +353,6 @@ class RunStore:
             if (
                 {len(rows), len(statuses), len(labels), len(offsets), len(verdicts)} != {n}
                 or len(digests) != n * DIGEST_SIZE
-                or set(map(len, keys)) - {4}
-                or set(map(type, chain.from_iterable(keys))) - {str}
                 or max(statuses, default=0) >= len(STATUSES)
                 or labels.translate(None, _LABEL_BYTES)
                 or max(verdicts, default=0) >= 2 + len(detector["languages"])
@@ -357,6 +370,7 @@ class RunStore:
             return sha256(), 0
         except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
             logger.warning("%s: ignored (%r); parsing all of %s", self.index_path, exc, self.records_path)
+            self._item_ids, self._models, self.codes = {}, {}, bytearray()  # what _code_keys coded
             return sha256(), 0
         self._rows, self.offsets, self.conflicts = rows, offsets, conflicts
         self.statuses, self.labels, self.digests = bytearray(statuses), bytearray(labels), bytearray(digests)
@@ -364,6 +378,26 @@ class RunStore:
         fresh = detector == _DETECTOR
         self.verdicts, self._index_verdicts = (bytearray(verdicts), verdicts) if fresh else (bytearray(n), None)
         return digest, lines
+
+    def _code_keys(self, keys: list[list[str]]) -> dict[bytes, int]:
+        """Code the index's ``keys`` into the tables and ``codes``, and into the compact
+        key -> row map, a column at a time; KeyError for a language that is no Language code."""
+        item_ids, languages, models, hashes = (list(map(itemgetter(field), keys)) for field in range(4))
+        self._item_ids, self._models = (dict(zip(dict.fromkeys(column), count())) for column in (item_ids, models))
+        columns = np.empty(len(keys), dtype=[("codes", KEY_CODES), ("hash", f"V{HASH_SIZE}")])
+        codes = columns["codes"]
+        codes["item"] = list(map(self._item_ids.__getitem__, item_ids))
+        codes["model"] = list(map(self._models.__getitem__, models))
+        codes["language"] = list(map(_LANGUAGE_BYTE.__getitem__, languages))
+        self.codes, joined = bytearray(codes.tobytes()), "".join(hashes)
+        try:
+            raw = bytes.fromhex(joined)
+        except ValueError:
+            raw = b""
+        if set(map(len, hashes)) - {2 * HASH_SIZE} or raw.hex() != joined:  # an odd hash: one key at a time
+            return dict(zip(map(self._compact, keys), count()))
+        columns["hash"] = np.frombuffer(raw, dtype=f"V{HASH_SIZE}")
+        return dict(zip(columns.view(f"V{columns.itemsize}").tolist(), count()))
 
     def save_index(self) -> None:
         """Write ``records.index.json``: the columns of the file as the open left
@@ -379,7 +413,7 @@ class RunStore:
             "lines": lines,
             "sha256": digest,
             "conflicts": conflicts,
-            "keys": list(islice(self._rows, n)),
+            "keys": self.keys()[:n],
             "statuses": b64encode(self.statuses[:n]).decode("ascii"),
             "labels": b64encode(self.labels[:n]).decode("ascii"),
             "digests": b64encode(self.digests[: n * DIGEST_SIZE]).decode("ascii"),
@@ -389,16 +423,45 @@ class RunStore:
         }
         write_atomic(self.index_path, json.dumps(index, separators=(",", ":")).encode("ascii"))
 
+    def _compact(self, key: tuple[str, str, str, str]) -> bytes:
+        """``key``'s compact key, coding its strings into the tables; ValueError
+        for a language that is no ``Language`` code."""
+        item_id, language, model, prompt_hash = key
+        if (byte := _LANGUAGE_BYTE.get(language)) is None:
+            raise ValueError(f"{key}: language {language!r} is no Language code")
+        items, models = self._item_ids, self._models
+        codes = _CODES.pack(items.setdefault(item_id, len(items)), models.setdefault(model, len(models)), byte)
+        try:
+            raw = bytes.fromhex(prompt_hash)
+        except ValueError:
+            raw = b""
+        if len(raw) == HASH_SIZE and raw.hex() == prompt_hash:
+            return codes + raw
+        return codes + bytes(HASH_SIZE + 1) + prompt_hash.encode("utf-8", "surrogatepass")
+
+    def keys(self) -> list[tuple[str, str, str, str]]:
+        """Each row's key, ``InferenceRecord.key``, in row order."""
+        items, languages, models = list(self._item_ids), list(_LANGUAGE_BYTE), list(self._models)
+        keys = []
+        for compact in self._rows:
+            item, model, language = _CODES.unpack_from(compact)
+            part = compact[_CODES.size :]
+            text = part.hex() if len(part) == HASH_SIZE else part[HASH_SIZE + 1 :].decode("utf-8", "surrogatepass")
+            keys.append((items[item], languages[language], models[model], text))
+        return keys
+
     def _index(self, key, digest: bytes, label, status: int, offset: int) -> None:
         """Give ``key`` the next row, its line at byte ``offset``, unless it has one; a differing one is a conflict."""
         byte = ord(label) if label else 0
-        row = self._rows.get(key)
+        compact = self._compact(key)
+        row = self._rows.get(compact)
         if row is not None:
             at = row * DIGEST_SIZE
             if (self.digests[at : at + DIGEST_SIZE], self.statuses[row], self.labels[row]) != (digest, status, byte):
                 self.conflicts += 1
             return
-        self._rows[key] = len(self.statuses)
+        self._rows[compact] = len(self.statuses)
+        self.codes += compact[: _CODES.size]
         self.statuses.append(status)
         self.labels.append(byte)
         self.digests += digest
@@ -408,17 +471,21 @@ class RunStore:
         """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
         with its line's bytes ending in a newline, and return how many lines were
         written. An entry whose key is stored (earlier in the batch too) is dropped,
-        a conflict if it differs; a status byte not in ``STATUSES``, a label byte
-        not 0 or A-Z, or an ok one of 0 is refused with ValueError. A row is indexed
-        once its line is in the file's 64 KiB buffer. One flush at the end, also when
-        ``entries`` raises; an fsync once ``FSYNC_EVERY`` lines are unsynced."""
+        a conflict if it differs; a language that is no ``Language`` code, a status
+        byte not in ``STATUSES``, a label byte not 0 or A-Z, or an ok one of 0 is
+        refused with ValueError. A row is indexed once its line is in the file's
+        64 KiB buffer. One flush at the end, also when ``entries`` raises; an fsync
+        once ``FSYNC_EVERY`` lines are unsynced."""
         with self._lock:
             rows, statuses, labels, digests, offsets = self._rows, self.statuses, self.labels, self.digests, self.offsets
+            compact_of, codes, width = self._compact, self.codes, _CODES.size
+            add_status, add_label, add_offset = statuses.append, labels.append, offsets.append
             first, fh = len(statuses), self._fh
             offset = fh.tell() if fh is not None else None  # where the next line lands, once the file is open
             try:
                 for key, line, status, label, digest in entries:
-                    row = rows.get(key)
+                    compact = compact_of(key)
+                    row = rows.get(compact)
                     if row is not None:
                         at = row * DIGEST_SIZE
                         if digests[at : at + DIGEST_SIZE] != digest or statuses[row] != status or labels[row] != label:
@@ -430,11 +497,12 @@ class RunStore:
                         fh = self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
                         offset = fh.tell()
                     fh.write(line)
-                    rows[key] = len(statuses)
-                    statuses.append(status)
-                    labels.append(label)
+                    rows[compact] = len(statuses)
+                    codes += compact[:width]
+                    add_status(status)
+                    add_label(label)
                     digests += digest
-                    offsets.append(offset)
+                    add_offset(offset)
                     offset += len(line)
             finally:
                 written = len(statuses) - first
@@ -536,10 +604,9 @@ def build_matrix(
         raise StoreError("dataset has duplicate item ids")
 
     rows, unknown_items = decisive_rows(store, model_name, items, langs)
-    labels, statuses = store.labels, store.statuses
-    cells = bytes(
-        MISSING if row < 0 else labels[row] if statuses[row] == STATUS_OK else INVALID for row in rows
-    )
+    found, grid = rows[rows >= 0], np.full(len(rows), MISSING, dtype=np.uint8)
+    ok = np.frombuffer(store.statuses, dtype=np.uint8)[found] == STATUS_OK
+    grid[rows >= 0] = np.where(ok, np.frombuffer(store.labels, dtype=np.uint8)[found], INVALID)
 
     warnings = tuple(f"store record for unknown item {item_id}" for item_id in unknown_items)
     if unknown_items:
@@ -551,7 +618,7 @@ def build_matrix(
         model_name=model_name,
         languages=langs,
         items=items,
-        cells=cells,
+        cells=grid.tobytes(),
         gold=gold,
         warnings=warnings,
         rows=rows,
@@ -560,33 +627,36 @@ def build_matrix(
 
 def decisive_rows(
     store: RunStore, model_name: str, items: Sequence[str], languages: Sequence[Language]
-) -> tuple[list[int], dict[str, None]]:
+) -> tuple[np.ndarray, dict[str, None]]:
     """The store row of the record each (item, language) cell holds, row-major
-    over ``items`` x ``languages``: the first-written ok record of ``model_name``,
-    else its first invalid_output record, else -1. Also the ids, in first-seen
-    order, of the model's records in ``languages`` whose item is not in ``items``."""
-    row_of = {item_id: at for at, item_id in enumerate(items)}
-    col_of = {lang._value_: col for col, lang in enumerate(languages)}
-    width = len(col_of)
-    rows = [-1] * (len(items) * width)
-    statuses = store.statuses
-    unknown_items: dict[str, None] = {}  # insertion-ordered: first-seen order
-    for (item_id, code, model, _), row in store._rows.items():
-        col = col_of.get(code)
-        if model != model_name or col is None:
-            continue
-        at = row_of.get(item_id)
-        if at is None:
-            unknown_items[item_id] = None
-            continue
-        at = at * width + col
-        status = statuses[row]
-        if status == STATUS_OK:
-            if rows[at] < 0 or statuses[rows[at]] != STATUS_OK:
-                rows[at] = row
-        elif status == STATUS_INVALID and rows[at] < 0:
-            rows[at] = row
-    return rows, unknown_items
+    over ``items`` x ``languages`` as int64: the first-written ok record of
+    ``model_name``, else its first invalid_output record, else -1. Also the ids,
+    in first-seen order, of the model's records in ``languages`` whose item is
+    not in ``items``."""
+    width = len(languages)
+    rows = np.full(len(items) * width, -1, dtype=np.int64)
+    model = store._models.get(model_name)
+    if model is None:
+        return rows, {}
+    col_of = np.full(len(_LANGUAGE_BYTE), -1, dtype=np.int64)
+    col_of[[_LANGUAGE_BYTE[lang._value_] for lang in languages]] = np.arange(width)
+    at_of = np.full(len(store._item_ids), -1, dtype=np.int64)  # an item code's position in ``items``
+    for at, item_id in enumerate(items):
+        if (code := store._item_ids.get(item_id)) is not None:
+            at_of[code] = at
+    codes = np.frombuffer(store.codes, dtype=KEY_CODES)
+    ours = np.flatnonzero((codes["model"] == model) & (col_of[codes["language"]] >= 0))  # in write order
+    at = at_of[codes["item"][ours]]
+    unknown = codes["item"][ours[at < 0]]
+    first_seen = unknown[np.sort(np.unique(unknown, return_index=True)[1])].tolist()
+    ours, at = ours[at >= 0], at[at >= 0]
+    cells = at * width + col_of[codes["language"][ours]]
+    statuses = np.frombuffer(store.statuses, dtype=np.uint8)[ours]
+    for status in (STATUS_INVALID, STATUS_OK):  # the first ok record overrides the first invalid one
+        taken, first = np.unique(cells[statuses == status], return_index=True)
+        rows[taken] = ours[statuses == status][first]
+    item_ids = list(store._item_ids) if first_seen else []
+    return rows, {item_ids[code]: None for code in first_seen}
 
 
 def missing_cells(matrix: ResponseMatrix) -> list[tuple[str, Language]]:

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import re
+import subprocess
+import sys
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -11,9 +13,9 @@ from click.testing import CliRunner
 
 from langselect import clustering
 from langselect.cli import main
-from langselect.clustering import EmbeddingCache, embedding_text
+from langselect.clustering import EmbeddingCache, embedding_text, item_embedding_key
 from langselect.config import load_config
-from langselect.datasets import DatasetId, load_dataset, save_dataset
+from langselect.datasets import DatasetId, load_dataset, save_dataset, split
 from langselect import pipeline
 from langselect.gateway import TransportError
 from langselect.languages import Language
@@ -305,7 +307,12 @@ class TestEmbedStage:
         assert [r["payload"]["input"] for r in pipeline_stub.requests[before:]] == [calls[1]]
         assert len(cached_vectors(config)) == 6
 
-    def test_degenerate_embedding_fails_only_its_batch(self, tmp_path, pipeline_stub, monkeypatch):
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda v: [0.0] * len(v), lambda v: [float("nan"), *v[1:]], lambda v: [float("inf"), *v[1:]]],
+        ids=["zero-norm", "nan", "inf"],
+    )
+    def test_degenerate_embedding_fails_only_its_batch(self, tmp_path, pipeline_stub, monkeypatch, bad):
         config = load_config(
             write_pipeline_config(
                 tmp_path,
@@ -316,19 +323,19 @@ class TestEmbedStage:
         monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)
         real_embed_texts, calls = clustering.embed_texts, []
 
-        def second_batch_zero_norm(texts, *args, **kwargs):
+        def second_batch_degenerate(texts, *args, **kwargs):
             calls.append(texts)
             vectors = real_embed_texts(texts, *args, **kwargs)
             if len(calls) == 2:
-                vectors[1] = [0.0] * len(vectors[1])
+                vectors[1] = bad(vectors[1])
             return vectors
 
-        monkeypatch.setattr(clustering, "embed_texts", second_batch_zero_norm)
+        monkeypatch.setattr(clustering, "embed_texts", second_batch_degenerate)
         result = run_embed(config, backoff=0.001)
         assert result.exit_code == EXIT_PARTIAL
         assert result.summary["embedded"] == 4
         cached = cached_vectors(config)
-        assert len(cached) == 4
+        assert len(cached) == 4 and all(np.isfinite(v).all() for v in cached.values())
         failed = {i.item_id for i in load_dataset(config.dataset_path, DatasetId.CUSTOM) if embedding_text(i) in calls[1]}
         assert len(failed) == 2 and not failed & cached.keys()
         assert len(pipeline_stub.requests) == 3  # the third batch still ran
@@ -480,6 +487,19 @@ class TestEvaluateStage:
         assert "country" not in report["accuracy_by_strategy"]
 
 
+# sha256 of each file ``simulate`` writes for the sample spec with k_list [12, 24, 48].
+SAMPLE_SPEC_SHA256 = {
+    "reports/report.json": "7a6460bfc3069dc5b13f2f33b58846f3b8a2a1a2046bff8c6c6207a06d6f2cfd",
+    "store/custom__synthetic/records.jsonl": "27be24286a884990a5b920bd80729910abd3a21476a4c5c1de144a982b46680f",
+    "items.jsonl": "046306e875a7092a2211afcc9de26d98c812d676b427bba1ee368be8ea30dd8d",
+    "embeddings.jsonl": "85a57f27bc89c9ebc502a205e13488721181d5c3e9064745619950999fcee0c0",
+    "global_choice.json": "b05cc9f54fbc90c05d933e76ceea69d37ed40e4f8ee0be000ecd51cab69a64a4",
+    "cluster_model_k12.json": "3c134598f65539d37ab022bdb6e356031078feef0f89c19af73959336ffeb733",
+    "cluster_model_k24.json": "1e764026b5238cc24e7bbd780f87950db9c6b924e66a9dac6160b1125e6184e8",
+    "cluster_model_k48.json": "9733998984ccdc7b002262297f8d520572c0e416d7519ac3929a1b725854d29f",
+}
+
+
 class TestSimulateStage:
     def write_spec(self, tmp_path, **overrides):
         payload = {
@@ -564,16 +584,65 @@ class TestSimulateStage:
 
     def test_sample_spec_report_digest(self, tmp_path):
         spec = Path(__file__).resolve().parents[1] / "configs" / "sample_synthetic_spec.json"
-        assert run_simulate(spec, tmp_path / "sim", k_list=[12, 24, 48]).exit_code == EXIT_OK
-        digest = hashlib.sha256((tmp_path / "sim" / "reports" / "report.json").read_bytes()).hexdigest()
-        assert digest == "7a6460bfc3069dc5b13f2f33b58846f3b8a2a1a2046bff8c6c6207a06d6f2cfd"
-        records = tmp_path / "sim" / "store" / "custom__synthetic" / "records.jsonl"
-        assert hashlib.sha256(records.read_bytes()).hexdigest() == (
-            "27be24286a884990a5b920bd80729910abd3a21476a4c5c1de144a982b46680f"
+        out = tmp_path / "sim"
+        assert run_simulate(spec, out, k_list=[12, 24, 48]).exit_code == EXIT_OK
+
+        def sha256_of(name):
+            return hashlib.sha256((out / name).read_bytes()).hexdigest()
+
+        assert {name: sha256_of(name) for name in SAMPLE_SPEC_SHA256} == SAMPLE_SPEC_SHA256
+        # One evaluate writes the store index; its bytes pin the key columns it is written from.
+        config = {
+            "dataset": {"path": str(out / "items.jsonl"), "id": "custom"},
+            "output_dir": str(out),
+            "languages": [language.value for language in Language],
+            "split": {"seed": 1, "train_count": 1920, "test_count": 480},
+            "k_list": [12, 24],
+            "seeds": [0],
+        }
+        (tmp_path / "evaluate.json").write_text(json.dumps(config), encoding="utf-8")
+        assert run_evaluate(load_config(tmp_path / "evaluate.json")).exit_code == EXIT_OK
+        assert sha256_of(f"store/custom__synthetic/{INDEX_NAME}") == (
+            "7dc181b6e91e1b4a1747c2c42accd376c74272cf341102a6292155c5494f7282"
         )
 
 
+# Runs ``langselect`` once per argument list (JSON) in one interpreter, then
+# prints the exit codes and which modules of the HTTP stack were loaded.
+OFFLINE_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from langselect.cli import main
+codes = []
+for args in json.loads(sys.argv[2]):
+    try:
+        main(args, standalone_mode=False)
+    except SystemExit as exc:
+        codes.append(exc.code)
+print(json.dumps({"codes": codes, "loaded": [name for name in ("requests", "urllib3") if name in sys.modules]}))
+"""
+
+
 class TestCliInterface:
+    def test_offline_commands_leave_the_http_stack_unloaded(self, tmp_path):
+        spec, out = TestSimulateStage().write_spec(tmp_path), tmp_path / "sim"
+        config = {
+            "dataset": {"path": str(out / "items.jsonl"), "id": "custom"},
+            "output_dir": str(out),
+            "languages": ["en", "es", "hi", "th"],
+            "split": {"seed": 1, "train_count": 48, "test_count": 12},
+            "k_list": [2],
+            "seeds": [0],
+        }
+        (tmp_path / "evaluate.json").write_text(json.dumps(config), encoding="utf-8")
+        runs = [["simulate", "--spec", str(spec), "--output", str(out)], ["evaluate", "--config", str(tmp_path / "evaluate.json")]]
+        src = Path(__file__).resolve().parents[1] / "src"
+        result = subprocess.run(
+            [sys.executable, "-c", OFFLINE_RUN, str(src), json.dumps(runs)], capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout.splitlines()[-1]) == {"codes": [EXIT_OK, EXIT_OK], "loaded": []}
+
     def test_translate_dry_run_via_cli(self, tmp_path, pipeline_stub):
         config_path = write_pipeline_config(tmp_path, pipeline_stub)
         runner = CliRunner()
@@ -1199,6 +1268,24 @@ def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, b
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
     assert line.startswith("configuration error: ") and str(named) in line, line
+
+
+def test_an_embedding_cache_of_two_widths_ends_evaluate_in_one_line_naming_the_item(tmp_path, pipeline_stub):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    config = load_config(config_path)
+    assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+    train, test = split(load_dataset(config.dataset_path, DatasetId.CUSTOM), config.split)
+    cache = EmbeddingCache(pipeline.embeddings_path(config))
+    for n, item in enumerate(train + test):
+        cache.put(item_embedding_key(item), item.item_id, np.full(3 if n == 2 else 2, 0.5))
+    cache.save()
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"configuration error: train item {train[2].item_id}: embedding width 3, not 2 as {train[0].item_id}"
+    ]
 
 
 @pytest.mark.parametrize(

@@ -338,6 +338,11 @@ class TestTrainLsk:
         with pytest.raises(ClusteringError, match="without embeddings"):
             train_lsk_best({"q1": np.ones(3)}, matrix, 1, [0])
 
+    def test_vectors_of_two_widths_name_the_first_item_that_differs(self):
+        vectors = {"q1": np.ones(3), "q2": np.ones(3), "q3": np.ones(4), "q4": np.ones(5)}
+        with pytest.raises(ClusteringError, match=r"^train item q3: embedding width 4, not 3 as q1$"):
+            clustering.train_array(vectors, ["q1", "q2", "q3", "q4"])
+
     def test_deterministic_model(self):
         import random as _random
 
@@ -566,13 +571,16 @@ class TestEmbedItems:
         final = path.stat()
         assert synced == [(final.st_ino, final.st_size, False)]
 
-    def test_zero_vector_from_endpoint_is_error(self, monkeypatch):
-        items = [make_item("q0")]
+    @pytest.mark.parametrize(
+        "bad, problem",
+        [([0.0, 0.0], "zero-norm"), ([float("nan"), 1.0], "non-finite"), ([float("-inf"), 1.0], "non-finite")],
+        ids=["zero", "nan", "-inf"],
+    )
+    def test_a_degenerate_vector_from_endpoint_is_error(self, monkeypatch, bad, problem):
+        items = [make_item("q0"), make_item("q1")]
         endpoint = ModelEndpoint(base_url="http://unused", model_name="embedder", timeout=5.0)
-        monkeypatch.setattr(
-            "langselect.clustering.embed_texts", lambda texts, *a, **k: [[0.0, 0.0, 0.0]]
-        )
-        with pytest.raises(GatewayError, match="degenerate"):
+        monkeypatch.setattr("langselect.clustering.embed_texts", lambda texts, *a, **k: [[0.6, 0.8], bad])
+        with pytest.raises(GatewayError, match=f"^degenerate embedding from endpoint: {problem} vector$"):
             embed_items(items, endpoint)
 
     def test_embedding_text_uses_question_and_choices(self, dress_code_item):

@@ -1,9 +1,11 @@
 import json
 import os
+import random
 import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from langselect.languages import Language
@@ -16,6 +18,7 @@ from langselect.store import (
     StoreError,
     _parse_line,
     build_matrix,
+    decisive_rows,
     matrix_counts,
     missing_cells,
     read_manifest,
@@ -291,7 +294,7 @@ def synthetic_records(data):
 
 def assert_same_store(a: RunStore, b: RunStore) -> None:
     assert a.records_path.read_bytes() == b.records_path.read_bytes()
-    assert a._rows == b._rows
+    assert (a.keys(), a.codes) == (b.keys(), b.codes)
     assert (a.statuses, a.labels, a.digests, a.offsets) == (b.statuses, b.labels, b.digests, b.offsets)
     assert a.conflicts == b.conflicts
 
@@ -342,7 +345,7 @@ class TestAppend:
         with RunStore(tmp_path / "run") as store:
             with pytest.raises(ValueError):
                 store.append([entry(good, 0, ord("A")), entry(bad, status, label)])
-            assert len(store) == 1 and bad.key not in store._rows
+            assert len(store) == 1 and bad.key not in store.keys()
         assert [r.key for r in stored_records(RunStore(tmp_path / "run"))] == [good.key]
 
     def test_the_sample_fill_holds_no_more_than_a_block_of_lines(self, tmp_path):
@@ -359,6 +362,98 @@ class TestAppend:
         assert store.records_path.stat().st_size > 11_000_000
         # Lines held for a whole-batch write would be the file's 11 MB.
         assert peak - retained < 1_000_000
+
+
+    def test_the_sample_fill_keeps_its_key_columns_in_under_8_mb(self, tmp_path):
+        # 38,400 rows: a tuple and a 64-character hex string per row took 10.75 MB.
+        spec_path = Path(__file__).resolve().parents[1] / "configs" / "sample_synthetic_spec.json"
+        spec_payload = json.loads(spec_path.read_text(encoding="utf-8"))
+        data = generate(SyntheticSpec.from_dict(spec_payload))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            store = _synthetic_store(tmp_path / "store", data, spec_payload)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        store.close()
+        assert len(store) == 38_400
+        assert retained < 8_000_000
+        assert {type(key) for key in store._rows} == {bytes}
+
+
+# Prompt hashes a compact key keeps as their 32 bytes, and others it keeps exactly.
+HEX_HASHES = [prompt_hash(f"body {n}", "m") for n in range(3)] + ["0" * 64]
+ODD_HASHES = ["h1", "", "A" * 64, "0" * 63, "0" * 65, "g" * 64, "0" * 62 + " 0", "é" * 64, HEX_HASHES[0][:62] + "Ab"]
+
+
+class TestKeyColumns:
+    """A row's key is kept as codes and, for a hex prompt hash, its raw bytes; ``keys()`` gives it back."""
+
+    @pytest.mark.parametrize("hashes", [HEX_HASHES, HEX_HASHES + ODD_HASHES], ids=["hex", "hex-and-odd"])
+    def test_keys_come_back_exactly_after_an_append_a_parse_and_an_index_open(self, tmp_path, hashes):
+        records = [
+            record_for(item_id, lang, model=model, phash=phash)
+            for phash in hashes
+            for item_id, lang, model in (("q1", EN, "m"), ("q2", ES, "m"), ("q1", HI, "other"))
+        ]
+        with RunStore(tmp_path / "run") as store:
+            assert store.record_many(records) == len(records)
+            assert store.keys() == [r.key for r in records]
+            codes = bytes(store.codes)
+        with RunStore(tmp_path / "run") as parsed:
+            assert (parsed.keys(), bytes(parsed.codes)) == ([r.key for r in records], codes)
+            parsed.save_index()
+        with RunStore(tmp_path / "run") as indexed:
+            assert indexed._index_length > 0  # opened through the index
+            assert (indexed.keys(), bytes(indexed.codes)) == ([r.key for r in records], codes)
+            assert indexed.record_many(records) == 0 and indexed.conflicts == 0
+
+    def test_a_key_in_a_language_that_is_no_language_code_is_refused(self, store):
+        good = record_for("q1", EN)
+        line = (good.to_json() + "\n").encode("utf-8")
+        with pytest.raises(ValueError, match="language 'xx' is no Language code"):
+            store.append([(good.key, line, 0, ord("A"), bytes(32)), (("q2", "xx", "m", "h"), line, 0, ord("A"), bytes(32))])
+        assert store.keys() == [good.key] and store.records_path.read_bytes() == line
+
+
+def reference_decisive_rows(keys, statuses, model_name, items, languages):
+    """``decisive_rows`` by one loop over the rows, in write order."""
+    row_of = {item_id: at for at, item_id in enumerate(items)}
+    col_of = {lang.value: col for col, lang in enumerate(languages)}
+    rows, unknown = [-1] * (len(items) * len(languages)), {}
+    for row, (item_id, code, model, _) in enumerate(keys):
+        if model != model_name or code not in col_of:
+            continue
+        if item_id not in row_of:
+            unknown[item_id] = None
+            continue
+        at = row_of[item_id] * len(languages) + col_of[code]
+        if statuses[row] == 0 and (rows[at] < 0 or statuses[rows[at]] != 0):
+            rows[at] = row
+        elif statuses[row] == 1 and rows[at] < 0:
+            rows[at] = row
+    return rows, unknown
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_decisive_rows_match_a_loop_over_the_rows(tmp_path, seed):
+    rng = random.Random(seed)
+    statuses = list(RecordStatus)
+    with RunStore(tmp_path / "run") as store:
+        for _ in range(rng.randrange(1, 120)):
+            status = rng.choice(statuses)
+            store.record(
+                record_for(
+                    f"q{rng.randrange(8)}", rng.choice([EN, ES, HI]), status=status,
+                    model=rng.choice(["m", "m", "other"]), phash=f"h{rng.randrange(3)}",
+                )
+            )
+        items = [f"q{n}" for n in rng.sample(range(8), rng.randrange(0, 7))]
+        languages = rng.sample([EN, ES, HI], rng.randrange(1, 4))
+        rows, unknown = decisive_rows(store, "m", items, languages)
+        assert rows.dtype == np.int64
+        assert (rows.tolist(), unknown) == reference_decisive_rows(store.keys(), store.statuses, "m", items, languages)
 
 
 class TestCorruptStore:

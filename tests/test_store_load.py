@@ -58,7 +58,7 @@ def reference_load(data: bytes):
 def assert_columns(store: RunStore, records: list[InferenceRecord]) -> None:
     """``store`` indexes ``records``, one row each in this order, in its own columns:
     the output digests, and offsets at which each record's own line is read back."""
-    assert store._rows == {r.key: row for row, r in enumerate(records)}
+    assert store.keys() == [r.key for r in records]
     assert bytes(store.digests) == b"".join(output_digest(r.raw_output) for r in records)
     assert [store.output(row) for row in range(len(records))] == [r.raw_output for r in records]
     assert [record_at(store, offset) for offset in store.offsets] == records
@@ -312,7 +312,7 @@ def test_records_after_unclosed_appends_are_in_write_order(tmp_path):
     store = RunStore(tmp_path / "run")
     written = store.record_many(batch[:120])
     assert [r.key for r in stored_records(store)] == first_of_key[:written]
-    assert list(store._rows) == first_of_key[:written]
+    assert store.keys() == first_of_key[:written]
     store.record_many(batch[120:])
     assert [r.key for r in stored_records(store)] == first_of_key
     by_key = {}
@@ -384,7 +384,8 @@ def opened(path):
         return str(exc).replace(str(path), "<dir>")
     with store:
         state = (
-            store._rows,
+            store.keys(),
+            bytes(store.codes),
             bytes(store.statuses),
             bytes(store.labels),
             bytes(store.digests),
