@@ -58,6 +58,7 @@ from .prompts import (
     TemplateSet,
     build_reasoning_prompt,
     build_selection_prompt,
+    prompt_hash,
 )
 from .report import FORMATS, build_report, emit
 from .selectors import (
@@ -540,7 +541,7 @@ def compute_verification_rate(store: RunStore, matrix: ResponseMatrix) -> tuple[
     (``RunStore.verdicts``) is UNDETECTED are read back and detected, each
     distinct output once per call; ``RunStore.save_index`` keeps the verdicts.
     """
-    rows = np.array(matrix.rows, dtype=np.intp)
+    rows = matrix.rows
     cells = np.flatnonzero(rows >= 0)
     cells = cells[np.frombuffer(store.statuses, dtype=np.uint8)[rows[cells]] == STATUS_OK]  # the ok cells
     rows = rows[cells]
@@ -778,9 +779,8 @@ def _synthetic_store(data_dir: Path, data, spec_payload: dict) -> RunStore:
         for row, item in enumerate(data.items):
             item_id = item.item_id
             start = (begin + json_string(item_id) + after_id).encode()
-            hashed = f"{SYNTHETIC_MODEL_NAME}\nsynthetic:{item_id}:"  # prompt_hash's input, less the language code
             for (code, middle), label in zip(codes, data.matrix.cells[row * width : (row + 1) * width]):
-                phash = sha256((hashed + code).encode()).hexdigest()  # prompt_hash(f"synthetic:{item_id}:{code}", ...)
+                phash = prompt_hash(f"synthetic:{item_id}:{code}", SYNTHETIC_MODEL_NAME)
                 tail, digest = by_label[label]
                 key = (item_id, code, SYNTHETIC_MODEL_NAME, phash)
                 yield key, start + middle + phash.encode() + tail, STATUS_OK, label, digest

@@ -28,7 +28,6 @@ from enum import Enum
 from functools import cache
 from hashlib import sha256
 from itertools import chain, count
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -345,7 +344,8 @@ class RunStore:
             n = len(keys)
             if set(map(len, keys)) - {4} or set(map(type, chain.from_iterable(keys))) - {str}:
                 raise ValueError("its keys are not 4 strings each")
-            rows = self._code_keys(keys)
+            rows = dict(zip(map(self._compact, keys), count()))
+            self.codes = bytearray(b"".join(key[: _CODES.size] for key in rows))
             statuses, labels = b64decode(index["statuses"]), b64decode(index["labels"])
             digests, offsets = b64decode(index["digests"]), array("q", index["offsets"])
             verdicts, detector = b64decode(index["verdicts"]), index["detector"]
@@ -370,7 +370,7 @@ class RunStore:
             return sha256(), 0
         except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
             logger.warning("%s: ignored (%r); parsing all of %s", self.index_path, exc, self.records_path)
-            self._item_ids, self._models, self.codes = {}, {}, bytearray()  # what _code_keys coded
+            self._item_ids, self._models, self.codes = {}, {}, bytearray()  # what _compact coded
             return sha256(), 0
         self._rows, self.offsets, self.conflicts = rows, offsets, conflicts
         self.statuses, self.labels, self.digests = bytearray(statuses), bytearray(labels), bytearray(digests)
@@ -378,26 +378,6 @@ class RunStore:
         fresh = detector == _DETECTOR
         self.verdicts, self._index_verdicts = (bytearray(verdicts), verdicts) if fresh else (bytearray(n), None)
         return digest, lines
-
-    def _code_keys(self, keys: list[list[str]]) -> dict[bytes, int]:
-        """Code the index's ``keys`` into the tables and ``codes``, and into the compact
-        key -> row map, a column at a time; KeyError for a language that is no Language code."""
-        item_ids, languages, models, hashes = (list(map(itemgetter(field), keys)) for field in range(4))
-        self._item_ids, self._models = (dict(zip(dict.fromkeys(column), count())) for column in (item_ids, models))
-        columns = np.empty(len(keys), dtype=[("codes", KEY_CODES), ("hash", f"V{HASH_SIZE}")])
-        codes = columns["codes"]
-        codes["item"] = list(map(self._item_ids.__getitem__, item_ids))
-        codes["model"] = list(map(self._models.__getitem__, models))
-        codes["language"] = list(map(_LANGUAGE_BYTE.__getitem__, languages))
-        self.codes, joined = bytearray(codes.tobytes()), "".join(hashes)
-        try:
-            raw = bytes.fromhex(joined)
-        except ValueError:
-            raw = b""
-        if set(map(len, hashes)) - {2 * HASH_SIZE} or raw.hex() != joined:  # an odd hash: one key at a time
-            return dict(zip(map(self._compact, keys), count()))
-        columns["hash"] = np.frombuffer(raw, dtype=f"V{HASH_SIZE}")
-        return dict(zip(columns.view(f"V{columns.itemsize}").tolist(), count()))
 
     def save_index(self) -> None:
         """Write ``records.index.json``: the columns of the file as the open left
@@ -470,12 +450,13 @@ class RunStore:
     def append(self, entries: Iterable[tuple[tuple[str, str, str, str], bytes, int, int, bytes]]) -> int:
         """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
         with its line's bytes ending in a newline, and return how many lines were
-        written. An entry whose key is stored (earlier in the batch too) is dropped,
-        a conflict if it differs; a language that is no ``Language`` code, a status
-        byte not in ``STATUSES``, a label byte not 0 or A-Z, or an ok one of 0 is
-        refused with ValueError. A row is indexed once its line is in the file's
-        64 KiB buffer. One flush at the end, also when ``entries`` raises; an fsync
-        once ``FSYNC_EVERY`` lines are unsynced."""
+        written. An entry with a status byte not in ``STATUSES``, a label byte not
+        0 or A-Z, an ok one of 0, or a language that is no ``Language`` code is
+        refused with ValueError, and its key's strings are not coded; one whose key
+        is stored (earlier in the batch too) is dropped, a conflict if it differs.
+        A row is indexed once its line is in the file's 64 KiB buffer. One flush at
+        the end, also when ``entries`` raises; an fsync once ``FSYNC_EVERY`` lines
+        are unsynced."""
         with self._lock:
             rows, statuses, labels, digests, offsets = self._rows, self.statuses, self.labels, self.digests, self.offsets
             compact_of, codes, width = self._compact, self.codes, _CODES.size
@@ -484,15 +465,15 @@ class RunStore:
             offset = fh.tell() if fh is not None else None  # where the next line lands, once the file is open
             try:
                 for key, line, status, label, digest in entries:
-                    compact = compact_of(key)
+                    if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
+                        raise ValueError(f"{key}: status byte {status!r} with label byte {label!r}")
+                    compact = compact_of(key)  # after the checks: it codes the key's strings into the tables
                     row = rows.get(compact)
                     if row is not None:
                         at = row * DIGEST_SIZE
                         if digests[at : at + DIGEST_SIZE] != digest or statuses[row] != status or labels[row] != label:
                             self.conflicts += 1
                         continue
-                    if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
-                        raise ValueError(f"{key}: status byte {status!r} with label byte {label!r}")
                     if fh is None:
                         fh = self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
                         offset = fh.tell()
@@ -635,28 +616,23 @@ def decisive_rows(
     not in ``items``."""
     width = len(languages)
     rows = np.full(len(items) * width, -1, dtype=np.int64)
-    model = store._models.get(model_name)
-    if model is None:
-        return rows, {}
+    model = store._models.get(model_name, -1)  # -1: no row's code
     col_of = np.full(len(_LANGUAGE_BYTE), -1, dtype=np.int64)
     col_of[[_LANGUAGE_BYTE[lang._value_] for lang in languages]] = np.arange(width)
-    at_of = np.full(len(store._item_ids), -1, dtype=np.int64)  # an item code's position in ``items``
-    for at, item_id in enumerate(items):
-        if (code := store._item_ids.get(item_id)) is not None:
-            at_of[code] = at
+    at_of = np.full(len(store._item_ids) + 1, -1, dtype=np.int64)  # an item code's position in ``items``
+    at_of[[store._item_ids.get(item_id, -1) for item_id in items]] = np.arange(len(items))  # -1: the spare last slot
     codes = np.frombuffer(store.codes, dtype=KEY_CODES)
     ours = np.flatnonzero((codes["model"] == model) & (col_of[codes["language"]] >= 0))  # in write order
     at = at_of[codes["item"][ours]]
-    unknown = codes["item"][ours[at < 0]]
-    first_seen = unknown[np.sort(np.unique(unknown, return_index=True)[1])].tolist()
+    unknown = codes["item"][ours[at < 0]].tolist()
     ours, at = ours[at >= 0], at[at >= 0]
     cells = at * width + col_of[codes["language"][ours]]
     statuses = np.frombuffer(store.statuses, dtype=np.uint8)[ours]
     for status in (STATUS_INVALID, STATUS_OK):  # the first ok record overrides the first invalid one
         taken, first = np.unique(cells[statuses == status], return_index=True)
         rows[taken] = ours[statuses == status][first]
-    item_ids = list(store._item_ids) if first_seen else []
-    return rows, {item_ids[code]: None for code in first_seen}
+    item_ids = list(store._item_ids)
+    return rows, dict.fromkeys(item_ids[code] for code in unknown)  # in first-seen order
 
 
 def missing_cells(matrix: ResponseMatrix) -> list[tuple[str, Language]]:

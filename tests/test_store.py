@@ -341,11 +341,13 @@ class TestAppend:
         def entry(record, status, label):
             return record.key, (record.to_json() + "\n").encode("utf-8"), status, label, bytes(32)
 
-        good, bad = record_for("q1", EN), record_for("q2", EN)
+        good, bad = record_for("q1", EN), record_for("q2", EN, model="m2")
         with RunStore(tmp_path / "run") as store:
             with pytest.raises(ValueError):
                 store.append([entry(good, 0, ord("A")), entry(bad, status, label)])
             assert len(store) == 1 and bad.key not in store.keys()
+            # The refused key's item id and model are not coded: later rows get a reopened store's codes.
+            assert (store._item_ids, store._models) == ({"q1": 0}, {"m": 0})
         assert [r.key for r in stored_records(RunStore(tmp_path / "run"))] == [good.key]
 
     def test_the_sample_fill_holds_no_more_than_a_block_of_lines(self, tmp_path):
