@@ -127,9 +127,13 @@ class EmbeddingCache:
                     self._item_key[item_id] = key
 
     def vectors(self, items: Iterable[McqItem]) -> dict[str, np.ndarray]:
-        """``{item_id: vector}`` of each of ``items`` whose ``item_embedding_key`` is cached."""
-        found = ((item.item_id, self._by_key.get(item_embedding_key(item))) for item in items)
-        return {item_id: values for item_id, values in found if values is not None}
+        """``{item_id: vector}`` of each of ``items`` whose ``item_embedding_key`` is cached
+        with finite values; a cached vector with a NaN or inf is logged and left out."""
+        found = {item.item_id: self._by_key.get(item_embedding_key(item)) for item in items}
+        finite = {i: values for i, values in found.items() if values is not None and np.isfinite(values).all()}
+        if bad := [i for i, values in found.items() if values is not None and i not in finite]:
+            logger.warning("%s: %d non-finite vectors left out, e.g. %s", self.path, len(bad), ", ".join(bad[:5]))
+        return finite
 
     def put(self, key: str, item_id: str, values: np.ndarray) -> None:
         self._by_key[key] = values
@@ -441,7 +445,10 @@ class LskRouter:
     def route(self, item_ids: Sequence[str]) -> list[Language]:
         """Each item's nearest cluster's expert language, in one assignment."""
         try:
-            X = np.stack([self.vectors[item_id] for item_id in item_ids])
+            rows = [self.vectors[item_id] for item_id in item_ids]
         except KeyError as exc:
             raise ClusteringError(f"no embedding for item {exc.args[0]}; run the embed stage") from None
-        return [self.model.expert_language[c] for c in assign_many(X, self.model.centroids).tolist()]
+        width = self.model.centroids.shape[1]
+        if (odd := next((at for at, row in enumerate(rows) if row.shape != (width,)), None)) is not None:
+            raise ClusteringError(f"item {item_ids[odd]}: embedding width {rows[odd].size}, not the centroids' {width}")
+        return [self.model.expert_language[c] for c in assign_many(np.stack(rows), self.model.centroids).tolist()]

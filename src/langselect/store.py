@@ -3,13 +3,14 @@
 One directory per (dataset, model) holds ``records.jsonl`` (one record per
 line, first write wins per key) and a ``manifest.json`` provenance sidecar.
 The store keeps an index of the file and each row's language verdict, not its
-text; ``evaluate`` persists it in ``records.index.json``, so a later open parses
-only appended lines, each with ``_parse_line``, and leaves whole lines only.
-Matrices are rebuilt from the store on demand as a byte grid: one byte per
-(item, language) cell, rows in item order and columns in canonical language
-order. The byte is the ok answer's label letter, ``.`` for a missing cell or
-``!`` for an invalid one. Correctness is recomputed from label vs gold at build
-time so gold fixes propagate without re-running models.
+text; ``evaluate`` persists it in ``records.index`` (a JSON header line, then
+the columns' raw bytes), so a later open parses only appended lines, each with
+``_parse_line``, and leaves whole lines only. Matrices are rebuilt from the
+store on demand as a byte grid: one byte per (item, language) cell, rows in
+item order and columns in canonical language order. The byte is the ok
+answer's label letter, ``.`` for a missing cell or ``!`` for an invalid one.
+Correctness is recomputed from label vs gold at build time so gold fixes
+propagate without re-running models.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ import string
 import struct
 import threading
 from array import array
-from base64 import b64decode, b64encode
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cache
 from hashlib import sha256
-from itertools import chain, count
+from itertools import count, islice, repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Sequence
 
@@ -57,8 +57,8 @@ def utc_now() -> str:
 
 
 MANIFEST_NAME = "manifest.json"
-INDEX_NAME = "records.index.json"
-INDEX_VERSION = 3  # bump with any change of what the index holds or of what a line indexes to
+INDEX_NAME = "records.index"
+INDEX_VERSION = 4  # bump with any change of what the index holds or of what a line indexes to
 DIGEST_SIZE = 32  # bytes of a row's output digest in RunStore.digests
 HASH_SIZE = 32  # bytes of a prompt hash of 64 lowercase hex characters in a row's compact key
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
@@ -85,6 +85,9 @@ UNDETECTED, UNDETECTABLE = 0, 1  # verdict bytes: not detected yet; no reasoning
 VERDICT = {language: byte for byte, language in enumerate(Language, 2)}  # the verdict byte of a detected language
 # What the index's verdict bytes mean: the detector that made them and the languages they index.
 _DETECTOR = {"version": DETECTOR_VERSION, "languages": [language._value_ for language in VERDICT]}
+_KEY = np.dtype([("codes", KEY_CODES), ("hash", f"V{HASH_SIZE}")])  # a compact key of a hex prompt hash
+# The index's columns after its header line, in file order, as bytes per row (offsets: little-endian int64).
+_COLUMNS = dict(keys=_KEY.itemsize, statuses=1, labels=1, digests=DIGEST_SIZE, verdicts=1, offsets=8)
 
 
 def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
@@ -239,6 +242,11 @@ class ResponseMatrix:
         )
 
 
+def _entry(record: InferenceRecord, line: bytes, digest: bytes) -> tuple:
+    """``RunStore.append``'s entry of ``record``, whose line is ``line`` and whose output's digest is ``digest``."""
+    return record.key, line, _STATUS_BYTE[record.status._value_], ord(record.extracted_label or "\0"), digest
+
+
 class RunStore:
     """Append-only JSONL store with first-write-wins idempotence per key.
 
@@ -256,13 +264,13 @@ class RunStore:
     ``verdicts[row]`` is UNDETECTED until ``pipeline.compute_verification_rate``
     sets it to the output's language byte (``VERDICT``) or UNDETECTABLE.
 
-    An open takes the columns of the file's first N bytes from
-    ``records.index.json`` when that index holds N and the sha256 of exactly
-    those bytes, and parses only the lines after them; ``save_index`` writes it.
-    Verdicts of another ``_DETECTOR``, and those of parsed rows, start UNDETECTED.
-    An open may also repair the file's tail, so the caller holds the run's lock:
-    a torn final line, or whitespace after the last newline, is cut off, and a
-    good final line without its newline gets one.
+    An open takes the columns of the file's first N bytes from ``records.index``
+    when it holds N and the sha256 of exactly those bytes, and feeds the lines
+    after them through ``append``'s loop, writing nothing; ``save_index`` writes
+    it (for hex prompt hashes only). Verdicts of another ``_DETECTOR``, and those
+    of parsed rows, start UNDETECTED. An open may also repair the file's tail, so
+    the caller holds the run's lock: a torn final line, or whitespace after the
+    last newline, is cut off, and a good final line without its newline gets one.
     """
 
     def __init__(self, directory: str | Path):
@@ -274,12 +282,8 @@ class RunStore:
         self._lock = threading.Lock()
         self._rows: dict[bytes, int] = {}  # compact key -> row
         self._item_ids, self._models = {}, {}  # the tables: item id or model name -> its code
-        self.codes = bytearray()
-        self.statuses = bytearray()
-        self.labels = bytearray()
-        self.digests = bytearray()
+        self.codes, self.statuses, self.labels, self.digests, self.verdicts = (bytearray() for _ in range(5))
         self.offsets = array("q")
-        self.verdicts = bytearray()
         self.conflicts = 0
         self._unsynced = 0
         self._fh = None
@@ -299,25 +303,28 @@ class RunStore:
             size = os.fstat(fh.fileno()).st_size
             digest, lines = self._read_index(fh, size)
             offset = fh.seek(self._index_length)
-            for line in fh:
-                if line.strip():
-                    try:
-                        record = _parse_line(line.decode("utf-8"))
-                    except Exception as exc:
-                        if offset + len(line) < size:
-                            raise StoreError(f"{self.records_path}: line {lines + 1} corrupt: {exc}") from None
-                        logger.warning("%s: dropping torn final line %d", self.records_path, lines + 1)
-                        break
-                    status = _STATUS_BYTE[record.status._value_]
-                    self._index(record.key, output_digest(record.raw_output), record.extracted_label, status, offset)
-                elif not line.endswith(b"\n"):
-                    break  # whitespace after the last newline
-                if not line.endswith(b"\n"):
-                    line += b"\n"  # a good final line: its newline is written below
-                digest.update(line)
-                offset += len(line)
-                lines += 1
-        self.verdicts += bytes(len(self.statuses) - len(self.verdicts))
+
+            def entries():
+                nonlocal offset, lines
+                for line in fh:
+                    if line.strip():
+                        try:
+                            record = _parse_line(line.decode("utf-8"))
+                        except Exception as exc:
+                            if offset + len(line) < size:
+                                raise StoreError(f"{self.records_path}: line {lines + 1} corrupt: {exc}") from None
+                            logger.warning("%s: dropping torn final line %d", self.records_path, lines + 1)
+                            return
+                        yield _entry(record, line, output_digest(record.raw_output)), offset
+                    elif not line.endswith(b"\n"):
+                        return  # whitespace after the last newline
+                    if not line.endswith(b"\n"):
+                        line += b"\n"  # a good final line: its newline is written below
+                    digest.update(line)
+                    offset += len(line)
+                    lines += 1
+
+            self._add(entries())
         if offset < size:
             os.truncate(self.records_path, offset)
         elif offset > size:
@@ -332,33 +339,37 @@ class RunStore:
         whole file is parsed: (an empty sha256, 0)."""
         digest = sha256()
         try:
-            index = json.loads(self.index_path.read_bytes())
-            if index["version"] != INDEX_VERSION:
-                raise ValueError(f"version {index['version']!r}, not {INDEX_VERSION!r}")
-            length, lines, conflicts = index["length"], index["lines"], index["conflicts"]
-            if not all(isinstance(value, int) and value >= 0 for value in (length, lines, conflicts)):
-                raise ValueError("length, lines and conflicts must be counts")
-            if length > size:
-                raise ValueError(f"it covers {length} bytes of a file of {size}")
-            keys = index["keys"]
-            n = len(keys)
-            if set(map(len, keys)) - {4} or set(map(type, chain.from_iterable(keys))) - {str}:
-                raise ValueError("its keys are not 4 strings each")
-            rows = dict(zip(map(self._compact, keys), count()))
-            self.codes = bytearray(b"".join(key[: _CODES.size] for key in rows))
-            statuses, labels = b64decode(index["statuses"]), b64decode(index["labels"])
-            digests, offsets = b64decode(index["digests"]), array("q", index["offsets"])
-            verdicts, detector = b64decode(index["verdicts"]), index["detector"]
-            starts = np.array(offsets, dtype=np.int64)
-            if (
-                {len(rows), len(statuses), len(labels), len(offsets), len(verdicts)} != {n}
-                or len(digests) != n * DIGEST_SIZE
-                or max(statuses, default=0) >= len(STATUSES)
+            with self.index_path.open("rb") as index_file:
+                index = json.loads(index_file.readline())
+                if index["version"] != INDEX_VERSION:
+                    raise ValueError(f"version {index['version']!r}, not {INDEX_VERSION!r}")
+                length, lines, conflicts, n = index["length"], index["lines"], index["conflicts"], index["rows"]
+                if not all(type(c) is int and c >= 0 for c in (length, lines, conflicts, n)) or length > size:
+                    raise ValueError(f"length, lines, conflicts and rows are no counts of a file of {size} bytes")
+                if os.fstat(index_file.fileno()).st_size - index_file.tell() != n * sum(_COLUMNS.values()):
+                    raise ValueError(f"its columns are not {n} rows")
+                keys, statuses, labels, digests, verdicts, starts = (bytearray(n * w) for w in _COLUMNS.values())
+                for column in (keys, statuses, labels, digests, verdicts, starts):  # the store's, read in place
+                    index_file.readinto(column)
+            items, models, detector = index["items"], index["models"], index["detector"]
+            item_ids, model_names = dict(zip(items, count())), dict(zip(models, count()))
+            types = [type(items), type(models), *map(type, [*item_ids, *model_names])]
+            if types != [list, list] + [str] * (len(items) + len(models)):  # a repeated name is lost in the dicts
+                raise ValueError("its tables are not lists of distinct strings")
+            key_codes, offsets = np.frombuffer(keys, _KEY)["codes"], np.frombuffer(starts, "<i8")
+            if n and (
+                key_codes["item"].max() >= len(items)
+                or key_codes["model"].max() >= len(models)
+                or key_codes["language"].max() >= len(_LANGUAGE_BYTE)
+                or max(statuses) >= len(STATUSES)
                 or labels.translate(None, _LABEL_BYTES)
-                or max(verdicts, default=0) >= 2 + len(detector["languages"])
-                or (n and not (0 <= starts[0] and starts[-1] < length and (np.diff(starts) > 0).all()))
+                or max(verdicts) >= 2 + len(detector["languages"])
+                or not (0 <= offsets[0] and offsets[-1] < length and (np.diff(offsets) > 0).all())
             ):
                 raise ValueError("its columns do not agree")
+            rows = dict(zip(np.frombuffer(keys, f"V{_KEY.itemsize}").tolist(), count()))  # each key's bytes
+            if len(rows) != n:
+                raise ValueError("a key is repeated")
             left = length
             while left and (chunk := fh.read(min(_HASH_BLOCK, left))):
                 digest.update(chunk)
@@ -370,38 +381,32 @@ class RunStore:
             return sha256(), 0
         except (ValueError, LookupError, TypeError, AttributeError, OverflowError) as exc:
             logger.warning("%s: ignored (%r); parsing all of %s", self.index_path, exc, self.records_path)
-            self._item_ids, self._models, self.codes = {}, {}, bytearray()  # what _compact coded
             return sha256(), 0
-        self._rows, self.offsets, self.conflicts = rows, offsets, conflicts
-        self.statuses, self.labels, self.digests = bytearray(statuses), bytearray(labels), bytearray(digests)
-        self._index_length = length
+        self._rows, self._item_ids, self._models, self.conflicts = rows, item_ids, model_names, conflicts
+        self.statuses, self.labels, self.digests, self._index_length = statuses, labels, digests, length
+        self.codes, self.offsets = bytearray(key_codes.tobytes()), array("q", offsets.astype(np.int64).tobytes())
         fresh = detector == _DETECTOR
-        self.verdicts, self._index_verdicts = (bytearray(verdicts), verdicts) if fresh else (bytearray(n), None)
+        self.verdicts, self._index_verdicts = (verdicts, bytes(verdicts)) if fresh else (bytearray(n), None)
         return digest, lines
 
     def save_index(self) -> None:
-        """Write ``records.index.json``: the columns of the file as the open left
-        it, unless the index file gave all of them and each of their verdicts.
-        Rows appended since the open are left for the next open to parse."""
+        """Write ``records.index``: the columns of the file as the open left it,
+        unless the index file gave all of them and each of their verdicts. Rows
+        appended since the open are left for the next open to parse. A store
+        with a prompt hash that is not 64 lowercase hex characters gets no index."""
         length, lines, n, conflicts, digest = self._parsed
         verdicts = bytes(self.verdicts[:n])
         if length == self._index_length and verdicts == self._index_verdicts:
             return
-        index = {
-            "version": INDEX_VERSION,
-            "length": length,
-            "lines": lines,
-            "sha256": digest,
-            "conflicts": conflicts,
-            "keys": self.keys()[:n],
-            "statuses": b64encode(self.statuses[:n]).decode("ascii"),
-            "labels": b64encode(self.labels[:n]).decode("ascii"),
-            "digests": b64encode(self.digests[: n * DIGEST_SIZE]).decode("ascii"),
-            "offsets": self.offsets[:n].tolist(),
-            "detector": _DETECTOR,
-            "verdicts": b64encode(verdicts).decode("ascii"),
-        }
-        write_atomic(self.index_path, json.dumps(index, separators=(",", ":")).encode("ascii"))
+        keys = b"".join(islice(self._rows, n))
+        if len(keys) != n * _KEY.itemsize:  # the compact key of a hash that is not hex is longer
+            logger.warning("%s: not written: a prompt hash in %s is not hex", self.index_path, self.records_path)
+            return
+        header = dict(version=INDEX_VERSION, length=length, lines=lines, sha256=digest, conflicts=conflicts, rows=n,
+                      detector=_DETECTOR, items=list(self._item_ids), models=list(self._models))
+        offsets = np.asarray(self.offsets[:n], dtype="<i8").tobytes()
+        columns = keys, self.statuses[:n], self.labels[:n], self.digests[: n * DIGEST_SIZE], verdicts, offsets
+        write_atomic(self.index_path, (json.dumps(header).encode("ascii") + b"\n", *columns))
 
     def _compact(self, key: tuple[str, str, str, str]) -> bytes:
         """``key``'s compact key, coding its strings into the tables; ValueError
@@ -430,23 +435,6 @@ class RunStore:
             keys.append((items[item], languages[language], models[model], text))
         return keys
 
-    def _index(self, key, digest: bytes, label, status: int, offset: int) -> None:
-        """Give ``key`` the next row, its line at byte ``offset``, unless it has one; a differing one is a conflict."""
-        byte = ord(label) if label else 0
-        compact = self._compact(key)
-        row = self._rows.get(compact)
-        if row is not None:
-            at = row * DIGEST_SIZE
-            if (self.digests[at : at + DIGEST_SIZE], self.statuses[row], self.labels[row]) != (digest, status, byte):
-                self.conflicts += 1
-            return
-        self._rows[compact] = len(self.statuses)
-        self.codes += compact[: _CODES.size]
-        self.statuses.append(status)
-        self.labels.append(byte)
-        self.digests += digest
-        self.offsets.append(offset)
-
     def append(self, entries: Iterable[tuple[tuple[str, str, str, str], bytes, int, int, bytes]]) -> int:
         """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
         with its line's bytes ending in a newline, and return how many lines were
@@ -457,14 +445,19 @@ class RunStore:
         A row is indexed once its line is in the file's 64 KiB buffer. One flush at
         the end, also when ``entries`` raises; an fsync once ``FSYNC_EVERY`` lines
         are unsynced."""
+        return self._add(zip(entries, repeat(None)))
+
+    def _add(self, entries: Iterable[tuple[tuple, int | None]]) -> int:
+        """``append``'s loop over ``(entry, offset)`` pairs, an offset None for a line to write at the
+        end of ``records.jsonl``, else where the line already is; the number of rows added."""
         with self._lock:
             rows, statuses, labels, digests, offsets = self._rows, self.statuses, self.labels, self.digests, self.offsets
             compact_of, codes, width = self._compact, self.codes, _CODES.size
             add_status, add_label, add_offset = statuses.append, labels.append, offsets.append
             first, fh = len(statuses), self._fh
-            offset = fh.tell() if fh is not None else None  # where the next line lands, once the file is open
+            end = fh.tell() if fh is not None else None  # where the next written line lands, once the file is open
             try:
-                for key, line, status, label, digest in entries:
+                for (key, line, status, label, digest), offset in entries:
                     if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
                         raise ValueError(f"{key}: status byte {status!r} with label byte {label!r}")
                     compact = compact_of(key)  # after the checks: it codes the key's strings into the tables
@@ -474,27 +467,28 @@ class RunStore:
                         if digests[at : at + DIGEST_SIZE] != digest or statuses[row] != status or labels[row] != label:
                             self.conflicts += 1
                         continue
-                    if fh is None:
-                        fh = self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
-                        offset = fh.tell()
-                    fh.write(line)
+                    if offset is None:
+                        if fh is None:
+                            fh = self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
+                            end = fh.tell()
+                        fh.write(line)
+                        offset, end = end, end + len(line)
                     rows[compact] = len(statuses)
                     codes += compact[:width]
                     add_status(status)
                     add_label(label)
                     digests += digest
                     add_offset(offset)
-                    offset += len(line)
             finally:
-                written = len(statuses) - first
-                self.verdicts += bytes(written)
+                added = len(statuses) - first
+                self.verdicts += bytes(added)
                 if fh is not None:
                     fh.flush()
-                self._unsynced += written
-                if self._unsynced >= FSYNC_EVERY:
-                    os.fsync(fh.fileno())
-                    self._unsynced = 0
-        return written
+                    self._unsynced += added
+                    if self._unsynced >= FSYNC_EVERY:
+                        os.fsync(fh.fileno())
+                        self._unsynced = 0
+        return added
 
     def record(self, record: InferenceRecord) -> bool:
         """Append one record, flushed; True when written, False when its key is stored."""
@@ -507,9 +501,7 @@ class RunStore:
         # backslashreplace acts only on a lone surrogate (json.loads of a reply
         # can yield one): its \uXXXX escape is JSON and reads back equal.
         return self.append(
-            (r.key, (r.to_json() + "\n").encode("utf-8", "backslashreplace"), _STATUS_BYTE[r.status._value_],
-             ord(r.extracted_label or "\0"), digest(r.raw_output))
-            for r in records
+            _entry(r, (r.to_json() + "\n").encode("utf-8", "backslashreplace"), digest(r.raw_output)) for r in records
         )
 
     def output(self, row: int) -> str:

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 import string
+from pathlib import Path
 
 from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.languages import Language, canonical_sorted
 from langselect.store import INVALID as INVALID_BYTE
 from langselect.store import MISSING as MISSING_BYTE
-from langselect.store import InferenceRecord, ResponseMatrix, RunStore, _parse_line
+from langselect.store import _COLUMNS, INDEX_NAME, InferenceRecord, ResponseMatrix, RunStore, _parse_line
 
 INVALID = "invalid"
 MISSING = None
@@ -130,3 +132,19 @@ def stored_records(store: RunStore) -> list[InferenceRecord]:
                 if len(records) == len(store):
                     break
     return list(records.values())
+
+
+def read_index(directory: Path) -> tuple[dict, dict[str, bytes]]:
+    """The header and the columns, by name, of the store index in ``directory``."""
+    head, _, body = (Path(directory) / INDEX_NAME).read_bytes().partition(b"\n")
+    header = json.loads(head)
+    columns, at = {}, 0
+    for name, width in _COLUMNS.items():
+        columns[name], at = body[at : at + header["rows"] * width], at + header["rows"] * width
+    return header, columns
+
+
+def write_index(directory: Path, header: dict | bytes, columns: dict[str, bytes]) -> None:
+    """Write a store index of ``header`` (a dict, or a header line's bytes) and ``columns``, in their order."""
+    head = header if isinstance(header, bytes) else json.dumps(header).encode("ascii")
+    (Path(directory) / INDEX_NAME).write_bytes(head + b"\n" + b"".join(columns.values()))

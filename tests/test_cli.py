@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import re
 import subprocess
 import sys
@@ -403,7 +404,7 @@ class TestEvaluateStage:
 
     def test_only_evaluate_writes_the_store_index(self, tmp_path, pipeline_stub):
         # A resumed network stage leaves every store file as it was, before and
-        # after evaluate has written records.index.json.
+        # after evaluate has written the store index (INDEX_NAME).
         config = self.run_full_pipeline(tmp_path, pipeline_stub)
         store_root = config.output_dir / "store"
 
@@ -603,7 +604,7 @@ class TestSimulateStage:
         (tmp_path / "evaluate.json").write_text(json.dumps(config), encoding="utf-8")
         assert run_evaluate(load_config(tmp_path / "evaluate.json")).exit_code == EXIT_OK
         assert sha256_of(f"store/custom__synthetic/{INDEX_NAME}") == (
-            "7dc181b6e91e1b4a1747c2c42accd376c74272cf341102a6292155c5494f7282"
+            "abb3867b311aa2959762a7a3cf0b1815b86be307eab6ab79a74d0160c7fccc2e"
         )
 
 
@@ -1285,6 +1286,49 @@ def test_an_embedding_cache_of_two_widths_ends_evaluate_in_one_line_naming_the_i
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
         f"configuration error: train item {train[2].item_id}: embedding width 3, not 2 as {train[0].item_id}"
+    ]
+
+
+def cache_split_vectors(config, edit) -> tuple[list, list]:
+    """Cache a 4-wide vector for each split item, given to ``edit(n, vector)`` first; the split."""
+    train, test = split(load_dataset(config.dataset_path, DatasetId.CUSTOM), config.split)
+    cache = EmbeddingCache(pipeline.embeddings_path(config))
+    rng = np.random.default_rng(0)
+    for n, item in enumerate(train + test):
+        cache.put(item_embedding_key(item), item.item_id, edit(n, rng.normal(size=4)))
+    cache.save()
+    return train, test
+
+
+def test_a_cached_vector_with_a_nan_is_left_out_of_evaluate_and_planned_again_by_embed(tmp_path, pipeline_stub, caplog):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    config = load_config(config_path)
+    assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+    train, _ = cache_split_vectors(config, lambda n, vector: vector * (np.nan if n == 1 else 1.0))
+    with caplog.at_level(logging.WARNING, logger="langselect.clustering"):
+        result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
+    assert result.exit_code == EXIT_OK, result.output
+    assert json.loads(result.stdout)["skipped_strategies"]["lsk_extractor"] == (
+        "1 split items lack embeddings; rerun the embed stage"
+    )
+    path = pipeline.embeddings_path(config)
+    assert caplog.messages == [f"{path}: 1 non-finite vectors left out, e.g. {train[1].item_id}"]
+    planned = CliRunner().invoke(main, ["embed", "--config", str(config_path), "--dry-run"])
+    assert planned.exit_code == EXIT_OK, planned.output
+    assert json.loads(planned.stdout)["planned_calls"] == 1
+
+
+def test_a_test_vector_of_another_width_ends_evaluate_in_one_line_naming_the_item(tmp_path, pipeline_stub):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    config = load_config(config_path)
+    assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+    train, test = cache_split_vectors(config, lambda n, vector: vector[:3] if n == config.split.train_count else vector)
+    result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"configuration error: item {test[0].item_id}: embedding width 3, not the centroids' 4"
     ]
 
 

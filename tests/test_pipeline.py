@@ -1,7 +1,6 @@
 """The bounded executor and its failure triage, which drive the network stages,
 and the reasoning-language verification rate that ``evaluate`` reports."""
 
-import base64
 import json
 import logging
 import threading
@@ -20,6 +19,7 @@ from langselect.datasets import save_dataset, split
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
 from langselect.langid import DETECTOR_VERSION
 from langselect.languages import Language
+from langselect.prompts import prompt_hash
 from langselect.store import (
     INDEX_NAME,
     UNDETECTABLE,
@@ -33,7 +33,7 @@ from langselect.store import (
 )
 from langselect.translation import ItemTranslationError
 
-from helpers import make_item, stored_records
+from helpers import make_item, read_index, stored_records, write_index
 
 
 def endpoint(max_in_flight: int) -> ModelEndpoint:
@@ -174,7 +174,7 @@ def reasoning_record(item_id, language, text=ENGLISH_TEXT, model="m", status=Rec
         item_id=item_id,
         language=language,
         model_name=model,
-        prompt_hash=f"{prompt}-{item_id}",
+        prompt_hash=prompt_hash(f"{prompt}-{item_id}", model),
         raw_output=json.dumps(raw, ensure_ascii=False),
         extracted_label="B" if status is RecordStatus.OK else None,
         status=status,
@@ -253,7 +253,7 @@ def test_verification_counts_the_record_each_matrix_cell_holds(tmp_path, detecti
     assert detection_calls["detect_language"] == 1
 
 
-# --- The store's verdict column (``RunStore.verdicts``), kept in ``records.index.json``.
+# --- The store's verdict column (``RunStore.verdicts``), kept in the store index (``records.index``).
 
 FRENCH_TEXT = "Le modèle est entraîné dans les données et ce n'est pas pour une raison simple."
 
@@ -361,20 +361,20 @@ def test_evaluate_after_an_append_parses_only_the_appended_lines(tmp_path, parse
     line_start = (directory / "records.jsonl").stat().st_size
     with RunStore(directory) as store:
         store.record(reasoning_record("q0", Language.FRENCH, f"{FRENCH_TEXT} q0"))
-    warm_index = json.loads((directory / INDEX_NAME).read_bytes())
+    warm_index = read_index(directory)[0]
 
     parsed_lines.clear()
     pipeline.run_evaluate(config)
     assert parsed_lines == [(directory / "records.jsonl").read_bytes()[line_start:].decode("utf-8")]
-    index = json.loads((directory / INDEX_NAME).read_bytes())
-    assert (warm_index["length"], len(warm_index["keys"])) == (line_start, 11)
-    assert (index["length"], len(index["keys"])) == ((directory / "records.jsonl").stat().st_size, 12)
+    index, header = (directory / INDEX_NAME).read_bytes(), read_index(directory)[0]
+    assert (warm_index["length"], warm_index["rows"]) == (line_start, 11)
+    assert (header["length"], header["rows"]) == ((directory / "records.jsonl").stat().st_size, 12)
     warm = report_bytes(config)
 
     (directory / INDEX_NAME).unlink()
     pipeline.run_evaluate(config)
     assert report_bytes(config) == warm
-    assert json.loads((directory / INDEX_NAME).read_bytes()) == index
+    assert (directory / INDEX_NAME).read_bytes() == index
 
 
 def test_cached_verdicts_count_as_a_fresh_detection_does(tmp_path, detection_calls):
@@ -409,9 +409,10 @@ def test_the_saved_index_holds_each_rows_verdict(verification_store):
     with RunStore(directory) as store:
         verify(store)
         store.save_index()
-    index = json.loads((directory / INDEX_NAME).read_bytes())
+    index, columns = read_index(directory)
     assert index["detector"] == {"version": DETECTOR_VERSION, "languages": [language.value for language in Language]}
-    verdicts = dict(zip((key[0] for key in index["keys"]), base64.b64decode(index["verdicts"])))
+    items = [index["items"][code] for code in np.frombuffer(columns["keys"], store_module._KEY)["codes"]["item"]]
+    verdicts = dict(zip(items, columns["verdicts"]))
     # q1-q3 are in no ok cell of the matrix: not detected. q4 has no reasoning
     # text and q5 no detectable signal; q6 and q7 reasoned in English.
     assert verdicts == {
@@ -453,9 +454,9 @@ def test_verdicts_of_another_detector_are_detected_again_without_a_parse(tmp_pat
     index_path = pipeline.store_dir(config, "m") / INDEX_NAME
     good = index_path.read_bytes()
     cold = report_bytes(config)
-    index = json.loads(good)
+    index, columns = read_index(index_path.parent)
     edit(index["detector"])
-    index_path.write_text(json.dumps(index), encoding="ascii")
+    write_index(index_path.parent, index, columns)
 
     parsed_lines.clear()
     detection_calls.update(dict.fromkeys(detection_calls, 0))
@@ -474,7 +475,7 @@ def test_no_evaluate_writes_a_verdicts_file(tmp_path):
         store.record(reasoning_record("q0", Language.FRENCH, f"{FRENCH_TEXT} q0"))
     pipeline.run_evaluate(config)
     pipeline.run_evaluate(config)
-    assert sorted(p.name for p in directory.iterdir()) == ["records.index.json", "records.jsonl"]
+    assert sorted(p.name for p in directory.iterdir()) == [INDEX_NAME, "records.jsonl"]
     assert not list(config.output_dir.rglob("verdicts.json"))
 
 

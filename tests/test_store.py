@@ -12,6 +12,7 @@ from langselect.languages import Language
 from langselect.pipeline import _synthetic_store
 from langselect.prompts import prompt_hash
 from langselect.store import (
+    INDEX_NAME,
     InferenceRecord,
     RecordStatus,
     RunStore,
@@ -390,7 +391,8 @@ ODD_HASHES = ["h1", "", "A" * 64, "0" * 63, "0" * 65, "g" * 64, "0" * 62 + " 0",
 
 
 class TestKeyColumns:
-    """A row's key is kept as codes and, for a hex prompt hash, its raw bytes; ``keys()`` gives it back."""
+    """A row's key is kept as codes and, for a hex prompt hash, its raw bytes; ``keys()`` gives it back.
+    Only a store whose prompt hashes are all hex gets an index."""
 
     @pytest.mark.parametrize("hashes", [HEX_HASHES, HEX_HASHES + ODD_HASHES], ids=["hex", "hex-and-odd"])
     def test_keys_come_back_exactly_after_an_append_a_parse_and_an_index_open(self, tmp_path, hashes):
@@ -406,8 +408,9 @@ class TestKeyColumns:
         with RunStore(tmp_path / "run") as parsed:
             assert (parsed.keys(), bytes(parsed.codes)) == ([r.key for r in records], codes)
             parsed.save_index()
+        assert (tmp_path / "run" / INDEX_NAME).exists() is (hashes == HEX_HASHES)
         with RunStore(tmp_path / "run") as indexed:
-            assert indexed._index_length > 0  # opened through the index
+            assert (indexed._index_length > 0) is (hashes == HEX_HASHES)  # opened through the index
             assert (indexed.keys(), bytes(indexed.codes)) == ([r.key for r in records], codes)
             assert indexed.record_many(records) == 0 and indexed.conflicts == 0
 

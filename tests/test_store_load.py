@@ -7,23 +7,26 @@ dropped as torn and a bad earlier line refused, and the file left holding
 whole lines only.
 """
 
-import base64
 import io
 import json
 import logging
 import random
 import re
+from hashlib import sha256
 
+import numpy as np
 import pytest
 
 from langselect import store as store_module
 from langselect.languages import Language
 from langselect.store import STATUSES, InferenceRecord, RecordStatus, RunStore, StoreError, output_digest
 
-from helpers import stored_records
+from helpers import read_index, stored_records, write_index
 
 EN, FR, ZH = Language.ENGLISH, Language.FRENCH, Language.CHINESE
 INDEXED_LINES = [0, 1, 2]  # leading lines of the file an index saved before the open covers
+# Prompt hashes as prompts.prompt_hash gives them, 64 lowercase hex characters: a store of them gets an index.
+H, H1, H2 = (sha256(name.encode()).hexdigest() for name in ("h", "h1", "h2"))
 
 
 def reference_load(data: bytes):
@@ -72,7 +75,7 @@ def record_at(store: RunStore, offset: int) -> InferenceRecord:
         return store_module._parse_line(fh.readline().decode("utf-8"))
 
 
-APPENDED = InferenceRecord("appended", EN, "m", "h-appended", "{}", "C", RecordStatus.OK, 1, "t")
+APPENDED = InferenceRecord("appended", EN, "m", sha256(b"appended").hexdigest(), "{}", "C", RecordStatus.OK, 1, "t")
 
 
 def assert_loads_like_reference(tmp_path, data: bytes, indexed: int = 0):
@@ -125,7 +128,7 @@ TEXTS = [
 ]
 
 
-def random_records(rng: random.Random, n: int) -> list[InferenceRecord]:
+def random_records(rng: random.Random, n: int, hashes=(H1, H2)) -> list[InferenceRecord]:
     """Records over a few keys, so that some repeat (equal or conflicting)."""
     out = []
     for _ in range(n):
@@ -137,7 +140,7 @@ def random_records(rng: random.Random, n: int) -> list[InferenceRecord]:
                 item_id=f"q{rng.randrange(n)}",
                 language=rng.choice([EN, FR, ZH]),
                 model_name=rng.choice(["m", "m", "other"]),
-                prompt_hash=rng.choice(["h1", "h2"]),
+                prompt_hash=rng.choice(hashes),
                 raw_output=text,
                 extracted_label=label,
                 status=status,
@@ -162,6 +165,13 @@ def test_random_valid_stores_load_like_the_reference(tmp_path, seed, indexed):
     assert records and after == data
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_random_stores_of_prompt_hashes_that_are_not_hex_load_like_the_reference(tmp_path, seed):
+    rng = random.Random(seed)
+    data = b"".join(lines_of(random_records(rng, rng.choice([1, 5, 60, 300]), hashes=("h1", "", "A" * 64, "é"))))
+    assert assert_loads_like_reference(tmp_path, data)[2] == data
+
+
 def test_a_long_line_loads(tmp_path):
     long = InferenceRecord("q1", ZH, "m", "h", "中文" * 100_000, "A", RecordStatus.OK, 1, "t")
     data = b"".join(lines_of([random_records(random.Random(0), 1)[0], long, long._replace(item_id="q2")]))
@@ -170,15 +180,15 @@ def test_a_long_line_loads(tmp_path):
 
 GOOD = lines_of(
     [
-        InferenceRecord("q1", EN, "m", "h", '{"final_answer": "A"}', "A", RecordStatus.OK, 1, "t"),
-        InferenceRecord("q2", FR, "m", "h", "é", None, RecordStatus.INVALID_OUTPUT, 2, "t"),
-        InferenceRecord("q3", ZH, "m", "h", "中文 \ud800", "B", RecordStatus.OK, 1, "t"),
-        InferenceRecord("q4", EN, "m", "h", "", None, RecordStatus.TRANSPORT_ERROR, 3, "t"),
+        InferenceRecord("q1", EN, "m", H, '{"final_answer": "A"}', "A", RecordStatus.OK, 1, "t"),
+        InferenceRecord("q2", FR, "m", H, "é", None, RecordStatus.INVALID_OUTPUT, 2, "t"),
+        InferenceRecord("q3", ZH, "m", H, "中文 \ud800", "B", RecordStatus.OK, 1, "t"),
+        InferenceRecord("q4", EN, "m", H, "", None, RecordStatus.TRANSPORT_ERROR, 3, "t"),
     ]
 )
 TWO_OBJECTS = GOOD[0].rstrip(b"\n") + GOOD[1]
 SPLIT_OBJECT = GOOD[2].replace(b'", "', b'",\n "', 1)
-FIELDS = b'"item_id": "q9", "language": "en", "model_name": "m", "prompt_hash": "h", "raw_output": "x"'
+FIELDS = b'"item_id": "q9", "language": "en", "model_name": "m", "prompt_hash": "%s", "raw_output": "x"' % H.encode()
 BAD_LINES = {
     "two objects on one line": TWO_OBJECTS,
     "two objects next to an object split over two lines": TWO_OBJECTS + SPLIT_OBJECT,
@@ -198,7 +208,7 @@ BAD_LINES = {
     "an item id that is a list": GOOD[1].replace(b'"item_id": "q2"', b'"item_id": ["q2"]'),
     "an item id that is null": GOOD[1].replace(b'"item_id": "q2"', b'"item_id": null'),
     "a model name that is an object": GOOD[1].replace(b'"model_name": "m"', b'"model_name": {"m": 1}'),
-    "a prompt hash that is a number": GOOD[1].replace(b'"prompt_hash": "h"', b'"prompt_hash": 7'),
+    "a prompt hash that is a number": GOOD[1].replace(b'"prompt_hash": "%s"' % H.encode(), b'"prompt_hash": 7'),
     "an unknown status": GOOD[1].replace(b'"invalid_output"', b'"done"'),
     "an unknown language": GOOD[1].replace(b'"language": "fr"', b'"language": "xx"'),
     "a missing field": b"{" + FIELDS.replace(b', "raw_output": "x"', b"") + b', "status": "transport_error"}\n',
@@ -369,9 +379,9 @@ def test_the_columns_hold_status_label_and_output(tmp_path):
     assert store.digests[64:96] == output_digest(store.output(2))
 
 
-# --- The persisted index (``records.index.json``). An open through it takes
-# the columns of the file's first N bytes from the index and parses the rest;
-# it must equal a full parse, and so the per-line reference above.
+# --- The persisted index (``records.index``). An open through it takes the
+# columns of the file's first N bytes from the index and parses the rest; it
+# must equal a full parse, and so the per-line reference above.
 
 
 def opened(path):
@@ -413,11 +423,11 @@ def index_open_and_full_parse(path):
 
 
 def indexed_store(path, data: bytes) -> dict:
-    """A store over ``data`` whose index ``save_index`` wrote; the index's JSON."""
+    """A store over ``data`` whose index ``save_index`` wrote; the index's header."""
     path.mkdir(parents=True)
     (path / "records.jsonl").write_bytes(data)
     RunStore(path).save_index()
-    return json.loads((path / store_module.INDEX_NAME).read_bytes())
+    return read_index(path)[0]
 
 
 def cut_inside_a_character(line: bytes, rng: random.Random) -> bytes:
@@ -448,7 +458,7 @@ def edit_a_middle_line(data: bytes, length: int, rng: random.Random) -> bytes:
 
 def multibyte_line(rng: random.Random) -> bytes:
     text = rng.choice(["中文 ", "é ü ", "\U0001F600 "]) * rng.randrange(1, 20)
-    return lines_of([InferenceRecord(f"mb{rng.randrange(99)}", ZH, "m", "h1", text, "A", RecordStatus.OK, 1, "t")])[0]
+    return lines_of([InferenceRecord(f"mb{rng.randrange(99)}", ZH, "m", H1, text, "A", RecordStatus.OK, 1, "t")])[0]
 
 
 CHANGES_AFTER_THE_INDEX = {
@@ -503,6 +513,18 @@ def test_an_index_of_the_whole_file_is_taken_without_parsing(tmp_path, monkeypat
     assert through_index == full
 
 
+def test_an_open_through_an_index_of_the_whole_file_codes_no_key(tmp_path, monkeypatch):
+    data = b"".join(lines_of(random_records(random.Random(1), 300)))
+    path = tmp_path / "run"
+    indexed_store(path, data)
+    coded = []
+    compact = RunStore._compact
+    monkeypatch.setattr(RunStore, "_compact", lambda self, key: coded.append(key) or compact(self, key))
+    with RunStore(path) as store:
+        assert coded == [] and store._index_length == len(data) and len(store) > 100
+        assert store.record(APPENDED) and coded == [APPENDED.key]  # an append codes its key
+
+
 def test_the_index_covers_whole_lines_only(tmp_path):
     whole = b"".join(GOOD)
     fifth = GOOD[0].replace(b'"item_id": "q1"', b'"item_id": "q5"')
@@ -514,40 +536,81 @@ def test_the_index_covers_whole_lines_only(tmp_path):
         )
     ):
         index = indexed_store(tmp_path / str(n), whole + tail)
-        assert (index["length"], len(index["keys"])) == (covered, keys)
+        assert (index["length"], index["rows"]) == (covered, keys)
         through_index, full, index_length = index_open_and_full_parse(tmp_path / str(n))
         assert through_index == full and index_length == covered
 
 
 def rewrite_index(path, edit) -> None:
-    index_path = path / store_module.INDEX_NAME
-    index = json.loads(index_path.read_bytes())
-    edit(index)
-    index_path.write_text(json.dumps(index), encoding="ascii")
+    """Rewrite the index at ``path`` after ``edit`` changed its header and columns in
+    place, or under the header line's bytes ``edit`` returns."""
+    header, columns = read_index(path)
+    write_index(path, edit(header, columns) or header, columns)
+
+
+def edit_codes(field: str, value):
+    """An edit that gives the first row's ``KEY_CODES`` ``field`` the code ``value(header)``."""
+
+    def edit(header, columns):
+        keys = np.frombuffer(columns["keys"], store_module._KEY).copy()
+        keys["codes"][field][0] = value(header)
+        columns["keys"] = keys.tobytes()
+
+    return edit
+
+
+def edit_offsets(edit_array):
+    def edit(header, columns):
+        offsets = np.frombuffer(columns["offsets"], "<i8").copy()
+        edit_array(offsets, header)
+        columns["offsets"] = offsets.tobytes()
+
+    return edit
+
+
+def repeat_the_first_key(header, columns):
+    width = store_module._COLUMNS["keys"]
+    columns["keys"] = columns["keys"][:width] * 2 + columns["keys"][2 * width :]
 
 
 BAD_INDEXES = {
-    "another version": lambda index: index.update(version=index["version"] + 1),
-    "a short offsets column": lambda index: index["offsets"].pop(),
-    "a short digest column": lambda index: index.update(digests=index["digests"][:-8]),
-    "a key too few": lambda index: index["keys"].pop(),
-    "a repeated key": lambda index: index["keys"].__setitem__(1, index["keys"][0]),
-    "a status out of range": lambda index: index.update(statuses=base64.b64encode(b"\x07" * len(index["keys"])).decode()),
-    "a label that is no letter": lambda index: index.update(labels=base64.b64encode(b"a" * len(index["keys"])).decode()),
-    "offsets out of order": lambda index: index["offsets"].reverse(),
-    "a length past the file": lambda index: index.update(length=index["length"] + 1),
-    "another prefix digest": lambda index: index.update(sha256="0" * 64),
-    "a missing column": lambda index: index.pop("labels"),
-    "a short verdict column": lambda index: index.update(verdicts=base64.b64encode(bytes(len(index["keys"]) - 1)).decode()),
-    "a verdict byte past the last language": lambda index: index.update(
-        verdicts=base64.b64encode(bytes([2 + len(index["detector"]["languages"])]) * len(index["keys"])).decode()
+    "a header that is not JSON": lambda header, columns: b'{"version": ',
+    "a header that is a list": lambda header, columns: b"[4]",
+    "another version": lambda header, columns: header.update(version=header["version"] + 1),
+    "an old index of JSON keys": lambda header, columns: header.update(version=3),
+    "a short offsets column": lambda header, columns: columns.update(offsets=columns["offsets"][:-8]),
+    "a short digest column": lambda header, columns: columns.update(digests=columns["digests"][:-8]),
+    "a byte past the columns": lambda header, columns: columns.update(offsets=columns["offsets"] + b"\0"),
+    "a key too few": lambda header, columns: header.update(rows=header["rows"] - 1),
+    "a row count far past the columns": lambda header, columns: header.update(rows=10**15),
+    "a repeated key": repeat_the_first_key,
+    "an item code outside its table": edit_codes("item", lambda header: len(header["items"])),
+    "a model code outside its table": edit_codes("model", lambda header: len(header["models"])),
+    "a language code outside Language": edit_codes("language", lambda header: len(Language)),
+    "a repeated item id": lambda header, columns: header["items"].__setitem__(1, header["items"][0]),
+    "a repeated model name": lambda header, columns: header["models"].append(header["models"][0]),
+    "a status out of range": lambda header, columns: columns.update(statuses=b"\x07" * header["rows"]),
+    "a label that is no letter": lambda header, columns: columns.update(labels=b"a" * header["rows"]),
+    "offsets out of order": edit_offsets(lambda offsets, header: offsets.__setitem__(slice(None), offsets[::-1])),
+    "a repeated offset": edit_offsets(lambda offsets, header: offsets.__setitem__(1, offsets[0])),
+    "a negative offset": edit_offsets(lambda offsets, header: offsets.__setitem__(0, -1)),
+    "an offset at the length": edit_offsets(lambda offsets, header: offsets.__setitem__(-1, header["length"])),
+    "a length past the file": lambda header, columns: header.update(length=header["length"] + 1),
+    "another prefix digest": lambda header, columns: header.update(sha256="0" * 64),
+    "a missing column": lambda header, columns: columns.pop("labels"),
+    "a short verdict column": lambda header, columns: columns.update(verdicts=columns["verdicts"][:-1]),
+    "a verdict byte past the last language": lambda header, columns: columns.update(
+        verdicts=bytes([2 + len(header["detector"]["languages"])]) * header["rows"]
     ),
-    "no detector": lambda index: index.pop("detector"),
-    "a string length": lambda index: index.update(length=str(index["length"])),
-    "a negative line count": lambda index: index.update(lines=-1),
-    "a key part that is a number": lambda index: index["keys"][0].__setitem__(0, 5),
-    "a key part that is null": lambda index: index["keys"][1].__setitem__(3, None),
-    "a key part that is a list": lambda index: index["keys"][2].__setitem__(2, ["m"]),
+    "no detector": lambda header, columns: header.pop("detector"),
+    "no table of models": lambda header, columns: header.pop("models"),
+    "a string length": lambda header, columns: header.update(length=str(header["length"])),
+    "a bool row count": lambda header, columns: header.update(rows=True),
+    "a negative line count": lambda header, columns: header.update(lines=-1),
+    "a key part that is a number": lambda header, columns: header["items"].__setitem__(0, 5),
+    "a key part that is null": lambda header, columns: header["models"].__setitem__(0, None),
+    "a key part that is a list": lambda header, columns: header["items"].__setitem__(2, ["m"]),
+    "a table that is a string": lambda header, columns: header.update(models="m"),
 }
 
 
@@ -556,13 +619,44 @@ def test_an_index_that_does_not_describe_the_file_is_ignored(tmp_path, caplog, n
     data = b"".join(lines_of(random_records(random.Random(2), 60)))
     path = tmp_path / "run"
     indexed_store(path, data)
-    rewrite_index(path, BAD_INDEXES[name])
     with caplog.at_level(logging.WARNING, logger="langselect.store"):
+        assert index_open_and_full_parse(path)[2] == len(data)  # the index as written is taken
+        rewrite_index(path, BAD_INDEXES[name])
+        caplog.clear()
         through_index, full, index_length = index_open_and_full_parse(path)
     assert through_index == full and index_length == 0
     assert f"{store_module.INDEX_NAME}: ignored" in caplog.text
     RunStore(path).save_index()  # the full parse writes a good index
     assert index_open_and_full_parse(path)[2] == (path / "records.jsonl").stat().st_size
+
+
+def test_an_index_file_of_an_earlier_name_is_neither_read_nor_removed(tmp_path, caplog):
+    data = b"".join(lines_of(random_records(random.Random(3), 40)))
+    path = tmp_path / "run"
+    path.mkdir()
+    (path / "records.jsonl").write_bytes(data)
+    (path / "records.index.json").write_bytes(b'{"version": 3}')
+    with caplog.at_level(logging.DEBUG, logger="langselect.store"):
+        store = RunStore(path)
+    assert store._index_length == 0
+    assert caplog.messages == [f"{path / store_module.INDEX_NAME}: not written yet; parsing all of {path / 'records.jsonl'}"]
+    store.save_index()
+    assert (path / "records.index.json").read_bytes() == b'{"version": 3}'
+    assert index_open_and_full_parse(path)[2] == len(data)
+
+
+def test_a_store_with_a_prompt_hash_that_is_not_hex_writes_no_index(tmp_path, caplog):
+    records = random_records(random.Random(7), 60)
+    records[30] = records[30]._replace(prompt_hash="h-not-hex")
+    data = b"".join(lines_of(records))
+    path = tmp_path / "run"
+    with caplog.at_level(logging.WARNING, logger="langselect.store"):
+        path.mkdir()
+        (path / "records.jsonl").write_bytes(data)
+        RunStore(path).save_index()
+    assert not (path / store_module.INDEX_NAME).exists()
+    assert caplog.messages == [f"{path / store_module.INDEX_NAME}: not written: a prompt hash in {path / 'records.jsonl'} is not hex"]
+    assert assert_loads_like_reference(tmp_path / "again", data)[2] == data
 
 
 @pytest.mark.parametrize("content", [b"", b"{", b"[]", b'{"version": 1}', b"\xff"])
