@@ -105,35 +105,43 @@ class EmbeddingCache:
     """JSONL-backed embedding cache keyed by item content hash.
 
     One line per item: ``item_id``, ``key``, ``dim`` and ``f8``, the vector
-    as ``encode_f8`` writes it.
+    as ``encode_f8`` writes it. The open checks every vector once: all are of
+    the first line's width, or the file is refused (``line N corrupt``); one
+    with a NaN, an inf or a zero norm is logged and left uncached, so
+    ``embed`` plans its item again and ``evaluate`` finds no vector for it.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._by_key: dict[str, np.ndarray] = {}
         self._item_key: dict[str, str] = {}
-        if self.path.exists():
-            with self.path.open("rb") as fh:
-                for lineno, line in enumerate(fh, 1):
-                    if not line.strip():
-                        continue
-                    try:
-                        entry = json.loads(line.decode("utf-8"))
-                        values = _cache_vector(entry)
-                        key, item_id = entry["key"], entry["item_id"]
-                    except (ClusteringError, ValueError, KeyError, TypeError) as exc:
-                        raise ClusteringError(f"{self.path}: line {lineno} corrupt: {exc}") from None
+        if not self.path.exists():
+            return
+        width = None  # (the file's vector width, the line that set it)
+        with self.path.open("rb") as fh, np.errstate(over="ignore"):  # a norm past float64's range is not zero
+            for lineno, line in enumerate(fh, 1):
+                if not line.strip():
+                    continue
+                try:
+                    entry = json.loads(line.decode("utf-8"))
+                    values = _cache_vector(entry)
+                    key, item_id = entry["key"], entry["item_id"]
+                    width = width or (values.size, lineno)
+                    if values.size != width[0]:
+                        raise ClusteringError(f"item {item_id}: width {values.size}, not {width[0]} as line {width[1]}")
+                except (ClusteringError, ValueError, KeyError, TypeError) as exc:
+                    raise ClusteringError(f"{self.path}: line {lineno} corrupt: {exc}") from None
+                if np.isfinite(values).all() and np.linalg.norm(values) > 1e-12:  # as _normalize_rows needs
                     self._by_key[key] = values
                     self._item_key[item_id] = key
+                else:
+                    what = "a NaN, an inf or a zero norm; left uncached"
+                    logger.warning("%s: line %d, item %s: %s", self.path, lineno, item_id, what)
 
     def vectors(self, items: Iterable[McqItem]) -> dict[str, np.ndarray]:
-        """``{item_id: vector}`` of each of ``items`` whose ``item_embedding_key`` is cached
-        with finite values; a cached vector with a NaN or inf is logged and left out."""
+        """``{item_id: vector}`` of each of ``items`` whose ``item_embedding_key`` is cached."""
         found = {item.item_id: self._by_key.get(item_embedding_key(item)) for item in items}
-        finite = {i: values for i, values in found.items() if values is not None and np.isfinite(values).all()}
-        if bad := [i for i, values in found.items() if values is not None and i not in finite]:
-            logger.warning("%s: %d non-finite vectors left out, e.g. %s", self.path, len(bad), ", ".join(bad[:5]))
-        return finite
+        return {item_id: values for item_id, values in found.items() if values is not None}
 
     def put(self, key: str, item_id: str, values: np.ndarray) -> None:
         self._by_key[key] = values
@@ -352,13 +360,10 @@ class TrainArray(NamedTuple):
 
 
 def train_array(vectors: Mapping[str, np.ndarray], items: Sequence[str]) -> TrainArray:
-    """The ``TrainArray`` of ``items``; every item needs a vector."""
+    """The ``TrainArray`` of ``items``; every item needs a vector, all of one width."""
     missing = [i for i in items if i not in vectors]
     if missing:
         raise ClusteringError(f"train items without embeddings: {missing[:5]}")
-    width = len(vectors[items[0]]) if items else 0
-    if (odd := next((i for i in items if len(vectors[i]) != width), None)) is not None:
-        raise ClusteringError(f"train item {odd}: embedding width {len(vectors[odd])}, not {width} as {items[0]}")
     X = np.stack([np.asarray(vectors[i], dtype=np.float64) for i in items])
     digest = hashlib.sha256(json.dumps(list(X.shape)).encode("ascii"))
     digest.update(np.ascontiguousarray(X, dtype=_F8))
@@ -437,7 +442,7 @@ def train_lsk_best(
 
 @dataclass(frozen=True)
 class LskRouter:
-    """Binds a trained model to per-item test vectors for evaluation."""
+    """Binds a trained model to per-item test vectors of its centroids' width for evaluation."""
 
     model: ClusterModel
     vectors: Mapping[str, np.ndarray]
@@ -448,7 +453,4 @@ class LskRouter:
             rows = [self.vectors[item_id] for item_id in item_ids]
         except KeyError as exc:
             raise ClusteringError(f"no embedding for item {exc.args[0]}; run the embed stage") from None
-        width = self.model.centroids.shape[1]
-        if (odd := next((at for at, row in enumerate(rows) if row.shape != (width,)), None)) is not None:
-            raise ClusteringError(f"item {item_ids[odd]}: embedding width {rows[odd].size}, not the centroids' {width}")
         return [self.model.expert_language[c] for c in assign_many(np.stack(rows), self.model.centroids).tolist()]

@@ -2,15 +2,17 @@
 
 One directory per (dataset, model) holds ``records.jsonl`` (one record per
 line, first write wins per key) and a ``manifest.json`` provenance sidecar.
-The store keeps an index of the file and each row's language verdict, not its
-text; ``evaluate`` persists it in ``records.index`` (a JSON header line, then
-the columns' raw bytes), so a later open parses only appended lines, each with
-``_parse_line``, and leaves whole lines only. Matrices are rebuilt from the
-store on demand as a byte grid: one byte per (item, language) cell, rows in
-item order and columns in canonical language order. The byte is the ok
-answer's label letter, ``.`` for a missing cell or ``!`` for an invalid one.
-Correctness is recomputed from label vs gold at build time so gold fixes
-propagate without re-running models.
+A key's prompt hash is 64 lowercase hex characters (``prompts.prompt_hash``):
+a line with any other is corrupt. The store keeps an index of the file and
+each row's language verdict, not its text; ``evaluate`` persists it in
+``records.index`` (a JSON header line, then the columns' raw bytes), so a
+later open parses only appended lines, each with ``_parse_line``, and leaves
+whole lines only. Matrices are rebuilt from the store on demand as a byte
+grid: one byte per (item, language) cell, rows in item order and columns in
+canonical language order. The byte is the ok answer's label letter, ``.``
+for a missing cell or ``!`` for an invalid one. Correctness is recomputed
+from label vs gold at build time so gold fixes propagate without re-running
+models.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ MANIFEST_NAME = "manifest.json"
 INDEX_NAME = "records.index"
 INDEX_VERSION = 4  # bump with any change of what the index holds or of what a line indexes to
 DIGEST_SIZE = 32  # bytes of a row's output digest in RunStore.digests
-HASH_SIZE = 32  # bytes of a prompt hash of 64 lowercase hex characters in a row's compact key
+HASH_SIZE = 32  # bytes of a prompt hash, 64 lowercase hex characters as prompts.prompt_hash gives it
 FSYNC_EVERY = 64  # appended records between fsyncs of records.jsonl
 # A JSON string literal with only '"', '\' and control characters escaped: the
 # C-accelerated function json.JSONEncoder(ensure_ascii=False) quotes with.
@@ -85,7 +87,7 @@ UNDETECTED, UNDETECTABLE = 0, 1  # verdict bytes: not detected yet; no reasoning
 VERDICT = {language: byte for byte, language in enumerate(Language, 2)}  # the verdict byte of a detected language
 # What the index's verdict bytes mean: the detector that made them and the languages they index.
 _DETECTOR = {"version": DETECTOR_VERSION, "languages": [language._value_ for language in VERDICT]}
-_KEY = np.dtype([("codes", KEY_CODES), ("hash", f"V{HASH_SIZE}")])  # a compact key of a hex prompt hash
+_KEY = np.dtype([("codes", KEY_CODES), ("hash", f"V{HASH_SIZE}")])  # a compact key: codes, then the hash's bytes
 # The index's columns after its header line, in file order, as bytes per row (offsets: little-endian int64).
 _COLUMNS = dict(keys=_KEY.itemsize, statuses=1, labels=1, digests=DIGEST_SIZE, verdicts=1, offsets=8)
 
@@ -176,12 +178,24 @@ class InferenceRecord(_RecordFields):
         )
 
 
+def _hash_bytes(prompt_hash: str) -> bytes:
+    """The ``HASH_SIZE`` bytes of a prompt hash; ValueError unless it is 64 lowercase hex characters."""
+    try:
+        raw = bytes.fromhex(prompt_hash)
+    except ValueError:
+        raw = b""
+    if len(raw) != HASH_SIZE or raw.hex() != prompt_hash:
+        raise ValueError(f"prompt hash {prompt_hash!r} is not 64 lowercase hex characters")
+    return raw
+
+
 def _parse_line(text: str) -> InferenceRecord:
     """The record of one line of ``records.jsonl``; any exception refuses the line."""
     data = json.loads(text)
     for name in ("item_id", "model_name", "prompt_hash", "raw_output"):
         if not isinstance(data[name], str):
             raise ValueError(f"{name} must be a string, not {data[name]!r}")
+    _hash_bytes(data["prompt_hash"])
     attempt_count, created_at = data.get("attempt_count", 1), data.get("created_at", "")
     if type(attempt_count) is not int or not isinstance(created_at, str):  # a bool count is refused too
         raise ValueError(f"attempt_count {attempt_count!r} is no integer or created_at {created_at!r} no string")
@@ -209,7 +223,6 @@ class ResponseMatrix:
     items: tuple[str, ...]
     cells: bytes
     gold: dict[str, str]
-    warnings: tuple[str, ...] = ()
     # The store row of the record each cell holds, row-major, -1 for none (int64);
     # set by ``build_matrix`` (``decisive_rows``), None on any other matrix.
     rows: np.ndarray | None = field(default=None, compare=False, repr=False)
@@ -254,9 +267,8 @@ class RunStore:
     per row (``keys()`` gives the keys back) and six columns by row, in write
     order. ``codes[row]`` is the row's ``KEY_CODES``: its item id's and model
     name's positions in the store's tables of distinct ones, and its language's
-    in ``tuple(Language)``. The compact key is those codes, then the prompt hash
-    as its 32 bytes, or, unless it is 64 lowercase hex characters, as 33 zero
-    bytes and its UTF-8. ``statuses[row]`` indexes
+    in ``tuple(Language)``. The compact key is those codes, then the prompt
+    hash's 32 bytes, 39 bytes in all. ``statuses[row]`` indexes
     ``STATUSES``, ``labels[row]`` is the label letter's byte (0 for no label),
     ``digests[DIGEST_SIZE * row:][:DIGEST_SIZE]`` is the ``output_digest`` of
     the ``raw_output``, ``offsets[row]`` is where the row's line starts in
@@ -267,8 +279,8 @@ class RunStore:
     An open takes the columns of the file's first N bytes from ``records.index``
     when it holds N and the sha256 of exactly those bytes, and feeds the lines
     after them through ``append``'s loop, writing nothing; ``save_index`` writes
-    it (for hex prompt hashes only). Verdicts of another ``_DETECTOR``, and those
-    of parsed rows, start UNDETECTED. An open may also repair the file's tail, so
+    it. Verdicts of another ``_DETECTOR``, and those of parsed rows, start
+    UNDETECTED. An open may also repair the file's tail, so
     the caller holds the run's lock: a torn final line, or whitespace after the
     last newline, is cut off, and a good final line without its newline gets one.
     """
@@ -392,16 +404,12 @@ class RunStore:
     def save_index(self) -> None:
         """Write ``records.index``: the columns of the file as the open left it,
         unless the index file gave all of them and each of their verdicts. Rows
-        appended since the open are left for the next open to parse. A store
-        with a prompt hash that is not 64 lowercase hex characters gets no index."""
+        appended since the open are left for the next open to parse."""
         length, lines, n, conflicts, digest = self._parsed
         verdicts = bytes(self.verdicts[:n])
         if length == self._index_length and verdicts == self._index_verdicts:
             return
         keys = b"".join(islice(self._rows, n))
-        if len(keys) != n * _KEY.itemsize:  # the compact key of a hash that is not hex is longer
-            logger.warning("%s: not written: a prompt hash in %s is not hex", self.index_path, self.records_path)
-            return
         header = dict(version=INDEX_VERSION, length=length, lines=lines, sha256=digest, conflicts=conflicts, rows=n,
                       detector=_DETECTOR, items=list(self._item_ids), models=list(self._models))
         offsets = np.asarray(self.offsets[:n], dtype="<i8").tobytes()
@@ -409,38 +417,28 @@ class RunStore:
         write_atomic(self.index_path, (json.dumps(header).encode("ascii") + b"\n", *columns))
 
     def _compact(self, key: tuple[str, str, str, str]) -> bytes:
-        """``key``'s compact key, coding its strings into the tables; ValueError
-        for a language that is no ``Language`` code."""
+        """``key``'s compact key, coding its strings into the tables; ValueError, coding nothing,
+        for a language that is no ``Language`` code or a prompt hash ``_hash_bytes`` refuses."""
         item_id, language, model, prompt_hash = key
         if (byte := _LANGUAGE_BYTE.get(language)) is None:
             raise ValueError(f"{key}: language {language!r} is no Language code")
+        raw = _hash_bytes(prompt_hash)
         items, models = self._item_ids, self._models
-        codes = _CODES.pack(items.setdefault(item_id, len(items)), models.setdefault(model, len(models)), byte)
-        try:
-            raw = bytes.fromhex(prompt_hash)
-        except ValueError:
-            raw = b""
-        if len(raw) == HASH_SIZE and raw.hex() == prompt_hash:
-            return codes + raw
-        return codes + bytes(HASH_SIZE + 1) + prompt_hash.encode("utf-8", "surrogatepass")
+        return _CODES.pack(items.setdefault(item_id, len(items)), models.setdefault(model, len(models)), byte) + raw
 
     def keys(self) -> list[tuple[str, str, str, str]]:
         """Each row's key, ``InferenceRecord.key``, in row order."""
         items, languages, models = list(self._item_ids), list(_LANGUAGE_BYTE), list(self._models)
-        keys = []
-        for compact in self._rows:
-            item, model, language = _CODES.unpack_from(compact)
-            part = compact[_CODES.size :]
-            text = part.hex() if len(part) == HASH_SIZE else part[HASH_SIZE + 1 :].decode("utf-8", "surrogatepass")
-            keys.append((items[item], languages[language], models[model], text))
-        return keys
+        hashes = (compact[_CODES.size :].hex() for compact in self._rows)
+        return [(items[i], languages[c], models[m], h) for (i, m, c), h in zip(_CODES.iter_unpack(self.codes), hashes)]
 
     def append(self, entries: Iterable[tuple[tuple[str, str, str, str], bytes, int, int, bytes]]) -> int:
         """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
         with its line's bytes ending in a newline, and return how many lines were
         written. An entry with a status byte not in ``STATUSES``, a label byte not
-        0 or A-Z, an ok one of 0, or a language that is no ``Language`` code is
-        refused with ValueError, and its key's strings are not coded; one whose key
+        0 or A-Z, an ok one of 0, a language that is no ``Language`` code or a
+        prompt hash that is not 64 lowercase hex characters is refused with
+        ValueError, and its key's strings are not coded; one whose key
         is stored (earlier in the batch too) is dropped, a conflict if it differs.
         A row is indexed once its line is in the file's 64 KiB buffer. One flush at
         the end, also when ``entries`` raises; an fsync once ``FSYNC_EVERY`` lines
@@ -581,7 +579,6 @@ def build_matrix(
     ok = np.frombuffer(store.statuses, dtype=np.uint8)[found] == STATUS_OK
     grid[rows >= 0] = np.where(ok, np.frombuffer(store.labels, dtype=np.uint8)[found], INVALID)
 
-    warnings = tuple(f"store record for unknown item {item_id}" for item_id in unknown_items)
     if unknown_items:
         first = ", ".join(list(unknown_items)[:5])
         logger.warning("store records for %d items not in the dataset, e.g. %s", len(unknown_items), first)
@@ -593,7 +590,6 @@ def build_matrix(
         items=items,
         cells=grid.tobytes(),
         gold=gold,
-        warnings=warnings,
         rows=rows,
     )
 

@@ -17,6 +17,8 @@ INVALID = "invalid"
 MISSING = None
 
 _COUNTRIES = ["China", "Mexico", "Azerbaijan", "Thailand", "France", None]
+# Prompt hashes that are not 64 lowercase hex characters, as no prompts.prompt_hash gives: a store refuses each.
+ODD_HASHES = ["h1", "", "A" * 64, "0" * 63, "0" * 65, "g" * 64, "0" * 62 + " 0", "é" * 64, "0" * 62 + "Ab"]
 
 
 def make_item(item_id: str, gold: str = "A", country: str | None = None, n_choices: int = 4) -> McqItem:

@@ -1271,24 +1271,6 @@ def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, b
     assert line.startswith("configuration error: ") and str(named) in line, line
 
 
-def test_an_embedding_cache_of_two_widths_ends_evaluate_in_one_line_naming_the_item(tmp_path, pipeline_stub):
-    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
-    config = load_config(config_path)
-    assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
-    train, test = split(load_dataset(config.dataset_path, DatasetId.CUSTOM), config.split)
-    cache = EmbeddingCache(pipeline.embeddings_path(config))
-    for n, item in enumerate(train + test):
-        cache.put(item_embedding_key(item), item.item_id, np.full(3 if n == 2 else 2, 0.5))
-    cache.save()
-    result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
-    assert result.exit_code == 2, result.output
-    assert "Traceback" not in result.output
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == [
-        f"configuration error: train item {train[2].item_id}: embedding width 3, not 2 as {train[0].item_id}"
-    ]
-
-
 def cache_split_vectors(config, edit) -> tuple[list, list]:
     """Cache a 4-wide vector for each split item, given to ``edit(n, vector)`` first; the split."""
     train, test = split(load_dataset(config.dataset_path, DatasetId.CUSTOM), config.split)
@@ -1300,19 +1282,59 @@ def cache_split_vectors(config, edit) -> tuple[list, list]:
     return train, test
 
 
-def test_a_cached_vector_with_a_nan_is_left_out_of_evaluate_and_planned_again_by_embed(tmp_path, pipeline_stub, caplog):
+def cache_line(config, item_id: str) -> int:
+    """The number of the line of the embedding cache that holds ``item_id``'s vector."""
+    lines = pipeline.embeddings_path(config).read_bytes().splitlines()
+    return next(n for n, line in enumerate(lines, 1) if json.loads(line)["item_id"] == item_id)
+
+
+def assert_both_stages_refuse_the_cache(config_path, message: str) -> None:
+    """``evaluate`` and ``embed --dry-run`` each end in exit 2 and the one line ``message``."""
+    for args in (["evaluate"], ["embed", "--dry-run"]):
+        result = CliRunner().invoke(main, [*args, "--config", str(config_path)])
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        assert result.stdout == ""
+        assert result.stderr.splitlines() == [message]
+
+
+def test_an_embedding_cache_of_two_widths_ends_evaluate_in_one_line_naming_the_item(tmp_path, pipeline_stub):
     config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
     config = load_config(config_path)
     assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
-    train, _ = cache_split_vectors(config, lambda n, vector: vector * (np.nan if n == 1 else 1.0))
+    train, _ = cache_split_vectors(config, lambda n, vector: vector[:3] if n == 2 else vector)
+    line, path = cache_line(config, train[2].item_id), pipeline.embeddings_path(config)
+    assert line > 1
+    message = f"configuration error: {path}: line {line} corrupt: item {train[2].item_id}: width 3, not 4 as line 1"
+    assert_both_stages_refuse_the_cache(config_path, message)
+
+
+DEGENERATE = {
+    "nan": lambda vector: vector * np.nan,
+    "inf": lambda vector: np.concatenate([[np.inf], vector[1:]]),
+    "zero-norm": lambda vector: vector * 0.0,
+}
+
+
+@pytest.mark.parametrize("split_part", ["train", "test"])
+@pytest.mark.parametrize("bad", sorted(DEGENERATE))
+def test_a_cached_vector_with_a_nan_is_left_out_of_evaluate_and_planned_again_by_embed(
+    tmp_path, pipeline_stub, caplog, bad, split_part
+):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    config = load_config(config_path)
+    assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+    at = 1 if split_part == "train" else config.split.train_count
+    train, test = cache_split_vectors(config, lambda n, vector: DEGENERATE[bad](vector) if n == at else vector)
+    item_id = (train + test)[at].item_id
     with caplog.at_level(logging.WARNING, logger="langselect.clustering"):
         result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
     assert result.exit_code == EXIT_OK, result.output
     assert json.loads(result.stdout)["skipped_strategies"]["lsk_extractor"] == (
         "1 split items lack embeddings; rerun the embed stage"
     )
-    path = pipeline.embeddings_path(config)
-    assert caplog.messages == [f"{path}: 1 non-finite vectors left out, e.g. {train[1].item_id}"]
+    path, line = pipeline.embeddings_path(config), cache_line(config, item_id)
+    assert caplog.messages == [f"{path}: line {line}, item {item_id}: a NaN, an inf or a zero norm; left uncached"]
     planned = CliRunner().invoke(main, ["embed", "--config", str(config_path), "--dry-run"])
     assert planned.exit_code == EXIT_OK, planned.output
     assert json.loads(planned.stdout)["planned_calls"] == 1
@@ -1323,13 +1345,10 @@ def test_a_test_vector_of_another_width_ends_evaluate_in_one_line_naming_the_ite
     config = load_config(config_path)
     assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
     train, test = cache_split_vectors(config, lambda n, vector: vector[:3] if n == config.split.train_count else vector)
-    result = CliRunner().invoke(main, ["evaluate", "--config", str(config_path)])
-    assert result.exit_code == 2, result.output
-    assert "Traceback" not in result.output
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == [
-        f"configuration error: item {test[0].item_id}: embedding width 3, not the centroids' 4"
-    ]
+    line, path = cache_line(config, test[0].item_id), pipeline.embeddings_path(config)
+    assert line > 1
+    message = f"configuration error: {path}: line {line} corrupt: item {test[0].item_id}: width 3, not 4 as line 1"
+    assert_both_stages_refuse_the_cache(config_path, message)
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import hashlib
 import inspect
 import itertools
 import json
+import logging
 import os
 import re
 import tracemalloc
@@ -338,11 +339,6 @@ class TestTrainLsk:
         with pytest.raises(ClusteringError, match="without embeddings"):
             train_lsk_best({"q1": np.ones(3)}, matrix, 1, [0])
 
-    def test_vectors_of_two_widths_name_the_first_item_that_differs(self):
-        vectors = {"q1": np.ones(3), "q2": np.ones(3), "q3": np.ones(4), "q4": np.ones(5)}
-        with pytest.raises(ClusteringError, match=r"^train item q3: embedding width 4, not 3 as q1$"):
-            clustering.train_array(vectors, ["q1", "q2", "q3", "q4"])
-
     def test_deterministic_model(self):
         import random as _random
 
@@ -650,6 +646,30 @@ class TestEmbeddingCacheFile:
         with pytest.raises(ClusteringError, match=re.escape(f"{path}: line 2 corrupt")) as info:
             EmbeddingCache(path)
         assert re.search(match, str(info.value))
+
+    def test_a_vector_of_another_width_than_the_first_line_is_refused_naming_line_and_item(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        cache = EmbeddingCache(path)
+        for n, width in enumerate((3, 3, 4, 5)):
+            cache.put(f"k{n}", f"q{n}", np.ones(width))
+        cache.save()
+        with pytest.raises(ClusteringError, match=rf"^{re.escape(str(path))}: line 3 corrupt: item q2: width 4, not 3 as line 1$"):
+            EmbeddingCache(path)
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [1e-13, 0.0], [float("nan"), 1.0], [float("-inf"), 1.0]])
+    def test_a_degenerate_vector_is_logged_left_uncached_and_dropped_at_the_next_save(self, tmp_path, caplog, bad):
+        path = tmp_path / "emb.jsonl"
+        items = [make_item(f"q{n}") for n in range(3)]
+        cache = EmbeddingCache(path)
+        for item, values in zip(items, ([0.6, 0.8], bad, [0.8, 0.6])):
+            cache.put(item_embedding_key(item), item.item_id, np.array(values))
+        cache.save()
+        with caplog.at_level(logging.WARNING, logger="langselect.clustering"):
+            loaded = EmbeddingCache(path)
+        assert caplog.messages == [f"{path}: line 2, item q1: a NaN, an inf or a zero norm; left uncached"]
+        assert sorted(loaded.vectors(items)) == ["q0", "q2"]
+        loaded.save()
+        assert [json.loads(line)["item_id"] for line in path.read_text(encoding="utf-8").splitlines()] == ["q0", "q2"]
 
     def test_load_peak_memory_under_twice_the_vectors(self, tmp_path):
         n, d = 500, 3072

@@ -26,15 +26,16 @@ from langselect.store import (
 )
 from langselect.synthetic import SyntheticSpec, generate
 
-from helpers import cell, cell_correct, make_item, stored_records
+from helpers import ODD_HASHES, cell, cell_correct, make_item, stored_records
 
 
 def record_for(item_id, lang, label="A", status=RecordStatus.OK, raw=None, model="m", phash=None):
+    """A record whose prompt hash is ``prompt_hash`` of ``phash``, by default of a body naming its cell."""
     return InferenceRecord(
         item_id=item_id,
         language=lang,
         model_name=model,
-        prompt_hash=phash or f"hash-{item_id}-{lang.value}",
+        prompt_hash=prompt_hash(phash or f"hash-{item_id}-{lang.value}", model),
         raw_output=raw if raw is not None else json.dumps({"final_answer": label}),
         extracted_label=label if status is RecordStatus.OK else None,
         status=status,
@@ -43,6 +44,7 @@ def record_for(item_id, lang, label="A", status=RecordStatus.OK, raw=None, model
 
 
 EN, ES, HI = Language.ENGLISH, Language.SPANISH, Language.HINDI
+H = prompt_hash("h", "m")
 
 
 @pytest.fixture
@@ -90,7 +92,7 @@ class TestRecordIdempotence:
                 item_id="q1",
                 language=EN,
                 model_name="m",
-                prompt_hash="h",
+                prompt_hash=H,
                 raw_output="x",
                 extracted_label=None,
                 status=RecordStatus.OK,
@@ -108,9 +110,9 @@ class TestRecordIdempotence:
     def test_a_label_that_is_not_null_is_one_capital_letter_whatever_the_status(self, status, label):
         # The label column holds one byte per record, so that conflicts compare bytes.
         with pytest.raises(ValueError, match="one letter A-Z"):
-            InferenceRecord("q1", EN, "m", "h", "raw", label, status)
-        assert InferenceRecord("q1", EN, "m", "h", "raw", "C", status).extracted_label == "C"
-        assert InferenceRecord("q1", EN, "m", "h", "raw", None, status).extracted_label is None
+            InferenceRecord("q1", EN, "m", H, "raw", label, status)
+        assert InferenceRecord("q1", EN, "m", H, "raw", "C", status).extracted_label == "C"
+        assert InferenceRecord("q1", EN, "m", H, "raw", None, status).extracted_label is None
 
     def test_concurrent_writers_are_serialized(self, tmp_path, store):
         def write_block(offset):
@@ -178,11 +180,11 @@ AWKWARD_TEXTS = [
     "é ü 中文 العربية",
 ]
 CODEC_CASES = [
-    *(InferenceRecord(text, HI, text, text, text, None, RecordStatus.INVALID_OUTPUT, 7, text) for text in AWKWARD_TEXTS),
+    *(InferenceRecord(text, HI, text, H, text, None, RecordStatus.INVALID_OUTPUT, 7, text) for text in AWKWARD_TEXTS),
     record_for("q1", EN),
     record_for("q1", ES, status=RecordStatus.INVALID_OUTPUT, raw="?"),  # null label
     record_for("q1", HI, status=RecordStatus.TRANSPORT_ERROR, raw=""),
-    InferenceRecord("q2", EN, "m", "h", "raw", "B", RecordStatus.OK, attempt_count=12),
+    InferenceRecord("q2", EN, "m", H, "raw", "B", RecordStatus.OK, attempt_count=12),
 ]
 
 
@@ -200,7 +202,7 @@ class TestRecordCodec:
         assert rec != record_for("q1", EN, raw="other")
 
     def test_created_at_defaults_to_the_time_of_each_record(self):
-        rec = InferenceRecord("q1", EN, "m", "h", "raw", "A", RecordStatus.OK)
+        rec = InferenceRecord("q1", EN, "m", H, "raw", "A", RecordStatus.OK)
         assert rec.created_at.endswith("+00:00") and rec.created_at[:4].isdigit()
         assert record_for("q1", EN).created_at == "2026-01-01T00:00:00+00:00"
 
@@ -385,20 +387,18 @@ class TestAppend:
         assert {type(key) for key in store._rows} == {bytes}
 
 
-# Prompt hashes a compact key keeps as their 32 bytes, and others it keeps exactly.
+# Prompt hashes of 64 lowercase hex characters, which a compact key keeps as their 32 bytes.
 HEX_HASHES = [prompt_hash(f"body {n}", "m") for n in range(3)] + ["0" * 64]
-ODD_HASHES = ["h1", "", "A" * 64, "0" * 63, "0" * 65, "g" * 64, "0" * 62 + " 0", "é" * 64, HEX_HASHES[0][:62] + "Ab"]
 
 
 class TestKeyColumns:
-    """A row's key is kept as codes and, for a hex prompt hash, its raw bytes; ``keys()`` gives it back.
-    Only a store whose prompt hashes are all hex gets an index."""
+    """A row's key is kept as codes and its prompt hash's raw bytes; ``keys()`` gives it back.
+    A prompt hash that is not 64 lowercase hex characters is refused."""
 
-    @pytest.mark.parametrize("hashes", [HEX_HASHES, HEX_HASHES + ODD_HASHES], ids=["hex", "hex-and-odd"])
-    def test_keys_come_back_exactly_after_an_append_a_parse_and_an_index_open(self, tmp_path, hashes):
+    def test_keys_come_back_exactly_after_an_append_a_parse_and_an_index_open(self, tmp_path):
         records = [
-            record_for(item_id, lang, model=model, phash=phash)
-            for phash in hashes
+            record_for(item_id, lang, model=model)._replace(prompt_hash=phash)
+            for phash in HEX_HASHES
             for item_id, lang, model in (("q1", EN, "m"), ("q2", ES, "m"), ("q1", HI, "other"))
         ]
         with RunStore(tmp_path / "run") as store:
@@ -408,17 +408,27 @@ class TestKeyColumns:
         with RunStore(tmp_path / "run") as parsed:
             assert (parsed.keys(), bytes(parsed.codes)) == ([r.key for r in records], codes)
             parsed.save_index()
-        assert (tmp_path / "run" / INDEX_NAME).exists() is (hashes == HEX_HASHES)
+        assert (tmp_path / "run" / INDEX_NAME).exists()
         with RunStore(tmp_path / "run") as indexed:
-            assert (indexed._index_length > 0) is (hashes == HEX_HASHES)  # opened through the index
+            assert indexed._index_length > 0  # opened through the index
             assert (indexed.keys(), bytes(indexed.codes)) == ([r.key for r in records], codes)
             assert indexed.record_many(records) == 0 and indexed.conflicts == 0
+
+    @pytest.mark.parametrize("phash", ODD_HASHES)
+    def test_a_prompt_hash_that_is_not_hex_is_refused_and_codes_nothing(self, store, phash):
+        good = record_for("q1", EN)
+        assert store.record(good)
+        tables = dict(store._item_ids), dict(store._models)
+        with pytest.raises(ValueError, match="is not 64 lowercase hex characters"):
+            store.record(record_for("q2", ES, model="other")._replace(prompt_hash=phash))
+        assert (dict(store._item_ids), dict(store._models)) == tables
+        assert store.keys() == [good.key] and store.records_path.read_bytes() == (good.to_json() + "\n").encode()
 
     def test_a_key_in_a_language_that_is_no_language_code_is_refused(self, store):
         good = record_for("q1", EN)
         line = (good.to_json() + "\n").encode("utf-8")
         with pytest.raises(ValueError, match="language 'xx' is no Language code"):
-            store.append([(good.key, line, 0, ord("A"), bytes(32)), (("q2", "xx", "m", "h"), line, 0, ord("A"), bytes(32))])
+            store.append([(good.key, line, 0, ord("A"), bytes(32)), (("q2", "xx", "m", H), line, 0, ord("A"), bytes(32))])
         assert store.keys() == [good.key] and store.records_path.read_bytes() == line
 
 
@@ -583,26 +593,28 @@ class TestBuildMatrix:
         for n in range(8):
             store.record(record_for(f"ghost-{n}", EN))
         with caplog.at_level("WARNING", logger="langselect.store"):
-            matrix = build_matrix(store, items, "m", [EN])
-        assert len(matrix.warnings) == 8
+            build_matrix(store, items, "m", [EN])
         assert [r.getMessage() for r in caplog.records] == [
             "store records for 8 items not in the dataset, e.g. ghost-0, ghost-1, ghost-2, ghost-3, ghost-4"
         ]
 
-    def test_unknown_item_warns_not_fatal(self, items, store):
+    def test_unknown_item_warns_not_fatal(self, items, store, caplog):
         store.record(record_for("ghost", EN))
-        matrix = build_matrix(store, items, "m", [EN])
-        assert any("ghost" in w for w in matrix.warnings)
+        with caplog.at_level("WARNING", logger="langselect.store"):
+            matrix = build_matrix(store, items, "m", [EN])
+        assert caplog.messages == ["store records for 1 items not in the dataset, e.g. ghost"]
+        assert matrix.items == ("q1", "q2", "q3")
 
-    def test_each_unknown_item_warns_once_in_first_seen_order(self, items, store):
+    def test_each_unknown_item_warns_once_in_first_seen_order(self, items, store, caplog):
         ghosts = ("ghost-c", "ghost-a", "ghost-b")
         for phash in ("h1", "h2"):
             for lang in (EN, ES):
                 store.record(record_for("q1", lang, phash=f"{phash}-{lang.value}"))
                 for ghost in ghosts:
                     store.record(record_for(ghost, lang, phash=f"{phash}-{lang.value}"))
-        matrix = build_matrix(store, items, "m", [EN, ES])
-        assert matrix.warnings == tuple(f"store record for unknown item {g}" for g in ghosts)
+        with caplog.at_level("WARNING", logger="langselect.store"):
+            build_matrix(store, items, "m", [EN, ES])
+        assert caplog.messages == ["store records for 3 items not in the dataset, e.g. ghost-c, ghost-a, ghost-b"]
 
     def test_languages_canonicalized(self, items, store):
         matrix = build_matrix(store, items, "m", [HI, ES, EN])
