@@ -51,7 +51,7 @@ _INIT_BLOCK_BYTES = 256 * 1024
 # Names the code that turns a train array, k and seeds into centroids; a stored
 # fit is reused only under the same version. Bump it with every change to
 # what a fit computes: tests/test_clustering.py pins it to that code.
-FIT_VERSION = 1
+FIT_VERSION = 2
 
 
 class ClusteringError(RuntimeError):
@@ -64,10 +64,15 @@ def embedding_text(item: McqItem) -> str:
 
 
 def _normalize_rows(X: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(X, axis=1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(X, axis=1, keepdims=True)
     if np.any(norms <= 1e-12):
         raise ClusteringError(f"degenerate embedding: zero-norm {what}")
-    return X / norms
+    unit, huge = X / norms, np.isinf(norms[:, 0])
+    if huge.any():  # a finite row whose norm overflows: scale it by its largest magnitude first
+        scaled = X[huge] / np.abs(X[huge]).max(axis=1, keepdims=True)
+        unit[huge] = scaled / np.linalg.norm(scaled, axis=1, keepdims=True)
+    return unit
 
 
 _F8 = np.dtype("<f8")

@@ -89,6 +89,7 @@ from .store import (
     output_digest,
     read_manifest,
     record_line,
+    utc_now,
     write_atomic,
 )
 from .synthetic import SYNTHETIC_MODEL_NAME, SyntheticSpec, SyntheticSpecError, expected_oracle_accuracy, generate
@@ -407,6 +408,7 @@ def run_infer(
                         extracted_label=label,
                         status=status,
                         attempt_count=response.attempts,
+                        created_at=utc_now(),
                     )
                 )
                 return status

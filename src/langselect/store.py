@@ -2,17 +2,18 @@
 
 One directory per (dataset, model) holds ``records.jsonl`` (one record per
 line, first write wins per key) and a ``manifest.json`` provenance sidecar.
-A key's prompt hash is 64 lowercase hex characters (``prompts.prompt_hash``):
-a line with any other is corrupt. The store keeps an index of the file and
-each row's language verdict, not its text; ``evaluate`` persists it in
-``records.index`` (a JSON header line, then the columns' raw bytes), so a
-later open parses only appended lines, each with ``_parse_line``, and leaves
-whole lines only. Matrices are rebuilt from the store on demand as a byte
-grid: one byte per (item, language) cell, rows in item order and columns in
-canonical language order. The byte is the ok answer's label letter, ``.``
-for a missing cell or ``!`` for an invalid one. Correctness is recomputed
-from label vs gold at build time so gold fixes propagate without re-running
-models.
+``RunStore.append``'s loop checks a row's prompt hash (64 lowercase hex, as
+``prompts.prompt_hash`` gives), language, status and label, for a recorded
+entry and a parsed line alike: a line it refuses is corrupt. The store keeps
+an index of the file and each row's language verdict, not its text;
+``evaluate`` persists it in ``records.index`` (a JSON header line, then the
+columns' raw bytes), so a later open parses only appended lines, each with
+``_parse_line``, and leaves whole lines only. Matrices are rebuilt from the
+store on demand as a byte grid: one byte per (item, language) cell, rows in
+item order and columns in canonical language order. The byte is the ok
+answer's label letter, ``.`` for a missing cell or ``!`` for an invalid one.
+Correctness is recomputed from label vs gold at build time so gold fixes
+propagate without re-running models.
 """
 
 from __future__ import annotations
@@ -73,7 +74,6 @@ _LANGUAGE_BYTE = {code: byte for byte, code in enumerate(_LANGUAGE_BY_CODE)}  # 
 # A row's key codes in RunStore.codes, and packed as its compact key starts.
 KEY_CODES, _CODES = np.dtype([("item", "<u4"), ("model", "<u2"), ("language", "u1")]), struct.Struct("<IHB")
 LABELS = string.ascii_uppercase  # an ok record's label is one of these: one byte of the matrix grid
-_LABEL_SET = frozenset(LABELS)
 _LABEL_BYTES = b"\0" + LABELS.encode("ascii")  # the label column's bytes
 MISSING = ord(".")  # grid byte of a cell with no ok or invalid record
 INVALID = ord("!")  # grid byte of a cell whose first decisive record is invalid
@@ -120,7 +120,10 @@ def record_line(item_id, language, model_name, prompt_hash, raw_output, label, s
     )
 
 
-class _RecordFields(NamedTuple):
+class InferenceRecord(NamedTuple):
+    """One cached model call for an (item, language) cell, compared by fields and checked by ``RunStore.append``
+    as it is stored, not as it is built. ``created_at`` defaults to ``""``, as ``_parse_line`` reads a line with none."""
+
     item_id: str
     language: Language
     model_name: str
@@ -128,39 +131,8 @@ class _RecordFields(NamedTuple):
     raw_output: str
     extracted_label: str | None
     status: RecordStatus
-    attempt_count: int
-    created_at: str
-
-
-class InferenceRecord(_RecordFields):
-    """One cached model call for an (item, language) cell.
-
-    Immutable and compared by fields; a tuple underneath, so building one of
-    the 38,400 records of a synthetic run costs no per-field ``__setattr__``.
-    """
-
-    __slots__ = ()
-
-    def __new__(
-        cls,
-        item_id: str,
-        language: Language,
-        model_name: str,
-        prompt_hash: str,
-        raw_output: str,
-        extracted_label: str | None,
-        status: RecordStatus,
-        attempt_count: int = 1,
-        created_at: str | None = None,
-    ) -> "InferenceRecord":
-        if extracted_label not in _LABEL_SET and (extracted_label is not None or status is RecordStatus.OK):
-            raise ValueError(f"extracted label must be one letter A-Z (or null, if not ok), not {extracted_label!r}")
-        if created_at is None:
-            created_at = utc_now()
-        return tuple.__new__(
-            cls,
-            (item_id, language, model_name, prompt_hash, raw_output, extracted_label, status, attempt_count, created_at),
-        )
+    attempt_count: int = 1
+    created_at: str = ""
 
     @property
     def key(self) -> tuple[str, str, str, str]:
@@ -190,12 +162,15 @@ def _hash_bytes(prompt_hash: str) -> bytes:
 
 
 def _parse_line(text: str) -> InferenceRecord:
-    """The record of one line of ``records.jsonl``; any exception refuses the line."""
+    """The record of one line of ``records.jsonl``; an exception refuses the line. It checks what ``append`` cannot:
+    a JSON object of string ids, hash, output and time, an int count, known language and status, a null or str label."""
     data = json.loads(text)
     for name in ("item_id", "model_name", "prompt_hash", "raw_output"):
         if not isinstance(data[name], str):
             raise ValueError(f"{name} must be a string, not {data[name]!r}")
-    _hash_bytes(data["prompt_hash"])
+    label = data.get("extracted_label")
+    if label is not None and not isinstance(label, str):
+        raise ValueError(f"extracted_label must be a string or null, not {label!r}")
     attempt_count, created_at = data.get("attempt_count", 1), data.get("created_at", "")
     if type(attempt_count) is not int or not isinstance(created_at, str):  # a bool count is refused too
         raise ValueError(f"attempt_count {attempt_count!r} is no integer or created_at {created_at!r} no string")
@@ -205,7 +180,7 @@ def _parse_line(text: str) -> InferenceRecord:
         model_name=data["model_name"],
         prompt_hash=data["prompt_hash"],
         raw_output=data["raw_output"],
-        extracted_label=data.get("extracted_label"),
+        extracted_label=label,
         status=_STATUS_BY_CODE[data["status"]],
         attempt_count=attempt_count,
         created_at=created_at,
@@ -256,8 +231,12 @@ class ResponseMatrix:
 
 
 def _entry(record: InferenceRecord, line: bytes, digest: bytes) -> tuple:
-    """``RunStore.append``'s entry of ``record``, whose line is ``line`` and whose output's digest is ``digest``."""
-    return record.key, line, _STATUS_BYTE[record.status._value_], ord(record.extracted_label or "\0"), digest
+    """``RunStore.append``'s entry of ``record``, whose line is ``line`` and whose output's digest is ``digest``;
+    ValueError for a label that is neither null nor one character (the label byte 0 means null)."""
+    label, status = record.extracted_label, _STATUS_BYTE[record.status._value_]
+    if label is not None and (len(label) != 1 or label == "\0"):
+        raise ValueError(f"{record.key}: label {label!r} with status byte {status!r}")  # as append words it
+    return record.key, line, status, ord(label or "\0"), digest
 
 
 class RunStore:
@@ -278,11 +257,12 @@ class RunStore:
 
     An open takes the columns of the file's first N bytes from ``records.index``
     when it holds N and the sha256 of exactly those bytes, and feeds the lines
-    after them through ``append``'s loop, writing nothing; ``save_index`` writes
-    it. Verdicts of another ``_DETECTOR``, and those of parsed rows, start
-    UNDETECTED. An open may also repair the file's tail, so
-    the caller holds the run's lock: a torn final line, or whitespace after the
-    last newline, is cut off, and a good final line without its newline gets one.
+    after them through ``append``'s loop, writing nothing, so a parsed line is
+    checked as a recorded entry is; ``save_index`` writes it. Verdicts of another
+    ``_DETECTOR``, and those of parsed rows, start UNDETECTED. An open may also
+    repair the file's tail, so the caller holds the run's lock: a torn final
+    line, or whitespace after the last newline, is cut off, and a good final
+    line without its newline gets one.
     """
 
     def __init__(self, directory: str | Path):
@@ -307,8 +287,9 @@ class RunStore:
 
     def _load(self) -> None:
         """Index ``records.jsonl``: the prefix the index file describes, then each
-        line after it as ``_parse_line`` reads it. A bad final line is a torn write,
-        dropped; a bad line before it is corruption. Then repair the tail."""
+        line after it as ``_parse_line`` reads it and ``append``'s loop checks it.
+        A bad final line is a torn write, dropped; a bad line before it is
+        corruption. Then repair the tail."""
         if not self.records_path.exists():
             return
         with self.records_path.open("rb") as fh:
@@ -320,13 +301,7 @@ class RunStore:
                 nonlocal offset, lines
                 for line in fh:
                     if line.strip():
-                        try:
-                            record = _parse_line(line.decode("utf-8"))
-                        except Exception as exc:
-                            if offset + len(line) < size:
-                                raise StoreError(f"{self.records_path}: line {lines + 1} corrupt: {exc}") from None
-                            logger.warning("%s: dropping torn final line %d", self.records_path, lines + 1)
-                            return
+                        record = _parse_line(line.decode("utf-8"))
                         yield _entry(record, line, output_digest(record.raw_output)), offset
                     elif not line.endswith(b"\n"):
                         return  # whitespace after the last newline
@@ -336,7 +311,12 @@ class RunStore:
                     offset += len(line)
                     lines += 1
 
-            self._add(entries())
+            try:
+                self._add(entries())
+            except (ValueError, LookupError, TypeError, RecursionError) as exc:  # the parser's or append's refusal
+                if fh.tell() < size:
+                    raise StoreError(f"{self.records_path}: line {lines + 1} corrupt: {exc}") from None
+                logger.warning("%s: dropping torn final line %d", self.records_path, lines + 1)
         if offset < size:
             os.truncate(self.records_path, offset)
         elif offset > size:
@@ -435,11 +415,12 @@ class RunStore:
     def append(self, entries: Iterable[tuple[tuple[str, str, str, str], bytes, int, int, bytes]]) -> int:
         """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
         with its line's bytes ending in a newline, and return how many lines were
-        written. An entry with a status byte not in ``STATUSES``, a label byte not
-        0 or A-Z, an ok one of 0, a language that is no ``Language`` code or a
-        prompt hash that is not 64 lowercase hex characters is refused with
-        ValueError, and its key's strings are not coded; one whose key
-        is stored (earlier in the batch too) is dropped, a conflict if it differs.
+        written. This loop is the one check of a row's facts: an entry with a
+        status byte not in ``STATUSES``, a label byte not 0 or A-Z, an ok one of 0,
+        a language that is no ``Language`` code or a prompt hash that is not 64
+        lowercase hex characters is refused with ValueError naming the label or
+        the key, and its key's strings are not coded; one whose key is stored
+        (earlier in the batch too) is dropped, a conflict if it differs.
         A row is indexed once its line is in the file's 64 KiB buffer. One flush at
         the end, also when ``entries`` raises; an fsync once ``FSYNC_EVERY`` lines
         are unsynced."""
@@ -457,7 +438,7 @@ class RunStore:
             try:
                 for (key, line, status, label, digest), offset in entries:
                     if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
-                        raise ValueError(f"{key}: status byte {status!r} with label byte {label!r}")
+                        raise ValueError(f"{key}: label {chr(label) if label else None!r} with status byte {status!r}")
                     compact = compact_of(key)  # after the checks: it codes the key's strings into the tables
                     row = rows.get(compact)
                     if row is not None:
@@ -503,13 +484,14 @@ class RunStore:
         )
 
     def output(self, row: int) -> str:
-        """The ``raw_output`` of row ``row``, read back from its line of ``records.jsonl``."""
+        """The ``raw_output`` of row ``row``, read back from its line of ``records.jsonl``:
+        that field alone, as the line was checked when the row was added."""
         with self._lock:
             if self._fh is not None:
                 self._fh.flush()
         with self.records_path.open("rb") as fh:
             fh.seek(self.offsets[row])
-            return _parse_line(fh.readline().decode("utf-8")).raw_output
+            return json.loads(fh.readline())["raw_output"]
 
     def flush(self) -> None:
         with self._lock:

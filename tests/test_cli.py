@@ -34,7 +34,7 @@ from langselect.pipeline import (
     store_dir,
     translation_file,
 )
-from langselect.store import INDEX_NAME, RunStore, read_manifest
+from langselect.store import INDEX_NAME, RunStore, read_manifest, utc_now
 
 from helpers import make_item
 from stub_server import StubServer, echo_translation_responder, hash_embedding
@@ -150,6 +150,16 @@ class TestInferStage:
         store = RunStore(store_dir(config, "stub-model"))
         assert len(store) == 18
         assert read_manifest(store.directory)["model_name"] == "stub-model"
+
+    def test_created_at_defaults_to_the_time_of_each_record(self, tmp_path, pipeline_stub):
+        config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
+        run_translate(config, backoff=0.001)
+        before = utc_now()
+        assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
+        after = utc_now()
+        lines = (store_dir(config, "stub-model") / "records.jsonl").read_bytes().splitlines()
+        times = [json.loads(line)["created_at"] for line in lines]
+        assert len(times) == 18 and all(before <= time <= after and time.endswith("+00:00") for time in times)
 
     def test_rerun_zero_calls(self, tmp_path, pipeline_stub):
         config = load_config(write_pipeline_config(tmp_path, pipeline_stub))
@@ -495,9 +505,9 @@ SAMPLE_SPEC_SHA256 = {
     "items.jsonl": "046306e875a7092a2211afcc9de26d98c812d676b427bba1ee368be8ea30dd8d",
     "embeddings.jsonl": "85a57f27bc89c9ebc502a205e13488721181d5c3e9064745619950999fcee0c0",
     "global_choice.json": "b05cc9f54fbc90c05d933e76ceea69d37ed40e4f8ee0be000ecd51cab69a64a4",
-    "cluster_model_k12.json": "3c134598f65539d37ab022bdb6e356031078feef0f89c19af73959336ffeb733",
-    "cluster_model_k24.json": "1e764026b5238cc24e7bbd780f87950db9c6b924e66a9dac6160b1125e6184e8",
-    "cluster_model_k48.json": "9733998984ccdc7b002262297f8d520572c0e416d7519ac3929a1b725854d29f",
+    "cluster_model_k12.json": "b0ed4d51793bb2698f5066aff395af4a164251de43b3620ef9ebf5a9d4298c7c",
+    "cluster_model_k24.json": "755444315744b8be338b978a1efd4231f50bc51d4e4120508e3a244e4eed6f51",
+    "cluster_model_k48.json": "0764eb654e0aa4b48f83fe7b4be6700b4b0b235a5f86fdccc3cd32243fecf221",
 }
 
 

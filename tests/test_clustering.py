@@ -109,6 +109,17 @@ class TestSquaredDistances:
         assert (clustering._squared_distances(near, X[rows]) >= 0.0).all()
 
 
+@pytest.mark.parametrize(
+    "row, unit",
+    [([1e200, 1e200], [0.5**0.5] * 2), ([1e308, 0.0], [1.0, 0.0]), ([-1.7e308, 1.7e308], [-(0.5**0.5), 0.5**0.5])],
+)
+def test_a_finite_row_whose_norm_overflows_normalizes_to_its_direction(row, unit):
+    X = np.array([row, [0.6, 0.8], [3.0, -4.0]])
+    out = clustering._normalize_rows(X, "input vector")
+    assert np.allclose(out[0], unit, rtol=0, atol=1e-15)
+    assert out[1:].tobytes() == (X[1:] / np.linalg.norm(X[1:], axis=1, keepdims=True)).tobytes()
+
+
 class TestKmeansFit:
     def test_k_equals_n_gives_zero_inertia(self):
         rng = np.random.default_rng(0)
@@ -579,6 +590,12 @@ class TestEmbedItems:
         with pytest.raises(GatewayError, match=f"^degenerate embedding from endpoint: {problem} vector$"):
             embed_items(items, endpoint)
 
+    def test_a_vector_from_endpoint_whose_norm_overflows_is_its_direction(self, monkeypatch):
+        endpoint = ModelEndpoint(base_url="http://unused", model_name="embedder", timeout=5.0)
+        monkeypatch.setattr("langselect.clustering.embed_texts", lambda texts, *a, **k: [[0.6, 0.8], [1e300, 1e300]])
+        vectors = embed_items([make_item("q0"), make_item("q1")], endpoint)
+        assert np.allclose(vectors, [[0.6, 0.8], [0.5**0.5, 0.5**0.5]], rtol=0, atol=1e-15)
+
     def test_embedding_text_uses_question_and_choices(self, dress_code_item):
         text = embedding_text(dress_code_item)
         assert dress_code_item.question in text
@@ -703,7 +720,7 @@ FIT_CODE = (
     "inertia",
     "_best_fit",
 )
-PINNED_FIT = (1, "c43480057467e1aaeda9943f27b23c974a49b9ae46c769b20e8251474f4c4972")
+PINNED_FIT = (2, "fa07940b0af8831e7e52a7fdcc769ed2acc0f43597a6494f04caf818d5c47dfa")
 
 
 def test_fit_version_is_bumped_with_every_edit_of_the_fit_code():

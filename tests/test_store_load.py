@@ -2,8 +2,9 @@
 
 ``RunStore`` indexes ``records.jsonl`` one line at a time and repairs its
 tail. ``reference_load`` below is the reading it must agree with: each line
-read by ``store._parse_line`` and refused unless its prompt hash is 64
-lowercase hex characters, first write wins, a bad final line dropped as torn
+read by ``store._parse_line`` and refused unless its label is null or one
+capital letter (not null when ok) and its prompt hash is 64 lowercase hex
+characters, first write wins, a bad final line dropped as torn
 and a bad earlier line refused, and the file left holding whole lines only.
 """
 
@@ -28,6 +29,7 @@ INDEXED_LINES = [0, 1, 2]  # leading lines of the file an index saved before the
 # Prompt hashes as prompts.prompt_hash gives them, 64 lowercase hex characters, the only ones a store takes.
 H, H1, H2 = (sha256(name.encode()).hexdigest() for name in ("h", "h1", "h2"))
 HEX_HASH = re.compile("[0-9a-f]{64}")
+LABELS = "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
 
 
 def reference_load(data: bytes):
@@ -42,6 +44,9 @@ def reference_load(data: bytes):
         if line.strip():
             try:
                 record = store_module._parse_line(line.decode("utf-8"))
+                label, status = record.extracted_label, record.status
+                if label not in (None, *LABELS) or label is None and status is RecordStatus.OK:
+                    raise ValueError(f"{record.key}: label {label!r} with status byte {STATUSES.index(status)!r}")
                 if not HEX_HASH.fullmatch(record.prompt_hash):
                     raise ValueError(f"prompt hash {record.prompt_hash!r} is not 64 lowercase hex characters")
             except Exception as exc:
@@ -199,6 +204,7 @@ BAD_LINES = {
     "an ok record without a label": GOOD[0].replace(b'"extracted_label": "A"', b'"extracted_label": null'),
     "a label of two letters": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": "AB"'),
     "an empty label": GOOD[3].replace(b'"extracted_label": null', b'"extracted_label": ""'),
+    "a NUL label": GOOD[3].replace(b'"extracted_label": null', b'"extracted_label": "\\u0000"'),
     "a list label": GOOD[1].replace(b'"extracted_label": null', b'"extracted_label": [1]'),
     "an output that is no string": GOOD[1].replace(b'"raw_output": "\xc3\xa9"', b'"raw_output": 5'),
     "an item id that is a list": GOOD[1].replace(b'"item_id": "q2"', b'"item_id": ["q2"]'),
@@ -212,6 +218,7 @@ BAD_LINES = {
     "a string": b'"q1"\n',
     "a number": b"1\n",
     "a half object": GOOD[0][:40] + b"\n",
+    "an array nested past the recursion limit": b"[" * 100_000 + b"\n",
     "a NaN attempt count": b"{" + FIELDS + b', "extracted_label": null, "status": "invalid_output", "attempt_count": NaN}\n',
     "an attempt count that is a string": GOOD[1].replace(b'"attempt_count": 2', b'"attempt_count": "2"'),
     "an attempt count that is a bool": GOOD[1].replace(b'"attempt_count": 2', b'"attempt_count": true'),
@@ -523,6 +530,18 @@ def test_an_open_through_an_index_of_the_whole_file_codes_no_key(tmp_path, monke
     with RunStore(path) as store:
         assert coded == [] and store._index_length == len(data) and len(store) > 100
         assert store.record(APPENDED) and coded == [APPENDED.key]  # an append codes its key
+
+
+def test_a_full_parse_checks_each_prompt_hash_once(tmp_path, monkeypatch):
+    data = b"".join(lines_of(random_records(random.Random(1), 300)))
+    path = tmp_path / "run"
+    path.mkdir()
+    (path / "records.jsonl").write_bytes(data)
+    checked = []
+    hash_bytes = store_module._hash_bytes
+    monkeypatch.setattr(store_module, "_hash_bytes", lambda h: checked.append(h) or hash_bytes(h))
+    assert len(RunStore(path)) > 100
+    assert len(checked) == data.count(b"\n") == 300
 
 
 def test_the_index_covers_whole_lines_only(tmp_path):
