@@ -7,9 +7,9 @@ send at most the endpoint's ``max_in_flight`` requests at once and keep every
 finished task on any exit, an interrupt included, so a rerun calls only what
 is left.
 
-A bad config, dataset, run store, manifest, cache, country map, spec or report,
-or a locked run directory, is refused in one place, ``_refuse_bad_input``: one
-line, exit 2.
+A bad config or template (both read at config load), dataset, run store, manifest,
+cache, country map, spec or report, or a locked run directory, is refused in one
+place, ``_refuse_bad_input``: one line naming the file, exit 2.
 """
 
 from __future__ import annotations

@@ -40,7 +40,7 @@ import numpy as np
 from .datasets import McqItem
 from .gateway import GatewayError, ModelEndpoint, embed_texts
 from .languages import Language, canonical_index
-from .store import ResponseMatrix, write_atomic
+from .store import ResponseMatrix, read_json, write_atomic
 
 logger = logging.getLogger(__name__)
 
@@ -128,7 +128,7 @@ class EmbeddingCache:
                 if not line.strip():
                     continue
                 try:
-                    entry = json.loads(line.decode("utf-8"))
+                    entry = json.loads(line.rstrip(b"\n").decode("utf-8"))
                     values = _cache_vector(entry)
                     key, item_id = entry["key"], entry["item_id"]
                     width = width or (values.size, lineno)
@@ -338,7 +338,7 @@ def stored_fit(path: Path, k: int, dim: int) -> tuple[str, int, np.ndarray] | No
     ``dim`` as a warning. Nothing else of the file is read, since
     ``train_lsk_best`` recomputes the rest."""
     try:
-        data = json.loads(path.read_bytes())
+        data = read_json(path, ClusteringError)
         fit_key, seed, rows = data["fit_key"], int(data["seed"]), data["centroids_f8"]
         if len(rows) != k:
             raise ClusteringError(f"{len(rows)} centroid rows, expected k = {k}")

@@ -7,15 +7,16 @@ value is interpolated from the environment at load time.
 
 from __future__ import annotations
 
-import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .datasets import DatasetError, DatasetId, SplitSpec
 from .gateway import ModelEndpoint
 from .languages import DEFAULT_LANGUAGES, Language
+from .prompts import TemplateSet
+from .store import read_json
 
 _VAR_PATTERN = re.compile(r"\$\{([A-Za-z_][A-Za-z0-9_]*)\}")
 
@@ -86,6 +87,9 @@ def _endpoint(block: dict | None, name: str) -> ModelEndpoint | None:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One run's inputs. ``templates`` has one for each of ``languages``: ``load_config``
+    reads and checks them, and the default, the bundled set, has one for every language."""
+
     dataset_path: Path
     dataset_id: DatasetId
     output_dir: Path
@@ -97,7 +101,7 @@ class RunConfig:
     k_list: tuple[int, ...] = (12,)
     seeds: tuple[int, ...] = (0,)
     country_map_path: Path | None = None
-    template_dir: Path | None = None
+    templates: TemplateSet = field(default_factory=TemplateSet.bundled)
 
     def require_endpoint(self, which: str) -> ModelEndpoint:
         endpoint = getattr(self, f"{which}_endpoint")
@@ -107,19 +111,19 @@ class RunConfig:
 
 
 def load_config(path: str | Path) -> RunConfig:
+    """The run the config file at ``path`` describes, its templates read and checked (those of
+    ``template_dir``, else the bundled set); ConfigError naming the first file or directory that
+    is bad: the config, the dataset or country map if not a file, or a template (``from_directory``)."""
     path = Path(path)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    try:
-        data = _interpolate(json.loads(path.read_text(encoding="utf-8")))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    data = _interpolate(read_json(path, ConfigError))
 
     dataset = data.get("dataset")
     if not isinstance(dataset, dict) or not dataset.get("path") or "id" not in dataset:
         raise ConfigError(f"{path}: 'dataset' block with 'path' and 'id' is required")
     dataset_path = _path(path, dataset, "path")
-    if not dataset_path.exists():
+    if not dataset_path.is_file():
         raise ConfigError(f"dataset file not found: {dataset_path}")
     try:
         dataset_id = DatasetId(dataset["id"])
@@ -156,11 +160,10 @@ def load_config(path: str | Path) -> RunConfig:
     if output_dir is None:
         raise ConfigError(f"{path}: 'output_dir' is required")
     country_map = _path(path, data, "country_map")
-    if country_map is not None and not country_map.exists():
+    if country_map is not None and not country_map.is_file():
         raise ConfigError(f"country map file not found: {country_map}")
     template_dir = _path(path, data, "template_dir")
-    if template_dir is not None and not template_dir.is_dir():
-        raise ConfigError(f"template directory not found: {template_dir}")
+    templates = TemplateSet.from_directory(template_dir, languages) if template_dir else TemplateSet.bundled()
 
     k_list = tuple(_integer("k_list", k) for k in _list(data, "k_list", [12]))
     if not k_list or any(k < 1 for k in k_list):
@@ -181,5 +184,5 @@ def load_config(path: str | Path) -> RunConfig:
         k_list=k_list,
         seeds=seeds,
         country_map_path=country_map,
-        template_dir=template_dir,
+        templates=templates,
     )

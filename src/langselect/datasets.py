@@ -130,7 +130,7 @@ def _load_records(path: str | Path, fields: tuple[str, ...], build: Callable[[di
                 continue
             try:
                 try:
-                    record = json.loads(line.decode("utf-8"))
+                    record = json.loads(line.rstrip(b"\n").decode("utf-8"))
                 except ValueError as exc:  # not UTF-8, or not JSON
                     raise DatasetError(f"invalid JSON: {exc}") from None
                 if not isinstance(record, dict):

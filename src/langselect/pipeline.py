@@ -55,7 +55,6 @@ from .langid import DetectionError, detect_language
 from .languages import Language
 from .prompts import (
     HashRegistry,
-    TemplateSet,
     build_reasoning_prompt,
     build_selection_prompt,
     prompt_hash,
@@ -87,6 +86,7 @@ from .store import (
     matrix_counts,
     missing_cells,
     output_digest,
+    read_json,
     read_manifest,
     record_line,
     utc_now,
@@ -153,12 +153,6 @@ def load_items(config: RunConfig) -> list[McqItem]:
     return load_dataset(config.dataset_path, config.dataset_id)
 
 
-def _templates(config: RunConfig) -> TemplateSet:
-    if config.template_dir is not None:
-        return TemplateSet.from_directory(config.template_dir)
-    return TemplateSet.bundled()
-
-
 def _resolve_languages(config: RunConfig, requested: Iterable[Language] | None) -> list[Language]:
     if requested is None:
         return list(config.languages)
@@ -182,7 +176,7 @@ def config_snapshot(config: RunConfig, model_name: str) -> dict:
         "k_list": list(config.k_list),
         "seeds": list(config.seeds),
         "model_name": model_name,
-        "prompt_template_sha256": _templates(config).content_hashes(),
+        "prompt_template_sha256": config.templates.content_hashes(),
     }
     if config.translation_endpoint:
         snapshot["translation_model"] = config.translation_endpoint.model_name
@@ -346,7 +340,6 @@ def run_infer(
     it is done, and the store is closed (flushed and synced) on every exit.
     """
     endpoint = config.require_endpoint("chat")
-    templates = _templates(config)
     items = load_items(config)
     items_by_id = {i.item_id: i for i in items}
     langs = _resolve_languages(config, languages)
@@ -393,7 +386,7 @@ def run_infer(
             def work(cell: tuple[str, Language]) -> RecordStatus:
                 item_id, lang = cell
                 item = per_language[lang][item_id]
-                prompt = build_reasoning_prompt(item, lang, templates)
+                prompt = build_reasoning_prompt(item, lang, config.templates)
                 digest = registry.check(prompt.body, endpoint.model_name)
                 response = chat_complete(prompt, endpoint, backoff=backoff)
                 label = extract_final_answer(response.text, items_by_id[item_id])
@@ -741,8 +734,8 @@ def run_evaluate(
 def rerender_report(report_path: Path, fmt: str) -> bytes:
     """``report.json`` at ``report_path`` in ``fmt``, the bytes ``evaluate`` wrote for it. ConfigError
     if no report, that is, if a format cannot render it: every format refuses the same files."""
+    report = read_json(report_path, ConfigError)
     try:
-        report = json.loads(Path(report_path).read_bytes())
         for check in FORMATS:
             emit(report, check)
     except (ValueError, LookupError, TypeError, AttributeError) as exc:
@@ -812,10 +805,10 @@ def run_simulate(
     next, so an output directory holding another spec's run is refused before
     anything in it is written.
     """
+    spec_payload = read_json(spec_path, SyntheticSpecError)
     try:
-        spec_payload = json.loads(Path(spec_path).read_bytes())
         spec = SyntheticSpec.from_dict(spec_payload)
-    except (ValueError, TypeError) as exc:  # not JSON, or not a spec
+    except (ValueError, TypeError) as exc:  # not a spec
         raise SyntheticSpecError(f"{spec_path}: {exc}") from None
     n_test = test_count if test_count is not None else max(1, spec.n_items // 6)
     n_train = train_count if train_count is not None else spec.n_items - n_test

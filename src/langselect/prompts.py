@@ -14,10 +14,11 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .datasets import McqItem
-from .languages import Language
+from .languages import Language, UnknownLanguageError, parse_language
+from .store import read_json
 
 FINAL_ANSWER_KEY = "final_answer"
 EXPERT_LANGUAGE_KEY = "expert_language"
@@ -29,10 +30,6 @@ _TEMPLATE_FIELDS = (
     "reasoning_placeholder",
     "answer_placeholder",
 )
-
-
-class MissingTemplateError(KeyError):
-    """No reasoning-prompt template is available for the requested language."""
 
 
 @dataclass(frozen=True)
@@ -62,10 +59,7 @@ class TemplateSet:
         self._templates = dict(templates)
 
     def get(self, language: Language) -> PromptTemplate:
-        try:
-            return self._templates[language]
-        except KeyError:
-            raise MissingTemplateError(f"no prompt template for language {language.value!r}") from None
+        return self._templates[language]
 
     def content_hashes(self) -> dict[str, str]:
         """Per-language sha256 of template content, for provenance snapshots."""
@@ -78,26 +72,34 @@ class TemplateSet:
         return out
 
     @classmethod
-    def from_directory(cls, directory: str | Path) -> "TemplateSet":
-        """Load ``{code}.json`` template files from a directory."""
+    def from_directory(cls, directory: str | Path, languages: Iterable[Language]) -> "TemplateSet":
+        """The ``{code}.json`` template files in ``directory``, each a JSON object of the five string
+        fields, one for each of ``languages`` at least; ConfigError naming the first file named for no
+        language code or not such an object, or the directory if it lacks one of ``languages``."""
+        from .config import ConfigError  # config imports this module
+
         directory = Path(directory)
         templates: dict[Language, PromptTemplate] = {}
         for path in sorted(directory.glob("*.json")):
-            language = Language(path.stem)
-            data = json.loads(path.read_text(encoding="utf-8"))
-            missing = [f for f in _TEMPLATE_FIELDS if f not in data]
-            if missing:
-                raise ValueError(f"{path}: template missing fields {missing}")
-            templates[language] = PromptTemplate(language=language, **{f: data[f] for f in _TEMPLATE_FIELDS})
-        if not templates:
-            raise ValueError(f"no *.json templates found in {directory}")
+            data = read_json(path, ConfigError)
+            try:
+                language = parse_language(path.stem)
+            except UnknownLanguageError as exc:
+                raise ConfigError(f"{path}: not a template: {exc}") from None
+            bad = [f for f in _TEMPLATE_FIELDS if not isinstance(data.get(f), str)]
+            if bad:
+                raise ConfigError(f"{path}: template fields {bad} missing or not strings")
+            templates[language] = PromptTemplate(language, **{f: data[f] for f in _TEMPLATE_FIELDS})
+        untemplated = [language.value for language in languages if language not in templates]
+        if untemplated:
+            raise ConfigError(f"{directory}: no template for the languages {untemplated}")
         return cls(templates)
 
     @classmethod
     def bundled(cls) -> "TemplateSet":
-        """The templates shipped with the package (all 16 default languages)."""
+        """The templates shipped with the package, one for each language."""
         with resources.as_file(resources.files("langselect") / "templates") as directory:
-            return cls.from_directory(directory)
+            return cls.from_directory(directory, Language)
 
 
 def reasoning_key(language: Language) -> str:

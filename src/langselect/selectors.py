@@ -19,7 +19,7 @@ import numpy as np
 
 from .datasets import McqItem
 from .languages import Language, canonical_index
-from .store import LABELS, ResponseMatrix, write_atomic
+from .store import LABELS, ResponseMatrix, read_json, write_atomic
 
 
 class SelectorError(RuntimeError):
@@ -73,7 +73,7 @@ class CountryMap:
     def from_json(cls, path: str | Path) -> "CountryMap":
         """The JSON object of country names to language codes at ``path``, ``_default``
         that of unmapped countries; SelectorError naming the file when it is bad."""
-        entries = _language_map(path, "country", "country names")
+        entries = _language_map(path, "country")
         default = entries.pop("_default", Language.ENGLISH)
         try:
             return cls.from_entries(entries, default=default)
@@ -236,20 +236,14 @@ def save_selection_cache(cache: Mapping[str, Language], path: str | Path) -> Non
 def load_selection_cache(path: str | Path) -> dict[str, Language]:
     """The ``item id -> Language`` map ``save_selection_cache`` wrote; SelectorError
     naming the file, and the entry, when it holds anything else."""
-    return _language_map(path, "item", "item ids")
+    return _language_map(path, "item")
 
 
-def _language_map(path: str | Path, key: str, keys: str) -> dict[str, Language]:
-    """The JSON object at ``path`` of ``keys`` to language codes; SelectorError
+def _language_map(path: str | Path, key: str) -> dict[str, Language]:
+    """The JSON object at ``path`` of keys to language codes; SelectorError
     naming the file, and the ``key`` whose code is bad, when it holds anything else."""
-    try:
-        data = json.loads(Path(path).read_bytes())
-    except ValueError as exc:
-        raise SelectorError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(data, dict):
-        raise SelectorError(f"{path}: not an object of {keys} to language codes")
     languages = {}
-    for name, code in data.items():
+    for name, code in read_json(path, SelectorError).items():
         try:
             languages[name] = Language(code)
         except ValueError:

@@ -104,6 +104,17 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
     os.replace(tmp, path)
 
 
+def read_json(path: str | Path, error: type[Exception]) -> dict:
+    """The JSON object in the file at ``path``; ``error``, naming the file, if it is not UTF-8 JSON of one."""
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise error(f"{path}: not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise error(f"{path}: not a JSON object")
+    return data
+
+
 def output_digest(raw_output: str) -> bytes:
     """sha256 of a ``raw_output``'s UTF-8 bytes, a lone surrogate kept as its
     three bytes: rows with equal digests share one verdict, detected once."""
@@ -301,7 +312,7 @@ class RunStore:
                 nonlocal offset, lines
                 for line in fh:
                     if line.strip():
-                        record = _parse_line(line.decode("utf-8"))
+                        record = _parse_line(line.rstrip(b"\n").decode("utf-8"))  # a JSON error's position is the line's
                         yield _entry(record, line, output_digest(record.raw_output)), offset
                     elif not line.endswith(b"\n"):
                         return  # whitespace after the last newline
@@ -527,15 +538,7 @@ def read_manifest(directory: str | Path) -> dict | None:
     """The manifest of the store in ``directory``, read without loading its records;
     StoreError naming the file when it is not a JSON object."""
     path = Path(directory) / MANIFEST_NAME
-    if not path.exists():
-        return None
-    try:
-        manifest = json.loads(path.read_bytes())
-    except ValueError as exc:
-        raise StoreError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise StoreError(f"{path}: not a JSON object")
-    return manifest
+    return read_json(path, StoreError) if path.exists() else None
 
 
 def build_matrix(

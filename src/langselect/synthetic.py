@@ -10,7 +10,6 @@ keeps the oracle expectation in closed form:
 
 from __future__ import annotations
 
-import json
 import string
 from dataclasses import dataclass
 from pathlib import Path
@@ -19,7 +18,7 @@ import numpy as np
 
 from .datasets import Choice, DatasetId, McqItem
 from .languages import Language, canonical_sorted
-from .store import ResponseMatrix
+from .store import ResponseMatrix, read_json
 
 _REJECTION_ATTEMPTS_PER_CENTROID = 1000
 _CHOICE_COUNT = 4
@@ -68,7 +67,7 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticSpec":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        return cls.from_dict(read_json(path, SyntheticSpecError))
 
     @classmethod
     def from_dict(cls, data: dict) -> "SyntheticSpec":

@@ -21,6 +21,15 @@ _COUNTRIES = ["China", "Mexico", "Azerbaijan", "Thailand", "France", None]
 ODD_HASHES = ["h1", "", "A" * 64, "0" * 63, "0" * 65, "g" * 64, "0" * 62 + " 0", "é" * 64, "0" * 62 + "Ab"]
 
 
+def write_templates(directory: Path, codes) -> None:
+    """A template file for each language code of ``codes`` in a new ``directory``, its five fields named after it."""
+    directory.mkdir()
+    fields = ("question_label", "choices_label", "instruction", "reasoning_placeholder", "answer_placeholder")
+    for code in codes:
+        template = {field: f"{field} ({code})" for field in fields}
+        (directory / f"{code}.json").write_text(json.dumps(template), encoding="utf-8")
+
+
 def make_item(item_id: str, gold: str = "A", country: str | None = None, n_choices: int = 4) -> McqItem:
     labels = string.ascii_uppercase[:n_choices]
     return McqItem(

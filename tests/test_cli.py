@@ -36,7 +36,7 @@ from langselect.pipeline import (
 )
 from langselect.store import INDEX_NAME, RunStore, read_manifest, utc_now
 
-from helpers import make_item
+from helpers import make_item, write_templates
 from stub_server import StubServer, echo_translation_responder, hash_embedding
 
 
@@ -803,7 +803,7 @@ class TestCliInterface:
         [
             ('{"q1": "xx"}', "item 'q1' has 'xx', not a language code"),
             ('{"q1": "th", "q2": [1]}', "item 'q2' has [1], not a language code"),
-            ("[1, 2]", "not an object of item ids to language codes"),
+            ("[1, 2]", "not a JSON object"),
             ('{"q1": "th"', "not JSON: "),
         ],
         ids=["unknown-code", "list-code", "list", "truncated"],
@@ -1245,6 +1245,23 @@ def map_a_country_to_no_language(tmp_path, config_path, config):
     return ["evaluate", "--config", str(config_path)], path
 
 
+def point_the_config_at_a_directory(field: str):
+    """A breaks function that sets the config's ``field`` (its dataset path or country map) to a directory."""
+
+    def breaks(tmp_path, config_path, config):
+        directory = tmp_path / "a-directory"
+        directory.mkdir()
+        payload = json.loads(config_path.read_text(encoding="utf-8"))
+        if field == "dataset":
+            payload["dataset"]["path"] = directory.name
+        else:
+            payload[field] = directory.name
+        config_path.write_text(json.dumps(payload), encoding="utf-8")
+        return ["evaluate", "--config", str(config_path)], directory
+
+    return breaks
+
+
 def set_test_count_to_zero(tmp_path, config_path, config):
     payload = json.loads(config_path.read_text(encoding="utf-8"))
     payload["split"]["test_count"] = 0
@@ -1264,6 +1281,8 @@ def set_test_count_to_zero(tmp_path, config_path, config):
         pytest.param(drop_k_true_from_a_spec, id="spec-without-k-true"),
         pytest.param(map_a_country_to_no_language, id="country-map-bad-code"),
         pytest.param(set_test_count_to_zero, id="test-count-0"),
+        pytest.param(point_the_config_at_a_directory("dataset"), id="dataset-a-directory"),
+        pytest.param(point_the_config_at_a_directory("country_map"), id="country-map-a-directory"),
     ],
 )
 def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, breaks):
@@ -1362,15 +1381,15 @@ def test_a_test_vector_of_another_width_ends_evaluate_in_one_line_naming_the_ite
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, error",
     [
-        pytest.param(b'{"x": ', id="not-json"),
-        pytest.param(b'{"x": 1}', id="not-a-report"),
-        pytest.param(b"[1]", id="a-list"),
+        pytest.param(b'{"x": ', "not JSON: ", id="not-json"),
+        pytest.param(b'{"x": 1}', "not a report: ", id="not-a-report"),
+        pytest.param(b"[1]", "not a JSON object", id="a-list"),
     ],
 )
 @pytest.mark.parametrize("fmt", ["json", "csv", "markdown"])
-def test_a_bad_report_ends_in_one_line_naming_its_file(tmp_path, fmt, content):
+def test_a_bad_report_ends_in_one_line_naming_its_file(tmp_path, fmt, content, error):
     path = tmp_path / "report.json"
     path.write_bytes(content)
     result = CliRunner().invoke(main, ["report", "--report", str(path), "--format", fmt])
@@ -1378,4 +1397,40 @@ def test_a_bad_report_ends_in_one_line_naming_its_file(tmp_path, fmt, content):
     assert "Traceback" not in result.output
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
-    assert line.startswith(f"configuration error: {path}: not a report: "), line
+    assert line.startswith(f"configuration error: {path}: {error}"), line
+
+
+@pytest.mark.parametrize(
+    "name, content, error",
+    [
+        pytest.param("en.json", b'{"question_label": ', "not JSON: ", id="not-json"),
+        pytest.param("en.json", b'{"question_label": "\xe9"}', "not JSON: 'utf-8' codec", id="not-utf8"),
+        pytest.param("en.json", b'["Question:"]', "not a JSON object", id="a-list"),
+        pytest.param("README.json", b"{}", "not a template: unknown language code: 'README'", id="readme"),
+        pytest.param(
+            "en.json",
+            b'{"question_label": "Q:", "instruction": 1}',
+            "template fields ['choices_label', 'instruction', 'reasoning_placeholder', 'answer_placeholder'] "
+            "missing or not strings",
+            id="missing-fields",
+        ),
+        pytest.param("tr.json", None, "no template for the languages ['tr']", id="no-template-for-a-language"),
+    ],
+)
+@pytest.mark.parametrize("args", [["infer", "--dry-run"], ["evaluate"]], ids=["infer-dry-run", "evaluate"])
+def test_a_bad_template_directory_ends_in_one_line_naming_it(tmp_path, pipeline_stub, args, name, content, error):
+    directory = tmp_path / "templates"
+    write_templates(directory, ["en", "tr"])
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en", "tr"), template_dir="templates")
+    if content is None:  # the named file is deleted: the directory is refused
+        (directory / name).unlink()
+        named = directory
+    else:
+        (directory / name).write_bytes(content)
+        named = directory / name
+    result = CliRunner().invoke(main, [*args, "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stdout == ""
+    [line] = result.stderr.splitlines()
+    assert line.startswith(f"configuration error: {named}: {error}"), line

@@ -650,6 +650,7 @@ class TestEmbeddingCacheFile:
             ('{"item_id": "q1", "key": "k1", "dim": 3, "f8": "%s"}\n' % encode_f8(np.ones(2)), "expected 24"),
             (legacy_line("q1", "k1", np.ones(2)).replace('"dim": 2', '"dim": 3'), "expected dim 3"),
             ('{"item_id": "q1", "key": "k1", "di\n', "line 2 corrupt"),
+            ('{"item_id": "q1", "key": "k1"\n', "line 2 corrupt: Expecting ',' delimiter: line 1 column 30"),
         ],
     )
     def test_corrupt_line_names_file_and_line(self, tmp_path, bad_line, match):

@@ -7,7 +7,7 @@ from langselect.config import ConfigError, load_config
 from langselect.datasets import DatasetId
 from langselect.languages import DEFAULT_LANGUAGES, Language
 
-from helpers import make_item
+from helpers import make_item, write_templates
 from langselect.datasets import save_dataset
 
 
@@ -91,10 +91,18 @@ def test_endpoint_required_error(tmp_path):
         config.require_endpoint("translation")
 
 
-def test_invalid_json(tmp_path):
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        pytest.param(b"{not json", "not JSON: Expecting property name", id="not-json"),
+        pytest.param(b"[1]", "not a JSON object", id="a-list"),
+        pytest.param(b'{"output_dir": "\xe9"}', "not JSON: 'utf-8' codec can't decode byte 0xe9", id="not-utf8"),
+    ],
+)
+def test_invalid_json(tmp_path, content, message):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError, match="invalid JSON"):
+    path.write_bytes(content)
+    with pytest.raises(ConfigError, match=re.escape(f"{path}: {message}")):
         load_config(path)
 
 
@@ -135,11 +143,13 @@ def test_numbers_from_environment_placeholders_are_read(tmp_path, monkeypatch):
 
 
 def test_relative_paths_are_taken_from_the_config_directory(tmp_path):
-    (tmp_path / "templates").mkdir()
+    write_templates(tmp_path / "templates", ["en"])
     (tmp_path / "map.json").write_text("{}", encoding="utf-8")
     absolute = tmp_path / "elsewhere"
-    config = load_config(write_config(tmp_path, output_dir=str(absolute), country_map="map.json", template_dir="templates"))
+    config = load_config(
+        write_config(tmp_path, output_dir=str(absolute), country_map="map.json", template_dir="templates", languages=["en"])
+    )
     assert config.dataset_path == tmp_path / "data.jsonl"
     assert config.output_dir == absolute
     assert config.country_map_path == tmp_path / "map.json"
-    assert config.template_dir == tmp_path / "templates"
+    assert config.templates.get(Language.ENGLISH).instruction == "instruction (en)"

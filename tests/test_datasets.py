@@ -64,6 +64,14 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match="line 2: missing field 'question'"):
             load_dataset(path, DatasetId.BLEND)
 
+    def test_a_line_cut_short_is_refused_at_its_own_position(self, tmp_path):
+        path = tmp_path / "cut.jsonl"
+        write_jsonl(path, [BLEND_RECORD, BLEND_RECORD])
+        first, second = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text(first + second[: second.index(', "question"')] + "\n" + first, encoding="utf-8")
+        with pytest.raises(DatasetError, match=r"line 2: invalid JSON: Expecting ',' delimiter: line 1 column 17 \(char 16\)$"):
+            load_dataset(path, DatasetId.BLEND)
+
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "dup.jsonl"
         write_jsonl(path, [BLEND_RECORD, BLEND_RECORD])

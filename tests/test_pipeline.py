@@ -365,7 +365,7 @@ def test_evaluate_after_an_append_parses_only_the_appended_lines(tmp_path, parse
 
     parsed_lines.clear()
     pipeline.run_evaluate(config)
-    assert parsed_lines == [(directory / "records.jsonl").read_bytes()[line_start:].decode("utf-8")]
+    assert parsed_lines == [(directory / "records.jsonl").read_bytes()[line_start:-1].decode("utf-8")]  # no newline
     index, header = (directory / INDEX_NAME).read_bytes(), read_index(directory)[0]
     assert (warm_index["length"], warm_index["rows"]) == (line_start, 11)
     assert (header["length"], header["rows"]) == ((directory / "records.jsonl").stat().st_size, 12)

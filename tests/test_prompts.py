@@ -1,10 +1,12 @@
+import re
+
 import pytest
 
+from langselect.config import ConfigError
 from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.languages import Language
 from langselect.prompts import (
     HashRegistry,
-    MissingTemplateError,
     PromptText,
     TemplateSet,
     build_reasoning_prompt,
@@ -95,9 +97,10 @@ class TestReasoningPrompt:
             ),
             encoding="utf-8",
         )
-        templates = TemplateSet.from_directory(tmp_path)
-        with pytest.raises(MissingTemplateError):
-            build_reasoning_prompt(dress_code_item, Language.THAI, templates)
+        templates = TemplateSet.from_directory(tmp_path, [Language.ENGLISH])
+        assert build_reasoning_prompt(dress_code_item, Language.ENGLISH, templates).body.startswith("Question: ")
+        with pytest.raises(ConfigError, match=re.escape(f"{tmp_path}: no template for the languages ['th']")):
+            TemplateSet.from_directory(tmp_path, [Language.ENGLISH, Language.THAI])
 
 
 class TestSelectionPrompt:

@@ -43,7 +43,7 @@ def reference_load(data: bytes):
         end += len(line)
         if line.strip():
             try:
-                record = store_module._parse_line(line.decode("utf-8"))
+                record = store_module._parse_line(line.rstrip(b"\n").decode("utf-8"))
                 label, status = record.extracted_label, record.status
                 if label not in (None, *LABELS) or label is None and status is RecordStatus.OK:
                     raise ValueError(f"{record.key}: label {label!r} with status byte {STATUSES.index(status)!r}")
@@ -249,6 +249,13 @@ def test_a_bad_middle_line_is_refused_with_its_number(tmp_path, name, at, indexe
     data = b"".join(GOOD[: at - 1]) + BAD_LINES[name] + b"".join(GOOD[at - 1 :])
     error = assert_loads_like_reference(tmp_path, data, indexed)
     assert error.startswith(f"line {at} corrupt: ")
+
+
+@pytest.mark.parametrize("indexed", INDEXED_LINES[:2])
+def test_a_middle_line_cut_short_is_refused_at_its_own_position(tmp_path, indexed):
+    cut = GOOD[1][: GOOD[1].index(b', "language"')] + b"\n"  # '{"item_id": "q2"', then the newline
+    error = assert_loads_like_reference(tmp_path, b"".join(GOOD[:1]) + cut + b"".join(GOOD[2:]), indexed)
+    assert error == "line 2 corrupt: Expecting ',' delimiter: line 1 column 17 (char 16)"
 
 
 @pytest.mark.parametrize("indexed", INDEXED_LINES)
