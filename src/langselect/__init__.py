@@ -6,6 +6,8 @@ seven language-selection strategies, including cluster-based expert-language
 routing and the hindsight oracle upper bound.
 """
 
+__version__ = "0.1.0"  # before the imports: gateway's User-Agent reads it
+
 from .clustering import ClusterModel, LskRouter, kmeans_fit, train_lsk_best
 from .datasets import (
     ClaimRecord,
@@ -25,8 +27,6 @@ from .report import build_report, emit
 from .selectors import CountryMap, GlobalChoice, SelectorOutcome, Strategy, evaluate
 from .store import InferenceRecord, ResponseMatrix, RunStore, build_matrix, missing_cells
 from .synthetic import SyntheticSpec, generate
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CANONICAL_ORDER",

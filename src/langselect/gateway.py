@@ -5,21 +5,20 @@ Wire format is the common one: POST ``{base_url}/chat/completions`` with
 with ``{model, input}``. Transient failures (connection errors, 429, 5xx) are
 retried with exponential backoff up to ``max_retries``, waiting at least as
 long as a ``Retry-After`` header of whole seconds asks; auth and other client
-errors surface immediately. ``requests`` is imported at the first call, so the
-offline commands (``simulate``, ``evaluate``, ``report``) never load it.
+errors surface immediately. ``urllib.request`` is imported at the first call, so
+the offline commands (``simulate``, ``evaluate``, ``report``) never load it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
+from . import __version__
 from .prompts import PromptText
-
-if TYPE_CHECKING:
-    import requests
 
 _RETRYABLE_STATUS = frozenset({408, 429})
 
@@ -62,7 +61,7 @@ class ModelEndpoint:
             raise ValueError("max_in_flight must be >= 1")
 
     def headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": "application/json", "User-Agent": f"langselect/{__version__}"}  # some fronts refuse Python-urllib
         if self.api_key_ref:
             key = os.environ.get(self.api_key_ref)
             if not key:
@@ -77,46 +76,42 @@ class ChatResponse:
     attempts: int
 
 
-def _retry_after_s(response: requests.Response) -> int:
-    """The delay a ``Retry-After`` header asks for, in whole seconds.
-
-    0 when the header is absent or not a non-negative integer; the HTTP-date
-    form is ignored.
-    """
-    value = response.headers.get("Retry-After", "").strip()
-    return int(value) if value.isdecimal() else 0
-
-
 def _post_json(url: str, payload: dict, endpoint: ModelEndpoint, backoff: float) -> tuple[dict, int]:
     """POST with retry policy; returns (parsed body, attempts used)."""
-    import requests  # here, not at the top: see the module docstring
+    import http.client  # here, not at the top: see the module docstring
+    import urllib.error
+    import urllib.request
 
+    body = json.dumps(payload).encode("ascii")
     headers = endpoint.headers()
-    attempts = 0
-    last_error = "no attempt made"
-    for attempt in range(endpoint.max_retries + 1):
-        attempts += 1
-        wait = backoff * (2**attempt)
-        try:
-            response = requests.post(url, json=payload, headers=headers, timeout=endpoint.timeout)
-        except requests.RequestException as exc:
-            last_error = f"{type(exc).__name__}: {exc}"
-        else:
-            status = response.status_code
-            if status == 200:
-                try:
-                    return response.json(), attempts
-                except ValueError as exc:
-                    raise GatewayError(f"endpoint returned unparsable JSON: {exc}", attempts)
-            if status in (401, 403):
-                raise AuthError(f"authentication failed with status {status}", attempts)
-            if status in _RETRYABLE_STATUS or status >= 500:
-                last_error = f"status {status}"
-                wait = max(wait, _retry_after_s(response))
-            else:
-                raise GatewayError(f"endpoint rejected request with status {status}", attempts)
-        if attempt < endpoint.max_retries:
+    for attempts in range(1, endpoint.max_retries + 2):
+        if attempts > 1:
             time.sleep(wait)
+        wait = backoff * 2 ** (attempts - 1)
+        try:
+            # A new Request for each attempt: a proxy rewrites the one it sends in place.
+            request = urllib.request.Request(url, body)
+            for name, value in headers.items():  # not sent on to where a redirect points, the key included
+                request.add_unredirected_header(name, value)
+            with urllib.request.urlopen(request, timeout=endpoint.timeout) as reply:
+                status, raw = reply.status, reply.read()
+        except urllib.error.HTTPError as exc:  # a 4xx, a 5xx or a redirect not followed; its body is not read
+            exc.close()
+            status, retry_after = exc.code, exc.headers.get("Retry-After", "").strip()
+            wait = max(wait, int(retry_after) if retry_after.isdecimal() else 0)  # the HTTP-date form is ignored
+        except (OSError, http.client.HTTPException, ValueError) as exc:  # ValueError: a URL or header refused
+            last_error = f"{type(exc).__name__}: {exc}"
+            continue
+        if status == 200:
+            try:
+                return json.loads(raw), attempts
+            except ValueError as exc:
+                raise GatewayError(f"endpoint returned unparsable JSON: {exc}", attempts)
+        if status in (401, 403):
+            raise AuthError(f"authentication failed with status {status}", attempts)
+        if status not in _RETRYABLE_STATUS and status < 500:
+            raise GatewayError(f"endpoint rejected request with status {status}", attempts)
+        last_error = f"status {status}"
     raise TransportError(f"request to {url} failed after {attempts} attempts ({last_error})", attempts)
 
 

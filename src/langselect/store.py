@@ -105,11 +105,15 @@ def write_atomic(path: Path, data: bytes | Iterable[bytes]) -> None:
 
 
 def read_json(path: str | Path, error: type[Exception]) -> dict:
-    """The JSON object in the file at ``path``; ``error``, naming the file, if it is not UTF-8 JSON of one."""
+    """The JSON object in the file at ``path``; ``error``, naming the file, if it is unreadable or not UTF-8 JSON of one."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:  # not UTF-8, or not JSON
         raise error(f"{path}: not JSON: {exc}") from None
+    except FileNotFoundError:  # passed on: a caller may read a missing file as one not written yet
+        raise
+    except OSError as exc:  # a directory, no permission
+        raise error(f"{path}: not readable: {exc.strerror or exc}") from None
     if not isinstance(data, dict):
         raise error(f"{path}: not a JSON object")
     return data

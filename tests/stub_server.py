@@ -35,8 +35,13 @@ class StubServer:
     Behavior is scripted per test: a queue of forced statuses (sent with a
     ``Retry-After`` header when ``retry_after`` is set), a hard fail switch
     after N successes, a predicate on the chat body that answers 500, a
-    per-request latency, and pluggable content responders. Every request body
-    is logged, and the peak number of requests in flight is kept. With
+    per-request latency, pluggable content responders, a raw 200 body
+    (``raw_reply``, bytes sent as they are), a redirect (``redirect``, a
+    status and a location) and a switch that closes every connection without
+    a reply (``drop_connections``). Replies are JSON in UTF-8, non-ASCII
+    characters unescaped. Every POST's headers and body are logged, every
+    GET's headers too (``gets``; a GET is answered 405), and the peak number
+    of requests in flight is kept. With
     ``hold_until_overlap`` set to a number of seconds, a request waits until
     the peak reaches 2 or that time passes, so a concurrent client's overlap
     shows however the host schedules its threads.
@@ -59,10 +64,14 @@ class StubServer:
         self.fail_when = None  # callable(chat body) -> bool
         self.raw_chat_body: dict | None = None
         self.raw_embedding_body: dict | None = None
+        self.raw_reply: bytes | None = None
+        self.redirect: tuple[int, str] | None = None
+        self.drop_connections = False
         self.hold_until_overlap: float | None = None
         self.lock = threading.Lock()
         self.overlap = threading.Condition(self.lock)
         self.requests: list[dict] = []
+        self.gets: list[dict] = []
         self.successes = 0
         self.in_flight = 0
         self.peak_in_flight = 0
@@ -72,6 +81,12 @@ class StubServer:
         class Handler(BaseHTTPRequestHandler):
             def log_message(self, *args):  # quiet
                 pass
+
+            def do_GET(self):
+                with stub.lock:
+                    stub.gets.append({"path": self.path, "headers": dict(self.headers)})
+                self.counted = False
+                self._reply(405, {"error": "POST only"})
 
             def do_POST(self):
                 with stub.lock:
@@ -100,13 +115,20 @@ class StubServer:
                 length = int(self.headers.get("Content-Length", 0))
                 payload = json.loads(self.rfile.read(length) or b"{}")
                 with stub.lock:
-                    stub.requests.append({"path": self.path, "payload": payload})
+                    stub.requests.append({"path": self.path, "payload": payload, "headers": dict(self.headers)})
                     forced = stub.status_queue.pop(0) if stub.status_queue else None
                     failing = stub.fail_after is not None and stub.successes >= stub.fail_after
+                if stub.drop_connections:
+                    return  # HTTP/1.0: the connection closes after a handler that sent nothing
+                if stub.raw_reply is not None:
+                    return self._reply(200, stub.raw_reply)
                 if stub.require_key is not None:
                     auth = self.headers.get("Authorization", "")
                     if auth != f"Bearer {stub.require_key}":
                         return self._reply(401, {"error": "bad key"})
+                if stub.redirect is not None:
+                    status, location = stub.redirect
+                    return self._reply(status, {"error": "moved"}, {"Location": location})
                 if forced is not None:
                     headers = {} if stub.retry_after is None else {"Retry-After": stub.retry_after}
                     return self._reply(forced, {"error": f"forced status {forced}"}, headers)
@@ -137,8 +159,8 @@ class StubServer:
                     return self._reply(200, {"data": data})
                 return self._reply(404, {"error": "unknown path"})
 
-            def _reply(self, status: int, body: dict, headers: dict[str, str] | None = None):
-                raw = json.dumps(body).encode("utf-8")
+            def _reply(self, status: int, body: dict | bytes, headers: dict[str, str] | None = None):
+                raw = body if isinstance(body, bytes) else json.dumps(body, ensure_ascii=False).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(raw)))

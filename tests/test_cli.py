@@ -628,9 +628,10 @@ codes = []
 for args in json.loads(sys.argv[2]):
     try:
         main(args, standalone_mode=False)
+        codes.append(0)  # report returns; the stages exit with their code
     except SystemExit as exc:
         codes.append(exc.code)
-print(json.dumps({"codes": codes, "loaded": [name for name in ("requests", "urllib3") if name in sys.modules]}))
+print(json.dumps({"codes": codes, "loaded": [name for name in ("http.client", "urllib.request") if name in sys.modules]}))
 """
 
 
@@ -646,13 +647,18 @@ class TestCliInterface:
             "seeds": [0],
         }
         (tmp_path / "evaluate.json").write_text(json.dumps(config), encoding="utf-8")
-        runs = [["simulate", "--spec", str(spec), "--output", str(out)], ["evaluate", "--config", str(tmp_path / "evaluate.json")]]
+        runs = [
+            ["simulate", "--spec", str(spec), "--output", str(out)],
+            ["evaluate", "--config", str(tmp_path / "evaluate.json")],
+            ["report", "--report", str(out / "reports" / "report.json"), "--output", str(tmp_path / "report.md")],
+        ]
         src = Path(__file__).resolve().parents[1] / "src"
         result = subprocess.run(
             [sys.executable, "-c", OFFLINE_RUN, str(src), json.dumps(runs)], capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0, result.stderr
-        assert json.loads(result.stdout.splitlines()[-1]) == {"codes": [EXIT_OK, EXIT_OK], "loaded": []}
+        assert json.loads(result.stdout.splitlines()[-1]) == {"codes": [EXIT_OK, EXIT_OK, EXIT_OK], "loaded": []}
+        assert (tmp_path / "report.md").read_bytes() == (out / "reports" / "report.md").read_bytes()
 
     def test_translate_dry_run_via_cli(self, tmp_path, pipeline_stub):
         config_path = write_pipeline_config(tmp_path, pipeline_stub)
@@ -1229,6 +1235,23 @@ def corrupt_the_manifest(tmp_path, config_path, config):
     return ["infer", "--config", str(config_path), "--dry-run"], path
 
 
+def make_the_manifest_a_directory(tmp_path, config_path, config):
+    path = store_dir(config, "stub-model") / "manifest.json"
+    path.unlink()
+    path.mkdir()
+    return ["infer", "--config", str(config_path), "--dry-run"], path
+
+
+def make_a_template_a_directory(tmp_path, config_path, config):
+    directory = tmp_path / "templates"
+    write_templates(directory, ["en"])
+    (directory / "en.json").unlink()
+    (directory / "en.json").mkdir()
+    payload = json.loads(config_path.read_text(encoding="utf-8"))
+    config_path.write_text(json.dumps({**payload, "template_dir": "templates"}), encoding="utf-8")
+    return ["infer", "--config", str(config_path), "--dry-run"], directory / "en.json"
+
+
 def drop_k_true_from_a_spec(tmp_path, config_path, config):
     spec = TestSimulateStage().write_spec(tmp_path)
     payload = json.loads(spec.read_text(encoding="utf-8"))
@@ -1286,6 +1309,25 @@ def set_test_count_to_zero(tmp_path, config_path, config):
     ],
 )
 def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, breaks):
+    line, named = refusal_of(tmp_path, pipeline_stub, breaks)
+    assert line.startswith("configuration error: ") and str(named) in line, line
+
+
+@pytest.mark.parametrize(
+    "breaks",
+    [
+        pytest.param(make_the_manifest_a_directory, id="manifest-a-directory"),
+        pytest.param(make_a_template_a_directory, id="template-a-directory"),
+    ],
+)
+def test_a_directory_in_place_of_a_json_file_ends_in_one_line_naming_it(tmp_path, pipeline_stub, breaks):
+    line, named = refusal_of(tmp_path, pipeline_stub, breaks)
+    assert line.startswith(f"configuration error: {named}: not readable: "), line
+
+
+def refusal_of(tmp_path, pipeline_stub, breaks) -> tuple[str, Path]:
+    """The one line the CLI run ``breaks`` names ends in, exit 2, after ``breaks`` broke an input of
+    a run with one complete infer stage; and the path ``breaks`` says the line must name."""
     config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
     # Every item has a country, so that evaluate reads the country map.
     save_dataset([make_item(f"q{i}", country="China") for i in range(6)], tmp_path / "data.jsonl")
@@ -1297,7 +1339,7 @@ def test_a_bad_input_ends_in_one_line_naming_its_file(tmp_path, pipeline_stub, b
     assert "Traceback" not in result.output
     assert result.stdout == ""
     [line] = result.stderr.splitlines()
-    assert line.startswith("configuration error: ") and str(named) in line, line
+    return line, named
 
 
 def cache_split_vectors(config, edit) -> tuple[list, list]:

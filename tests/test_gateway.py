@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+import langselect
 from langselect.gateway import (
     AuthError,
     GatewayError,
@@ -93,6 +94,58 @@ class TestChatComplete:
         with pytest.raises(TransportError) as info:
             chat_complete("hello", endpoint, backoff=0.001)
         assert info.value.attempts == 2
+
+
+class TestTransport:
+    def test_a_200_whose_body_is_not_json_is_one_request_and_a_gateway_error(self, stub):
+        stub.raw_reply = b"<html>busy</html>"
+        with pytest.raises(GatewayError, match="unparsable JSON") as info:
+            chat_complete("hello", endpoint_for(stub), backoff=0.001)
+        assert not isinstance(info.value, TransportError)
+        assert info.value.attempts == 1
+        assert len(stub.requests) == 1
+
+    def test_a_connection_closed_without_a_reply_is_retried_then_a_transport_error(self, stub):
+        stub.drop_connections = True
+        with pytest.raises(TransportError) as info:
+            chat_complete("hello", endpoint_for(stub, max_retries=2), backoff=0.001)
+        assert info.value.attempts == 3
+        assert len(stub.requests) == 3
+
+    def test_japanese_and_thai_prompts_and_a_non_ascii_reply_arrive_intact(self, stub):
+        prompts = ["日本の首都はどこですか？", "ประเทศไทยมีเมืองหลวงชื่ออะไร"]
+        stub.chat_responder = lambda body, payload: f"答え: {body} — คำตอบ"
+        for prompt in prompts:
+            assert chat_complete(prompt, endpoint_for(stub), backoff=0.001).text == f"答え: {prompt} — คำตอบ"
+        assert stub.chat_bodies() == prompts
+
+    def test_requests_carry_content_type_user_agent_and_the_key(self, monkeypatch):
+        monkeypatch.setenv("STUB_KEY", "secret")
+        with StubServer(require_key="secret") as stub:
+            chat_complete("hello", endpoint_for(stub, api_key_ref="STUB_KEY"), backoff=0.001)
+            embed_texts(["x"], endpoint_for(stub, api_key_ref="STUB_KEY"), backoff=0.001)
+        for sent in stub.requests:
+            headers = {name.lower(): value for name, value in sent["headers"].items()}
+            assert headers["content-type"] == "application/json"
+            assert headers["authorization"] == "Bearer secret"
+            assert headers["user-agent"] == f"langselect/{langselect.__version__}"
+
+    @pytest.mark.parametrize("status, followed", [(302, True), (307, False)])
+    def test_a_redirect_is_followed_as_a_get_without_the_key_or_not_at_all(self, monkeypatch, status, followed):
+        monkeypatch.setenv("STUB_KEY", "secret")
+        with StubServer() as elsewhere, StubServer(require_key="secret") as stub:
+            stub.redirect = (status, f"{elsewhere.base_url}/v1/chat/completions")
+            with pytest.raises(GatewayError, match=f"rejected request with status {405 if followed else status}") as info:
+                chat_complete("hello", endpoint_for(stub, api_key_ref="STUB_KEY"), backoff=0.001)
+        assert info.value.attempts == 1 and len(stub.requests) == 1
+        assert elsewhere.requests == []
+        assert len(elsewhere.gets) == followed
+        for get in elsewhere.gets:
+            assert "authorization" not in {name.lower() for name in get["headers"]}
+
+    def test_no_authorization_header_without_a_key(self, stub):
+        chat_complete("hello", endpoint_for(stub), backoff=0.001)
+        assert "authorization" not in {name.lower() for name in stub.requests[0]["headers"]}
 
 
 class TestRetryAfter:
