@@ -38,6 +38,7 @@ from .pipeline import (
     run_simulate,
     run_translate,
 )
+from .report import FORMATS
 from .selectors import SelectorError
 from .store import StoreError
 from .synthetic import SyntheticSpecError
@@ -169,7 +170,7 @@ def simulate(
 
 @main.command()
 @click.option("--report", "report_path", required=True, type=click.Path(exists=True))
-@click.option("--format", "fmt", type=click.Choice(["json", "csv", "markdown"]), default="markdown")
+@click.option("--format", "fmt", type=click.Choice(list(FORMATS)), default="markdown")
 @click.option("--output", "output_path", default=None, type=click.Path())
 def report(report_path: str, fmt: str, output_path: str | None) -> None:
     """Re-render a stored report.json to another format."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .datasets import DatasetError, DatasetId, SplitSpec
@@ -62,26 +62,26 @@ def _integer(field: str, value) -> int:
     raise ConfigError(f"{field!r}: {value!r} is not an integer")
 
 
-def _list(data: dict, field: str, default: list) -> list:
-    value = data.get(field, default)
+def _list(data: dict, field: str) -> list:
+    value = data[field]
     if not isinstance(value, list):
         raise ConfigError(f"{field!r} must be a list, not {value!r}")
     return value
 
 
 def _endpoint(block: dict | None, name: str) -> ModelEndpoint | None:
+    """The endpoint of the fields ``block`` sets, the others at ``ModelEndpoint``'s defaults; None for no block."""
     if block is None:
         return None
     try:
-        return ModelEndpoint(
-            base_url=block["base_url"],
-            model_name=block["model_name"],
-            api_key_ref=block.get("api_key_ref", ""),
-            max_retries=_integer("max_retries", block.get("max_retries", 3)),
-            timeout=float(block.get("timeout", 60.0)),
-            max_in_flight=_integer("max_in_flight", block.get("max_in_flight", 4)),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        settings = {f.name: block[f.name] for f in fields(ModelEndpoint) if f.name in block}
+        for key in ("max_retries", "max_in_flight"):
+            if key in settings:
+                settings[key] = _integer(key, settings[key])
+        if "timeout" in settings:
+            settings["timeout"] = float(settings["timeout"])
+        return ModelEndpoint(**settings)
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {name} endpoint block: {exc}") from None
 
 
@@ -134,7 +134,7 @@ def load_config(path: str | Path) -> RunConfig:
         languages = DEFAULT_LANGUAGES
     else:
         try:
-            languages = tuple(Language(c) for c in _list(data, "languages", []))
+            languages = tuple(Language(c) for c in _list(data, "languages"))
         except ValueError as exc:
             raise ConfigError(f"'languages': {exc}") from None
         if not languages:
@@ -165,11 +165,10 @@ def load_config(path: str | Path) -> RunConfig:
     template_dir = _path(path, data, "template_dir")
     templates = TemplateSet.from_directory(template_dir, languages) if template_dir else TemplateSet.bundled()
 
-    k_list = tuple(_integer("k_list", k) for k in _list(data, "k_list", [12]))
-    if not k_list or any(k < 1 for k in k_list):
+    settings = {key: tuple(_integer(key, n) for n in _list(data, key)) for key in ("k_list", "seeds") if key in data}
+    if "k_list" in settings and not (settings["k_list"] and min(settings["k_list"]) >= 1):
         raise ConfigError("k_list must contain positive integers")
-    seeds = tuple(_integer("seeds", s) for s in _list(data, "seeds", [0]))
-    if not seeds:
+    if settings.get("seeds") == ():
         raise ConfigError("seeds must be non-empty")
 
     return RunConfig(
@@ -181,8 +180,7 @@ def load_config(path: str | Path) -> RunConfig:
         chat_endpoint=_endpoint(data.get("chat_endpoint"), "chat"),
         translation_endpoint=_endpoint(data.get("translation_endpoint"), "translation"),
         embedding_endpoint=_endpoint(data.get("embedding_endpoint"), "embedding"),
-        k_list=k_list,
-        seeds=seeds,
         country_map_path=country_map,
         templates=templates,
+        **settings,  # only the fields the file sets: the others keep RunConfig's defaults
     )

@@ -10,18 +10,15 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-import string
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .languages import Language
-from .store import write_atomic
+from .store import LABELS, write_atomic
 
 CULTURE_ATLAS_QUESTION = "Which is the following is true about {country}?"
-
-_LETTERS = string.ascii_uppercase
 
 
 class DatasetError(ValueError):
@@ -56,12 +53,16 @@ class McqItem:
     source_language: Language = Language.ENGLISH
 
     def __post_init__(self) -> None:
+        for name in ("item_id", "question", "gold_label", "country"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and not (name == "country" and value is None):
+                raise DatasetError(f"{name} must be a string, not {value!r}")
         if not self.question:
             raise DatasetError("question is empty")
         n = len(self.choices)
         if not 2 <= n <= 26:
             raise DatasetError(f"expected 2-26 choices, got {n}")
-        expected = tuple(_LETTERS[i] for i in range(n))
+        expected = tuple(LABELS[:n])
         if tuple(c.label for c in self.choices) != expected:
             raise DatasetError("choice labels must be consecutive letters from A")
         if any(not c.text for c in self.choices):
@@ -115,7 +116,7 @@ def make_item_id(dataset_id: DatasetId, question: str, choice_texts: Sequence[st
 
 
 def _choices_from_texts(texts: Sequence[str]) -> tuple[Choice, ...]:
-    return tuple(Choice(_LETTERS[i], t) for i, t in enumerate(texts))
+    return tuple(Choice(LABELS[i], t) for i, t in enumerate(texts))
 
 
 def _load_records(path: str | Path, fields: tuple[str, ...], build: Callable[[dict], object]) -> list:
@@ -161,12 +162,8 @@ def load_dataset(
         choices = record["choices"]
         if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
             raise DatasetError("field 'choices' must be an array of strings")
-        item_id = record.get("id") or make_item_id(dataset_id, record["question"], choices, record["answer"])
-        if item_id in seen_ids:
-            raise DatasetError(f"duplicate item id {item_id!r}")
-        seen_ids.add(item_id)
-        return McqItem(
-            item_id=item_id,
+        item = McqItem(
+            item_id=record.get("id") or make_item_id(dataset_id, record["question"], choices, record["answer"]),
             dataset_id=dataset_id,
             question=record["question"],
             choices=_choices_from_texts(choices),
@@ -174,6 +171,10 @@ def load_dataset(
             country=record.get("country"),
             source_language=source_language,
         )
+        if item.item_id in seen_ids:
+            raise DatasetError(f"duplicate item id {item.item_id!r}")
+        seen_ids.add(item.item_id)
+        return item
 
     return _load_records(path, ("question", "choices", "answer"), build)
 
@@ -265,7 +266,7 @@ def reformat_culture_atlas(claims: Sequence[ClaimRecord], seed: int) -> Reformat
             order = list(range(4))
             rng.shuffle(order)
             shuffled = [texts[i] for i in order]
-            gold = _LETTERS[order.index(0)]
+            gold = LABELS[order.index(0)]
             question = CULTURE_ATLAS_QUESTION.format(country=country)
             result.items.append(
                 McqItem(

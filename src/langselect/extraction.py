@@ -24,9 +24,8 @@ import unicodedata
 
 from .datasets import McqItem
 from .languages import Language, canonical_sorted, language_from_english_name
-from .prompts import EXPERT_LANGUAGE_KEY, FINAL_ANSWER_KEY
+from .prompts import EXPERT_LANGUAGE_KEY, FINAL_ANSWER_KEY, REASONING_KEY_PREFIX
 
-REASONING_KEY_PREFIX = "reasoning_in_"
 # (value, end) of the JSON value at an index of a str; at a '{' the value is a dict.
 _decode = json.JSONDecoder().raw_decode
 # Objects and arrays a found object may nest inside each other. The decoder
@@ -192,7 +191,7 @@ def extract_expert_language(raw: str, allowed: list[Language] | tuple[Language, 
 
 
 def extract_reasoning_text(raw: str) -> str | None:
-    """Pull the ``reasoning_in_*`` value out of a reasoning response, if present."""
+    """Pull the value of a ``REASONING_KEY_PREFIX`` key out of a reasoning response, if present."""
     obj = find_json_object(raw)
     if obj is None:
         return None

@@ -53,6 +53,9 @@ class ModelEndpoint:
     max_in_flight: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("base_url", "model_name", "api_key_ref"):
+            if not isinstance(value := getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, not {value!r}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if self.timeout <= 0:

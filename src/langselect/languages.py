@@ -1,9 +1,10 @@
 """Candidate language set and the canonical ordering used for all tie-breaking.
 
-The default candidate set has exactly 16 members. The canonical order puts
-English first, then the remaining languages in a fixed listing order; every
-deterministic tie-break in this package (majority votes, argmax over language
-accuracies, oracle language reporting) resolves by this order.
+The default candidate set has exactly 16 members, declared in alphabetical
+order of their English names. The canonical order puts English first, then
+the remaining languages in declaration order; every deterministic tie-break
+in this package (majority votes, argmax over language accuracies, oracle
+language reporting) resolves by this order.
 """
 
 from __future__ import annotations
@@ -39,52 +40,18 @@ class Language(str, Enum):
 
     @property
     def english_name(self) -> str:
-        return ENGLISH_NAMES[self]
+        """The member name in title case ("Arabic"): prompt text and prompt hashes depend on it."""
+        return _ENGLISH_NAME[self]
 
 
-# English first, then the fixed listing order. Index in this tuple is the
+# English first, then the declaration order. Index in this tuple is the
 # tie-break priority (lower wins).
-CANONICAL_ORDER: tuple[Language, ...] = (
-    Language.ENGLISH,
-    Language.ARABIC,
-    Language.BENGALI,
-    Language.CHINESE,
-    Language.FRENCH,
-    Language.GERMAN,
-    Language.HINDI,
-    Language.ITALIAN,
-    Language.JAPANESE,
-    Language.KOREAN,
-    Language.PORTUGUESE,
-    Language.RUSSIAN,
-    Language.SPANISH,
-    Language.THAI,
-    Language.TURKISH,
-    Language.VIETNAMESE,
-)
+CANONICAL_ORDER: tuple[Language, ...] = (Language.ENGLISH, *(lang for lang in Language if lang is not Language.ENGLISH))
 
 DEFAULT_LANGUAGES: tuple[Language, ...] = CANONICAL_ORDER
 
-ENGLISH_NAMES: dict[Language, str] = {
-    Language.ARABIC: "Arabic",
-    Language.BENGALI: "Bengali",
-    Language.CHINESE: "Chinese",
-    Language.ENGLISH: "English",
-    Language.FRENCH: "French",
-    Language.GERMAN: "German",
-    Language.HINDI: "Hindi",
-    Language.ITALIAN: "Italian",
-    Language.JAPANESE: "Japanese",
-    Language.KOREAN: "Korean",
-    Language.PORTUGUESE: "Portuguese",
-    Language.RUSSIAN: "Russian",
-    Language.SPANISH: "Spanish",
-    Language.THAI: "Thai",
-    Language.TURKISH: "Turkish",
-    Language.VIETNAMESE: "Vietnamese",
-}
-
-_BY_ENGLISH_NAME = {name.casefold(): lang for lang, name in ENGLISH_NAMES.items()}
+_ENGLISH_NAME = {lang: lang.name.title() for lang in Language}  # a dict lookup: Enum.name is a slow descriptor
+_BY_ENGLISH_NAME = {name.casefold(): lang for lang, name in _ENGLISH_NAME.items()}
 _CANONICAL_INDEX = {lang: i for i, lang in enumerate(CANONICAL_ORDER)}
 
 

@@ -501,16 +501,13 @@ def run_embed(config: RunConfig, *, dry_run: bool = False, backoff: float = 0.5)
 
 
 def bundled_country_map(dataset_id: DatasetId) -> CountryMap | None:
+    """The country map shipped for ``dataset_id``, ``data/country_map_{id}.json``; None when none ships."""
     from importlib import resources
 
-    names = {
-        DatasetId.BLEND: "country_map_blend.json",
-        DatasetId.CULTURE_ATLAS: "country_map_culture_atlas.json",
-    }
-    name = names.get(dataset_id)
-    if name is None:
+    resource = resources.files("langselect") / "data" / f"country_map_{dataset_id.value}.json"
+    if not resource.is_file():
         return None
-    with resources.as_file(resources.files("langselect") / "data" / name) as path:
+    with resources.as_file(resource) as path:
         return CountryMap.from_json(path)
 
 
@@ -578,7 +575,7 @@ class Evaluation:
     cluster_model: ClusterModel | None = None
 
     def write_reports(self, dataset_id: str, model_name: str, snapshot: dict, rate: float | None) -> dict:
-        """Write ``reports/report.{json,csv,md}``; returns the summary fields for them."""
+        """Write ``reports/report.<suffix>`` in each of ``FORMATS``; returns the summary fields for them."""
         report = build_report(
             dataset_id,
             model_name,
@@ -590,7 +587,7 @@ class Evaluation:
             config_snapshot=snapshot,
         )
         out_dir = self.output_dir / "reports"
-        for fmt, suffix in (("json", "json"), ("csv", "csv"), ("markdown", "md")):
+        for fmt, suffix in FORMATS.items():
             write_atomic(out_dir / f"report.{suffix}", emit(report, fmt))
         return {"accuracy_by_strategy": report["accuracy_by_strategy"], "report_dir": str(out_dir)}
 

@@ -4,14 +4,15 @@ and translation requests.
 Reasoning prompts are assembled from per-language template files (JSON, keyed
 by language code). Each template localizes the question/choices labels, the
 think-in-this-language instruction, and the two placeholder strings; the JSON
-skeleton keys are always ``reasoning_in_{EnglishName}`` and ``final_answer``.
+skeleton keys are always ``reasoning_key(language)`` (``REASONING_KEY_PREFIX``
+and the English name) and ``FINAL_ANSWER_KEY``.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -20,16 +21,9 @@ from .datasets import McqItem
 from .languages import Language, UnknownLanguageError, parse_language
 from .store import read_json
 
+REASONING_KEY_PREFIX = "reasoning_in_"
 FINAL_ANSWER_KEY = "final_answer"
 EXPERT_LANGUAGE_KEY = "expert_language"
-
-_TEMPLATE_FIELDS = (
-    "question_label",
-    "choices_label",
-    "instruction",
-    "reasoning_placeholder",
-    "answer_placeholder",
-)
 
 
 @dataclass(frozen=True)
@@ -50,6 +44,9 @@ class PromptTemplate:
     instruction: str
     reasoning_placeholder: str
     answer_placeholder: str
+
+
+_TEMPLATE_FIELDS = tuple(f.name for f in fields(PromptTemplate) if f.name != "language")
 
 
 class TemplateSet:
@@ -103,7 +100,7 @@ class TemplateSet:
 
 
 def reasoning_key(language: Language) -> str:
-    return f"reasoning_in_{language.english_name}"
+    return f"{REASONING_KEY_PREFIX}{language.english_name}"
 
 
 def build_reasoning_prompt(item: McqItem, language: Language, templates: TemplateSet) -> PromptText:

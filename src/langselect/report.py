@@ -24,7 +24,7 @@ from .selectors import SINGLE_LANGUAGE_STRATEGIES, SelectorOutcome, Strategy
 
 _STRATEGY_RANK = {strategy.value: rank for rank, strategy in enumerate(Strategy)}  # declaration order
 
-FORMATS = ("json", "csv", "markdown")
+FORMATS = {"json": "json", "csv": "csv", "markdown": "md"}  # each format's report file suffix
 
 
 class ReportError(ValueError):
@@ -209,4 +209,4 @@ def emit(report: dict, format: str) -> bytes:
         return _emit_csv(report)
     if format == "markdown":
         return _emit_markdown(report)
-    raise ReportError(f"unknown format {format!r}; expected one of {FORMATS}")
+    raise ReportError(f"unknown format {format!r}; expected one of {tuple(FORMATS)}")

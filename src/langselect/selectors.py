@@ -41,15 +41,7 @@ class Strategy(str, Enum):
 
 # Strategies whose per-item choice is exactly one language (used by reports
 # for the language-distribution conservation rule).
-SINGLE_LANGUAGE_STRATEGIES = frozenset(
-    {
-        Strategy.ONLY_ENGLISH,
-        Strategy.GLOBAL_LANGUAGE,
-        Strategy.LLM_SELECTED,
-        Strategy.COUNTRY,
-        Strategy.LSK_EXTRACTOR,
-    }
-)
+SINGLE_LANGUAGE_STRATEGIES = frozenset(Strategy) - {Strategy.MAJORITY, Strategy.ORACLE}
 
 
 @dataclass(frozen=True)

@@ -207,8 +207,6 @@ class ResponseMatrix:
     """The (item x language) table of extracted answers all selectors consume: ``cells``
     is the byte grid the module docstring describes, ``languages`` in canonical order."""
 
-    dataset_id: str
-    model_name: str
     languages: tuple[Language, ...]
     items: tuple[str, ...]
     cells: bytes
@@ -236,8 +234,6 @@ class ResponseMatrix:
             raise KeyError(f"items not in matrix: {missing[:5]}")
         row_of = {item_id: row for row, item_id in enumerate(self.items)}
         return ResponseMatrix(
-            dataset_id=self.dataset_id,
-            model_name=self.model_name,
             languages=self.languages,
             items=tuple(wanted),
             cells=self.grid[[row_of[i] for i in wanted]].tobytes(),
@@ -421,12 +417,6 @@ class RunStore:
         items, models = self._item_ids, self._models
         return _CODES.pack(items.setdefault(item_id, len(items)), models.setdefault(model, len(models)), byte) + raw
 
-    def keys(self) -> list[tuple[str, str, str, str]]:
-        """Each row's key, ``InferenceRecord.key``, in row order."""
-        items, languages, models = list(self._item_ids), list(_LANGUAGE_BYTE), list(self._models)
-        hashes = (compact[_CODES.size :].hex() for compact in self._rows)
-        return [(items[i], languages[c], models[m], h) for (i, m, c), h in zip(_CODES.iter_unpack(self.codes), hashes)]
-
     def append(self, entries: Iterable[tuple[tuple[str, str, str, str], bytes, int, int, bytes]]) -> int:
         """Append ``entries``, each ``(key, line, status byte, label byte, output_digest)``
         with its line's bytes ending in a newline, and return how many lines were
@@ -571,10 +561,7 @@ def build_matrix(
     if unknown_items:
         first = ", ".join(list(unknown_items)[:5])
         logger.warning("store records for %d items not in the dataset, e.g. %s", len(unknown_items), first)
-    dataset_id = dataset[0].dataset_id.value if dataset else "empty"
     return ResponseMatrix(
-        dataset_id=dataset_id,
-        model_name=model_name,
         languages=langs,
         items=items,
         cells=grid.tobytes(),

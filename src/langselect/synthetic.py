@@ -10,7 +10,6 @@ keeps the oracle expectation in closed form:
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,11 +17,10 @@ import numpy as np
 
 from .datasets import Choice, DatasetId, McqItem
 from .languages import Language, canonical_sorted
-from .store import ResponseMatrix, read_json
+from .store import LABELS, ResponseMatrix, read_json
 
 _REJECTION_ATTEMPTS_PER_CENTROID = 1000
 _CHOICE_COUNT = 4
-_LETTERS = string.ascii_uppercase
 
 SYNTHETIC_MODEL_NAME = "synthetic"
 
@@ -134,7 +132,7 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
     cells = bytearray()
     gold_map: dict[str, str] = {}
 
-    labels = _LETTERS[:_CHOICE_COUNT]
+    labels = LABELS[:_CHOICE_COUNT]
     for i in range(spec.n_items):
         cluster = i % spec.k_true
         item_id = f"custom/synth-{i:05d}"
@@ -167,8 +165,6 @@ def generate(spec: SyntheticSpec) -> SyntheticData:
             cells.append(ord(gold if rng.random() < p else wrong[int(rng.integers(len(wrong)))]))
 
     matrix = ResponseMatrix(
-        dataset_id=DatasetId.CUSTOM.value,
-        model_name=SYNTHETIC_MODEL_NAME,
         languages=languages,
         items=tuple(gold_map),
         cells=bytes(cells),

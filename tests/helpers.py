@@ -11,7 +11,7 @@ from langselect.datasets import Choice, DatasetId, McqItem
 from langselect.languages import Language, canonical_sorted
 from langselect.store import INVALID as INVALID_BYTE
 from langselect.store import MISSING as MISSING_BYTE
-from langselect.store import _COLUMNS, INDEX_NAME, InferenceRecord, ResponseMatrix, RunStore, _parse_line
+from langselect.store import _CODES, _COLUMNS, _LANGUAGE_BYTE, INDEX_NAME, InferenceRecord, ResponseMatrix, RunStore, _parse_line
 
 INVALID = "invalid"
 MISSING = None
@@ -64,8 +64,6 @@ def make_matrix(
             else:
                 cells.append(ord(gold if value is True else wrong))
     matrix = ResponseMatrix(
-        dataset_id="custom",
-        model_name="test",
         languages=langs,
         items=tuple(item_rows),
         cells=bytes(cells),
@@ -107,8 +105,6 @@ def random_matrix(
             else:
                 cells.append(ord(rng.choice([lab for lab in labels if lab != gold])))
     matrix = ResponseMatrix(
-        dataset_id="custom",
-        model_name="test",
         languages=langs,
         items=tuple(gold_map),
         cells=bytes(cells),
@@ -125,6 +121,13 @@ def cell(matrix: ResponseMatrix, item_id: str, language: Language) -> str:
 def cell_correct(matrix: ResponseMatrix, item_id: str, language: Language) -> bool:
     """Whether one cell holds the item's gold label, read cell by cell."""
     return cell(matrix, item_id, language) == matrix.gold[item_id]
+
+
+def store_keys(store: RunStore) -> list[tuple[str, str, str, str]]:
+    """Each row's key, ``InferenceRecord.key``, in row order, decoded from the store's index."""
+    items, languages, models = list(store._item_ids), list(_LANGUAGE_BYTE), list(store._models)
+    hashes = (compact[_CODES.size :].hex() for compact in store._rows)
+    return [(items[i], languages[c], models[m], h) for (i, m, c), h in zip(_CODES.iter_unpack(store.codes), hashes)]
 
 
 def stored_records(store: RunStore) -> list[InferenceRecord]:

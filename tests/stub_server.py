@@ -171,7 +171,8 @@ class StubServer:
                 self.wfile.write(raw)
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # shutdown() waits up to one poll interval; the default 0.5 s would add that to every test.
+        self._thread = threading.Thread(target=self._server.serve_forever, args=(0.01,), daemon=True)
 
     @property
     def base_url(self) -> str:

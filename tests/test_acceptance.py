@@ -141,8 +141,6 @@ def test_criterion_02_majority_brute_force_equivalence():
                 else:
                     cells += rng.choice(labels_pool).encode()
         matrix = ResponseMatrix(
-            dataset_id="custom",
-            model_name="t",
             languages=languages,
             items=tuple(i.item_id for i in items),
             cells=bytes(cells),

@@ -1325,6 +1325,43 @@ def test_a_directory_in_place_of_a_json_file_ends_in_one_line_naming_it(tmp_path
     assert line.startswith(f"configuration error: {named}: not readable: "), line
 
 
+@pytest.mark.parametrize(
+    "field, value, error",
+    [
+        pytest.param("question", 5, "question must be a string, not 5", id="question-a-number"),
+        pytest.param("id", ["q1"], "item_id must be a string, not ['q1']", id="id-a-list"),
+        pytest.param("answer", 1, "gold_label must be a string, not 1", id="answer-a-number"),
+        pytest.param("country", {"name": "China"}, "country must be a string, not {'name': 'China'}", id="country-an-object"),
+    ],
+)
+def test_an_item_field_that_is_no_string_ends_in_one_line_naming_its_line(tmp_path, pipeline_stub, field, value, error):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    path = tmp_path / "data.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["embed", "--config", str(config_path), "--dry-run"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stderr.splitlines() == [f"configuration error: {path}: line 2: {error}"]
+
+
+@pytest.mark.parametrize(
+    "stage, field, value",
+    [("infer", "model_name", 5), ("select-llm", "base_url", ["x"])],
+    ids=["infer-model-name-a-number", "select-llm-base-url-a-list"],
+)
+def test_an_endpoint_field_that_is_no_string_ends_in_one_line_naming_it(tmp_path, pipeline_stub, stage, field, value):
+    endpoint = {"base_url": pipeline_stub.base_url, "model_name": "stub-model", field: value}
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",), chat_endpoint=endpoint)
+    result = CliRunner().invoke(main, [stage, "--config", str(config_path), "--dry-run"])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stderr.splitlines() == [
+        f"configuration error: invalid chat endpoint block: {field} must be a string, not {value!r}"
+    ]
+
+
 def refusal_of(tmp_path, pipeline_stub, breaks) -> tuple[str, Path]:
     """The one line the CLI run ``breaks`` names ends in, exit 2, after ``breaks`` broke an input of
     a run with one complete infer stage; and the path ``breaks`` says the line must name."""

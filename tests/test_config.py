@@ -5,6 +5,7 @@ import pytest
 
 from langselect.config import ConfigError, load_config
 from langselect.datasets import DatasetId
+from langselect.gateway import ModelEndpoint
 from langselect.languages import DEFAULT_LANGUAGES, Language
 
 from helpers import make_item, write_templates
@@ -38,6 +39,12 @@ def test_minimal_config_defaults(tmp_path):
     assert config.split.train_count == 2
     assert config.chat_endpoint.model_name == "chat-model"
     assert config.translation_endpoint is None
+
+
+def test_an_endpoint_block_gets_the_endpoint_defaults_for_the_fields_it_leaves_out(tmp_path):
+    endpoint = {"base_url": "http://localhost:9", "model_name": "chat-model", "timeout": "5"}
+    config = load_config(write_config(tmp_path, chat_endpoint=endpoint))
+    assert config.chat_endpoint == ModelEndpoint(base_url="http://localhost:9", model_name="chat-model", timeout=5.0)
 
 
 def test_language_subset_and_k_list(tmp_path):
@@ -124,6 +131,26 @@ def test_invalid_json(tmp_path, content, message):
             {"chat_endpoint": {"base_url": "http://x", "model_name": "m", "max_in_flight": 2.5}},
             "invalid chat endpoint block: 'max_in_flight': 2.5 is not an integer",
             id="endpoint-fraction",
+        ),
+        pytest.param(
+            {"chat_endpoint": {"base_url": "http://x", "model_name": 5}},
+            "invalid chat endpoint block: model_name must be a string, not 5",
+            id="endpoint-model-name-a-number",
+        ),
+        pytest.param(
+            {"chat_endpoint": {"base_url": ["x"], "model_name": "m"}},
+            "invalid chat endpoint block: base_url must be a string, not ['x']",
+            id="endpoint-base-url-a-list",
+        ),
+        pytest.param(
+            {"chat_endpoint": {"base_url": "http://x", "model_name": "m", "api_key_ref": None}},
+            "invalid chat endpoint block: api_key_ref must be a string, not None",
+            id="endpoint-key-ref-null",
+        ),
+        pytest.param(
+            {"chat_endpoint": {"model_name": "m"}},
+            "required positional argument: 'base_url'",
+            id="endpoint-without-url",
         ),
         pytest.param({"output_dir": 5}, "'output_dir' must be a path, not 5", id="output-dir-not-a-path"),
     ],

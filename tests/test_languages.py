@@ -25,6 +25,14 @@ def test_canonical_order_english_first_then_listing_order():
     assert DEFAULT_LANGUAGES == CANONICAL_ORDER
 
 
+def test_english_names_are_pinned():
+    # Prompt text, and so every prompt hash keying a stored cell, holds these names.
+    assert [l.english_name for l in Language] == [
+        "Arabic", "Bengali", "Chinese", "English", "French", "German", "Hindi", "Italian",
+        "Japanese", "Korean", "Portuguese", "Russian", "Spanish", "Thai", "Turkish", "Vietnamese",
+    ]
+
+
 def test_parse_language_rejects_unknown():
     assert parse_language("tr") is Language.TURKISH
     with pytest.raises(UnknownLanguageError):

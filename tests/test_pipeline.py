@@ -15,7 +15,7 @@ from langselect import clustering, pipeline
 from langselect import store as store_module
 from langselect.clustering import EmbeddingCache, item_embedding_key
 from langselect.config import load_config
-from langselect.datasets import save_dataset, split
+from langselect.datasets import DatasetId, save_dataset, split
 from langselect.gateway import AuthError, GatewayError, ModelEndpoint
 from langselect.langid import DETECTOR_VERSION
 from langselect.languages import Language
@@ -720,3 +720,9 @@ def test_no_evaluate_reads_or_writes_a_kmeans_fits_file(tmp_path, fit_calls, cap
     assert len(fit_calls) == 4
     assert "kmeans_fits" not in caplog.text
     assert old_fits.read_bytes() == b'{"version": 1, "values": '
+
+
+@pytest.mark.parametrize("dataset_id", list(DatasetId))
+def test_a_country_map_ships_for_the_two_country_datasets_only(dataset_id):
+    country_map = pipeline.bundled_country_map(dataset_id)
+    assert (country_map is not None) == (dataset_id in (DatasetId.BLEND, DatasetId.CULTURE_ATLAS))

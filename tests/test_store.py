@@ -28,7 +28,7 @@ from langselect.store import (
 )
 from langselect.synthetic import SyntheticSpec, generate
 
-from helpers import ODD_HASHES, cell, cell_correct, make_item, stored_records
+from helpers import ODD_HASHES, cell, cell_correct, make_item, store_keys, stored_records
 
 
 def record_for(item_id, lang, label="A", status=RecordStatus.OK, raw=None, model="m", phash=None):
@@ -282,7 +282,7 @@ def synthetic_records(data):
 
 def assert_same_store(a: RunStore, b: RunStore) -> None:
     assert a.records_path.read_bytes() == b.records_path.read_bytes()
-    assert (a.keys(), a.codes) == (b.keys(), b.codes)
+    assert (store_keys(a), a.codes) == (store_keys(b), b.codes)
     assert (a.statuses, a.labels, a.digests, a.offsets) == (b.statuses, b.labels, b.digests, b.offsets)
     assert a.conflicts == b.conflicts
 
@@ -333,7 +333,7 @@ class TestAppend:
         with RunStore(tmp_path / "run") as store:
             with pytest.raises(ValueError):
                 store.append([entry(good, 0, ord("A")), entry(bad, status, label)])
-            assert len(store) == 1 and bad.key not in store.keys()
+            assert len(store) == 1 and bad.key not in store_keys(store)
             # The refused key's item id and model are not coded: later rows get a reopened store's codes.
             assert (store._item_ids, store._models) == ({"q1": 0}, {"m": 0})
         assert [r.key for r in stored_records(RunStore(tmp_path / "run"))] == [good.key]
@@ -388,15 +388,15 @@ class TestKeyColumns:
         ]
         with RunStore(tmp_path / "run") as store:
             assert store.record_many(records) == len(records)
-            assert store.keys() == [r.key for r in records]
+            assert store_keys(store) == [r.key for r in records]
             codes = bytes(store.codes)
         with RunStore(tmp_path / "run") as parsed:
-            assert (parsed.keys(), bytes(parsed.codes)) == ([r.key for r in records], codes)
+            assert (store_keys(parsed), bytes(parsed.codes)) == ([r.key for r in records], codes)
             parsed.save_index()
         assert (tmp_path / "run" / INDEX_NAME).exists()
         with RunStore(tmp_path / "run") as indexed:
             assert indexed._index_length > 0  # opened through the index
-            assert (indexed.keys(), bytes(indexed.codes)) == ([r.key for r in records], codes)
+            assert (store_keys(indexed), bytes(indexed.codes)) == ([r.key for r in records], codes)
             assert indexed.record_many(records) == 0 and indexed.conflicts == 0
 
     @pytest.mark.parametrize("phash", ODD_HASHES)
@@ -407,14 +407,14 @@ class TestKeyColumns:
         with pytest.raises(ValueError, match="is not 64 lowercase hex characters"):
             store.record(record_for("q2", ES, model="other")._replace(prompt_hash=phash))
         assert (dict(store._item_ids), dict(store._models)) == tables
-        assert store.keys() == [good.key] and store.records_path.read_bytes() == (good.to_json() + "\n").encode()
+        assert store_keys(store) == [good.key] and store.records_path.read_bytes() == (good.to_json() + "\n").encode()
 
     def test_a_key_in_a_language_that_is_no_language_code_is_refused(self, store):
         good = record_for("q1", EN)
         line = (good.to_json() + "\n").encode("utf-8")
         with pytest.raises(ValueError, match="language 'xx' is no Language code"):
             store.append([(good.key, line, 0, ord("A"), bytes(32)), (("q2", "xx", "m", H), line, 0, ord("A"), bytes(32))])
-        assert store.keys() == [good.key] and store.records_path.read_bytes() == line
+        assert store_keys(store) == [good.key] and store.records_path.read_bytes() == line
 
 
 def reference_decisive_rows(keys, statuses, model_name, items, languages):
@@ -453,7 +453,7 @@ def test_decisive_rows_match_a_loop_over_the_rows(tmp_path, seed):
         languages = rng.sample([EN, ES, HI], rng.randrange(1, 4))
         rows, unknown = decisive_rows(store, "m", items, languages)
         assert rows.dtype == np.int64
-        assert (rows.tolist(), unknown) == reference_decisive_rows(store.keys(), store.statuses, "m", items, languages)
+        assert (rows.tolist(), unknown) == reference_decisive_rows(store_keys(store), store.statuses, "m", items, languages)
 
 
 class TestCorruptStore:

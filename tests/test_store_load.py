@@ -22,7 +22,7 @@ from langselect import store as store_module
 from langselect.languages import Language
 from langselect.store import STATUSES, InferenceRecord, RecordStatus, RunStore, StoreError, output_digest
 
-from helpers import ODD_HASHES, read_index, stored_records, write_index
+from helpers import ODD_HASHES, read_index, store_keys, stored_records, write_index
 
 EN, FR, ZH = Language.ENGLISH, Language.FRENCH, Language.CHINESE
 INDEXED_LINES = [0, 1, 2]  # leading lines of the file an index saved before the open covers
@@ -69,7 +69,7 @@ def reference_load(data: bytes):
 def assert_columns(store: RunStore, records: list[InferenceRecord]) -> None:
     """``store`` indexes ``records``, one row each in this order, in its own columns:
     the output digests, and offsets at which each record's own line is read back."""
-    assert store.keys() == [r.key for r in records]
+    assert store_keys(store) == [r.key for r in records]
     assert bytes(store.digests) == b"".join(output_digest(r.raw_output) for r in records)
     assert [store.output(row) for row in range(len(records))] == [r.raw_output for r in records]
     assert [record_at(store, offset) for offset in store.offsets] == records
@@ -336,7 +336,7 @@ def test_records_after_unclosed_appends_are_in_write_order(tmp_path):
     store = RunStore(tmp_path / "run")
     written = store.record_many(batch[:120])
     assert [r.key for r in stored_records(store)] == first_of_key[:written]
-    assert store.keys() == first_of_key[:written]
+    assert store_keys(store) == first_of_key[:written]
     store.record_many(batch[120:])
     assert [r.key for r in stored_records(store)] == first_of_key
     by_key = {}
@@ -408,7 +408,7 @@ def opened(path):
         return str(exc).replace(str(path), "<dir>")
     with store:
         state = (
-            store.keys(),
+            store_keys(store),
             bytes(store.codes),
             bytes(store.statuses),
             bytes(store.labels),
