@@ -144,26 +144,27 @@ def evaluate(config_path: str, k_values: str | None, seeds: str | None) -> None:
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True))
 @click.option("--output", "output_dir", required=True, type=click.Path())
 @click.option("--k", "k_values", default=None, help="Comma-separated cluster counts (default: the planted k)")
-@click.option("--seed", "seeds", default="0", show_default=True, help="Comma-separated k-means seeds")
+@click.option("--seed", "seeds", default=None, help="Comma-separated k-means seeds (default: 0)")
 @click.option("--train-count", type=int, default=None)
 @click.option("--test-count", type=int, default=None)
 def simulate(
     spec_path: str,
     output_dir: str,
     k_values: str | None,
-    seeds: str,
+    seeds: str | None,
     train_count: int | None,
     test_count: int | None,
 ) -> None:
     """Generate a planted synthetic benchmark and evaluate it end to end."""
+    given = {"seeds": parsed} if (parsed := _parse_ints(seeds)) else {}
     _run_stage(
         lambda: run_simulate(
             Path(spec_path),
             Path(output_dir),
             k_list=_parse_ints(k_values),
-            seeds=_parse_ints(seeds) or [0],
             train_count=train_count,
             test_count=test_count,
+            **given,
         )
     )
 

@@ -11,9 +11,11 @@ monotone in cosine distance on the sphere while keeping centroid means exact.
 They are expanded as ||x||^2 + ||c||^2 - 2 x.c and clamped at 0, so memory
 stays O(n*k + n*d) at embedding widths of 768-3072.
 
-Persisted vectors (the embedding cache and cluster centroids) are stored as
-base64 of their little-endian float64 bytes: exact, about half the size of the
-same floats as JSON text, and a small fraction of its encode and parse time.
+Persisted vectors keep their little-endian float64 bytes, so they read back
+exactly. The embedding cache is one JSON header line and then the raw rows,
+read into one array by ``np.fromfile`` (``EmbeddingCache``). Cluster centroids,
+inside a JSON model file, are base64 of those bytes: about half the size of
+the same floats as JSON text, and a small fraction of its encode and parse time.
 
 Each cache is read by the key it is written under. A vector is found by its
 item's content key (``item_embedding_key``), by ``embed`` and ``evaluate``
@@ -31,7 +33,10 @@ import base64
 import hashlib
 import json
 import logging
+import os
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -99,21 +104,40 @@ def _cache_vector(entry: dict) -> np.ndarray:
     if "f8" in entry:
         return decode_f8(entry["f8"], dim)
     # Caches written before the f8 encoding hold the floats as text. They hold
-    # paid endpoint calls, so they still load; the next save rewrites them as f8.
+    # paid endpoint calls, so they still load; the next save rewrites them.
     values = np.asarray(entry["values"], dtype=np.float64)
     if values.shape != (dim,):
         raise ClusteringError(f"{values.size} values, expected dim {dim}")
     return values
 
 
-class EmbeddingCache:
-    """JSONL-backed embedding cache keyed by item content hash.
+def _usable_rows(rows: np.ndarray) -> np.ndarray:
+    """Per row of ``rows``, whether it is finite with a norm above 1e-12, as
+    ``_normalize_rows`` needs; no (n, d) float64 temporary is made."""
+    with np.errstate(over="ignore"):  # a norm past float64's range is not zero
+        squares = np.einsum("ij,ij->i", rows, rows)
+    usable = np.sqrt(squares) > 1e-12  # False for a NaN
+    huge = np.flatnonzero(np.isinf(squares))  # an inf, or finite values whose squares overflow
+    usable[huge] = np.isfinite(rows[huge]).all(axis=1)
+    return usable
 
-    One line per item: ``item_id``, ``key``, ``dim`` and ``f8``, the vector
-    as ``encode_f8`` writes it. The open checks every vector once: all are of
-    the first line's width, or the file is refused (``line N corrupt``); one
-    with a NaN, an inf or a zero norm is logged and left uncached, so
-    ``embed`` plans its item again and ``evaluate`` finds no vector for it.
+
+_FORMAT, _FORMAT_VERSION = "langselect-embeddings", 1
+_HEADER_TAG = json.dumps({"format": _FORMAT})[:-1].encode("ascii")  # the first bytes of every header
+
+
+class EmbeddingCache:
+    """Embedding cache keyed by item content hash: one JSON header line (format
+    tag, version, ``dim`` and the ``[item_id, key]`` pairs in item id order),
+    then one little-endian float64 row of ``dim`` values per pair, read into
+    one array by ``np.fromfile``; ``vectors`` gives views of its rows.
+
+    The open refuses a bad header, a payload of another size than the rows and
+    a repeated item id. A row with a NaN, an inf or a zero norm is logged and
+    left uncached, so ``embed`` plans its item again and ``evaluate`` finds no
+    vector for it. A file whose first line has no format tag is the JSON-lines
+    cache written before (``_read_lines``); it opens with the same row checks,
+    and the next ``save`` rewrites it.
     """
 
     def __init__(self, path: str | Path):
@@ -122,26 +146,73 @@ class EmbeddingCache:
         self._item_key: dict[str, str] = {}
         if not self.path.exists():
             return
+        with self.path.open("rb") as fh:
+            first = fh.readline()
+            if first.startswith(_HEADER_TAG):
+                ids, keys, rows = self._read_rows(fh, first)
+                unit, numbers = "row", range(1, len(ids) + 1)
+            else:
+                fh.seek(0)
+                ids, keys, rows, numbers = self._read_lines(fh)
+                unit = "line"
+        usable = _usable_rows(rows)
+        for n in np.flatnonzero(~usable).tolist():
+            what = "a NaN, an inf or a zero norm; left uncached"
+            logger.warning("%s: %s %d, item %s: %s", self.path, unit, numbers[n], ids[n], what)
+        for n in np.flatnonzero(usable).tolist():
+            self._by_key[keys[n]] = rows[n]
+            self._item_key[ids[n]] = keys[n]
+
+    def _read_rows(self, fh, first: bytes) -> tuple[list[str], list[str], np.ndarray]:
+        """The item ids, keys and (n, dim) rows of the file whose header line is ``first``."""
+        try:
+            header = json.loads(first)
+            if header["version"] != _FORMAT_VERSION:
+                raise ClusteringError(f"version {header['version']!r}, expected {_FORMAT_VERSION}")
+            dim, pairs = header["dim"], header["items"]
+            if type(dim) is not int or dim < 0:
+                raise ClusteringError(f"dim {dim!r} is no count")
+            if not isinstance(pairs, list) or not all(
+                type(pair) is list and len(pair) == 2 and type(pair[0]) is str and type(pair[1]) is str
+                for pair in pairs
+            ):
+                raise ClusteringError("items are not [item_id, key] string pairs")
+        except (ClusteringError, ValueError, KeyError, TypeError) as exc:
+            raise ClusteringError(f"{self.path}: bad header: {exc}") from None
+        ids, keys = [pair[0] for pair in pairs], [pair[1] for pair in pairs]
+        if len(set(ids)) < len(ids):
+            repeated = next(item_id for item_id, count in Counter(ids).items() if count > 1)
+            raise ClusteringError(f"{self.path}: bad header: item {repeated} repeated")
+        size, n = os.fstat(fh.fileno()).st_size - fh.tell(), len(ids)
+        if size != 8 * n * dim:
+            raise ClusteringError(f"{self.path}: {size} bytes of rows, expected {8 * n * dim} for {n} rows of dim {dim}")
+        return ids, keys, np.fromfile(fh, dtype=_F8, count=n * dim).reshape(n, dim)
+
+    def _read_lines(self, fh) -> tuple[list[str], list[str], np.ndarray, list[int]]:
+        """The item ids, keys, stacked rows and line numbers of a JSON-lines file: one
+        line per item of ``item_id``, ``key``, ``dim`` and ``f8`` (``encode_f8``'s) or
+        ``values``, every vector of the first line's width (else ``line N corrupt``)."""
+        ids, keys, vectors, numbers = [], [], [], []
         width = None  # (the file's vector width, the line that set it)
-        with self.path.open("rb") as fh, np.errstate(over="ignore"):  # a norm past float64's range is not zero
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    entry = json.loads(line.rstrip(b"\n").decode("utf-8"))
-                    values = _cache_vector(entry)
-                    key, item_id = entry["key"], entry["item_id"]
-                    width = width or (values.size, lineno)
-                    if values.size != width[0]:
-                        raise ClusteringError(f"item {item_id}: width {values.size}, not {width[0]} as line {width[1]}")
-                except (ClusteringError, ValueError, KeyError, TypeError) as exc:
-                    raise ClusteringError(f"{self.path}: line {lineno} corrupt: {exc}") from None
-                if np.isfinite(values).all() and np.linalg.norm(values) > 1e-12:  # as _normalize_rows needs
-                    self._by_key[key] = values
-                    self._item_key[item_id] = key
-                else:
-                    what = "a NaN, an inf or a zero norm; left uncached"
-                    logger.warning("%s: line %d, item %s: %s", self.path, lineno, item_id, what)
+        for lineno, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                entry = json.loads(line.rstrip(b"\n").decode("utf-8"))
+                values = _cache_vector(entry)
+                key, item_id = entry["key"], entry["item_id"]
+                if type(key) is not str or type(item_id) is not str:
+                    raise ClusteringError(f"key {key!r} or item_id {item_id!r} is no string")
+                width = width or (values.size, lineno)
+                if values.size != width[0]:
+                    raise ClusteringError(f"item {item_id}: width {values.size}, not {width[0]} as line {width[1]}")
+            except (ClusteringError, ValueError, KeyError, TypeError) as exc:
+                raise ClusteringError(f"{self.path}: line {lineno} corrupt: {exc}") from None
+            ids.append(item_id)
+            keys.append(key)
+            vectors.append(values)
+            numbers.append(lineno)
+        return ids, keys, np.stack(vectors) if vectors else np.empty((0, 0)), numbers
 
     def vectors(self, items: Iterable[McqItem]) -> dict[str, np.ndarray]:
         """``{item_id: vector}`` of each of ``items`` whose ``item_embedding_key`` is cached."""
@@ -153,12 +224,15 @@ class EmbeddingCache:
         self._item_key[item_id] = key
 
     def save(self) -> None:
-        write_atomic(self.path, (self._line(item_id, key) for item_id, key in sorted(self._item_key.items())))
-
-    def _line(self, item_id: str, key: str) -> bytes:
-        values = self._by_key[key]
-        entry = {"item_id": item_id, "key": key, "dim": int(values.shape[0]), "f8": encode_f8(values)}
-        return (json.dumps(entry) + "\n").encode("ascii")
+        """Write the header and then the rows, one at a time, through ``write_atomic``;
+        a cache whose vectors are not all of one width is refused before anything is written."""
+        pairs = sorted(self._item_key.items())
+        widths = sorted({len(self._by_key[key]) for _, key in pairs})
+        if len(widths) > 1:
+            raise ClusteringError(f"{self.path}: not saved: vectors of widths {widths}")
+        header = {"format": _FORMAT, "version": _FORMAT_VERSION, "dim": widths[0] if widths else 0, "items": pairs}
+        rows = (np.ascontiguousarray(self._by_key[key], dtype=_F8).tobytes() for _, key in pairs)
+        write_atomic(self.path, chain([(json.dumps(header) + "\n").encode("ascii")], rows))
 
 
 def item_embedding_key(item: McqItem) -> str:

@@ -57,6 +57,8 @@ class McqItem:
             value = getattr(self, name)
             if not isinstance(value, str) and not (name == "country" and value is None):
                 raise DatasetError(f"{name} must be a string, not {value!r}")
+        if not self.item_id:
+            raise DatasetError("item_id is empty")
         if not self.question:
             raise DatasetError("question is empty")
         n = len(self.choices)
@@ -154,7 +156,7 @@ def load_dataset(
 
     Record schema: ``id`` (optional), ``question``, ``choices`` (array of
     strings, position i maps to label letter i), ``answer`` (letter), optional
-    ``country``. Records without an ``id`` get a content-hash id.
+    ``country``. Records whose ``id`` is absent or null get a content-hash id.
     """
     seen_ids: set[str] = set()
 
@@ -162,8 +164,11 @@ def load_dataset(
         choices = record["choices"]
         if not isinstance(choices, list) or not all(isinstance(c, str) for c in choices):
             raise DatasetError("field 'choices' must be an array of strings")
+        item_id = record.get("id")
+        if item_id is None:
+            item_id = make_item_id(dataset_id, record["question"], choices, record["answer"])
         item = McqItem(
-            item_id=record.get("id") or make_item_id(dataset_id, record["question"], choices, record["answer"]),
+            item_id=item_id,
             dataset_id=dataset_id,
             question=record["question"],
             choices=_choices_from_texts(choices),

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import json
 import logging
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from langselect import clustering
+from langselect import cli as cli_module, clustering
 from langselect.cli import main
 from langselect.clustering import EmbeddingCache, embedding_text, item_embedding_key
 from langselect.config import load_config
@@ -35,6 +36,7 @@ from langselect.pipeline import (
     translation_file,
 )
 from langselect.store import INDEX_NAME, RunStore, read_manifest, utc_now
+from langselect.synthetic import SyntheticSpec, generate
 
 from helpers import make_item, write_templates
 from stub_server import StubServer, echo_translation_responder, hash_embedding
@@ -285,8 +287,8 @@ class TestEmbedStage:
         for item in load_dataset(config.dataset_path, DatasetId.CUSTOM):
             raw = np.array(hash_embedding(embedding_text(item)))
             assert np.array_equal(by_item[item.item_id], raw / np.linalg.norm(raw[None, :], axis=1))
-        entry = json.loads(path.read_text().splitlines()[0])
-        assert set(entry) == {"item_id", "key", "dim", "f8"}
+        header = json.loads(path.read_bytes().split(b"\n", 1)[0])
+        assert set(header) == {"format", "version", "dim", "items"}
 
     def test_batch_failing_mid_run_exits_partial_and_keeps_other_batches(self, tmp_path, pipeline_stub, monkeypatch):
         config = load_config(
@@ -503,7 +505,7 @@ SAMPLE_SPEC_SHA256 = {
     "reports/report.json": "7a6460bfc3069dc5b13f2f33b58846f3b8a2a1a2046bff8c6c6207a06d6f2cfd",
     "store/custom__synthetic/records.jsonl": "27be24286a884990a5b920bd80729910abd3a21476a4c5c1de144a982b46680f",
     "items.jsonl": "046306e875a7092a2211afcc9de26d98c812d676b427bba1ee368be8ea30dd8d",
-    "embeddings.jsonl": "85a57f27bc89c9ebc502a205e13488721181d5c3e9064745619950999fcee0c0",
+    "embeddings.jsonl": "57e6e4bcc79a56380c27ef2e1856770c32f92c76fdb7f9cca32aadb2b622f861",
     "global_choice.json": "b05cc9f54fbc90c05d933e76ceea69d37ed40e4f8ee0be000ecd51cab69a64a4",
     "cluster_model_k12.json": "b0ed4d51793bb2698f5066aff395af4a164251de43b3620ef9ebf5a9d4298c7c",
     "cluster_model_k24.json": "755444315744b8be338b978a1efd4231f50bc51d4e4120508e3a244e4eed6f51",
@@ -617,6 +619,23 @@ class TestSimulateStage:
             "abb3867b311aa2959762a7a3cf0b1815b86be307eab6ab79a74d0160c7fccc2e"
         )
 
+    def test_sample_spec_vectors_read_back_as_from_json_lines_written_by_hand(self, tmp_path):
+        spec = Path(__file__).resolve().parents[1] / "configs" / "sample_synthetic_spec.json"
+        out = tmp_path / "sim"
+        assert run_simulate(spec, out).exit_code == EXIT_OK
+        items = load_dataset(out / "items.jsonl", DatasetId.CUSTOM)
+        generated = generate(SyntheticSpec.from_json(spec)).vectors
+        lines = tmp_path / "lines.jsonl"
+        with lines.open("w", encoding="utf-8") as fh:
+            for item in items:
+                f8 = base64.b64encode(generated[item.item_id].astype("<f8").tobytes()).decode("ascii")
+                entry = {"item_id": item.item_id, "key": item_embedding_key(item), "dim": 32, "f8": f8}
+                fh.write(json.dumps(entry) + "\n")
+        from_file = EmbeddingCache(out / "embeddings.jsonl").vectors(items)
+        from_lines = EmbeddingCache(lines).vectors(items)
+        assert len(from_file) == len(items) == 2400
+        assert {i: v.tobytes() for i, v in from_file.items()} == {i: v.tobytes() for i, v in from_lines.items()}
+
 
 # Runs ``langselect`` once per argument list (JSON) in one interpreter, then
 # prints the exit codes and which modules of the HTTP stack were loaded.
@@ -714,6 +733,18 @@ class TestCliInterface:
         csv = (out / "reports" / "report.csv").read_text(encoding="utf-8")
         assert csv.index("cluster_size_sweep,3,") < csv.index("cluster_size_sweep,12,")
         assert "section,cluster_id,expert,member_count,acc_en,acc_ar,acc_zh,acc_fr\n" in csv
+
+    @pytest.mark.parametrize("args", [pytest.param([], id="no-seed"), pytest.param(["--seed", ""], id="empty-seed")])
+    def test_simulate_without_seeds_runs_run_simulates_default_seed_0(self, tmp_path, monkeypatch, args):
+        spec, out = TestSimulateStage().write_spec(tmp_path), tmp_path / "sim"
+        passed = []
+        real = cli_module.run_simulate
+        monkeypatch.setattr(cli_module, "run_simulate", lambda *a, **kw: passed.append(kw) or real(*a, **kw))
+        result = CliRunner().invoke(main, ["simulate", "--spec", str(spec), "--output", str(out), *args])
+        assert result.exit_code == EXIT_OK, result.output
+        assert [sorted(kw) for kw in passed] == [["k_list", "test_count", "train_count"]]
+        report = json.loads((out / "reports" / "report.json").read_bytes())
+        assert report["config_snapshot"]["seeds"] == [0]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1379,21 +1410,37 @@ def refusal_of(tmp_path, pipeline_stub, breaks) -> tuple[str, Path]:
     return line, named
 
 
-def cache_split_vectors(config, edit) -> tuple[list, list]:
-    """Cache a 4-wide vector for each split item, given to ``edit(n, vector)`` first; the split."""
+def cache_split_vectors(config, edit, *, json_lines: bool = False) -> tuple[list, list]:
+    """Cache a 4-wide vector for each split item, given to ``edit(n, vector)`` first; the split.
+    ``json_lines`` writes the cache by hand in the JSON-lines format read before the binary one."""
     train, test = split(load_dataset(config.dataset_path, DatasetId.CUSTOM), config.split)
-    cache = EmbeddingCache(pipeline.embeddings_path(config))
-    rng = np.random.default_rng(0)
-    for n, item in enumerate(train + test):
-        cache.put(item_embedding_key(item), item.item_id, edit(n, rng.normal(size=4)))
+    path, rng = pipeline.embeddings_path(config), np.random.default_rng(0)
+    entries = [(item, edit(n, rng.normal(size=4))) for n, item in enumerate(train + test)]
+    if json_lines:
+        lines = (
+            json.dumps({"item_id": i.item_id, "key": item_embedding_key(i), "dim": v.size, "f8": clustering.encode_f8(v)})
+            for i, v in sorted(entries, key=lambda entry: entry[0].item_id)
+        )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        return train, test
+    cache = EmbeddingCache(path)
+    for item, vector in entries:
+        cache.put(item_embedding_key(item), item.item_id, vector)
     cache.save()
     return train, test
 
 
 def cache_line(config, item_id: str) -> int:
-    """The number of the line of the embedding cache that holds ``item_id``'s vector."""
+    """The number of the line of a JSON-lines embedding cache that holds ``item_id``'s vector."""
     lines = pipeline.embeddings_path(config).read_bytes().splitlines()
     return next(n for n, line in enumerate(lines, 1) if json.loads(line)["item_id"] == item_id)
+
+
+def cache_row(config, item_id: str) -> int:
+    """The number of the row of the embedding cache that holds ``item_id``'s vector."""
+    header = json.loads(pipeline.embeddings_path(config).read_bytes().split(b"\n", 1)[0])
+    return next(n for n, (cached, _) in enumerate(header["items"], 1) if cached == item_id)
 
 
 def assert_both_stages_refuse_the_cache(config_path, message: str) -> None:
@@ -1410,7 +1457,7 @@ def test_an_embedding_cache_of_two_widths_ends_evaluate_in_one_line_naming_the_i
     config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
     config = load_config(config_path)
     assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
-    train, _ = cache_split_vectors(config, lambda n, vector: vector[:3] if n == 2 else vector)
+    train, _ = cache_split_vectors(config, lambda n, vector: vector[:3] if n == 2 else vector, json_lines=True)
     line, path = cache_line(config, train[2].item_id), pipeline.embeddings_path(config)
     assert line > 1
     message = f"configuration error: {path}: line {line} corrupt: item {train[2].item_id}: width 3, not 4 as line 1"
@@ -1441,8 +1488,8 @@ def test_a_cached_vector_with_a_nan_is_left_out_of_evaluate_and_planned_again_by
     assert json.loads(result.stdout)["skipped_strategies"]["lsk_extractor"] == (
         "1 split items lack embeddings; rerun the embed stage"
     )
-    path, line = pipeline.embeddings_path(config), cache_line(config, item_id)
-    assert caplog.messages == [f"{path}: line {line}, item {item_id}: a NaN, an inf or a zero norm; left uncached"]
+    path, row = pipeline.embeddings_path(config), cache_row(config, item_id)
+    assert caplog.messages == [f"{path}: row {row}, item {item_id}: a NaN, an inf or a zero norm; left uncached"]
     planned = CliRunner().invoke(main, ["embed", "--config", str(config_path), "--dry-run"])
     assert planned.exit_code == EXIT_OK, planned.output
     assert json.loads(planned.stdout)["planned_calls"] == 1
@@ -1452,11 +1499,43 @@ def test_a_test_vector_of_another_width_ends_evaluate_in_one_line_naming_the_ite
     config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
     config = load_config(config_path)
     assert run_infer(config, backoff=0.001).exit_code == EXIT_OK
-    train, test = cache_split_vectors(config, lambda n, vector: vector[:3] if n == config.split.train_count else vector)
+    train, test = cache_split_vectors(
+        config, lambda n, vector: vector[:3] if n == config.split.train_count else vector, json_lines=True
+    )
     line, path = cache_line(config, test[0].item_id), pipeline.embeddings_path(config)
     assert line > 1
     message = f"configuration error: {path}: line {line} corrupt: item {test[0].item_id}: width 3, not 4 as line 1"
     assert_both_stages_refuse_the_cache(config_path, message)
+
+
+def test_embed_rewrites_a_json_lines_cache_with_the_same_vectors_and_no_call(tmp_path, pipeline_stub):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    config = load_config(config_path)
+    cache_split_vectors(config, lambda n, vector: vector, json_lines=True)
+    before = cached_vectors(config)
+    assert run_embed(config, backoff=0.001).summary["planned_calls"] == 0
+    assert embedding_requests(pipeline_stub) == 0
+    assert pipeline.embeddings_path(config).read_bytes().startswith(b'{"format": "langselect-embeddings", "version": 1')
+    assert {i: v.tobytes() for i, v in cached_vectors(config).items()} == {i: v.tobytes() for i, v in before.items()}
+
+
+def test_an_embed_whose_vectors_are_of_another_width_than_the_cache_ends_in_one_line_and_writes_nothing(
+    tmp_path, pipeline_stub
+):
+    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
+    config = load_config(config_path)
+    train, test = split(load_dataset(config.dataset_path, DatasetId.CUSTOM), config.split)
+    path = pipeline.embeddings_path(config)
+    cache = EmbeddingCache(path)
+    for item in (train + test)[1:]:  # 4 wide; the stub embeds the first item 8 wide
+        cache.put(item_embedding_key(item), item.item_id, np.ones(4))
+    cache.save()
+    before = path.read_bytes()
+    result = CliRunner().invoke(main, ["embed", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert "Traceback" not in result.output
+    assert result.stderr.splitlines() == [f"configuration error: {path}: not saved: vectors of widths [4, 8]"]
+    assert path.read_bytes() == before
 
 
 @pytest.mark.parametrize(

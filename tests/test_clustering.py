@@ -625,71 +625,200 @@ def legacy_line(item_id: str, key: str, values: np.ndarray) -> str:
     return json.dumps({"item_id": item_id, "key": key, "dim": int(values.shape[0]), "values": values.tolist()}) + "\n"
 
 
+def f8_line(item_id: str, key: str, values: np.ndarray) -> str:
+    """A cache line as written before the binary format: the vector as ``encode_f8``'s base64."""
+    return json.dumps({"item_id": item_id, "key": key, "dim": int(values.shape[0]), "f8": encode_f8(values)}) + "\n"
+
+
+def write_lines(path, entries, line=f8_line) -> None:
+    """A JSON-lines cache by hand: one ``line`` per ``(item_id, key, values)``."""
+    path.write_text("".join(line(item_id, key, np.asarray(values, dtype=np.float64)) for item_id, key, values in entries))
+
+
+def header_and_rows(path) -> tuple[dict, bytes]:
+    header, rows = path.read_bytes().split(b"\n", 1)
+    return json.loads(header), rows
+
+
+def saved(path, vectors: dict) -> list:
+    """Save ``{item_id: values}`` under each item's content key; the items."""
+    items = [make_item(item_id) for item_id in vectors]
+    cache = EmbeddingCache(path)
+    for item in items:
+        cache.put(item_embedding_key(item), item.item_id, np.asarray(vectors[item.item_id], dtype=np.float64))
+    cache.save()
+    return items
+
+
+def as_bytes(vectors: dict) -> dict:
+    return {item_id: np.asarray(values, dtype=np.float64).tobytes() for item_id, values in vectors.items()}
+
+
 class TestEmbeddingCacheFile:
-    def test_legacy_values_lines_load_bit_identical_and_save_rewrites_them_as_f8(self, tmp_path):
+    def test_the_file_is_one_header_line_then_the_rows_by_item_id(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        rows = np.random.default_rng(15).normal(size=(3, 4))
+        items = saved(path, {"q2": rows[2], "q0": rows[0], "q1": rows[1]})
+        header, payload = header_and_rows(path)
+        pairs = [[item.item_id, item_embedding_key(item)] for item in sorted(items, key=lambda i: i.item_id)]
+        assert header == {"format": "langselect-embeddings", "version": 1, "dim": 4, "items": pairs}
+        assert payload == rows.astype("<f8").tobytes()
+
+    def test_round_trip_is_bit_identical_and_gives_views_of_one_array(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        rows = unit_rows(np.random.default_rng(16).normal(size=(4, 8)))
+        rows[1, :3] = (-0.0, 5e-324, 1e308)
+        items = saved(path, {f"q{n}": row for n, row in enumerate(rows)})
+        loaded = EmbeddingCache(path).vectors(items)
+        assert as_bytes(loaded) == as_bytes({f"q{n}": row for n, row in enumerate(rows)})
+        base = loaded["q0"].base
+        assert base is not None and base.nbytes == rows.nbytes
+        assert all(values.base is base for values in loaded.values())
+
+    def test_a_save_after_an_open_rewrites_the_same_bytes(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        saved(path, {f"q{n}": row for n, row in enumerate(np.random.default_rng(17).normal(size=(5, 3)))})
+        before = path.read_bytes()
+        EmbeddingCache(path).save()
+        assert path.read_bytes() == before
+
+    def test_an_empty_cache_saves_and_opens_empty(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        EmbeddingCache(path).save()
+        assert header_and_rows(path) == ({"format": "langselect-embeddings", "version": 1, "dim": 0, "items": []}, b"")
+        assert EmbeddingCache(path).vectors([make_item("q0")]) == {}
+
+    def test_save_refuses_vectors_of_two_widths_before_writing(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        saved(path, {"q0": [0.6, 0.8]})
+        before = path.read_bytes()
+        cache = EmbeddingCache(path)
+        cache.put("k1", "q1", np.ones(3))
+        with pytest.raises(ClusteringError, match=rf"^{re.escape(str(path))}: not saved: vectors of widths \[2, 3\]$"):
+            cache.save()
+        assert path.read_bytes() == before
+        assert not path.with_name(path.name + ".tmp").exists()
+
+    @pytest.mark.parametrize("cut", [1, 8, 13])
+    def test_a_payload_of_another_size_is_refused_naming_the_file(self, tmp_path, cut):
+        path = tmp_path / "emb.jsonl"
+        saved(path, {"q0": [0.6, 0.8], "q1": [0.8, 0.6]})
+        path.write_bytes(path.read_bytes()[:-cut])
+        expected = rf"^{re.escape(str(path))}: {32 - cut} bytes of rows, expected 32 for 2 rows of dim 2$"
+        with pytest.raises(ClusteringError, match=expected):
+            EmbeddingCache(path)
+
+    def test_a_payload_longer_than_the_rows_is_refused(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        saved(path, {"q0": [0.6, 0.8]})
+        path.write_bytes(path.read_bytes() + np.ones(2).tobytes())
+        with pytest.raises(ClusteringError, match="32 bytes of rows, expected 16 for 1 rows of dim 2$"):
+            EmbeddingCache(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: json.dumps(h)[:-1], "bad header: Unterminated string|bad header: Expecting"),
+            (lambda h: {**h, "version": 2}, "bad header: version 2, expected 1"),
+            (lambda h: {k: v for k, v in h.items() if k != "dim"}, "bad header: 'dim'"),
+            (lambda h: {**h, "dim": "2"}, "bad header: dim '2' is no count"),
+            (lambda h: {**h, "dim": True}, "bad header: dim True is no count"),
+            (lambda h: {**h, "dim": -2}, "bad header: dim -2 is no count"),
+            (lambda h: {**h, "items": {"q0": "k0"}}, r"bad header: items are not \[item_id, key\] string pairs"),
+            (lambda h: {**h, "items": [["q0", "k0", "x"], ["q1", "k1"]]}, "bad header: items are not"),
+            (lambda h: {**h, "items": [["q0", 5], ["q1", "k1"]]}, "bad header: items are not"),
+            (lambda h: {**h, "items": [["q0", "k0"], ["q0", "k1"]]}, "bad header: item q0 repeated$"),
+            (lambda h: {k: v for k, v in h.items() if k != "version"}, "bad header: 'version'"),
+        ],
+        ids=["not-json", "version", "no-dim", "dim-text", "dim-bool", "dim-negative", "items-object", "a-triple",
+             "a-number-key", "repeated-item", "no-version"],
+    )
+    def test_a_bad_header_is_refused_naming_the_file(self, tmp_path, edit, match):
+        path = tmp_path / "emb.jsonl"
+        saved(path, {"q0": [0.6, 0.8], "q1": [0.8, 0.6]})
+        header, rows = header_and_rows(path)
+        edited = edit(header)  # a header, or the text of one
+        text = edited if isinstance(edited, str) else json.dumps(edited)
+        path.write_bytes(text.encode("ascii") + b"\n" + rows)
+        with pytest.raises(ClusteringError, match=rf"^{re.escape(str(path))}: ") as info:
+            EmbeddingCache(path)
+        assert re.search(match, str(info.value)), info.value
+
+    @pytest.mark.parametrize("bad", [[0.0, 0.0], [1e-13, 0.0], [float("nan"), 1.0], [float("-inf"), 1.0]])
+    def test_a_degenerate_row_is_logged_by_its_row_number_and_dropped_at_the_next_save(self, tmp_path, caplog, bad):
+        path = tmp_path / "emb.jsonl"
+        items = saved(path, {"q0": [0.6, 0.8], "q1": bad, "q2": [0.8, 0.6]})
+        with caplog.at_level(logging.WARNING, logger="langselect.clustering"):
+            loaded = EmbeddingCache(path)
+        assert caplog.messages == [f"{path}: row 2, item q1: a NaN, an inf or a zero norm; left uncached"]
+        assert sorted(loaded.vectors(items)) == ["q0", "q2"]
+        loaded.save()
+        assert [item_id for item_id, _ in header_and_rows(path)[0]["items"]] == ["q0", "q2"]
+
+    def test_a_finite_row_whose_norm_overflows_is_kept(self, tmp_path, caplog):
+        path = tmp_path / "emb.jsonl"
+        items = saved(path, {"q0": [1e300, 1e300], "q1": [1e300, np.inf]})
+        with caplog.at_level(logging.WARNING, logger="langselect.clustering"):
+            loaded = EmbeddingCache(path).vectors(items)
+        assert caplog.messages == [f"{path}: row 2, item q1: a NaN, an inf or a zero norm; left uncached"]
+        assert as_bytes(loaded) == as_bytes({"q0": [1e300, 1e300]})
+
+    @pytest.mark.parametrize("line", [legacy_line, f8_line], ids=["values", "f8"])
+    def test_a_json_lines_file_loads_bit_identical_and_save_rewrites_it_to_the_same_vectors(self, tmp_path, line):
         rng = np.random.default_rng(13)
         vectors = {f"q{i}": unit_rows(rng.normal(size=(1, 16)))[0] for i in range(5)}
         vectors["q0"][:3] = (-0.0, 5e-324, 1e308)
         path = tmp_path / "emb.jsonl"
         items = [make_item(item_id) for item_id in vectors]
-        lines = (legacy_line(i.item_id, item_embedding_key(i), vectors[i.item_id]) for i in items)
-        path.write_text("".join(lines), encoding="utf-8")
+        write_lines(path, [(i.item_id, item_embedding_key(i), vectors[i.item_id]) for i in items], line)
 
-        legacy = EmbeddingCache(path).vectors(items)
-        assert {i: v.tobytes() for i, v in legacy.items()} == {i: v.tobytes() for i, v in vectors.items()}
+        assert as_bytes(EmbeddingCache(path).vectors(items)) == as_bytes(vectors)
         EmbeddingCache(path).save()
-        entries = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-        assert [set(e) for e in entries] == [{"item_id", "key", "dim", "f8"}] * 5
-        rewritten = EmbeddingCache(path).vectors(items)
-        assert {i: v.tobytes() for i, v in rewritten.items()} == {i: v.tobytes() for i, v in vectors.items()}
+        header, rows = header_and_rows(path)
+        assert header["items"] == [[i.item_id, item_embedding_key(i)] for i in items]
+        assert rows == b"".join(vectors[i.item_id].tobytes() for i in items)
+        assert as_bytes(EmbeddingCache(path).vectors(items)) == as_bytes(vectors)
 
     @pytest.mark.parametrize(
         "bad_line, match",
         [
             ('{"item_id": "q1", "key": "k1", "dim": 2, "f8": "####"}\n', "bad base64"),
-            ('{"item_id": "q1", "key": "k1", "dim": 3, "f8": "%s"}\n' % encode_f8(np.ones(2)), "expected 24"),
+            (f8_line("q1", "k1", np.ones(2)).replace('"dim": 2', '"dim": 3'), "expected 24"),
             (legacy_line("q1", "k1", np.ones(2)).replace('"dim": 2', '"dim": 3'), "expected dim 3"),
             ('{"item_id": "q1", "key": "k1", "di\n', "line 2 corrupt"),
             ('{"item_id": "q1", "key": "k1"\n', "line 2 corrupt: Expecting ',' delimiter: line 1 column 30"),
+            (f8_line("q1", "k1", np.ones(2)).replace('"k1"', '["k1"]'), r"key \['k1'\] or item_id 'q1' is no string$"),
+            (f8_line("q1", "k1", np.ones(2)).replace('"q1"', "1"), "key 'k1' or item_id 1 is no string$"),
         ],
     )
-    def test_corrupt_line_names_file_and_line(self, tmp_path, bad_line, match):
+    def test_a_corrupt_json_line_names_file_and_line(self, tmp_path, bad_line, match):
         path = tmp_path / "emb.jsonl"
-        good = EmbeddingCache(path)
-        good.put("k0", "q0", np.array([0.6, 0.8]))
-        good.put("k2", "q2", np.array([0.8, 0.6]))
-        good.save()
+        write_lines(path, [("q0", "k0", [0.6, 0.8]), ("q2", "k2", [0.8, 0.6])])
         first, last = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text(first + bad_line + last, encoding="utf-8")
         with pytest.raises(ClusteringError, match=re.escape(f"{path}: line 2 corrupt")) as info:
             EmbeddingCache(path)
         assert re.search(match, str(info.value))
 
-    def test_a_vector_of_another_width_than_the_first_line_is_refused_naming_line_and_item(self, tmp_path):
+    def test_a_json_line_of_another_width_than_the_first_is_refused_naming_line_and_item(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        cache = EmbeddingCache(path)
-        for n, width in enumerate((3, 3, 4, 5)):
-            cache.put(f"k{n}", f"q{n}", np.ones(width))
-        cache.save()
+        write_lines(path, [(f"q{n}", f"k{n}", np.ones(width)) for n, width in enumerate((3, 3, 4, 5))])
         with pytest.raises(ClusteringError, match=rf"^{re.escape(str(path))}: line 3 corrupt: item q2: width 4, not 3 as line 1$"):
             EmbeddingCache(path)
 
     @pytest.mark.parametrize("bad", [[0.0, 0.0], [1e-13, 0.0], [float("nan"), 1.0], [float("-inf"), 1.0]])
-    def test_a_degenerate_vector_is_logged_left_uncached_and_dropped_at_the_next_save(self, tmp_path, caplog, bad):
+    def test_a_degenerate_json_line_is_logged_left_uncached_and_dropped_at_the_next_save(self, tmp_path, caplog, bad):
         path = tmp_path / "emb.jsonl"
         items = [make_item(f"q{n}") for n in range(3)]
-        cache = EmbeddingCache(path)
-        for item, values in zip(items, ([0.6, 0.8], bad, [0.8, 0.6])):
-            cache.put(item_embedding_key(item), item.item_id, np.array(values))
-        cache.save()
+        write_lines(path, [(i.item_id, item_embedding_key(i), v) for i, v in zip(items, ([0.6, 0.8], bad, [0.8, 0.6]))])
         with caplog.at_level(logging.WARNING, logger="langselect.clustering"):
             loaded = EmbeddingCache(path)
         assert caplog.messages == [f"{path}: line 2, item q1: a NaN, an inf or a zero norm; left uncached"]
         assert sorted(loaded.vectors(items)) == ["q0", "q2"]
         loaded.save()
-        assert [json.loads(line)["item_id"] for line in path.read_text(encoding="utf-8").splitlines()] == ["q0", "q2"]
+        assert [item_id for item_id, _ in header_and_rows(path)[0]["items"]] == ["q0", "q2"]
 
-    def test_load_peak_memory_under_twice_the_vectors(self, tmp_path):
+    def test_load_peak_memory_under_one_and_a_half_times_the_vectors(self, tmp_path):
         n, d = 500, 3072
         path = tmp_path / "emb.jsonl"
         cache = EmbeddingCache(path)
@@ -705,7 +834,20 @@ class TestEmbeddingCacheFile:
         finally:
             tracemalloc.stop()
         assert len(loaded.vectors(items)) == n
-        assert peak < 2 * n * d * 8, (peak, n * d * 8)
+        assert peak < 1.5 * n * d * 8, (peak, n * d * 8)
+
+    def test_save_streams_the_rows_without_a_copy_of_the_vectors(self, tmp_path):
+        n, d = 500, 3072
+        cache = EmbeddingCache(tmp_path / "emb.jsonl")
+        for i, v in enumerate(np.random.default_rng(18).normal(size=(n, d))):
+            cache.put(f"k{i}", f"q{i}", v)
+        tracemalloc.start()
+        try:
+            cache.save()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * n * d * 8, (peak, n * d * 8)
 
 
 # A stored k-means fit (a cluster model file) is reused only under the

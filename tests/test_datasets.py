@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 
@@ -87,6 +88,31 @@ class TestLoadDataset:
         assert item.item_id.startswith("blend/")
         (again,) = load_dataset(path, DatasetId.BLEND)
         assert again.item_id == item.item_id
+
+    def test_a_null_id_gets_the_content_hash_of_a_missing_one(self, tmp_path):
+        path = tmp_path / "nullid.jsonl"
+        write_jsonl(path, [{**BLEND_RECORD, "id": None}])
+        (item,) = load_dataset(path, DatasetId.BLEND)
+        record = dict(BLEND_RECORD)
+        del record["id"]
+        write_jsonl(path, [record])
+        assert load_dataset(path, DatasetId.BLEND) == [item]
+        assert item.item_id.startswith("blend/")
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [
+            pytest.param(0, "item_id must be a string, not 0", id="zero"),
+            pytest.param(False, "item_id must be a string, not False", id="false"),
+            pytest.param([], "item_id must be a string, not []", id="empty-list"),
+            pytest.param("", "item_id is empty", id="empty-string"),
+        ],
+    )
+    def test_a_falsy_id_is_refused_not_hashed(self, tmp_path, value, error):
+        path = tmp_path / "falsy.jsonl"
+        write_jsonl(path, [{**BLEND_RECORD, "id": value}])
+        with pytest.raises(DatasetError, match=rf"^{re.escape(str(path))}: line 1: {re.escape(error)}$"):
+            load_dataset(path, DatasetId.BLEND)
 
     def test_order_preserved(self, tmp_path):
         path = tmp_path / "many.jsonl"
