@@ -144,6 +144,7 @@ class EmbeddingCache:
         self.path = Path(path)
         self._by_key: dict[str, np.ndarray] = {}
         self._item_key: dict[str, str] = {}
+        self._dim: int | None = None  # the width of every vector: the file's rows', else the first put's
         if not self.path.exists():
             return
         with self.path.open("rb") as fh:
@@ -155,6 +156,7 @@ class EmbeddingCache:
                 fh.seek(0)
                 ids, keys, rows, numbers = self._read_lines(fh)
                 unit = "line"
+        self._dim = rows.shape[1] if len(rows) else None
         usable = _usable_rows(rows)
         for n in np.flatnonzero(~usable).tolist():
             what = "a NaN, an inf or a zero norm; left uncached"
@@ -220,17 +222,18 @@ class EmbeddingCache:
         return {item_id: values for item_id, values in found.items() if values is not None}
 
     def put(self, key: str, item_id: str, values: np.ndarray) -> None:
+        """Cache ``values`` for ``item_id`` under ``key``; ClusteringError naming the file
+        and both widths, caching nothing, for a vector of another width than the cache's."""
+        if self._dim is not None and len(values) != self._dim:
+            raise ClusteringError(f"{self.path}: a vector of width {len(values)} does not fit a cache of width {self._dim}")
+        self._dim = len(values)
         self._by_key[key] = values
         self._item_key[item_id] = key
 
     def save(self) -> None:
-        """Write the header and then the rows, one at a time, through ``write_atomic``;
-        a cache whose vectors are not all of one width is refused before anything is written."""
+        """Write the header and then the rows, one at a time, through ``write_atomic``."""
         pairs = sorted(self._item_key.items())
-        widths = sorted({len(self._by_key[key]) for _, key in pairs})
-        if len(widths) > 1:
-            raise ClusteringError(f"{self.path}: not saved: vectors of widths {widths}")
-        header = {"format": _FORMAT, "version": _FORMAT_VERSION, "dim": widths[0] if widths else 0, "items": pairs}
+        header = {"format": _FORMAT, "version": _FORMAT_VERSION, "dim": self._dim or 0, "items": pairs}
         rows = (np.ascontiguousarray(self._by_key[key], dtype=_F8).tobytes() for _, key in pairs)
         write_atomic(self.path, chain([(json.dumps(header) + "\n").encode("ascii")], rows))
 

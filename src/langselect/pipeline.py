@@ -3,10 +3,12 @@
 The four network stages (translate, infer, select-llm, embed) share one shape:
 plan the missing work under the run lock, stop there on a dry run, and hand
 every task to ``run_bounded`` with what to do as each task ends and how to save
-what finished. ``run_bounded`` saves on every exit, so an auth failure, an
-interrupt or a crash keeps every finished task, and it alone turns the failed
-tasks into the exit code. A task whose request fails at the endpoint (retries
-exhausted, or a rejected or malformed reply) fails only itself.
+what finished. ``run_bounded`` owns finished work: on every exit, an auth
+failure, an interrupt or a crash included, it waits for the tasks in flight and
+passes each that finished to ``done`` on the calling thread, which makes every
+write, before it saves; it alone turns the failed tasks into the exit code. A
+task whose request fails at the endpoint (retries exhausted, or a rejected or
+malformed reply) fails only itself.
 
 Every stage is resumable and idempotent on completed work: reruns cost zero
 network calls and rewrite byte-identical outputs. All writes are atomic
@@ -201,52 +203,59 @@ def run_bounded(
     """Run ``work`` on every task, on at most ``endpoint.max_in_flight`` threads at
     once, each task submitted only when a thread is free for it; the stage's result.
 
-    ``done(task, result, error)`` runs in this thread as each task finishes
-    (``error`` None) or fails at the endpoint (``error`` a ``GatewayError``,
-    ``result`` None). After an ``AuthError`` no task is submitted, the running
-    ones still go to ``done``, and the result is ``EXIT_CONFIG`` with
-    ``summary["error"]``. Any other exception from ``work`` is raised at once.
-    On every exit the running tasks are waited for, and then ``persist()`` runs.
-    Otherwise the exit code counts tasks, and ``failed`` failures found before:
-    0 with no failure; 4 when none finished and every failure has ``transport``
-    set; else 3.
+    ``done(task, result, error)`` runs in this thread, and only here, for each
+    task that finishes (``error`` None) or fails at the endpoint (``error`` a
+    ``GatewayError``, ``result`` None). The first ``AuthError``, any other
+    exception from ``work`` or ``done``, or an interrupt stops the run: no task
+    is submitted after it, the running ones are waited for and each that
+    finishes or fails at the endpoint still goes to ``done``. On every exit
+    ``persist()`` then runs, and the stop is raised again; for an ``AuthError``
+    the result is ``EXIT_CONFIG`` with ``summary["error"]``. Otherwise the exit
+    code counts tasks, and ``failed`` failures found before: 0 with no failure;
+    4 when none finished and every failure has ``transport`` set; else 3.
     """
     pool = ThreadPoolExecutor(max_workers=endpoint.max_in_flight)
     queued = iter(tasks)
     running: dict[Future, Task] = {}
+    finished = transport = 0
+    stop: BaseException | None = None
 
     def submit(count: int) -> None:
         for task in islice(queued, count):
             running[pool.submit(work, task)] = task
 
-    finished = transport = 0
-    auth_error: AuthError | None = None
+    def settle(futures: Iterable[Future]) -> None:
+        nonlocal finished, failed, transport, stop
+        for future in futures:
+            task, error = running.pop(future), future.exception()
+            if isinstance(error, AuthError) or error is not None and not isinstance(error, GatewayError):
+                stop = stop or error
+                continue
+            if stop is None:
+                submit(1)
+            done(task, None if error else future.result(), error)
+            if error is None:
+                finished += 1
+            else:
+                failed += 1
+                transport += error.transport
+
     try:
         submit(endpoint.max_in_flight)
-        while running:
-            ready, _ = wait(running, return_when=FIRST_COMPLETED)
-            for future in ready:
-                task = running.pop(future)
-                error = future.exception()
-                if isinstance(error, AuthError):
-                    auth_error = auth_error or error
-                    continue
-                if error is not None and not isinstance(error, GatewayError):
-                    raise error
-                if auth_error is None:
-                    submit(1)
-                done(task, None if error else future.result(), error)
-                if error is None:
-                    finished += 1
-                else:
-                    failed += 1
-                    transport += error.transport
-    finally:
+        while running and stop is None:
+            settle(wait(running, return_when=FIRST_COMPLETED)[0])
+    except BaseException as exc:  # an interrupt, or an error from done
+        stop = exc
+    try:
         pool.shutdown(wait=True, cancel_futures=True)
+        settle([future for future in running if not future.cancelled()])
+    finally:
         persist()
-    if auth_error is not None:
-        summary["error"] = str(auth_error)
+    if isinstance(stop, AuthError):
+        summary["error"] = str(stop)
         return StageResult(EXIT_CONFIG, summary)
+    if stop is not None:
+        raise stop
     if not failed:
         return StageResult(EXIT_OK, summary)
     return StageResult(EXIT_TRANSPORT if not finished and transport == failed else EXIT_PARTIAL, summary)
@@ -314,7 +323,7 @@ def run_translate(
                 translated[target][item.item_id] = result
             else:
                 summary["languages"][target.value]["failed"].append(
-                    {"item_id": error.item_id, "fields": error.failed_fields}
+                    {"item_id": error.item_id, "fields": [error.field]}
                 )
             if finished[target] == planned[target]:
                 write(target)
@@ -336,8 +345,8 @@ def run_infer(
 ) -> StageResult:
     """Fill missing response-matrix cells by calling the chat endpoint.
 
-    Each cell is one task; its record is appended to the run store as soon as
-    it is done, and the store is closed (flushed and synced) on every exit.
+    Each cell is one task, whose record ``done`` appends to the run store; the
+    store is closed (flushed and synced) on every exit.
     """
     endpoint = config.require_endpoint("chat")
     items = load_items(config)
@@ -383,32 +392,29 @@ def run_infer(
 
             registry = HashRegistry()
 
-            def work(cell: tuple[str, Language]) -> RecordStatus:
+            def work(cell: tuple[str, Language]) -> InferenceRecord:
                 item_id, lang = cell
                 item = per_language[lang][item_id]
                 prompt = build_reasoning_prompt(item, lang, config.templates)
                 digest = registry.check(prompt.body, endpoint.model_name)
                 response = chat_complete(prompt, endpoint, backoff=backoff)
                 label = extract_final_answer(response.text, items_by_id[item_id])
-                status = RecordStatus.OK if label is not None else RecordStatus.INVALID_OUTPUT
-                store.record(
-                    InferenceRecord(
-                        item_id=item_id,
-                        language=lang,
-                        model_name=endpoint.model_name,
-                        prompt_hash=digest,
-                        raw_output=response.text,
-                        extracted_label=label,
-                        status=status,
-                        attempt_count=response.attempts,
-                        created_at=utc_now(),
-                    )
+                return InferenceRecord(
+                    item_id=item_id,
+                    language=lang,
+                    model_name=endpoint.model_name,
+                    prompt_hash=digest,
+                    raw_output=response.text,
+                    extracted_label=label,
+                    status=RecordStatus.OK if label is not None else RecordStatus.INVALID_OUTPUT,
+                    attempt_count=response.attempts,
+                    created_at=utc_now(),
                 )
-                return status
 
-            def done(cell: tuple[str, Language], status: RecordStatus | None, error: GatewayError | None) -> None:
+            def done(cell: tuple[str, Language], record: InferenceRecord | None, error: GatewayError | None) -> None:
                 if error is None:
-                    summary["ok" if status is RecordStatus.OK else "invalid"] += 1
+                    store.record(record)
+                    summary["ok" if record.status is RecordStatus.OK else "invalid"] += 1
                 else:
                     summary["transport_failures"] += error.transport
 

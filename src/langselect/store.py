@@ -24,7 +24,6 @@ import logging
 import os
 import string
 import struct
-import threading
 from array import array
 from dataclasses import dataclass, field
 from enum import Enum
@@ -273,7 +272,7 @@ class RunStore:
     ``_DETECTOR``, and those of parsed rows, start UNDETECTED. An open may also
     repair the file's tail, so the caller holds the run's lock: a torn final
     line, or whitespace after the last newline, is cut off, and a good final
-    line without its newline gets one.
+    line without its newline gets one. A store has no lock: one thread writes it.
     """
 
     def __init__(self, directory: str | Path):
@@ -282,7 +281,6 @@ class RunStore:
         self.records_path = self.directory / "records.jsonl"
         self.manifest_path = self.directory / MANIFEST_NAME
         self.index_path = self.directory / INDEX_NAME
-        self._lock = threading.Lock()
         self._rows: dict[bytes, int] = {}  # compact key -> row
         self._item_ids, self._models = {}, {}  # the tables: item id or model name -> its code
         self.codes, self.statuses, self.labels, self.digests, self.verdicts = (bytearray() for _ in range(5))
@@ -434,44 +432,43 @@ class RunStore:
     def _add(self, entries: Iterable[tuple[tuple, int | None]]) -> int:
         """``append``'s loop over ``(entry, offset)`` pairs, an offset None for a line to write at the
         end of ``records.jsonl``, else where the line already is; the number of rows added."""
-        with self._lock:
-            rows, statuses, labels, digests, offsets = self._rows, self.statuses, self.labels, self.digests, self.offsets
-            compact_of, codes, width = self._compact, self.codes, _CODES.size
-            add_status, add_label, add_offset = statuses.append, labels.append, offsets.append
-            first, fh = len(statuses), self._fh
-            end = fh.tell() if fh is not None else None  # where the next written line lands, once the file is open
-            try:
-                for (key, line, status, label, digest), offset in entries:
-                    if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
-                        raise ValueError(f"{key}: label {chr(label) if label else None!r} with status byte {status!r}")
-                    compact = compact_of(key)  # after the checks: it codes the key's strings into the tables
-                    row = rows.get(compact)
-                    if row is not None:
-                        at = row * DIGEST_SIZE
-                        if digests[at : at + DIGEST_SIZE] != digest or statuses[row] != status or labels[row] != label:
-                            self.conflicts += 1
-                        continue
-                    if offset is None:
-                        if fh is None:
-                            fh = self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
-                            end = fh.tell()
-                        fh.write(line)
-                        offset, end = end, end + len(line)
-                    rows[compact] = len(statuses)
-                    codes += compact[:width]
-                    add_status(status)
-                    add_label(label)
-                    digests += digest
-                    add_offset(offset)
-            finally:
-                added = len(statuses) - first
-                self.verdicts += bytes(added)
-                if fh is not None:
-                    fh.flush()
-                    self._unsynced += added
-                    if self._unsynced >= FSYNC_EVERY:
-                        os.fsync(fh.fileno())
-                        self._unsynced = 0
+        rows, statuses, labels, digests, offsets = self._rows, self.statuses, self.labels, self.digests, self.offsets
+        compact_of, codes, width = self._compact, self.codes, _CODES.size
+        add_status, add_label, add_offset = statuses.append, labels.append, offsets.append
+        first, fh = len(statuses), self._fh
+        end = fh.tell() if fh is not None else None  # where the next written line lands, once the file is open
+        try:
+            for (key, line, status, label, digest), offset in entries:
+                if not 0 <= status < len(STATUSES) or label not in _LABEL_BYTES or not label and status == STATUS_OK:
+                    raise ValueError(f"{key}: label {chr(label) if label else None!r} with status byte {status!r}")
+                compact = compact_of(key)  # after the checks: it codes the key's strings into the tables
+                row = rows.get(compact)
+                if row is not None:
+                    at = row * DIGEST_SIZE
+                    if digests[at : at + DIGEST_SIZE] != digest or statuses[row] != status or labels[row] != label:
+                        self.conflicts += 1
+                    continue
+                if offset is None:
+                    if fh is None:
+                        fh = self._fh = self.records_path.open("ab", buffering=_APPEND_BUFFER)
+                        end = fh.tell()
+                    fh.write(line)
+                    offset, end = end, end + len(line)
+                rows[compact] = len(statuses)
+                codes += compact[:width]
+                add_status(status)
+                add_label(label)
+                digests += digest
+                add_offset(offset)
+        finally:
+            added = len(statuses) - first
+            self.verdicts += bytes(added)
+            if fh is not None:
+                fh.flush()
+                self._unsynced += added
+                if self._unsynced >= FSYNC_EVERY:
+                    os.fsync(fh.fileno())
+                    self._unsynced = 0
         return added
 
     def record(self, record: InferenceRecord) -> bool:
@@ -491,28 +488,23 @@ class RunStore:
     def output(self, row: int) -> str:
         """The ``raw_output`` of row ``row``, read back from its line of ``records.jsonl``:
         that field alone, as the line was checked when the row was added."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
+        if self._fh is not None:
+            self._fh.flush()
         with self.records_path.open("rb") as fh:
             fh.seek(self.offsets[row])
             return json.loads(fh.readline())["raw_output"]
 
     def flush(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._unsynced = 0
+        if self._fh is not None:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._unsynced = 0
 
     def close(self) -> None:
-        with self._lock:
-            if self._fh is not None:
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._fh.close()
-                self._fh = None
-                self._unsynced = 0
+        self.flush()
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
 
     def __enter__(self) -> "RunStore":
         return self

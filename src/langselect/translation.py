@@ -1,8 +1,9 @@
 """Item translation through the chat endpoint.
 
 Question and choices are translated as separate calls and reassembled
-positionally, so the gold label never moves and a single failed field only
-invalidates that item. A field whose response does not parse is re-asked once.
+positionally, so the gold label never moves. The first field that fails ends
+its item, whose later fields are not asked for; a field whose response does
+not parse is re-asked once.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ logger = logging.getLogger(__name__)
 
 
 class ItemTranslationError(GatewayError):
-    """The item could not be fully translated; names the failing fields."""
+    """The item could not be fully translated; names the field it stopped at."""
 
-    def __init__(self, item_id: str, target: Language, failed_fields: list[str], transport: bool = False):
-        super().__init__(f"item {item_id} untranslated in {target.value}: fields {failed_fields}")
+    def __init__(self, item_id: str, target: Language, field: str, transport: bool = False):
+        super().__init__(f"item {item_id} untranslated in {target.value}: field {field}")
         self.item_id = item_id
         self.target = target
-        self.failed_fields = failed_fields
+        self.field = field
         self.transport = transport
 
 
@@ -55,30 +56,26 @@ def translate_item(item: McqItem, target: Language, endpoint: ModelEndpoint, *, 
     """Translate question and choices into ``target``, preserving ids and gold.
 
     Translating into the item's own language is a copy with zero network
-    calls. Raises ItemTranslationError when any field stays untranslated after
-    retries and the single re-ask, or its reply failed at the endpoint; an
-    ``AuthError`` propagates.
+    calls. The fields are asked for in order, and the first that stays
+    untranslated after retries and the single re-ask, or whose reply failed at
+    the endpoint, raises ItemTranslationError naming it; no later field is
+    asked for. An ``AuthError`` propagates.
     """
     if target == item.source_language:
         return item
     fields = [("question", item.question), *((f"choice_{c.label}", c.text) for c in item.choices)]
-    failed: list[str] = []
-    transport = False
-    texts: list[str | None] = []
+    texts: list[str] = []
     for name, text in fields:
-        translated = None
         try:
             translated = _translate_field(text, target, endpoint, backoff)
         except AuthError:
             raise
         except GatewayError as exc:
-            transport = transport or isinstance(exc, TransportError)
             logger.warning("%s translation failed for %s: %s", name, item.item_id, exc)
+            raise ItemTranslationError(item.item_id, target, name, transport=isinstance(exc, TransportError)) from None
         if translated is None:
-            failed.append(name)
+            raise ItemTranslationError(item.item_id, target, name)
         texts.append(translated)
-    if failed:
-        raise ItemTranslationError(item.item_id, target, failed, transport=transport)
     return McqItem(
         item_id=item.item_id,
         dataset_id=item.dataset_id,

@@ -1,5 +1,6 @@
 import base64
 import hashlib
+import itertools
 import json
 import logging
 import re
@@ -989,14 +990,14 @@ class TestBoundedStages:
 
     def test_transport_failures_listed_in_dataset_order(self, tmp_path):
         with StubServer(chat_responder=good_chat_responder, latency=0.02) as stub:
-            # q0 fails on all five fields, q3 on its question only, so q3's
-            # task finishes first.
-            stub.fail_when = lambda body: "q0" in body or "for q3?" in body
+            # q0 fails on its last choice, q3 on its question, so q3's task
+            # finishes first.
+            stub.fail_when = lambda body: "choice D of q0" in body or "for q3?" in body
             config = self.config(tmp_path, stub, 4)
             result = run_translate(config, backoff=0.001)
         assert result.exit_code == EXIT_PARTIAL
         expected = [
-            {"item_id": "q0", "fields": ["question", "choice_A", "choice_B", "choice_C", "choice_D"]},
+            {"item_id": "q0", "fields": ["choice_D"]},
             {"item_id": "q3", "fields": ["question"]},
         ]
         for code in ("tr", "th"):
@@ -1126,8 +1127,9 @@ class TestRejectedReply:
 
 
 class TestInterruptAndResume:
-    """An interrupt at any task keeps every finished task: the resumed run
-    calls only the rest, and its outputs equal an uninterrupted run's."""
+    """An interrupt at any task keeps every finished task, those in flight when
+    it came included: the resumed run calls only the rest, and its outputs
+    equal an uninterrupted run's."""
 
     OUTPUTS = (
         "translations/tr.jsonl",
@@ -1139,8 +1141,8 @@ class TestInterruptAndResume:
         "reports/report.md",
     )
 
-    def config(self, tmp_path, stub):
-        return TestBoundedStages().config(tmp_path, stub, 1)
+    def config(self, tmp_path, stub, max_in_flight):
+        return TestBoundedStages().config(tmp_path, stub, max_in_flight)
 
     def outputs(self, config):
         files = {name: (config.output_dir / name).read_bytes() for name in self.OUTPUTS}
@@ -1151,8 +1153,11 @@ class TestInterruptAndResume:
         )
         return files
 
+    @pytest.mark.parametrize("max_in_flight", [1, 3])
     @pytest.mark.parametrize("stage", list(NETWORK_STAGES))
-    def test_resume_repeats_no_finished_task_and_matches_an_uninterrupted_run(self, tmp_path, monkeypatch, stage):
+    def test_resume_repeats_no_finished_task_and_matches_an_uninterrupted_run(
+        self, tmp_path, monkeypatch, stage, max_in_flight
+    ):
         monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)  # 8 items: 4 batches
         owner, name = {
             "translate": (pipeline, "translate_item"),
@@ -1161,24 +1166,23 @@ class TestInterruptAndResume:
             "embed": (clustering, "embed_texts"),
         }[stage]
         real_call = getattr(owner, name)
-        calls = {"n": 0}
+        calls = itertools.count(1)  # next() is atomic: the worker threads share it
 
         def interrupted_at_third_task(*args, **kwargs):
-            calls["n"] += 1
-            if calls["n"] == 3:
+            if next(calls) == 3:
                 raise KeyboardInterrupt
             return real_call(*args, **kwargs)
 
         with StubServer(chat_responder=varied_chat_responder) as stub:
             requests_by_stage = {}
-            whole = self.config(tmp_path / "whole", stub)
+            whole = self.config(tmp_path / "whole", stub, max_in_flight)
             for each, run in NETWORK_STAGES.items():
                 before = len(stub.requests)
                 assert run(whole, backoff=0.001).exit_code == EXIT_OK
                 requests_by_stage[each] = len(stub.requests) - before
             assert run_evaluate(whole).exit_code == EXIT_OK
 
-            config = self.config(tmp_path / "interrupted", stub)
+            config = self.config(tmp_path / "interrupted", stub, max_in_flight)
             for each, run in NETWORK_STAGES.items():
                 if each == stage:
                     before = len(stub.requests)
@@ -1520,21 +1524,23 @@ def test_embed_rewrites_a_json_lines_cache_with_the_same_vectors_and_no_call(tmp
 
 
 def test_an_embed_whose_vectors_are_of_another_width_than_the_cache_ends_in_one_line_and_writes_nothing(
-    tmp_path, pipeline_stub
+    tmp_path, monkeypatch
 ):
-    config_path = write_pipeline_config(tmp_path, pipeline_stub, languages=("en",))
-    config = load_config(config_path)
-    train, test = split(load_dataset(config.dataset_path, DatasetId.CUSTOM), config.split)
-    path = pipeline.embeddings_path(config)
-    cache = EmbeddingCache(path)
-    for item in (train + test)[1:]:  # 4 wide; the stub embeds the first item 8 wide
-        cache.put(item_embedding_key(item), item.item_id, np.ones(4))
-    cache.save()
-    before = path.read_bytes()
-    result = CliRunner().invoke(main, ["embed", "--config", str(config_path)])
+    monkeypatch.setattr(pipeline, "EMBED_BATCH_SIZE", 2)  # 8 items: 4 batches, one at a time
+    with StubServer(embed_dim=16) as stub:
+        config = TestBoundedStages().config(tmp_path, stub, 1)
+        path = pipeline.embeddings_path(config)
+        cache = EmbeddingCache(path)
+        cache.put("key-of-an-edited-item", "q0", np.ones(8))
+        cache.save()
+        before = path.read_bytes()
+        result = CliRunner().invoke(main, ["embed", "--config", str(tmp_path / "config.json")])
+        assert embedding_requests(stub) == 1  # the first batch is refused; the other three are never paid for
     assert result.exit_code == 2, result.output
     assert "Traceback" not in result.output
-    assert result.stderr.splitlines() == [f"configuration error: {path}: not saved: vectors of widths [4, 8]"]
+    assert result.stderr.splitlines() == [
+        f"configuration error: {path}: a vector of width 16 does not fit a cache of width 8"
+    ]
     assert path.read_bytes() == before
 
 

@@ -688,16 +688,23 @@ class TestEmbeddingCacheFile:
         assert header_and_rows(path) == ({"format": "langselect-embeddings", "version": 1, "dim": 0, "items": []}, b"")
         assert EmbeddingCache(path).vectors([make_item("q0")]) == {}
 
-    def test_save_refuses_vectors_of_two_widths_before_writing(self, tmp_path):
+    def test_put_refuses_a_vector_of_another_width_than_the_cache(self, tmp_path):
         path = tmp_path / "emb.jsonl"
         saved(path, {"q0": [0.6, 0.8]})
         before = path.read_bytes()
         cache = EmbeddingCache(path)
-        cache.put("k1", "q1", np.ones(3))
-        with pytest.raises(ClusteringError, match=rf"^{re.escape(str(path))}: not saved: vectors of widths \[2, 3\]$"):
-            cache.save()
+        message = rf"^{re.escape(str(path))}: a vector of width 3 does not fit a cache of width 2$"
+        with pytest.raises(ClusteringError, match=message):
+            cache.put("k1", "q1", np.ones(3))
+        cache.save()
         assert path.read_bytes() == before
-        assert not path.with_name(path.name + ".tmp").exists()
+        # An empty cache takes the width of its first vector.
+        empty = EmbeddingCache(tmp_path / "new.jsonl")
+        empty.put("k1", "q1", np.ones(3))
+        with pytest.raises(ClusteringError, match="a vector of width 2 does not fit a cache of width 3$"):
+            empty.put("k2", "q2", np.ones(2))
+        empty.save()
+        assert header_and_rows(tmp_path / "new.jsonl")[0]["items"] == [["q1", "k1"]]
 
     @pytest.mark.parametrize("cut", [1, 8, 13])
     def test_a_payload_of_another_size_is_refused_naming_the_file(self, tmp_path, cut):

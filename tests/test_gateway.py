@@ -228,5 +228,5 @@ def test_only_a_transport_error_is_a_transport_failure():
     assert TransportError("down").transport is True
     assert GatewayError("rejected").transport is False
     assert AuthError("bad key").transport is False
-    assert ItemTranslationError("q1", Language.THAI, ["question"]).transport is False
-    assert ItemTranslationError("q1", Language.THAI, ["question"], transport=True).transport is True
+    assert ItemTranslationError("q1", Language.THAI, "question").transport is False
+    assert ItemTranslationError("q1", Language.THAI, "question", transport=True).transport is True

@@ -114,7 +114,7 @@ def test_passes_every_result_to_done_on_at_most_max_in_flight_threads(monkeypatc
 def test_task_errors_go_to_done_and_set_the_exit_code():
     # Per-task endpoint failures: a rejected reply, an untranslated item.
     rejected = GatewayError("rejected with status 400")
-    untranslated = ItemTranslationError("q0", Language.THAI, ["question"], transport=True)
+    untranslated = ItemTranslationError("q0", Language.THAI, "question", transport=True)
     for first_error in (rejected, untranslated):
         work = Work(seconds=0.0, first_error=first_error)
         run = Run()
@@ -132,13 +132,43 @@ def test_task_errors_go_to_done_and_set_the_exit_code():
     assert Run()(Work(seconds=0.0, first_error=rejected), [0]).exit_code == pipeline.EXIT_PARTIAL
 
 
-def test_other_task_errors_are_raised_at_once():
-    work = Work(seconds=0.2, first_error=ValueError("bug"))
+def test_other_task_errors_stop_the_run_and_are_raised_after_the_running_tasks_reach_done():
+    running = threading.Event()
+
+    def work(task: int) -> int:
+        if task == 0:
+            running.wait(timeout=5)
+            raise ValueError("bug")
+        running.set()
+        time.sleep(0.1)
+        return task * 10
+
     run = Run()
     with pytest.raises(ValueError, match="bug"):
         run(work, list(range(50)))
-    assert len(work.started) <= 2 + 1
-    assert run.persisted == [0]
+    # Task 0 fails while task 1 runs: no task is submitted after it, and task 1
+    # is waited for and goes to done before persist.
+    assert run.results == [(1, 10, None)]
+    assert run.persisted == [1]
+
+
+def test_an_interrupt_in_the_calling_thread_still_passes_every_finished_task_to_done(monkeypatch):
+    work = Work(seconds=0.1)
+
+    def interrupted_wait(futures, return_when):
+        # Ctrl-C lands while the calling thread waits on three running tasks.
+        deadline = time.monotonic() + 5
+        while len(work.started) < 3 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(pipeline, "wait", interrupted_wait)
+    run = Run()
+    with pytest.raises(KeyboardInterrupt):
+        run(work, list(range(50)), max_in_flight=3)
+    assert sorted(work.started) == [0, 1, 2]
+    assert sorted(run.results) == [(0, 0, None), (1, 10, None), (2, 20, None)]
+    assert run.persisted == [3]
 
 
 def test_keyboard_interrupt_in_done_cancels_queued_tasks():

@@ -2,7 +2,6 @@ import json
 import os
 import random
 import re
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -103,19 +102,6 @@ class TestRecordIdempotence:
         assert (store.records_path.read_bytes(), store._item_ids, store._models) == before
         assert store.record(record_for("q1", EN, status=status)._replace(extracted_label="Z"))
         assert store.record(record_for("q2", EN, status=status)) and len(store) == 3
-
-    def test_concurrent_writers_are_serialized(self, tmp_path, store):
-        def write_block(offset):
-            for i in range(50):
-                store.record(record_for(f"q{offset + i}", EN))
-
-        threads = [threading.Thread(target=write_block, args=(n * 50,)) for n in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        store.close()
-        assert len(RunStore(tmp_path / "run")) == 200
 
     def test_lone_surrogate_output_is_written_escaped_and_reads_back(self, tmp_path):
         path = tmp_path / "run"

@@ -54,9 +54,10 @@ class TestTranslateItem:
         with StubServer(chat_responder=flaky) as stub:
             with pytest.raises(ItemTranslationError) as info:
                 translate_item(dress_code_item, Language.THAI, endpoint_for(stub), backoff=0.001)
-        # 5 fields x (1 ask + 1 re-ask)
-        assert len(calls) == 10
-        assert info.value.failed_fields == ["question", "choice_A", "choice_B", "choice_C", "choice_D"]
+        # The question's ask and re-ask; no choice is asked for after it fails.
+        assert len(calls) == 2
+        assert info.value.field == "question"
+        assert not info.value.transport
 
     def test_partial_transport_failure_marks_item(self, dress_code_item):
         with StubServer(chat_responder=echo_translation_responder) as stub:
@@ -64,7 +65,9 @@ class TestTranslateItem:
             endpoint = ModelEndpoint(base_url=stub.base_url, model_name="t", max_retries=0, timeout=5.0)
             with pytest.raises(ItemTranslationError) as info:
                 translate_item(dress_code_item, Language.FRENCH, endpoint, backoff=0.001)
-        assert len(info.value.failed_fields) == 3
+        # The question and choice A are translated; choice B fails and ends the item.
+        assert (info.value.field, info.value.transport) == ("choice_B", True)
+        assert len(stub.requests) == 3
         assert isinstance(info.value, GatewayError)  # run_bounded yields it as a failed task
 
 
